@@ -9,9 +9,9 @@ Two workloads:
   cold eigenvalue memo, ``x0 = 0`` — what independent processes would
   pay);
 * one outer step of the SA-accBCD inner loop at ``mu = 8, s = 32``:
-  the ``parity="fp-tolerant"`` prefix-GEMM fusion against the
-  ``fast=False`` reference eq. (3)-(5) loop, plus the same comparison
-  end-to-end on the fig3 configuration.
+  the fused loop's prefix-GEMM correction against the ``fast=False``
+  reference eq. (3)-(5) loop, plus the same comparison end-to-end on
+  the fig3 configuration.
 
 Wall-clock seconds (best of ``repeats``), not modelled seconds. Run as a
 script (not collected by pytest):
@@ -122,7 +122,7 @@ def bench_warm_path(n_points: int = 16) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# workload 2: the fused mu>1 inner loop (parity="fp-tolerant")
+# workload 2: the fused mu>1 inner loop
 # ---------------------------------------------------------------------------
 
 
@@ -158,12 +158,12 @@ def bench_fused_mu_inner(mu: int = 8, s: int = 32) -> dict:
         )
 
     before = best_of(lambda: run(acc_mod._sa_acc_outer_naive), repeats=20, inner=3)
-    after = best_of(lambda: run(acc_mod._sa_acc_outer_fp), repeats=20, inner=3)
+    after = best_of(lambda: run(acc_mod._sa_acc_outer_fast), repeats=20, inner=3)
     return _entry(
         f"sa_acc_bcd mu>1 inner loop (mu={mu}, s={s})", before, after,
         "one outer step's s inner iterations on identical (Y, G, R); "
         "before = reference eq. (3)-(5) loop (per-t sliced GEMVs + "
-        "overlap bookkeeping), after = fp-tolerant fused loop (one "
+        "overlap bookkeeping), after = fused loop (one "
         "prefix GEMM of the preassembled (s*mu)^2 Gram per iteration)",
     )
 
@@ -177,15 +177,15 @@ def bench_fused_end_to_end(mu: int = 8, s: int = 32) -> dict:
         run_lasso(ds, "sa-accbcd", fast=False, **common)
 
     def fused():
-        run_lasso(ds, "sa-accbcd", fast=True, parity="fp-tolerant", **common)
+        run_lasso(ds, "sa-accbcd", fast=True, **common)
 
     before = best_of(naive, repeats=3)
     after = best_of(fused, repeats=3)
     return _entry(
         f"sa-accbcd(mu={mu}, s={s}) news20 fig3 e2e", before, after,
         "full solve, bench_fig3 configuration (H=384, record_every=32); "
-        "before = fast=False reference, after = parity='fp-tolerant' "
-        "fused loop (<= 1e-9 relative iterate drift), wall-clock only",
+        "before = fast=False reference, after = fused loop "
+        "(<= 1e-9 relative iterate drift), wall-clock only",
     )
 
 

@@ -15,7 +15,6 @@ from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
-from repro.solvers.lasso.common import check_parity
 from repro.solvers.svm import dcd, sa_dcd
 
 __all__ = ["fit_lasso", "fit_svm"]
@@ -136,7 +135,6 @@ def fit_lasso(
     record_every: int = 1,
     x0=None,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -169,24 +167,24 @@ def fit_lasso(
     x0:
         Warm-start solution (length-n). Regularization-path sweeps thread
         the previous point's solution through here.
-    fast, parity:
-        SA-solver inner-loop knobs: ``fast=False`` runs the reference
-        recurrences; ``parity`` selects the fused loop's contract
-        (``"exact"`` bit-parity, ``"fp-tolerant"`` re-association).
+    fast:
+        SA solvers only: ``fast=False`` runs the reference recurrences
+        instead of the fused inner loop (bit-identical at ``mu = 1``,
+        within 1e-9 relative at ``mu > 1``, identical ledger).
     pipeline:
         SA solvers only: post the per-outer-step packed Gram reduction
         as a nonblocking Allreduce and prefetch the next block while it
-        is in flight (identical iterates; only unoverlapped latency is
-        charged). Raises for non-SA solvers, which have nothing to
-        overlap.
+        is in flight — the ``tau=0`` case of ``async_`` (identical
+        iterates; only unoverlapped latency is charged). Raises for
+        non-SA solvers, which have nothing to overlap.
     async_, tau:
         SA solvers only: bounded-staleness mode — keep up to ``tau + 1``
         packed reductions in flight and harvest the oldest, so each
         outer step may run against residual data up to ``tau`` outer
         steps stale. Weaker contract than ``pipeline`` (mutually
         exclusive with it): convergence to the synchronous objective
-        within tolerance rather than bit-parity; ``tau=0`` degenerates
-        to the pipelined schedule bit for bit. Real backends get their
+        within tolerance rather than bit-parity; ``tau=0`` is the
+        pipelined schedule bit for bit. Real backends get their
         nonblocking ring sized to ``tau + 2`` automatically; the
         result's ``cost`` carries ``stale_seconds``/``max_staleness``.
     eig_memo:
@@ -213,9 +211,6 @@ def fit_lasso(
         raise SolverError(
             f"unknown lasso solver {solver!r}; known: {sorted(_LASSO)}"
         ) from exc
-    # validated for every solver, so a typo fails even where the knob is
-    # a no-op (non-SA solvers have no fused loop)
-    check_parity(parity)
     if pipeline and not is_sa:
         raise SolverError(
             f"pipeline=True needs an SA solver (one reduction per s "
@@ -232,7 +227,7 @@ def fit_lasso(
             resume_from=ck_resume,
         )
         if is_sa:
-            kwargs.update(s=s, fast=fast, parity=parity, pipeline=pipeline,
+            kwargs.update(s=s, fast=fast, pipeline=pipeline,
                           async_=async_, tau=tau, eig_memo=eig_memo)
         return fn(A, b, lam, **kwargs)
 
@@ -273,7 +268,6 @@ def fit_svm(
     record_every: int = 0,
     alpha0=None,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -299,8 +293,9 @@ def fit_svm(
         Warm-start dual vector (length-m); the primal is rebuilt from it
         (Alg. 3 line 2). Path sweeps thread the previous point's
         ``extras["alpha"]`` through here.
-    fast, parity:
-        SA-solver inner-loop knobs (see :func:`fit_lasso`).
+    fast:
+        ``"sa-svm"`` only: ``fast=False`` runs the reference recurrences
+        (bit-identical to the fused loop).
     pipeline:
         ``"sa-svm"`` only: nonblocking per-outer-step reduction with the
         next row block prefetched while it is in flight (see
@@ -317,7 +312,6 @@ def fit_svm(
     """
     if solver not in ("svm", "sa-svm"):
         raise SolverError(f"unknown svm solver {solver!r}; known: ['svm', 'sa-svm']")
-    check_parity(parity)
     if pipeline and solver != "sa-svm":
         raise SolverError(
             "pipeline=True needs the SA solver ('sa-svm'); 'svm' "
@@ -334,9 +328,8 @@ def fit_svm(
             resume_from=ck_resume,
         )
         if solver == "sa-svm":
-            return sa_dcd(A, b, s=s, fast=fast, parity=parity,
-                          pipeline=pipeline, async_=async_, tau=tau,
-                          **kwargs)
+            return sa_dcd(A, b, s=s, fast=fast, pipeline=pipeline,
+                          async_=async_, tau=tau, **kwargs)
         return dcd(A, b, **kwargs)
 
     if backend == "virtual":

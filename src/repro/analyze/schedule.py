@@ -222,7 +222,14 @@ def _direct_ops(node: ast.Call) -> str | None:
 
 
 def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
-    """(direct collective ops, callee names) without entering nested defs."""
+    """(direct collective ops, callee names) without entering nested defs.
+
+    A bare name passed as an argument counts as a callee too: the
+    outer-step loops (:mod:`repro.solvers.outer`) receive each family's
+    inner loop and callbacks as arguments and call them under their own
+    parameter names, so treating every passed function as called keeps
+    the closure an over-approximation.
+    """
     ops: set[str] = set()
     callees: set[str] = set()
     stack = list(ast.iter_child_nodes(root))
@@ -238,6 +245,9 @@ def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
                 name = _call_name(node)
                 if name is not None:
                     callees.add(name)
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                if isinstance(arg, ast.Name):
+                    callees.add(arg.id)
         stack.extend(ast.iter_child_nodes(node))
     return ops, callees
 
@@ -373,8 +383,8 @@ def static_alphabet(family: str, mode: str) -> set[str]:
     local_defs: dict[str, tuple[set[str], set[str]]] = {}
     _visit_stmts(root.body, env, ops, callees, aliases, local_defs)
 
-    # expand aliases (`step = _sa_outer_fast`): a call to the alias
-    # reaches every function ever assigned to it
+    # expand aliases (`inner = _sa_outer_fast if fast else ...`): a call
+    # to the alias reaches every function ever assigned to it
     expanded = set(callees)
     for name in callees:
         expanded |= aliases.get(name, set())

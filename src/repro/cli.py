@@ -148,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     lpath.add_argument("--max-iter", type=int, default=500)
     lpath.add_argument("--tol", type=float, default=1e-6)
     lpath.add_argument("--record-every", type=int, default=10)
-    lpath.add_argument("--parity", default="exact",
-                       choices=["exact", "fp-tolerant"],
-                       help="fused inner-loop contract (fp-tolerant fuses "
-                            "the mu>1 correction GEMVs)")
     lpath.add_argument("--cold", action="store_true",
                        help="disable warm starts (independent solves that "
                             "still share the sweep caches)")
@@ -207,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stopping tolerance (objective change for lasso, "
                              "duality gap for svm)")
     stream.add_argument("--record-every", type=int, default=10)
-    stream.add_argument("--parity", default="exact",
-                        choices=["exact", "fp-tolerant"])
     stream.add_argument("--cold", action="store_true",
                         help="disable warm starts (each refit restarts from "
                              "zero; the engine caches still persist)")
@@ -424,7 +418,7 @@ def _cmd_lasso_path(args) -> int:
             ds.A, ds.b, n_lambdas=args.n_lambdas, eps=args.eps,
             solver=args.solver, mu=args.mu, s=args.s, max_iter=args.max_iter,
             tol=args.tol, seed=args.seed, record_every=args.record_every,
-            warm_start=not args.cold, parity=args.parity,
+            warm_start=not args.cold,
             pipeline=args.pipeline, async_=args.async_, tau=args.tau,
             adaptive=args.adaptive, comm=comm,
         )
@@ -466,7 +460,7 @@ def _cmd_lasso_path(args) -> int:
         headers,
         rows,
         title=f"{args.solver} regularization path, {mode} "
-              f"(mu={args.mu}, s={args.s}, parity={args.parity})",
+              f"(mu={args.mu}, s={args.s})",
     ))
     print(f"total iterations: {payload['total_iterations']}")
     if model_p > 1:
@@ -560,8 +554,7 @@ def _cmd_stream(args) -> int:
         solver=args.solver,
         loss=args.loss, mu=args.mu, s=args.s, max_iter=args.max_iter,
         tol=args.tol, seed=args.seed, record_every=args.record_every,
-        parity=args.parity, pipeline=args.pipeline,
-        async_=args.async_, tau=args.tau,
+        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
         backend=args.backend, ranks=args.ranks, virtual_p=args.p,
         machine=machine, warm_start=not args.cold,
         compare_cold=args.compare_cold,

@@ -262,7 +262,6 @@ def run_lasso(
     record_every: int = 1,
     lam: float | None = None,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -273,9 +272,8 @@ def run_lasso(
 ) -> SolverResult:
     """Run one Lasso-family solver on a scaled dataset at virtual P.
 
-    ``fast`` toggles the SA solvers' fused inner loop (bit-identical
-    iterates; exposed for before/after benchmarking) and ``parity`` its
-    contract (``"exact"`` / ``"fp-tolerant"``). ``pipeline`` (SA solvers
+    ``fast`` toggles the SA solvers' fused inner loop (exposed for
+    before/after benchmarking). ``pipeline`` (SA solvers
     only) hides each outer step's reduction behind the next block's
     prefetch; ``async_``/``tau`` (SA solvers only) let ranks proceed on
     reductions up to ``tau`` outer steps stale — a weaker,
@@ -294,7 +292,6 @@ def run_lasso(
     if solver.startswith("sa-"):
         kwargs["s"] = s if s is not None else 8
         kwargs["fast"] = fast
-        kwargs["parity"] = parity
         kwargs["pipeline"] = pipeline
         kwargs["async_"] = async_
         kwargs["tau"] = tau

@@ -24,20 +24,22 @@ collects the allocation-free / cache-friendly versions of those kernels:
   sweeps from growing it without limit.
 * :func:`acc_coef_tables` — the theta/eta/momentum coefficient tables of
   the fused SA-accBCD inner loop (paper eqs. (3)-(5)), vectorised with
-  the same operation association as the scalar recurrences so the fused
-  loop reproduces the naive loop bit for bit.
+  the same operation association as the scalar recurrences so the
+  ``mu = 1`` fused loop reproduces the naive loop bit for bit.
+* :func:`sparse_columns` / :func:`csc_range_matvec` — CSC views and
+  column-range scatters for the ``mu > 1`` residual updates.
 
-Bit-exactness contract
-----------------------
-Every kernel here is designed so that solvers using it produce the
-*identical* floating-point iterate sequence as the straightforward
-implementation (``fast=False``). That rules out re-associating sums —
-e.g. the fused inner loop keeps the per-``t`` correction accumulation
-order of eq. (3) instead of one blocked GEMV over a stacked delta
-vector, because BLAS would re-associate the reduction and break the
-paper's exact SA/classical equivalence invariant. The speed comes from
-removing Python/NumPy dispatch overhead, allocations, and redundant
-eigensolves — not from changing the arithmetic.
+Parity contract
+---------------
+The gathers, Gram plans, eigenvalue memo and coefficient tables return
+exactly what the straightforward implementation (``fast=False``) would,
+so the ``mu = 1`` and SVM fused loops keep the reference iterate
+sequence bit for bit. The ``mu > 1`` Lasso loops trade that for speed:
+they apply each iteration's correction sum as one prefix GEMV/GEMM over
+the stacked update history and scatter residual updates through
+:func:`csc_range_matvec`, and both re-associate reductions. Their
+iterates stay within 1e-9 relative of the reference; the modelled
+ledger is identical, since only the association changes, not the work.
 """
 
 from __future__ import annotations
@@ -178,8 +180,9 @@ def csc_range_matvec(
     (or None when the column range is empty) and ``nnz`` the non-zeros
     touched. Accumulation runs through :func:`numpy.bincount` over the
     stacked column entries — C-speed, no scipy submatrix construction,
-    but a *different association* than per-column CSC matvec, so this is
-    an fp-tolerant-only kernel (the exact-parity loops keep ``S @ dz``).
+    but a *different association* than per-column CSC matvec, so only
+    the fp-tolerant ``mu > 1`` loops use it (the reference keeps
+    ``S @ dz``).
     """
     lo = int(indptr[c0])
     hi = int(indptr[c1])

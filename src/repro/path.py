@@ -429,7 +429,6 @@ def lasso_path(
     record_every: int = 10,
     warm_start: bool = True,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -532,7 +531,7 @@ def lasso_path(
                 A, b, lambdas, n_lambdas=n_lambdas, eps=eps, solver=solver,
                 mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
                 record_every=record_every, warm_start=warm_start,
-                fast=fast, parity=parity, pipeline=pipeline,
+                fast=fast, pipeline=pipeline,
                 async_=async_, tau=tau,
                 adaptive=adaptive, adapt_tol_factor=adapt_tol_factor,
                 adapt_iter_factor=adapt_iter_factor, comm=wcomm,
@@ -600,7 +599,7 @@ def lasso_path(
             ctx.dist, ctx.b, float(lam), solver=solver, mu=mu, s=s,
             max_iter=it_i, seed=seed, tol=tol_i, comm=ctx.comm,
             record_every=record_every, x0=x_warm if warm_start else None,
-            fast=fast, parity=parity, pipeline=pipeline,
+            fast=fast, pipeline=pipeline,
             async_=async_, tau=tau, eig_memo=ctx.eig_memo,
         )
         ctx.end_point(res)
@@ -640,7 +639,6 @@ def svm_path(
     record_every: int = 0,
     warm_start: bool = True,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -690,7 +688,7 @@ def svm_path(
                 A, b, lams, n_lambdas=n_lambdas, loss=loss, solver=solver,
                 s=s, max_iter=max_iter, tol=tol, seed=seed,
                 record_every=record_every, warm_start=warm_start,
-                fast=fast, parity=parity, pipeline=pipeline,
+                fast=fast, pipeline=pipeline,
                 async_=async_, tau=tau,
                 adaptive=adaptive, adapt_tol_factor=adapt_tol_factor,
                 adapt_iter_factor=adapt_iter_factor, comm=wcomm,
@@ -745,7 +743,7 @@ def svm_path(
         res = fit_svm(
             ctx.dist, ctx.b, loss=loss, lam=float(lam), solver=solver, s=s,
             max_iter=it_i, seed=seed, tol=tol_i, comm=ctx.comm,
-            record_every=record_every, alpha0=alpha0, fast=fast, parity=parity,
+            record_every=record_every, alpha0=alpha0, fast=fast,
             pipeline=pipeline, async_=async_, tau=tau,
         )
         ctx.end_point(res)

@@ -28,30 +28,25 @@ Fast inner loop (``fast=True``, the default): the theta/eta/momentum
 coefficient tables are precomputed once per outer step
 (:func:`repro.linalg.kernels.acc_coef_tables`), the overlap bookkeeping
 ``cur_j = z_sk[I_j] + sum I_j^T I_t dz_t`` collapses to a read of the
-incrementally-updated ``z`` (same additions, same order), the block
-Lipschitz eigensolve is memoised per Gram-block bytes, and at ``mu = 1``
-the whole eq. (3)-(5) recurrence runs on scalars with sparse
-column-scatter residual updates (O(nnz of the sampled column) instead of
-O(nnz of all s columns) per inner iteration). Every fast-path operation
-keeps the naive loop's operation order, so the iterate sequence is
-bit-identical to ``fast=False`` — that invariant is enforced by
-``tests/test_fast_parity.py``.
-
-Parity modes (``parity=``): ``"exact"`` (default) is the bit-parity
-contract above. ``"fp-tolerant"`` additionally fuses the ``mu > 1``
-per-``t`` correction GEMVs: eq. (3)'s coefficient splits as
-``c_{j,t} = theta_{j-1}^2 m_t - 1`` with ``m_t = (1 - q th_t)/th_t^2``,
-so the whole correction sum collapses to one prefix apply of the
-preassembled ``(s mu) x (s mu)`` Gram per inner iteration,
+incrementally-updated ``z``, and the block Lipschitz eigensolve is
+memoised per Gram-block bytes. At ``mu = 1`` the whole eq. (3)-(5)
+recurrence runs on scalars with sparse column-scatter residual updates
+(O(nnz of the sampled column) instead of O(nnz of all s columns) per
+inner iteration), keeping the reference loop's operation order: its
+iterates are bit-identical to ``fast=False``. At ``mu > 1`` eq. (3)'s
+coefficient splits as ``c_{j,t} = theta_{j-1}^2 m_t - 1`` with
+``m_t = (1 - q th_t)/th_t^2``, so the whole correction sum collapses to
+one prefix apply of the preassembled ``(s mu) x (s mu)`` Gram per inner
+iteration,
 
     sum_t c_{j,t} G_{j,t} dz_t
         = th^2 G[j,:off] (m .* dz) - G[j,:off] dz,
 
 a single (mu x off) @ (off x 2) GEMM instead of ``j`` sliced GEMVs. BLAS
 re-associates the sum over ``t`` (that is the speed), which perturbs
-iterates at the rounding level — validated to <= 1e-9 relative drift on
-the fig3 configuration by ``tests/test_fast_parity.py``. The modelled
-cost ledger charges the algorithm's work, identical in both modes.
+iterates at the rounding level: within 1e-9 relative of ``fast=False``,
+with an identical modelled ledger (the model charges the algorithm's
+work). ``tests/test_fast_parity.py`` enforces both contracts.
 """
 
 from __future__ import annotations
@@ -85,7 +80,6 @@ from repro.solvers.base import (
 )
 from repro.solvers.lasso.common import (
     as_penalty,
-    check_parity,
     distributed_objective,
     make_sampler,
     momentum_coef,
@@ -94,6 +88,7 @@ from repro.solvers.lasso.common import (
     theta_schedule,
 )
 from repro.solvers.lasso.plain import _overlap_apply, _sa_plan
+from repro.solvers.outer import check_schedule, run_blocking, run_ring
 from repro.utils.validation import nnz_of
 
 __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
@@ -261,7 +256,7 @@ def _sa_acc_outer_naive(
     """Reference inner loop: eqs. (3)-(5) exactly as written.
 
     Kept as the ``fast=False`` escape hatch and as the ground truth for
-    the bit-identical parity tests.
+    the fused loop's parity tests.
     """
     s_eff = len(blocks)
     z_outer = z.copy()
@@ -320,95 +315,22 @@ def _sa_acc_outer_fast(
     dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
     y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
 ):
-    """Fused inner loop — bit-identical iterates, fraction of the work.
-
-    * coefficient tables (theta^2, q*theta, momentum, eq. (3)'s c_{j,t})
-      are built once per outer step with naive-matching associativity;
-    * ``cur_j`` reads the incrementally-updated ``z`` instead of
-      re-deriving overlaps with O(mu^2) comparisons — ``z`` accumulates
-      the exact same additions in the exact same order;
-    * the block Lipschitz constant is memoised on the Gram block's bytes;
-    * at ``mu = 1`` the recurrence runs on Python scalars and residual
-      updates scatter single sparse columns.
-    """
-    s_eff = len(blocks)
-    t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
-    account = dist.comm.account_flops
-    if max(widths) == 1:
-        return _sa_acc_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-            y, z, ytil, ztil, done, max_iter, record_every, term, history,
-        )
-    deltas: list[np.ndarray] = []
-    nonzero: list[bool] = []
-    theta_used = thetas[0]
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        th_prev = thetas[j]
-        theta_used = th_prev
-        r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
-        for t in range(j):
-            if nonzero[t]:
-                sl_t = slice(offsets[t], offsets[t + 1])
-                r -= C[j, t] * (G[sl_j, sl_t] @ deltas[t])
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 4),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / (qth[j] * v)
-            cur = z[blocks[j]].copy()
-            g = cur - eta * r
-            new = pen.prox_block(g, eta, blocks[j])
-            dz = new - cur
-        else:
-            dz = np.zeros(widths[j])
-        nz = bool(np.any(dz))
-        deltas.append(dz)
-        nonzero.append(nz)
-        coef = coefv[j]
-        z[blocks[j]] += dz
-        y[blocks[j]] -= coef * dz
-        if nz:
-            Sj = Y[:, sl_j]
-            Sdz = np.asarray(Sj @ dz).ravel()
-            account(2.0 * nnz_of(Sj), "blas1")
-            account(3.0 * Sdz.shape[0], "gather")
-            ztil += Sdz
-            ytil -= coef * Sdz
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
-
-
-def _sa_acc_outer_fp(
-    dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
-):
-    """fp-tolerant fused inner loop: one prefix Gram GEMM per iteration.
+    """Fused inner loop: one prefix Gram GEMM per iteration.
 
     Maintains the stacked update history ``U[:, 0] = m_t .* dz_t`` and
     ``U[:, 1] = dz_t`` (block-concatenated), so eq. (3)'s correction sum
     over ``t < j`` becomes a single ``G[sl_j, :off] @ U[:off]`` apply of
     the preassembled outer-step Gram — BLAS re-associates the reduction,
-    hence the relaxed (<= 1e-9 relative drift) parity contract. Residual
-    updates scatter the block's CSC range directly (bincount
+    hence the relaxed (<= 1e-9 relative drift) contract at ``mu > 1``.
+    Residual updates scatter the block's CSC range directly (bincount
     accumulation, no scipy submatrix construction). Charges the same
-    modelled flops as the exact loop: the algorithmic work is unchanged,
-    only its association differs.
+    modelled flops as :func:`_sa_acc_outer_naive`: the algorithmic work
+    is unchanged, only its association differs. ``mu = 1`` runs the
+    GEMV-free scalar loop, bit-identical to the reference.
     """
     s_eff = len(blocks)
     t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
     if max(widths) == 1:
-        # the scalar loop is already GEMV-free; both parity modes share it
         return _sa_acc_inner_scalar(
             dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
             y, z, ytil, ztil, done, max_iter, record_every, term, history,
@@ -564,7 +486,6 @@ def sa_acc_bcd(
     record_every: int = 1,
     symmetric_pack: bool = True,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -579,48 +500,29 @@ def sa_acc_bcd(
     to :func:`acc_bcd` in exact arithmetic for equal seeds.
 
     ``fast`` selects the fused inner loop (default); ``fast=False`` runs
-    the reference eq. (3)-(5) recurrences. With ``parity="exact"`` (the
-    default) the fused loop produces bit-identical iterate sequences —
-    it only removes overhead, never changes the arithmetic. With
-    ``parity="fp-tolerant"`` the ``mu > 1`` correction sums additionally
-    collapse to one prefix Gram GEMM per inner iteration (BLAS
-    re-association, <= 1e-9 relative iterate drift); at ``mu = 1`` both
-    modes share the exact scalar loop. ``parity`` has no effect with
-    ``fast=False``.
+    the reference eq. (3)-(5) recurrences. The two are bit-identical at
+    ``mu = 1``; at ``mu > 1`` the fused loop collapses each iteration's
+    correction sums into one prefix Gram GEMM (BLAS re-association,
+    <= 1e-9 relative iterate drift, identical ledger).
 
-    ``pipeline=True`` makes the one synchronization per outer step
-    *asynchronous*: the packed reduction of ``G = Y^T Y`` and
-    ``Y^T [ytil, ztil]`` is posted nonblocking, and the next outer
-    step's sampled block and partial Gram are computed while it is in
-    flight (double-buffered; the residual-dependent projections are
-    packed after the current inner loop finishes). Identical iterates,
-    identical message counts; the modelled ledger charges only the
-    unoverlapped latency remainder.
-
+    The outer loop is :mod:`repro.solvers.outer`'s: blocking by default;
     ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
     harvests the oldest, so outer step ``k`` runs against ``[ytil,
     ztil]`` projections up to ``tau`` outer steps stale (the momentum
     schedule ``thetas`` is still computed fresh at harvest). Weaker
-    contract than ``pipeline``: convergence to the synchronous
-    objective within tolerance, not bit-parity — except ``tau=0``,
-    which reproduces the pipelined schedule bit for bit. See
+    contract than bit-parity: convergence to the synchronous objective
+    within tolerance. ``pipeline=True`` is the ``tau = 0`` case
+    (mutually exclusive with ``async_``): the next step's block and
+    partial Gram are computed while the current reduction is in flight,
+    with iterates and message counts identical to the blocking run and
+    only the unoverlapped latency remainder charged. See
     :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
     accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement. Mutually
-    exclusive with ``pipeline``. ``eig_memo`` supplies a private
-    eigenvalue memo for the fused loops (default: the shared
-    process-wide memo).
+    ``nb_depth = tau + 2`` communicator ring requirement. ``eig_memo``
+    supplies a private eigenvalue memo for the fused loop (default: the
+    shared process-wide memo).
     """
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
-    check_parity(parity)
+    check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
         require_int_seed(seed)
     dist, b_local = setup_problem(A, b, comm)
@@ -638,10 +540,10 @@ def sa_acc_bcd(
             ytil = dist.matvec_local(y)
             ztil = dist.matvec_local(z) - b_local
         theta = state_scalar(ck, "theta")
-        theta_resumed = state_scalar(ck, "theta_used")
+        theta_used = state_scalar(ck, "theta_used")
     else:
         y, z, ytil, ztil = _init_acc_state(dist, b_local, x0)
-        theta = theta_resumed = mu / n
+        theta = theta_used = mu / n
     sampler = make_sampler(n, mu, seed, pen)
     q = float(int(np.ceil(n / mu)))
     term = Terminator(max_iter, tol, "objective")
@@ -656,20 +558,30 @@ def sa_acc_bcd(
         history.record(0, _acc_objective(dist, theta, y, z, ytil, ztil, pen), dist.comm)
         term.done(history.final_metric)
 
-    if not fast:
-        step = _sa_acc_outer_naive
-    elif parity == "fp-tolerant":
-        step = _sa_acc_outer_fp
-    else:
-        step = _sa_acc_outer_fast
-    converged = False
-    theta_used = theta_resumed
+    inner = _sa_acc_outer_fast if fast else _sa_acc_outer_naive
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
+    def plan(k):
+        return _sa_plan(sampler, k)
+
+    def reduce(idx):
+        Y = dist.sample_columns(idx)
+        # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
+        return (Y, *dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack))
+
+    def step(batch, Y, G, R, done):
+        nonlocal theta, theta_used
+        blocks, widths, offsets = batch
+        # the whole outer step's thetas depend only on theta_sk (Alg. 2
+        # line 9), known fresh at harvest
+        thetas = theta_schedule(theta, len(blocks))
+        converged, done, theta, theta_used = inner(
+            dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
+            y, z, ytil, ztil, done, max_iter, record_every, term, history,
+            memo=eig_memo,
+        )
+        return converged, done
+
+    def checkpoint(done):
         emit_solver_checkpoint(
             make_solver_checkpoint(
                 family="lasso-acc", solver=f"sa-accbcd(mu={mu}, s={s})",
@@ -681,95 +593,19 @@ def sa_acc_bcd(
             checkpoint_sink, dist.comm.rank,
         )
 
-    if async_ and done < max_iter:
-        pipe = dist.gram_pipeline(
-            extra_cols=2, symmetric=symmetric_pack, depth=tau + 2
+    if async_ or pipeline:
+        lag = tau if async_ else 0
+        pipe = dist.gram_pipeline(extra_cols=2, symmetric=symmetric_pack, depth=lag + 2)
+        converged, done = run_ring(
+            plan, step, checkpoint, pipe, [ytil, ztil], done=done, max_iter=max_iter,
+            s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
-        planned = done
-        inflight = []  # FIFO of (plan, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            plan = _sa_plan(sampler, min(s, max_iter - planned))
-            pslot = pipe.prefetch(np.concatenate(plan[0]))
-            pipe.post(pslot, [ytil, ztil])
-            inflight.append((plan, pslot))
-            planned += len(plan[0])
-        while inflight:
-            nxt = nslot = None
-            if planned < max_iter:
-                nxt = _sa_plan(sampler, min(s, max_iter - planned))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-                planned += len(nxt[0])
-            cur, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            # thetas depend only on theta_sk, known fresh at harvest
-            thetas = theta_schedule(theta, len(blocks))
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            # this step supersedes the projections carried by every
-            # reduction still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nxt is not None:
-                pipe.post(nslot, [ytil, ztil])
-                inflight.append((nxt, nslot))
-        # drain unconsumed reductions: traffic is charged at finalize and
-        # the ring is left clean for communicator reuse
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and done < max_iter:
-        pipe = dist.gram_pipeline(extra_cols=2, symmetric=symmetric_pack)
-        cur = _sa_plan(sampler, min(s, max_iter - done))
-        slot = pipe.prefetch(np.concatenate(cur[0]))
-        pipe.post(slot, [ytil, ztil])
-        while True:
-            nxt = nslot = None
-            remaining = max_iter - done - len(cur[0])
-            if remaining > 0:
-                # overlapped with the in-flight reduction
-                nxt = _sa_plan(sampler, min(s, remaining))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            # thetas depend only on theta_sk (Alg. 2 line 9)
-            thetas = theta_schedule(theta, len(blocks))
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-            if converged or nxt is None:
-                break
-            pipe.post(nslot, [ytil, ztil])
-            cur, slot = nxt, nslot
     else:
-        while done < max_iter and not converged:
-            s_eff = min(s, max_iter - done)
-            blocks, widths, offsets = _sa_plan(sampler, s_eff)
-            all_idx = np.concatenate(blocks)
-            # thetas for the whole outer step depend only on theta_sk (Alg. 2 line 9)
-            thetas = theta_schedule(theta, s_eff)
-            Y = dist.sample_columns(all_idx)
-            # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
-            G, R = dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack)
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-    if not record_every or history.iterations[-1] != done:
+        converged, done = run_blocking(
+            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
+            checkpoint_every=checkpoint_every,
+        )
+    if history.iterations[-1] != done:
         history.record(
             done, _acc_objective(dist, theta_used, y, z, ytil, ztil, pen), dist.comm
         )

@@ -19,24 +19,7 @@ __all__ = [
     "theta_next",
     "theta_schedule",
     "momentum_coef",
-    "PARITY_MODES",
-    "check_parity",
 ]
-
-#: inner-loop parity contracts of the fused (``fast=True``) SA solvers:
-#: ``"exact"`` keeps bit-identical iterates vs the reference loop;
-#: ``"fp-tolerant"`` allows BLAS re-association of the mu > 1 correction
-#: sums (one prefix Gram GEMM per inner iteration instead of per-``t``
-#: sliced GEMVs), bounded to <= 1e-9 relative iterate drift.
-PARITY_MODES = ("exact", "fp-tolerant")
-
-
-def check_parity(parity: str) -> str:
-    if parity not in PARITY_MODES:
-        raise SolverError(
-            f"unknown parity mode {parity!r}; known: {list(PARITY_MODES)}"
-        )
-    return parity
 
 
 def setup_problem(

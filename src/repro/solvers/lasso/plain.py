@@ -50,11 +50,11 @@ from repro.solvers.base import (
 )
 from repro.solvers.lasso.common import (
     as_penalty,
-    check_parity,
     distributed_objective,
     make_sampler,
     setup_problem,
 )
+from repro.solvers.outer import check_schedule, run_blocking, run_ring
 
 __all__ = ["bcd", "sa_bcd", "cd", "sa_cd"]
 
@@ -257,77 +257,19 @@ def _sa_outer_fast(
     dist, pen, Y, G, R, blocks, widths, offsets,
     x, r_local, done, max_iter, record_every, term, history, memo=None,
 ):
-    """Fused inner loop: bit-identical to :func:`_sa_outer_naive`.
-
-    Same fusion strategy as SA-accBCD minus the momentum tables: ``cur``
-    reads the incrementally-updated ``x``, eigensolves are memoised, and
-    ``mu = 1`` runs on scalars with sparse column scatters.
-    """
-    s_eff = len(blocks)
-    account = dist.comm.account_flops
-    if max(widths) == 1:
-        return _sa_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets,
-            x, r_local, done, max_iter, record_every, term, history,
-        )
-    deltas: list[np.ndarray] = []
-    nonzero: list[bool] = []
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        rho = R[sl_j, 0].copy()
-        for t in range(j):
-            if nonzero[t]:
-                sl_t = slice(offsets[t], offsets[t + 1])
-                rho += G[sl_j, sl_t] @ deltas[t]
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 3),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / v
-            cur = x[blocks[j]].copy()
-            g = cur - eta * rho
-            new = pen.prox_block(g, eta, blocks[j])
-            delta = new - cur
-        else:
-            delta = np.zeros(widths[j])
-        nz = bool(np.any(delta))
-        deltas.append(delta)
-        nonzero.append(nz)
-        x[blocks[j]] += delta
-        if nz:
-            Sj = Y[:, sl_j]
-            dist.apply_column_update(Sj, delta, r_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
-
-
-def _sa_outer_fp(
-    dist, pen, Y, G, R, blocks, widths, offsets,
-    x, r_local, done, max_iter, record_every, term, history, memo=None,
-):
-    """fp-tolerant fused inner loop: one prefix Gram GEMV per iteration.
+    """Fused inner loop: one prefix Gram GEMV per iteration.
 
     The correction sum ``sum_{t<j} G_{j,t} dz_t`` is applied as a single
     ``G[sl_j, :off] @ dz_all[:off]`` against the stacked update history,
-    and residual updates scatter the block's CSC range directly
-    (bincount accumulation) — BLAS/bincount re-associate the reductions
-    (<= 1e-9 relative drift); the modelled flops charged are identical
-    to the exact loop.
+    eigensolves are memoised, and residual updates scatter the block's
+    CSC range directly (bincount accumulation). BLAS and bincount
+    re-associate those sums, so at ``mu > 1`` the iterates stay within
+    1e-9 relative of :func:`_sa_outer_naive`'s, with identical modelled
+    charges; ``mu = 1`` runs the GEMV-free scalar loop, bit-identical.
     """
     s_eff = len(blocks)
     account = dist.comm.account_flops
     if max(widths) == 1:
-        # the scalar loop is already GEMV-free; both parity modes share it
         return _sa_inner_scalar(
             dist, pen, Y, G, R, blocks, offsets,
             x, r_local, done, max_iter, record_every, term, history,
@@ -442,11 +384,11 @@ def _sa_inner_scalar(
 
 
 def _sa_plan(sampler, s_eff: int) -> tuple:
-    """Sample one outer step's blocks: (blocks, widths, offsets)."""
+    """Sample one outer step's blocks: ``(idx, (blocks, widths, offsets))``."""
     blocks = [sampler.next_block() for _ in range(s_eff)]
     widths = [int(blk.shape[0]) for blk in blocks]
     offsets = np.concatenate([[0], np.cumsum(widths)])
-    return blocks, widths, offsets
+    return np.concatenate(blocks), (blocks, widths, offsets)
 
 
 def sa_bcd(
@@ -464,7 +406,6 @@ def sa_bcd(
     record_every: int = 1,
     symmetric_pack: bool = True,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -477,43 +418,41 @@ def sa_bcd(
 
     Same iterate sequence as :func:`bcd` for equal seeds (exact
     arithmetic); trades a factor-``s`` larger Gram/message for an
-    ``s``-fold latency reduction (paper Table I). ``fast`` selects the
-    fused inner loop; with ``parity="exact"`` (default) its iterates are
-    bit-identical to the ``fast=False`` reference recurrences, while
-    ``parity="fp-tolerant"`` fuses the ``mu > 1`` correction GEMVs into
-    one prefix Gram apply per inner iteration (BLAS re-association,
-    <= 1e-9 relative iterate drift).
+    ``s``-fold latency reduction (paper Table I). ``fast`` (default)
+    selects the fused inner loop; ``fast=False`` runs the reference
+    recurrences. The two are bit-identical at ``mu = 1``; at ``mu > 1``
+    the fused loop applies each iteration's correction sum as one prefix
+    Gram GEMV, which re-associates it (<= 1e-9 relative iterate drift,
+    identical ledger).
 
-    ``pipeline=True`` posts each outer step's packed Gram reduction as a
-    *nonblocking* Allreduce and samples + Gram-packs the next outer
-    step's block while it is in flight (double-buffered), hiding the
-    collective's latency behind computation. Same sampled blocks, same
-    rank-ordered fold — the iterate sequence is unchanged, and the
-    modelled ledger charges only the unoverlapped latency remainder.
-    The prefetch is speculative: a run that converges via ``tol``
-    mid-step has already sampled + Gram-packed one block it will never
-    use, and the ledger honestly charges that extra local work (traffic
-    is never speculated — the unused block is never posted).
+    The outer loop is :mod:`repro.solvers.outer`'s. ``async_=True``
+    keeps up to ``tau + 1`` outer-step reductions in flight, each posted
+    with the residual current at its post time, and harvests the
+    *oldest* instead of blocking on the newest — outer step ``k``
+    therefore runs its inner loop against a residual up to ``tau`` steps
+    stale (deterministic bounded staleness: step ``k`` sees the residual
+    of step ``max(0, k - tau)``). The contract is deliberately weaker
+    than bit-parity: the iterate sequence *differs* from the synchronous
+    one, and what is guaranteed (and tested, ``tests/test_async.py``) is
+    convergence to the synchronous reference's objective within
+    tolerance. The ledger splits each in-flight reduction's overlapped
+    transit into fresh (``comm_seconds_hidden``) and superseded
+    (``stale_seconds``) windows and records the observed staleness
+    watermark (``max_staleness``). Needs a communicator ring of
+    ``tau + 2`` nonblocking slots (``nb_depth`` on the thread/process
+    backends — exceeding it raises
+    :class:`~repro.errors.NbRingDepthError`).
 
-    ``async_=True`` goes further: up to ``tau + 1`` outer-step reductions
-    stay in flight, each posted with the residual current at its post
-    time, and the driver harvests the *oldest* instead of blocking on the
-    newest — outer step ``k`` therefore runs its inner loop against a
-    residual up to ``tau`` steps stale (deterministic bounded staleness:
-    step ``k`` sees the residual of step ``max(0, k - tau)``). The
-    contract is deliberately weaker than the pipelined path's bit-parity:
-    the iterate sequence *differs* from the synchronous one, and what is
-    guaranteed (and tested, ``tests/test_async.py``) is convergence to
-    the synchronous reference's objective within tolerance. ``tau=0``
-    degenerates to the pipelined schedule bit for bit — same sampler
-    stream, same op order, same ledger. The ledger splits each in-flight
-    reduction's overlapped transit into fresh (``comm_seconds_hidden``)
-    and superseded (``stale_seconds``) windows and records the observed
-    staleness watermark (``max_staleness``). Mutually exclusive with
-    ``pipeline``; needs a communicator ring of ``tau + 2`` nonblocking
-    slots (``nb_depth`` on the thread/process backends — exceeding it
-    raises :class:`~repro.errors.NbRingDepthError`).
-    ``eig_memo`` supplies a private eigenvalue memo for the fused loops
+    ``pipeline=True`` is the ``tau = 0`` case of ``async_`` (and
+    mutually exclusive with it): the next outer step's block is sampled
+    and Gram-packed while the current reduction is in flight. Same
+    sampled blocks, same rank-ordered fold — the iterates equal the
+    blocking run's bit for bit, and the ledger charges only the
+    unoverlapped latency remainder. The prefetch is speculative: a run
+    that converges via ``tol`` mid-step has already sampled +
+    Gram-packed one block it will never use, and the ledger honestly
+    charges that extra local work (the unused block is never posted).
+    ``eig_memo`` supplies a private eigenvalue memo for the fused loop
     (default: the shared process-wide memo).
 
     ``checkpoint_every``/``checkpoint_sink``/``resume_from`` follow
@@ -521,16 +460,7 @@ def sa_bcd(
     crosses each cadence multiple, and a checkpoint written by either
     solver resumes under the other (the sampler stream is per-draw).
     """
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
-    check_parity(parity)
+    check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
         require_int_seed(seed)
     dist, b_local = setup_problem(A, b, comm)
@@ -560,19 +490,24 @@ def sa_bcd(
         history.record(0, distributed_objective(dist, r_local, x, pen), dist.comm)
         term.done(history.final_metric)
 
-    if not fast:
-        step = _sa_outer_naive
-    elif parity == "fp-tolerant":
-        step = _sa_outer_fp
-    else:
-        step = _sa_outer_fast
-    converged = False
+    inner = _sa_outer_fast if fast else _sa_outer_naive
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
+    def plan(k):
+        return _sa_plan(sampler, k)
+
+    def reduce(idx):
+        Y = dist.sample_columns(idx)
+        return (Y, *dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack))
+
+    def step(batch, Y, G, R, done):
+        blocks, widths, offsets = batch
+        return inner(
+            dist, pen, Y, G, R, blocks, widths, offsets,
+            x, r_local, done, max_iter, record_every, term, history,
+            memo=eig_memo,
+        )
+
+    def checkpoint(done):
         emit_solver_checkpoint(
             make_solver_checkpoint(
                 family="lasso-plain", solver=f"sa-bcd(mu={mu}, s={s})",
@@ -583,94 +518,19 @@ def sa_bcd(
             checkpoint_sink, dist.comm.rank,
         )
 
-    if async_ and done < max_iter:
-        pipe = dist.gram_pipeline(
-            extra_cols=1, symmetric=symmetric_pack, depth=tau + 2
+    if async_ or pipeline:
+        lag = tau if async_ else 0
+        pipe = dist.gram_pipeline(extra_cols=1, symmetric=symmetric_pack, depth=lag + 2)
+        converged, done = run_ring(
+            plan, step, checkpoint, pipe, [r_local], done=done, max_iter=max_iter,
+            s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
-        # warmup: batch 0 fresh, batches 1..tau posted with the same
-        # initial residual (they will be min(j, tau) steps stale when
-        # harvested); `planned` counts iterations already committed to
-        # in-flight batches so the last batch is sized to max_iter
-        planned = done
-        inflight = []  # FIFO of (plan, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            plan = _sa_plan(sampler, min(s, max_iter - planned))
-            pslot = pipe.prefetch(np.concatenate(plan[0]))
-            pipe.post(pslot, [r_local])
-            inflight.append((plan, pslot))
-            planned += len(plan[0])
-        while inflight:
-            nxt = nslot = None
-            if planned < max_iter:
-                nxt = _sa_plan(sampler, min(s, max_iter - planned))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-                planned += len(nxt[0])
-            cur, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            # completing this step supersedes the residual carried by
-            # every reduction still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nxt is not None:
-                pipe.post(nslot, [r_local])
-                inflight.append((nxt, nslot))
-        # drain: reductions posted but never consumed still moved real
-        # traffic (charged at finalize) and must clear the ring so the
-        # communicator is reusable (path sweeps, streaming)
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and done < max_iter:
-        pipe = dist.gram_pipeline(extra_cols=1, symmetric=symmetric_pack)
-        cur = _sa_plan(sampler, min(s, max_iter - done))
-        slot = pipe.prefetch(np.concatenate(cur[0]))
-        pipe.post(slot, [r_local])
-        while True:
-            nxt = nslot = None
-            remaining = max_iter - done - len(cur[0])
-            if remaining > 0:
-                # overlapped with the in-flight reduction: sample + pack
-                # the next outer step's (residual-independent) Gram
-                nxt = _sa_plan(sampler, min(s, remaining))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-            if converged or nxt is None:
-                break
-            pipe.post(nslot, [r_local])
-            cur, slot = nxt, nslot
     else:
-        while done < max_iter and not converged:
-            s_eff = min(s, max_iter - done)
-            blocks, widths, offsets = _sa_plan(sampler, s_eff)
-            all_idx = np.concatenate(blocks)
-            Y = dist.sample_columns(all_idx)
-            G, R = dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack)
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-    if not record_every or history.iterations[-1] != done:
+        converged, done = run_blocking(
+            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
+            checkpoint_every=checkpoint_every,
+        )
+    if history.iterations[-1] != done:
         history.record(done, distributed_objective(dist, r_local, x, pen), dist.comm)
 
     return SolverResult(

@@ -41,7 +41,7 @@ from repro.solvers.base import (
     Terminator,
     check_finite_iterate,
 )
-from repro.solvers.lasso.common import check_parity
+from repro.solvers.outer import check_schedule, run_blocking, run_ring
 from repro.solvers.sampling import RowSampler
 from repro.solvers.svm.duality import duality_gap, loss_params
 from repro.utils.validation import check_vector
@@ -339,11 +339,9 @@ def sa_dcd(
     record_every: int = 0,
     symmetric_pack: bool = True,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
-    eig_memo=None,
     checkpoint_every: int = 0,
     checkpoint_sink=None,
     resume_from=None,
@@ -352,42 +350,26 @@ def sa_dcd(
 
     One packed Allreduce (s x s Gram + ``Y x``) per ``s`` iterations;
     identical iterates to :func:`dcd` in exact arithmetic for equal
-    seeds. ``fast`` selects the fused inner loop (bit-identical
-    iterates); ``fast=False`` runs the reference recurrences. ``parity``
-    is accepted for API uniformity with the Lasso SA solvers; the eq.
-    (15) corrections are already one fused dot product per inner
-    iteration, so both modes run the same (bit-identical) loop.
+    seeds. ``fast`` selects the fused inner loop, bit-identical to the
+    ``fast=False`` reference recurrences (the eq. (15) corrections are
+    already one dot product per inner iteration).
 
-    ``pipeline=True`` posts the packed reduction nonblocking and samples
-    + Gram-packs the next outer step's rows while it is in flight (the
-    ``Y x_sk`` projection, which depends on the current primal, is packed
-    after the inner loop finishes). Identical iterates and messages;
-    only unoverlapped latency is charged.
-
+    The outer loop is :mod:`repro.solvers.outer`'s: blocking by default;
     ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
     harvests the oldest, so outer step ``k`` runs against a ``Y x``
     projection up to ``tau`` outer steps stale. Weaker contract than
-    ``pipeline``: convergence to the synchronous duality gap within
-    tolerance, not bit-parity — except ``tau=0``, which reproduces the
-    pipelined schedule bit for bit. See
+    bit-parity: convergence to the synchronous duality gap within
+    tolerance. ``pipeline=True`` is the ``tau = 0`` case (mutually
+    exclusive with ``async_``): the next step's rows are sampled and
+    Gram-packed while the current reduction is in flight (the ``Y x_sk``
+    projection, which depends on the current primal, is packed after the
+    inner loop finishes), with iterates and messages identical to the
+    blocking run and only unoverlapped latency charged. See
     :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
     accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement. Mutually
-    exclusive with ``pipeline``. ``eig_memo`` is accepted for
-    API uniformity with the Lasso SA solvers (the SVM inner loop has no
-    eigensolves).
+    ``nb_depth = tau + 2`` communicator ring requirement.
     """
-    del eig_memo  # no eigensolves in the dual CD inner loop
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
-    check_parity(parity)
+    check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
         require_int_seed(seed)
     gamma, nu = loss_params(loss, lam)
@@ -418,13 +400,24 @@ def sa_dcd(
         history.record(0, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
         converged = term.done(history.final_metric)
 
-    step = _sa_dcd_outer_fast if fast else _sa_dcd_outer_naive
+    inner = _sa_dcd_outer_fast if fast else _sa_dcd_outer_naive
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
+    def plan(k):
+        idx = sampler.next_indices(k)
+        return idx, idx
+
+    def reduce(idx):
+        Y = dist.sample_rows(idx)
+        G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack)
+        return Y, G, xp[:, None]
+
+    def step(idx, Y, G, R, done):
+        return inner(
+            dist, b, Y, G, R[:, 0], idx, gamma, nu,
+            alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
+        )
+
+    def checkpoint(done):
         emit_solver_checkpoint(
             make_solver_checkpoint(
                 family="svm", solver=f"sa-svm-{loss.lower()}(s={s})",
@@ -436,81 +429,21 @@ def sa_dcd(
             checkpoint_sink, dist.comm.rank,
         )
 
-    if async_ and not converged and done < max_iter:
-        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack, depth=tau + 2)
-        planned = done
-        inflight = []  # FIFO of (idx, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            pidx = sampler.next_indices(min(s, max_iter - planned))
-            pslot = pipe.prefetch(pidx)
-            pipe.post(pslot, [x_local])
-            inflight.append((pidx, pslot))
-            planned += pidx.shape[0]
-        while inflight:
-            nidx = nslot = None
-            if planned < max_iter:
-                nidx = sampler.next_indices(min(s, max_iter - planned))
-                nslot = pipe.prefetch(nidx)
-                planned += nidx.shape[0]
-            idx, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            prev_done = done
-            converged, done = step(
-                dist, b, Y, G, R[:, 0], idx, gamma, nu,
-                alpha, x_local, lam, loss, done, max_iter, record_every,
-                term, history,
-            )
-            # this step supersedes the primal carried by every reduction
-            # still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nidx is not None:
-                pipe.post(nslot, [x_local])
-                inflight.append((nidx, nslot))
-        # drain unconsumed reductions: traffic is charged at finalize and
-        # the ring is left clean for communicator reuse
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and not converged and done < max_iter:
-        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack)
-        idx = sampler.next_indices(min(s, max_iter - done))
-        slot = pipe.prefetch(idx)
-        pipe.post(slot, [x_local])
-        while True:
-            nidx = nslot = None
-            remaining = max_iter - done - idx.shape[0]
-            if remaining > 0:
-                # overlapped with the in-flight reduction
-                nidx = sampler.next_indices(min(s, remaining))
-                nslot = pipe.prefetch(nidx)
-            Y, G, R = pipe.wait(slot)
-            prev_done = done
-            converged, done = step(
-                dist, b, Y, G, R[:, 0], idx, gamma, nu,
-                alpha, x_local, lam, loss, done, max_iter, record_every,
-                term, history,
-            )
-            _checkpoint(prev_done)
-            if converged or nidx is None:
-                break
-            pipe.post(nslot, [x_local])
-            idx, slot = nidx, nslot
-    while done < max_iter and not converged:
-        s_eff = min(s, max_iter - done)
-        idx = sampler.next_indices(s_eff)
-        Y = dist.sample_rows(idx)
-        G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack)
-        prev_done = done
-        converged, done = step(
-            dist, b, Y, G, xp, idx, gamma, nu,
-            alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
+    if converged:
+        pass  # the initial gap already meets tol
+    elif async_ or pipeline:
+        lag = tau if async_ else 0
+        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack, depth=lag + 2)
+        converged, done = run_ring(
+            plan, step, checkpoint, pipe, [x_local], done=done, max_iter=max_iter,
+            s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
-        _checkpoint(prev_done)
-    if not record_every or not history.iterations or history.iterations[-1] != done:
+    else:
+        converged, done = run_blocking(
+            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
+            checkpoint_every=checkpoint_every,
+        )
+    if history.iterations[-1] != done:
         history.record(done, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
 
     with dist.comm.ledger.paused():

@@ -94,10 +94,12 @@ __all__ = [
 STREAM_REPORT_VERSION = 3
 
 #: format version of streaming checkpoints (:meth:`StreamingSweep.
-#: checkpoint` engine snapshots and the ``kind="streaming-replay"``
-#: wrappers :func:`replay_schedule` writes); resume refuses versions it
-#: does not understand rather than guessing
-STREAM_CHECKPOINT_VERSION = 1
+#: checkpoint` engine snapshots, the ``kind="streaming-replay"``
+#: wrappers :func:`replay_schedule` writes, and the per-tenant engines
+#: nested in serve checkpoints); resume refuses versions it does not
+#: understand rather than guessing. Version 2 dropped the ``parity``
+#: solve default.
+STREAM_CHECKPOINT_VERSION = 2
 
 _DEFAULT_SOLVER = {"lasso": "sa-accbcd", "svm": "sa-svm"}
 
@@ -277,7 +279,7 @@ class StreamingSweep:
         buffers, eig memo — persist across appends, evictions, and
         solves).
     solver, loss, lam, mu, s, max_iter, tol, seed, record_every, fast,
-    parity, pipeline:
+    pipeline, async_, tau:
         Default solver knobs for :meth:`solve`, each overridable per
         call. ``lam=None`` resolves per solve: ``0.1 * lambda_max`` of
         the *current* data for Lasso, ``1.0`` for SVM.
@@ -316,7 +318,6 @@ class StreamingSweep:
         seed: int = 0,
         record_every: int = 10,
         fast: bool = True,
-        parity: str = "exact",
         pipeline: bool = False,
         async_: bool = False,
         tau: int = 1,
@@ -332,7 +333,7 @@ class StreamingSweep:
         self.defaults = dict(
             solver=solver if solver is not None else _DEFAULT_SOLVER[task],
             loss=loss, lam=lam, mu=mu, s=s, max_iter=max_iter, tol=tol,
-            seed=seed, record_every=record_every, fast=fast, parity=parity,
+            seed=seed, record_every=record_every, fast=fast,
             pipeline=pipeline, async_=async_, tau=tau,
         )
         self._x_warm: np.ndarray | None = None
@@ -855,7 +856,7 @@ class StreamingSweep:
                 s=p["s"], max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
                 comm=self.comm, record_every=p["record_every"],
                 x0=self._x_warm if warm_start else None,
-                fast=p["fast"], parity=p["parity"], pipeline=p["pipeline"],
+                fast=p["fast"], pipeline=p["pipeline"],
                 async_=p["async_"], tau=p["tau"],
                 eig_memo=self.ctx.eig_memo,
             )
@@ -875,7 +876,7 @@ class StreamingSweep:
                 solver=p["solver"], s=p["s"], max_iter=p["max_iter"],
                 tol=p["tol"], seed=p["seed"], comm=self.comm,
                 record_every=p["record_every"],
-                alpha0=alpha0, fast=p["fast"], parity=p["parity"],
+                alpha0=alpha0, fast=p["fast"],
                 pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"],
             )
             self._alpha_warm = res.extras["alpha"]
@@ -1028,7 +1029,6 @@ def replay_schedule(
     seed: int = 0,
     record_every: int = 10,
     fast: bool = True,
-    parity: str = "exact",
     pipeline: bool = False,
     async_: bool = False,
     tau: int = 1,
@@ -1087,7 +1087,7 @@ def replay_schedule(
     knobs = dict(
         solver=solver, loss=loss, lam=lam, mu=mu, s=s, max_iter=max_iter,
         tol=tol, seed=seed, record_every=record_every, fast=fast,
-        parity=parity, pipeline=pipeline, async_=async_, tau=tau,
+        pipeline=pipeline, async_=async_, tau=tau,
     )
 
     def work(comm, rank):
@@ -1154,7 +1154,7 @@ def replay_schedule(
                 atomic_write_json(os.fspath(checkpoint_path), payload)
 
         def run_cold(revision):
-            # same solver configuration (fast/parity/pipeline) as the
+            # same solver configuration (fast/pipeline/async) as the
             # warm refits — the variable under measurement is the warm
             # start + incremental state, not the solver mode
             A_eff, b_eff = engine.materialize()
@@ -1166,7 +1166,7 @@ def replay_schedule(
                 cold = fit_lasso(
                     cold_dist, b_eff, lam_used, solver=engine.defaults["solver"],
                     mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
-                    record_every=record_every, fast=fast, parity=parity,
+                    record_every=record_every, fast=fast,
                     pipeline=pipeline, async_=async_, tau=tau,
                     eig_memo=EigMemo(),
                 )
@@ -1178,7 +1178,7 @@ def replay_schedule(
                     cold_dist, b_eff, loss=loss, lam=float(lam_used),
                     solver=engine.defaults["solver"], s=s, max_iter=max_iter,
                     tol=tol, seed=seed, record_every=record_every,
-                    fast=fast, parity=parity, pipeline=pipeline,
+                    fast=fast, pipeline=pipeline,
                     async_=async_, tau=tau,
                 )
             return cold

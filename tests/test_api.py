@@ -97,27 +97,6 @@ class TestWarmStarts:
             fit_svm(A, b, loss="l2", solver=solver, max_iter=10,
                     alpha0=np.full(m, -0.1))  # negative
 
-    def test_fit_lasso_parity_knob(self, small_regression):
-        A, b, _ = small_regression
-        exact = fit_lasso(A, b, lam=0.9, mu=4, s=8, max_iter=80,
-                          parity="exact")
-        fp = fit_lasso(A, b, lam=0.9, mu=4, s=8, max_iter=80,
-                       parity="fp-tolerant")
-        drift = np.linalg.norm(fp.x - exact.x)
-        assert drift / max(np.linalg.norm(exact.x), 1e-300) <= 1e-9
-        with pytest.raises(SolverError):
-            fit_lasso(A, b, lam=0.9, parity="bogus")
-
-    def test_parity_validated_for_non_sa_solvers(self, small_regression,
-                                                 small_classification):
-        """A parity typo fails uniformly, even where the knob is a no-op."""
-        A, b, _ = small_regression
-        with pytest.raises(SolverError):
-            fit_lasso(A, b, lam=0.9, solver="bcd", parity="fp-tolernt")
-        Ac, bc = small_classification
-        with pytest.raises(SolverError):
-            fit_svm(Ac, bc, solver="svm", parity="fp-tolernt")
-
 
 class TestFitSvm:
     def test_default_sa(self, small_classification):

@@ -24,7 +24,7 @@ from repro.faults import InjectedFailure
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path
-from repro.streaming import StreamingSweep, replay_schedule
+from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
 from repro.utils.io import atomic_write_json, atomic_write_text
 
 SEED = 5
@@ -353,6 +353,18 @@ class TestStreamingResume:
         ck = spmd_run(work, 2).values[0]  # taken at 2 real ranks
         with pytest.raises(CheckpointError):
             StreamingSweep.from_checkpoint(ck)  # virtual: 1 actual rank
+
+    def test_engine_refuses_older_format(self):
+        # version 1 payloads still carried the removed `parity` default:
+        # resume refuses them up front instead of failing on the knob
+        rng = np.random.default_rng(5)
+        eng = StreamingSweep(rng.standard_normal((20, 6)), rng.standard_normal(20),
+                             mu=2, max_iter=10, tol=None)
+        ck = eng.checkpoint()
+        assert ck["format_version"] == STREAM_CHECKPOINT_VERSION
+        old = dict(ck, format_version=1, defaults=dict(ck["defaults"], parity="exact"))
+        with pytest.raises(CheckpointError, match="format_version"):
+            StreamingSweep.from_checkpoint(old)
 
     def test_replay_resume_report_identical(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -31,7 +31,7 @@ class TestParser:
 class TestLassoPathCommand:
     def test_path_defaults(self):
         args = build_parser().parse_args(["lasso-path", "--dataset", "news20"])
-        assert args.n_lambdas == 16 and args.parity == "exact" and not args.cold
+        assert args.n_lambdas == 16 and not args.cold
 
     def test_path_on_file(self, tmp_path, capsys):
         A, b, _ = make_sparse_regression(60, 25, density=0.4, seed=1)
@@ -44,16 +44,15 @@ class TestLassoPathCommand:
         assert "regularization path" in out and "total iterations" in out
         assert "warm-started" in out
 
-    def test_path_cold_and_parity(self, tmp_path, capsys):
+    def test_path_cold(self, tmp_path, capsys):
         A, b, _ = make_sparse_regression(50, 20, density=0.4, seed=2)
         path = tmp_path / "data.svm"
         save_libsvm(path, A, b)
         rc = main(["lasso-path", "--file", str(path), "--n-lambdas", "3",
-                   "--mu", "2", "--s", "4", "--max-iter", "40", "--cold",
-                   "--parity", "fp-tolerant"])
+                   "--mu", "2", "--s", "4", "--max-iter", "40", "--cold"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cold (shared caches)" in out and "fp-tolerant" in out
+        assert "cold (shared caches)" in out
 
     def test_path_virtual_p(self, tmp_path, capsys):
         A, b, _ = make_sparse_regression(50, 20, density=0.4, seed=3)

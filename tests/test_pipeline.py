@@ -34,31 +34,28 @@ def _rel_drift(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TestIterateParity:
-    @pytest.mark.parametrize("mu,s,H,parity", [
-        (1, 8, 64, "exact"),
-        (4, 16, 100, "exact"),
-        (4, 16, 100, "fp-tolerant"),
-        (2, 8, 30, "exact"),  # truncated final outer step (30 % 8 != 0)
+    @pytest.mark.parametrize("mu,s,H", [
+        (1, 8, 64),
+        (4, 16, 100),
+        (2, 8, 30),  # truncated final outer step (30 % 8 != 0)
     ])
-    def test_sa_bcd_drift(self, lasso_problem, mu, s, H, parity):
+    def test_sa_bcd_drift(self, lasso_problem, mu, s, H):
         A, b, _ = lasso_problem
-        kw = dict(mu=mu, s=s, max_iter=H, seed=1, record_every=5, parity=parity)
+        kw = dict(mu=mu, s=s, max_iter=H, seed=1, record_every=5)
         base = sa_bcd(A, b, LAM, **kw)
         pip = sa_bcd(A, b, LAM, pipeline=True, **kw)
         assert _rel_drift(pip.x, base.x) <= 1e-9
         assert pip.iterations == base.iterations
         assert pip.history.metric == base.history.metric
 
-    @pytest.mark.parametrize("mu,s,parity,fast", [
-        (1, 8, "exact", True),
-        (4, 16, "exact", True),
-        (4, 16, "fp-tolerant", True),
-        (2, 8, "exact", False),
+    @pytest.mark.parametrize("mu,s,fast", [
+        (1, 8, True),
+        (4, 16, True),
+        (2, 8, False),
     ])
-    def test_sa_acc_bcd_drift(self, lasso_problem, mu, s, parity, fast):
+    def test_sa_acc_bcd_drift(self, lasso_problem, mu, s, fast):
         A, b, _ = lasso_problem
-        kw = dict(mu=mu, s=s, max_iter=96, seed=1, record_every=5,
-                  parity=parity, fast=fast)
+        kw = dict(mu=mu, s=s, max_iter=96, seed=1, record_every=5, fast=fast)
         base = sa_acc_bcd(A, b, LAM, **kw)
         pip = sa_acc_bcd(A, b, LAM, pipeline=True, **kw)
         assert _rel_drift(pip.x, base.x) <= 1e-9

@@ -376,6 +376,20 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="could not read"):
             serve_trace(specs, [], resume_from=bad, machine=CRAY_XC30)
 
+    def test_resume_rejects_older_nested_engine(self, tmp_path):
+        # a serve checkpoint nests each tenant's streaming checkpoint,
+        # whose own format_version gates the resume
+        from repro.errors import CheckpointError
+        specs = [_spec("a")]
+        trace = synthetic_trace(["a"], 4, seed=1, mean_gap=0.001, rows=2,
+                                append_budget={"a": 4})
+        ck_path = tmp_path / "serve.ck.json"
+        serve_trace(specs, trace, checkpoint_path=ck_path, machine=CRAY_XC30)
+        ck = json.loads(ck_path.read_text())
+        ck["tenants"]["a"]["engine"]["format_version"] = 1
+        with pytest.raises(CheckpointError, match="format_version"):
+            serve_trace(specs, trace, resume_from=ck, machine=CRAY_XC30)
+
 
 @pytest.mark.slow
 class TestProcessRecovery:

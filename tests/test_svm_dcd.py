@@ -6,6 +6,7 @@ import pytest
 from conftest import dense_of
 from repro.errors import SolverError
 from repro.machine.spec import CRAY_XC30
+from repro.mpi.tracing import attach_tracer
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.svm import dcd, dcd_reference, prediction_accuracy, sa_dcd
 
@@ -117,6 +118,26 @@ class TestSaEquivalence:
         A, b = small_classification
         with pytest.raises(SolverError):
             sa_dcd(A, b, s=0, max_iter=10)
+
+    @pytest.mark.parametrize("mode", [{}, {"pipeline": True}, {"async_": True, "tau": 2}],
+                             ids=["blocking", "pipeline", "async"])
+    def test_tol_met_before_first_step_records_once(self, small_classification, mode):
+        # the initial gap already meets tol: no step runs, and the
+        # iteration-0 record is the final one (no repeated gap collectives)
+        A, b = small_classification
+
+        def run(fn, **kw):
+            comm = VirtualComm(4, machine=CRAY_XC30)
+            tracer = attach_tracer(comm)
+            res = fn(A, b, loss="l1", max_iter=64, seed=0, comm=comm,
+                     tol=1e12, record_every=0, **kw)
+            return res, tracer.keys()
+
+        r, keys = run(dcd)
+        rs, sa_keys = run(sa_dcd, s=8, **mode)
+        assert r.history.iterations == rs.history.iterations == [0]
+        assert rs.iterations == 0 and rs.converged
+        assert sa_keys == keys
 
 
 class TestCommunication:
