@@ -6,16 +6,18 @@ Three workloads:
 * **backend parity** — the same blocking SA solve on P thread ranks vs P
   forked process ranks (wall-clock). Thread ranks share one GIL for the
   Python-level inner loops; process ranks genuinely compute in parallel.
-  (On a single-core host the process backend instead pays fork + pickle
-  with no parallelism to win back — the entry records whatever the host
-  offers, honestly.)
+  (On a single-core host the process backend instead pays fork and
+  inter-process barriers with no parallelism to win back — the entry
+  records whatever the host offers, honestly.)
 * **pipelined vs blocking** — `pipeline=True` SA solves against blocking
   ones on the process backend at several (s, mu, P) points, with an
   emulated per-collective transit latency (GbE-class, 2 ms): the
-  blocking path pays two barriers + pickled slab exchange + transit per
-  outer step on the critical path; the pipelined path posts the packed
-  Gram reduction nonblocking (raw shared-memory doubles, no pickle) and
-  samples + Gram-packs the next outer step while it is in flight.
+  blocking path pays two barriers + transit per outer step on the
+  critical path (its pickled payload enters the shared slab in one
+  buffer copy, microseconds for a packed Gram); the pipelined path posts
+  the packed Gram reduction nonblocking (raw shared-memory doubles, no
+  pickle) and samples + Gram-packs the next outer step while it is in
+  flight.
 * **ledger honesty** — modelled costs at virtual P: the pipelined run
   must charge the identical traffic (messages/words/flops) and split the
   blocking run's comm seconds exactly into charged + hidden.
@@ -23,6 +25,12 @@ Three workloads:
 Acceptance (ISSUE 3): pipelined >= 1.3x over blocking on the process
 backend at (s=32, mu=8, P=4), iterate drift <= 1e-9 vs the blocking
 reference, and charged + hidden == blocking comm seconds.
+
+The 1.3x bar was set while the blocking side also wrote its ~267 KB
+packed Gram into the slab one byte at a time. With that copy a single
+buffer copy, the pipeline can hide at most one 2 ms transit per outer
+step (16 ms over the 8 outer steps), and the gate reads FAIL on a
+2-core host; re-deriving it is an open ROADMAP item.
 
 Wall-clock seconds (best of ``repeats``). Run as a script (not collected
 by pytest):
@@ -123,9 +131,9 @@ def bench_backend_parity(P: int = 4) -> dict:
         f"process vs thread ranks (blocking, P={P})", thread_t, process_t,
         "identical blocking sa-accbcd solve; before = thread ranks (one "
         "GIL for the Python inner loops), after = forked process ranks "
-        "(GIL-free). On single-core hosts the process backend pays "
-        "fork+pickle with no parallelism to win back, so this entry "
-        "tracks the host's real parallelism honestly",
+        "(GIL-free). On single-core hosts the process backend pays fork "
+        "and inter-process barriers with no parallelism to win back, so "
+        "this entry tracks the host's real parallelism honestly",
         cores=os.cpu_count(),
     )
 
@@ -153,10 +161,10 @@ def bench_pipeline_lasso(s: int, mu: int, P: int) -> dict:
         f"sa-accbcd pipelined (s={s}, mu={mu}, P={P})",
         blocking_t, pipelined_t,
         f"process backend, {LATENCY * 1e3:g} ms emulated transit per "
-        "collective; before = blocking Allreduce (2 barriers + pickled "
-        "slabs + transit on the critical path per outer step), after = "
-        "nonblocking pipelined reduction with the next block prefetched "
-        "in flight",
+        "collective; before = blocking Allreduce (2 barriers + transit "
+        "on the critical path per outer step; the pickled payload enters "
+        "the shared slab in one buffer copy), after = nonblocking "
+        "pipelined reduction with the next block prefetched in flight",
         iterate_drift=drift,
     )
 
@@ -249,9 +257,12 @@ def bench_latency_sweep(P: int = 2) -> dict:
                 "Tiny outer steps (s*mu ~ 4) hover around 1.0 at every "
                 "latency — there is too little prefetchable work per step "
                 "to hide the transit behind, and the double-buffer "
-                "bookkeeping eats what little is saved — while s*mu >= 32 "
-                "wins consistently and s*mu = 256 by ~1.4-1.5x. See README "
-                "'When does pipelining pay?'",
+                "bookkeeping eats what little is saved. With the blocking "
+                "payload entering shared memory in one buffer copy, what "
+                "pipelining saves is about one transit per outer step: on "
+                "a 2-core VM s*mu = 256 measured 1.14-1.25x at 2 ms and "
+                "1.00-1.11x at 0-0.5 ms. See README 'When does pipelining "
+                "pay?'",
     }
 
 

@@ -117,6 +117,28 @@ def _require_fork() -> mp.context.BaseContext:
     return mp.get_context("fork")
 
 
+def _byte_view(size: int) -> memoryview:
+    """A zeroed shared byte arena of ``size`` bytes, as a writable view.
+
+    Slice assignment into a ``c_char`` :func:`RawArray` copies one byte at
+    a time; through the view it is one buffer copy. The view maps the
+    same shared pages, so it survives fork; it is never pickled (the
+    worlds holding it are inherited, not sent).
+    """
+    return memoryview(RawArray(ctypes.c_char, size)).cast("B")
+
+
+def _get_tag(tags: memoryview, rank: int) -> bytes:
+    return bytes(tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES]).rstrip(b"\0")
+
+
+def _set_tag(tags: memoryview, rank: int, tag: str) -> None:
+    # truncated to keep a NUL, zero-padded so a shorter tag never
+    # inherits suffix bytes
+    enc = tag.encode()[: _TAG_BYTES - 1]
+    tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES] = enc.ljust(_TAG_BYTES, b"\0")
+
+
 class _NbProcSlot:
     """One shared-memory slot of the nonblocking-collective ring."""
 
@@ -125,22 +147,11 @@ class _NbProcSlot:
         self.capacity = capacity_doubles
         self.payload = RawArray(ctypes.c_double, size * capacity_doubles)
         self.lengths = RawArray(ctypes.c_longlong, size)
-        self.tags = RawArray(ctypes.c_char, size * _TAG_BYTES)
+        self.tags = _byte_view(size * _TAG_BYTES)
         self.seq = ctx.Value(ctypes.c_longlong, seq, lock=False)
         self.deposited = ctx.Value(ctypes.c_int, 0, lock=False)
         self.consumed = ctx.Value(ctypes.c_int, 0, lock=False)
         self.complete_at = ctx.Value(ctypes.c_double, 0.0, lock=False)
-
-    def _tag(self, rank: int) -> bytes:
-        raw = bytes(self.tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES])
-        return raw.rstrip(b"\0")
-
-    def _set_tag(self, rank: int, tag: str) -> None:
-        enc = tag.encode()[: _TAG_BYTES - 1]
-        self.tags[rank * _TAG_BYTES:rank * _TAG_BYTES + len(enc)] = enc
-        # zero-pad the remainder so a shorter tag never inherits suffix bytes
-        pad = _TAG_BYTES - len(enc)
-        self.tags[rank * _TAG_BYTES + len(enc):(rank + 1) * _TAG_BYTES] = b"\0" * pad
 
 
 class _ProcNbHandle:
@@ -171,7 +182,7 @@ class _ProcNbHandle:
         n = int(slot.lengths[0])
         flat = np.frombuffer(slot.payload, dtype=np.float64)
         parts = [flat[r * slot.capacity:r * slot.capacity + n] for r in range(world.size)]
-        tags = [slot._tag(r) for r in range(world.size)]
+        tags = [_get_tag(slot.tags, r) for r in range(world.size)]
         lengths = [int(slot.lengths[r]) for r in range(world.size)]
         err = None
         if any(t != tags[0] for t in tags) or any(ln != n for ln in lengths):
@@ -282,9 +293,9 @@ class ProcessWorld:
         self._arrive_gen = RawArray(ctypes.c_longlong, size)
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop: threading.Event | None = None
-        self._obj = RawArray(ctypes.c_char, size * self.slab_bytes)
+        self._obj = _byte_view(size * self.slab_bytes)
         self._obj_len = RawArray(ctypes.c_longlong, size)
-        self._tags = RawArray(ctypes.c_char, size * _TAG_BYTES)
+        self._tags = _byte_view(size * _TAG_BYTES)
         self._nb_ring = [
             _NbProcSlot(ctx, size, seq, int(nb_doubles))
             for seq in range(self.nb_depth)
@@ -410,7 +421,7 @@ class ProcessWorld:
             self._dead[r] = 0
             self._arrive_gen[r] = 0
             self._obj_len[r] = 0
-        self._tags[:] = b"\0" * (self.size * _TAG_BYTES)
+        self._tags[:] = bytes(len(self._tags))
         for i, slot in enumerate(self._nb_ring):
             with slot.cond:
                 slot.seq.value = i
@@ -419,14 +430,10 @@ class ProcessWorld:
                 slot.complete_at.value = 0.0
                 for r in range(self.size):
                     slot.lengths[r] = 0
-                slot.tags[:] = b"\0" * (self.size * _TAG_BYTES)
+                slot.tags[:] = bytes(len(slot.tags))
                 slot.cond.notify_all()
 
     # -- blocking exchange -------------------------------------------------
-    def _read_tag(self, rank: int) -> bytes:
-        raw = bytes(self._tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES])
-        return raw.rstrip(b"\0")
-
     def _barrier_wait(self, rank: int, tag: str, timeout: float | None) -> None:
         """One barrier arrival with an optional deadline.
 
@@ -490,23 +497,18 @@ class ProcessWorld:
         base = rank * self.slab_bytes
         self._obj[base:base + len(payload)] = payload
         self._obj_len[rank] = len(payload)
-        enc = tag.encode()[: _TAG_BYTES - 1]
-        self._tags[rank * _TAG_BYTES:rank * _TAG_BYTES + len(enc)] = enc
-        pad = _TAG_BYTES - len(enc)
-        self._tags[rank * _TAG_BYTES + len(enc):(rank + 1) * _TAG_BYTES] = b"\0" * pad
+        _set_tag(self._tags, rank, tag)
         self._barrier_wait(rank, tag, timeout)
         try:
-            tags = [self._read_tag(r) for r in range(self.size)]
+            tags = [_get_tag(self._tags, r) for r in range(self.size)]
             if any(t != tags[0] for t in tags):
                 raise RankMismatchError(
                     "SPMD mismatch: ranks called different collectives "
                     f"{[t.decode() for t in tags]}"
                 )
             gathered = [
-                pickle.loads(bytes(
-                    self._obj[r * self.slab_bytes:
-                              r * self.slab_bytes + int(self._obj_len[r])]
-                ))
+                pickle.loads(self._obj[r * self.slab_bytes:
+                                       r * self.slab_bytes + int(self._obj_len[r])])
                 for r in range(self.size)
             ]
             snapshot = fold(gathered) if fold is not None else gathered
@@ -566,7 +568,7 @@ class ProcessWorld:
             dst = np.frombuffer(slot.payload, dtype=np.float64)
             dst[rank * slot.capacity:rank * slot.capacity + flat.shape[0]] = flat
             slot.lengths[rank] = flat.shape[0]
-            slot._set_tag(rank, tag)
+            _set_tag(slot.tags, rank, tag)
             slot.deposited.value += 1
             if slot.deposited.value == self.size:
                 slot.complete_at.value = time.monotonic() + self.latency

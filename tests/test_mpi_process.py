@@ -2,12 +2,14 @@
 
 Runs the identical backend-agnostic collective contract suite as the
 thread backend (``spmd_collective_suite``), plus process-specific
-behaviour: slab capacity limits, GIL-free parallelism plumbing, ledger
-round-trips, and solver parity against sequential runs.
+behaviour: slab capacity limits, shared-memory deposits and tags,
+GIL-free parallelism plumbing, ledger round-trips, and solver parity
+against sequential runs.
 """
 
 import multiprocessing as mp
 import os
+import pickle
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from repro.errors import CommAborted, CommError
 from repro.machine.spec import CRAY_XC30
+from repro.mpi.ops import SUM
 from repro.mpi.process_backend import ProcessComm, ProcessWorld, process_spmd_run
 from repro.solvers.lasso import sa_acc_bcd
 from repro.solvers.svm import sa_dcd
@@ -59,6 +62,72 @@ class TestProcessSpecific:
         # the error must name both the payload size and the knob
         with pytest.raises(CommError, match=r"slab_bytes=1024"):
             process_spmd_run(fn, 2, slab_bytes=1024)
+
+    # -- shared-memory deposits, on an in-process one-rank world ----------
+    @staticmethod
+    def _tag_slot(tags, rank: int = 0) -> bytes:
+        """Rank ``rank``'s raw tag slot: 128 bytes, NUL-padded."""
+        return bytes(tags[rank * 128:(rank + 1) * 128])
+
+    def test_payload_filling_the_slab_round_trips_bitwise(self):
+        arr = np.random.default_rng(0).standard_normal(4096)
+        arr[:3] = [np.nan, -0.0, np.inf]
+        size = len(pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL))
+        with ProcessWorld(1, slab_bytes=size) as world:
+            (out,) = world.exchange(0, "allgather", arr)
+            assert world._obj_len[0] == size
+        assert out.tobytes() == arr.tobytes()
+
+    def test_shorter_tag_inherits_no_suffix(self):
+        with ProcessWorld(1) as world:
+            world.exchange(0, "allreduce-with-a-long-tag", 1.0)
+            world.exchange(0, "bcast", 2.0)
+            assert self._tag_slot(world._tags) == b"bcast".ljust(128, b"\0")
+            slot = world._nb_ring[0]
+            for seq, tag in ((0, "Iallreduce-with-a-long-tag"), (world.nb_depth, "Ib")):
+                world.nb_post(0, seq, tag, np.ones(4), SUM).wait()
+                assert self._tag_slot(slot.tags) == tag.encode().ljust(128, b"\0")
+
+    @pytest.mark.parametrize("tag", ["t" * 100 + "u" * 100, "é" * 100],
+                             ids=["ascii", "utf8"])
+    def test_long_tag_truncated_to_127_bytes(self, tag):
+        # byte-level truncation keeps one NUL, even mid-character
+        want = tag.encode()[:127] + b"\0"
+        with ProcessWorld(1) as world:
+            world.exchange(0, tag, 1.0)
+            assert self._tag_slot(world._tags) == want
+            world.nb_post(0, 0, tag, np.ones(4), SUM).wait()
+            assert self._tag_slot(world._nb_ring[0].tags) == want
+
+    def test_reset_for_reuse_clears_lengths_and_tags(self):
+        with ProcessWorld(1) as world:
+            world.exchange(0, "allgather", np.arange(8.0))
+            for seq in range(world.nb_depth):
+                world.nb_post(0, seq, "Iallreduce", np.ones(4), SUM).wait()
+            # a posted, never harvested deposit leaves its length behind
+            world.nb_post(0, world.nb_depth, "Iallreduce", np.ones(4), SUM)
+            world.reset_for_reuse()
+            assert world._obj_len[0] == 0
+            assert self._tag_slot(world._tags) == bytes(128)
+            for slot in world._nb_ring:
+                assert slot.lengths[0] == 0
+                assert self._tag_slot(slot.tags) == bytes(128)
+
+    def test_blocking_deposit_is_one_buffer_copy(self):
+        """A 3.2 MB exchange must cost a few pickle passes, not a Python
+        loop over its bytes; the ratio to ``pickle.dumps`` of the same
+        array cancels host speed."""
+        arr = np.random.default_rng(0).standard_normal(400_000)
+        exchange_s, dumps_s = [], []
+        with ProcessWorld(1) as world:
+            for _ in range(5):
+                t0 = time.perf_counter()
+                world.exchange(0, "allgather", arr)
+                exchange_s.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)
+                dumps_s.append(time.perf_counter() - t0)
+        assert np.median(exchange_s) < 15 * np.median(dumps_s)
 
     def test_oversized_payload_wakes_parked_peers(self):
         """Only one rank overflowing must not leave the others parked on
