@@ -39,7 +39,6 @@ from repro.linalg.kernels import (  # noqa: E402
 )
 from repro.linalg.packing import pack_gram, packed_length, unpack_gram  # noqa: E402
 from repro.mpi.virtual_backend import VirtualComm  # noqa: E402
-from repro.solvers.base import ConvergenceHistory, Terminator  # noqa: E402
 from repro.solvers.lasso import acc as acc_mod  # noqa: E402
 from repro.solvers.lasso.common import (  # noqa: E402
     as_penalty,
@@ -173,14 +172,11 @@ def bench_sa_inner_loop(s: int = 16) -> dict:
     thetas = theta_schedule(theta, s)
     Y = dist.sample_columns(np.concatenate(blocks))
     G, R = dist.gram_and_project(Y, [ytil, ztil])
-    term = Terminator(s, None, "objective")
-    history = ConvergenceHistory("objective")
 
     def run(step):
         step(
             dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
             y.copy(), z.copy(), ytil.copy(), ztil.copy(),
-            0, s, 0, term, history,
         )
 
     before = best_of(lambda: run(acc_mod._sa_acc_outer_naive), repeats=30, inner=3)

@@ -43,7 +43,6 @@ from repro.experiments.runner import load_scaled, run_lasso  # noqa: E402
 from repro.linalg.kernels import eig_cache_clear  # noqa: E402
 from repro.mpi.virtual_backend import VirtualComm  # noqa: E402
 from repro.path import lambda_grid, lasso_path  # noqa: E402
-from repro.solvers.base import ConvergenceHistory, Terminator  # noqa: E402
 from repro.solvers.lasso import acc as acc_mod  # noqa: E402
 from repro.solvers.lasso.common import (  # noqa: E402
     as_penalty,
@@ -147,14 +146,11 @@ def bench_fused_mu_inner(mu: int = 8, s: int = 32) -> dict:
     Y = dist.sample_columns(np.concatenate(blocks))
     G, R = dist.gram_and_project(Y, [ytil, ztil])
     G, R = G.copy(), R.copy()  # the timed loops outlive the reused buffers
-    term = Terminator(s, None, "objective")
-    history = ConvergenceHistory("objective")
 
     def run(step):
         step(
             dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
             y.copy(), z.copy(), ytil.copy(), ztil.copy(),
-            0, s, 0, term, history,
         )
 
     before = best_of(lambda: run(acc_mod._sa_acc_outer_naive), repeats=20, inner=3)

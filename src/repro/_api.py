@@ -164,6 +164,17 @@ def fit_lasso(
     virtual_p, machine:
         Model the run on ``virtual_p`` ranks of ``machine`` (the result's
         ``cost`` then carries modelled seconds, Fig. 3-style).
+    tol, record_every:
+        Stop when the objective's relative change between two records
+        is at most ``tol``; record every ``record_every`` iterations
+        (0: at the start and end only). The SA solvers record at the
+        outer-step boundaries that cross a multiple of ``record_every``
+        and fold each record's ``||r||^2`` into the next Gram reduction
+        (one blocking collective per outer step, whatever the cadence):
+        a converged blocking or pipelined solve returns the iterate its
+        last record describes and has paid for one Gram reduction it
+        never uses; ``async_`` stops at most ``tau`` outer steps later.
+        See :func:`repro.solvers.lasso.plain.sa_bcd`.
     x0:
         Warm-start solution (length-n). Regularization-path sweeps thread
         the previous point's solution through here.

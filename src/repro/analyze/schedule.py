@@ -51,20 +51,11 @@ AR_VEC = "Allreduce:vec"  # packed Gram+projection / matvec_full
 NB_VEC = "Iallreduce:vec"  # GramPipeline.post
 AG_VEC = "Allgather:vec"  # gather_cols
 
-#: per-family schedule ingredients: the record-point event burst and the
-#: trailing events after the driver loop (SVM gathers the primal shard)
-_RECORD_EVENTS = {
-    "lasso-plain": (AR_SCALAR,),
-    "lasso-acc": (AR_SCALAR,),
-    # _record_gap: matvec_full (buffer Allreduce) + norm2_cols (object
-    # allreduce of a python float)
-    "svm": (AR_VEC, AR_SCALAR),
-}
-_TAIL_EVENTS = {
-    "lasso-plain": (),
-    "lasso-acc": (),
-    "svm": (AG_VEC,),
-}
+#: SVM's record-point burst — _record_gap: matvec_full (buffer
+#: Allreduce) + norm2_cols (object allreduce of a python float) — and
+#: the primal-shard gather after its driver loop
+_SVM_RECORD = (AR_VEC, AR_SCALAR)
+_SVM_TAIL = (AG_VEC,)
 
 #: solver driver roots for static extraction
 _ROOTS = {
@@ -111,15 +102,45 @@ def outer_chunks(max_iter: int, s: int) -> list[int]:
 
 
 def _record_burst(
-    family: str, done: int, s_eff: int, record_every: int, max_iter: int
+    done: int, s_eff: int, record_every: int, max_iter: int
 ) -> list[str]:
-    """Record events emitted by one outer step's inner loop."""
+    """Record events emitted by one SVM outer step's inner loop."""
     out: list[str] = []
     for j in range(1, s_eff + 1):
         it = done + j
         if record_every and (it % record_every == 0 or it == max_iter):
-            out.extend(_RECORD_EVENTS[family])
+            out.extend(_SVM_RECORD)
     return out
+
+
+def _lasso_schedule(mode: str, params: ScheduleParams) -> list[str]:
+    """The Lasso families' sequence (:class:`repro.solvers.outer.Checks`).
+
+    Records fall at outer-step boundaries that cross a multiple of
+    ``record_every`` and ride the next Gram reduction as a trailing word
+    (same op, same shape class), so only iteration 0, the final iterate
+    and records with no later reduction to carry them — the async
+    schedule's last ``tau`` outer steps — sync on their own.
+    """
+    chunks = outer_chunks(params.max_iter, params.s)
+    post = AR_VEC if mode == "blocking" else NB_VEC
+    # reductions in flight before the first inner loop; every later one
+    # is posted right after a boundary
+    ahead = min((params.tau if mode == "async" else 0) + 1, len(chunks))
+    every = params.record_every
+    events = [AR_SCALAR] + [post] * ahead
+    done = last = 0
+    for i, s_eff in enumerate(chunks):
+        done += s_eff
+        carried = ahead + i < len(chunks)
+        if every and done < params.max_iter and done // every != last // every:
+            last = done
+            if not carried:
+                events.append(AR_SCALAR)
+        if carried:
+            events.append(post)
+    events.append(AR_SCALAR)  # the final iterate
+    return events
 
 
 def expected_schedule(
@@ -135,7 +156,9 @@ def expected_schedule(
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    rec = list(_RECORD_EVENTS[family])
+    if family != "svm":
+        return _lasso_schedule(mode, params)
+    rec = list(_SVM_RECORD)
     chunks = outer_chunks(params.max_iter, params.s)
 
     events: list[str] = []
@@ -146,9 +169,7 @@ def expected_schedule(
         for s_eff in chunks:
             events.append(AR_VEC)  # packed gram_(rows_)and_project
             events.extend(
-                _record_burst(
-                    family, done, s_eff, params.record_every, params.max_iter
-                )
+                _record_burst(done, s_eff, params.record_every, params.max_iter)
             )
             done += s_eff
     elif mode == "pipeline":
@@ -157,9 +178,7 @@ def expected_schedule(
         for i, s_eff in enumerate(chunks):
             events.append(NB_VEC)
             events.extend(
-                _record_burst(
-                    family, done, s_eff, params.record_every, params.max_iter
-                )
+                _record_burst(done, s_eff, params.record_every, params.max_iter)
             )
             done += s_eff
     else:  # async: warmup posts, then harvest-oldest / post-next
@@ -168,9 +187,7 @@ def expected_schedule(
         done = 0
         for i, s_eff in enumerate(chunks):
             events.extend(
-                _record_burst(
-                    family, done, s_eff, params.record_every, params.max_iter
-                )
+                _record_burst(done, s_eff, params.record_every, params.max_iter)
             )
             done += s_eff
             if w + i < len(chunks):
@@ -180,7 +197,7 @@ def expected_schedule(
     # final record: skipped when the cadence already recorded max_iter
     if not params.record_every:
         events.extend(rec)
-    events.extend(_TAIL_EVENTS[family])
+    events.extend(_SVM_TAIL)
     return events
 
 

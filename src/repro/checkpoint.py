@@ -42,6 +42,7 @@ __all__ = [
     "require_int_seed",
     "read_checkpoint_json",
     "make_solver_checkpoint",
+    "solver_history_fields",
     "emit_solver_checkpoint",
     "load_solver_checkpoint",
     "resume_solver",
@@ -146,15 +147,7 @@ def make_solver_checkpoint(
         "seed": require_int_seed(seed),
         "params": {k: _jsonable(v) for k, v in params.items()},
         "state": {k: _jsonable(v) for k, v in state.items()},
-        "term_last": None if term._last is None else float(term._last),
-        "history": {
-            "metric_name": history.metric_name,
-            "iterations": list(history.iterations),
-            "metric": list(history.metric),
-            "seconds": list(history.seconds),
-            "comm_seconds": list(history.comm_seconds),
-            "flops": list(history.flops),
-        },
+        **solver_history_fields(term, history),
         "ledger": {
             "comm_seconds": ledger.comm_seconds,
             "compute_seconds": ledger.compute_seconds,
@@ -172,6 +165,22 @@ def make_solver_checkpoint(
             "recoveries": ledger.recoveries,
             "respawns": ledger.respawns,
             "replayed_iterations": ledger.replayed_iterations,
+        },
+    }
+
+
+def solver_history_fields(term, history) -> dict:
+    """A solver checkpoint's record of convergence so far: the history
+    columns and the terminator's relative-change anchor."""
+    return {
+        "term_last": None if term._last is None else float(term._last),
+        "history": {
+            "metric_name": history.metric_name,
+            "iterations": list(history.iterations),
+            "metric": list(history.metric),
+            "seconds": list(history.seconds),
+            "comm_seconds": list(history.comm_seconds),
+            "flops": list(history.flops),
         },
     }
 

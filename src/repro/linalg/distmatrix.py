@@ -158,17 +158,37 @@ class _PartitionedBase:
         self._charge_gram_only(nnz_block, k, symmetric)
         self._charge_proj(nnz_block, k, extra_cols)
 
+    def _reduce_packed(self, Gp, extras, k: int, c: int, symmetric: bool, tail=None):
+        """Sum partial ``(G, extras)`` across ranks in one packed Allreduce.
+
+        ``tail`` (optional one-word float64 buffer) holds this rank's
+        partial of one more scalar; it rides the same message after the
+        projections and is overwritten in place with its sum. Returns
+        ``(G, extras-or-None)`` in the reusable output buffers.
+        """
+        n = packed_length(k, c, symmetric)
+        send, recv = self._packed_buffers(n if tail is None else n + 1)
+        pack_gram(Gp, extras, symmetric, out=send[:n])
+        if tail is not None:
+            send[n] = tail[0]
+        total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout)
+        if tail is not None:
+            tail[0] = total[n]
+        out_g, out_r = self._gram_outputs(k, c)
+        return unpack_gram(total[:n], k, c, symmetric, out_g=out_g, out_extras=out_r)
+
 
 class _PipeSlot:
     """One half of a :class:`GramPipeline`'s double buffer.
 
     Owns everything whose lifetime spans one in-flight reduction: the
     gather workspace holding the sampled block, the packed send buffer
-    (which peers may still be reading), the receive buffer, and the
-    unpacked (G, R) outputs the inner loop consumes.
+    (which peers may still be reading), the receive buffer, the
+    unpacked (G, R) outputs the inner loop consumes, and the trailing
+    word the post carried, if any.
     """
 
-    __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req")
+    __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req", "tail")
 
     def __init__(self) -> None:
         self.ws = GatherWorkspace()
@@ -179,6 +199,7 @@ class _PipeSlot:
         self.Y = None
         self.k = 0
         self.req = None
+        self.tail: np.ndarray | None = None
 
 
 class GramPipeline:
@@ -237,7 +258,8 @@ class GramPipeline:
             k = Y.shape[0]
             Gp = _densify_small(Y @ Y.T)
         dist._charge_gram_only(nnz_of(Y), k, self.symmetric)
-        length = packed_length(k, self.extra_cols, self.symmetric)
+        # one spare word: room for the trailing word a post may carry
+        length = packed_length(k, self.extra_cols, self.symmetric) + 1
         if slot.send is None or slot.send.shape[0] != length:
             slot.send = np.empty(length, dtype=np.float64)
             slot.recv = np.empty(length, dtype=np.float64)
@@ -246,8 +268,16 @@ class GramPipeline:
         slot.k = k
         return slot
 
-    def post(self, slot: _PipeSlot, vectors: Sequence[np.ndarray]) -> None:
-        """Pack the projections ``Y^T V`` (resp. ``Y x``), post the reduce."""
+    def post(
+        self, slot: _PipeSlot, vectors: Sequence[np.ndarray], tail=None
+    ) -> None:
+        """Pack the projections ``Y^T V`` (resp. ``Y x``), post the reduce.
+
+        ``tail`` (optional one-word float64 buffer) rides the same
+        message after the projections, as in
+        :meth:`RowPartitionedMatrix.gram_and_project`; :meth:`wait`
+        overwrites it with its sum across ranks.
+        """
         dist = self.dist
         if self.axis == "cols":
             V = np.column_stack([np.asarray(v) for v in vectors])
@@ -257,7 +287,12 @@ class GramPipeline:
             Rp = np.asarray(slot.Y @ x_local).ravel()
         dist._charge_proj(nnz_of(slot.Y), slot.k, self.extra_cols)
         pack_extras(Rp, slot.k, self.symmetric, slot.send)
-        slot.req = dist.comm.Iallreduce(slot.send, out=slot.recv)
+        n = slot.send.shape[0] - 1
+        if tail is not None:
+            slot.send[n] = tail[0]
+            n += 1
+        slot.tail = tail
+        slot.req = dist.comm.Iallreduce(slot.send[:n], out=slot.recv[:n])
 
     def wait(self, slot: _PipeSlot) -> tuple:
         """Complete the reduction; returns ``(Y, G, R)``.
@@ -268,13 +303,17 @@ class GramPipeline:
         """
         total = slot.req.wait()
         slot.req = None
+        n = slot.send.shape[0] - 1
+        if slot.tail is not None:
+            slot.tail[0] = total[n]
+            slot.tail = None
         k, c = slot.k, self.extra_cols
         if slot.out_g is None or slot.out_g.shape != (k, k):
             slot.out_g = np.empty((k, k), dtype=np.float64)
         if c and (slot.out_r is None or slot.out_r.shape != (k, c)):
             slot.out_r = np.empty((k, c), dtype=np.float64)
         G, R = unpack_gram(
-            total, k, c, self.symmetric,
+            total[:n], k, c, self.symmetric,
             out_g=slot.out_g, out_extras=slot.out_r if c else None,
         )
         return slot.Y, G, (R if c else np.zeros((k, 0)))
@@ -474,6 +513,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         sampled,
         vectors: Sequence[np.ndarray],
         symmetric: bool = True,
+        tail: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compute ``G = SᵀS`` and ``R = SᵀV`` with one packed Allreduce.
 
@@ -485,6 +525,11 @@ class RowPartitionedMatrix(_PartitionedBase):
             Sequence of local (m_loc,) vectors forming ``V``'s columns.
         symmetric:
             Pack only G's lower triangle (paper footnote 3's 2x saving).
+        tail:
+            Optional one-word float64 buffer of this rank's partial
+            scalar that rides the same message after the projections (the
+            SA Lasso solvers' convergence check, ``||r_local||^2``),
+            charged as part of it; overwritten in place with its sum.
 
         Returns
         -------
@@ -502,11 +547,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         Gp = _densify_small(Sd)
         Rp = _densify_small(S.T @ V) if c else None
         self._charge_gram(nnz_of(S), k, c, symmetric)
-        send, recv = self._packed_buffers(packed_length(k, c, symmetric))
-        pack_gram(Gp, Rp, symmetric, out=send)
-        total = self.comm.Allreduce(send, out=recv)
-        out_g, out_r = self._gram_outputs(k, c)
-        G, R = unpack_gram(total, k, c, symmetric, out_g=out_g, out_extras=out_r)
+        G, R = self._reduce_packed(Gp, Rp, k, c, symmetric, tail)
         return G, (R if c else np.zeros((k, 0)))
 
     def gram_pipeline(
@@ -681,11 +722,7 @@ class ColPartitionedMatrix(_PartitionedBase):
         Gp = _densify_small(Y @ Y.T)
         xp = np.asarray(Y @ x_local).ravel()
         self._charge_gram(nnz_of(Y), k, 1, symmetric)
-        send, recv = self._packed_buffers(packed_length(k, 1, symmetric))
-        pack_gram(Gp, xp, symmetric, out=send)
-        total = self.comm.Allreduce(send, out=recv)
-        out_g, out_r = self._gram_outputs(k, 1)
-        G, R = unpack_gram(total, k, 1, symmetric, out_g=out_g, out_extras=out_r)
+        G, R = self._reduce_packed(Gp, xp, k, 1, symmetric)
         return G, R[:, 0]
 
     def gram_rows_pipeline(

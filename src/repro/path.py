@@ -482,6 +482,15 @@ def lasso_path(
     tol, record_every:
         Stopping tolerance, checked at recording points — keep
         ``record_every >= 1`` or every solve runs its full ``max_iter``.
+        SA solves record at the outer-step boundaries that cross a
+        multiple of ``record_every``, each record riding the next Gram
+        reduction as one word: a point costs one blocking collective per
+        outer step plus two (its first and last objective), and a
+        converged point returns the iterate its last record describes,
+        one unused Gram reduction later (see :func:`repro.fit_lasso`).
+        ``tol`` then compares objectives one or more outer steps
+        apart: with the defaults every outer step of 16 iterations
+        records, not every 10 iterations.
     checkpoint_every / checkpoint_sink / resume_from:
         Path-level fault tolerance: every ``checkpoint_every`` completed
         grid points, emit a checkpoint (callable sink, or a path written

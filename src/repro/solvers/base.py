@@ -81,11 +81,24 @@ class ConvergenceHistory:
 
     def record(self, iteration: int, value: float, comm: Comm) -> None:
         """Append one point, reading modelled time off the ledger."""
+        self.append(iteration, value, self.reading(comm))
+
+    @staticmethod
+    def reading(comm: Comm) -> tuple[float, float, float]:
+        """The ledger's ``(seconds, comm_seconds, flops)`` now."""
+        return comm.ledger.seconds, comm.ledger.comm_seconds, comm.ledger.flops
+
+    def append(self, iteration: int, value: float, reading: tuple) -> None:
+        """Append one point with a :meth:`reading` taken earlier: a
+        record whose value arrives after its iteration (see
+        :class:`repro.solvers.outer.Checks`) keeps the modelled time of
+        the iterate it describes."""
         self.iterations.append(int(iteration))
         self.metric.append(float(value))
-        self.seconds.append(comm.ledger.seconds)
-        self.comm_seconds.append(comm.ledger.comm_seconds)
-        self.flops.append(comm.ledger.flops)
+        seconds, comm_seconds, flops = reading
+        self.seconds.append(seconds)
+        self.comm_seconds.append(comm_seconds)
+        self.flops.append(flops)
 
     def __len__(self) -> int:
         return len(self.iterations)

@@ -88,7 +88,7 @@ from repro.solvers.lasso.common import (
     theta_schedule,
 )
 from repro.solvers.lasso.plain import _overlap_apply, _sa_plan
-from repro.solvers.outer import check_schedule, run_blocking, run_ring
+from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
 from repro.utils.validation import nnz_of
 
 __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
@@ -110,11 +110,15 @@ def _init_acc_state(dist, b_local, x0):
     return y, z, ytil, ztil
 
 
+def _acc_iterate(theta, y, z, ytil, ztil):
+    """The implicit iterate x = theta^2 y + z and its local residual."""
+    t2 = theta * theta
+    return t2 * y + z, t2 * ytil + ztil
+
+
 def _acc_objective(dist, theta, y, z, ytil, ztil, pen):
     """Objective at the implicit iterate x = theta^2 y + z."""
-    t2 = theta * theta
-    x = t2 * y + z
-    r_local = t2 * ytil + ztil
+    x, r_local = _acc_iterate(theta, y, z, ytil, ztil)
     return distributed_objective(dist, r_local, x, pen)
 
 
@@ -251,7 +255,7 @@ def acc_bcd(
 
 def _sa_acc_outer_naive(
     dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
+    y, z, ytil, ztil, memo=None,
 ):
     """Reference inner loop: eqs. (3)-(5) exactly as written.
 
@@ -261,11 +265,9 @@ def _sa_acc_outer_naive(
     s_eff = len(blocks)
     z_outer = z.copy()
     deltas: list[np.ndarray] = []
-    theta_used = thetas[0]
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         th_prev = thetas[j]
-        theta_used = th_prev
         t2 = th_prev * th_prev
         # eq. (3): start from the projected history vectors
         r = t2 * R[sl_j, 0] + R[sl_j, 1]
@@ -301,19 +303,11 @@ def _sa_acc_outer_naive(
             dist.comm.account_flops(3.0 * Sdz.shape[0], "gather")
             ztil += Sdz
             ytil -= coef * Sdz
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
 
 
 def _sa_acc_outer_fast(
     dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
+    y, z, ytil, ztil, memo=None,
 ):
     """Fused inner loop: one prefix Gram GEMM per iteration.
 
@@ -331,10 +325,11 @@ def _sa_acc_outer_fast(
     s_eff = len(blocks)
     t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
     if max(widths) == 1:
-        return _sa_acc_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-            y, z, ytil, ztil, done, max_iter, record_every, term, history,
+        _sa_acc_inner_scalar(
+            dist, pen, Y, G, R, blocks, offsets, t2v, qth, coefv, C,
+            y, z, ytil, ztil,
         )
+        return
     account = dist.comm.account_flops
     U = np.zeros((int(offsets[-1]), 2))
     any_nz = False
@@ -342,11 +337,8 @@ def _sa_acc_outer_fast(
     Ycsc = sparse_columns(Y)
     if Ycsc is not None:
         Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
-    theta_used = thetas[0]
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
-        th_prev = thetas[j]
-        theta_used = th_prev
         r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
         off = offsets[j]
         if off and any_nz:
@@ -390,19 +382,11 @@ def _sa_acc_outer_fast(
                 account(3.0 * Sdz.shape[0], "gather")
                 ztil += Sdz
                 ytil -= coef * Sdz
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
 
 
 def _sa_acc_inner_scalar(
-    dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history,
+    dist, pen, Y, G, R, blocks, offsets, t2v, qth, coefv, C,
+    y, z, ytil, ztil,
 ):
     """mu = 1 fused loop: pure-scalar recurrence + sparse column scatter."""
     s_eff = len(blocks)
@@ -421,10 +405,7 @@ def _sa_acc_inner_scalar(
         Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
     account = dist.comm.account_flops
     fixed = FIXED_SUBPROBLEM_FLOPS + 10.0
-    theta_used = thetas[0]
     for j in range(s_eff):
-        th_prev = thetas[j]
-        theta_used = th_prev
         r = t2l[j] * R0[j] + R1[j]
         Crow = Cl[j]
         Grow = Gl[j]
@@ -461,14 +442,6 @@ def _sa_acc_inner_scalar(
                 ytil -= coef * upd
                 account(2.0 * m_loc, "blas1")
             account(3.0 * m_loc, "gather")
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
 
 
 def sa_acc_bcd(
@@ -521,6 +494,16 @@ def sa_acc_bcd(
     ``nb_depth = tau + 2`` communicator ring requirement. ``eig_memo``
     supplies a private eigenvalue memo for the fused loop (default: the
     shared process-wide memo).
+
+    Convergence records follow :func:`repro.solvers.lasso.plain.sa_bcd`:
+    at the outer-step boundaries that cross a multiple of
+    ``record_every`` (and at ``max_iter``), each rank's ``||r_local||^2``
+    at the implicit iterate ``theta^2 y + z`` riding the next Gram
+    reduction as one trailing word. One blocking collective per outer
+    step plus the objectives at iteration 0 and at the final iterate;
+    with ``tol``, a blocking or pipelined solve returns exactly the
+    iterate its converged record describes, one unused Gram reduction
+    later, and ``async_`` stops at most ``tau`` outer steps past it.
     """
     check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
@@ -563,10 +546,11 @@ def sa_acc_bcd(
     def plan(k):
         return _sa_plan(sampler, k)
 
-    def reduce(idx):
+    def reduce(idx, tail):
         Y = dist.sample_columns(idx)
         # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
-        return (Y, *dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack))
+        return (Y, *dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack,
+                                          tail=tail))
 
     def step(batch, Y, G, R, done):
         nonlocal theta, theta_used
@@ -574,36 +558,40 @@ def sa_acc_bcd(
         # the whole outer step's thetas depend only on theta_sk (Alg. 2
         # line 9), known fresh at harvest
         thetas = theta_schedule(theta, len(blocks))
-        converged, done, theta, theta_used = inner(
+        inner(
             dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-            y, z, ytil, ztil, done, max_iter, record_every, term, history,
-            memo=eig_memo,
+            y, z, ytil, ztil, memo=eig_memo,
         )
-        return converged, done
+        theta_used, theta = thetas[len(blocks) - 1], thetas[len(blocks)]
+        return False, done + len(blocks)
+
+    def probe(it):
+        check_finite_iterate("sa-accbcd", it, y=y, z=z)
+        # pinned now: the async ring completes the record after y, z move
+        xb, rb = _acc_iterate(theta_used, y, z, ytil, ztil)
+        return rb, lambda total: distributed_objective(dist, rb, xb, pen, total)
 
     def checkpoint(done):
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="lasso-acc", solver=f"sa-accbcd(mu={mu}, s={s})",
-                iteration=done, seed=seed, params={"n": n, "mu": mu},
-                state={"y": y, "z": z, "theta": theta,
-                       "theta_used": theta_used},
-                term=term, history=history, ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
+        return make_solver_checkpoint(
+            family="lasso-acc", solver=f"sa-accbcd(mu={mu}, s={s})",
+            iteration=done, seed=seed, params={"n": n, "mu": mu},
+            state={"y": y, "z": z, "theta": theta, "theta_used": theta_used},
+            term=term, history=history, ledger=dist.comm.ledger,
         )
 
+    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
+                    checkpoint_sink)
     if async_ or pipeline:
         lag = tau if async_ else 0
         pipe = dist.gram_pipeline(extra_cols=2, symmetric=symmetric_pack, depth=lag + 2)
         converged, done = run_ring(
-            plan, step, checkpoint, pipe, [ytil, ztil], done=done, max_iter=max_iter,
-            s=s, tau=lag, checkpoint_every=checkpoint_every,
+            plan, step, checkpoint, checks, pipe, [ytil, ztil], done=done,
+            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
     else:
         converged, done = run_blocking(
-            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
-            checkpoint_every=checkpoint_every,
+            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
+            s=s, checkpoint_every=checkpoint_every,
         )
     if history.iterations[-1] != done:
         history.record(

@@ -56,15 +56,22 @@ def distributed_objective(
     r_local: np.ndarray,
     x: np.ndarray,
     penalty: Penalty,
+    total: float | None = None,
 ) -> float:
     """``0.5 ||r||^2 + g(x)`` from the partitioned residual.
 
-    Instrumentation only — the measured algorithm never evaluates the
-    objective (the paper plots it offline), so the ledger is paused.
+    ``total`` is ``||r||^2`` already summed across ranks: the SA solvers
+    fold each rank's ``||r_local||^2`` into their next Gram reduction
+    (:class:`repro.solvers.outer.Checks`) and pass the sum here. Without
+    it the partial sums meet in one scalar allreduce. Instrumentation
+    only — the measured algorithm never evaluates the objective (the
+    paper plots it offline), so that allreduce runs with the ledger
+    paused.
     """
-    with dist.comm.ledger.paused():
-        part = float(r_local @ r_local)
-        total = float(dist.comm.allreduce(part))
+    if total is None:
+        with dist.comm.ledger.paused():
+            part = float(r_local @ r_local)
+            total = float(dist.comm.allreduce(part, timeout=dist.comm.timeout))
     return 0.5 * total + penalty.value(x)
 
 

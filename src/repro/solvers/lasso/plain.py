@@ -54,7 +54,7 @@ from repro.solvers.lasso.common import (
     make_sampler,
     setup_problem,
 )
-from repro.solvers.outer import check_schedule, run_blocking, run_ring
+from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
 
 __all__ = ["bcd", "sa_bcd", "cd", "sa_cd"]
 
@@ -204,8 +204,7 @@ def bcd(
 
 
 def _sa_outer_naive(
-    dist, pen, Y, G, R, blocks, widths, offsets,
-    x, r_local, done, max_iter, record_every, term, history, memo=None,
+    dist, pen, Y, G, R, blocks, widths, offsets, x, r_local, memo=None,
 ):
     """Reference inner loop (the ``fast=False`` escape hatch)."""
     s_eff = len(blocks)
@@ -234,28 +233,15 @@ def _sa_outer_naive(
         else:
             delta = np.zeros(widths[j])
         deltas.append(delta)
-        # incremental replicated/local updates (so the objective is
-        # observable at every inner iteration, like Alg. 2 lines 19-22)
+        # incremental replicated/local updates (Alg. 2 lines 19-22)
         x[blocks[j]] += delta
         if np.any(delta):
             Sj = Y[:, sl_j]
             dist.apply_column_update(Sj, delta, r_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                # finish the remaining local iterations of this outer
-                # step? No communication is saved by stopping early,
-                # but matching bcd's stopping point matters more.
-                return True, it
-    return False, done + s_eff
 
 
 def _sa_outer_fast(
-    dist, pen, Y, G, R, blocks, widths, offsets,
-    x, r_local, done, max_iter, record_every, term, history, memo=None,
+    dist, pen, Y, G, R, blocks, widths, offsets, x, r_local, memo=None,
 ):
     """Fused inner loop: one prefix Gram GEMV per iteration.
 
@@ -270,10 +256,8 @@ def _sa_outer_fast(
     s_eff = len(blocks)
     account = dist.comm.account_flops
     if max(widths) == 1:
-        return _sa_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets,
-            x, r_local, done, max_iter, record_every, term, history,
-        )
+        _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local)
+        return
     dz_all = np.zeros(int(offsets[-1]))
     any_nz = False
     m_loc = r_local.shape[0]
@@ -315,20 +299,9 @@ def _sa_outer_fast(
                     r_local += upd
             else:
                 dist.apply_column_update(Y[:, sl_j], delta, r_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
 
 
-def _sa_inner_scalar(
-    dist, pen, Y, G, R, blocks, offsets,
-    x, r_local, done, max_iter, record_every, term, history,
-):
+def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
     """mu = 1 fused loop: pure-scalar recurrence + sparse column scatter.
 
     Mirrors :func:`repro.solvers.lasso.acc._sa_acc_inner_scalar` minus
@@ -373,14 +346,6 @@ def _sa_inner_scalar(
             else:
                 r_local += Y[:, j] * delta
                 account(2.0 * m_loc, "blas1")
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
 
 
 def _sa_plan(sampler, s_eff: int) -> tuple:
@@ -449,16 +414,40 @@ def sa_bcd(
     sampled blocks, same rank-ordered fold — the iterates equal the
     blocking run's bit for bit, and the ledger charges only the
     unoverlapped latency remainder. The prefetch is speculative: a run
-    that converges via ``tol`` mid-step has already sampled +
-    Gram-packed one block it will never use, and the ledger honestly
-    charges that extra local work (the unused block is never posted).
-    ``eig_memo`` supplies a private eigenvalue memo for the fused loop
-    (default: the shared process-wide memo).
+    that converges via ``tol`` has already sampled + Gram-packed one
+    block it will never use, and the ledger honestly charges that extra
+    local work (the unused block is never posted). ``eig_memo`` supplies
+    a private eigenvalue memo for the fused loop (default: the shared
+    process-wide memo).
+
+    Convergence records (``record_every``; see :mod:`repro.solvers.outer`)
+    fall at the outer-step boundaries that cross a multiple of
+    ``record_every``, and at ``max_iter``. Each rank's
+    ``||r_local||^2`` rides the next outer step's Gram reduction as one
+    trailing word, charged as part of that message, so a record's value
+    arrives one reduction after its boundary. A solve therefore makes
+    one blocking collective per outer step, plus one ledger-paused
+    scalar allreduce each for the objective at iteration 0 and at the
+    final iterate (and, under ``async_``, for records in the last
+    ``tau`` outer steps, which no later reduction carries). With
+    ``tol`` set, the blocking and pipelined schedules test each record
+    before the next inner loop runs: a converged solve returns exactly
+    the iterate its last record describes (``iterations ==
+    history.iterations[-1]``) and has paid for one Gram reduction it
+    never uses. ``async_`` learns a record ``tau`` reductions later, so
+    it stops at most ``tau`` outer steps past its converged record and
+    records the iterate it returns on its own.
 
     ``checkpoint_every``/``checkpoint_sink``/``resume_from`` follow
     :func:`bcd`; SA runs checkpoint at the outer-step boundary that
     crosses each cadence multiple, and a checkpoint written by either
-    solver resumes under the other (the sampler stream is per-draw).
+    solver resumes under the other (the sampler stream is per-draw). A
+    checkpoint holds every record taken before its boundary: under
+    ``async_`` it is delivered once those have landed, up to ``tau``
+    outer steps late. The boundary's own record, when it rides the next
+    reduction, is taken again on resume from the restored iterate. So a
+    resumed history has the interrupted run's rows up to the checkpoint,
+    and under the blocking and pipelined schedules all of them.
     """
     check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
@@ -495,40 +484,43 @@ def sa_bcd(
     def plan(k):
         return _sa_plan(sampler, k)
 
-    def reduce(idx):
+    def reduce(idx, tail):
         Y = dist.sample_columns(idx)
-        return (Y, *dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack))
+        return (Y, *dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack,
+                                          tail=tail))
 
     def step(batch, Y, G, R, done):
         blocks, widths, offsets = batch
-        return inner(
-            dist, pen, Y, G, R, blocks, widths, offsets,
-            x, r_local, done, max_iter, record_every, term, history,
-            memo=eig_memo,
-        )
+        inner(dist, pen, Y, G, R, blocks, widths, offsets, x, r_local, memo=eig_memo)
+        return False, done + len(blocks)
+
+    def probe(it):
+        check_finite_iterate("sa-bcd", it, x=x)
+        # the async ring completes the record after x has moved on
+        xb = x.copy()
+        return r_local, lambda total: distributed_objective(dist, r_local, xb, pen, total)
 
     def checkpoint(done):
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="lasso-plain", solver=f"sa-bcd(mu={mu}, s={s})",
-                iteration=done, seed=seed, params={"n": n, "mu": mu},
-                state={"x": x}, term=term, history=history,
-                ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
+        return make_solver_checkpoint(
+            family="lasso-plain", solver=f"sa-bcd(mu={mu}, s={s})",
+            iteration=done, seed=seed, params={"n": n, "mu": mu},
+            state={"x": x}, term=term, history=history,
+            ledger=dist.comm.ledger,
         )
 
+    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
+                    checkpoint_sink)
     if async_ or pipeline:
         lag = tau if async_ else 0
         pipe = dist.gram_pipeline(extra_cols=1, symmetric=symmetric_pack, depth=lag + 2)
         converged, done = run_ring(
-            plan, step, checkpoint, pipe, [r_local], done=done, max_iter=max_iter,
-            s=s, tau=lag, checkpoint_every=checkpoint_every,
+            plan, step, checkpoint, checks, pipe, [r_local], done=done,
+            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
     else:
         converged, done = run_blocking(
-            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
-            checkpoint_every=checkpoint_every,
+            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
+            s=s, checkpoint_every=checkpoint_every,
         )
     if history.iterations[-1] != done:
         history.record(done, distributed_objective(dist, r_local, x, pen), dist.comm)

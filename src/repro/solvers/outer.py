@@ -9,13 +9,16 @@ owns the schedule:
 * ``plan(k)`` draws one outer step of ``k`` iterations and returns
   ``(idx, batch)``: the flat sampled indices the reduction packs, and
   whatever the inner loop needs to walk them;
-* ``reduce(idx)`` (blocking schedule only) samples ``idx`` and runs the
-  blocking packed reduction, returning ``(Y, G, R)``;
+* ``reduce(idx, tail)`` (blocking schedule only) samples ``idx`` and
+  runs the blocking packed reduction, returning ``(Y, G, R)``; ``tail``
+  is a trailing word to carry (see below) or ``None``;
 * ``step(batch, Y, G, R, done)`` runs the inner loop and returns
   ``(converged, done)``;
-* ``checkpoint(done)`` emits a resumable checkpoint. Both loops call it
-  at the outer-step boundary that crosses each multiple of
-  ``checkpoint_every`` (0: never), and never once converged.
+* ``checkpoint(done)`` returns a resumable checkpoint payload of the
+  state at boundary ``done``. Both loops take one at the outer-step
+  boundary that crosses each multiple of ``checkpoint_every`` (0:
+  never), and never once converged, and hand it to
+  :meth:`Checks.checkpoint` for delivery.
 
 Two schedules use them. :func:`run_blocking` waits on each reduction.
 :func:`run_ring` posts reductions through a
@@ -24,13 +27,45 @@ flight and harvests the oldest, so outer step ``k`` steps on data up to
 ``tau`` steps stale. At ``tau = 0`` the ring is the pipelined schedule:
 the next step is sampled and Gram-packed while the current reduction is
 in flight, and the iterates equal the blocking schedule's bit for bit.
+
+Every family also hands in its :class:`Checks`. For the Lasso families
+it holds the convergence records. A record (an objective stored in
+``history`` and tested against ``tol``) is due at the outer-step
+boundary that crosses each multiple of ``record_every`` — the
+checkpoint rule — and at ``max_iter``. Its objective needs ``||r||^2``
+summed across ranks, so each rank's partial ``||r_local||^2`` rides as
+one trailing word on the next Gram reduction posted after the
+boundary, which every schedule posts before any inner loop moves the
+residual. The record is committed when that reduction
+completes, one reduction late, with the modelled-cost readings taken at
+its boundary. A solve therefore makes one blocking collective per outer
+step, plus one ledger-paused scalar allreduce each for the objective
+at iteration 0, at the final iterate, and at records no later
+reduction carries (the async schedule's last ``tau`` outer steps). The
+blocking and pipelined schedules test a record against ``tol`` before
+the next inner loop runs, so a converged solve returns exactly the
+iterate its converged record describes and pays for one Gram reduction
+it never uses; the async schedule harvests that reduction ``tau`` steps
+later and stops at most ``tau`` outer steps past the converged record.
+A checkpoint is delivered once every record before its boundary is in
+its history — at once under the blocking and pipelined schedules, up to
+``tau`` outer steps late under the async one — so a resumed run's
+history holds every record the interrupted run took up to its
+checkpoint. ``sa_dcd``'s duality gap needs the m-word ``A x`` and keeps
+its own gap syncs: its :class:`Checks` records nothing and only
+delivers checkpoints.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
+
+from repro.checkpoint import emit_solver_checkpoint, solver_history_fields
 from repro.errors import SolverError
 
-__all__ = ["check_schedule", "run_blocking", "run_ring"]
+__all__ = ["Checks", "check_schedule", "run_blocking", "run_ring"]
 
 
 def check_schedule(s: int, tau: int, pipeline: bool, async_: bool) -> None:
@@ -50,41 +85,152 @@ def _crossed(prev_done: int, done: int, every: int) -> bool:
     return bool(every) and done // every != prev_done // every
 
 
-def run_blocking(plan, reduce, step, checkpoint, *, done, max_iter, s,
+class Checks:
+    """The convergence records and checkpoints of one SA solve, at
+    outer-step boundaries; each record is folded into the next Gram
+    reduction.
+
+    ``probe(it)`` pins a record to the current iterate (iteration
+    ``it``): it returns this rank's residual ``r_local`` and
+    ``objective(total)``, the record's value from ``total = ||r||^2``
+    summed across ranks (``None``: sum it with a scalar allreduce now).
+    ``every = 0`` takes no record past the first (``sa_dcd`` records its
+    duality gap inside its inner loop). ``history`` must already hold its
+    first row; a run resumed from a checkpoint taken with a record
+    pending — its history stops short of a multiple of ``every`` at or
+    before the resumed iteration — makes that record due at its first
+    boundary (:meth:`at_boundary`). Checkpoints go to ``sink`` (see
+    :func:`repro.checkpoint.emit_solver_checkpoint`).
+    """
+
+    def __init__(self, every: int, max_iter: int, probe, term, history, comm,
+                 sink=None) -> None:
+        self.every = int(every)
+        self.max_iter = int(max_iter)
+        self._probe = probe
+        self._term = term
+        self._history = history
+        self._comm = comm
+        self._sink = sink
+        # the latest iteration recorded or pending
+        self._last = history.iterations[-1]
+        # records in iteration order: [it, reading, objective, value]
+        self._queue: deque = deque()
+        # the latest pending record's ||r_local||^2, not yet posted
+        self._word: np.ndarray | None = None
+        # checkpoint payloads waiting for older records to land
+        self._held: deque = deque()
+
+    def at_boundary(self, done: int, carried: bool) -> bool:
+        """Take the record due at boundary ``done``, if any.
+
+        ``carried`` says whether a Gram reduction is posted after this
+        boundary to carry it; without one the record is evaluated now.
+        Returns True when a record committed here met ``tol``.
+        """
+        if not self.every or done == self._last or not (
+            done == self.max_iter or _crossed(self._last, done, self.every)
+        ):
+            return False
+        self._last = done
+        r_local, objective = self._probe(done)
+        reading = self._history.reading(self._comm)
+        if carried:
+            self._word = np.array([float(r_local @ r_local)])
+            self._queue.append([done, reading, objective, None])
+            return False
+        self._queue.append([done, reading, objective, objective(None)])
+        return self._commit()
+
+    def take(self) -> np.ndarray | None:
+        """The word the next posted reduction carries, or ``None``."""
+        word, self._word = self._word, None
+        return word
+
+    def landed(self, word: np.ndarray) -> bool:
+        """A reduction carrying ``word`` completed (``word`` holds the
+        sum now); returns True when a record committed here met ``tol``."""
+        for rec in self._queue:
+            if rec[3] is None:
+                rec[3] = rec[2](float(word[0]))
+                break
+        return self._commit()
+
+    def checkpoint(self, payload: dict) -> None:
+        """Deliver ``payload``, a checkpoint of the state at its
+        ``iteration``, once every record before that iteration is in
+        history: at once under the blocking and pipelined schedules, up
+        to ``tau`` outer steps later under the async one, whose older
+        records are still in flight. The boundary's own record may stay
+        pending (see the class docstring). A solve that converges first
+        drops it."""
+        self._held.append(payload)
+        self._deliver()
+
+    def _deliver(self) -> None:
+        while self._held and not (
+            self._queue and self._queue[0][0] < self._held[0]["iteration"]
+        ):
+            payload = self._held.popleft()
+            payload.update(solver_history_fields(self._term, self._history))
+            emit_solver_checkpoint(payload, self._sink, self._comm.rank)
+
+    def _commit(self) -> bool:
+        # commit in iteration order: an async run can evaluate a record
+        # at its boundary while older ones are still in flight
+        while self._queue and self._queue[0][3] is not None:
+            self._deliver()
+            it, reading, _, value = self._queue.popleft()
+            self._history.append(it, value, reading)
+            if self._term.done(value):
+                self._queue.clear()
+                self._held.clear()
+                return True
+        self._deliver()
+        return False
+
+
+def run_blocking(plan, reduce, step, checkpoint, checks, *, done, max_iter, s,
                  checkpoint_every):
     """One blocking reduction per outer step; returns ``(converged, done)``."""
-    converged = False
+    converged = checks.at_boundary(done, done < max_iter)
     while done < max_iter and not converged:
         idx, batch = plan(min(s, max_iter - done))
+        tail = checks.take()
+        Y, G, R = reduce(idx, tail)
+        if tail is not None and checks.landed(tail):
+            return True, done
         prev_done = done
-        converged, done = step(batch, *reduce(idx), done)
+        converged, done = step(batch, Y, G, R, done)
+        converged = converged or checks.at_boundary(done, done < max_iter)
         if not converged and _crossed(prev_done, done, checkpoint_every):
-            checkpoint(done)
+            checks.checkpoint(checkpoint(done))
     return converged, done
 
 
-def run_ring(plan, step, checkpoint, pipe, arrays, *, done, max_iter, s, tau,
-             checkpoint_every):
+def run_ring(plan, step, checkpoint, checks, pipe, arrays, *, done, max_iter, s,
+             tau, checkpoint_every):
     """Keep ``tau + 1`` reductions of ``arrays`` in flight on ``pipe``.
 
     ``arrays`` are updated in place by ``step``; each post packs their
     values at post time. ``pipe`` needs ``tau + 2`` slots. Returns
     ``(converged, done)``.
     """
+    converged = checks.at_boundary(done, done < max_iter)
     # warmup: batch 0 fresh, batches 1..tau posted with the same initial
     # arrays (they will be min(j, tau) steps stale when harvested);
     # `planned` counts iterations already committed to in-flight batches
     # so the last batch is sized to max_iter
     planned = done
-    inflight = []  # FIFO of (batch, slot); oldest harvested first
+    inflight = []  # FIFO of (batch, slot, tail); oldest harvested first
     while len(inflight) <= tau and planned < max_iter:
         k = min(s, max_iter - planned)
         idx, batch = plan(k)
         slot = pipe.prefetch(idx)
-        pipe.post(slot, arrays)
-        inflight.append((batch, slot))
+        tail = checks.take()
+        pipe.post(slot, arrays, tail)
+        inflight.append((batch, slot, tail))
         planned += k
-    converged = False
     while inflight:
         nxt = nslot = None
         if planned < max_iter:
@@ -94,24 +240,30 @@ def run_ring(plan, step, checkpoint, pipe, arrays, *, done, max_iter, s, tau,
             nidx, nxt = plan(k)
             nslot = pipe.prefetch(nidx)
             planned += k
-        batch, slot = inflight.pop(0)
+        batch, slot, tail = inflight.pop(0)
+        Y, G, R = pipe.wait(slot)
+        if tail is not None and checks.landed(tail):
+            converged = True
+            break
         prev_done = done
-        converged, done = step(batch, *pipe.wait(slot), done)
+        converged, done = step(batch, Y, G, R, done)
         # completing this step supersedes the arrays carried by every
         # reduction still in flight: age them one harvest point
-        for _, pending in inflight:
+        for _, pending, _ in inflight:
             pending.req.bump_staleness()
+        converged = converged or checks.at_boundary(done, nxt is not None)
         if converged:
             break
         if _crossed(prev_done, done, checkpoint_every):
-            checkpoint(done)
+            checks.checkpoint(checkpoint(done))
         if nxt is not None:
-            pipe.post(nslot, arrays)
-            inflight.append((nxt, nslot))
+            tail = checks.take()
+            pipe.post(nslot, arrays, tail)
+            inflight.append((nxt, nslot, tail))
     # drain: reductions posted but never consumed still moved real
     # traffic (charged at finalize) and must clear the ring so the
     # communicator is reusable (path sweeps, streaming)
-    for _, pending in inflight:
+    for _, pending, _ in inflight:
         pending.req.wait()
         pending.req = None
     return converged, done

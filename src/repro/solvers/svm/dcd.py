@@ -41,7 +41,7 @@ from repro.solvers.base import (
     Terminator,
     check_finite_iterate,
 )
-from repro.solvers.outer import check_schedule, run_blocking, run_ring
+from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
 from repro.solvers.sampling import RowSampler
 from repro.solvers.svm.duality import duality_gap, loss_params
 from repro.utils.validation import check_vector
@@ -406,7 +406,9 @@ def sa_dcd(
         idx = sampler.next_indices(k)
         return idx, idx
 
-    def reduce(idx):
+    def reduce(idx, tail):
+        # tail is None: no convergence check rides SVM's reductions (the
+        # duality gap needs the m-word A x; its records stay in `inner`)
         Y = dist.sample_rows(idx)
         G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack)
         return Y, G, xp[:, None]
@@ -418,30 +420,28 @@ def sa_dcd(
         )
 
     def checkpoint(done):
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="svm", solver=f"sa-svm-{loss.lower()}(s={s})",
-                iteration=done, seed=seed,
-                params={"m": m, "loss": loss, "lam": lam},
-                state={"alpha": alpha}, term=term, history=history,
-                ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
+        return make_solver_checkpoint(
+            family="svm", solver=f"sa-svm-{loss.lower()}(s={s})",
+            iteration=done, seed=seed,
+            params={"m": m, "loss": loss, "lam": lam},
+            state={"alpha": alpha}, term=term, history=history,
+            ledger=dist.comm.ledger,
         )
 
+    checks = Checks(0, max_iter, None, term, history, dist.comm, checkpoint_sink)
     if converged:
         pass  # the initial gap already meets tol
     elif async_ or pipeline:
         lag = tau if async_ else 0
         pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack, depth=lag + 2)
         converged, done = run_ring(
-            plan, step, checkpoint, pipe, [x_local], done=done, max_iter=max_iter,
-            s=s, tau=lag, checkpoint_every=checkpoint_every,
+            plan, step, checkpoint, checks, pipe, [x_local], done=done,
+            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
         )
     else:
         converged, done = run_blocking(
-            plan, reduce, step, checkpoint, done=done, max_iter=max_iter, s=s,
-            checkpoint_every=checkpoint_every,
+            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
+            s=s, checkpoint_every=checkpoint_every,
         )
     if history.iterations[-1] != done:
         history.record(done, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)

@@ -162,8 +162,9 @@ def test_expected_schedule_blocking_structure():
     got = expected_schedule("lasso-plain", "blocking", params)
     assert got == [
         "allreduce:scalar",  # iteration-0 record
-        "Allreduce:vec", "allreduce:scalar", "allreduce:scalar",
-        "Allreduce:vec", "allreduce:scalar", "allreduce:scalar",
+        "Allreduce:vec",  # outer step 1
+        "Allreduce:vec",  # outer step 2, carrying iteration 2's record
+        "allreduce:scalar",  # the final iterate's record
     ]
 
 

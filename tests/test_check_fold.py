@@ -1,0 +1,260 @@
+"""Convergence checks ride the Gram reductions of the SA Lasso solvers.
+
+A record — an objective stored in ``history`` and tested against
+``tol`` — falls at each outer-step boundary that crosses a multiple of
+``record_every`` (and at ``max_iter``). Each rank's ``||r_local||^2``
+rides the next Gram reduction as one trailing word, so a solve makes one
+blocking collective per outer step plus one scalar allreduce each for
+the objective at iteration 0 and at the final iterate, whatever
+``record_every`` is. Only the async schedule's last ``tau`` outer steps,
+which no later reduction follows, sync their records on their own.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.analyze.schedule import outer_chunks
+from repro.datasets import make_sparse_regression
+from repro.linalg.distmatrix import RowPartitionedMatrix
+from repro.linalg.partition import block_partition
+from repro.machine.spec import CRAY_XC30
+from repro.mpi.process_backend import process_spmd_run
+from repro.mpi.thread_backend import spmd_run
+from repro.mpi.tracing import attach_tracer
+from repro.mpi.virtual_backend import VirtualComm
+from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
+from repro.solvers.objectives import lasso_objective
+
+SCALAR, GRAM, POST = "allreduce:scalar", "Allreduce:vec", "Iallreduce:vec"
+LAM, H, S, TAU = 0.5, 22, 4, 2
+RECORD_EVERY = (0, 1, 3, 10)
+FAMILIES = {"sa-bcd": (sa_bcd, bcd), "sa-accbcd": (sa_acc_bcd, acc_bcd)}
+MODES = {"blocking": {}, "pipeline": {"pipeline": True},
+         "async": {"async_": True, "tau": TAU}}
+
+
+@pytest.fixture(scope="module")
+def problem():
+    A, b, _ = make_sparse_regression(40, 24, density=0.3, seed=0)
+    return A, b
+
+
+def _traced(solver, A, b, mode, record_every, backend):
+    """``(trace keys, result)`` of one tol=None solve (rank 0 on threads)."""
+    kw = dict(mu=2, s=S, max_iter=H, seed=0, tol=None,
+              record_every=record_every, **MODES[mode])
+    if backend == "virtual":
+        comm = VirtualComm(4, machine=CRAY_XC30)
+        tracer = attach_tracer(comm)
+        res = solver(A, b, LAM, comm=comm, **kw)
+        return tracer.keys(), res
+
+    def run_rank(comm, rank):
+        tracer = attach_tracer(comm)
+        res = solver(A, b, LAM, comm=comm, **kw)
+        return tracer.keys(), res
+
+    out = spmd_run(run_rank, 2, nb_depth=TAU + 2).values
+    assert out[0][0] == out[1][0]  # the SPMD contract
+    return out[0]
+
+
+@pytest.mark.parametrize("backend", ["virtual", "thread"])
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_collective_per_outer_step(problem, family, mode, backend):
+    A, b = problem
+    sa, classical = FAMILIES[family]
+    reduction = GRAM if mode == "blocking" else POST
+    steps = len(outer_chunks(H, S))
+    reference = classical(A, b, LAM, mu=2, max_iter=H, seed=0, record_every=1)
+    xs = []
+    for every in RECORD_EVERY:
+        keys, res = _traced(sa, A, b, mode, every, backend)
+        assert keys == [SCALAR] + [reduction] * steps + [SCALAR], every
+        xs.append(res.x)
+        # every SA record describes the iterate the classical run
+        # records at the same iteration
+        at = [reference.history.iterations.index(it) for it in res.history.iterations]
+        np.testing.assert_allclose(
+            res.history.metric, np.take(reference.history.metric, at), rtol=1e-10
+        )
+    for x in xs[1:]:
+        assert np.array_equal(x, xs[0])
+
+
+@pytest.mark.parametrize("backend", ["virtual", "thread"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_async_syncs_only_uncarried_records(problem, family, backend):
+    A, b = problem
+    sa, _ = FAMILIES[family]
+    chunks = outer_chunks(H, S)
+    boundaries = np.cumsum(chunks).tolist()
+    xs = []
+    for every in RECORD_EVERY:
+        keys, res = _traced(sa, A, b, "async", every, backend)
+        # records at the start of the last tau outer steps: no reduction
+        # is posted after them to carry their word
+        eager = [it for it in res.history.iterations
+                 if it in boundaries[-TAU - 1:-1]]
+        assert [k for k in keys if k != SCALAR] == [POST] * len(chunks)
+        last_post = len(keys) - 1 - keys[::-1].index(POST)
+        assert keys[0] == SCALAR
+        assert keys[last_post + 1:] == [SCALAR] * (len(eager) + 1), every
+        assert keys.count(SCALAR) == len(eager) + 2
+        if every == 1:
+            assert eager == boundaries[-TAU - 1:-1]
+        xs.append(res.x)
+    assert np.any(xs[0])
+    for x in xs[1:]:
+        assert np.array_equal(x, xs[0])
+
+
+# -- the shifted stopping point ---------------------------------------------
+
+#: (solver, tol) pairs that converge well inside the budget on ``tol_problem``
+CONVERGING = {"sa-bcd": (sa_bcd, 1e-6), "sa-accbcd": (sa_acc_bcd, 1e-4)}
+
+
+@pytest.fixture(scope="module")
+def tol_problem():
+    A, b, _ = make_sparse_regression(120, 40, density=0.3, seed=3)
+    return A, b
+
+
+def _meets_tol(prev: float, value: float, tol: float) -> bool:
+    """:class:`repro.solvers.base.Terminator`'s objective rule."""
+    return abs(prev - value) / max(abs(prev), 1e-300) <= tol
+
+
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+@pytest.mark.parametrize("family", CONVERGING)
+def test_converged_solve_returns_its_record(tol_problem, family, mode):
+    A, b = tol_problem
+    solver, tol = CONVERGING[family]
+    kw = dict(mu=2, s=8, max_iter=3000, seed=0, tol=tol, record_every=3)
+    res = solver(A, b, LAM, **kw, **MODES[mode])
+    h = res.history
+    assert res.converged and res.iterations < 3000
+    assert res.iterations == h.iterations[-1]
+    want = lasso_objective(A, b, res.x, LAM)
+    assert abs(res.final_metric - want) <= 1e-12 * abs(want)
+    assert _meets_tol(h.metric[-2], h.metric[-1], tol)
+    assert not any(_meets_tol(p, v, tol) for p, v in zip(h.metric[:-2], h.metric[1:-1]))
+    assert all(it % 8 == 0 or it == 3000 for it in h.iterations)
+    if mode == "pipeline":
+        blocking = solver(A, b, LAM, **kw)
+        assert np.array_equal(res.x, blocking.x)
+        assert h.iterations == blocking.history.iterations
+
+
+def test_async_stops_within_tau_steps_of_its_record(tol_problem):
+    A, b = tol_problem
+    tol, s = 1e-6, 8
+    res = sa_bcd(A, b, LAM, mu=2, s=s, max_iter=3000, seed=0, tol=tol,
+                 record_every=3, async_=True, tau=TAU)
+    h = res.history
+    assert res.converged and res.iterations < 3000
+    first = next(i for i in range(1, len(h))
+                 if _meets_tol(h.metric[i - 1], h.metric[i], tol))
+    assert first >= len(h) - 2  # nothing is recorded past it but res.x's row
+    assert 0 <= res.iterations - h.iterations[first] <= TAU * s
+    assert h.iterations[-1] == res.iterations
+    want = lasso_objective(A, b, res.x, LAM)
+    assert abs(res.final_metric - want) <= 1e-12 * abs(want)
+    assert all(a < c for a, c in zip(h.iterations, h.iterations[1:]))
+
+
+# -- resume -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_resume_from_recorded_checkpoint_adds_no_row(problem, family):
+    # the run ends at its checkpoint: the final boundary's record is taken
+    # before the checkpoint, so the history already ends at its iteration
+    A, b = problem
+    sa, _ = FAMILIES[family]
+    kw = dict(mu=2, s=4, seed=5, tol=None, record_every=4)
+    sink = []
+    sa(A, b, LAM, max_iter=8, checkpoint_every=8, checkpoint_sink=sink.append, **kw)
+    (ck,) = sink
+    assert ck["iteration"] == 8 and ck["history"]["iterations"][-1] == 8
+    full = sa(A, b, LAM, max_iter=16, **kw)
+    resumed = sa(A, b, LAM, max_iter=16, resume_from=ck, **kw)
+    assert resumed.history.iterations == full.history.iterations == [0, 4, 8, 12, 16]
+    np.testing.assert_allclose(resumed.history.metric, full.history.metric, rtol=1e-9)
+    np.testing.assert_allclose(resumed.x, full.x, atol=1e-9)
+
+
+@pytest.mark.parametrize("record_every", [4, 0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_resume_completes_the_pending_record(problem, family, record_every):
+    # a checkpoint at iteration 8 of 16 is taken while 8's record rides
+    # the next reduction; record_every=0 has no record to complete
+    A, b = problem
+    sa, _ = FAMILIES[family]
+    kw = dict(mu=2, s=4, max_iter=16, seed=5, tol=None, record_every=record_every)
+    sink = []
+    full = sa(A, b, LAM, checkpoint_every=8, checkpoint_sink=sink.append, **kw)
+    ck = sink[0]
+    assert ck["iteration"] == 8 and ck["history"]["iterations"][-1] < 8
+    resumed = sa(A, b, LAM, resume_from=ck, **kw)
+    assert resumed.history.iterations == full.history.iterations
+    np.testing.assert_allclose(resumed.history.metric, full.history.metric, rtol=1e-9)
+    np.testing.assert_allclose(resumed.x, full.x, atol=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_async_checkpoint_holds_the_records_in_flight(problem, family):
+    # at iteration 8 the records of 4 and 8 both ride reductions still in
+    # flight: the checkpoint is delivered once 4's lands, 8's stays pending
+    A, b = problem
+    sa, _ = FAMILIES[family]
+    kw = dict(mu=2, s=4, max_iter=24, seed=5, tol=None, record_every=4,
+              async_=True, tau=TAU)
+    sink = []
+    full = sa(A, b, LAM, checkpoint_every=8, checkpoint_sink=sink.append, **kw)
+    assert [ck["iteration"] for ck in sink] == [8, 16, 24]
+    for ck in sink[:2]:
+        it = ck["iteration"]
+        assert ck["history"]["iterations"] == list(range(0, it, 4))
+        assert ck["history"]["metric"] == full.history.metric[: it // 4]
+        # the ring restarts on resume, so only the rows up to the
+        # checkpoint are the interrupted run's
+        resumed = sa(A, b, LAM, resume_from=ck, **kw)
+        assert resumed.history.iterations == full.history.iterations
+        np.testing.assert_allclose(
+            resumed.history.metric[: it // 4 + 1], full.history.metric[: it // 4 + 1],
+            rtol=1e-9,
+        )
+
+
+# -- real process ranks ---------------------------------------------------------
+
+
+def test_process_ranks_sync_once_per_outer_step():
+    """2 forked ranks at 1 ms transit. Each column lives on one rank's
+    rows, so every partial sum is exact and the iterates equal the
+    single-rank run's bit for bit."""
+    blocks = [make_sparse_regression(100, 32, density=0.2, seed=k) for k in (0, 1)]
+    A = sp.block_diag([blk[0] for blk in blocks], format="csr")
+    b = np.concatenate([blk[1] for blk in blocks])
+    kw = dict(mu=8, s=16, max_iter=64, seed=0, tol=None, record_every=10)
+    reference = sa_acc_bcd(A, b, LAM, comm=VirtualComm(1), **kw)
+
+    def work(comm, rank):
+        tracer = attach_tracer(comm)
+        dist = RowPartitionedMatrix.from_global(
+            A, comm, partition=block_partition(A.shape[0], comm.size)
+        )
+        res = sa_acc_bcd(dist, b, LAM, **kw)
+        return tracer.keys(), res.x, res.history.iterations
+
+    out = process_spmd_run(work, 2, latency=1e-3)
+    keys, x, recorded = out.values[0]
+    steps = len(outer_chunks(64, 16))
+    assert keys == [SCALAR] + [GRAM] * steps + [SCALAR]
+    assert recorded == [0, 16, 32, 48, 64]
+    for _, xr, _ in out.values:
+        assert np.array_equal(xr, reference.x)

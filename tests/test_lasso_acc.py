@@ -103,11 +103,14 @@ class TestSaAccEquivalence:
         assert np.all(np.isfinite(rs.x))
 
     def test_history_alignment(self, small_regression):
+        # SA records at outer-step boundaries only; there its objective
+        # is the classical method's
         A, b, _ = small_regression
         r = acc_bcd(A, b, LAM, mu=2, max_iter=48, seed=4)
         rs = sa_acc_bcd(A, b, LAM, mu=2, s=12, max_iter=48, seed=4)
-        assert r.history.iterations == rs.history.iterations
-        assert np.allclose(r.history.metric, rs.history.metric, rtol=1e-9)
+        assert rs.history.iterations == list(range(0, 49, 12))
+        at = [r.history.iterations.index(it) for it in rs.history.iterations]
+        assert np.allclose(np.take(r.history.metric, at), rs.history.metric, rtol=1e-9)
 
     def test_tail_outer_step(self, small_regression):
         A, b, _ = small_regression

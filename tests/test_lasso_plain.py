@@ -109,11 +109,14 @@ class TestSaEquivalence:
         assert np.allclose(r.x, rs.x, atol=1e-12)
 
     def test_history_iterations_align(self, small_regression):
+        # SA records at outer-step boundaries only; there its objective
+        # is the classical method's
         A, b, _ = small_regression
         r = bcd(A, b, LAM, mu=2, max_iter=60, seed=2)
         rs = sa_bcd(A, b, LAM, mu=2, s=10, max_iter=60, seed=2)
-        assert r.history.iterations == rs.history.iterations
-        assert np.allclose(r.history.metric, rs.history.metric, rtol=1e-10)
+        assert rs.history.iterations == list(range(0, 61, 10))
+        at = [r.history.iterations.index(it) for it in rs.history.iterations]
+        assert np.allclose(np.take(r.history.metric, at), rs.history.metric, rtol=1e-10)
 
     def test_elastic_net_penalty(self, small_regression):
         A, b, _ = small_regression

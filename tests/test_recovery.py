@@ -240,6 +240,12 @@ def _solver_work(family, pipeline, plan):
     return work
 
 
+#: rank 1 dies entering its collective #5, mid-solve for every family
+#: and schedule: a Lasso solve makes 8 (the iteration-0 objective, six
+#: Gram reductions, the final objective), after checkpoints at 4..16
+MID_SOLVE_DEATH = FaultEvent(1, 5, "die")
+
+
 class TestSolverRecoveryMatrix:
     """Acceptance matrix: each SA solver family x blocking/pipelined
     completes under an injected mid-solve rank death with
@@ -252,7 +258,7 @@ class TestSolverRecoveryMatrix:
                              ids=("blocking", "pipelined"))
     @pytest.mark.parametrize("family", FAMILIES)
     def test_die_recover_matches_fault_free(self, family, pipeline):
-        plan = FaultPlan([FaultEvent(1, 9, "die")])
+        plan = FaultPlan([MID_SOLVE_DEATH])
         oracle = process_spmd_run(
             _solver_work(family, pipeline, None), SIZE, machine=CRAY_XC30,
         )
@@ -273,7 +279,7 @@ class TestSolverRecoveryMatrix:
     def test_raise_mode_unchanged(self, family):
         """The same injected death under the default recover="raise"
         still raises RankDiedError — opting out is bit-for-bit PR-6."""
-        plan = FaultPlan([FaultEvent(1, 9, "die")])
+        plan = FaultPlan([MID_SOLVE_DEATH])
         with pytest.raises(RankDiedError):
             process_spmd_run(
                 _solver_work(family, False, plan), SIZE, machine=CRAY_XC30,
