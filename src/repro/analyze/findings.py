@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.utils.io import atomic_write_json
+from repro.utils.io import atomic_write_text
 
 __all__ = [
     "Severity",
@@ -208,7 +208,9 @@ def write_baseline(path, findings: Iterable[Finding]) -> dict:
             f for f in findings if not f.suppressed
         ),
     }
-    atomic_write_json(path, payload)
+    # indented, unlike atomic_write_json's compact JSON: the baseline is
+    # committed, and reviewers read its diffs entry by entry
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     return payload
 
 

@@ -32,6 +32,14 @@ The robustness contract, per tenant:
   every other tenant is untouched. :class:`~repro.errors.SolverError`
   during one tenant's refit likewise rolls back only that tenant.
 
+Durability: with ``checkpoint_path`` set, rank 0 rewrites one compact
+JSON file (:func:`~repro.utils.io.atomic_write_json`) after setup and
+before and after every dispatch. Each tenant's committed sweep state
+(most of the file's bytes) is kept with its encoded JSON text, so a
+write re-encodes only the engine's own small state: a committed refit
+encodes its one tenant once, and predicts, rollbacks and pre-dispatch
+writes encode no tenant state.
+
 Determinism: everything the engine branches on (clock, queue state,
 deadlines, fault counters) is replicated across ranks, and per-rank
 cost asymmetry is folded with a ledger-paused MAX-allreduce before it
@@ -72,7 +80,7 @@ from repro.serve.report import (
 )
 from repro.serve.trace import load_trace, validate_trace
 from repro.streaming import StreamingSweep, _cost_dict, _sum_cost_dicts
-from repro.utils.io import atomic_write_json
+from repro.utils.io import JSONText, atomic_write_json
 from repro.utils.validation import nnz_of
 
 __all__ = ["TenantSpec", "serve_trace"]
@@ -102,7 +110,13 @@ class TenantSpec:
 
 
 class _Tenant:
-    """Runtime state for one hosted tenant."""
+    """Runtime state for one hosted tenant.
+
+    ``last_good`` is the committed sweep checkpoint, the state rollbacks
+    restore and checkpoints carry. It is held as a
+    :class:`~repro.utils.io.JSONText`, so the checkpoint file encodes it
+    once per commit, not once per write.
+    """
 
     __slots__ = (
         "spec", "rows_total", "eig_memo", "sweep", "state", "faults",
@@ -139,23 +153,28 @@ def _hash(arr) -> str:
 
 def _load_serve_checkpoint(source) -> dict:
     if isinstance(source, dict):
-        ck = source
+        ck, where = source, "serve checkpoint"
     else:
+        where = f"serve checkpoint {os.fspath(source)!r}"
         try:
             with open(os.fspath(source), "r", encoding="utf-8") as fh:
                 ck = json.load(fh)
         except (OSError, ValueError) as exc:
+            raise CheckpointError(f"could not read {where}: {exc}") from exc
+        if not isinstance(ck, dict):
             raise CheckpointError(
-                f"could not read serve checkpoint {source!r}: {exc}"
-            ) from exc
+                f"{where} holds a JSON {type(ck).__name__}, not an object"
+            )
     if ck.get("kind") != "serve-engine":
         raise CheckpointError(
-            f"expected a kind='serve-engine' checkpoint, got {ck.get('kind')!r}"
+            f"{where} is not a kind='serve-engine' checkpoint"
+            f" (kind={ck.get('kind')!r})"
         )
-    if int(ck.get("format_version", -1)) != SERVE_CHECKPOINT_VERSION:
+    version = ck.get("format_version")
+    if type(version) is not int or version != SERVE_CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"serve checkpoint format_version {ck.get('format_version')!r} is"
-            f" not supported (expected {SERVE_CHECKPOINT_VERSION})"
+            f"{where} format_version {version!r} is not supported"
+            f" (expected {SERVE_CHECKPOINT_VERSION})"
         )
     return ck
 
@@ -239,7 +258,7 @@ class _Engine:
     def _rollback(self, ten: _Tenant) -> None:
         with self.comm.ledger.paused():
             ten.sweep = StreamingSweep.from_checkpoint(
-                ten.last_good, comm=self.comm, eig_memo=ten.eig_memo
+                ten.last_good.value, comm=self.comm, eig_memo=ten.eig_memo
             )
 
     def _quarantine_if_exhausted(self, ten: _Tenant) -> None:
@@ -267,7 +286,7 @@ class _Engine:
             "in_flight": in_flight,
             "tenants": {
                 name: {
-                    "engine": ten.last_good,
+                    "engine": ten.last_good.value,
                     "state": ten.state,
                     "faults": int(ten.faults),
                     "consumed": int(ten.consumed),
@@ -289,7 +308,18 @@ class _Engine:
         if self.checkpoint_path is not None and self.comm.rank == 0:
             # repro: lint-ignore[collective-in-rank-branch] -- rank-0
             # checkpoint IO: a local atomic file write, no communication
-            atomic_write_json(os.fspath(self.checkpoint_path), payload)
+            self._write_ck(payload)
+
+    def _write_ck(self, payload: dict) -> None:
+        """Write ``payload`` to the checkpoint file, each tenant's sweep
+        state as its cached JSON text: a dispatch encodes no tenant state
+        except the one a refit just committed."""
+        tenants = {
+            name: dict(block, engine=self.tenants[name].last_good)
+            for name, block in payload["tenants"].items()
+        }
+        atomic_write_json(os.fspath(self.checkpoint_path),
+                          dict(payload, tenants=tenants))
 
     def restore(self, ck: dict, last_failure) -> None:
         """Resume from a ``kind="serve-engine"`` checkpoint; if a batch
@@ -325,7 +355,7 @@ class _Engine:
                 ten.sweep = StreamingSweep.from_checkpoint(
                     tck["engine"], comm=self.comm, eig_memo=ten.eig_memo
                 )
-            ten.last_good = tck["engine"]
+            ten.last_good = JSONText(tck["engine"])
             ten.state = tck["state"]
             ten.faults = int(tck["faults"])
             ten.consumed = int(tck["consumed"])
@@ -409,7 +439,7 @@ class _Engine:
             ])
             self._set_model(ten, res)
             with self.comm.ledger.paused():
-                ten.last_good = sweep.checkpoint()
+                ten.last_good = JSONText(sweep.checkpoint())
         self._emit_ck(None)
 
     # -- the loop ------------------------------------------------------------
@@ -502,7 +532,7 @@ class _Engine:
         ten.serve_cost = _sum_cost_dicts([ten.serve_cost] + new)
         ten.consumed = pos
         with self.comm.ledger.paused():
-            ten.last_good = sweep.checkpoint()
+            ten.last_good = JSONText(sweep.checkpoint())
 
     def _fault(self, ten: _Tenant, eidxs: list, outcome: str, err) -> None:
         """Contain a deterministic failure to this tenant: roll its
@@ -729,6 +759,12 @@ def serve_trace(
     backends' nonblocking-collective slot ring; the default is derived
     from the tenants' ``async_``/``tau`` knobs (``tau + 2`` when any
     tenant runs asynchronously).
+
+    ``checkpoint_path`` names the compact JSON checkpoint file (see the
+    module docstring); ``resume_from`` takes such a file or its parsed
+    dict, and also reads the indented files earlier versions wrote. A
+    file that is not a ``kind="serve-engine"`` object of the current
+    ``format_version`` raises :class:`~repro.errors.CheckpointError`.
     """
     specs = list(tenants)
     if nb_depth is None:

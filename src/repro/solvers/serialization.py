@@ -127,7 +127,7 @@ def save_result(path_or_file: str | Path | IO[str], result: SolverResult) -> Non
     """Write a result as JSON (atomically, when given a path)."""
     data = result_to_dict(result)
     if isinstance(path_or_file, (str, Path)):
-        atomic_write_json(path_or_file, data, indent=None)
+        atomic_write_json(path_or_file, data)
     else:
         json.dump(data, path_or_file)
 

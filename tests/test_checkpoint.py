@@ -25,7 +25,7 @@ from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path
 from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
-from repro.utils.io import atomic_write_json, atomic_write_text
+from repro.utils.io import JSONText, atomic_write_json, atomic_write_text
 
 SEED = 5
 TOL9 = 1e-9
@@ -467,6 +467,20 @@ class TestAtomicWrites:
             atomic_write_json(target, {"v": object()})
         assert json.loads(target.read_text()) == {"v": 1}
         assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_json_text_writes_as_its_value_would(self, tmp_path):
+        state = {"x": [0.1, 2.0, float("inf")], "s": "\u00e9\n"}
+        # strings equal to the splice markers, and one that encodes with
+        # the quoted marker inside it, must not capture a fragment
+        strings = {"JSONText": "JSONText", "m": "JSONText_", "q": 'a "JSONText'}
+        target = tmp_path / "out.json"
+        atomic_write_json(target, dict(
+            strings, t=[JSONText(state), JSONText([1, "JSONText"])],
+            u=JSONText(None),
+        ))
+        want = dict(strings, t=[state, [1, "JSONText"]], u=None)
+        assert (target.read_text()
+                == json.dumps(want, separators=(",", ":")) + "\n")
 
     def test_interrupted_replace_leaves_no_partial_target(self, tmp_path,
                                                           monkeypatch):

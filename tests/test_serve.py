@@ -376,6 +376,157 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="could not read"):
             serve_trace(specs, [], resume_from=bad, machine=CRAY_XC30)
 
+    @staticmethod
+    def _mixed_trace():
+        """Predicts, two coalesced refits and one refit rolled back for
+        missing its deadline: three of the five refits commit."""
+        return [
+            TraceEvent(0.0, "a", op="append", rows=2),
+            TraceEvent(0.0, "a", op="append", rows=2),
+            TraceEvent(0.0, "b", op="predict", rows=4),
+            TraceEvent(0.0, "c", op="append", rows=2),
+            TraceEvent(1.0, "b", op="append", rows=2, deadline=1e-9),
+            TraceEvent(2.0, "a", op="predict", rows=4),
+            TraceEvent(2.0, "b", op="append", rows=2),
+            TraceEvent(2.0, "b", op="append", rows=2),
+            TraceEvent(2.0, "c", op="predict", rows=4),
+        ]
+
+    def _check_mixed_report(self, rep):
+        reqs = rep["requests"]
+        assert [r["outcome"] for r in reqs].count("completed") == 8
+        assert "rolled back" in reqs[4]["error"]
+        assert [r["coalesced"] for r in reqs if r["op"] == "append"] == [
+            2, 2, 1, 1, 2, 2]
+
+    def test_checkpoint_file_is_compact_and_holds_committed_states(
+            self, tmp_path, monkeypatch):
+        from repro.streaming import StreamingSweep
+        specs = _three_tenants()
+        ck_path = tmp_path / "serve.ck.json"
+        committed, dispatched = {}, []
+        setup_order = iter(s.name for s in specs)
+        sweep_checkpoint = StreamingSweep.checkpoint
+
+        def checkpoint(sweep, sink=None):
+            state = sweep_checkpoint(sweep, sink)
+            # setup commits every tenant in spec order; after that, only
+            # the tenant being dispatched commits
+            name = dispatched[-1] if dispatched else next(setup_order)
+            committed[name] = json.loads(json.dumps(state))
+            return state
+
+        def check_file():
+            text = ck_path.read_text()
+            ck = json.loads(text)
+            assert text == json.dumps(ck, separators=(",", ":")) + "\n"
+            assert {name: t["engine"] for name, t in ck["tenants"].items()} \
+                == committed
+
+        def hook(comm, tenant, dispatch_no, op):
+            check_file()
+            dispatched.append(tenant)
+
+        monkeypatch.setattr(StreamingSweep, "checkpoint", checkpoint)
+        rep = serve_trace(specs, self._mixed_trace(), checkpoint_path=ck_path,
+                          fault_hook=hook, machine=CRAY_XC30, virtual_p=4)
+        check_file()
+        self._check_mixed_report(rep)
+        assert len(dispatched) == 7
+
+    def test_each_committed_state_is_encoded_once(self, tmp_path,
+                                                  monkeypatch):
+        from repro.streaming import StreamingSweep
+
+        class State(dict):
+            encodes = 0
+
+            def items(self):
+                # json's encoders, C and Python, walk a dict subclass
+                # through items(): one call is one encode
+                self.encodes += 1
+                return super().items()
+
+        states = []
+        sweep_checkpoint = StreamingSweep.checkpoint
+
+        def checkpoint(sweep, sink=None):
+            states.append(State(sweep_checkpoint(sweep, sink)))
+            return states[-1]
+
+        monkeypatch.setattr(StreamingSweep, "checkpoint", checkpoint)
+        specs = _three_tenants()
+        kw = dict(machine=CRAY_XC30, virtual_p=4)
+        rep = serve_trace(specs, self._mixed_trace(),
+                          checkpoint_path=tmp_path / "serve.ck.json", **kw)
+        self._check_mixed_report(rep)
+        # one state per tenant at setup and one per committed refit, each
+        # encoded once: predicts, the rollback and the pre-dispatch writes
+        # encode none
+        assert len(states) == len(specs) + 3
+        assert [s.encodes for s in states] == [1] * len(states)
+        # without a checkpoint file nothing is encoded
+        states.clear()
+        serve_trace(specs, self._mixed_trace(), **kw)
+        assert len(states) == len(specs) + 3
+        assert [s.encodes for s in states] == [0] * len(states)
+
+    def test_resume_rejects_malformed_checkpoint_files(self, tmp_path):
+        from repro.errors import CheckpointError
+        specs = [_spec("a")]
+        ck_path = tmp_path / "serve.ck.json"
+        serve_trace(specs, [], checkpoint_path=ck_path, machine=CRAY_XC30)
+        good = json.loads(ck_path.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([good]))
+        with pytest.raises(CheckpointError, match="bad.json.*JSON list"):
+            serve_trace(specs, [], resume_from=bad, machine=CRAY_XC30)
+        for version in ("one", "1", 1.0, True, None, [1]):
+            bad.write_text(json.dumps(dict(good, format_version=version)))
+            with pytest.raises(CheckpointError,
+                               match="bad.json.* format_version"):
+                serve_trace(specs, [], resume_from=bad, machine=CRAY_XC30)
+
+    def test_resume_from_file_mid_trace_matches_uninterrupted(self, tmp_path):
+        specs = _three_tenants()
+        trace = synthetic_trace(["a", "b", "c"], 16, seed=4, mean_gap=0.001,
+                                rows=2, predict_frac=0.3,
+                                append_budget={n: 12 for n in "abc"})
+        kw = dict(machine=CRAY_XC30, virtual_p=4, queue_depth=8)
+        full = serve_trace(specs, trace, **kw)
+        ck_path = tmp_path / "serve.ck.json"
+
+        class Killed(Exception):
+            pass
+
+        def kill(comm, tenant, dispatch_no, op):
+            if dispatch_no == 6:
+                raise Killed
+
+        # the run dies with dispatch 6 in flight; its pre-dispatch
+        # checkpoint is on disk and the resume replays that batch
+        with pytest.raises(Killed):
+            serve_trace(specs, trace, checkpoint_path=ck_path,
+                        fault_hook=kill, **kw)
+        assert json.loads(ck_path.read_text())["in_flight"] is not None
+        indented = tmp_path / "serve.indented.json"
+        indented.write_text(
+            json.dumps(json.loads(ck_path.read_text()), indent=2) + "\n"
+        )
+
+        def outcomes(rep):
+            return [(r["eidx"], r["outcome"], r["result_hash"])
+                    for r in rep["requests"]]
+
+        # a compact file and one in the indented layout that earlier
+        # versions wrote resume alike
+        for source in (ck_path, indented):
+            resumed = serve_trace(specs, trace, resume_from=source, **kw)
+            assert ([t["model_hash"] for t in resumed["tenants"]]
+                    == [t["model_hash"] for t in full["tenants"]])
+            assert outcomes(resumed) == outcomes(full)
+            assert resumed["totals"]["recovered_requests"] >= 1
+
     def test_resume_rejects_older_nested_engine(self, tmp_path):
         # a serve checkpoint nests each tenant's streaming checkpoint,
         # whose own format_version gates the resume
