@@ -51,11 +51,14 @@ AR_VEC = "Allreduce:vec"  # packed Gram+projection / matvec_full
 NB_VEC = "Iallreduce:vec"  # GramPipeline.post
 AG_VEC = "Allgather:vec"  # gather_cols
 
-#: SVM's record-point burst — _record_gap: matvec_full (buffer
-#: Allreduce) + norm2_cols (object allreduce of a python float) — and
-#: the primal-shard gather after its driver loop
-_SVM_RECORD = (AR_VEC, AR_SCALAR)
-_SVM_TAIL = (AG_VEC,)
+#: a record no Gram reduction carries syncs on its own: the Lasso
+#: objective in one scalar allreduce (distributed_objective), the SVM
+#: duality gap in _record_gap's matvec_full (buffer Allreduce) plus
+#: norm2_cols (object allreduce of a python float)
+_UNCARRIED = {"lasso-plain": (AR_SCALAR,), "lasso-acc": (AR_SCALAR,),
+              "svm": (AR_VEC, AR_SCALAR)}
+#: after the driver loop: SVM gathers its primal shard (gather_cols)
+_TRAILING = {"lasso-plain": (), "lasso-acc": (), "svm": (AG_VEC,)}
 
 #: solver driver roots for static extraction
 _ROOTS = {
@@ -101,26 +104,15 @@ def outer_chunks(max_iter: int, s: int) -> list[int]:
     return sizes
 
 
-def _record_burst(
-    done: int, s_eff: int, record_every: int, max_iter: int
-) -> list[str]:
-    """Record events emitted by one SVM outer step's inner loop."""
-    out: list[str] = []
-    for j in range(1, s_eff + 1):
-        it = done + j
-        if record_every and (it % record_every == 0 or it == max_iter):
-            out.extend(_SVM_RECORD)
-    return out
-
-
-def _lasso_schedule(mode: str, params: ScheduleParams) -> list[str]:
-    """The Lasso families' sequence (:class:`repro.solvers.outer.Checks`).
+def _schedule(mode: str, params: ScheduleParams, uncarried, trailing) -> list[str]:
+    """One solve's sequence under :class:`repro.solvers.outer.Checks`.
 
     Records fall at outer-step boundaries that cross a multiple of
-    ``record_every`` and ride the next Gram reduction as a trailing word
-    (same op, same shape class), so only iteration 0, the final iterate
-    and records with no later reduction to carry them — the async
-    schedule's last ``tau`` outer steps — sync on their own.
+    ``record_every`` and ride the next Gram reduction as a tail (same op,
+    same shape class), so only iteration 0, the final iterate and records
+    with no later reduction to carry them — the async schedule's last
+    ``tau`` outer steps — emit the family's ``uncarried`` events. The
+    family's ``trailing`` events follow the final record.
     """
     chunks = outer_chunks(params.max_iter, params.s)
     post = AR_VEC if mode == "blocking" else NB_VEC
@@ -128,7 +120,7 @@ def _lasso_schedule(mode: str, params: ScheduleParams) -> list[str]:
     # is posted right after a boundary
     ahead = min((params.tau if mode == "async" else 0) + 1, len(chunks))
     every = params.record_every
-    events = [AR_SCALAR] + [post] * ahead
+    events = [*uncarried] + [post] * ahead
     done = last = 0
     for i, s_eff in enumerate(chunks):
         done += s_eff
@@ -136,11 +128,10 @@ def _lasso_schedule(mode: str, params: ScheduleParams) -> list[str]:
         if every and done < params.max_iter and done // every != last // every:
             last = done
             if not carried:
-                events.append(AR_SCALAR)
+                events.extend(uncarried)
         if carried:
             events.append(post)
-    events.append(AR_SCALAR)  # the final iterate
-    return events
+    return events + [*uncarried, *trailing]  # the final iterate's record
 
 
 def expected_schedule(
@@ -156,49 +147,7 @@ def expected_schedule(
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    if family != "svm":
-        return _lasso_schedule(mode, params)
-    rec = list(_SVM_RECORD)
-    chunks = outer_chunks(params.max_iter, params.s)
-
-    events: list[str] = []
-    events.extend(rec)  # iteration-0 record before the driver loop
-
-    if mode == "blocking":
-        done = 0
-        for s_eff in chunks:
-            events.append(AR_VEC)  # packed gram_(rows_)and_project
-            events.extend(
-                _record_burst(done, s_eff, params.record_every, params.max_iter)
-            )
-            done += s_eff
-    elif mode == "pipeline":
-        # post(k) ... [prefetch(k+1); wait(k); inner(k); post(k+1)] ...
-        done = 0
-        for i, s_eff in enumerate(chunks):
-            events.append(NB_VEC)
-            events.extend(
-                _record_burst(done, s_eff, params.record_every, params.max_iter)
-            )
-            done += s_eff
-    else:  # async: warmup posts, then harvest-oldest / post-next
-        w = min(params.tau + 1, len(chunks))
-        events.extend([NB_VEC] * w)
-        done = 0
-        for i, s_eff in enumerate(chunks):
-            events.extend(
-                _record_burst(done, s_eff, params.record_every, params.max_iter)
-            )
-            done += s_eff
-            if w + i < len(chunks):
-                events.append(NB_VEC)
-        # the drain waits on already-posted reductions: no new events
-
-    # final record: skipped when the cadence already recorded max_iter
-    if not params.record_every:
-        events.extend(rec)
-    events.extend(_SVM_TAIL)
-    return events
+    return _schedule(mode, params, _UNCARRIED[family], _TRAILING[family])
 
 
 # -- static extraction -------------------------------------------------------

@@ -161,19 +161,20 @@ class _PartitionedBase:
     def _reduce_packed(self, Gp, extras, k: int, c: int, symmetric: bool, tail=None):
         """Sum partial ``(G, extras)`` across ranks in one packed Allreduce.
 
-        ``tail`` (optional one-word float64 buffer) holds this rank's
-        partial of one more scalar; it rides the same message after the
-        projections and is overwritten in place with its sum. Returns
-        ``(G, extras-or-None)`` in the reusable output buffers.
+        ``tail`` (optional float64 buffer) holds this rank's partials of
+        a convergence record (:class:`repro.solvers.outer.Checks`); they
+        ride the same message after the projections and are overwritten
+        in place with their sums. Returns ``(G, extras-or-None)`` in the
+        reusable output buffers.
         """
         n = packed_length(k, c, symmetric)
-        send, recv = self._packed_buffers(n if tail is None else n + 1)
+        send, recv = self._packed_buffers(n if tail is None else n + tail.shape[0])
         pack_gram(Gp, extras, symmetric, out=send[:n])
         if tail is not None:
-            send[n] = tail[0]
+            send[n:] = tail
         total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout)
         if tail is not None:
-            tail[0] = total[n]
+            tail[:] = total[n:]
         out_g, out_r = self._gram_outputs(k, c)
         return unpack_gram(total[:n], k, c, symmetric, out_g=out_g, out_extras=out_r)
 
@@ -184,8 +185,8 @@ class _PipeSlot:
     Owns everything whose lifetime spans one in-flight reduction: the
     gather workspace holding the sampled block, the packed send buffer
     (which peers may still be reading), the receive buffer, the
-    unpacked (G, R) outputs the inner loop consumes, and the trailing
-    word the post carried, if any.
+    unpacked (G, R) outputs the inner loop consumes, and the record
+    tail the post carried, if any.
     """
 
     __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req", "tail")
@@ -226,7 +227,9 @@ class GramPipeline:
     ``tau + 1`` reductions in flight. Values are bit-identical to the
     blocking ``gram_and_project`` / ``gram_rows_and_project`` path: same
     sampled blocks, same partial products, same rank-ordered fold, same
-    unpack.
+    unpack. Each send buffer keeps ``spare`` words for the record tail a
+    post may carry, fixed at construction: one (``||r_local||^2``) on the
+    Lasso layout, ``m + 1`` (``A_p x_p`` and ``||x_p||^2``) on the SVM one.
     """
 
     def __init__(
@@ -241,6 +244,7 @@ class GramPipeline:
         if int(depth) < 2:
             raise PartitionError(f"pipeline depth must be >= 2, got {depth}")
         self.axis = axis
+        self.spare = 1 if axis == "cols" else dist.shape[0] + 1
         self._slots = [_PipeSlot() for _ in range(int(depth))]
         self._next = 0
 
@@ -258,8 +262,7 @@ class GramPipeline:
             k = Y.shape[0]
             Gp = _densify_small(Y @ Y.T)
         dist._charge_gram_only(nnz_of(Y), k, self.symmetric)
-        # one spare word: room for the trailing word a post may carry
-        length = packed_length(k, self.extra_cols, self.symmetric) + 1
+        length = packed_length(k, self.extra_cols, self.symmetric) + self.spare
         if slot.send is None or slot.send.shape[0] != length:
             slot.send = np.empty(length, dtype=np.float64)
             slot.recv = np.empty(length, dtype=np.float64)
@@ -273,10 +276,10 @@ class GramPipeline:
     ) -> None:
         """Pack the projections ``Y^T V`` (resp. ``Y x``), post the reduce.
 
-        ``tail`` (optional one-word float64 buffer) rides the same
-        message after the projections, as in
+        ``tail`` (optional float64 buffer of at most ``spare`` words)
+        rides the same message after the projections, as in
         :meth:`RowPartitionedMatrix.gram_and_project`; :meth:`wait`
-        overwrites it with its sum across ranks.
+        overwrites it with its sums across ranks.
         """
         dist = self.dist
         if self.axis == "cols":
@@ -287,10 +290,10 @@ class GramPipeline:
             Rp = np.asarray(slot.Y @ x_local).ravel()
         dist._charge_proj(nnz_of(slot.Y), slot.k, self.extra_cols)
         pack_extras(Rp, slot.k, self.symmetric, slot.send)
-        n = slot.send.shape[0] - 1
+        n = slot.send.shape[0] - self.spare
         if tail is not None:
-            slot.send[n] = tail[0]
-            n += 1
+            slot.send[n:n + tail.shape[0]] = tail
+            n += tail.shape[0]
         slot.tail = tail
         slot.req = dist.comm.Iallreduce(slot.send[:n], out=slot.recv[:n])
 
@@ -303,9 +306,9 @@ class GramPipeline:
         """
         total = slot.req.wait()
         slot.req = None
-        n = slot.send.shape[0] - 1
+        n = slot.send.shape[0] - self.spare
         if slot.tail is not None:
-            slot.tail[0] = total[n]
+            slot.tail[:] = total[n:]
             slot.tail = None
         k, c = slot.k, self.extra_cols
         if slot.out_g is None or slot.out_g.shape != (k, k):
@@ -526,10 +529,10 @@ class RowPartitionedMatrix(_PartitionedBase):
         symmetric:
             Pack only G's lower triangle (paper footnote 3's 2x saving).
         tail:
-            Optional one-word float64 buffer of this rank's partial
-            scalar that rides the same message after the projections (the
-            SA Lasso solvers' convergence check, ``||r_local||^2``),
-            charged as part of it; overwritten in place with its sum.
+            Optional float64 buffer of this rank's partials of a
+            convergence record, riding the same message after the
+            projections and charged as part of it (the SA Lasso solvers'
+            ``[||r_local||^2]``); overwritten in place with their sums.
 
         Returns
         -------
@@ -578,7 +581,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         """Global dot product of two row-partitioned vectors."""
         part = float(np.dot(u_local, v_local))
         self.comm.account_flops(2.0 * u_local.shape[0], "blas1")
-        return float(self.comm.allreduce(part))
+        return float(self.comm.allreduce(part, timeout=self.comm.timeout))
 
     def norm2_partitioned(self, u_local: np.ndarray) -> float:
         """Global squared 2-norm of a row-partitioned vector."""
@@ -586,7 +589,8 @@ class RowPartitionedMatrix(_PartitionedBase):
 
     def gather_rows(self, u_local: np.ndarray) -> np.ndarray:
         """Reassemble a row-partitioned vector on every rank (diagnostics)."""
-        return self.comm.Allgather(np.asarray(u_local, dtype=np.float64))
+        return self.comm.Allgather(np.asarray(u_local, dtype=np.float64),
+                                   timeout=self.comm.timeout)
 
 
 class ColPartitionedMatrix(_PartitionedBase):
@@ -709,11 +713,14 @@ class ColPartitionedMatrix(_PartitionedBase):
         sampled,
         x_local: np.ndarray,
         symmetric: bool = True,
+        tail: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``G = Y Yᵀ`` (k x k over the feature dimension) and ``Y x``.
 
         One packed Allreduce, matching Alg. 4 lines 9-10 (the caller adds
-        ``gamma I`` *after* the reduction, once). The outputs live in
+        ``gamma I`` *after* the reduction, once). ``tail`` rides it as in
+        :meth:`RowPartitionedMatrix.gram_and_project` (SA-SVM's duality-gap
+        record, ``[A_p x_p, ||x_p||^2]``). The outputs live in
         reusable per-instance buffers, valid until the next Gram
         collective through this matrix.
         """
@@ -722,7 +729,7 @@ class ColPartitionedMatrix(_PartitionedBase):
         Gp = _densify_small(Y @ Y.T)
         xp = np.asarray(Y @ x_local).ravel()
         self._charge_gram(nnz_of(Y), k, 1, symmetric)
-        G, R = self._reduce_packed(Gp, xp, k, 1, symmetric)
+        G, R = self._reduce_packed(Gp, xp, k, 1, symmetric, tail)
         return G, R[:, 0]
 
     def gram_rows_pipeline(
@@ -748,20 +755,21 @@ class ColPartitionedMatrix(_PartitionedBase):
         """Global ``Y @ x`` via partial products + Allreduce (non-SA path)."""
         part = np.asarray(row_sampled @ x_local).ravel()
         self.comm.account_flops(2.0 * nnz_of(row_sampled), "blas1")
-        return self.comm.Allreduce(part)
+        return self.comm.Allreduce(part, timeout=self.comm.timeout)
 
     def matvec_full(self, x_local: np.ndarray) -> np.ndarray:
         """Global ``A @ x`` (m-vector, replicated). Diagnostic helper."""
         part = np.asarray(self.local @ x_local).ravel()
         self.comm.account_flops(2.0 * self.local_nnz, "spmv")
-        return self.comm.Allreduce(part)
+        return self.comm.Allreduce(part, timeout=self.comm.timeout)
 
     def norm2_cols(self, x_local: np.ndarray) -> float:
         """Global squared norm of a column-partitioned vector."""
         part = float(np.dot(x_local, x_local))
         self.comm.account_flops(2.0 * x_local.shape[0], "blas1")
-        return float(self.comm.allreduce(part))
+        return float(self.comm.allreduce(part, timeout=self.comm.timeout))
 
     def gather_cols(self, x_local: np.ndarray) -> np.ndarray:
         """Reassemble a column-partitioned vector on every rank."""
-        return self.comm.Allgather(np.asarray(x_local, dtype=np.float64))
+        return self.comm.Allgather(np.asarray(x_local, dtype=np.float64),
+                                   timeout=self.comm.timeout)

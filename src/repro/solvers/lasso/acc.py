@@ -569,7 +569,8 @@ def sa_acc_bcd(
         check_finite_iterate("sa-accbcd", it, y=y, z=z)
         # pinned now: the async ring completes the record after y, z move
         xb, rb = _acc_iterate(theta_used, y, z, ytil, ztil)
-        return rb, lambda total: distributed_objective(dist, rb, xb, pen, total)
+        return (lambda: np.array([rb @ rb]),
+                lambda tail: distributed_objective(dist, rb, xb, pen, tail))
 
     def checkpoint(done):
         return make_solver_checkpoint(

@@ -56,11 +56,11 @@ def distributed_objective(
     r_local: np.ndarray,
     x: np.ndarray,
     penalty: Penalty,
-    total: float | None = None,
+    tail: np.ndarray | None = None,
 ) -> float:
     """``0.5 ||r||^2 + g(x)`` from the partitioned residual.
 
-    ``total`` is ``||r||^2`` already summed across ranks: the SA solvers
+    ``tail`` is ``[||r||^2]`` already summed across ranks: the SA solvers
     fold each rank's ``||r_local||^2`` into their next Gram reduction
     (:class:`repro.solvers.outer.Checks`) and pass the sum here. Without
     it the partial sums meet in one scalar allreduce. Instrumentation
@@ -68,11 +68,11 @@ def distributed_objective(
     paper plots it offline), so that allreduce runs with the ledger
     paused.
     """
-    if total is None:
+    if tail is None:
         with dist.comm.ledger.paused():
             part = float(r_local @ r_local)
-            total = float(dist.comm.allreduce(part, timeout=dist.comm.timeout))
-    return 0.5 * total + penalty.value(x)
+            tail = [dist.comm.allreduce(part, timeout=dist.comm.timeout)]
+    return 0.5 * float(tail[0]) + penalty.value(x)
 
 
 def make_sampler(n: int, mu: int, seed, penalty: Penalty):

@@ -498,7 +498,8 @@ def sa_bcd(
         check_finite_iterate("sa-bcd", it, x=x)
         # the async ring completes the record after x has moved on
         xb = x.copy()
-        return r_local, lambda total: distributed_objective(dist, r_local, xb, pen, total)
+        return (lambda: np.array([r_local @ r_local]),
+                lambda tail: distributed_objective(dist, r_local, xb, pen, tail))
 
     def checkpoint(done):
         return make_solver_checkpoint(

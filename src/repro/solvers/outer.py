@@ -11,7 +11,7 @@ owns the schedule:
   whatever the inner loop needs to walk them;
 * ``reduce(idx, tail)`` (blocking schedule only) samples ``idx`` and
   runs the blocking packed reduction, returning ``(Y, G, R)``; ``tail``
-  is a trailing word to carry (see below) or ``None``;
+  is a record's partials to carry (see below) or ``None``;
 * ``step(batch, Y, G, R, done)`` runs the inner loop and returns
   ``(converged, done)``;
 * ``checkpoint(done)`` returns a resumable checkpoint payload of the
@@ -28,32 +28,33 @@ flight and harvests the oldest, so outer step ``k`` steps on data up to
 the next step is sampled and Gram-packed while the current reduction is
 in flight, and the iterates equal the blocking schedule's bit for bit.
 
-Every family also hands in its :class:`Checks`. For the Lasso families
-it holds the convergence records. A record (an objective stored in
-``history`` and tested against ``tol``) is due at the outer-step
-boundary that crosses each multiple of ``record_every`` — the
-checkpoint rule — and at ``max_iter``. Its objective needs ``||r||^2``
-summed across ranks, so each rank's partial ``||r_local||^2`` rides as
-one trailing word on the next Gram reduction posted after the
-boundary, which every schedule posts before any inner loop moves the
-residual. The record is committed when that reduction
-completes, one reduction late, with the modelled-cost readings taken at
-its boundary. A solve therefore makes one blocking collective per outer
-step, plus one ledger-paused scalar allreduce each for the objective
-at iteration 0, at the final iterate, and at records no later
-reduction carries (the async schedule's last ``tau`` outer steps). The
-blocking and pipelined schedules test a record against ``tol`` before
-the next inner loop runs, so a converged solve returns exactly the
-iterate its converged record describes and pays for one Gram reduction
-it never uses; the async schedule harvests that reduction ``tau`` steps
-later and stops at most ``tau`` outer steps past the converged record.
+Every family also hands in its :class:`Checks`, which holds the
+convergence records. A record (a metric stored in ``history`` and
+tested against ``tol``: the Lasso objective, the SVM duality gap) is
+due at the outer-step boundary that crosses each multiple of
+``record_every`` — the checkpoint rule — and at ``max_iter``. Its value
+needs partial sums from every rank (Lasso: ``||r_local||^2``; SVM:
+``A_p x_p`` and ``||x_p||^2``, m + 1 words), which ride as a tail on the
+next Gram reduction posted after the boundary, charged as part of that
+message; every schedule posts it before any inner loop moves the
+iterate. The record is committed when that reduction completes, one
+reduction late, against the iterate pinned at its boundary and with the
+modelled-cost readings taken there. A solve therefore makes one blocking
+collective per outer step, plus the family's own ledger-paused record
+syncs (Lasso: a scalar allreduce; SVM: an m-word Allreduce and a scalar
+allreduce) for iteration 0, for the final iterate, and for records no
+later reduction carries (the async schedule's last ``tau`` outer
+steps). The blocking and pipelined schedules test a record against
+``tol`` before the next inner loop runs, so a converged solve returns
+exactly the iterate its converged record describes and pays for one
+Gram reduction it never uses; the async schedule harvests that
+reduction ``tau`` steps later and stops at most ``tau`` outer steps
+past the converged record.
 A checkpoint is delivered once every record before its boundary is in
 its history — at once under the blocking and pipelined schedules, up to
 ``tau`` outer steps late under the async one — so a resumed run's
 history holds every record the interrupted run took up to its
-checkpoint. ``sa_dcd``'s duality gap needs the m-word ``A x`` and keeps
-its own gap syncs: its :class:`Checks` records nothing and only
-delivers checkpoints.
+checkpoint.
 """
 
 from __future__ import annotations
@@ -91,16 +92,17 @@ class Checks:
     reduction.
 
     ``probe(it)`` pins a record to the current iterate (iteration
-    ``it``): it returns this rank's residual ``r_local`` and
-    ``objective(total)``, the record's value from ``total = ||r||^2``
-    summed across ranks (``None``: sum it with a scalar allreduce now).
-    ``every = 0`` takes no record past the first (``sa_dcd`` records its
-    duality gap inside its inner loop). ``history`` must already hold its
-    first row; a run resumed from a checkpoint taken with a record
-    pending — its history stops short of a multiple of ``every`` at or
-    before the resumed iteration — makes that record due at its first
-    boundary (:meth:`at_boundary`). Checkpoints go to ``sink`` (see
-    :func:`repro.checkpoint.emit_solver_checkpoint`).
+    ``it``): it returns ``(tail, value)``. ``tail()`` builds this rank's
+    partials of the record, called only when a reduction will carry them
+    (Lasso: ``[||r_local||^2]``; SVM: ``[A_p x_p, ||x_p||^2]``, m + 1
+    words); ``value(total)`` is the record's value from those partials
+    summed across ranks (``None``: sync them on its own now).
+    ``every = 0`` takes no record past the first. ``history`` must
+    already hold its first row; a run resumed from a checkpoint taken
+    with a record pending — its history stops short of a multiple of
+    ``every`` at or before the resumed iteration — makes that record due
+    at its first boundary (:meth:`at_boundary`). Checkpoints go to
+    ``sink`` (see :func:`repro.checkpoint.emit_solver_checkpoint`).
     """
 
     def __init__(self, every: int, max_iter: int, probe, term, history, comm,
@@ -114,10 +116,10 @@ class Checks:
         self._sink = sink
         # the latest iteration recorded or pending
         self._last = history.iterations[-1]
-        # records in iteration order: [it, reading, objective, value]
+        # records in iteration order: [it, reading, value, value(total)]
         self._queue: deque = deque()
-        # the latest pending record's ||r_local||^2, not yet posted
-        self._word: np.ndarray | None = None
+        # the latest pending record's tail, not yet posted
+        self._tail: np.ndarray | None = None
         # checkpoint payloads waiting for older records to land
         self._held: deque = deque()
 
@@ -133,26 +135,26 @@ class Checks:
         ):
             return False
         self._last = done
-        r_local, objective = self._probe(done)
+        tail, value = self._probe(done)
         reading = self._history.reading(self._comm)
         if carried:
-            self._word = np.array([float(r_local @ r_local)])
-            self._queue.append([done, reading, objective, None])
+            self._tail = tail()
+            self._queue.append([done, reading, value, None])
             return False
-        self._queue.append([done, reading, objective, objective(None)])
+        self._queue.append([done, reading, value, value(None)])
         return self._commit()
 
     def take(self) -> np.ndarray | None:
-        """The word the next posted reduction carries, or ``None``."""
-        word, self._word = self._word, None
-        return word
+        """The tail the next posted reduction carries, or ``None``."""
+        tail, self._tail = self._tail, None
+        return tail
 
-    def landed(self, word: np.ndarray) -> bool:
-        """A reduction carrying ``word`` completed (``word`` holds the
-        sum now); returns True when a record committed here met ``tol``."""
+    def landed(self, tail: np.ndarray) -> bool:
+        """A reduction carrying ``tail`` completed (``tail`` holds the
+        sums now); returns True when a record committed here met ``tol``."""
         for rec in self._queue:
             if rec[3] is None:
-                rec[3] = rec[2](float(word[0]))
+                rec[3] = rec[2](tail)
                 break
         return self._commit()
 

@@ -222,10 +222,7 @@ def dcd(
     )
 
 
-def _sa_dcd_outer_naive(
-    dist, b, Y, G, xp, idx, gamma, nu,
-    alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
-):
+def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
     """Reference inner loop (the ``fast=False`` escape hatch)."""
     s_eff = idx.shape[0]
     # add gamma I once, after the reduction (Alg. 4 line 9)
@@ -255,20 +252,9 @@ def _sa_dcd_outer_naive(
             # incremental primal update (Alg. 4 line 21), local shard
             row_j = Y[j : j + 1, :]
             dist.apply_row_update(row_j, np.array([theta * bsel[j]]), x_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-svm", it, alpha=alpha, x=x_local)
-            gap = _record_gap(dist, b, alpha, x_local, lam, loss)
-            history.record(it, gap, dist.comm)
-            if term.done(gap):
-                return True, it
-    return False, done + s_eff
 
 
-def _sa_dcd_outer_fast(
-    dist, b, Y, G, xp, idx, gamma, nu,
-    alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
-):
+def _sa_dcd_outer_fast(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
     """Fused inner loop: bit-identical to :func:`_sa_dcd_outer_naive`.
 
     gamma is added to the diagonal in place (the off-diagonal ``+ 0``
@@ -314,14 +300,6 @@ def _sa_dcd_outer_fast(
             else:
                 x_local += Y[j] * coeff
                 account(2.0 * Y.shape[1], "blas1")
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-svm", it, alpha=alpha, x=x_local)
-            gap = _record_gap(dist, b, alpha, x_local, lam, loss)
-            history.record(it, gap, dist.comm)
-            if term.done(gap):
-                return True, it
-    return False, done + s_eff
 
 
 def sa_dcd(
@@ -368,6 +346,18 @@ def sa_dcd(
     :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
     accounting (``stale_seconds`` / ``max_staleness``) and the
     ``nb_depth = tau + 2`` communicator ring requirement.
+
+    Duality-gap records (``record_every``; see :mod:`repro.solvers.outer`)
+    fall at the outer-step boundaries that cross a multiple of
+    ``record_every``, and at ``max_iter``; ``tol`` is tested there. Each
+    rank's ``[A_p x_p, ||x_p||^2]`` (m + 1 words) rides the next outer
+    step's Gram reduction, charged as part of that message, and the gap
+    is evaluated against the ``alpha`` pinned at the boundary. The gap at
+    iteration 0, at the final iterate and (under ``async_``) in the last
+    ``tau`` outer steps syncs on its own, ledger-paused: an m-word
+    Allreduce plus a scalar allreduce. A converged blocking or pipelined
+    solve returns exactly the iterate its last record describes;
+    ``async_`` stops at most ``tau`` outer steps past it.
     """
     check_schedule(s, tau, pipeline, async_)
     if checkpoint_every or resume_from is not None:
@@ -407,17 +397,27 @@ def sa_dcd(
         return idx, idx
 
     def reduce(idx, tail):
-        # tail is None: no convergence check rides SVM's reductions (the
-        # duality gap needs the m-word A x; its records stay in `inner`)
         Y = dist.sample_rows(idx)
-        G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack)
+        G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack,
+                                           tail=tail)
         return Y, G, xp[:, None]
 
     def step(idx, Y, G, R, done):
-        return inner(
-            dist, b, Y, G, R[:, 0], idx, gamma, nu,
-            alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
-        )
+        inner(dist, b, Y, G, R[:, 0], idx, gamma, nu, alpha, x_local)
+        return False, done + len(idx)
+
+    def probe(it):
+        check_finite_iterate("sa-svm", it, alpha=alpha, x=x_local)
+        # the async ring completes the record after alpha has moved on
+        pinned = alpha.copy()
+
+        def gap(tail):
+            if tail is None:
+                return _record_gap(dist, b, pinned, x_local, lam, loss)
+            return duality_gap(tail[:m], b, pinned, float(tail[m]), lam, loss)
+
+        # [A_p x_p, ||x_p||^2], uncharged like _record_gap's flops
+        return lambda: np.append(dist.local @ x_local, x_local @ x_local), gap
 
     def checkpoint(done):
         return make_solver_checkpoint(
@@ -428,7 +428,8 @@ def sa_dcd(
             ledger=dist.comm.ledger,
         )
 
-    checks = Checks(0, max_iter, None, term, history, dist.comm, checkpoint_sink)
+    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
+                    checkpoint_sink)
     if converged:
         pass  # the initial gap already meets tol
     elif async_ or pipeline:

@@ -1,13 +1,16 @@
-"""Convergence checks ride the Gram reductions of the SA Lasso solvers.
+"""Convergence checks ride the Gram reductions of the SA solvers.
 
-A record — an objective stored in ``history`` and tested against
-``tol`` — falls at each outer-step boundary that crosses a multiple of
-``record_every`` (and at ``max_iter``). Each rank's ``||r_local||^2``
-rides the next Gram reduction as one trailing word, so a solve makes one
-blocking collective per outer step plus one scalar allreduce each for
-the objective at iteration 0 and at the final iterate, whatever
-``record_every`` is. Only the async schedule's last ``tau`` outer steps,
-which no later reduction follows, sync their records on their own.
+A record — an objective (Lasso) or duality gap (SVM) stored in
+``history`` and tested against ``tol`` — falls at each outer-step
+boundary that crosses a multiple of ``record_every`` (and at
+``max_iter``). Each rank's partials of it ride the next Gram reduction
+as a tail: ``[||r_local||^2]`` for Lasso, ``[A_p x_p, ||x_p||^2]`` (m + 1
+words) for SVM. A solve therefore makes one blocking collective per
+outer step plus the family's own record syncs for iteration 0 and the
+final iterate (Lasso: a scalar allreduce; SVM: an m-word Allreduce and a
+scalar allreduce), whatever ``record_every`` is. Only the async
+schedule's last ``tau`` outer steps, which no later reduction follows,
+sync their records on their own.
 """
 
 import numpy as np
@@ -15,8 +18,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analyze.schedule import outer_chunks
-from repro.datasets import make_sparse_regression
-from repro.linalg.distmatrix import RowPartitionedMatrix
+from repro.datasets import make_classification, make_sparse_regression
+from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.partition import block_partition
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.process_backend import process_spmd_run
@@ -25,8 +28,10 @@ from repro.mpi.tracing import attach_tracer
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
 from repro.solvers.objectives import lasso_objective
+from repro.solvers.svm import dcd, sa_dcd
 
 SCALAR, GRAM, POST = "allreduce:scalar", "Allreduce:vec", "Iallreduce:vec"
+GATHER = "Allgather:vec"
 LAM, H, S, TAU = 0.5, 22, 4, 2
 RECORD_EVERY = (0, 1, 3, 10)
 FAMILIES = {"sa-bcd": (sa_bcd, bcd), "sa-accbcd": (sa_acc_bcd, acc_bcd)}
@@ -258,3 +263,167 @@ def test_process_ranks_sync_once_per_outer_step():
     assert recorded == [0, 16, 32, 48, 64]
     for _, xr, _ in out.values:
         assert np.array_equal(xr, reference.x)
+
+
+# -- SA-SVM: the duality gap rides as an (m + 1)-word tail --------------------
+
+#: an uncarried gap record: matvec_full's m-word Allreduce + norm2_cols
+GAP = [GRAM, SCALAR]
+
+
+@pytest.fixture(scope="module")
+def svm_problem():
+    return make_classification(40, 24, density=0.4, label_noise=0.1, seed=1)
+
+
+def _traced_svm(A, b, mode, record_every, backend, **kw):
+    """``(trace keys, result)`` of one sa_dcd solve (rank 0 on threads)."""
+    kw = dict(loss="l2", s=S, max_iter=H, seed=0, record_every=record_every,
+              **MODES[mode], **kw)
+    if backend == "virtual":
+        comm = VirtualComm(4, machine=CRAY_XC30)
+        tracer = attach_tracer(comm)
+        res = sa_dcd(A, b, comm=comm, **kw)
+        return tracer.keys(), res
+
+    def run_rank(comm, rank):
+        tracer = attach_tracer(comm)
+        res = sa_dcd(A, b, comm=comm, **kw)
+        return tracer.keys(), res
+
+    out = spmd_run(run_rank, 2, nb_depth=TAU + 2).values
+    assert out[0][0] == out[1][0]  # the SPMD contract
+    return out[0]
+
+
+def _dense_gap(A, b, alpha, lam=1.0):
+    """The SVM-L2 duality gap at ``alpha``, in dense numpy."""
+    A = A.toarray()
+    x = A.T @ (b * alpha)
+    hinge = np.maximum(1.0 - b * (A @ x), 0.0)
+    primal = 0.5 * x @ x + lam * hinge @ hinge
+    dual = alpha.sum() - 0.5 * (x @ x + 0.5 / lam * alpha @ alpha)
+    return primal - dual
+
+
+@pytest.mark.parametrize("backend", ["virtual", "thread"])
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+def test_svm_one_reduction_per_outer_step(svm_problem, mode, backend):
+    A, b = svm_problem
+    reduction = GRAM if mode == "blocking" else POST
+    steps = len(outer_chunks(H, S))
+    reference = dcd(A, b, loss="l2", max_iter=H, seed=0, record_every=1)
+    alphas = []
+    for every in RECORD_EVERY:
+        keys, res = _traced_svm(A, b, mode, every, backend)
+        assert keys == GAP + [reduction] * steps + GAP + [GATHER], every
+        alphas.append(res.extras["alpha"])
+        # every SA record describes the iterate dcd records at the same
+        # iteration
+        at = [reference.history.iterations.index(it) for it in res.history.iterations]
+        np.testing.assert_allclose(
+            res.history.metric, np.take(reference.history.metric, at), rtol=1e-9
+        )
+    for alpha in alphas[1:]:
+        assert np.array_equal(alpha, alphas[0])
+
+
+@pytest.mark.parametrize("backend", ["virtual", "thread"])
+def test_svm_async_syncs_only_uncarried_records(svm_problem, backend):
+    A, b = svm_problem
+    chunks = outer_chunks(H, S)
+    boundaries = np.cumsum(chunks).tolist()
+    alphas = []
+    for every in RECORD_EVERY:
+        keys, res = _traced_svm(A, b, "async", every, backend)
+        eager = [it for it in res.history.iterations
+                 if it in boundaries[-TAU - 1:-1]]
+        assert [k for k in keys if k == POST] == [POST] * len(chunks)
+        last_post = len(keys) - 1 - keys[::-1].index(POST)
+        assert keys[:last_post + 1] == GAP + [POST] * len(chunks)
+        assert keys[last_post + 1:] == GAP * (len(eager) + 1) + [GATHER], every
+        if every == 1:
+            assert eager == boundaries[-TAU - 1:-1]
+        alphas.append(res.extras["alpha"])
+    assert np.any(alphas[0])
+    for alpha in alphas[1:]:
+        assert np.array_equal(alpha, alphas[0])
+
+
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+def test_svm_converged_solve_returns_its_record(svm_problem, mode):
+    A, b = svm_problem
+    tol = 0.1
+    kw = dict(loss="l2", s=8, max_iter=3000, seed=0, tol=tol, record_every=3)
+    res = sa_dcd(A, b, **kw, **MODES[mode])
+    h = res.history
+    assert res.converged and res.iterations < 3000
+    assert res.iterations == h.iterations[-1]
+    want = _dense_gap(A, b, res.extras["alpha"])
+    assert abs(res.final_metric - want) <= 1e-9 * abs(want)
+    assert h.metric[-1] <= tol < min(h.metric[:-1])
+    assert all(it % 8 == 0 for it in h.iterations)
+    if mode == "pipeline":
+        blocking = sa_dcd(A, b, **kw)
+        assert np.array_equal(res.extras["alpha"], blocking.extras["alpha"])
+        assert h.iterations == blocking.history.iterations
+
+
+def test_svm_async_stops_within_tau_steps_of_its_record(svm_problem):
+    A, b = svm_problem
+    tol, s = 0.1, 8
+    res = sa_dcd(A, b, loss="l2", s=s, max_iter=3000, seed=0, tol=tol,
+                 record_every=3, async_=True, tau=TAU)
+    h = res.history
+    assert res.converged and res.iterations < 3000
+    first = next(i for i, gap in enumerate(h.metric) if gap <= tol)
+    assert first >= len(h) - 2  # nothing is recorded past it but alpha's row
+    assert 0 <= res.iterations - h.iterations[first] <= TAU * s
+    assert h.iterations[-1] == res.iterations
+    assert all(it % s == 0 for it in h.iterations)
+    want = _dense_gap(A, b, res.extras["alpha"])
+    assert abs(res.final_metric - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+def test_svm_resume_completes_the_pending_record(svm_problem, mode):
+    # a checkpoint at iteration 8 of 16 is taken while 8's record rides
+    # the next reduction; the resumed run takes it again at its start
+    A, b = svm_problem
+    kw = dict(loss="l2", s=4, max_iter=16, seed=5, record_every=4, **MODES[mode])
+    sink = []
+    full = sa_dcd(A, b, checkpoint_every=8, checkpoint_sink=sink.append, **kw)
+    ck = sink[0]
+    assert ck["iteration"] == 8 and ck["history"]["iterations"] == [0, 4]
+    resumed = sa_dcd(A, b, resume_from=ck, **kw)
+    assert resumed.history.iterations == full.history.iterations == [0, 4, 8, 12, 16]
+    np.testing.assert_allclose(resumed.history.metric, full.history.metric, rtol=1e-9)
+    np.testing.assert_allclose(resumed.extras["alpha"], full.extras["alpha"], atol=1e-12)
+
+
+def test_svm_process_ranks_sync_once_per_outer_step():
+    """2 forked ranks at 1 ms transit. Each row's non-zeros live on one
+    rank's columns, so every Gram and ``A x`` partial sum is exact and
+    alpha equals the single-rank run's bit for bit."""
+    blocks = [make_classification(30, 20, density=0.3, seed=k) for k in (0, 1)]
+    A = sp.block_diag([blk[0] for blk in blocks], format="csr")
+    b = np.concatenate([blk[1] for blk in blocks])
+    kw = dict(loss="l2", s=16, max_iter=64, seed=0, record_every=10)
+    reference = sa_dcd(A, b, comm=VirtualComm(1), **kw)
+
+    def work(comm, rank):
+        tracer = attach_tracer(comm)
+        dist = ColPartitionedMatrix.from_global(
+            A, comm, partition=block_partition(A.shape[1], comm.size)
+        )
+        res = sa_dcd(dist, b, **kw)
+        return tracer.keys(), res.extras["alpha"], res.history
+
+    out = process_spmd_run(work, 2, latency=1e-3)
+    keys, alpha, history = out.values[0]
+    steps = len(outer_chunks(64, 16))
+    assert keys == GAP + [GRAM] * steps + GAP + [GATHER]
+    assert history.iterations == [0, 16, 32, 48, 64]
+    np.testing.assert_allclose(history.metric, reference.history.metric, rtol=1e-12)
+    for _, ar, _ in out.values:
+        assert np.array_equal(ar, reference.extras["alpha"])
