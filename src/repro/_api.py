@@ -15,6 +15,7 @@ from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
+from repro.solvers.outer import check_schedule, ring_depth
 from repro.solvers.svm import dcd, sa_dcd
 
 __all__ = ["fit_lasso", "fit_svm"]
@@ -66,26 +67,6 @@ def _run_spmd(work, *, backend, ranks, machine, cost_size, recover,
             nb_depth=nb_depth,
         )
     return out.values[0]
-
-
-def _check_async(async_: bool, tau: int, pipeline: bool, is_sa: bool,
-                 solver: str) -> None:
-    """Shared validation for the bounded-staleness knobs."""
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if not async_:
-        return
-    if not is_sa:
-        raise SolverError(
-            f"async_=True needs an SA solver (one reduction per s "
-            f"iterations to run ahead of); {solver!r} synchronises every "
-            "iteration"
-        )
-    if pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
 
 
 def _recovery_knobs(comm, checkpoint_every, checkpoint_sink, resume_from,
@@ -222,12 +203,7 @@ def fit_lasso(
         raise SolverError(
             f"unknown lasso solver {solver!r}; known: {sorted(_LASSO)}"
         ) from exc
-    if pipeline and not is_sa:
-        raise SolverError(
-            f"pipeline=True needs an SA solver (one reduction per s "
-            f"iterations to hide); {solver!r} synchronises every iteration"
-        )
-    _check_async(async_, tau, pipeline, is_sa, solver)
+    check_schedule(s, tau, pipeline, async_, sa=is_sa, solver=solver)
     _check_backend(backend, comm, recover)
 
     def _solve(wcomm, ck_every, ck_sink, ck_resume):
@@ -258,7 +234,7 @@ def fit_lasso(
         work, backend=backend, ranks=ranks, machine=machine,
         cost_size=max(virtual_p, ranks), recover=recover,
         max_recoveries=max_recoveries,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(async_, tau),
     )
 
 
@@ -323,12 +299,7 @@ def fit_svm(
     """
     if solver not in ("svm", "sa-svm"):
         raise SolverError(f"unknown svm solver {solver!r}; known: ['svm', 'sa-svm']")
-    if pipeline and solver != "sa-svm":
-        raise SolverError(
-            "pipeline=True needs the SA solver ('sa-svm'); 'svm' "
-            "synchronises every iteration"
-        )
-    _check_async(async_, tau, pipeline, solver == "sa-svm", solver)
+    check_schedule(s, tau, pipeline, async_, sa=solver == "sa-svm", solver=solver)
     _check_backend(backend, comm, recover)
 
     def _solve(wcomm, ck_every, ck_sink, ck_resume):
@@ -359,5 +330,5 @@ def fit_svm(
         work, backend=backend, ranks=ranks, machine=machine,
         cost_size=max(virtual_p, ranks), recover=recover,
         max_recoveries=max_recoveries,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(async_, tau),
     )

@@ -10,9 +10,11 @@ Two halves, cross-validated against each other and against runtime:
    the SPMD contract written down: every rank must produce exactly this
    sequence, or the world deadlocks.
 2. **Static extraction** — :func:`static_alphabet` partial-evaluates the
-   solver driver's AST against the mode flags (``async_``/``pipeline``)
-   and closes over a name-based call graph of the solver/linalg layers,
-   yielding the set of collective ops reachable in that mode. Branches
+   AST of :func:`repro.solvers.outer.run_sa` (every SA solve runs it)
+   against the mode flags (``async_``/``pipeline``) and closes over a
+   name-based call graph of the solver/linalg layers, resolving method
+   names on the family's state class first, yielding the set of
+   collective ops reachable in that mode. Branches
    whose tests cannot be decided statically contribute both sides, so
    extraction **over-approximates**: every op the runtime can execute is
    in the alphabet (``runtime ⊆ static``), and mode flags that are
@@ -53,19 +55,17 @@ AG_VEC = "Allgather:vec"  # gather_cols
 
 #: a record no Gram reduction carries syncs on its own: the Lasso
 #: objective in one scalar allreduce (distributed_objective), the SVM
-#: duality gap in _record_gap's matvec_full (buffer Allreduce) plus
+#: duality gap in SvmState.record's matvec_full (buffer Allreduce) plus
 #: norm2_cols (object allreduce of a python float)
 _UNCARRIED = {"lasso-plain": (AR_SCALAR,), "lasso-acc": (AR_SCALAR,),
               "svm": (AR_VEC, AR_SCALAR)}
 #: after the driver loop: SVM gathers its primal shard (gather_cols)
 _TRAILING = {"lasso-plain": (), "lasso-acc": (), "svm": (AG_VEC,)}
 
-#: solver driver roots for static extraction
-_ROOTS = {
-    "lasso-plain": ("solvers/lasso/plain.py", "sa_bcd"),
-    "lasso-acc": ("solvers/lasso/acc.py", "sa_acc_bcd"),
-    "svm": ("solvers/svm/dcd.py", "sa_dcd"),
-}
+#: static extraction roots: the SA loop every family runs, and each
+#: family's state class, on which its hook calls resolve
+_ENTRY = ("solvers/outer.py", "run_sa")
+_ROOTS = {"lasso-plain": "PlainState", "lasso-acc": "AccState", "svm": "SvmState"}
 
 #: packages (relative to the ``repro`` package root) whose function defs
 #: feed the call-graph index. The mpi backends are deliberately
@@ -190,11 +190,11 @@ def _direct_ops(node: ast.Call) -> str | None:
 def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
     """(direct collective ops, callee names) without entering nested defs.
 
-    A bare name passed as an argument counts as a callee too: the
-    outer-step loops (:mod:`repro.solvers.outer`) receive each family's
-    inner loop and callbacks as arguments and call them under their own
-    parameter names, so treating every passed function as called keeps
-    the closure an over-approximation.
+    A bare name passed as an argument, or picked by a conditional
+    expression, counts as a callee too: a function handed on (a sink, or
+    ``inner = _sa_outer_fast if self.fast else _sa_outer_naive``) is
+    called under another name, so treating it as called keeps the
+    closure an over-approximation.
     """
     ops: set[str] = set()
     callees: set[str] = set()
@@ -214,15 +214,21 @@ def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
             for arg in [*node.args, *(k.value for k in node.keywords)]:
                 if isinstance(arg, ast.Name):
                     callees.add(arg.id)
+        elif isinstance(node, ast.IfExp):
+            for side in (node.body, node.orelse):
+                if isinstance(side, ast.Name):
+                    callees.add(side.id)
         stack.extend(ast.iter_child_nodes(node))
     return ops, callees
 
 
 @lru_cache(maxsize=1)
-def _call_index() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """name -> (direct collective ops, callee names), merged over all
-    same-named defs in the indexed packages."""
-    index: dict[str, tuple[set[str], set[str]]] = {}
+def _call_index() -> tuple[dict, dict]:
+    """``(functions, classes)`` over the indexed packages: function name
+    -> (direct collective ops, callee names), merged over all same-named
+    defs; class name -> (base class names, method name -> entry)."""
+    funcs: dict[str, tuple[set[str], set[str]]] = {}
+    classes: dict[str, tuple[list[str], dict]] = {}
     base = _package_root()
     files: list[str] = []
     for rel in _INDEX_ROOTS:
@@ -241,12 +247,29 @@ def _call_index() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 ops, callees = _shallow_calls(node)
-                old_ops, old_callees = index.get(node.name, (set(), set()))
-                index[node.name] = (old_ops | ops, old_callees | callees)
+                old_ops, old_callees = funcs.get(node.name, (set(), set()))
+                funcs[node.name] = (old_ops | ops, old_callees | callees)
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    [b.id for b in node.bases if isinstance(b, ast.Name)],
+                    {m.name: _shallow_calls(m) for m in node.body
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))},
+                )
     return {
         name: (frozenset(ops), frozenset(callees))
-        for name, (ops, callees) in index.items()
-    }
+        for name, (ops, callees) in funcs.items()
+    }, classes
+
+
+def _methods(cls: str, classes: dict) -> dict:
+    """``cls``'s methods, inherited ones included (nearest def wins)."""
+    bases, own = classes[cls]
+    table: dict = {}
+    for base in reversed(bases):
+        if base in classes:
+            table.update(_methods(base, classes))
+    table.update(own)
+    return table
 
 
 def _tri_eval(test: ast.AST, env: dict[str, bool]):
@@ -279,34 +302,21 @@ def _visit_stmts(
     env: dict[str, bool],
     ops: set[str],
     callees: set[str],
-    aliases: dict[str, set[str]],
     local_defs: dict[str, tuple[set[str], set[str]]],
 ) -> None:
     for stmt in stmts:
         if isinstance(stmt, ast.If):
             val = _tri_eval(stmt.test, env)
             if val is not False:
-                _visit_stmts(stmt.body, env, ops, callees, aliases, local_defs)
+                _visit_stmts(stmt.body, env, ops, callees, local_defs)
             if val is not True:
-                _visit_stmts(
-                    stmt.orelse, env, ops, callees, aliases, local_defs
-                )
+                _visit_stmts(stmt.orelse, env, ops, callees, local_defs)
             continue
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # nested helper (e.g. _checkpoint): index it locally so calls
-            # to it resolve ahead of any same-named global
+            # nested helper: index it locally so calls to it resolve
+            # ahead of any same-named global
             local_defs[stmt.name] = _shallow_calls(stmt)
             continue
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            tgt = stmt.targets[0]
-            if isinstance(tgt, ast.Name):
-                val = stmt.value
-                if isinstance(val, ast.Name):
-                    aliases.setdefault(tgt.id, set()).add(val.id)
-                elif isinstance(val, ast.IfExp):
-                    for side in (val.body, val.orelse):
-                        if isinstance(side, ast.Name):
-                            aliases.setdefault(tgt.id, set()).add(side.id)
         # _shallow_calls walks the whole statement except nested defs, so
         # only If needs special casing (partial eval); mode-undecidable
         # Ifs nested inside loops/with/try contribute both sides, which
@@ -319,19 +329,20 @@ def _visit_stmts(
 def static_alphabet(family: str, mode: str) -> set[str]:
     """Collective ops statically reachable in one solver mode.
 
-    Partial-evaluates the driver's mode conditionals
+    Partial-evaluates ``run_sa``'s mode conditionals
     (``async_``/``pipeline``) and closes transitively over the
-    solver/linalg call graph. Over-approximates (undecidable branches
-    contribute both sides): the runtime trace's op set is always a
-    subset of this alphabet.
+    solver/linalg call graph, resolving the family's hooks and methods
+    on its own state class before any same-named function.
+    Over-approximates (undecidable branches contribute both sides): the
+    runtime trace's op set is always a subset of this alphabet.
     """
     if family not in _ROOTS:
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    rel, func = _ROOTS[family]
     env = {"async_": mode == "async", "pipeline": mode == "pipeline"}
 
+    rel, func = _ENTRY
     path = os.path.join(_package_root(), rel)
     with open(path, "r", encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
@@ -345,30 +356,22 @@ def static_alphabet(family: str, mode: str) -> set[str]:
 
     ops: set[str] = set()
     callees: set[str] = set()
-    aliases: dict[str, set[str]] = {}
     local_defs: dict[str, tuple[set[str], set[str]]] = {}
-    _visit_stmts(root.body, env, ops, callees, aliases, local_defs)
+    _visit_stmts(root.body, env, ops, callees, local_defs)
 
-    # expand aliases (`inner = _sa_outer_fast if fast else ...`): a call
-    # to the alias reaches every function ever assigned to it
-    expanded = set(callees)
-    for name in callees:
-        expanded |= aliases.get(name, set())
-
-    index = _call_index()
+    funcs, classes = _call_index()
+    methods = _methods(_ROOTS[family], classes)
     seen: set[str] = set()
-    work = list(expanded)
+    work = list(callees)
     while work:
         name = work.pop()
         if name in seen:
             continue
         seen.add(name)
-        entry = local_defs.get(name) or index.get(name)
+        entry = local_defs.get(name) or methods.get(name) or funcs.get(name)
         if entry is None:
             continue
         e_ops, e_callees = entry
         ops |= set(e_ops)
-        for callee in e_callees:
-            work.append(callee)
-            work.extend(aliases.get(callee, ()))
+        work.extend(e_callees)
     return ops

@@ -50,10 +50,11 @@ from repro.experiments.runner import (
 from repro.experiments.theory import best_s
 from repro.machine.spec import get_machine
 from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
+from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max
+from repro.solvers.outer import ring_depth
 from repro.solvers.serialization import save_result
 from repro.streaming import replay_schedule
 from repro.utils.io import atomic_write_json
@@ -394,8 +395,7 @@ def _dispatch_backend(work, args, machine):
     _check_recover_args(args)
     if args.backend == "virtual":
         return work(VirtualComm(virtual_size=args.p, machine=machine), 0)
-    nb_depth = (args.tau + 2 if getattr(args, "async_", False)
-                else NB_RING_DEPTH)
+    nb_depth = ring_depth(args.async_, args.tau)
     if args.backend == "thread":
         out = spmd_run(work, args.ranks, machine=machine,
                        cost_size=max(args.p, args.ranks), nb_depth=nb_depth)

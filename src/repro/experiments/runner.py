@@ -27,6 +27,7 @@ from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.base import SolverResult
 from repro.solvers.objectives import lambda_from_sigma_min
+from repro.solvers.outer import check_schedule, ring_depth
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -289,24 +290,15 @@ def run_lasso(
     kwargs = dict(max_iter=max_iter, seed=seed, record_every=record_every)
     if solver not in ("cd", "sa-cd", "acccd", "sa-acccd"):
         kwargs["mu"] = mu
-    if solver.startswith("sa-"):
-        kwargs["s"] = s if s is not None else 8
-        kwargs["fast"] = fast
-        kwargs["pipeline"] = pipeline
-        kwargs["async_"] = async_
-        kwargs["tau"] = tau
-    elif pipeline or async_:
-        knob = "pipeline" if pipeline else "async_"
-        raise SolverError(
-            f"{knob}=True needs an SA solver; {solver!r} synchronises "
-            "every iteration"
-        )
+    sa = solver.startswith("sa-")
+    s = s if s is not None else 8
+    check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
+    if sa:
+        kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
     return _run_backend(
         fn, (ds.A, ds.b, lam_val), kwargs, ds, backend, ranks, P, machine,
         recover=recover, max_recoveries=max_recoveries,
-        recovery_every=(s if s is not None else 8)
-        if solver.startswith("sa-") else 10,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        recovery_every=s if sa else 10, nb_depth=ring_depth(async_, tau),
     )
 
 
@@ -346,24 +338,15 @@ def run_svm(
         record_every=record_every,
         tol=tol,
     )
-    if solver.startswith("sa-"):
-        kwargs["s"] = s if s is not None else 8
-        kwargs["fast"] = fast
-        kwargs["pipeline"] = pipeline
-        kwargs["async_"] = async_
-        kwargs["tau"] = tau
-    elif pipeline or async_:
-        knob = "pipeline" if pipeline else "async_"
-        raise SolverError(
-            f"{knob}=True needs an SA solver; {solver!r} synchronises "
-            "every iteration"
-        )
+    sa = solver.startswith("sa-")
+    s = s if s is not None else 8
+    check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
+    if sa:
+        kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
     return _run_backend(
         fn, (ds.A, ds.b), kwargs, ds, backend, ranks, P, machine,
         recover=recover, max_recoveries=max_recoveries,
-        recovery_every=(s if s is not None else 8)
-        if solver.startswith("sa-") else 10,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        recovery_every=s if sa else 10, nb_depth=ring_depth(async_, tau),
     )
 
 

@@ -41,9 +41,9 @@ from repro.linalg.kernels import EigMemo, default_eig_memo
 from repro.machine.ledger import CostSnapshot
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
-from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
+from repro.solvers.outer import ring_depth
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
@@ -391,7 +391,7 @@ def _lambda_max_dist(dist: RowPartitionedMatrix, b: np.ndarray) -> float:
     lo, hi = dist.partition.range_of(dist.comm.rank)
     with dist.comm.ledger.paused():
         part = np.asarray(dist.local.T @ b[lo:hi]).ravel()
-        g = np.asarray(dist.comm.Allreduce(part)).ravel()
+        g = np.asarray(dist.comm.Allreduce(part, timeout=dist.comm.timeout)).ravel()
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
@@ -558,7 +558,7 @@ def lasso_path(
             work, backend=backend, ranks=ranks, machine=machine,
             cost_size=max(virtual_p, ranks), recover=recover,
             max_recoveries=max_recoveries,
-            nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+            nb_depth=ring_depth(async_, tau),
         )
         return PathResult(
             task="lasso", lambdas=part["lambdas"], results=part["results"],
@@ -711,7 +711,7 @@ def svm_path(
             work, backend=backend, ranks=ranks, machine=machine,
             cost_size=max(virtual_p, ranks), recover=recover,
             max_recoveries=max_recoveries,
-            nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+            nb_depth=ring_depth(async_, tau),
         )
         return PathResult(
             task="svm", lambdas=part["lambdas"], results=part["results"],

@@ -79,6 +79,7 @@ from repro.serve.report import (
     latency_stats,
 )
 from repro.serve.trace import load_trace, validate_trace
+from repro.solvers.outer import ring_depth
 from repro.streaming import StreamingSweep, _cost_dict, _sum_cost_dicts
 from repro.utils.io import JSONText, atomic_write_json
 from repro.utils.validation import nnz_of
@@ -245,7 +246,8 @@ class _Engine:
         with self.comm.ledger.paused():
             if ten.spec.task == "svm":
                 shards = self.comm.allgather(
-                    np.asarray(res.x, dtype=np.float64).ravel()
+                    np.asarray(res.x, dtype=np.float64).ravel(),
+                    timeout=self.comm.timeout,
                 )
                 model = np.concatenate(
                     [np.asarray(s, dtype=np.float64).ravel() for s in shards]
@@ -608,7 +610,7 @@ class _Engine:
             return
         # fold per-rank cost asymmetry before it can touch control flow
         with self.comm.ledger.paused():
-            dt = float(self.comm.allreduce(float(dt_local), MAX))
+            dt = float(self.comm.allreduce(float(dt_local), MAX, timeout=self.comm.timeout))
         self.clock += dt
         self._note_service(dt)
         late, ontime = [], []
@@ -756,9 +758,9 @@ def serve_trace(
     (``hook(comm, tenant, dispatch_no, op)`` with ``op`` one of
     ``"refit"``/``"predict"``) runs before every dispatch — both are
     test/chaos instrumentation. ``nb_depth`` sizes the thread/process
-    backends' nonblocking-collective slot ring; the default is derived
-    from the tenants' ``async_``/``tau`` knobs (``tau + 2`` when any
-    tenant runs asynchronously).
+    backends' nonblocking-collective slot ring; the default is the
+    deepest :func:`~repro.solvers.outer.ring_depth` of the tenants'
+    ``async_``/``tau`` knobs.
 
     ``checkpoint_path`` names the compact JSON checkpoint file (see the
     module docstring); ``resume_from`` takes such a file or its parsed
@@ -768,10 +770,10 @@ def serve_trace(
     """
     specs = list(tenants)
     if nb_depth is None:
-        nb_depth = NB_RING_DEPTH
-        for spec in specs:
-            if spec.knobs.get("async_"):
-                nb_depth = max(nb_depth, int(spec.knobs.get("tau", 1)) + 2)
+        nb_depth = max([NB_RING_DEPTH] + [
+            ring_depth(bool(spec.knobs.get("async_")), int(spec.knobs.get("tau", 1)))
+            for spec in specs
+        ])
     if not specs:
         raise ServeError("serve_trace needs at least one tenant")
     seen = set()

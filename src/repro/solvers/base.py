@@ -1,4 +1,5 @@
-"""Shared solver infrastructure: histories, results, termination.
+"""Shared solver infrastructure: histories, results, termination, and
+the state every solver family keeps around its loop.
 
 Every solver in the package reports a :class:`ConvergenceHistory` whose
 ``seconds`` column is the *modelled* running time from the communicator's
@@ -12,6 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint import (
+    emit_solver_checkpoint,
+    load_solver_checkpoint,
+    make_solver_checkpoint,
+    require_int_seed,
+    resume_solver,
+)
 from repro.errors import SolverError
 from repro.machine.ledger import CostSnapshot
 from repro.mpi.comm import Comm
@@ -20,6 +28,7 @@ __all__ = [
     "ConvergenceHistory",
     "SolverResult",
     "Terminator",
+    "FamilyState",
     "check_finite_iterate",
     "FIXED_SUBPROBLEM_FLOPS",
 ]
@@ -185,3 +194,110 @@ class Terminator:
             return False
         denom = max(abs(prev), 1e-300)
         return abs(prev - value) / denom <= self.tol
+
+
+class FamilyState:
+    """One solve's state: the iterates of a solver family plus what every
+    family keeps the same way around its loop.
+
+    The base owns the run knobs, the :class:`Terminator`, the
+    :class:`ConvergenceHistory`, resume (:meth:`start`), checkpoints
+    (:meth:`checkpoint`) and the result (:meth:`finish`). A classical
+    solver runs its per-iteration loop between :meth:`start` and
+    :meth:`finish` and calls :meth:`after` once per iteration; an SA
+    solver hands its state to :func:`repro.solvers.outer.run_sa`. Each
+    family's subclass builds its problem in ``__init__``, sets the class
+    attributes ``family`` (checkpoint family), ``metric`` (history
+    column) and ``mode`` (:class:`Terminator` mode), and supplies:
+
+    * ``restore(ck)``: the iterates from checkpoint ``ck``, recomputing
+      local shards with the ledger paused, or from the initial guess
+      when ``ck`` is None;
+    * ``record()``: the metric at the current iterate, synced on its own;
+    * ``state()``: the replicated iterates a checkpoint stores;
+    * ``result()``: the returned ``(x, extras)``;
+    * ``probe(it)``: a record pinned to iteration ``it`` (see
+      :class:`repro.solvers.outer.Checks`), which also guards against a
+      non-finite iterate;
+    * the SA hooks ``plan``, ``gram``, ``step``, ``pipeline`` and
+      ``arrays`` (see :mod:`repro.solvers.outer`).
+    """
+
+    family: str
+    metric: str
+    mode: str
+
+    def __init__(self, solver, comm, sampler, params, *, seed, max_iter, tol,
+                 record_every, checkpoint_every, checkpoint_sink, resume_from,
+                 symmetric_pack=True, fast=True, eig_memo=None) -> None:
+        self.solver = solver
+        #: the solver name without its parameters, for divergence errors
+        self.tag = solver.split("(")[0]
+        self.comm = comm
+        self.sampler = sampler
+        self.params = params
+        self.seed = seed
+        self.max_iter = max_iter
+        self.tol = tol
+        self.record_every = record_every
+        self.checkpoint_every = checkpoint_every
+        self.checkpoint_sink = checkpoint_sink
+        self.resume_from = resume_from
+        self.symmetric = symmetric_pack
+        self.fast = fast
+        self.memo = eig_memo
+
+    def start(self) -> tuple[int, bool]:
+        """Build the iterates and the first record; returns ``(done,
+        converged)``. A fresh run records iteration 0; a resumed one
+        restores the checkpoint's iterates, history, terminator, ledger
+        and sampler stream and continues at its iteration."""
+        if self.checkpoint_every or self.resume_from is not None:
+            require_int_seed(self.seed)
+        self.term = Terminator(self.max_iter, self.tol, self.mode)
+        self.history = ConvergenceHistory(self.metric)
+        if self.resume_from is None:
+            self.restore(None)
+            self.history.record(0, self.record(), self.comm)
+            return 0, self.term.done(self.history.final_metric)
+        ck = load_solver_checkpoint(self.resume_from, family=self.family,
+                                    seed=self.seed, params=self.params)
+        self.restore(ck)
+        return resume_solver(ck, sampler=self.sampler, term=self.term,
+                             history=self.history, ledger=self.comm.ledger), False
+
+    def after(self, h: int) -> bool:
+        """A classical loop's record and checkpoint after iteration ``h``:
+        the record when ``h`` is a multiple of ``record_every`` or
+        ``max_iter``, then the checkpoint when ``h`` is a multiple of
+        ``checkpoint_every``. True when the record met ``tol``."""
+        if self.record_every and (h % self.record_every == 0 or h == self.max_iter):
+            _, value = self.probe(h)
+            self.history.record(h, value(None), self.comm)
+            if self.term.done(self.history.final_metric):
+                return True
+        if self.checkpoint_every and h % self.checkpoint_every == 0:
+            emit_solver_checkpoint(self.checkpoint(h), self.checkpoint_sink,
+                                   self.comm.rank)
+        return False
+
+    def checkpoint(self, done: int) -> dict:
+        """A resumable checkpoint payload of the state at iteration ``done``."""
+        return make_solver_checkpoint(
+            family=self.family, solver=self.solver, iteration=done,
+            seed=self.seed, params=self.params, state=self.state(),
+            term=self.term, history=self.history, ledger=self.comm.ledger,
+        )
+
+    def finish(self, done: int, converged: bool) -> SolverResult:
+        """Record the final iterate unless a record already holds it, and
+        return the result."""
+        if self.history.iterations[-1] != done:
+            self.history.record(done, self.record(), self.comm)
+        x, extras = self.result()
+        return SolverResult(
+            solver=self.solver, x=x, iterations=done,
+            final_metric=self.history.final_metric, history=self.history,
+            cost=self.comm.ledger.snapshot(), converged=converged,
+            extras=extras,
+        )

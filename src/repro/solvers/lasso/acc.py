@@ -53,16 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint import (
-    emit_solver_checkpoint,
-    load_solver_checkpoint,
-    make_solver_checkpoint,
-    require_int_seed,
-    resume_solver,
-    state_scalar,
-    state_vector,
-)
-from repro.errors import SolverError
+from repro.checkpoint import state_scalar, state_vector
 from repro.linalg.eig import largest_eigenvalue
 from repro.linalg.kernels import (
     acc_coef_tables,
@@ -73,22 +64,18 @@ from repro.linalg.kernels import (
 from repro.mpi.comm import Comm
 from repro.solvers.base import (
     FIXED_SUBPROBLEM_FLOPS,
-    ConvergenceHistory,
     SolverResult,
-    Terminator,
     check_finite_iterate,
 )
 from repro.solvers.lasso.common import (
-    as_penalty,
+    LassoState,
     distributed_objective,
-    make_sampler,
     momentum_coef,
-    setup_problem,
     theta_next,
     theta_schedule,
 )
-from repro.solvers.lasso.plain import _overlap_apply, _sa_plan
-from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
+from repro.solvers.lasso.plain import _init_state, _overlap_apply
+from repro.solvers.outer import run_sa
 from repro.utils.validation import nnz_of
 
 __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
@@ -96,18 +83,8 @@ __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
 
 def _init_acc_state(dist, b_local, x0):
     """y0 = 0, z0 = x0 (so x_0 = z_0 regardless of theta_0)."""
-    n = dist.shape[1]
-    if x0 is None:
-        z = np.zeros(n)
-        ztil = -b_local.copy()
-    else:
-        z = np.array(x0, dtype=np.float64).ravel()
-        if z.shape[0] != n:
-            raise SolverError(f"x0 must have length {n}, got {z.shape[0]}")
-        ztil = dist.matvec_local(z) - b_local
-    y = np.zeros(n)
-    ytil = np.zeros_like(b_local)
-    return y, z, ytil, ztil
+    z, ztil = _init_state(dist, b_local, x0)
+    return np.zeros(dist.shape[1]), z, np.zeros_like(b_local), ztil
 
 
 def _acc_iterate(theta, y, z, ytil, ztil):
@@ -116,10 +93,72 @@ def _acc_iterate(theta, y, z, ytil, ztil):
     return t2 * y + z, t2 * ytil + ztil
 
 
-def _acc_objective(dist, theta, y, z, ytil, ztil, pen):
-    """Objective at the implicit iterate x = theta^2 y + z."""
-    x, r_local = _acc_iterate(theta, y, z, ytil, ztil)
-    return distributed_objective(dist, r_local, x, pen)
+class AccState(LassoState):
+    """Accelerated BCD's iterate ``x = theta^2 y + z``: the replicated
+    ``y``, ``z``, their local images ``ytil = A_p y`` and ``ztil = A_p z -
+    b_p``, the momentum scalar ``theta`` and ``theta_used``, the one the
+    last iteration used (``x`` is defined with it)."""
+
+    family = "lasso-acc"
+
+    def restore(self, ck) -> None:
+        n, mu = self.params["n"], self.params["mu"]
+        self.q = float(int(np.ceil(n / mu)))
+        if ck is None:
+            self.y, self.z, self.ytil, self.ztil = _init_acc_state(
+                self.dist, self.b_local, self.x0)
+            self.theta = self.theta_used = mu / n
+            return
+        self.y = state_vector(ck, "y", n)
+        self.z = state_vector(ck, "z", n)
+        with self.comm.ledger.paused():
+            self.ytil = self.dist.matvec_local(self.y)
+            self.ztil = self.dist.matvec_local(self.z) - self.b_local
+        self.theta = state_scalar(ck, "theta")
+        self.theta_used = state_scalar(ck, "theta_used")
+
+    def record(self) -> float:
+        x, r_local = _acc_iterate(self.theta_used, self.y, self.z, self.ytil, self.ztil)
+        return distributed_objective(self.dist, r_local, x, self.pen)
+
+    def state(self) -> dict:
+        return {"y": self.y, "z": self.z, "theta": self.theta,
+                "theta_used": self.theta_used}
+
+    def result(self) -> tuple:
+        t2 = self.theta_used * self.theta_used
+        return t2 * self.y + self.z, {"theta": self.theta_used}
+
+    def gram(self, idx, tail):
+        Y = self.dist.sample_columns(idx)
+        # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
+        return (Y, *self.dist.gram_and_project(Y, [self.ytil, self.ztil],
+                                               symmetric=self.symmetric, tail=tail))
+
+    def step(self, batch, Y, G, R) -> int:
+        blocks, widths, offsets = batch
+        # the whole outer step's thetas depend only on theta_sk (Alg. 2
+        # line 9), known fresh at harvest
+        thetas = theta_schedule(self.theta, len(blocks))
+        inner = _sa_acc_outer_fast if self.fast else _sa_acc_outer_naive
+        inner(self.dist, self.pen, Y, G, R, blocks, widths, offsets, thetas,
+              self.q, self.y, self.z, self.ytil, self.ztil, memo=self.memo)
+        self.theta_used, self.theta = thetas[len(blocks) - 1], thetas[len(blocks)]
+        return len(blocks)
+
+    def probe(self, it):
+        check_finite_iterate(self.tag, it, y=self.y, z=self.z)
+        # pinned now: the async ring completes the record after y, z move
+        xb, rb = _acc_iterate(self.theta_used, self.y, self.z, self.ytil, self.ztil)
+        return (lambda: np.array([rb @ rb]),
+                lambda tail: distributed_objective(self.dist, rb, xb, self.pen, tail))
+
+    def pipeline(self, depth):
+        return self.dist.gram_pipeline(extra_cols=2, symmetric=self.symmetric,
+                                       depth=depth)
+
+    def arrays(self) -> list:
+        return [self.ytil, self.ztil]
 
 
 def acc_bcd(
@@ -149,48 +188,20 @@ def acc_bcd(
     the (replicated) ``y``/``z`` pair plus the momentum scalar ``theta``,
     and their images ``ytil``/``ztil`` are recomputed on resume.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-acc", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        y = state_vector(ck, "y", n)
-        z = state_vector(ck, "z", n)
-        with dist.comm.ledger.paused():
-            ytil = dist.matvec_local(y)
-            ztil = dist.matvec_local(z) - b_local
-        theta = state_scalar(ck, "theta")
-        theta_resumed = state_scalar(ck, "theta_used")
-    else:
-        y, z, ytil, ztil = _init_acc_state(dist, b_local, x0)
-        theta = theta_resumed = mu / n
-    sampler = make_sampler(n, mu, seed, pen)
-    q = float(int(np.ceil(n / mu)))
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        start = 0
-        history.record(0, _acc_objective(dist, theta, y, z, ytil, ztil, pen), dist.comm)
-        term.done(history.final_metric)
-
-    h = start
-    converged = False
-    theta_used = theta_resumed
-    for h in range(start + 1, max_iter + 1):
-        idx = sampler.next_block()
+    fam = AccState(
+        f"accbcd(mu={mu})", A, b, penalty, mu=mu, comm=comm, x0=x0, seed=seed,
+        max_iter=max_iter, tol=tol, record_every=record_every,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
+    h, converged = fam.start()
+    dist, pen, q = fam.dist, fam.pen, fam.q
+    y, z, ytil, ztil = fam.y, fam.z, fam.ytil, fam.ztil
+    while not converged and h < max_iter:
+        h += 1
+        idx = fam.sampler.next_block()
         S = dist.sample_columns(idx)
-        theta_used = theta
+        fam.theta_used = theta = fam.theta
         t2 = theta * theta
         w_local = t2 * ytil + ztil
         # streaming combine over the local m-vector shard (memory bound)
@@ -213,44 +224,9 @@ def acc_bcd(
             dist.comm.account_flops(3.0 * Sdz.shape[0], "gather")
             ztil += Sdz
             ytil -= coef * Sdz
-        theta_new = theta_next(theta)
-        if record_every and (h % record_every == 0 or h == max_iter):
-            check_finite_iterate("accbcd", h, y=y, z=z)
-            obj = _acc_objective(dist, theta, y, z, ytil, ztil, pen)
-            history.record(h, obj, dist.comm)
-            if term.done(obj):
-                theta = theta_new
-                converged = True
-                break
-        theta = theta_new
-        if checkpoint_every and h % checkpoint_every == 0:
-            emit_solver_checkpoint(
-                make_solver_checkpoint(
-                    family="lasso-acc", solver=f"accbcd(mu={mu})",
-                    iteration=h, seed=seed, params={"n": n, "mu": mu},
-                    state={"y": y, "z": z, "theta": theta,
-                           "theta_used": theta_used},
-                    term=term, history=history, ledger=dist.comm.ledger,
-                ),
-                checkpoint_sink, dist.comm.rank,
-            )
-    if not record_every:
-        history.record(
-            h, _acc_objective(dist, theta_used, y, z, ytil, ztil, pen), dist.comm
-        )
-
-    t2 = theta_used * theta_used
-    x = t2 * y + z
-    return SolverResult(
-        solver=f"accbcd(mu={mu})",
-        x=x,
-        iterations=h,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
-        extras={"theta": theta_used},
-    )
+        fam.theta = theta_next(theta)
+        converged = fam.after(h)
+    return fam.finish(h, converged)
 
 
 def _sa_acc_outer_naive(
@@ -505,112 +481,14 @@ def sa_acc_bcd(
     iterate its converged record describes, one unused Gram reduction
     later, and ``async_`` stops at most ``tau`` outer steps past it.
     """
-    check_schedule(s, tau, pipeline, async_)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-acc", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        y = state_vector(ck, "y", n)
-        z = state_vector(ck, "z", n)
-        with dist.comm.ledger.paused():
-            ytil = dist.matvec_local(y)
-            ztil = dist.matvec_local(z) - b_local
-        theta = state_scalar(ck, "theta")
-        theta_used = state_scalar(ck, "theta_used")
-    else:
-        y, z, ytil, ztil = _init_acc_state(dist, b_local, x0)
-        theta = theta_used = mu / n
-    sampler = make_sampler(n, mu, seed, pen)
-    q = float(int(np.ceil(n / mu)))
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        done = 0
-        history.record(0, _acc_objective(dist, theta, y, z, ytil, ztil, pen), dist.comm)
-        term.done(history.final_metric)
-
-    inner = _sa_acc_outer_fast if fast else _sa_acc_outer_naive
-
-    def plan(k):
-        return _sa_plan(sampler, k)
-
-    def reduce(idx, tail):
-        Y = dist.sample_columns(idx)
-        # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
-        return (Y, *dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack,
-                                          tail=tail))
-
-    def step(batch, Y, G, R, done):
-        nonlocal theta, theta_used
-        blocks, widths, offsets = batch
-        # the whole outer step's thetas depend only on theta_sk (Alg. 2
-        # line 9), known fresh at harvest
-        thetas = theta_schedule(theta, len(blocks))
-        inner(
-            dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-            y, z, ytil, ztil, memo=eig_memo,
-        )
-        theta_used, theta = thetas[len(blocks) - 1], thetas[len(blocks)]
-        return False, done + len(blocks)
-
-    def probe(it):
-        check_finite_iterate("sa-accbcd", it, y=y, z=z)
-        # pinned now: the async ring completes the record after y, z move
-        xb, rb = _acc_iterate(theta_used, y, z, ytil, ztil)
-        return (lambda: np.array([rb @ rb]),
-                lambda tail: distributed_objective(dist, rb, xb, pen, tail))
-
-    def checkpoint(done):
-        return make_solver_checkpoint(
-            family="lasso-acc", solver=f"sa-accbcd(mu={mu}, s={s})",
-            iteration=done, seed=seed, params={"n": n, "mu": mu},
-            state={"y": y, "z": z, "theta": theta, "theta_used": theta_used},
-            term=term, history=history, ledger=dist.comm.ledger,
-        )
-
-    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
-                    checkpoint_sink)
-    if async_ or pipeline:
-        lag = tau if async_ else 0
-        pipe = dist.gram_pipeline(extra_cols=2, symmetric=symmetric_pack, depth=lag + 2)
-        converged, done = run_ring(
-            plan, step, checkpoint, checks, pipe, [ytil, ztil], done=done,
-            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
-        )
-    else:
-        converged, done = run_blocking(
-            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
-            s=s, checkpoint_every=checkpoint_every,
-        )
-    if history.iterations[-1] != done:
-        history.record(
-            done, _acc_objective(dist, theta_used, y, z, ytil, ztil, pen), dist.comm
-        )
-
-    t2 = theta_used * theta_used
-    x = t2 * y + z
-    return SolverResult(
-        solver=f"sa-accbcd(mu={mu}, s={s})",
-        x=x,
-        iterations=done,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
-        extras={"theta": theta_used},
+    fam = AccState(
+        f"sa-accbcd(mu={mu}, s={s})", A, b, penalty, mu=mu, comm=comm, x0=x0,
+        seed=seed, max_iter=max_iter, tol=tol, record_every=record_every,
+        symmetric_pack=symmetric_pack, fast=fast, eig_memo=eig_memo,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
     )
+    return run_sa(fam, s=s, pipeline=pipeline, async_=async_, tau=tau)
 
 
 def acc_cd(A, b, penalty, **kwargs) -> SolverResult:

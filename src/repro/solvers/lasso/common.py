@@ -9,10 +9,12 @@ from repro.linalg.distmatrix import RowPartitionedMatrix
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.prox.penalties import L1Penalty, Penalty
+from repro.solvers.base import FamilyState
 from repro.solvers.sampling import BlockSampler, GroupBlockSampler
 from repro.utils.validation import check_vector
 
 __all__ = [
+    "LassoState",
     "setup_problem",
     "distributed_objective",
     "make_sampler",
@@ -82,6 +84,31 @@ def make_sampler(n: int, mu: int, seed, penalty: Penalty):
     if penalty.group_ids is not None:
         return GroupBlockSampler(penalty.group_ids, groups_per_block=mu, seed=seed)
     return BlockSampler(n, mu, seed)
+
+
+class LassoState(FamilyState):
+    """What the Lasso families' states share: the row-partitioned
+    problem (``dist``, ``b_local``), the penalty, the block sampler, the
+    warm start ``x0`` and the outer-step plan."""
+
+    metric = mode = "objective"
+
+    def __init__(self, solver, A, b, penalty, *, mu, comm, x0, **run) -> None:
+        self.dist, self.b_local = setup_problem(A, b, comm)
+        self.pen = as_penalty(penalty)
+        self.x0 = x0
+        n = self.dist.shape[1]
+        super().__init__(solver, self.dist.comm,
+                         make_sampler(n, mu, run["seed"], self.pen),
+                         {"n": n, "mu": mu}, **run)
+
+    def plan(self, k: int) -> tuple:
+        """Sample one outer step's ``k`` blocks: ``(idx, (blocks, widths,
+        offsets))``."""
+        blocks = [self.sampler.next_block() for _ in range(k)]
+        widths = [int(blk.shape[0]) for blk in blocks]
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        return np.concatenate(blocks), (blocks, widths, offsets)
 
 
 def theta_next(theta: float) -> float:

@@ -25,15 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint import (
-    emit_solver_checkpoint,
-    load_solver_checkpoint,
-    make_solver_checkpoint,
-    require_int_seed,
-    resume_solver,
-    state_vector,
-)
-from repro.errors import SolverError
+from repro.checkpoint import state_vector
 from repro.linalg.eig import largest_eigenvalue
 from repro.linalg.kernels import (
     csc_range_matvec,
@@ -43,33 +35,22 @@ from repro.linalg.kernels import (
 from repro.mpi.comm import Comm
 from repro.solvers.base import (
     FIXED_SUBPROBLEM_FLOPS,
-    ConvergenceHistory,
     SolverResult,
-    Terminator,
     check_finite_iterate,
 )
-from repro.solvers.lasso.common import (
-    as_penalty,
-    distributed_objective,
-    make_sampler,
-    setup_problem,
-)
-from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
+from repro.solvers.lasso.common import LassoState, distributed_objective
+from repro.solvers.outer import run_sa
+from repro.utils.validation import check_vector
 
 __all__ = ["bcd", "sa_bcd", "cd", "sa_cd"]
 
 
 def _init_state(dist, b_local, x0):
-    n = dist.shape[1]
+    """The warm start ``x0`` (zeros when None) and its local residual."""
     if x0 is None:
-        x = np.zeros(n)
-        r_local = -b_local.copy()
-    else:
-        x = np.array(x0, dtype=np.float64).ravel()
-        if x.shape[0] != n:
-            raise SolverError(f"x0 must have length {n}, got {x.shape[0]}")
-        r_local = dist.matvec_local(x) - b_local
-    return x, r_local
+        return np.zeros(dist.shape[1]), -b_local.copy()
+    x = check_vector(x0, dist.shape[1], "x0").copy()
+    return x, dist.matvec_local(x) - b_local
 
 
 def _overlap_apply(idx_j: np.ndarray, idx_t: np.ndarray, delta_t: np.ndarray) -> np.ndarray:
@@ -78,6 +59,59 @@ def _overlap_apply(idx_j: np.ndarray, idx_t: np.ndarray, delta_t: np.ndarray) ->
     if not eq.any():
         return np.zeros(idx_j.shape[0])
     return eq.astype(np.float64) @ delta_t
+
+
+class PlainState(LassoState):
+    """Plain BCD's iterate: the replicated ``x`` and the local residual
+    ``r_local = A_p x - b_p``."""
+
+    family = "lasso-plain"
+
+    def restore(self, ck) -> None:
+        if ck is None:
+            self.x, self.r_local = _init_state(self.dist, self.b_local, self.x0)
+            return
+        self.x = state_vector(ck, "x", self.params["n"])
+        # the partitioned residual is recomputed from the replicated
+        # iterate (instrumentation-free: the uninterrupted run carried it
+        # incrementally and was charged during the iterations)
+        with self.comm.ledger.paused():
+            self.r_local = self.dist.matvec_local(self.x) - self.b_local
+
+    def record(self) -> float:
+        return distributed_objective(self.dist, self.r_local, self.x, self.pen)
+
+    def state(self) -> dict:
+        return {"x": self.x}
+
+    def result(self) -> tuple:
+        return self.x, {}
+
+    def gram(self, idx, tail):
+        Y = self.dist.sample_columns(idx)
+        return (Y, *self.dist.gram_and_project(Y, [self.r_local],
+                                               symmetric=self.symmetric, tail=tail))
+
+    def step(self, batch, Y, G, R) -> int:
+        blocks, widths, offsets = batch
+        inner = _sa_outer_fast if self.fast else _sa_outer_naive
+        inner(self.dist, self.pen, Y, G, R, blocks, widths, offsets, self.x,
+              self.r_local, memo=self.memo)
+        return len(blocks)
+
+    def probe(self, it):
+        check_finite_iterate(self.tag, it, x=self.x)
+        # the async ring completes the record after x has moved on
+        xb, r = self.x.copy(), self.r_local
+        return (lambda: np.array([r @ r]),
+                lambda tail: distributed_objective(self.dist, r, xb, self.pen, tail))
+
+    def pipeline(self, depth):
+        return self.dist.gram_pipeline(extra_cols=1, symmetric=self.symmetric,
+                                       depth=depth)
+
+    def arrays(self) -> list:
+        return [self.r_local]
 
 
 def bcd(
@@ -123,42 +157,17 @@ def bcd(
         A checkpoint payload dict or JSON path to continue from; the run
         picks up at the checkpointed iteration with the same stream.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-plain", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        x = state_vector(ck, "x", n)
-        # the partitioned residual is recomputed from the replicated
-        # iterate (instrumentation-free: the uninterrupted run carried it
-        # incrementally and was charged during the iterations)
-        with dist.comm.ledger.paused():
-            r_local = dist.matvec_local(x) - b_local
-    else:
-        x, r_local = _init_state(dist, b_local, x0)
-    sampler = make_sampler(n, mu, seed, pen)
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        start = 0
-        history.record(0, distributed_objective(dist, r_local, x, pen), dist.comm)
-        term.done(history.final_metric)
-
-    h = start
-    converged = False
-    for h in range(start + 1, max_iter + 1):
-        idx = sampler.next_block()
+    fam = PlainState(
+        f"bcd(mu={mu})", A, b, penalty, mu=mu, comm=comm, x0=x0, seed=seed,
+        max_iter=max_iter, tol=tol, record_every=record_every,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
+    h, converged = fam.start()
+    dist, pen, x, r_local = fam.dist, fam.pen, fam.x, fam.r_local
+    while not converged and h < max_iter:
+        h += 1
+        idx = fam.sampler.next_block()
         S = dist.sample_columns(idx)
         G, R = dist.gram_and_project(S, [r_local], symmetric=symmetric_pack)
         v = largest_eigenvalue(G)
@@ -172,35 +181,8 @@ def bcd(
             delta = x_new - x[idx]
             x[idx] = x_new
             dist.apply_column_update(S, delta, r_local)
-        if record_every and (h % record_every == 0 or h == max_iter):
-            check_finite_iterate("bcd", h, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(h, obj, dist.comm)
-            if term.done(obj):
-                converged = True
-                break
-        if checkpoint_every and h % checkpoint_every == 0:
-            emit_solver_checkpoint(
-                make_solver_checkpoint(
-                    family="lasso-plain", solver=f"bcd(mu={mu})",
-                    iteration=h, seed=seed, params={"n": n, "mu": mu},
-                    state={"x": x}, term=term, history=history,
-                    ledger=dist.comm.ledger,
-                ),
-                checkpoint_sink, dist.comm.rank,
-            )
-    if not record_every:
-        history.record(h, distributed_objective(dist, r_local, x, pen), dist.comm)
-
-    return SolverResult(
-        solver=f"bcd(mu={mu})",
-        x=x,
-        iterations=h,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
-    )
+        converged = fam.after(h)
+    return fam.finish(h, converged)
 
 
 def _sa_outer_naive(
@@ -348,14 +330,6 @@ def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
                 account(2.0 * m_loc, "blas1")
 
 
-def _sa_plan(sampler, s_eff: int) -> tuple:
-    """Sample one outer step's blocks: ``(idx, (blocks, widths, offsets))``."""
-    blocks = [sampler.next_block() for _ in range(s_eff)]
-    widths = [int(blk.shape[0]) for blk in blocks]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    return np.concatenate(blocks), (blocks, widths, offsets)
-
-
 def sa_bcd(
     A,
     b,
@@ -449,92 +423,14 @@ def sa_bcd(
     resumed history has the interrupted run's rows up to the checkpoint,
     and under the blocking and pipelined schedules all of them.
     """
-    check_schedule(s, tau, pipeline, async_)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-plain", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        x = state_vector(ck, "x", n)
-        with dist.comm.ledger.paused():
-            r_local = dist.matvec_local(x) - b_local
-    else:
-        x, r_local = _init_state(dist, b_local, x0)
-    sampler = make_sampler(n, mu, seed, pen)
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        done = 0
-        history.record(0, distributed_objective(dist, r_local, x, pen), dist.comm)
-        term.done(history.final_metric)
-
-    inner = _sa_outer_fast if fast else _sa_outer_naive
-
-    def plan(k):
-        return _sa_plan(sampler, k)
-
-    def reduce(idx, tail):
-        Y = dist.sample_columns(idx)
-        return (Y, *dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack,
-                                          tail=tail))
-
-    def step(batch, Y, G, R, done):
-        blocks, widths, offsets = batch
-        inner(dist, pen, Y, G, R, blocks, widths, offsets, x, r_local, memo=eig_memo)
-        return False, done + len(blocks)
-
-    def probe(it):
-        check_finite_iterate("sa-bcd", it, x=x)
-        # the async ring completes the record after x has moved on
-        xb = x.copy()
-        return (lambda: np.array([r_local @ r_local]),
-                lambda tail: distributed_objective(dist, r_local, xb, pen, tail))
-
-    def checkpoint(done):
-        return make_solver_checkpoint(
-            family="lasso-plain", solver=f"sa-bcd(mu={mu}, s={s})",
-            iteration=done, seed=seed, params={"n": n, "mu": mu},
-            state={"x": x}, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-
-    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
-                    checkpoint_sink)
-    if async_ or pipeline:
-        lag = tau if async_ else 0
-        pipe = dist.gram_pipeline(extra_cols=1, symmetric=symmetric_pack, depth=lag + 2)
-        converged, done = run_ring(
-            plan, step, checkpoint, checks, pipe, [r_local], done=done,
-            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
-        )
-    else:
-        converged, done = run_blocking(
-            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
-            s=s, checkpoint_every=checkpoint_every,
-        )
-    if history.iterations[-1] != done:
-        history.record(done, distributed_objective(dist, r_local, x, pen), dist.comm)
-
-    return SolverResult(
-        solver=f"sa-bcd(mu={mu}, s={s})",
-        x=x,
-        iterations=done,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
+    fam = PlainState(
+        f"sa-bcd(mu={mu}, s={s})", A, b, penalty, mu=mu, comm=comm, x0=x0,
+        seed=seed, max_iter=max_iter, tol=tol, record_every=record_every,
+        symmetric_pack=symmetric_pack, fast=fast, eig_memo=eig_memo,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
     )
+    return run_sa(fam, s=s, pipeline=pipeline, async_=async_, tau=tau)
 
 
 def cd(A, b, penalty, **kwargs) -> SolverResult:

@@ -3,32 +3,39 @@
 Every SA method repeats the same outer step: sample ``s`` blocks, run
 one packed Gram reduction, then make ``s`` local updates. The families
 (``sa_bcd``, ``sa_acc_bcd``, ``sa_dcd``) differ only in what they
-sample, reduce and update, so each hands its pieces in and this module
-owns the schedule:
+sample, reduce and update, so each builds its state
+(:class:`~repro.solvers.base.FamilyState`) and calls :func:`run_sa`,
+which owns the schedule. The loops call these methods of the state
+``fam``:
 
-* ``plan(k)`` draws one outer step of ``k`` iterations and returns
+* ``fam.plan(k)`` draws one outer step of ``k`` iterations and returns
   ``(idx, batch)``: the flat sampled indices the reduction packs, and
   whatever the inner loop needs to walk them;
-* ``reduce(idx, tail)`` (blocking schedule only) samples ``idx`` and
-  runs the blocking packed reduction, returning ``(Y, G, R)``; ``tail``
-  is a record's partials to carry (see below) or ``None``;
-* ``step(batch, Y, G, R, done)`` runs the inner loop and returns
-  ``(converged, done)``;
-* ``checkpoint(done)`` returns a resumable checkpoint payload of the
-  state at boundary ``done``. Both loops take one at the outer-step
+* ``fam.gram(idx, tail)`` (blocking schedule only) samples ``idx`` and
+  runs the blocking packed Gram reduction, returning ``(Y, G, R)``;
+  ``tail`` is a record's partials to carry (see below) or ``None``;
+* ``fam.step(batch, Y, G, R)`` runs the inner loop and returns the
+  number of iterations it made;
+* ``fam.probe(it)`` pins a record to the current iterate (see
+  :class:`Checks`);
+* ``fam.pipeline(depth)`` (ring schedule only) opens a
+  :class:`~repro.linalg.distmatrix.GramPipeline` of ``depth`` slots,
+  and ``fam.arrays()`` lists the local arrays each post packs;
+* ``fam.checkpoint(done)`` returns a resumable checkpoint payload of
+  the state at boundary ``done``. Both loops take one at the outer-step
   boundary that crosses each multiple of ``checkpoint_every`` (0:
-  never), and never once converged, and hand it to
-  :meth:`Checks.checkpoint` for delivery.
+  never), and never once converged, and hand it to :class:`Checks` for
+  delivery.
 
 Two schedules use them. :func:`run_blocking` waits on each reduction.
-:func:`run_ring` posts reductions through a
-:class:`~repro.linalg.distmatrix.GramPipeline`, keeps ``tau + 1`` in
-flight and harvests the oldest, so outer step ``k`` steps on data up to
-``tau`` steps stale. At ``tau = 0`` the ring is the pipelined schedule:
-the next step is sampled and Gram-packed while the current reduction is
-in flight, and the iterates equal the blocking schedule's bit for bit.
+:func:`run_ring` posts reductions through the pipeline, keeps
+``tau + 1`` in flight and harvests the oldest, so outer step ``k``
+steps on data up to ``tau`` steps stale. At ``tau = 0`` the ring is the
+pipelined schedule: the next step is sampled and Gram-packed while the
+current reduction is in flight, and the iterates equal the blocking
+schedule's bit for bit.
 
-Every family also hands in its :class:`Checks`, which holds the
+:func:`run_sa` also builds the solve's :class:`Checks`, which holds the
 convergence records. A record (a metric stored in ``history`` and
 tested against ``tol``: the Lasso objective, the SVM duality gap) is
 due at the outer-step boundary that crosses each multiple of
@@ -65,14 +72,23 @@ import numpy as np
 
 from repro.checkpoint import emit_solver_checkpoint, solver_history_fields
 from repro.errors import SolverError
+from repro.mpi.thread_backend import NB_RING_DEPTH
 
-__all__ = ["Checks", "check_schedule", "run_blocking", "run_ring"]
+__all__ = ["Checks", "check_schedule", "ring_depth", "run_sa", "run_blocking",
+           "run_ring"]
 
 
-def check_schedule(s: int, tau: int, pipeline: bool, async_: bool) -> None:
-    """Validate the SA outer-step parameters shared by every family."""
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
+def check_schedule(s: int, tau: int, pipeline: bool, async_: bool, *,
+                   sa: bool = True, solver: str = "") -> None:
+    """Validate a solve's outer-step knobs. A solver that is not SA
+    (``sa=False``, named ``solver``) synchronises every iteration, so it
+    takes neither ``pipeline`` nor ``async_`` and ignores ``s``."""
+    if not sa and (pipeline or async_):
+        knob = "pipeline" if pipeline else "async_"
+        raise SolverError(
+            f"{knob}=True needs an SA solver (one reduction per s iterations"
+            f" to overlap); {solver!r} synchronises every iteration"
+        )
     if tau < 0:
         raise SolverError(f"tau must be >= 0, got {tau}")
     if async_ and pipeline:
@@ -80,6 +96,16 @@ def check_schedule(s: int, tau: int, pipeline: bool, async_: bool) -> None:
             "async_=True and pipeline=True are mutually exclusive: "
             "pipelining is the tau=0 special case of async_"
         )
+    if sa and s < 1:
+        raise SolverError(f"s must be >= 1, got {s}")
+
+
+def ring_depth(async_: bool, tau: int) -> int:
+    """Nonblocking slots an SA solve's ring needs: ``tau + 1`` reductions
+    in flight under ``async_`` (one under ``pipeline``) plus the slot the
+    next post packs into. Thread and process worlds size their
+    ``nb_depth`` with it."""
+    return (tau if async_ else 0) + NB_RING_DEPTH
 
 
 def _crossed(prev_done: int, done: int, every: int) -> bool:
@@ -87,35 +113,31 @@ def _crossed(prev_done: int, done: int, every: int) -> bool:
 
 
 class Checks:
-    """The convergence records and checkpoints of one SA solve, at
-    outer-step boundaries; each record is folded into the next Gram
-    reduction.
+    """The convergence records and checkpoints of one SA solve ``fam``
+    (a :class:`~repro.solvers.base.FamilyState`), at outer-step
+    boundaries; each record is folded into the next Gram reduction.
 
-    ``probe(it)`` pins a record to the current iterate (iteration
+    ``fam.probe(it)`` pins a record to the current iterate (iteration
     ``it``): it returns ``(tail, value)``. ``tail()`` builds this rank's
     partials of the record, called only when a reduction will carry them
     (Lasso: ``[||r_local||^2]``; SVM: ``[A_p x_p, ||x_p||^2]``, m + 1
     words); ``value(total)`` is the record's value from those partials
     summed across ranks (``None``: sync them on its own now).
-    ``every = 0`` takes no record past the first. ``history`` must
-    already hold its first row; a run resumed from a checkpoint taken
-    with a record pending — its history stops short of a multiple of
-    ``every`` at or before the resumed iteration — makes that record due
-    at its first boundary (:meth:`at_boundary`). Checkpoints go to
-    ``sink`` (see :func:`repro.checkpoint.emit_solver_checkpoint`).
+    ``record_every = 0`` takes no record past the first. The history
+    must already hold its first row; a run resumed from a checkpoint
+    taken with a record pending — its history stops short of a multiple
+    of ``record_every`` at or before the resumed iteration — makes that
+    record due at its first boundary (:meth:`at_boundary`). Checkpoints
+    go to ``fam.checkpoint_sink`` (see
+    :func:`repro.checkpoint.emit_solver_checkpoint`).
     """
 
-    def __init__(self, every: int, max_iter: int, probe, term, history, comm,
-                 sink=None) -> None:
-        self.every = int(every)
-        self.max_iter = int(max_iter)
-        self._probe = probe
-        self._term = term
-        self._history = history
-        self._comm = comm
-        self._sink = sink
+    def __init__(self, fam) -> None:
+        self._fam = fam
+        self.every = int(fam.record_every)
+        self.max_iter = int(fam.max_iter)
         # the latest iteration recorded or pending
-        self._last = history.iterations[-1]
+        self._last = fam.history.iterations[-1]
         # records in iteration order: [it, reading, value, value(total)]
         self._queue: deque = deque()
         # the latest pending record's tail, not yet posted
@@ -123,26 +145,32 @@ class Checks:
         # checkpoint payloads waiting for older records to land
         self._held: deque = deque()
 
-    def at_boundary(self, done: int, carried: bool) -> bool:
-        """Take the record due at boundary ``done``, if any.
+    def at_boundary(self, prev_done: int, done: int, carried: bool) -> bool:
+        """Take the record, then the checkpoint, due at boundary ``done``
+        (the previous one was ``prev_done``).
 
         ``carried`` says whether a Gram reduction is posted after this
-        boundary to carry it; without one the record is evaluated now.
-        Returns True when a record committed here met ``tol``.
+        boundary to carry the record; without one it is evaluated now.
+        Returns True when a record committed here met ``tol``; no
+        checkpoint is taken then.
         """
-        if not self.every or done == self._last or not (
+        fam = self._fam
+        if self.every and done != self._last and (
             done == self.max_iter or _crossed(self._last, done, self.every)
         ):
-            return False
-        self._last = done
-        tail, value = self._probe(done)
-        reading = self._history.reading(self._comm)
-        if carried:
-            self._tail = tail()
-            self._queue.append([done, reading, value, None])
-            return False
-        self._queue.append([done, reading, value, value(None)])
-        return self._commit()
+            self._last = done
+            tail, value = fam.probe(done)
+            reading = fam.history.reading(fam.comm)
+            if carried:
+                self._tail = tail()
+                self._queue.append([done, reading, value, None])
+            else:
+                self._queue.append([done, reading, value, value(None)])
+                if self._commit():
+                    return True
+        if _crossed(prev_done, done, fam.checkpoint_every):
+            self._hold(fam.checkpoint(done))
+        return False
 
     def take(self) -> np.ndarray | None:
         """The tail the next posted reduction carries, or ``None``."""
@@ -158,7 +186,7 @@ class Checks:
                 break
         return self._commit()
 
-    def checkpoint(self, payload: dict) -> None:
+    def _hold(self, payload: dict) -> None:
         """Deliver ``payload``, a checkpoint of the state at its
         ``iteration``, once every record before that iteration is in
         history: at once under the blocking and pipelined schedules, up
@@ -170,12 +198,13 @@ class Checks:
         self._deliver()
 
     def _deliver(self) -> None:
+        fam = self._fam
         while self._held and not (
             self._queue and self._queue[0][0] < self._held[0]["iteration"]
         ):
             payload = self._held.popleft()
-            payload.update(solver_history_fields(self._term, self._history))
-            emit_solver_checkpoint(payload, self._sink, self._comm.rank)
+            payload.update(solver_history_fields(fam.term, fam.history))
+            emit_solver_checkpoint(payload, fam.checkpoint_sink, fam.comm.rank)
 
     def _commit(self) -> bool:
         # commit in iteration order: an async run can evaluate a record
@@ -183,8 +212,8 @@ class Checks:
         while self._queue and self._queue[0][3] is not None:
             self._deliver()
             it, reading, _, value = self._queue.popleft()
-            self._history.append(it, value, reading)
-            if self._term.done(value):
+            self._fam.history.append(it, value, reading)
+            if self._fam.term.done(value):
                 self._queue.clear()
                 self._held.clear()
                 return True
@@ -192,33 +221,53 @@ class Checks:
         return False
 
 
-def run_blocking(plan, reduce, step, checkpoint, checks, *, done, max_iter, s,
-                 checkpoint_every):
+def run_sa(fam, *, s: int, pipeline: bool, async_: bool, tau: int):
+    """Run one SA solve of state ``fam`` and return its
+    :class:`~repro.solvers.base.SolverResult`: validate the schedule,
+    :meth:`~repro.solvers.base.FamilyState.start` (resume or the first
+    record), run the blocking loop or the ring (``pipeline``, or
+    ``async_`` at staleness ``tau``) until ``max_iter`` or ``tol``, then
+    :meth:`~repro.solvers.base.FamilyState.finish`."""
+    check_schedule(s, tau, pipeline, async_)
+    done, converged = fam.start()
+    if not converged:
+        checks = Checks(fam)
+        if async_ or pipeline:
+            pipe = fam.pipeline(ring_depth(async_, tau))
+            converged, done = run_ring(fam, checks, pipe, done=done, s=s,
+                                       tau=tau if async_ else 0)
+        else:
+            converged, done = run_blocking(fam, checks, done=done, s=s)
+    return fam.finish(done, converged)
+
+
+def run_blocking(fam, checks, *, done, s):
     """One blocking reduction per outer step; returns ``(converged, done)``."""
-    converged = checks.at_boundary(done, done < max_iter)
+    max_iter = fam.max_iter
+    converged = checks.at_boundary(done, done, done < max_iter)
     while done < max_iter and not converged:
-        idx, batch = plan(min(s, max_iter - done))
+        idx, batch = fam.plan(min(s, max_iter - done))
         tail = checks.take()
-        Y, G, R = reduce(idx, tail)
+        Y, G, R = fam.gram(idx, tail)
         if tail is not None and checks.landed(tail):
             return True, done
         prev_done = done
-        converged, done = step(batch, Y, G, R, done)
-        converged = converged or checks.at_boundary(done, done < max_iter)
-        if not converged and _crossed(prev_done, done, checkpoint_every):
-            checks.checkpoint(checkpoint(done))
+        done += fam.step(batch, Y, G, R)
+        converged = checks.at_boundary(prev_done, done, done < max_iter)
     return converged, done
 
 
-def run_ring(plan, step, checkpoint, checks, pipe, arrays, *, done, max_iter, s,
-             tau, checkpoint_every):
-    """Keep ``tau + 1`` reductions of ``arrays`` in flight on ``pipe``.
+def run_ring(fam, checks, pipe, *, done, s, tau):
+    """Keep ``tau + 1`` reductions of ``fam.arrays()`` in flight on
+    ``pipe``.
 
-    ``arrays`` are updated in place by ``step``; each post packs their
-    values at post time. ``pipe`` needs ``tau + 2`` slots. Returns
+    The arrays are updated in place by ``fam.step``; each post packs
+    their values at post time. ``pipe`` needs ``tau + 2`` slots. Returns
     ``(converged, done)``.
     """
-    converged = checks.at_boundary(done, done < max_iter)
+    max_iter = fam.max_iter
+    arrays = fam.arrays()
+    converged = checks.at_boundary(done, done, done < max_iter)
     # warmup: batch 0 fresh, batches 1..tau posted with the same initial
     # arrays (they will be min(j, tau) steps stale when harvested);
     # `planned` counts iterations already committed to in-flight batches
@@ -227,7 +276,7 @@ def run_ring(plan, step, checkpoint, checks, pipe, arrays, *, done, max_iter, s,
     inflight = []  # FIFO of (batch, slot, tail); oldest harvested first
     while len(inflight) <= tau and planned < max_iter:
         k = min(s, max_iter - planned)
-        idx, batch = plan(k)
+        idx, batch = fam.plan(k)
         slot = pipe.prefetch(idx)
         tail = checks.take()
         pipe.post(slot, arrays, tail)
@@ -239,7 +288,7 @@ def run_ring(plan, step, checkpoint, checks, pipe, arrays, *, done, max_iter, s,
             # overlapped with the in-flight reductions: sample + pack the
             # next outer step's (array-independent) Gram
             k = min(s, max_iter - planned)
-            nidx, nxt = plan(k)
+            nidx, nxt = fam.plan(k)
             nslot = pipe.prefetch(nidx)
             planned += k
         batch, slot, tail = inflight.pop(0)
@@ -248,16 +297,14 @@ def run_ring(plan, step, checkpoint, checks, pipe, arrays, *, done, max_iter, s,
             converged = True
             break
         prev_done = done
-        converged, done = step(batch, Y, G, R, done)
+        done += fam.step(batch, Y, G, R)
         # completing this step supersedes the arrays carried by every
         # reduction still in flight: age them one harvest point
         for _, pending, _ in inflight:
             pending.req.bump_staleness()
-        converged = converged or checks.at_boundary(done, nxt is not None)
+        converged = checks.at_boundary(prev_done, done, nxt is not None)
         if converged:
             break
-        if _crossed(prev_done, done, checkpoint_every):
-            checks.checkpoint(checkpoint(done))
         if nxt is not None:
             tail = checks.take()
             pipe.post(nslot, arrays, tail)

@@ -22,78 +22,23 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.checkpoint import (
-    emit_solver_checkpoint,
-    load_solver_checkpoint,
-    make_solver_checkpoint,
-    require_int_seed,
-    resume_solver,
-    state_vector,
-)
+from repro.checkpoint import state_vector
 from repro.errors import SolverError
 from repro.linalg.distmatrix import ColPartitionedMatrix
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import (
     FIXED_SUBPROBLEM_FLOPS,
-    ConvergenceHistory,
+    FamilyState,
     SolverResult,
-    Terminator,
     check_finite_iterate,
 )
-from repro.solvers.outer import Checks, check_schedule, run_blocking, run_ring
+from repro.solvers.outer import run_sa
 from repro.solvers.sampling import RowSampler
 from repro.solvers.svm.duality import duality_gap, loss_params
 from repro.utils.validation import check_vector
 
 __all__ = ["dcd", "sa_dcd"]
-
-
-def _setup_svm(A, b, comm: Comm | None) -> tuple[ColPartitionedMatrix, np.ndarray]:
-    if isinstance(A, ColPartitionedMatrix):
-        dist = A
-    else:
-        comm = comm if comm is not None else VirtualComm(1)
-        dist = ColPartitionedMatrix.from_global(A, comm)
-    m = dist.shape[0]
-    b = check_vector(b, m, "b")
-    if not np.all(np.isin(b, (-1.0, 1.0))):
-        raise SolverError("SVM labels must be in {-1, +1}")
-    return dist, b
-
-
-def _init_alpha_x(dist: ColPartitionedMatrix, b: np.ndarray, alpha0, nu: float):
-    m = dist.shape[0]
-    n_local = dist.local.shape[1]
-    if alpha0 is None:
-        return np.zeros(m), np.zeros(n_local)
-    alpha = check_vector(alpha0, m, "alpha0").copy()
-    # an infeasible dual init would silently corrupt the duality gap
-    # (coordinates never sampled within the budget stay out of the box)
-    if alpha.min() < 0.0 or alpha.max() > nu:
-        raise SolverError(
-            f"alpha0 must lie in the dual box [0, {nu:g}]; "
-            f"got range [{alpha.min():g}, {alpha.max():g}]"
-        )
-    # x0 = sum_i b_i alpha_i A_i^T  (Alg. 3 line 2), local columns only
-    x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    dist.comm.account_flops(2.0 * dist.local_nnz, "spmv")
-    return alpha, x_local
-
-
-def _record_gap(
-    dist: ColPartitionedMatrix,
-    b: np.ndarray,
-    alpha: np.ndarray,
-    x_local: np.ndarray,
-    lam: float,
-    loss: str,
-) -> float:
-    """Duality gap via one (instrumentation-only) full matvec."""
-    with dist.comm.ledger.paused():
-        Ax = dist.matvec_full(x_local)
-        xn2 = dist.norm2_cols(x_local)
-    return duality_gap(Ax, b, alpha, xn2, lam, loss)
 
 
 def _pg_step(beta: float, g: float, eta: float, nu: float) -> float:
@@ -102,6 +47,109 @@ def _pg_step(beta: float, g: float, eta: float, nu: float) -> float:
     if pg == 0.0 or eta <= 0.0:
         return 0.0
     return min(max(beta - g / eta, 0.0), nu) - beta
+
+
+class SvmState(FamilyState):
+    """Dual CD's iterate: the replicated dual ``alpha`` and the local
+    primal shard ``x_local = sum_i b_i alpha_i (A_i)_p`` (paper §V)."""
+
+    family, metric, mode = "svm", "duality_gap", "gap"
+
+    def __init__(self, solver, A, b, *, loss, lam, comm, alpha0, **run) -> None:
+        self.gamma, self.nu = loss_params(loss, lam)
+        if isinstance(A, ColPartitionedMatrix):
+            self.dist = A
+        else:
+            comm = comm if comm is not None else VirtualComm(1)
+            self.dist = ColPartitionedMatrix.from_global(A, comm)
+        m = self.dist.shape[0]
+        self.b = check_vector(b, m, "b")
+        if not np.all(np.isin(self.b, (-1.0, 1.0))):
+            raise SolverError("SVM labels must be in {-1, +1}")
+        self.loss, self.lam, self.alpha0 = loss, lam, alpha0
+        seed = run["seed"]
+        sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
+        super().__init__(solver, self.dist.comm, sampler,
+                         {"m": m, "loss": loss, "lam": lam}, **run)
+
+    def restore(self, ck) -> None:
+        dist, m = self.dist, self.dist.shape[0]
+        if ck is not None:
+            self.alpha = state_vector(ck, "alpha", m)
+            # x0 = sum_i b_i alpha_i A_i^T, local columns only (the running
+            # run carried it incrementally; rebuilding is instrumentation)
+            with self.comm.ledger.paused():
+                self.x_local = np.asarray(dist.local.T @ (self.b * self.alpha)).ravel()
+            return
+        if self.alpha0 is None:
+            self.alpha, self.x_local = np.zeros(m), np.zeros(dist.local.shape[1])
+            return
+        alpha = check_vector(self.alpha0, m, "alpha0").copy()
+        # an infeasible dual init would silently corrupt the duality gap
+        # (coordinates never sampled within the budget stay out of the box)
+        if alpha.min() < 0.0 or alpha.max() > self.nu:
+            raise SolverError(
+                f"alpha0 must lie in the dual box [0, {self.nu:g}]; "
+                f"got range [{alpha.min():g}, {alpha.max():g}]"
+            )
+        # x0 = sum_i b_i alpha_i A_i^T  (Alg. 3 line 2), local columns only
+        self.alpha = alpha
+        self.x_local = np.asarray(dist.local.T @ (self.b * alpha)).ravel()
+        self.comm.account_flops(2.0 * dist.local_nnz, "spmv")
+
+    def record(self, alpha=None) -> float:
+        """Duality gap at ``alpha`` (default: the current dual) via one
+        (instrumentation-only) full matvec."""
+        with self.comm.ledger.paused():
+            Ax = self.dist.matvec_full(self.x_local)
+            xn2 = self.dist.norm2_cols(self.x_local)
+        alpha = self.alpha if alpha is None else alpha
+        return duality_gap(Ax, self.b, alpha, xn2, self.lam, self.loss)
+
+    def state(self) -> dict:
+        return {"alpha": self.alpha}
+
+    def result(self) -> tuple:
+        with self.comm.ledger.paused():
+            x_full = self.dist.gather_cols(self.x_local)
+        return x_full, {"alpha": self.alpha, "x_local": self.x_local,
+                        "lam": self.lam, "loss": self.loss}
+
+    def plan(self, k: int) -> tuple:
+        idx = self.sampler.next_indices(k)
+        return idx, idx
+
+    def gram(self, idx, tail):
+        Y = self.dist.sample_rows(idx)
+        G, xp = self.dist.gram_rows_and_project(Y, self.x_local,
+                                                symmetric=self.symmetric, tail=tail)
+        return Y, G, xp[:, None]
+
+    def step(self, idx, Y, G, R) -> int:
+        inner = _sa_dcd_outer_fast if self.fast else _sa_dcd_outer_naive
+        inner(self.dist, self.b, Y, G, R[:, 0], idx, self.gamma, self.nu,
+              self.alpha, self.x_local)
+        return len(idx)
+
+    def probe(self, it):
+        check_finite_iterate(self.tag, it, alpha=self.alpha, x=self.x_local)
+        # the async ring completes the record after alpha has moved on
+        pinned, m, x_local = self.alpha.copy(), self.dist.shape[0], self.x_local
+
+        def gap(tail):
+            if tail is None:
+                return self.record(pinned)
+            return duality_gap(tail[:m], self.b, pinned, float(tail[m]), self.lam,
+                               self.loss)
+
+        # [A_p x_p, ||x_p||^2], uncharged like record's flops
+        return lambda: np.append(self.dist.local @ x_local, x_local @ x_local), gap
+
+    def pipeline(self, depth):
+        return self.dist.gram_rows_pipeline(symmetric=self.symmetric, depth=depth)
+
+    def arrays(self) -> list:
+        return [self.x_local]
 
 
 def dcd(
@@ -142,84 +190,28 @@ def dcd(
         checkpoints carry the replicated dual ``alpha``; the local primal
         shard is rebuilt on resume.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    gamma, nu = loss_params(loss, lam)
-    dist, b = _setup_svm(A, b, comm)
-    m = dist.shape[0]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="svm", seed=seed,
-            params={"m": m, "loss": loss, "lam": lam},
-        )
-        alpha = state_vector(ck, "alpha", m)
-        # x0 = sum_i b_i alpha_i A_i^T, local columns only (the running
-        # run carried it incrementally; rebuilding is instrumentation)
-        with dist.comm.ledger.paused():
-            x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    else:
-        alpha, x_local = _init_alpha_x(dist, b, alpha0, nu)
-    sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
-    term = Terminator(max_iter, tol, "gap")
-    history = ConvergenceHistory("duality_gap")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-        converged = False
-    else:
-        start = 0
-        history.record(0, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-        converged = term.done(history.final_metric)
-
-    h = start
-    if not converged:
-        for h in range(start + 1, max_iter + 1):
-            i = sampler.next_index()
-            row = dist.sample_rows(np.array([i]))
-            G, xp = dist.gram_rows_and_project(row, x_local, symmetric=symmetric_pack)
-            eta = float(G[0, 0]) + gamma
-            g = b[i] * float(xp[0]) - 1.0 + gamma * alpha[i]
-            theta = _pg_step(alpha[i], g, eta, nu)
-            dist.comm.account_flops(FIXED_SUBPROBLEM_FLOPS, "fixed")
-            if theta != 0.0:
-                alpha[i] += theta
-                dist.apply_row_update(row, np.array([theta * b[i]]), x_local)
-            if record_every and (h % record_every == 0 or h == max_iter):
-                check_finite_iterate("svm", h, alpha=alpha, x=x_local)
-                gap = _record_gap(dist, b, alpha, x_local, lam, loss)
-                history.record(h, gap, dist.comm)
-                if term.done(gap):
-                    converged = True
-                    break
-            if checkpoint_every and h % checkpoint_every == 0:
-                emit_solver_checkpoint(
-                    make_solver_checkpoint(
-                        family="svm", solver=f"svm-{loss.lower()}",
-                        iteration=h, seed=seed,
-                        params={"m": m, "loss": loss, "lam": lam},
-                        state={"alpha": alpha}, term=term, history=history,
-                        ledger=dist.comm.ledger,
-                    ),
-                    checkpoint_sink, dist.comm.rank,
-                )
-        if not record_every or history.iterations[-1] != h:
-            history.record(h, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-
-    with dist.comm.ledger.paused():
-        x_full = dist.gather_cols(x_local)
-    return SolverResult(
-        solver=f"svm-{loss.lower()}",
-        x=x_full,
-        iterations=h,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
-        extras={"alpha": alpha, "x_local": x_local, "lam": lam, "loss": loss},
+    fam = SvmState(
+        f"svm-{loss.lower()}", A, b, loss=loss, lam=lam, comm=comm,
+        alpha0=alpha0, seed=seed, max_iter=max_iter, tol=tol,
+        record_every=record_every, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from,
     )
+    h, converged = fam.start()
+    dist, b, alpha, x_local = fam.dist, fam.b, fam.alpha, fam.x_local
+    while not converged and h < max_iter:
+        h += 1
+        i = fam.sampler.next_index()
+        row = dist.sample_rows(np.array([i]))
+        G, xp = dist.gram_rows_and_project(row, x_local, symmetric=symmetric_pack)
+        eta = float(G[0, 0]) + fam.gamma
+        g = b[i] * float(xp[0]) - 1.0 + fam.gamma * alpha[i]
+        theta = _pg_step(alpha[i], g, eta, fam.nu)
+        dist.comm.account_flops(FIXED_SUBPROBLEM_FLOPS, "fixed")
+        if theta != 0.0:
+            alpha[i] += theta
+            dist.apply_row_update(row, np.array([theta * b[i]]), x_local)
+        converged = fam.after(h)
+    return fam.finish(h, converged)
 
 
 def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
@@ -359,103 +351,11 @@ def sa_dcd(
     solve returns exactly the iterate its last record describes;
     ``async_`` stops at most ``tau`` outer steps past it.
     """
-    check_schedule(s, tau, pipeline, async_)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    gamma, nu = loss_params(loss, lam)
-    dist, b = _setup_svm(A, b, comm)
-    m = dist.shape[0]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="svm", seed=seed,
-            params={"m": m, "loss": loss, "lam": lam},
-        )
-        alpha = state_vector(ck, "alpha", m)
-        with dist.comm.ledger.paused():
-            x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    else:
-        alpha, x_local = _init_alpha_x(dist, b, alpha0, nu)
-    sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
-    term = Terminator(max_iter, tol, "gap")
-    history = ConvergenceHistory("duality_gap")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-        converged = False
-    else:
-        done = 0
-        history.record(0, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-        converged = term.done(history.final_metric)
-
-    inner = _sa_dcd_outer_fast if fast else _sa_dcd_outer_naive
-
-    def plan(k):
-        idx = sampler.next_indices(k)
-        return idx, idx
-
-    def reduce(idx, tail):
-        Y = dist.sample_rows(idx)
-        G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack,
-                                           tail=tail)
-        return Y, G, xp[:, None]
-
-    def step(idx, Y, G, R, done):
-        inner(dist, b, Y, G, R[:, 0], idx, gamma, nu, alpha, x_local)
-        return False, done + len(idx)
-
-    def probe(it):
-        check_finite_iterate("sa-svm", it, alpha=alpha, x=x_local)
-        # the async ring completes the record after alpha has moved on
-        pinned = alpha.copy()
-
-        def gap(tail):
-            if tail is None:
-                return _record_gap(dist, b, pinned, x_local, lam, loss)
-            return duality_gap(tail[:m], b, pinned, float(tail[m]), lam, loss)
-
-        # [A_p x_p, ||x_p||^2], uncharged like _record_gap's flops
-        return lambda: np.append(dist.local @ x_local, x_local @ x_local), gap
-
-    def checkpoint(done):
-        return make_solver_checkpoint(
-            family="svm", solver=f"sa-svm-{loss.lower()}(s={s})",
-            iteration=done, seed=seed,
-            params={"m": m, "loss": loss, "lam": lam},
-            state={"alpha": alpha}, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-
-    checks = Checks(record_every, max_iter, probe, term, history, dist.comm,
-                    checkpoint_sink)
-    if converged:
-        pass  # the initial gap already meets tol
-    elif async_ or pipeline:
-        lag = tau if async_ else 0
-        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack, depth=lag + 2)
-        converged, done = run_ring(
-            plan, step, checkpoint, checks, pipe, [x_local], done=done,
-            max_iter=max_iter, s=s, tau=lag, checkpoint_every=checkpoint_every,
-        )
-    else:
-        converged, done = run_blocking(
-            plan, reduce, step, checkpoint, checks, done=done, max_iter=max_iter,
-            s=s, checkpoint_every=checkpoint_every,
-        )
-    if history.iterations[-1] != done:
-        history.record(done, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-
-    with dist.comm.ledger.paused():
-        x_full = dist.gather_cols(x_local)
-    return SolverResult(
-        solver=f"sa-svm-{loss.lower()}(s={s})",
-        x=x_full,
-        iterations=done,
-        final_metric=history.final_metric,
-        history=history,
-        cost=dist.comm.ledger.snapshot(),
-        converged=converged,
-        extras={"alpha": alpha, "x_local": x_local, "lam": lam, "loss": loss},
+    fam = SvmState(
+        f"sa-svm-{loss.lower()}(s={s})", A, b, loss=loss, lam=lam, comm=comm,
+        alpha0=alpha0, seed=seed, max_iter=max_iter, tol=tol,
+        record_every=record_every, symmetric_pack=symmetric_pack, fast=fast,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
     )
+    return run_sa(fam, s=s, pipeline=pipeline, async_=async_, tau=tau)

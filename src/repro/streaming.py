@@ -69,10 +69,11 @@ from repro.machine.ledger import CostSnapshot
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
+from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
+from repro.solvers.outer import ring_depth
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
 from repro.utils.validation import nnz_of
@@ -368,7 +369,8 @@ class StreamingSweep:
                 self.dist.local.T @ self.ctx.b[lo:hi], dtype=np.float64
             ).ravel()
             self.comm.account_flops(2.0 * self.dist.local_nnz, "spmv")
-            self._atb = np.asarray(self.comm.Allreduce(local_part)).ravel()
+            self._atb = np.asarray(
+                self.comm.Allreduce(local_part, timeout=self.comm.timeout)).ravel()
         else:
             _check_svm_labels(self.ctx.b)
             self._atb = None
@@ -424,7 +426,7 @@ class StreamingSweep:
         shards bit for bit.
         """
         with self.comm.ledger.paused():
-            shards = self.comm.allgather(self.dist.local)
+            shards = self.comm.allgather(self.dist.local, timeout=self.comm.timeout)
         if self.task == "lasso":
             if self.dist.is_sparse:
                 A_eff = sp.vstack(shards, format="csr")
@@ -625,7 +627,8 @@ class StreamingSweep:
             share = B[blo:bhi]
             part = np.asarray(share.T @ y[blo:bhi], dtype=np.float64).ravel()
             self.comm.account_flops(2.0 * nnz_of(share), "spmv")
-            self._atb = self._atb + np.asarray(self.comm.Allreduce(part)).ravel()
+            self._atb = self._atb + np.asarray(
+                self.comm.Allreduce(part, timeout=self.comm.timeout)).ravel()
             self.comm.account_flops(float(self._atb.shape[0]), "blas1")
         else:
             self.dist.append_rows(B)
@@ -686,7 +689,8 @@ class StreamingSweep:
             y_ev = self.ctx.b[lo:hi][masks[self.comm.rank]]
             contrib = np.asarray(B_ev.T @ y_ev, dtype=np.float64).ravel()
             self.comm.account_flops(2.0 * nnz_of(B_ev), "spmv")
-            self._atb = self._atb - np.asarray(self.comm.Allreduce(contrib)).ravel()
+            self._atb = self._atb - np.asarray(
+                self.comm.Allreduce(contrib, timeout=self.comm.timeout)).ravel()
             self.comm.account_flops(float(self._atb.shape[0]), "blas1")
             global_idx, segs = [], []
             for r in range(self.comm.size):
@@ -812,7 +816,8 @@ class StreamingSweep:
                     self.comm.account_flops(2.0 * nnz_of(rows), "spmv")
                 new_b[lo + pos] = y_vals
             # every rank joins the reduction, edits owned or not
-            self._atb = self._atb + np.asarray(self.comm.Allreduce(contrib)).ravel()
+            self._atb = self._atb + np.asarray(
+                self.comm.Allreduce(contrib, timeout=self.comm.timeout)).ravel()
             self.comm.account_flops(float(self._atb.shape[0]), "blas1")
         else:
             new_b[pos] = y_sorted[
@@ -1303,7 +1308,7 @@ def replay_schedule(
         )
     if ranks < 1:
         raise SolverError(f"ranks must be >= 1, got {ranks}")
-    nb_depth = tau + 2 if async_ else NB_RING_DEPTH
+    nb_depth = ring_depth(async_, tau)
     if backend == "thread":
         out = spmd_run(work, ranks, machine=machine,
                        cost_size=max(virtual_p, ranks), nb_depth=nb_depth)

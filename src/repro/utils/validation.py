@@ -42,20 +42,22 @@ def check_dense_or_csr(A: Any, name: str = "A"):
 
     Returns a 2-D ``float64`` ndarray or a canonical-format
     ``csr_matrix`` with ``float64`` data. Raises :class:`SolverError`
-    otherwise.
+    otherwise, or when an entry (a stored one, if sparse) is not finite.
     """
     if sp.issparse(A):
         A = A.tocsr().astype(np.float64, copy=False)
         if A.ndim != 2:
             raise SolverError(f"{name} must be 2-D, got shape {A.shape}")
         A.sum_duplicates()
-        return A
-    arr = np.asarray(A, dtype=np.float64)
-    if arr.ndim != 2:
-        raise SolverError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        values = A.data
+    else:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise SolverError(f"{name} must be 2-D, got shape {A.shape}")
+        values = A
+    if not np.all(np.isfinite(values)):
         raise SolverError(f"{name} contains non-finite entries")
-    return arr
+    return A
 
 
 def check_vector(v: Any, length: int, name: str = "b") -> np.ndarray:

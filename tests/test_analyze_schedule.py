@@ -202,3 +202,23 @@ def test_schedule_params_validation():
         ScheduleParams(max_iter=1, s=0)
     with pytest.raises(ValueError):
         ScheduleParams(max_iter=1, tau=-1)
+
+
+#: the alphabets extraction proves for each family x mode
+_ALPHABETS = {
+    ("lasso", "blocking"): {"Allreduce", "allreduce"},
+    ("lasso", "pipeline"): {"Allgather", "Iallreduce", "allreduce"},
+    ("lasso", "async"): {"Allgather", "Iallreduce", "allreduce"},
+    ("svm", "blocking"): {"Allgather", "Allreduce", "allreduce"},
+    ("svm", "pipeline"): {"Allgather", "Allreduce", "Iallreduce", "allreduce"},
+    ("svm", "async"): {"Allgather", "Allreduce", "Iallreduce", "allreduce"},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mode", MODES)
+def test_static_alphabet_is_pinned(family, mode):
+    # each family's hooks resolve on its own state class: a Lasso
+    # alphabet never picks up SVM's gap matvec or primal gather
+    want = _ALPHABETS[("svm" if family == "svm" else "lasso", mode)]
+    assert static_alphabet(family, mode) == want

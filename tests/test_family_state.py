@@ -1,0 +1,86 @@
+"""The state every solver family shares (``repro.solvers.base.FamilyState``).
+
+Non-finite inputs are rejected at entry rather than blamed on the solver,
+a resumed classical solve records the iterate it returns, and the
+schedule checks and ring depth exist once (``repro.solvers.outer``).
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.datasets import make_classification, make_sparse_regression
+from repro.errors import SolverError
+from repro.mpi.thread_backend import NB_RING_DEPTH
+from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
+from repro.solvers.outer import check_schedule, ring_depth
+from repro.solvers.svm import sa_dcd
+
+HISTORY_COLUMNS = ("iterations", "metric", "seconds", "comm_seconds", "flops")
+
+
+@pytest.fixture(scope="module")
+def lasso_problem():
+    A, b, _ = make_sparse_regression(40, 20, density=0.3, seed=0)
+    return A, b
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("solver", [bcd, sa_bcd, acc_bcd, sa_acc_bcd],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("record_every", [0, 1])
+    def test_x0_with_a_nan_is_rejected(self, lasso_problem, solver, record_every):
+        A, b = lasso_problem
+        x0 = np.zeros(A.shape[1])
+        x0[3] = np.nan
+        with pytest.raises(SolverError, match="x0 contains non-finite"):
+            solver(A, b, 2.0, mu=2, max_iter=16, x0=x0, record_every=record_every)
+
+    def test_sparse_inf_is_rejected_by_a_lasso_solve(self, lasso_problem):
+        A, b = lasso_problem
+        A = sp.csr_matrix(A, copy=True)
+        A.data[0] = np.inf
+        with pytest.raises(SolverError, match="A contains non-finite"):
+            sa_bcd(A, b, 2.0, mu=2, max_iter=16)
+
+    def test_sparse_nan_is_rejected_by_an_svm_solve(self):
+        A, b = make_classification(30, 16, density=0.5, seed=1)
+        A = sp.csr_matrix(A, copy=True)
+        A.data[0] = np.nan
+        with pytest.raises(SolverError, match="A contains non-finite"):
+            sa_dcd(A, b, max_iter=16)
+
+
+@pytest.mark.parametrize("solver", [bcd, acc_bcd], ids=lambda fn: fn.__name__)
+def test_resume_at_max_iter_records_the_returned_iterate(lasso_problem, solver):
+    A, b = lasso_problem
+    kw = dict(mu=2, seed=3, record_every=3)
+    payloads = []
+    solver(A, b, 0.5, max_iter=64, checkpoint_every=32,
+           checkpoint_sink=payloads.append, **kw)
+    ck = next(p for p in payloads if p["iteration"] == 32)
+    resumed = solver(A, b, 0.5, max_iter=32, resume_from=ck, **kw)
+    whole = solver(A, b, 0.5, max_iter=32, **kw)
+    assert resumed.history.iterations[-1] == 32
+    for col in HISTORY_COLUMNS:
+        assert getattr(resumed.history, col) == getattr(whole.history, col), col
+    assert resumed.final_metric == whole.final_metric
+    np.testing.assert_array_equal(resumed.x, whole.x)
+
+
+class TestScheduleChecks:
+    def test_ring_depth(self):
+        assert ring_depth(False, 5) == NB_RING_DEPTH
+        assert ring_depth(True, 0) == NB_RING_DEPTH
+        assert ring_depth(True, 3) == 3 + NB_RING_DEPTH
+
+    @pytest.mark.parametrize("knob", ["pipeline", "async_"])
+    def test_classical_solver_takes_neither_knob(self, knob):
+        kw = {"pipeline": knob == "pipeline", "async_": knob == "async_"}
+        with pytest.raises(SolverError, match=f"{knob}=True needs an SA solver"):
+            check_schedule(0, 1, sa=False, solver="bcd", **kw)
+
+    def test_s_is_checked_for_sa_solvers_only(self):
+        check_schedule(0, 1, False, False, sa=False, solver="bcd")
+        with pytest.raises(SolverError, match="s must be >= 1"):
+            check_schedule(0, 1, False, False)

@@ -36,6 +36,8 @@ class TestCheckDenseOrCsr:
     def test_nan_rejected(self):
         with pytest.raises(SolverError):
             check_dense_or_csr(np.array([[np.nan, 1.0]]))
+        with pytest.raises(SolverError, match="non-finite"):
+            check_dense_or_csr(sp.csr_matrix(np.array([[np.inf, 1.0]])))
 
     def test_duplicates_summed(self):
         A = sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(1, 1))
