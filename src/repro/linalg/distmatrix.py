@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import PartitionError
+from repro.errors import PartitionError, SolverError
 from repro.linalg.kernels import GatherWorkspace, gather_columns, gather_rows
 from repro.linalg.packing import (
     pack_extras,
@@ -41,6 +41,20 @@ def _densify_small(M) -> np.ndarray:
     if sp.issparse(M):
         return np.asarray(M.todense())
     return np.asarray(M)
+
+
+def _check_gram_finite(head: np.ndarray) -> None:
+    """Raise if the reduced Gram (the packed payload's head) overflowed.
+
+    The Gram depends only on the data, so a non-finite entry blames the
+    input (entries too large to square in float64), never a diverging
+    iterate; it is replicated, so every rank raises at the same
+    collective. A guard, not algorithm work: not charged.
+    """
+    if not np.isfinite(head).all():
+        raise SolverError(
+            "the reduced Gram block overflowed float64 (non-finite entries): "
+            "the data's entries are too large to square; rescale A")
 
 
 class _PartitionedBase:
@@ -173,6 +187,7 @@ class _PartitionedBase:
         if tail is not None:
             send[n:] = tail
         total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout)
+        _check_gram_finite(total[:packed_length(k, 0, symmetric)])
         if tail is not None:
             tail[:] = total[n:]
         out_g, out_r = self._gram_outputs(k, c)
@@ -306,6 +321,7 @@ class GramPipeline:
         """
         total = slot.req.wait()
         slot.req = None
+        _check_gram_finite(total[:packed_length(slot.k, 0, self.symmetric)])
         n = slot.send.shape[0] - self.spare
         if slot.tail is not None:
             slot.tail[:] = total[n:]

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import SolverError
 
-__all__ = ["largest_eigenvalue", "power_iteration"]
+__all__ = ["largest_eigenvalue", "largest_eigenvalues", "power_iteration"]
 
 #: below this order, direct symmetric eigensolve is cheapest and exact
 _DIRECT_MAX = 64
@@ -35,6 +35,25 @@ def largest_eigenvalue(G: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -
     if k <= _DIRECT_MAX:
         return max(float(np.linalg.eigvalsh(G)[-1]), 0.0)
     return max(power_iteration(G, tol=tol, max_iter=max_iter), 0.0)
+
+
+def largest_eigenvalues(G: np.ndarray) -> np.ndarray:
+    """:func:`largest_eigenvalue` of each block of an ``(s, k, k)`` stack.
+
+    Blocks up to order 64 go to one batched LAPACK ``eigvalsh`` call,
+    which applies the same routine to each block, so every value equals
+    the per-block one bit for bit; larger blocks run the power iteration
+    one at a time.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    k = G.shape[-1] if G.ndim == 3 else 0
+    if G.ndim != 3 or G.shape[1] != k or k == 0:
+        raise SolverError(f"G must be a stack of non-empty square blocks, got {G.shape}")
+    if k > _DIRECT_MAX:
+        return np.array([largest_eigenvalue(g) for g in G])
+    top = G[:, 0, 0] if k == 1 else np.linalg.eigvalsh(G)[:, -1]
+    # max(v, 0.0) per block, bit for bit (a -0.0 or NaN passes through)
+    return np.where(top < 0.0, 0.0, top)
 
 
 def power_iteration(G: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> float:

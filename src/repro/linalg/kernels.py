@@ -15,19 +15,27 @@ collects the allocation-free / cache-friendly versions of those kernels:
   symmetric Gram payload (paper footnote 3), shared by
   :mod:`repro.linalg.packing`.
 * :class:`EigMemo` / :func:`largest_eigenvalue_cached` — bytes-keyed
-  memo of the block Lipschitz constant. Sampled blocks repeat under
-  fixed seeds and along regularization paths; a repeated block yields a
+  memo of the block Lipschitz constant, for one ``(k, k)`` block or an
+  ``(s, k, k)`` stack of them. Sampled blocks repeat under fixed seeds
+  and along regularization paths; a repeated block yields a
   byte-identical Gram block, so the memo returns the *exact* same float
-  the eigensolver would. The module-level default memo persists across
+  the eigensolver would. A stack is looked up block by block and its
+  misses are solved in one batched LAPACK call
+  (:func:`~repro.linalg.eig.largest_eigenvalues`). The memo is an LRU
+  behind a lock, so thread-backend ranks can share it; the solve runs
+  outside the lock. The module-level default memo persists across
   solves, which is what lets a warm regularization-path sweep skip the
   eigensolves its first point already paid for; its LRU bound keeps long
   sweeps from growing it without limit.
+* :func:`diag_blocks` — the diagonal blocks of an outer step's Gram as
+  one stack, so the fused ``mu > 1`` loops make one eigensolve call per
+  outer step.
 * :func:`acc_coef_tables` — the theta/eta/momentum coefficient tables of
   the fused SA-accBCD inner loop (paper eqs. (3)-(5)), vectorised with
   the same operation association as the scalar recurrences so the
   ``mu = 1`` fused loop reproduces the naive loop bit for bit.
-* :func:`sparse_columns` / :func:`csc_range_matvec` — CSC views and
-  column-range scatters for the ``mu > 1`` residual updates.
+* :func:`sparse_columns` — the CSC view of a sampled block that the
+  fused Lasso loops read column ranges from.
 
 Parity contract
 ---------------
@@ -36,21 +44,23 @@ exactly what the straightforward implementation (``fast=False``) would,
 so the ``mu = 1`` and SVM fused loops keep the reference iterate
 sequence bit for bit. The ``mu > 1`` Lasso loops trade that for speed:
 they apply each iteration's correction sum as one prefix GEMV/GEMM over
-the stacked update history and scatter residual updates through
-:func:`csc_range_matvec`, and both re-associate reductions. Their
-iterates stay within 1e-9 relative of the reference; the modelled
-ledger is identical, since only the association changes, not the work.
+the stacked update history, and apply the outer step's residual updates
+as one product with that history after the last inner iteration; both
+re-associate reductions. Their iterates stay within 1e-9 relative of the
+reference; the modelled ledger is identical, since only the association
+changes, not the work.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import lru_cache
+import threading
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.linalg.eig import largest_eigenvalue
+from repro.errors import SolverError
+from repro.linalg.eig import largest_eigenvalues
 
 __all__ = [
     "GatherWorkspace",
@@ -64,7 +74,7 @@ __all__ = [
     "eig_cache_clear",
     "acc_coef_tables",
     "sparse_columns",
-    "csc_range_matvec",
+    "diag_blocks",
 ]
 
 
@@ -165,34 +175,6 @@ def gather_rows(
     return out
 
 
-def csc_range_matvec(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    c0: int,
-    c1: int,
-    x: np.ndarray,
-    out_len: int,
-) -> tuple[np.ndarray | None, int]:
-    """Dense ``M[:, c0:c1] @ x`` for a CSC triplet, without slicing.
-
-    Returns ``(y, nnz)`` where ``y`` is a dense length-``out_len`` vector
-    (or None when the column range is empty) and ``nnz`` the non-zeros
-    touched. Accumulation runs through :func:`numpy.bincount` over the
-    stacked column entries — C-speed, no scipy submatrix construction,
-    but a *different association* than per-column CSC matvec, so only
-    the fp-tolerant ``mu > 1`` loops use it (the reference keeps
-    ``S @ dz``).
-    """
-    lo = int(indptr[c0])
-    hi = int(indptr[c1])
-    if lo == hi:
-        return None, 0
-    counts = np.diff(indptr[c0 : c1 + 1])
-    vals = data[lo:hi] * np.repeat(x, counts)
-    return np.bincount(indices[lo:hi], weights=vals, minlength=out_len), hi - lo
-
-
 def sparse_columns(Y) -> sp.csc_matrix | None:
     """CSC view of a sampled block, or None for dense blocks.
 
@@ -245,44 +227,98 @@ class EigMemo:
     block streams along a regularization path) skip the LAPACK call
     without perturbing the iterate sequence. Least-recently-used entries
     are evicted past ``maxsize``, so the memo stays bounded during long
-    sweeps. Backed by a per-instance :func:`functools.lru_cache` (the
-    C-speed LRU) rather than a hand-rolled dict.
+    sweeps.
+
+    Lookups, inserts and evictions hold a lock (thread-backend ranks
+    share the default memo); the eigensolve runs outside it, so two
+    threads missing the same block may both solve it. A stack counts
+    one hit or miss per block and leaves the LRU order that ``s``
+    single-block calls would; a block repeated within one stack is
+    solved once, and its repeats count as hits.
     """
 
-    __slots__ = ("maxsize", "_cached")
+    __slots__ = ("maxsize", "_entries", "_lock", "_hits", "_misses")
 
     def __init__(self, maxsize: int = 1024) -> None:
-        self.maxsize = int(maxsize)
+        self.maxsize = max(int(maxsize), 0)
+        self._entries: OrderedDict[bytes, float] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
 
-        @lru_cache(maxsize=self.maxsize)
-        def _eig_of_bytes(key: bytes, k: int) -> float:
-            G = np.frombuffer(key, dtype=np.float64).reshape(k, k)
-            return largest_eigenvalue(G)
-
-        self._cached = _eig_of_bytes
-
-    def eig(self, G: np.ndarray) -> float:
-        """Memoised :func:`~repro.linalg.eig.largest_eigenvalue`."""
+    def eig(self, G: np.ndarray) -> float | np.ndarray:
+        """Memoised :func:`~repro.linalg.eig.largest_eigenvalue` of a
+        ``(k, k)`` block (a float), or of each block of an ``(s, k, k)``
+        stack (an array of ``s`` floats)."""
         G = np.ascontiguousarray(G, dtype=np.float64)
-        k = G.shape[0]
-        if k == 1:
-            # scalar Gram block: the eigenvalue is the entry itself
-            return max(float(G[0, 0]), 0.0)
-        return self._cached(G.tobytes(), k)
+        shape = G.shape
+        if len(shape) == 2 and shape[0] == shape[1] > 1:
+            # one block's hit, kept lean (acquire/release beats ``with``)
+            key = G.tobytes()
+            self._lock.acquire()
+            try:
+                v = self._entries.get(key)
+                if v is not None:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    return v
+            finally:
+                self._lock.release()
+        elif len(shape) not in (2, 3) or shape[-1] != shape[-2] or shape[-1] == 0:
+            raise SolverError(
+                f"G must be a square block or a stack of them, got {shape}")
+        k = shape[-1]
+        stack = G.reshape(-1, k, k)
+        # scalar Gram blocks: the eigenvalue is the entry itself
+        vals = largest_eigenvalues(stack) if k == 1 else self._lookup(stack)
+        return vals if G.ndim == 3 else float(vals[0])
+
+    def _lookup(self, stack: np.ndarray) -> np.ndarray:
+        """Each block's value (order >= 2); the misses solved in one call."""
+        keys = [blk.tobytes() for blk in stack]
+        vals: list = [None] * len(keys)
+        todo: dict[bytes, int] = {}  # missed key -> index of its first block
+        with self._lock:
+            for i, key in enumerate(keys):
+                v = self._entries.get(key)
+                if v is None and key not in todo:
+                    todo[key] = i
+                    self._misses += 1
+                    continue
+                self._hits += 1
+                if v is not None:
+                    self._entries.move_to_end(key)
+                    vals[i] = v
+        if todo:
+            first = list(todo.values())
+            solved = largest_eigenvalues(stack if len(first) == len(keys) else stack[first])
+            solved = dict(zip(todo, solved.tolist()))
+            vals = [solved[key] if v is None else v for key, v in zip(keys, vals)]
+            with self._lock:
+                # touch every block in stack order, as single calls would
+                for key, v in zip(keys, vals):
+                    self._entries[key] = v
+                    self._entries.move_to_end(key)
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+        return np.array(vals)
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss statistics (lru_cache-compatible shape)."""
-        return CacheInfo(*self._cached.cache_info())
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the memo so far."""
-        info = self._cached.cache_info()
+        info = self.cache_info()
         total = info.hits + info.misses
         return info.hits / total if total else 0.0
 
     def clear(self) -> None:
-        self._cached.cache_clear()
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
 
 
 _DEFAULT_EIG_MEMO = EigMemo(maxsize=1024)
@@ -293,8 +329,11 @@ def default_eig_memo() -> EigMemo:
     return _DEFAULT_EIG_MEMO
 
 
-def largest_eigenvalue_cached(G: np.ndarray, memo: EigMemo | None = None) -> float:
-    """Memoised largest eigenvalue through ``memo`` (default: shared memo)."""
+def largest_eigenvalue_cached(
+    G: np.ndarray, memo: EigMemo | None = None
+) -> float | np.ndarray:
+    """Memoised largest eigenvalue of a ``(k, k)`` block, or of each block
+    of an ``(s, k, k)`` stack, through ``memo`` (default: shared memo)."""
     return (memo if memo is not None else _DEFAULT_EIG_MEMO).eig(G)
 
 
@@ -306,6 +345,14 @@ def eig_cache_info() -> CacheInfo:
 def eig_cache_clear() -> None:
     """Drop every entry of the shared eigenvalue memo (cold-start runs)."""
     _DEFAULT_EIG_MEMO.clear()
+
+
+def diag_blocks(G: np.ndarray, width: int) -> np.ndarray:
+    """The diagonal ``width x width`` blocks of ``G`` as an ``(s, width,
+    width)`` stack (a copy), for an outer step of ``s`` equal blocks."""
+    s = G.shape[0] // width
+    at = np.arange(s)
+    return G.reshape(s, width, s, width)[at, :, at, :]
 
 
 # ---------------------------------------------------------------------------

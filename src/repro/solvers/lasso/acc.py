@@ -42,11 +42,14 @@ iteration,
     sum_t c_{j,t} G_{j,t} dz_t
         = th^2 G[j,:off] (m .* dz) - G[j,:off] dz,
 
-a single (mu x off) @ (off x 2) GEMM instead of ``j`` sliced GEMVs. BLAS
-re-associates the sum over ``t`` (that is the speed), which perturbs
-iterates at the rounding level: within 1e-9 relative of ``fast=False``,
-with an identical modelled ledger (the model charges the algorithm's
-work). ``tests/test_fast_parity.py`` enforces both contracts.
+a single (mu x off) @ (off x 2) GEMM instead of ``j`` sliced GEMVs. The
+same history ``U = [m .* dz, dz]`` updates the residual images once per
+outer step, ``ztil += Y U[:, 1]`` and ``ytil -= Y U[:, 0]``, and the
+``s`` block eigensolves run as one batched call. BLAS re-associates the
+sums (that is the speed), which perturbs iterates at the rounding level:
+within 1e-9 relative of ``fast=False``, with an identical modelled
+ledger (the model charges the algorithm's work).
+``tests/test_fast_parity.py`` enforces both contracts.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.checkpoint import state_scalar, state_vector
 from repro.linalg.eig import largest_eigenvalue
 from repro.linalg.kernels import (
     acc_coef_tables,
-    csc_range_matvec,
+    diag_blocks,
     largest_eigenvalue_cached,
     sparse_columns,
 )
@@ -74,7 +77,7 @@ from repro.solvers.lasso.common import (
     theta_next,
     theta_schedule,
 )
-from repro.solvers.lasso.plain import _init_state, _overlap_apply
+from repro.solvers.lasso.plain import _block_nnz, _init_state, _overlap_apply
 from repro.solvers.outer import run_sa
 from repro.utils.validation import nnz_of
 
@@ -292,11 +295,16 @@ def _sa_acc_outer_fast(
     over ``t < j`` becomes a single ``G[sl_j, :off] @ U[:off]`` apply of
     the preassembled outer-step Gram — BLAS re-associates the reduction,
     hence the relaxed (<= 1e-9 relative drift) contract at ``mu > 1``.
-    Residual updates scatter the block's CSC range directly (bincount
-    accumulation, no scipy submatrix construction). Charges the same
-    modelled flops as :func:`_sa_acc_outer_naive`: the algorithmic work
-    is unchanged, only its association differs. ``mu = 1`` runs the
-    GEMV-free scalar loop, bit-identical to the reference.
+    Work whose inputs exist once per outer step runs once: the ``s``
+    block Lipschitz constants come from one memoised, batched eigensolve
+    of the stacked diagonal Gram blocks (one call per block when group
+    blocks differ in width), and since no inner iteration reads the
+    residuals, ``ztil += Y @ U[:, 1]`` and ``ytil -= Y @ U[:, 0]`` run
+    once after the last one, a second re-association. Charges the same
+    modelled flops as :func:`_sa_acc_outer_naive`, in the same order:
+    the algorithmic work is unchanged, only its association differs.
+    ``mu = 1`` runs the GEMV-free scalar loop, bit-identical to the
+    reference.
     """
     s_eff = len(blocks)
     t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
@@ -310,9 +318,13 @@ def _sa_acc_outer_fast(
     U = np.zeros((int(offsets[-1]), 2))
     any_nz = False
     m_loc = ztil.shape[0]
+    if min(widths) == max(widths):
+        vs = largest_eigenvalue_cached(diag_blocks(G, widths[0]), memo)
+    else:
+        vs = [largest_eigenvalue_cached(G[a:b, a:b], memo)
+              for a, b in zip(offsets[:-1], offsets[1:])]
     Ycsc = sparse_columns(Y)
-    if Ycsc is not None:
-        Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
+    nnz = _block_nnz(Y, Ycsc, widths, offsets)
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
@@ -326,7 +338,7 @@ def _sa_acc_outer_fast(
             + 2.0 * widths[j] * (offsets[j] + 4),
             "fixed",
         )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
+        v = vs[j]
         if v > 0.0:
             eta = 1.0 / (qth[j] * v)
             cur = z[blocks[j]].copy()
@@ -339,25 +351,16 @@ def _sa_acc_outer_fast(
         any_nz = any_nz or nz
         U[sl_j, 0] = coefv[j] * dz
         U[sl_j, 1] = dz
-        coef = coefv[j]
         z[blocks[j]] += dz
-        y[blocks[j]] -= coef * dz
+        y[blocks[j]] -= coefv[j] * dz
         if nz:
-            if Ycsc is not None:
-                upd, nnz_blk = csc_range_matvec(
-                    Yp, Yi, Yd, offsets[j], offsets[j + 1], dz, m_loc
-                )
-                account(2.0 * nnz_blk, "blas1")
-                account(3.0 * m_loc, "gather")
-                if upd is not None:
-                    ztil += upd
-                    ytil -= coef * upd
-            else:
-                Sdz = Y[:, sl_j] @ dz
-                account(2.0 * Sdz.shape[0] * widths[j], "blas1")
-                account(3.0 * Sdz.shape[0], "gather")
-                ztil += Sdz
-                ytil -= coef * Sdz
+            # the residual scatter this iteration's update stands for
+            account(2.0 * nnz[j], "blas1")
+            account(3.0 * m_loc, "gather")
+    if any_nz:
+        YU = (Y if Ycsc is None else Ycsc) @ U
+        ztil += YU[:, 1]
+        ytil -= YU[:, 0]
 
 
 def _sa_acc_inner_scalar(

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro import fit_lasso, fit_svm
 from repro.datasets import make_classification, make_sparse_regression
+from repro.errors import SolverError
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
 from repro.solvers.svm import dcd, sa_dcd
 
@@ -108,6 +109,35 @@ class TestSvmEdges:
         assert np.all(np.isfinite(tiny.x)) and np.all(np.isfinite(big.x))
         # alpha box scales with lam for L1
         assert np.max(tiny.extras["alpha"]) <= 1e-4 + 1e-12
+
+
+class TestGramOverflow:
+    """Data scaled by 1e155: the reduced Gram overflows float64. Every
+    family raises SolverError at its first reduction, naming the
+    overflow, instead of returning a zero model (mu = 1: every step size
+    is 1/inf), failing inside LAPACK (mu > 1) or reporting divergence."""
+
+    SCALE = 1e155
+
+    @pytest.mark.parametrize("mu", [1, 4])
+    @pytest.mark.parametrize("solver", [bcd, sa_bcd, acc_bcd, sa_acc_bcd])
+    def test_lasso(self, solver, mu):
+        A, b, _ = make_sparse_regression(200, 40, density=0.2, seed=0)
+        # lam scaled with A: the scaled problem's solution is x / SCALE
+        with pytest.raises(SolverError, match="Gram block overflowed"):
+            solver(A * self.SCALE, b, 0.5 * self.SCALE, mu=mu, max_iter=40, seed=0)
+
+    @pytest.mark.parametrize("solver", [dcd, sa_dcd])
+    def test_svm(self, solver):
+        A, b = make_classification(200, 40, density=0.2, seed=0)
+        with pytest.raises(SolverError, match="Gram block overflowed"):
+            solver(A * self.SCALE, b, max_iter=200, seed=0)
+
+    def test_pipelined_reduction(self):
+        A, b, _ = make_sparse_regression(200, 40, density=0.2, seed=0)
+        with pytest.raises(SolverError, match="Gram block overflowed"):
+            sa_acc_bcd(A * self.SCALE, b, 0.5 * self.SCALE, mu=4, s=8,
+                       max_iter=40, seed=0, pipeline=True)
 
 
 class TestDeterminism:

@@ -1,16 +1,20 @@
 """Tests for the fast-path kernel layer (:mod:`repro.linalg.kernels`)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.errors import SolverError
 from repro.linalg.eig import largest_eigenvalue
 from repro.linalg.kernels import (
     EigMemo,
     GatherWorkspace,
     acc_coef_tables,
-    csc_range_matvec,
     default_eig_memo,
+    diag_blocks,
     eig_cache_clear,
     eig_cache_info,
     gather_columns,
@@ -202,27 +206,143 @@ class TestEigMemoBound:
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
-class TestCscRangeMatvec:
-    def test_matches_sliced_matvec(self):
-        A = _csr(25, 12, density=0.4, seed=3).tocsc()
-        x = np.random.default_rng(4).standard_normal(5)
-        y, nnz = csc_range_matvec(A.indptr, A.indices, A.data, 3, 8, x, 25)
-        want = A[:, 3:8] @ x
-        assert np.allclose(y, want)
-        assert nnz == A[:, 3:8].nnz
+def _gram(seed, k=4):
+    M = np.random.default_rng(seed).standard_normal((k + 3, k))
+    return M.T @ M
 
-    def test_empty_range(self):
-        A = sp.csc_matrix((10, 6))
-        y, nnz = csc_range_matvec(A.indptr, A.indices, A.data, 1, 4,
-                                  np.ones(3), 10)
-        assert y is None and nnz == 0
 
-    def test_duplicate_rows_accumulate(self):
-        # two columns sharing a row must sum, not overwrite
-        A = sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        y, nnz = csc_range_matvec(A.indptr, A.indices, A.data, 0, 2,
-                                  np.array([1.0, 1.0]), 2)
-        assert np.allclose(y, [3.0, 3.0]) and nnz == 3
+class TestEigStack:
+    """An ``(s, k, k)`` stack: one lookup per block, misses solved in one
+    batched call, every value the per-block eigensolve's float."""
+
+    def test_matches_per_block_with_duplicates(self):
+        grams = [_gram(i, k=6) for i in range(5)]
+        stack = np.stack(grams + [grams[1], grams[3]])
+        memo = EigMemo()
+        got = memo.eig(stack)
+        assert got.tolist() == [largest_eigenvalue(g) for g in stack]
+        # served from the memo the second time: the same floats
+        assert memo.eig(stack).tolist() == got.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 65])
+    def test_orders(self, k):
+        # k = 1 reads the entry; k = 65 is past the direct solve's limit
+        # and runs the power iteration
+        stack = np.stack([_gram(i, k) for i in range(3)])
+        want = [largest_eigenvalue(g) for g in stack]
+        assert largest_eigenvalue_cached(stack, EigMemo()).tolist() == want
+
+    def test_negative_top_eigenvalue_clamps_to_zero(self):
+        tiny = np.diag([-1e-17, -3e-17])  # roundoff below a zero block
+        stack = np.stack([tiny, _gram(0, k=2)])
+        got = EigMemo().eig(stack).tolist()
+        assert got == [largest_eigenvalue(g) for g in stack]
+        assert got[0] == 0.0 and got[1] > 0.0
+        assert EigMemo().eig(np.array([[[-2.0]]])).tolist() == [0.0]
+
+    def test_diag_blocks_stacks_the_outer_step(self):
+        G = _gram(5, k=12)
+        D = diag_blocks(G, 4)
+        assert D.shape == (3, 4, 4)
+        for j in range(3):
+            assert np.array_equal(D[j], G[4 * j:4 * j + 4, 4 * j:4 * j + 4])
+
+    def test_counts_once_per_block(self):
+        memo = EigMemo(maxsize=8)
+        a, b = _gram(1), _gram(2)
+        memo.eig(np.stack([a, b, a]))  # the repeat is solved once: a hit
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        memo.eig(np.stack([b, a]))
+        memo.eig(a)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+
+    def test_size_bounded_with_lru_eviction(self):
+        # TestEigMemoBound's case, one stack per call
+        memo = EigMemo(maxsize=5)
+        memo.eig(np.stack([_gram(i) for i in range(20)]))
+        info = memo.cache_info()
+        assert info.currsize == 5 and info.misses == 20
+        memo.eig(np.stack([_gram(i) for i in range(15, 20)]))
+        assert memo.cache_info().hits == 5
+        memo.eig(_gram(0))  # evicted: recomputed, not served
+        assert memo.cache_info().misses == 21
+
+    def test_lru_refresh_on_hit(self):
+        memo = EigMemo(maxsize=2)
+        a, b, c = _gram(1), _gram(2), _gram(3)
+        memo.eig(np.stack([a, b]))
+        memo.eig(np.stack([a, c]))  # refresh a, then c evicts b
+        misses = memo.cache_info().misses
+        memo.eig(a)
+        assert memo.cache_info().misses == misses  # a still cached
+        memo.eig(b)
+        assert memo.cache_info().misses == misses + 1  # b was evicted
+
+    def test_stack_and_single_calls_leave_the_same_order(self):
+        grams = [_gram(i) for i in range(6)]
+        order = [0, 1, 2, 1, 3, 0, 4]
+        single, stacked = EigMemo(maxsize=4), EigMemo(maxsize=4)
+        for i in order:
+            single.eig(grams[i])
+        stacked.eig(np.stack([grams[i] for i in order]))
+        assert single.cache_info() == stacked.cache_info()
+        # the same four survive, in the same order: probes hit and evict alike
+        for i in [5, *range(6)]:
+            single.eig(grams[i])
+            stacked.eig(grams[i])
+            assert single.cache_info() == stacked.cache_info()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1,), (), (2, 2, 3),
+                                       (1, 2, 2, 2), (0, 0), (3, 0, 0)])
+    def test_bad_shapes_raise(self, shape):
+        with pytest.raises(SolverError, match="square"):
+            largest_eigenvalue_cached(np.ones(shape), EigMemo())
+
+    def test_two_by_two_by_two_is_a_stack(self):
+        G = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        assert largest_eigenvalue_cached(G, EigMemo()).tolist() == [1.0, 2.0]
+
+    def test_threads_share_a_small_memo(self):
+        """8 threads on 10 blocks through a 4-entry memo, switching every
+        microsecond: no lookup lost, no error, every value exact."""
+        grams = [_gram(i) for i in range(10)]
+        want = [largest_eigenvalue(g) for g in grams]
+        memo = EigMemo(maxsize=4)
+        errors: list = []
+        lookups = [0] * 8
+
+        def work(t):
+            rng = np.random.default_rng(t)
+            try:
+                for _ in range(150):
+                    pick = rng.integers(0, 10, size=int(rng.integers(1, 6)))
+                    if pick.size == 1:
+                        got = [memo.eig(grams[pick[0]])]
+                    else:
+                        got = memo.eig(np.stack([grams[i] for i in pick])).tolist()
+                    if got != [want[i] for i in pick]:
+                        raise AssertionError(f"thread {t}: {got}")
+                    lookups[t] += pick.size
+            except BaseException as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        info = memo.cache_info()
+        assert info.hits + info.misses == sum(lookups)
+        assert info.currsize <= 4
 
 
 class TestCoefTables:
