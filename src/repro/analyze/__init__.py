@@ -3,12 +3,12 @@
 Submodules:
 
 * :mod:`repro.analyze.findings` — the finding model: severities,
-  fingerprints, inline suppressions, the committed baseline, JSON output.
+  fingerprints, inline suppressions, JSON output.
 * :mod:`repro.analyze.rules` — the six AST rules (rank-branch
   collectives, unharvested requests, NB-ring depth, missing timeouts,
   abort swallowing, nondeterminism).
 * :mod:`repro.analyze.engine` — the lint driver (file walking,
-  suppression/baseline application, meta-findings).
+  suppression application, meta-findings).
 * :mod:`repro.analyze.schedule` — the collective-schedule model and the
   per-mode static extraction the trace cross-check tests consume.
 """
@@ -18,8 +18,6 @@ from repro.analyze.findings import (
     Finding,
     Severity,
     findings_to_json,
-    load_baseline,
-    write_baseline,
 )
 from repro.analyze.rules import RULES, AnalyzerConfig, rule_ids
 from repro.analyze.schedule import (
@@ -37,8 +35,6 @@ __all__ = [
     "Finding",
     "Severity",
     "findings_to_json",
-    "load_baseline",
-    "write_baseline",
     "RULES",
     "AnalyzerConfig",
     "rule_ids",

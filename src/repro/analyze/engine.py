@@ -1,4 +1,4 @@
-"""Lint driver: walk files, run rules, apply suppressions + baseline.
+"""Lint driver: walk files, run rules, apply suppressions.
 
 The pipeline per file is::
 
@@ -6,7 +6,7 @@ The pipeline per file is::
 
 then across the whole run::
 
-    absorb baseline entries -> sort -> report
+    sort -> report
 
 Meta-findings keep the escape hatches honest:
 
@@ -27,7 +27,6 @@ from repro.analyze.findings import (
     SEVERITY_ORDER,
     Finding,
     Severity,
-    load_baseline,
     parse_suppressions,
     suppression_targets,
 )
@@ -186,9 +185,8 @@ def iter_python_files(paths: list[str]) -> list[str]:
 def lint_paths(
     paths: list[str],
     config: AnalyzerConfig | None = None,
-    baseline_path: str | None = None,
 ) -> LintResult:
-    """Lint every python file under ``paths``; absorb the baseline."""
+    """Lint every python file under ``paths``."""
     config = config or AnalyzerConfig()
     files = iter_python_files(paths)
     result = LintResult(paths=files)
@@ -196,16 +194,6 @@ def lint_paths(
         with open(fp, "r", encoding="utf-8") as fh:
             source = fh.read()
         result.findings.extend(lint_source(fp, source, config))
-
-    if baseline_path and os.path.exists(baseline_path):
-        budget = dict(load_baseline(baseline_path))
-        for f in result.findings:
-            if f.suppressed:
-                continue
-            remaining = budget.get(f.fingerprint, 0)
-            if remaining > 0:
-                budget[f.fingerprint] = remaining - 1
-                f.baselined = True
 
     sev_rank = {s: i for i, s in enumerate(SEVERITY_ORDER)}
     result.findings.sort(

@@ -2,21 +2,15 @@
 
 A :class:`Finding` is one rule violation at one source location. The
 engine (:mod:`repro.analyze.engine`) decides whether it is *actionable*
-(fails the lint gate), *suppressed* (an inline
-``# repro: lint-ignore[<rule>] -- justification`` comment), or
-*baselined* (grandfathered in a committed baseline file keyed by a
-line-content fingerprint, so findings survive unrelated line drift).
+(fails the lint gate) or *suppressed* (an inline
+``# repro: lint-ignore[<rule>] -- justification`` comment).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.utils.io import atomic_write_text
 
 __all__ = [
     "Severity",
@@ -24,9 +18,6 @@ __all__ = [
     "Finding",
     "Suppression",
     "parse_suppressions",
-    "load_baseline",
-    "baseline_counts",
-    "write_baseline",
     "findings_to_json",
 ]
 
@@ -55,21 +46,18 @@ class Finding:
     #: set by the engine when an inline suppression matched
     suppressed: bool = False
     justification: str = ""
-    #: set by the engine when a baseline entry absorbed this finding
-    baselined: bool = False
 
     @property
     def actionable(self) -> bool:
         """True when this finding fails the gate."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baselining: rule + path + line *content*.
+        """Stable identity: rule + path + line *content*.
 
-        Line numbers are deliberately excluded so unrelated edits above a
-        grandfathered finding do not invalidate the baseline; duplicate
-        identical lines are handled by per-fingerprint counts.
+        Line numbers are deliberately excluded so the identity survives
+        unrelated edits above the finding.
         """
         basis = f"{self.rule}|{self.path}|{' '.join(self.snippet.split())}"
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
@@ -86,15 +74,10 @@ class Finding:
             "fingerprint": self.fingerprint,
             "suppressed": self.suppressed,
             "justification": self.justification,
-            "baselined": self.baselined,
         }
 
     def format(self) -> str:
-        flag = ""
-        if self.suppressed:
-            flag = " [suppressed]"
-        elif self.baselined:
-            flag = " [baseline]"
+        flag = " [suppressed]" if self.suppressed else ""
         return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.severity} [{self.rule}]{flag} {self.message}"
@@ -157,63 +140,6 @@ def suppression_targets(sup: Suppression, source_lines: list[str]) -> int:
     return sup.line
 
 
-# -- baseline ---------------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def load_baseline(path) -> dict[str, int]:
-    """Read a baseline file into ``{fingerprint: count}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"{path}: not a v{BASELINE_VERSION} lint baseline")
-    out: dict[str, int] = {}
-    for fp, entry in data.get("findings", {}).items():
-        out[fp] = int(entry["count"]) if isinstance(entry, dict) else int(entry)
-    return out
-
-
-def baseline_counts(findings: Iterable[Finding]) -> dict[str, dict]:
-    """Group findings into baseline entries (fingerprint -> entry)."""
-    entries: dict[str, dict] = {}
-    for f in findings:
-        e = entries.setdefault(
-            f.fingerprint,
-            {
-                "rule": f.rule,
-                "severity": f.severity,
-                "path": f.path,
-                "snippet": f.snippet,
-                "message": f.message,
-                "count": 0,
-            },
-        )
-        e["count"] += 1
-    return entries
-
-
-def write_baseline(path, findings: Iterable[Finding]) -> dict:
-    """Write the baseline file for ``findings`` (unsuppressed ones)."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "comment": (
-            "Grandfathered `repro lint` findings. Entries are keyed by a "
-            "content fingerprint (rule + path + normalized line text); "
-            "fix the underlying code and regenerate with "
-            "`repro lint --write-baseline` to shrink this file. Never "
-            "add entries by hand to sneak new findings past CI."
-        ),
-        "findings": baseline_counts(
-            f for f in findings if not f.suppressed
-        ),
-    }
-    # indented, unlike atomic_write_json's compact JSON: the baseline is
-    # committed, and reviewers read its diffs entry by entry
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
 def findings_to_json(findings: list[Finding], *, paths: list[str]) -> dict:
     """Machine-readable lint report (the ``--format json`` payload)."""
     sev = {s: 0 for s in SEVERITY_ORDER}
@@ -223,14 +149,13 @@ def findings_to_json(findings: list[Finding], *, paths: list[str]) -> dict:
         sev[f.severity] += 1
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
     return {
-        "version": 1,
+        "version": 2,
         "kind": "lint-report",
         "paths": list(paths),
         "counts": {
             "total": len(findings),
             "actionable": len(actionable),
             "suppressed": sum(1 for f in findings if f.suppressed),
-            "baselined": sum(1 for f in findings if f.baselined),
             "by_severity": sev,
             "by_rule": dict(sorted(by_rule.items())),
         },

@@ -33,7 +33,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CostModelError
 from repro.machine.ledger import CostSnapshot
 from repro.utils.io import atomic_write_json
 
@@ -148,24 +148,10 @@ def make_solver_checkpoint(
         "params": {k: _jsonable(v) for k, v in params.items()},
         "state": {k: _jsonable(v) for k, v in state.items()},
         **solver_history_fields(term, history),
-        "ledger": {
-            "comm_seconds": ledger.comm_seconds,
-            "compute_seconds": ledger.compute_seconds,
-            "messages": ledger.messages,
-            "words": ledger.words,
-            "flops": ledger.flops,
-            "comm_seconds_hidden": ledger.comm_seconds_hidden,
-            "stale_seconds": ledger.stale_seconds,
-            "max_staleness": ledger.max_staleness,
-            "retries": ledger.retries,
-            "timeouts": ledger.timeouts,
-            # informational only: recovery counters describe the physical
-            # run that wrote the checkpoint and are never restored (the
-            # resuming run's worker pool owns its own counters)
-            "recoveries": ledger.recoveries,
-            "respawns": ledger.respawns,
-            "replayed_iterations": ledger.replayed_iterations,
-        },
+        # the recovery counters are informational only: they describe the
+        # physical run that wrote the checkpoint, and a resume never
+        # restores them (CostLedger.restore)
+        "ledger": ledger.snapshot().to_dict(),
     }
 
 
@@ -335,19 +321,8 @@ def resume_solver(ck: dict, *, sampler, term, history, ledger) -> int:
             "comm_seconds": [float(v) for v in hd.get("comm_seconds", [])],
             "flops": [float(v) for v in hd.get("flops", [])],
         }
-        snap = CostSnapshot(
-            comm_seconds=float(led.get("comm_seconds", 0.0)),
-            compute_seconds=float(led.get("compute_seconds", 0.0)),
-            messages=int(led.get("messages", 0)),
-            words=float(led.get("words", 0.0)),
-            flops=float(led.get("flops", 0.0)),
-            comm_seconds_hidden=float(led.get("comm_seconds_hidden", 0.0)),
-            stale_seconds=float(led.get("stale_seconds", 0.0)),
-            max_staleness=int(led.get("max_staleness", 0)),
-            retries=int(led.get("retries", 0)),
-            timeouts=int(led.get("timeouts", 0)),
-        )
-    except (TypeError, ValueError) as exc:
+        snap = CostSnapshot.from_dict(led)
+    except (TypeError, ValueError, CostModelError) as exc:
         raise CheckpointError(
             f"checkpoint history/ledger columns hold non-numeric data: {exc}"
         ) from exc

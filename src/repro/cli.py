@@ -318,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="python files or directories to analyze")
     lint.add_argument("--format", default="text", choices=["text", "json"],
                       help="findings output format")
-    lint.add_argument("--baseline", default="lint-baseline.json",
-                      help="committed baseline of grandfathered findings "
-                           "(ignored if the file does not exist)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report baselined findings as actionable")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="regenerate the baseline from the current "
-                           "findings and exit 0")
     lint.add_argument("--output", default=None,
                       help="also write the JSON report to this path")
 
@@ -764,20 +756,9 @@ def _cmd_plan(args) -> int:
 def _cmd_lint(args) -> int:
     import json as _json
 
-    from repro.analyze import findings_to_json, lint_paths, write_baseline
+    from repro.analyze import findings_to_json, lint_paths
 
-    result = lint_paths(
-        args.paths,
-        baseline_path=None if args.no_baseline else args.baseline,
-    )
-    if args.write_baseline:
-        write_baseline(
-            args.baseline, (f for f in result.findings if not f.suppressed)
-        )
-        n = sum(1 for f in result.findings if not f.suppressed)
-        print(f"wrote {args.baseline}: {n} grandfathered finding(s)")
-        return 0
-
+    result = lint_paths(args.paths)
     report = findings_to_json(result.findings, paths=args.paths)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -792,8 +773,7 @@ def _cmd_lint(args) -> int:
         c = report["counts"]
         print(
             f"{len(result.paths)} file(s): {c['actionable']} actionable "
-            f"finding(s) ({c['suppressed']} suppressed, "
-            f"{c['baselined']} baselined)"
+            f"finding(s) ({c['suppressed']} suppressed)"
         )
     return result.exit_code
 

@@ -11,26 +11,49 @@ each rank ``1/P`` of the flops — valid because the paper's algorithms
 partition work evenly (1D row / column partitions with balanced nnz).
 An optional ``imbalance`` factor > 1 models stragglers (paper §VI notes
 rcv1/news20 SVM runs suffered load imbalance).
+
+The cost schema. :class:`CostSnapshot`'s fields are the only declaration
+of what a cost is: their order, their type (``float`` seconds, words and
+flops; ``int`` counts), their merge policy and whether they are
+physical. A field merges by *sum* unless its metadata marks it a
+*watermark* (``max_staleness``: ``a + b`` takes the max, ``a - b`` keeps
+``a``). A *physical* field (``recoveries``, ``respawns``,
+``replayed_iterations``) counts what happened to this run's processes,
+so :meth:`CostLedger.restore` never rewinds it on a checkpoint resume.
+The per-field table is built once, at import, and every operation on
+costs iterates it: ``+`` and ``-``, :meth:`CostSnapshot.to_dict` and
+:meth:`~CostSnapshot.from_dict` (the cost block of checkpoints and
+saved results, fields in declaration order),
+:meth:`~CostSnapshot.to_report` (the same with ``seconds`` first),
+:func:`report_total`, and the ledger's running counters with its
+``snapshot``, ``restore``, ``reset`` and ``summary``. A counter added
+later is declared once, on :class:`CostSnapshot`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 from repro.errors import CostModelError
 from repro.machine.collectives import CollectiveCost
 from repro.machine.compute import ComputeModel
 from repro.machine.spec import MachineSpec
 
-__all__ = ["CostLedger", "CostSnapshot", "critical_path"]
+__all__ = ["CostLedger", "CostSnapshot", "critical_path", "report_total"]
+
+#: field metadata of a watermark: ``a + b`` is the max, ``a - b`` keeps ``a``
+_WATERMARK = {"merge": "watermark"}
+#: field metadata of a physical-attempt counter, never rewound on resume
+_PHYSICAL = {"physical": True}
 
 
 @dataclass(frozen=True)
 class CostSnapshot:
-    """Immutable view of a ledger at one instant."""
+    """Immutable view of a ledger at one instant, and the cost schema."""
 
     comm_seconds: float
     compute_seconds: float
@@ -48,17 +71,17 @@ class CostSnapshot:
     stale_seconds: float = 0.0
     #: largest observed staleness (in harvest steps) of any collective;
     #: a watermark, never a sum — 0 for blocking/pipelined runs
-    max_staleness: int = 0
+    max_staleness: int = field(default=0, metadata=_WATERMARK)
     #: transient-fault retries of collectives (fault-tolerance layer)
     retries: int = 0
     #: collectives that missed their deadline (fault-tolerance layer)
     timeouts: int = 0
     #: supervised recovery rounds this run survived (self-healing runtime)
-    recoveries: int = 0
+    recoveries: int = field(default=0, metadata=_PHYSICAL)
     #: worker processes respawned across those recovery rounds
-    respawns: int = 0
+    respawns: int = field(default=0, metadata=_PHYSICAL)
     #: iterations restored from the latest checkpoint instead of re-run
-    replayed_iterations: int = 0
+    replayed_iterations: int = field(default=0, metadata=_PHYSICAL)
 
     @property
     def seconds(self) -> float:
@@ -66,26 +89,15 @@ class CostSnapshot:
 
     @classmethod
     def zero(cls) -> "CostSnapshot":
-        return cls(0.0, 0.0, 0, 0.0, 0.0)
+        return _ZERO
 
     def __add__(self, other: "CostSnapshot") -> "CostSnapshot":
         if not isinstance(other, CostSnapshot):
             return NotImplemented
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds + other.comm_seconds,
-            compute_seconds=self.compute_seconds + other.compute_seconds,
-            messages=self.messages + other.messages,
-            words=self.words + other.words,
-            flops=self.flops + other.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden + other.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds + other.stale_seconds,
-            max_staleness=max(self.max_staleness, other.max_staleness),
-            retries=self.retries + other.retries,
-            timeouts=self.timeouts + other.timeouts,
-            recoveries=self.recoveries + other.recoveries,
-            respawns=self.respawns + other.respawns,
-            replayed_iterations=self.replayed_iterations + other.replayed_iterations,
-        )
+        return CostSnapshot(*[
+            f.add(a, b)
+            for f, a, b in zip(_SCHEMA, _costs_of(self), _costs_of(other))
+        ])
 
     def __sub__(self, other: "CostSnapshot") -> "CostSnapshot":
         """Delta between two snapshots of the *same* ledger (later - earlier);
@@ -93,22 +105,101 @@ class CostSnapshot:
         engine's append vs. window-eviction work within one revision)."""
         if not isinstance(other, CostSnapshot):
             return NotImplemented
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds - other.comm_seconds,
-            compute_seconds=self.compute_seconds - other.compute_seconds,
-            messages=self.messages - other.messages,
-            words=self.words - other.words,
-            flops=self.flops - other.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden - other.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds - other.stale_seconds,
-            # a watermark has no meaningful delta; keep the later span's
-            max_staleness=self.max_staleness,
-            retries=self.retries - other.retries,
-            timeouts=self.timeouts - other.timeouts,
-            recoveries=self.recoveries - other.recoveries,
-            respawns=self.respawns - other.respawns,
-            replayed_iterations=self.replayed_iterations - other.replayed_iterations,
-        )
+        return CostSnapshot(*[
+            f.sub(a, b)
+            for f, a, b in zip(_SCHEMA, _costs_of(self), _costs_of(other))
+        ])
+
+    def to_dict(self) -> dict:
+        """The cost block of checkpoints and saved results: every field,
+        in declaration order, counts as ``int``."""
+        # a frozen dataclass's __dict__ holds exactly its fields, in order
+        d = self.__dict__.copy()
+        for name in _INT_FIELDS:
+            d[name] = int(d[name])
+        return d
+
+    def to_report(self) -> dict:
+        """The report form: ``seconds`` first, then :meth:`to_dict`."""
+        return {"seconds": self.seconds, **self.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data) -> "CostSnapshot":
+        """Parse a cost block (:meth:`to_dict`; a report's derived
+        ``seconds`` is ignored). A missing field reads as zero.
+
+        Raises :class:`~repro.errors.CostModelError` naming the field
+        when the block is not an object, a value is not a JSON number
+        (a string, ``null``, a list or a bool), or a count is not whole.
+        """
+        if not isinstance(data, dict):
+            raise CostModelError(
+                f"cost block is {type(data).__name__}, expected an object"
+            )
+        values = []
+        for f in _SCHEMA:
+            name, kind = f.name, f.kind
+            v = data.get(name, 0)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise CostModelError(
+                    f"cost field {name!r} holds {type(v).__name__} {v!r},"
+                    f" expected a number"
+                )
+            if kind is int and isinstance(v, float) and not v.is_integer():
+                raise CostModelError(
+                    f"cost field {name!r} holds {v!r}, expected a whole"
+                    f" number"
+                )
+            values.append(kind(v))
+        return cls(*values)
+
+
+class _Field(NamedTuple):
+    """One row of the cost schema table."""
+
+    name: str
+    #: ``int`` or ``float``; called with no argument it gives the zero
+    kind: type
+    #: ``a + b`` and ``a - b`` under the field's merge policy
+    add: Callable
+    sub: Callable
+    physical: bool
+
+
+def _keep_later(later, earlier):
+    return later
+
+
+_MERGES = {"sum": (operator.add, operator.sub),
+           "watermark": (max, _keep_later)}
+_HINTS = get_type_hints(CostSnapshot)
+_SCHEMA = tuple(
+    _Field(f.name, _HINTS[f.name], *_MERGES[f.metadata.get("merge", "sum")],
+           f.metadata.get("physical", False))
+    for f in fields(CostSnapshot)
+)
+_INT_FIELDS = tuple(f.name for f in _SCHEMA if f.kind is int)
+#: the fields a checkpoint resume restores (all but the physical ones)
+_LOGICAL = tuple(f for f in _SCHEMA if not f.physical)
+#: every schema field of a snapshot or a ledger, as a tuple in order
+_costs_of = operator.attrgetter(*(f.name for f in _SCHEMA))
+_ZERO = CostSnapshot(*[f.kind() for f in _SCHEMA])
+
+
+def report_total(reports: Iterable[dict]) -> dict:
+    """Total of :meth:`CostSnapshot.to_report` dicts, in report form.
+
+    ``seconds`` adds each report's value as written; re-deriving it from
+    the summed ``comm_seconds`` and ``compute_seconds`` can move the last
+    bit. Every field merges by its policy, and a missing key reads as
+    zero.
+    """
+    total = _ZERO.to_report()
+    for rep in reports:
+        total["seconds"] += rep.get("seconds", 0)
+        for f in _SCHEMA:
+            total[f.name] = f.add(total[f.name], rep.get(f.name, 0))
+    return total
 
 
 def _collective_entry() -> list:
@@ -119,7 +210,12 @@ def _collective_entry() -> list:
 
 @dataclass
 class CostLedger:
-    """Accumulates modelled costs for one rank."""
+    """Accumulates modelled costs for one rank.
+
+    The running totals are the :class:`CostSnapshot` schema's fields
+    (``comm_seconds``, ``messages``, ``max_staleness``, ...), plain
+    attributes zeroed from the schema rather than declared here.
+    """
 
     machine: MachineSpec | None = None
     #: virtual-parallelism divisor applied to every add_flops call
@@ -133,29 +229,6 @@ class CostLedger:
     #: the row count, not the nnz count)
     kind_scales: dict = field(default_factory=dict)
 
-    comm_seconds: float = 0.0
-    compute_seconds: float = 0.0
-    messages: int = 0
-    words: float = 0.0
-    flops: float = 0.0
-    #: modelled communication seconds hidden behind overlapped computation
-    comm_seconds_hidden: float = 0.0
-    #: modelled communication seconds hidden behind *stale* computation
-    #: (overlap past the synchronous harvest point; async solvers only)
-    stale_seconds: float = 0.0
-    #: largest observed staleness (harvest steps) of any collective
-    max_staleness: int = 0
-    #: transient-fault retries of collectives (see :mod:`repro.faults`)
-    retries: int = 0
-    #: collectives that missed their deadline
-    timeouts: int = 0
-    #: supervised recovery rounds this run survived (set by the worker
-    #: pool at (re)dispatch; see :mod:`repro.mpi.process_backend`)
-    recoveries: int = 0
-    #: worker processes respawned across those recovery rounds
-    respawns: int = 0
-    #: iterations restored from the latest checkpoint instead of re-run
-    replayed_iterations: int = 0
     #: modelled seconds this rank sat idle (serving engine waiting for
     #: the next arrival, or an explicit ``("sleep", s)`` schedule token);
     #: virtual time only — no wall clock is ever spent
@@ -182,6 +255,11 @@ class CostLedger:
         if self.imbalance < 1.0:
             raise CostModelError("imbalance must be >= 1")
         self._compute_model = ComputeModel(self.machine) if self.machine else None
+        self._zero_costs()
+
+    def _zero_costs(self) -> None:
+        for f in _SCHEMA:
+            setattr(self, f.name, f.kind())
 
     # -- charging ----------------------------------------------------------
     def add_collective(
@@ -324,42 +402,21 @@ class CostLedger:
         return self.comm_seconds + self.compute_seconds
 
     def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds,
-            compute_seconds=self.compute_seconds,
-            messages=self.messages,
-            words=self.words,
-            flops=self.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds,
-            max_staleness=self.max_staleness,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            recoveries=self.recoveries,
-            respawns=self.respawns,
-            replayed_iterations=self.replayed_iterations,
-        )
+        return CostSnapshot(*_costs_of(self))
 
     def restore(self, snapshot: CostSnapshot) -> None:
         """Set the running counters to ``snapshot`` (checkpoint resume).
 
         Per-collective / per-kind breakdowns are not checkpointed; only
-        the totals continue across a resume. The recovery counters
-        (``recoveries`` / ``respawns`` / ``replayed_iterations``) are
-        deliberately *not* restored: they describe this physical run's
-        supervision history, not the logical solve the checkpoint came
-        from, and are owned by the worker pool.
+        the totals continue across a resume. The schema's physical
+        counters (``recoveries`` / ``respawns`` / ``replayed_iterations``)
+        are deliberately *not* restored: they describe this physical
+        run's supervision history, not the logical solve the checkpoint
+        came from, and are owned by the worker pool. This is the one
+        place that rule lives.
         """
-        self.comm_seconds = float(snapshot.comm_seconds)
-        self.compute_seconds = float(snapshot.compute_seconds)
-        self.messages = int(snapshot.messages)
-        self.words = float(snapshot.words)
-        self.flops = float(snapshot.flops)
-        self.comm_seconds_hidden = float(snapshot.comm_seconds_hidden)
-        self.stale_seconds = float(snapshot.stale_seconds)
-        self.max_staleness = int(snapshot.max_staleness)
-        self.retries = int(snapshot.retries)
-        self.timeouts = int(snapshot.timeouts)
+        for f in _LOGICAL:
+            setattr(self, f.name, f.kind(getattr(snapshot, f.name)))
 
     def child(self) -> "CostLedger":
         """A fresh zero-counter ledger with this ledger's configuration.
@@ -378,19 +435,7 @@ class CostLedger:
 
     def reset(self) -> None:
         """Zero all counters (ledger can be reused across solver runs)."""
-        self.comm_seconds = 0.0
-        self.compute_seconds = 0.0
-        self.messages = 0
-        self.words = 0.0
-        self.flops = 0.0
-        self.comm_seconds_hidden = 0.0
-        self.stale_seconds = 0.0
-        self.max_staleness = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.recoveries = 0
-        self.respawns = 0
-        self.replayed_iterations = 0
+        self._zero_costs()
         self.idle_seconds = 0.0
         self.requests_rejected = 0
         self.requests_timed_out = 0
@@ -402,20 +447,7 @@ class CostLedger:
     def summary(self) -> dict:
         """Plain-dict summary for reports."""
         return {
-            "seconds": self.seconds,
-            "comm_seconds": self.comm_seconds,
-            "comm_seconds_hidden": self.comm_seconds_hidden,
-            "stale_seconds": self.stale_seconds,
-            "max_staleness": self.max_staleness,
-            "compute_seconds": self.compute_seconds,
-            "messages": self.messages,
-            "words": self.words,
-            "flops": self.flops,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "recoveries": self.recoveries,
-            "respawns": self.respawns,
-            "replayed_iterations": self.replayed_iterations,
+            **self.snapshot().to_report(),
             "idle_seconds": self.idle_seconds,
             "requests_rejected": self.requests_rejected,
             "requests_timed_out": self.requests_timed_out,

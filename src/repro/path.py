@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,25 +88,6 @@ def _fingerprints_match(fp1: tuple, fp2: tuple, rtol: float = 1e-9) -> bool:
         if abs(a - b) > rtol * max(abs(a), abs(b), 1.0):
             return False
     return True
-
-
-def _sum_costs(snaps: Sequence[CostSnapshot]) -> CostSnapshot:
-    """Aggregate per-point snapshots into one sweep total."""
-    return CostSnapshot(
-        comm_seconds=sum(s.comm_seconds for s in snaps),
-        compute_seconds=sum(s.compute_seconds for s in snaps),
-        messages=sum(s.messages for s in snaps),
-        words=sum(s.words for s in snaps),
-        flops=sum(s.flops for s in snaps),
-        comm_seconds_hidden=sum(s.comm_seconds_hidden for s in snaps),
-        stale_seconds=sum(s.stale_seconds for s in snaps),
-        max_staleness=max((s.max_staleness for s in snaps), default=0),
-        retries=sum(s.retries for s in snaps),
-        timeouts=sum(s.timeouts for s in snaps),
-        recoveries=sum(s.recoveries for s in snaps),
-        respawns=sum(s.respawns for s in snaps),
-        replayed_iterations=sum(s.replayed_iterations for s in snaps),
-    )
 
 
 #: format version of path-sweep checkpoints (distinct from solver ones)
@@ -176,7 +156,12 @@ def _load_path_checkpoint(source, lams, params) -> tuple:
         raise CheckpointError("path checkpoint completed/results disagree")
     if completed > want.size:
         raise CheckpointError("path checkpoint has more points than the grid")
-    results = [result_from_dict(d) for d in res_dicts]
+    try:
+        results = [result_from_dict(d) for d in res_dicts]
+    except SolverError as exc:
+        raise CheckpointError(
+            f"path checkpoint holds a malformed result: {exc}"
+        ) from exc
     x_warm = ck.get("x_warm")
     if x_warm is not None:
         x_warm = np.asarray(x_warm, dtype=np.float64)
@@ -340,7 +325,7 @@ class SweepContext:
     @property
     def total_cost(self) -> CostSnapshot:
         """Modelled cost of the whole sweep so far (summed points)."""
-        return _sum_costs(self.point_costs)
+        return sum(self.point_costs, CostSnapshot.zero())
 
 
 @dataclass
@@ -376,7 +361,7 @@ class PathResult:
     @property
     def total_cost(self) -> CostSnapshot:
         """Modelled cost of the whole sweep (summed per-point costs)."""
-        return _sum_costs([r.cost for r in self.results])
+        return sum((r.cost for r in self.results), CostSnapshot.zero())
 
     def support_sizes(self, atol: float = 0.0) -> list[int]:
         """Non-zero count of each point's solution (Lasso sparsity trace)."""

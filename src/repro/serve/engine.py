@@ -67,6 +67,7 @@ from repro.errors import (
 )
 from repro.faults import FaultyComm
 from repro.linalg.kernels import EigMemo
+from repro.machine.ledger import report_total
 from repro.machine.spec import MachineSpec
 from repro.mpi.ops import MAX
 from repro.mpi.process_backend import process_spmd_run
@@ -80,7 +81,7 @@ from repro.serve.report import (
 )
 from repro.serve.trace import load_trace, validate_trace
 from repro.solvers.outer import ring_depth
-from repro.streaming import StreamingSweep, _cost_dict, _sum_cost_dicts
+from repro.streaming import StreamingSweep
 from repro.utils.io import JSONText, atomic_write_json
 from repro.utils.validation import nnz_of
 
@@ -139,8 +140,8 @@ class _Tenant:
         self.metric = None
         self.lam_used = None
         self.last_good = None
-        self.setup_cost = _sum_cost_dicts([])
-        self.serve_cost = _sum_cost_dicts([])
+        self.setup_cost = report_total([])
+        self.serve_cost = report_total([])
         self.counters = {k: 0 for k in ("completed", "rejected", "timed_out",
                                         "failed", "quarantined")}
         self.latencies: list = []
@@ -435,9 +436,9 @@ class _Engine:
             ten.sweep = sweep
             ten.lam_used = float(lam)
             ten.metric = float(res.final_metric)
-            ten.setup_cost = _sum_cost_dicts([
-                _cost_dict(sweep.revisions[0].append_cost),
-                _cost_dict(res.cost),
+            ten.setup_cost = report_total([
+                sweep.revisions[0].append_cost.to_report(),
+                res.cost.to_report(),
             ])
             self._set_model(ten, res)
             with self.comm.ledger.paused():
@@ -518,20 +519,20 @@ class _Engine:
         scores = np.asarray(X @ ten.model, dtype=np.float64).ravel()
         self.comm.account_flops(2.0 * float(nnz_of(X)), "spmv")
         r["result_hash"] = _hash(scores)
-        ten.serve_cost = _sum_cost_dicts([
-            ten.serve_cost, _cost_dict(self.comm.ledger.snapshot()),
+        ten.serve_cost = report_total([
+            ten.serve_cost, self.comm.ledger.snapshot().to_report(),
         ])
         return float(self.comm.ledger.seconds)
 
     def _commit(self, ten: _Tenant, res, pos: int, rev_before: int) -> None:
         sweep = ten.sweep
-        new = [_cost_dict(rev.append_cost + rev.evict_cost)
+        new = [(rev.append_cost + rev.evict_cost).to_report()
                for rev in sweep.revisions[rev_before:]]
         if res is not None:
-            new.append(_cost_dict(res.cost))
+            new.append(res.cost.to_report())
             self._set_model(ten, res)
             ten.metric = float(res.final_metric)
-        ten.serve_cost = _sum_cost_dicts([ten.serve_cost] + new)
+        ten.serve_cost = report_total([ten.serve_cost] + new)
         ten.consumed = pos
         with self.comm.ledger.paused():
             ten.last_good = JSONText(sweep.checkpoint())
@@ -698,7 +699,7 @@ class _Engine:
                     "quarantined": ten.state == "quarantined",
                 },
             })
-        total_cost = _sum_cost_dicts(
+        total_cost = report_total(
             [t["cost"]["setup"] for t in tenants_block]
             + [t["cost"]["serve"] for t in tenants_block]
         )

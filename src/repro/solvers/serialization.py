@@ -14,7 +14,7 @@ from typing import IO
 
 import numpy as np
 
-from repro.errors import SolverError
+from repro.errors import CostModelError, SolverError
 from repro.machine.ledger import CostSnapshot
 from repro.solvers.base import ConvergenceHistory, SolverResult
 from repro.utils.io import atomic_write_json
@@ -55,21 +55,7 @@ def result_to_dict(result: SolverResult) -> dict:
             "comm_seconds": result.history.comm_seconds,
             "flops": result.history.flops,
         },
-        "cost": {
-            "comm_seconds": result.cost.comm_seconds,
-            "compute_seconds": result.cost.compute_seconds,
-            "messages": result.cost.messages,
-            "words": result.cost.words,
-            "flops": result.cost.flops,
-            "comm_seconds_hidden": result.cost.comm_seconds_hidden,
-            "stale_seconds": result.cost.stale_seconds,
-            "max_staleness": result.cost.max_staleness,
-            "retries": result.cost.retries,
-            "timeouts": result.cost.timeouts,
-            "recoveries": result.cost.recoveries,
-            "respawns": result.cost.respawns,
-            "replayed_iterations": result.cost.replayed_iterations,
-        },
+        "cost": result.cost.to_dict(),
         "extras": extras,
         "dropped_extras": dropped,
     }
@@ -90,21 +76,10 @@ def result_from_dict(data: dict) -> SolverResult:
         comm_seconds=list(hist_data["comm_seconds"]),
         flops=list(hist_data["flops"]),
     )
-    cost = CostSnapshot(
-        comm_seconds=data["cost"]["comm_seconds"],
-        compute_seconds=data["cost"]["compute_seconds"],
-        messages=data["cost"]["messages"],
-        words=data["cost"]["words"],
-        flops=data["cost"]["flops"],
-        comm_seconds_hidden=data["cost"].get("comm_seconds_hidden", 0.0),
-        stale_seconds=data["cost"].get("stale_seconds", 0.0),
-        max_staleness=int(data["cost"].get("max_staleness", 0)),
-        retries=int(data["cost"].get("retries", 0)),
-        timeouts=int(data["cost"].get("timeouts", 0)),
-        recoveries=int(data["cost"].get("recoveries", 0)),
-        respawns=int(data["cost"].get("respawns", 0)),
-        replayed_iterations=int(data["cost"].get("replayed_iterations", 0)),
-    )
+    try:
+        cost = CostSnapshot.from_dict(data["cost"])
+    except CostModelError as exc:
+        raise SolverError(f"saved result: {exc}") from exc
     extras = {}
     for k, v in data["extras"].items():
         if isinstance(v, dict) and "__ndarray__" in v:

@@ -61,11 +61,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro._api import fit_lasso, fit_svm
-from repro.errors import CheckpointError, SolverError
+from repro.errors import CheckpointError, CostModelError, SolverError
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo
 from repro.linalg.partition import Partition1D
-from repro.machine.ledger import CostSnapshot
+from repro.machine.ledger import CostSnapshot, report_total
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.process_backend import process_spmd_run
@@ -130,42 +130,6 @@ def _matrix_from_dict(d: dict):
             shape=tuple(c["shape"]),
         )
     return np.asarray(d["dense"], dtype=np.float64).reshape(tuple(d["shape"]))
-
-
-def _snapshot_to_dict(c: CostSnapshot) -> dict:
-    return {
-        "comm_seconds": c.comm_seconds,
-        "compute_seconds": c.compute_seconds,
-        "messages": int(c.messages),
-        "words": c.words,
-        "flops": c.flops,
-        "comm_seconds_hidden": c.comm_seconds_hidden,
-        "stale_seconds": c.stale_seconds,
-        "max_staleness": int(c.max_staleness),
-        "retries": int(c.retries),
-        "timeouts": int(c.timeouts),
-        "recoveries": int(c.recoveries),
-        "respawns": int(c.respawns),
-        "replayed_iterations": int(c.replayed_iterations),
-    }
-
-
-def _snapshot_from_dict(d: dict) -> CostSnapshot:
-    return CostSnapshot(
-        comm_seconds=float(d.get("comm_seconds", 0.0)),
-        compute_seconds=float(d.get("compute_seconds", 0.0)),
-        messages=int(d.get("messages", 0)),
-        words=float(d.get("words", 0.0)),
-        flops=float(d.get("flops", 0.0)),
-        comm_seconds_hidden=float(d.get("comm_seconds_hidden", 0.0)),
-        stale_seconds=float(d.get("stale_seconds", 0.0)),
-        max_staleness=int(d.get("max_staleness", 0)),
-        retries=int(d.get("retries", 0)),
-        timeouts=int(d.get("timeouts", 0)),
-        recoveries=int(d.get("recoveries", 0)),
-        respawns=int(d.get("respawns", 0)),
-        replayed_iterations=int(d.get("replayed_iterations", 0)),
-    )
 
 
 def _load_stream_checkpoint(source, kind: str) -> dict:
@@ -484,11 +448,9 @@ class StreamingSweep:
                     "rows_added": int(r.rows_added),
                     "rows_removed": int(r.rows_removed),
                     "labels_changed": int(r.labels_changed),
-                    "append_cost": _snapshot_to_dict(r.append_cost),
-                    "evict_cost": _snapshot_to_dict(r.evict_cost),
-                    "solve_costs": [
-                        _snapshot_to_dict(c) for c in r.solve_costs
-                    ],
+                    "append_cost": r.append_cost.to_dict(),
+                    "evict_cost": r.evict_cost.to_dict(),
+                    "solve_costs": [c.to_dict() for c in r.solve_costs],
                 }
                 for r in self.revisions
             ],
@@ -559,19 +521,24 @@ class StreamingSweep:
             None if ck.get("alpha_warm") is None
             else np.asarray(ck["alpha_warm"], dtype=np.float64)
         )
-        engine.revisions = [
-            DataRevision(
-                int(r["rev"]), int(r["rows_total"]), int(r["rows_added"]),
-                rows_removed=int(r["rows_removed"]),
-                labels_changed=int(r["labels_changed"]),
-                append_cost=_snapshot_from_dict(r["append_cost"]),
-                evict_cost=_snapshot_from_dict(r["evict_cost"]),
-                solve_costs=[
-                    _snapshot_from_dict(c) for c in r["solve_costs"]
-                ],
-            )
-            for r in ck["revisions"]
-        ]
+        try:
+            engine.revisions = [
+                DataRevision(
+                    int(r["rev"]), int(r["rows_total"]), int(r["rows_added"]),
+                    rows_removed=int(r["rows_removed"]),
+                    labels_changed=int(r["labels_changed"]),
+                    append_cost=CostSnapshot.from_dict(r["append_cost"]),
+                    evict_cost=CostSnapshot.from_dict(r["evict_cost"]),
+                    solve_costs=[
+                        CostSnapshot.from_dict(c) for c in r["solve_costs"]
+                    ],
+                )
+                for r in ck["revisions"]
+            ]
+        except CostModelError as exc:
+            raise CheckpointError(
+                f"streaming checkpoint revision costs: {exc}"
+            ) from exc
         return engine
 
     # -- streaming -----------------------------------------------------------
@@ -900,50 +867,13 @@ class StreamingSweep:
 # ---------------------------------------------------------------------------
 
 
-def _cost_dict(c: CostSnapshot) -> dict:
-    return {
-        "seconds": c.seconds,
-        "comm_seconds": c.comm_seconds,
-        "compute_seconds": c.compute_seconds,
-        "comm_seconds_hidden": c.comm_seconds_hidden,
-        "stale_seconds": c.stale_seconds,
-        "max_staleness": int(c.max_staleness),
-        "messages": int(c.messages),
-        "words": c.words,
-        "flops": c.flops,
-        "retries": int(c.retries),
-        "timeouts": int(c.timeouts),
-        "recoveries": int(c.recoveries),
-        "respawns": int(c.respawns),
-        "replayed_iterations": int(c.replayed_iterations),
-    }
-
-
 def _solve_dict(res: SolverResult) -> dict:
     return {
         "iterations": int(res.iterations),
         "final_metric": float(res.final_metric),
         "converged": bool(res.converged),
-        "cost": _cost_dict(res.cost),
+        "cost": res.cost.to_report(),
     }
-
-
-def _sum_cost_dicts(costs: list) -> dict:
-    total = {k: 0 if k in ("messages", "retries", "timeouts", "recoveries",
-                           "respawns", "replayed_iterations",
-                           "max_staleness") else 0.0
-             for k in ("seconds", "comm_seconds", "compute_seconds",
-                       "comm_seconds_hidden", "stale_seconds",
-                       "max_staleness", "messages", "words", "flops",
-                       "retries", "timeouts", "recoveries", "respawns",
-                       "replayed_iterations")}
-    for c in costs:
-        for k in total:
-            if k == "max_staleness":
-                total[k] = max(total[k], c.get(k, 0))
-            else:
-                total[k] += c.get(k, 0)
-    return total
 
 
 def _normalize_events(batches) -> list:
@@ -1195,8 +1125,8 @@ def replay_schedule(
                 "rows_added": rev_obj.rows_added,
                 "rows_removed": rev_obj.rows_removed,
                 "labels_changed": rev_obj.labels_changed,
-                "append_cost": _cost_dict(rev_obj.append_cost),
-                "evict_cost": _cost_dict(rev_obj.evict_cost),
+                "append_cost": rev_obj.append_cost.to_report(),
+                "evict_cost": rev_obj.evict_cost.to_report(),
                 "warm": _solve_dict(warm_res),
                 "cold": _solve_dict(cold_res) if cold_res is not None else None,
                 "solution_rel_diff": None,
@@ -1284,9 +1214,9 @@ def replay_schedule(
             },
             "totals": {
                 "slept_seconds": float(slept),
-                "warm_refit_cost": _sum_cost_dicts(warm_costs),
+                "warm_refit_cost": report_total(warm_costs),
                 "cold_resolve_cost": (
-                    _sum_cost_dicts(cold_costs) if cold_costs else None
+                    report_total(cold_costs) if cold_costs else None
                 ),
             },
         }

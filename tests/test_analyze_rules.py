@@ -3,8 +3,8 @@
 Each rule gets a paired good/bad fixture under ``tests/analyze_fixtures``:
 the bad file must trip the rule, the good twin must be silent. On top of
 that: suppression semantics (justification required, unused flagged),
-baseline round-trip, JSON report shape, the CLI entry point, and the
-self-check that the repo's own ``src/`` tree lints clean.
+the JSON report shape, the CLI entry point, and the self-check that the
+repo's own ``src/`` tree lints clean.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.analyze import (
     lint_paths,
     lint_source,
     rule_ids,
-    write_baseline,
 )
 from repro.analyze.engine import iter_python_files
 
@@ -195,7 +194,7 @@ def test_parse_error_is_a_finding():
     assert findings[0].severity == "error"
 
 
-# -- baseline round-trip ----------------------------------------------------
+# -- report / engine plumbing -----------------------------------------------
 
 
 def _write_pkg(tmp_path: Path) -> Path:
@@ -205,66 +204,10 @@ def _write_pkg(tmp_path: Path) -> Path:
     return pkg
 
 
-def test_baseline_round_trip(tmp_path):
-    pkg = _write_pkg(tmp_path)
-    baseline = tmp_path / "lint-baseline.json"
-
-    before = lint_paths([str(pkg)])
-    assert before.exit_code == 1
-    assert len(before.actionable) == 1
-
-    write_baseline(baseline, before.findings)
-    after = lint_paths([str(pkg)], baseline_path=str(baseline))
-    assert after.exit_code == 0
-    assert all(f.baselined for f in after.findings)
-
-    # a *new* finding is not absorbed by the old baseline
-    (pkg / "mod.py").write_text(
-        _BAD_CALL + "\n\ndef g(comm, y):\n    return comm.Allreduce(y)\n",
-        encoding="utf-8",
-    )
-    drifted = lint_paths([str(pkg)], baseline_path=str(baseline))
-    assert drifted.exit_code == 1
-    assert len(drifted.actionable) == 1
-    assert sum(1 for f in drifted.findings if f.baselined) == 1
-
-
-def test_baseline_counts_duplicate_lines(tmp_path):
-    pkg = _write_pkg(tmp_path)
-    # two byte-identical offending lines share a fingerprint; the count
-    # budget must absorb both
-    (pkg / "mod.py").write_text(
-        "def f(comm, x):\n"
-        "    a = comm.allreduce(x)\n"
-        "    b = comm.allreduce(x)\n"
-        "    return a + b\n",
-        encoding="utf-8",
-    )
-    baseline = tmp_path / "lint-baseline.json"
-    before = lint_paths([str(pkg)])
-    assert len(before.actionable) == 2
-    payload = write_baseline(baseline, before.findings)
-    assert sum(e["count"] for e in payload["findings"].values()) == 2
-    after = lint_paths([str(pkg)], baseline_path=str(baseline))
-    assert after.exit_code == 0
-
-
-def test_baseline_rejects_wrong_version(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"version": 99, "findings": {}}))
-    from repro.analyze import load_baseline
-
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
-
-
-# -- report / engine plumbing -----------------------------------------------
-
-
 def test_findings_to_json_shape():
     findings = lint_fixture("timeout_bad")
     payload = findings_to_json(findings, paths=["repro/solvers/timeout_bad.py"])
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["kind"] == "lint-report"
     assert payload["counts"]["actionable"] == len(findings)
     assert payload["counts"]["by_rule"] == {"collective-without-timeout": 2}
@@ -302,26 +245,12 @@ def test_cli_lint_json(tmp_path, capsys):
     from repro.cli import main
 
     pkg = _write_pkg(tmp_path)
-    rc = main(["lint", str(pkg), "--format", "json", "--no-baseline"])
+    rc = main(["lint", str(pkg), "--format", "json"])
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert rc == 1
     assert payload["kind"] == "lint-report"
     assert payload["counts"]["actionable"] == 1
-
-
-def test_cli_lint_write_baseline_then_clean(tmp_path, capsys):
-    from repro.cli import main
-
-    pkg = _write_pkg(tmp_path)
-    baseline = tmp_path / "base.json"
-    rc = main(
-        ["lint", str(pkg), "--baseline", str(baseline), "--write-baseline"]
-    )
-    assert rc == 0 and baseline.exists()
-    capsys.readouterr()
-    rc = main(["lint", str(pkg), "--baseline", str(baseline)])
-    assert rc == 0
 
 
 def test_cli_lint_output_file(tmp_path, capsys):
@@ -335,7 +264,6 @@ def test_cli_lint_output_file(tmp_path, capsys):
             str(pkg),
             "--format",
             "json",
-            "--no-baseline",
             "--output",
             str(out_file),
         ]
@@ -350,10 +278,9 @@ def test_cli_lint_output_file(tmp_path, capsys):
 
 
 def test_repo_src_lints_clean(monkeypatch):
-    # baseline fingerprints embed repo-relative paths, so lint from the
-    # repo root exactly as CI does
+    # lint from the repo root exactly as CI does
     monkeypatch.chdir(REPO_ROOT)
-    result = lint_paths(["src"], baseline_path="lint-baseline.json")
+    result = lint_paths(["src"])
     assert result.exit_code == 0, "\n".join(
         f.format() for f in result.actionable
     )

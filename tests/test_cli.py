@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,14 @@ from repro.datasets import make_sparse_regression, save_libsvm
 
 
 class TestParser:
+    def test_console_script_is_repro(self):
+        # CI, README and the parser's prog all call the command `repro`
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            meta = tomllib.load(fh)
+        assert meta["project"]["scripts"] == {"repro": "repro.cli:main"}
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
