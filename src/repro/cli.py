@@ -81,7 +81,11 @@ def _add_model_args(p: argparse.ArgumentParser, save: bool = True) -> None:
         p.add_argument("--save", help="write the SolverResult as JSON here")
 
 
-def _add_backend_args(p: argparse.ArgumentParser) -> None:
+def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """Backend, schedule and recovery flags. A sweep command (``sweep``:
+    a sequence of solves) overlaps every SA solve's reduction by default
+    and takes ``--no-pipeline``; a single solve stays blocking unless
+    ``--pipeline`` is given."""
     p.add_argument("--backend", default="virtual",
                    choices=["virtual", "thread", "process"],
                    help="comm backend: virtual (cost model, default), "
@@ -90,9 +94,15 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ranks", type=int, default=4,
                    help="actual SPMD participants for thread/process "
                         "backends (costs modelled at max(--p, --ranks))")
-    p.add_argument("--pipeline", action="store_true",
+    p.add_argument("--pipeline", default=sweep,
+                   action=argparse.BooleanOptionalAction if sweep else "store_true",
                    help="SA solvers: nonblocking per-outer-step reduction "
-                        "with the next block prefetched while in flight")
+                        "with the next block prefetched while in flight"
+                        + (" (the default: same iterates as --no-pipeline, "
+                           "which waits on each reduction; classical "
+                           "solvers, --async and a single modelled rank, "
+                           "which has nothing to overlap, ignore it)"
+                           if sweep else ""))
     p.add_argument("--async", dest="async_", action="store_true",
                    help="SA solvers: bounded-staleness asynchrony — keep up "
                         "to --tau reductions in flight and step on stale "
@@ -156,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="loose tol/iteration budgets early on the grid, "
                             "tight at the end (final point runs at exactly "
                             "--tol/--max-iter)")
-    _add_backend_args(lpath)
+    _add_backend_args(lpath, sweep=True)
 
     stream = sub.add_parser(
         "stream",
@@ -219,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "file; pass the same data/schedule/knobs — the "
                              "already-applied events are skipped and the "
                              "final report matches an uninterrupted run")
-    _add_backend_args(stream)
+    _add_backend_args(stream, sweep=True)
 
     serve = sub.add_parser(
         "serve",
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--resume", metavar="PATH",
                        help="continue a killed serving run from a "
                             "--checkpoint file (same data/trace/knobs)")
-    _add_backend_args(serve)
+    _add_backend_args(serve, sweep=True)
 
     svm = sub.add_parser("svm", help="train a linear SVM")
     _add_data_args(svm)
@@ -401,6 +411,14 @@ def _dispatch_backend(work, args, machine):
     return out.values[0]
 
 
+def _schedule_line(sched: dict) -> str:
+    """Name the schedule a sweep's solves ran (``sched`` holds the
+    ``pipeline``, ``async`` and ``tau`` a path or replay records)."""
+    if sched["async"]:
+        return f"schedule: async ring (tau={sched['tau']})"
+    return "schedule: " + ("pipelined ring" if sched["pipeline"] else "blocking")
+
+
 def _cmd_lasso_path(args) -> int:
     ds = _load_problem(args)
     machine = get_machine(args.machine)
@@ -429,6 +447,8 @@ def _cmd_lasso_path(args) -> int:
             "total_iterations": int(sum(path.iterations)),
             "total_seconds": path.total_cost.seconds,
             "total_messages": int(path.total_cost.messages),
+            "hidden_seconds": path.total_cost.comm_seconds_hidden,
+            "schedule": {k: path.extras[k] for k in ("pipeline", "async", "tau")},
         }
 
     payload = _dispatch_backend(work, args, machine)
@@ -455,10 +475,12 @@ def _cmd_lasso_path(args) -> int:
               f"(mu={args.mu}, s={args.s})",
     ))
     print(f"total iterations: {payload['total_iterations']}")
+    print(_schedule_line(payload["schedule"]))
     if model_p > 1:
         print(f"total modelled time at P={model_p} on {args.machine}: "
               f"{payload['total_seconds'] * 1e3:.4g} ms "
-              f"({payload['total_messages']} messages)")
+              f"({payload['total_messages']} messages, "
+              f"{payload['hidden_seconds'] * 1e3:.4g} ms of communication hidden)")
     return 0
 
 
@@ -581,6 +603,7 @@ def _cmd_stream(args) -> int:
               f"streaming {task} ({report['solver']}), {mode}",
     ))
     totals = report["totals"]
+    print(_schedule_line(report))
     print(f"total warm refit modelled time: "
           f"{totals['warm_refit_cost']['seconds'] * 1e3:.4g} ms")
     if totals["cold_resolve_cost"] is not None:

@@ -257,6 +257,12 @@ class SALassoCV(_RegressorMixin):
         Number of folds (contiguous splits of a seeded permutation).
     solver, mu, s, max_iter, tol, seed:
         Per-solve knobs, as in :class:`SALasso`.
+    pipeline, async_, tau:
+        The paths' schedule, as in :func:`~repro.path.lasso_path`:
+        every fit is a sweep, so ``pipeline`` defaults to True. The
+        paths run on one rank, which has no reduction to overlap, so
+        every solve runs blocking and the fit equals
+        ``pipeline=False``'s, modelled costs included.
 
     Attributes (after fit)
     ----------------------
@@ -281,7 +287,7 @@ class SALassoCV(_RegressorMixin):
         max_iter: int = 1000,
         tol: float | None = 1e-6,
         seed: int = 0,
-        pipeline: bool = False,
+        pipeline: bool = True,
         async_: bool = False,
         tau: int = 1,
     ) -> None:
@@ -500,6 +506,12 @@ class SASVMClassifierCV(_SVMClassifierMixin):
         Number of folds (contiguous splits of a seeded permutation).
     loss, solver, s, max_iter, tol, seed:
         Per-solve knobs, as in :class:`SASVMClassifier`.
+    pipeline, async_, tau:
+        The paths' schedule, as in :func:`~repro.path.svm_path`: every
+        fit is a sweep, so ``pipeline`` defaults to True. The paths run
+        on one rank, which has no reduction to overlap, so every solve
+        runs blocking and the fit equals ``pipeline=False``'s, modelled
+        costs included.
 
     Attributes (after fit)
     ----------------------
@@ -524,7 +536,7 @@ class SASVMClassifierCV(_SVMClassifierMixin):
         max_iter: int = 20_000,
         tol: float | None = 1e-2,
         seed: int = 0,
-        pipeline: bool = False,
+        pipeline: bool = True,
         async_: bool = False,
         tau: int = 1,
     ) -> None:

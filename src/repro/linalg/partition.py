@@ -107,8 +107,11 @@ def balanced_nnz_partition(A, size: int, axis: int = 0) -> Partition1D:
     """Contiguous partition of rows (axis=0) or columns (axis=1) of ``A``
     that approximately balances stored non-zeros per rank.
 
-    Uses the greedy prefix rule: cut whenever the running nnz exceeds the
-    next multiple of ``nnz/size``. Dense matrices reduce to
+    Uses the greedy prefix rule: cut after the first item whose running
+    nnz reaches the next quota, where the quotas are ``nnz/size`` added
+    up once per cut, but no later than the item that leaves one item for
+    each rank still to come (so a trailing rank is not starved). Ranks
+    past the last item get empty ranges. Dense matrices reduce to
     :func:`block_partition`.
     """
     if axis not in (0, 1):
@@ -118,26 +121,31 @@ def balanced_nnz_partition(A, size: int, axis: int = 0) -> Partition1D:
         return block_partition(n, size)
     if size < 1:
         raise PartitionError(f"size must be >= 1, got {size}")
-    if axis == 0:
-        counts = np.diff(A.tocsr().indptr)
+    # stored entries per item: the compressed axis's pointer differences,
+    # or a count of the other axis's indices (no layout conversion)
+    if A.format not in ("csr", "csc"):
+        A = A.tocsr()
+    if (A.format == "csr") == (axis == 0):
+        counts = np.diff(A.indptr)
     else:
-        counts = np.diff(A.tocsc().indptr)
+        counts = np.bincount(A.indices, minlength=n)
     total = float(counts.sum())
     if total == 0:
         return block_partition(n, size)
+    # exact in float64 (integer sums below 2**53), like a running sum
+    running = np.cumsum(counts, dtype=np.float64)
     target = total / size
-    offsets = [0]
-    running = 0.0
     quota = target
-    for i, c in enumerate(counts):
-        running += float(c)
-        remaining_cuts = size - len(offsets)
-        remaining_items = n - (i + 1)
-        # never leave a rank without the chance of a (possibly empty) range
-        if len(offsets) < size and (running >= quota or remaining_items <= remaining_cuts):
-            offsets.append(i + 1)
-            quota += target
-    while len(offsets) < size:
-        offsets.append(n)
-    offsets.append(n)
+    offsets = [0]
+    for k in range(1, size):
+        # cut k falls after item i: the first item past cut k - 1 whose
+        # running nnz reaches the quota, or the one that leaves one item
+        # for each of the size - k ranks after the cut, if that is sooner
+        i = max(offsets[-1],
+                min(int(np.searchsorted(running, quota)), n - 1 - size + k))
+        if i >= n:
+            break
+        offsets.append(i + 1)
+        quota += target
+    offsets += [n] * (size + 1 - len(offsets))
     return Partition1D(tuple(offsets))

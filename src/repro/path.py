@@ -42,7 +42,7 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import ring_depth
+from repro.solvers.outer import ring_depth, sweep_schedule
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
@@ -414,7 +414,7 @@ def lasso_path(
     record_every: int = 10,
     warm_start: bool = True,
     fast: bool = True,
-    pipeline: bool = False,
+    pipeline: bool = True,
     async_: bool = False,
     tau: int = 1,
     adaptive: bool = False,
@@ -445,14 +445,30 @@ def lasso_path(
         (default). ``False`` gives independent solves that still share
         the context's caches.
     pipeline:
-        Run every SA solve with the nonblocking pipelined outer loop
-        (identical iterates; see :func:`repro.fit_lasso`).
+        Overlap each SA solve's Gram reduction (the default): on more
+        than one modelled rank every SA point runs the pipelined
+        ``tau = 0`` ring, which posts the reduction and samples and packs
+        the next outer step while it is in flight. Iterates, histories,
+        iteration counts, messages and words equal the blocking
+        schedule's, and the modelled ``comm_seconds`` falls by the
+        ``comm_seconds_hidden`` the ledger credits. A point stopped by
+        ``tol`` has also sampled and packed the outer step after its
+        converged record, which a blocking point never starts, so its
+        flops exceed blocking's by that one step's gather and partial
+        Gram. A solve on one rank (the default ``virtual_p=1``, whose
+        reductions are charged nothing) and a classical solver
+        (``bcd``, ``accbcd``) have nothing to overlap and run blocking
+        whatever ``pipeline`` says; ``pipeline=False`` runs every point
+        blocking. See :func:`~repro.solvers.outer.sweep_schedule`.
     async_, tau:
         Run every SA solve with the bounded-staleness outer loop
-        (convergence-to-tolerance contract; see :func:`repro.fit_lasso`).
-        Each solve drains its in-flight reductions before returning, so
-        the shared communicator's nonblocking ring is clean at every
-        warm-start hand-off.
+        (convergence-to-tolerance contract; see :func:`repro.fit_lasso`);
+        takes precedence over ``pipeline``. Each solve drains its
+        in-flight reductions before returning, so the shared
+        communicator's nonblocking ring is clean at every warm-start
+        hand-off. ``extras`` records the schedule that ran:
+        ``pipeline`` is False on one rank, for a classical solver and
+        for an async run.
     adaptive:
         Loosen per-point budgets along the grid (see
         :func:`adaptive_schedule`): intermediate points — which exist
@@ -469,8 +485,9 @@ def lasso_path(
         ``record_every >= 1`` or every solve runs its full ``max_iter``.
         SA solves record at the outer-step boundaries that cross a
         multiple of ``record_every``, each record riding the next Gram
-        reduction as one word: a point costs one blocking collective per
-        outer step plus two (its first and last objective), and a
+        reduction as one word: a point costs one Gram reduction per
+        outer step (posted nonblocking on the default ring) plus two
+        blocking scalar syncs (its first and last objective), and a
         converged point returns the iterate its last record describes,
         one unused Gram reduction later (see :func:`repro.fit_lasso`).
         ``tol`` then compares objectives one or more outer steps
@@ -581,6 +598,8 @@ def lasso_path(
         "solver": solver, "mu": mu, "s": s, "seed": seed,
         "warm_start": warm_start, "adaptive": adaptive,
     }
+    pipeline, async_ = sweep_schedule(solver, pipeline, async_,
+                                      ctx.comm.cost_size)
     results: list[SolverResult] = []
     x_warm = None
     if resume_from is not None:
@@ -633,7 +652,7 @@ def svm_path(
     record_every: int = 0,
     warm_start: bool = True,
     fast: bool = True,
-    pipeline: bool = False,
+    pipeline: bool = True,
     async_: bool = False,
     tau: int = 1,
     adaptive: bool = False,
@@ -659,9 +678,13 @@ def svm_path(
     ``[0.1, 10]`` around the paper's ``C = 1``.
 
     ``pipeline``, ``async_``/``tau`` and ``adaptive`` mirror
-    :func:`lasso_path` (adaptive loosens the *duality-gap* tolerance
-    early on the grid; the final point always runs at exactly
-    ``(max_iter, tol)``).
+    :func:`lasso_path`: by default every ``sa-svm`` point on more than
+    one modelled rank runs the pipelined ``tau = 0`` ring, with the same
+    alphas, histories, iteration counts, messages and words as
+    ``pipeline=False``; one rank and the classical ``svm`` solver run
+    blocking, and ``extras`` records the schedule that ran. Adaptive
+    budgets loosen the *duality-gap* tolerance early on the grid; the
+    final point always runs at exactly ``(max_iter, tol)``.
 
     ``backend``/``ranks``/``recover``/``max_recoveries`` mirror
     :func:`lasso_path`, except the SVM sweep has no path checkpoints:
@@ -726,6 +749,8 @@ def svm_path(
         )
     else:
         budgets = [(max_iter, tol)] * lam_grid.size
+    pipeline, async_ = sweep_schedule(solver, pipeline, async_,
+                                      ctx.comm.cost_size)
     results: list[SolverResult] = []
     alpha_warm = None
     for lam, (it_i, tol_i) in zip(lam_grid, budgets, strict=True):

@@ -98,7 +98,9 @@ class TenantSpec:
     ``predict`` requests score the leading rows of ``A`` against the
     tenant's last committed model. ``knobs`` are
     :class:`~repro.streaming.StreamingSweep` solver defaults (solver,
-    mu, s, max_iter, tol, seed, ...).
+    mu, s, max_iter, tol, seed, ...); as there, an SA tenant on more
+    than one modelled rank overlaps each refit's Gram reduction on the
+    pipelined ring unless its knobs say ``pipeline=False``.
     """
 
     name: str
@@ -683,6 +685,8 @@ class _Engine:
             tenants_block.append({
                 "name": name,
                 "task": ten.spec.task,
+                # the schedule the tenant's refits ran
+                **ten.sweep.schedule,
                 "state": ten.state,
                 "faults": int(ten.faults),
                 "lam": ten.lam_used,
@@ -762,6 +766,18 @@ def serve_trace(
     backends' nonblocking-collective slot ring; the default is the
     deepest :func:`~repro.solvers.outer.ring_depth` of the tenants'
     ``async_``/``tau`` knobs.
+
+    Each tenant runs the schedule of its
+    :class:`~repro.streaming.StreamingSweep`: on more than one modelled
+    rank (``max(virtual_p, ranks) > 1``) an SA tenant overlaps its Gram
+    reductions on the pipelined ``tau = 0`` ring by default. A batch's
+    refit commits the same model, messages and words as with
+    ``pipeline=False``; only its modelled service time, which drives
+    the virtual clock, changes (see ``docs/SERVING.md``). At the default
+    ``virtual_p=1`` there is nothing to overlap and every tenant runs
+    blocking. Each tenant
+    block of the report records the schedule its refits ran
+    (``pipeline``, ``async``, ``tau``).
 
     ``checkpoint_path`` names the compact JSON checkpoint file (see the
     module docstring); ``resume_from`` takes such a file or its parsed

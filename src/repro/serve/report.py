@@ -11,7 +11,8 @@ Schema (``format_version`` = :data:`SERVE_REPORT_VERSION`):
 
 * ``config`` — the engine knobs that shaped the run (queue depth,
   coalescing, deadlines, fault budget, backend);
-* ``tenants`` — per-tenant block: state (``active``/``quarantined``),
+* ``tenants`` — per-tenant block: the schedule its refits ran
+  (``pipeline``, ``async``, ``tau``), state (``active``/``quarantined``),
   fault count, final model hash + metric, request counters, latency
   percentiles over that tenant's completed requests, modelled
   ``setup_cost`` (onboarding fit) and ``serve_cost`` (everything

@@ -71,18 +71,18 @@ from collections import deque
 import numpy as np
 
 from repro.checkpoint import emit_solver_checkpoint, solver_history_fields
-from repro.errors import SolverError
+from repro.errors import CommError, SolverError
 from repro.mpi.thread_backend import NB_RING_DEPTH
 
-__all__ = ["Checks", "check_schedule", "ring_depth", "run_sa", "run_blocking",
-           "run_ring"]
+__all__ = ["Checks", "check_schedule", "sweep_schedule", "ring_depth",
+           "run_sa", "run_blocking", "run_ring"]
 
 
 def check_schedule(s: int, tau: int, pipeline: bool, async_: bool, *,
                    sa: bool = True, solver: str = "") -> None:
-    """Validate a solve's outer-step knobs. A solver that is not SA
-    (``sa=False``, named ``solver``) synchronises every iteration, so it
-    takes neither ``pipeline`` nor ``async_`` and ignores ``s``."""
+    """Validate a single solve's outer-step knobs. A solver that is not
+    SA (``sa=False``, named ``solver``) synchronises every iteration, so
+    it takes neither ``pipeline`` nor ``async_`` and ignores ``s``."""
     if not sa and (pipeline or async_):
         knob = "pipeline" if pipeline else "async_"
         raise SolverError(
@@ -98,6 +98,26 @@ def check_schedule(s: int, tau: int, pipeline: bool, async_: bool, *,
         )
     if sa and s < 1:
         raise SolverError(f"s must be >= 1, got {s}")
+
+
+def sweep_schedule(solver: str, pipeline: bool, async_: bool,
+                   cost_size: int) -> tuple[bool, bool]:
+    """The ``(pipeline, async_)`` each solve of a sweep runs on a
+    communicator of ``cost_size`` modelled ranks.
+
+    Engines that run a sequence of solves (paths, streams, serve
+    tenants) read ``pipeline`` as "overlap each SA solve's Gram
+    reduction where there is one to overlap": an SA solver (a registry
+    name starting ``sa-``) on more than one rank runs the ``tau = 0``
+    ring, whose iterates, messages and words equal the blocking
+    schedule's. One rank has nothing to overlap (its reductions move no
+    data and are charged nothing), and a classical solver synchronises
+    every iteration, so both run blocking. ``async_`` takes precedence
+    and runs the async ring. Unlike :func:`check_schedule`, which guards
+    single solves, ``pipeline`` never raises here.
+    """
+    ring = pipeline and not async_ and solver.startswith("sa-") and cost_size > 1
+    return bool(ring), bool(async_)
 
 
 def ring_depth(async_: bool, tau: int) -> int:
@@ -264,6 +284,13 @@ def run_ring(fam, checks, pipe, *, done, s, tau):
     The arrays are updated in place by ``fam.step``; each post packs
     their values at post time. ``pipe`` needs ``tau + 2`` slots. Returns
     ``(converged, done)``.
+
+    Every exit drains the reductions still in flight, so the
+    communicator's next solve finds the ring clear: a converged stop,
+    and an exception raised inside the ring (a Gram that overflows
+    float64, say), which then propagates unchanged. A communication
+    error skips the drain, since a dead or out-of-step peer cannot
+    complete it.
     """
     max_iter = fam.max_iter
     arrays = fam.arrays()
@@ -274,45 +301,51 @@ def run_ring(fam, checks, pipe, *, done, s, tau):
     # so the last batch is sized to max_iter
     planned = done
     inflight = []  # FIFO of (batch, slot, tail); oldest harvested first
-    while len(inflight) <= tau and planned < max_iter:
-        k = min(s, max_iter - planned)
-        idx, batch = fam.plan(k)
-        slot = pipe.prefetch(idx)
-        tail = checks.take()
-        pipe.post(slot, arrays, tail)
-        inflight.append((batch, slot, tail))
-        planned += k
-    while inflight:
-        nxt = nslot = None
-        if planned < max_iter:
-            # overlapped with the in-flight reductions: sample + pack the
-            # next outer step's (array-independent) Gram
+    try:
+        while len(inflight) <= tau and planned < max_iter:
             k = min(s, max_iter - planned)
-            nidx, nxt = fam.plan(k)
-            nslot = pipe.prefetch(nidx)
-            planned += k
-        batch, slot, tail = inflight.pop(0)
-        Y, G, R = pipe.wait(slot)
-        if tail is not None and checks.landed(tail):
-            converged = True
-            break
-        prev_done = done
-        done += fam.step(batch, Y, G, R)
-        # completing this step supersedes the arrays carried by every
-        # reduction still in flight: age them one harvest point
-        for _, pending, _ in inflight:
-            pending.req.bump_staleness()
-        converged = checks.at_boundary(prev_done, done, nxt is not None)
-        if converged:
-            break
-        if nxt is not None:
+            idx, batch = fam.plan(k)
+            slot = pipe.prefetch(idx)
             tail = checks.take()
-            pipe.post(nslot, arrays, tail)
-            inflight.append((nxt, nslot, tail))
-    # drain: reductions posted but never consumed still moved real
-    # traffic (charged at finalize) and must clear the ring so the
-    # communicator is reusable (path sweeps, streaming)
-    for _, pending, _ in inflight:
-        pending.req.wait()
-        pending.req = None
+            pipe.post(slot, arrays, tail)
+            inflight.append((batch, slot, tail))
+            planned += k
+        while inflight:
+            nxt = nslot = None
+            if planned < max_iter:
+                # overlapped with the in-flight reductions: sample + pack the
+                # next outer step's (array-independent) Gram
+                k = min(s, max_iter - planned)
+                nidx, nxt = fam.plan(k)
+                nslot = pipe.prefetch(nidx)
+                planned += k
+            batch, slot, tail = inflight.pop(0)
+            Y, G, R = pipe.wait(slot)
+            if tail is not None and checks.landed(tail):
+                converged = True
+                break
+            prev_done = done
+            done += fam.step(batch, Y, G, R)
+            # completing this step supersedes the arrays carried by every
+            # reduction still in flight: age them one harvest point
+            for _, pending, _ in inflight:
+                pending.req.bump_staleness()
+            converged = checks.at_boundary(prev_done, done, nxt is not None)
+            if converged:
+                break
+            if nxt is not None:
+                tail = checks.take()
+                pipe.post(nslot, arrays, tail)
+                inflight.append((nxt, nslot, tail))
+    except CommError:
+        # an aborted world or ranks out of step: no drain can complete
+        inflight.clear()
+        raise
+    finally:
+        # drain: reductions posted but never consumed still moved real
+        # traffic (charged at finalize) and must clear the ring so the
+        # communicator is reusable (path sweeps, streaming, serve)
+        for _, pending, _ in inflight:
+            pending.req.wait()
+            pending.req = None
     return converged, done

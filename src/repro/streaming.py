@@ -73,7 +73,7 @@ from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import ring_depth
+from repro.solvers.outer import ring_depth, sweep_schedule
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
 from repro.utils.validation import nnz_of
@@ -247,7 +247,16 @@ class StreamingSweep:
     pipeline, async_, tau:
         Default solver knobs for :meth:`solve`, each overridable per
         call. ``lam=None`` resolves per solve: ``0.1 * lambda_max`` of
-        the *current* data for Lasso, ``1.0`` for SVM.
+        the *current* data for Lasso, ``1.0`` for SVM. ``pipeline``
+        (default True) overlaps each SA refit's Gram reduction with the
+        pipelined ``tau = 0`` ring when the communicator models more
+        than one rank, as in :func:`~repro.path.lasso_path`: the same
+        iterates, messages and words as ``pipeline=False``, less
+        modelled waiting. One rank and a classical solver run blocking,
+        and ``async_`` takes precedence (see
+        :func:`~repro.solvers.outer.sweep_schedule`); :attr:`schedule`
+        says what runs. A checkpoint pins these defaults, so an engine
+        resumed from one keeps the schedule it was written with.
 
     Rows are identified by **arrival index** — the position of the row
     in the full arrival history (initial rows get ``0..m0-1``, each
@@ -283,7 +292,7 @@ class StreamingSweep:
         seed: int = 0,
         record_every: int = 10,
         fast: bool = True,
-        pipeline: bool = False,
+        pipeline: bool = True,
         async_: bool = False,
         tau: int = 1,
     ) -> None:
@@ -363,6 +372,17 @@ class StreamingSweep:
         if self._atb is None:
             raise SolverError("lambda_max is a Lasso quantity (task='svm')")
         return float(np.max(np.abs(self._atb))) if self._atb.size else 0.0
+
+    @property
+    def schedule(self) -> dict:
+        """The schedule :meth:`solve` runs at the engine defaults:
+        ``pipeline`` and ``async`` as
+        :func:`~repro.solvers.outer.sweep_schedule` resolves them, and
+        ``tau``."""
+        d = self.defaults
+        pipeline, async_ = sweep_schedule(d["solver"], d["pipeline"], d["async_"],
+                                          self.comm.cost_size)
+        return {"pipeline": pipeline, "async": async_, "tau": d["tau"]}
 
     def arrival_order(self) -> np.ndarray:
         """Arrival index of each row of the effective global matrix.
@@ -819,6 +839,8 @@ class StreamingSweep:
         p = {**self.defaults, **overrides}
         if lam is None:
             lam = p["lam"]
+        pipeline, async_ = sweep_schedule(p["solver"], p["pipeline"], p["async_"],
+                                          self.comm.cost_size)
         self.ctx.begin_point()
         if self.task == "lasso":
             if lam is None:
@@ -828,9 +850,8 @@ class StreamingSweep:
                 s=p["s"], max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
                 comm=self.comm, record_every=p["record_every"],
                 x0=self._x_warm if warm_start else None,
-                fast=p["fast"], pipeline=p["pipeline"],
-                async_=p["async_"], tau=p["tau"],
-                eig_memo=self.ctx.eig_memo,
+                fast=p["fast"], pipeline=pipeline, async_=async_,
+                tau=p["tau"], eig_memo=self.ctx.eig_memo,
             )
             self._x_warm = res.x
         else:
@@ -849,7 +870,7 @@ class StreamingSweep:
                 tol=p["tol"], seed=p["seed"], comm=self.comm,
                 record_every=p["record_every"],
                 alpha0=alpha0, fast=p["fast"],
-                pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"],
+                pipeline=pipeline, async_=async_, tau=p["tau"],
             )
             self._alpha_warm = res.extras["alpha"]
         self.ctx.end_point(res)
@@ -964,7 +985,7 @@ def replay_schedule(
     seed: int = 0,
     record_every: int = 10,
     fast: bool = True,
-    pipeline: bool = False,
+    pipeline: bool = True,
     async_: bool = False,
     tau: int = 1,
     backend: str = "virtual",
@@ -998,6 +1019,15 @@ def replay_schedule(
     ``max(virtual_p, ranks)``). Returns a plain-dict report (JSON-ready,
     picklable across the process backend).
 
+    ``pipeline`` (default True), ``async_`` and ``tau`` are the engine's
+    schedule, as in :class:`StreamingSweep`: on more than one modelled
+    rank every SA refit and every cold re-solve overlaps its Gram
+    reduction on the pipelined ``tau = 0`` ring unless
+    ``pipeline=False``, with the same iterates, messages and words. The
+    report's ``pipeline``, ``async`` and ``tau`` keys record the
+    schedule that ran (``pipeline`` is False at ``virtual_p=1`` on the
+    virtual backend, for a classical solver and for an async run).
+
     ``checkpoint_path`` makes the replay crash-safe: after the initial
     fit and after every processed event, a ``kind="streaming-replay"``
     checkpoint (engine snapshot + completed report entries + the number
@@ -1007,7 +1037,8 @@ def replay_schedule(
     ``batches`` is skipped, and the remaining events run as usual — the
     final report is identical to an uninterrupted replay (modelled
     costs included). Pass the same schedule and knobs when resuming;
-    the checkpoint pins the engine's solve defaults.
+    the checkpoint pins the engine's solve defaults, so a checkpoint
+    written blocking resumes blocking.
 
     ``recover="checkpoint"`` (``backend="process"`` only) turns a rank
     death mid-replay into a supervised recovery: the dead rank is
@@ -1089,11 +1120,12 @@ def replay_schedule(
                 atomic_write_json(os.fspath(checkpoint_path), payload)
 
         def run_cold(revision):
-            # same solver configuration (fast/pipeline/async) as the
+            # same solver configuration (fast and the schedule) as the
             # warm refits — the variable under measurement is the warm
             # start + incremental state, not the solver mode
             A_eff, b_eff = engine.materialize()
             comm.reset()
+            sched = engine.schedule
             if task == "lasso":
                 cold_dist = RowPartitionedMatrix.from_global(
                     A_eff, comm, partition=engine.dist.partition
@@ -1102,8 +1134,8 @@ def replay_schedule(
                     cold_dist, b_eff, lam_used, solver=engine.defaults["solver"],
                     mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
                     record_every=record_every, fast=fast,
-                    pipeline=pipeline, async_=async_, tau=tau,
-                    eig_memo=EigMemo(),
+                    pipeline=sched["pipeline"], async_=sched["async"],
+                    tau=sched["tau"], eig_memo=EigMemo(),
                 )
             else:
                 cold_dist = ColPartitionedMatrix.from_global(
@@ -1113,8 +1145,8 @@ def replay_schedule(
                     cold_dist, b_eff, loss=loss, lam=float(lam_used),
                     solver=engine.defaults["solver"], s=s, max_iter=max_iter,
                     tol=tol, seed=seed, record_every=record_every,
-                    fast=fast, pipeline=pipeline,
-                    async_=async_, tau=tau,
+                    fast=fast, pipeline=sched["pipeline"],
+                    async_=sched["async"], tau=sched["tau"],
                 )
             return cold
 
@@ -1192,6 +1224,8 @@ def replay_schedule(
             "format_version": STREAM_REPORT_VERSION,
             "task": task,
             "solver": engine.defaults["solver"],
+            # the schedule the refits ran (see StreamingSweep.schedule)
+            **engine.schedule,
             "backend": backend,
             "ranks": 1 if backend == "virtual" else ranks,
             "virtual_p": virtual_p,

@@ -26,7 +26,11 @@ here) is:
   post that would reuse the slot of the rank's own unharvested request
   fails with a typed :class:`~repro.errors.NbRingDepthError` instead of
   deadlocking (regression: the guard must track *which* requests are
-  open, not just how many).
+  open, not just how many);
+* **a solve that raises inside the ring drains what it posted** — the
+  communicator's next solve runs as on a fresh one instead of failing
+  with :class:`~repro.errors.NbRingDepthError` (regression: the ring
+  harvested its in-flight reductions only on a normal exit).
 """
 
 import numpy as np
@@ -41,7 +45,9 @@ from repro.mpi.ops import SUM
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path
+from repro.solvers.lasso import sa_acc_bcd
 from repro.solvers.objectives import lambda_max
+from repro.solvers.svm import sa_dcd
 
 SEED = 5
 
@@ -388,3 +394,72 @@ class TestNbRingDepthRegression:
         out = runner(self._ring_full, 2, nb_depth=2)
         for info in out.values:
             assert info == (2, 2)
+
+
+def _overflow_lasso(A, b, comm, tau):
+    return sa_acc_bcd(A, b, 0.1, mu=2, s=4, max_iter=64, async_=True,
+                      tau=tau, record_every=0, comm=comm)
+
+
+def _overflow_svm(A, b, comm, tau):
+    return sa_dcd(A, b, loss="l1", lam=1.0, s=4, max_iter=64, async_=True,
+                  tau=tau, record_every=0, comm=comm)
+
+
+def _fail_then_solve(comm, rank, solve, A, b, tau):
+    """A solve whose reduced Gram overflows float64 (it raises at the
+    first harvest, with ``tau`` reductions still in flight), then the
+    real problem on the same communicator."""
+    try:
+        solve(A * 1e200, b, comm, tau)
+    except SolverError as exc:
+        raised = "overflowed" in str(exc)
+    else:
+        raised = False
+    comm.reset()
+    return raised, solve(A, b, comm, tau)
+
+
+def _solve_fresh(comm, rank, solve, A, b, tau):
+    return True, solve(A, b, comm, tau)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestRingDrainsOnError:
+    """A solve that raises inside the ring harvests every reduction it
+    posted and re-raises, so a serve tenant's fault does not fail the
+    next tenant's refit on the same communicator. (Folding overflowed
+    partial Grams warns about inf - inf before the guard raises.)"""
+
+    @staticmethod
+    def _check(runner, solve, A, b, tau):
+        got = runner(_fail_then_solve, 2, args=(solve, A, b, tau), nb_depth=4)
+        want = runner(_solve_fresh, 2, args=(solve, A, b, tau), nb_depth=4)
+        for (raised, res), (_, ref) in zip(got.values, want.values,
+                                           strict=True):
+            assert raised
+            assert np.array_equal(res.x, ref.x)
+            assert res.history == ref.history
+            assert res.iterations == ref.iterations
+            assert res.converged == ref.converged
+            assert res.cost == ref.cost
+
+    @pytest.mark.parametrize("tau", [0, 2])
+    @pytest.mark.parametrize("solve", [_overflow_lasso, _overflow_svm],
+                             ids=["sa-accbcd", "sa-svm"])
+    def test_thread(self, solve, tau):
+        self._check(spmd_run, solve, *self._problem(solve), tau)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("tau", [0, 2])
+    @pytest.mark.parametrize("solve", [_overflow_lasso, _overflow_svm],
+                             ids=["sa-accbcd", "sa-svm"])
+    def test_process(self, solve, tau):
+        self._check(process_spmd_run, solve, *self._problem(solve), tau)
+
+    @staticmethod
+    def _problem(solve):
+        if solve is _overflow_lasso:
+            A, b, _ = make_sparse_regression(200, 60, density=0.1, seed=0)
+            return A, b
+        return make_classification(200, 60, density=0.1, seed=0)

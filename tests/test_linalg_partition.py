@@ -137,3 +137,113 @@ def test_balanced_partition_is_valid_partition(n, size, density, seed):
         r = p.owner_of(i)
         lo, hi = p.range_of(r)
         assert lo <= i < hi
+
+
+def _loop_partition(A, size: int, axis: int = 0) -> Partition1D:
+    """The per-item loop :func:`balanced_nnz_partition` replaced, kept as
+    its oracle: walk every row (axis 0) or column (axis 1) with a running
+    float sum, cut when it reaches the next quota (quotas grow by
+    repeated addition of ``nnz/size``) or when the items left would
+    starve the ranks left."""
+    n = A.shape[axis]
+    if not sp.issparse(A):
+        return block_partition(n, size)
+    counts = np.diff(A.tocsr().indptr if axis == 0 else A.tocsc().indptr)
+    total = float(counts.sum())
+    if total == 0:
+        return block_partition(n, size)
+    target = total / size
+    offsets = [0]
+    running = 0.0
+    quota = target
+    for i, c in enumerate(counts):
+        running += float(c)
+        remaining_cuts = size - len(offsets)
+        remaining_items = n - (i + 1)
+        if len(offsets) < size and (running >= quota
+                                    or remaining_items <= remaining_cuts):
+            offsets.append(i + 1)
+            quota += target
+    while len(offsets) < size:
+        offsets.append(n)
+    offsets.append(n)
+    return Partition1D(tuple(offsets))
+
+
+def _as_format(dense: np.ndarray, fmt: str):
+    if fmt == "dense":
+        return dense
+    return sp.csr_matrix(dense) if fmt == "csr" else sp.csc_matrix(dense)
+
+
+class TestBalancedNnzMatchesLoop:
+    """The cumulative-sum cut gives today's loop's offsets exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(0, 40),
+        n=st.integers(0, 40),
+        size=st.integers(1, 9),
+        density=st.sampled_from([0.0, 0.03, 0.2, 0.6, 1.0]),
+        heavy=st.booleans(),
+        fmt=st.sampled_from(["csr", "csc", "dense"]),
+        axis=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random(self, m, n, size, density, heavy, fmt, axis, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        if heavy and m and n:
+            mask[rng.integers(m), :] = True
+            mask[:, rng.integers(n)] = True
+        A = _as_format(np.where(mask, 1.0 + rng.random((m, n)), 0.0), fmt)
+        assert (balanced_nnz_partition(A, size, axis=axis).offsets
+                == _loop_partition(A, size, axis=axis).offsets)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_larger_random(self, fmt, axis):
+        # quotas that are not whole numbers, cuts far from the edges
+        A = sp.random(700, 300, density=0.02, random_state=1, format=fmt)
+        for size in range(1, 10):
+            assert (balanced_nnz_partition(A, size, axis=axis).offsets
+                    == _loop_partition(A, size, axis=axis).offsets)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_quotas_add_up(self, axis):
+        # 21 items over 9 ranks: the sixth quota is 14.000000000000002
+        # by repeated addition of 21/9, but 14.0 as 6 * (21/9), so the
+        # sixth cut falls one item later than a multiplied quota puts it
+        A = sp.eye(21, format="csr")
+        got = balanced_nnz_partition(A, 9, axis=axis).offsets
+        assert got == _loop_partition(A, 9, axis=axis).offsets
+        assert got[6] == 15
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_all_zero(self, size, axis):
+        A = sp.csr_matrix((5, 7))
+        assert (balanced_nnz_partition(A, size, axis=axis).offsets
+                == _loop_partition(A, size, axis=axis).offsets)
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_single_heavy_row(self, size, where):
+        dense = np.zeros((7, 50))
+        dense[where] = 1.0
+        dense[(where + 1) % 7, 0] = 1.0
+        for fmt in ("csr", "csc"):
+            A = _as_format(dense, fmt)
+            for axis in (0, 1):
+                assert (balanced_nnz_partition(A, size, axis=axis).offsets
+                        == _loop_partition(A, size, axis=axis).offsets)
+
+    def test_columns_of_csr_are_counted_without_a_csc_copy(self, monkeypatch):
+        A = sp.random(60, 40, density=0.1, random_state=2, format="csr")
+        want = _loop_partition(A, 4, axis=1)
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("counted columns through tocsc()")
+
+        monkeypatch.setattr(sp.csr_matrix, "tocsc", no_copy)
+        assert balanced_nnz_partition(A, 4, axis=1).offsets == want.offsets
