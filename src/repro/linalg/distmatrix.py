@@ -15,18 +15,27 @@ a BLAS-3 (cache-friendly) kernel, single dot products are BLAS-1.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PartitionError, SolverError
-from repro.linalg.kernels import GatherWorkspace, gather_columns, gather_rows
+from repro.linalg.kernels import (
+    GatherWorkspace,
+    gather_columns,
+    gather_rows,
+    slice_gram,
+    slice_kernel_fits,
+    slice_project,
+)
 from repro.linalg.packing import (
     pack_extras,
-    pack_gram,
     pack_gram_head,
     packed_length,
+    tri_length,
     unpack_gram,
 )
 from repro.linalg.partition import Partition1D, balanced_nnz_partition, block_partition
@@ -55,6 +64,78 @@ def _check_gram_finite(head: np.ndarray) -> None:
         raise SolverError(
             "the reduced Gram block overflowed float64 (non-finite entries): "
             "the data's entries are too large to square; rescale A")
+
+
+class _Shard:
+    """One rank's row range of a global CSR matrix, as :meth:`RowPartitioned
+    Matrix.from_global` slices it, plus the CSC sampling view the first
+    matrix that samples columns from it builds (lazily)."""
+
+    __slots__ = ("offsets", "lo", "hi", "dtypes", "local", "csc")
+
+    def __init__(self, A, offsets: tuple, lo: int, hi: int) -> None:
+        self.offsets, self.lo, self.hi = offsets, lo, hi
+        self.dtypes = (A.indptr.dtype, A.indices.dtype)
+        self.local = A[lo:hi]
+        self.csc = None
+
+    def matches(self, A, offsets: tuple) -> bool:
+        """Whether slicing ``A`` afresh would give this shard: the same
+        partition, and the row range's rebased ``indptr``, ``indices`` and
+        ``data`` equal to the shard's (an in-place edit of ``A`` since the
+        slice shows here)."""
+        if offsets != self.offsets or (A.indptr.dtype, A.indices.dtype) != self.dtypes:
+            return False
+        local, ip = self.local, A.indptr[self.lo:self.hi + 1]
+        start, end = ip[0], ip[-1]
+        return (local.shape[1] == A.shape[1]
+                and np.array_equal(ip - start, local.indptr)
+                and np.array_equal(A.indices[start:end], local.indices)
+                and np.array_equal(A.data[start:end], local.data))
+
+
+class _ShardMemo:
+    """Per-process memo of the row shards the last global matrix was cut
+    into, so a matrix solved again skips the slice and the CSC view.
+
+    Holds at most one matrix, weakly (its entries die with it), and one
+    :class:`_Shard` per rank: memory of one shard plus its CSC view per
+    rank, about twice that rank's slice of ``A``. Every hit first checks
+    the shard against ``A``'s current contents (:meth:`_Shard.matches`),
+    so an in-place edit of ``A`` between solves forces a rebuild. Thread
+    ranks share it under a lock; the slice and the check run outside it.
+    """
+
+    def __init__(self) -> None:
+        # reentrant: the weakref callback may fire in a thread holding it
+        self._lock = threading.RLock()
+        self._ref = None
+        self._shards: dict[int, _Shard] = {}
+
+    def _held(self):
+        return None if self._ref is None else self._ref()
+
+    def _forget(self, ref) -> None:
+        """Weakref callback: the matrix died, so its shards go with it."""
+        with self._lock:
+            if self._ref is ref:
+                self._ref, self._shards = None, {}
+
+    def shard(self, A, rank: int, offsets: tuple, lo: int, hi: int) -> _Shard:
+        """Rank ``rank``'s shard ``A[lo:hi]``, reused when still valid."""
+        with self._lock:
+            found = self._shards.get(rank) if self._held() is A else None
+        if found is not None and found.matches(A, offsets):
+            return found
+        fresh = _Shard(A, offsets, lo, hi)
+        with self._lock:
+            if self._held() is not A:
+                self._ref, self._shards = weakref.ref(A, self._forget), {}
+            self._shards[rank] = fresh
+        return fresh
+
+
+_SHARDS = _ShardMemo()
 
 
 class _PartitionedBase:
@@ -172,8 +253,26 @@ class _PartitionedBase:
         self._charge_gram_only(nnz_block, k, symmetric)
         self._charge_proj(nnz_block, k, extra_cols)
 
-    def _reduce_packed(self, Gp, extras, k: int, c: int, symmetric: bool, tail=None):
-        """Sum partial ``(G, extras)`` across ranks in one packed Allreduce.
+    def _pack_head(self, Y, symmetric: bool, out: np.ndarray) -> int:
+        """Pack block ``Y``'s partial Gram into the head of ``out``; returns
+        the head's length. Sparse enough blocks take the slice kernel, the
+        rest scipy's product (dense ones BLAS); the words are the same."""
+        if slice_kernel_fits(Y):
+            return slice_gram(Y, symmetric, out)
+        return pack_gram_head(_densify_small(self._block_gram(Y)), symmetric, out)
+
+    def _pack_proj(self, Y, vectors: list, symmetric: bool, out: np.ndarray) -> None:
+        """Pack block ``Y``'s partial projections of ``vectors`` after the
+        head, the same way."""
+        k = self._block_len(Y)
+        if slice_kernel_fits(Y):
+            slice_project(Y, vectors, out[tri_length(k) if symmetric else k * k:])
+        else:
+            pack_extras(_densify_small(self._block_proj(Y, vectors)), k, symmetric, out)
+
+    def _reduce_block(self, Y, vectors: list, symmetric: bool, tail=None):
+        """Pack block ``Y``'s partial Gram and projections of ``vectors``
+        and sum them across ranks in one packed Allreduce.
 
         ``tail`` (optional float64 buffer) holds this rank's partials of
         a convergence record (:class:`repro.solvers.outer.Checks`); they
@@ -181,9 +280,12 @@ class _PartitionedBase:
         in place with their sums. Returns ``(G, extras-or-None)`` in the
         reusable output buffers.
         """
+        k, c = self._block_len(Y), len(vectors)
         n = packed_length(k, c, symmetric)
         send, recv = self._packed_buffers(n if tail is None else n + tail.shape[0])
-        pack_gram(Gp, extras, symmetric, out=send[:n])
+        self._pack_head(Y, symmetric, send)
+        if c:
+            self._pack_proj(Y, vectors, symmetric, send)
         if tail is not None:
             send[n:] = tail
         total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout)
@@ -270,18 +372,15 @@ class GramPipeline:
         dist = self.dist
         if self.axis == "cols":
             Y = dist.sample_columns(idx, ws=slot.ws)
-            k = Y.shape[1]
-            Gp = _densify_small(Y.T @ Y)
         else:
             Y = dist.sample_rows(idx, ws=slot.ws)
-            k = Y.shape[0]
-            Gp = _densify_small(Y @ Y.T)
+        k = dist._block_len(Y)
         dist._charge_gram_only(nnz_of(Y), k, self.symmetric)
         length = packed_length(k, self.extra_cols, self.symmetric) + self.spare
         if slot.send is None or slot.send.shape[0] != length:
             slot.send = np.empty(length, dtype=np.float64)
             slot.recv = np.empty(length, dtype=np.float64)
-        pack_gram_head(Gp, self.symmetric, slot.send)
+        dist._pack_head(Y, self.symmetric, slot.send)
         slot.Y = Y
         slot.k = k
         return slot
@@ -297,14 +396,8 @@ class GramPipeline:
         overwrites it with its sums across ranks.
         """
         dist = self.dist
-        if self.axis == "cols":
-            V = np.column_stack([np.asarray(v) for v in vectors])
-            Rp = _densify_small(slot.Y.T @ V)
-        else:
-            (x_local,) = vectors
-            Rp = np.asarray(slot.Y @ x_local).ravel()
         dist._charge_proj(nnz_of(slot.Y), slot.k, self.extra_cols)
-        pack_extras(Rp, slot.k, self.symmetric, slot.send)
+        dist._pack_proj(slot.Y, [np.asarray(v) for v in vectors], self.symmetric, slot.send)
         n = slot.send.shape[0] - self.spare
         if tail is not None:
             slot.send[n:n + tail.shape[0]] = tail
@@ -358,6 +451,11 @@ class RowPartitionedMatrix(_PartitionedBase):
         In thread-SPMD mode all ranks call this with the same global
         matrix (read-only) and keep only their shard, mimicking a
         parallel read of the dataset.
+
+        A sparse ``A`` handed in again (the same validated matrix, rank
+        and partition) reuses the shard and its CSC sampling view from a
+        per-process memo, once the shard still matches ``A``'s contents;
+        see :class:`_ShardMemo`. Validation runs on every call.
         """
         A = check_dense_or_csr(A)
         m, n = A.shape
@@ -373,10 +471,12 @@ class RowPartitionedMatrix(_PartitionedBase):
                 f" match matrix ({m} rows) / communicator ({comm.size} ranks)"
             )
         lo, hi = partition.range_of(comm.rank)
-        local = A[lo:hi]
-        if sp.issparse(local):
-            local = local.tocsr()
-        return cls(comm, partition, local, (m, n))
+        if not sp.issparse(A):
+            return cls(comm, partition, A[lo:hi], (m, n))
+        shard = _SHARDS.shard(A, comm.rank, partition.offsets, lo, hi)
+        dist = cls(comm, partition, shard.local, (m, n))
+        dist._shard = shard
+        return dist
 
     def append_rows(
         self,
@@ -434,8 +534,9 @@ class RowPartitionedMatrix(_PartitionedBase):
             tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)]))
         )
         self.shape = (self.shape[0] + k, self.shape[1])
-        # row dimension changed: the CSC sampling view is stale
-        self._csc_cache = None
+        # row dimension changed: the CSC sampling view is stale, and the
+        # shard no longer mirrors the memo's
+        self._csc_cache = self._shard = None
         return partition
 
     def remove_rows(self, idx) -> np.ndarray:
@@ -479,8 +580,9 @@ class RowPartitionedMatrix(_PartitionedBase):
             tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)]))
         )
         self.shape = (m - idx.size, self.shape[1])
-        # row dimension changed: the CSC sampling view is stale
-        self._csc_cache = None
+        # row dimension changed: the CSC sampling view is stale, and the
+        # shard no longer mirrors the memo's
+        self._csc_cache = self._shard = None
         return removed_per_rank
 
     # -- sampling -------------------------------------------------------------
@@ -489,14 +591,34 @@ class RowPartitionedMatrix(_PartitionedBase):
         # dominant local cost (scipy scans every local non-zero). A CSC
         # view turns it into a cheap slice-gather, at the price of
         # holding the shard twice (CSR for matvecs, CSC for sampling).
-        # Built on first use so matvec-only workloads don't pay the 2x.
+        # Built on first use so matvec-only workloads don't pay the 2x;
+        # a shard from the memo shares its view with later solves.
         self._csc_cache = None
+        self._shard: _Shard | None = None
 
     @property
     def _local_csc(self):
         if self._csc_cache is None and sp.issparse(self.local):
-            self._csc_cache = self.local.tocsc()
+            shard = self._shard
+            if shard is None:
+                self._csc_cache = self.local.tocsc()
+            else:
+                if shard.csc is None:
+                    shard.csc = self.local.tocsc()
+                self._csc_cache = shard.csc
         return self._csc_cache
+
+    @staticmethod
+    def _block_len(S) -> int:
+        return S.shape[1]
+
+    @staticmethod
+    def _block_gram(S):
+        return S.T @ S
+
+    @staticmethod
+    def _block_proj(S, vectors):
+        return S.T @ np.column_stack(vectors)
 
     def sample_columns(self, idx: np.ndarray, ws: GatherWorkspace | None = None):
         """Local rows of the sampled columns ``A I_h`` (m_loc x k).
@@ -559,14 +681,10 @@ class RowPartitionedMatrix(_PartitionedBase):
             solver consumes them (within one outer step).
         """
         S = sampled
-        k = S.shape[1]
-        V = np.column_stack([np.asarray(v) for v in vectors]) if vectors else None
-        c = 0 if V is None else V.shape[1]
-        Sd = S.T @ S
-        Gp = _densify_small(Sd)
-        Rp = _densify_small(S.T @ V) if c else None
+        k, vectors = S.shape[1], [np.asarray(v) for v in vectors]
+        c = len(vectors)
         self._charge_gram(nnz_of(S), k, c, symmetric)
-        G, R = self._reduce_packed(Gp, Rp, k, c, symmetric, tail)
+        G, R = self._reduce_block(S, vectors, symmetric, tail)
         return G, (R if c else np.zeros((k, 0)))
 
     def gram_pipeline(
@@ -639,11 +757,8 @@ class ColPartitionedMatrix(_PartitionedBase):
                 f" match matrix ({n} cols) / communicator ({comm.size} ranks)"
             )
         lo, hi = partition.range_of(comm.rank)
-        if sp.issparse(A):
-            local = A.tocsc()[:, lo:hi].tocsr()
-        else:
-            local = A[:, lo:hi]
-        return cls(comm, partition, local, (m, n))
+        # a canonical CSR's column slice keeps its rows' sorted order
+        return cls(comm, partition, A[:, lo:hi], (m, n))
 
     def append_rows(self, B) -> None:
         """Extend the matrix in place with the global batch ``B`` (k x n).
@@ -669,11 +784,7 @@ class ColPartitionedMatrix(_PartitionedBase):
         if k == 0:
             return  # empty batch: a defined no-op
         lo, hi = self.partition.range_of(self.comm.rank)
-        if sp.issparse(B):
-            share = B.tocsc()[:, lo:hi].tocsr()
-        else:
-            share = B[:, lo:hi]
-        self._stack_local(share)
+        self._stack_local(B[:, lo:hi])
         self.shape = (self.shape[0] + k, self.shape[1])
 
     def remove_rows(self, idx) -> int:
@@ -704,6 +815,19 @@ class ColPartitionedMatrix(_PartitionedBase):
         self.comm.account_flops(6.0 * self.local_nnz, "scalar")
         self.shape = (m - idx.size, self.shape[1])
         return int(idx.size)
+
+    @staticmethod
+    def _block_len(Y) -> int:
+        return Y.shape[0]
+
+    @staticmethod
+    def _block_gram(Y):
+        return Y @ Y.T
+
+    @staticmethod
+    def _block_proj(Y, vectors):
+        (x_local,) = vectors
+        return Y @ x_local
 
     def sample_rows(self, idx: np.ndarray, ws: GatherWorkspace | None = None):
         """Local columns of the sampled rows (k x n_loc).
@@ -741,11 +865,8 @@ class ColPartitionedMatrix(_PartitionedBase):
         collective through this matrix.
         """
         Y = sampled
-        k = Y.shape[0]
-        Gp = _densify_small(Y @ Y.T)
-        xp = np.asarray(Y @ x_local).ravel()
-        self._charge_gram(nnz_of(Y), k, 1, symmetric)
-        G, R = self._reduce_packed(Gp, xp, k, 1, symmetric, tail)
+        self._charge_gram(nnz_of(Y), Y.shape[0], 1, symmetric)
+        G, R = self._reduce_block(Y, [x_local], symmetric, tail)
         return G, R[:, 0]
 
     def gram_rows_pipeline(

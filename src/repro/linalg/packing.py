@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CommError
-from repro.linalg.kernels import tri_plan
+from repro.linalg.kernels import mirror_plan, tri_plan
 
 __all__ = [
     "pack_gram",
@@ -127,11 +127,13 @@ def unpack_gram(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverse of :func:`pack_gram`; returns ``(G, extras-or-None)``.
 
-    The symmetric path mirrors the lower triangle into the upper one.
+    The symmetric path mirrors the lower triangle into the upper one with
+    one take through the cached :func:`~repro.linalg.kernels.mirror_plan`.
     The outputs are never views of ``buf``, so callers may reuse ``buf``
-    as a receive buffer on the next collective. With ``out_g`` (k x k)
-    and ``out_extras`` (k x extra_cols) the values are written in place —
-    the zero-allocation steady-state path of the solvers' outer loops.
+    as a receive buffer on the next collective. With ``out_g`` (a
+    C-contiguous k x k array) and ``out_extras`` (k x extra_cols) the
+    values are written in place — the zero-allocation steady-state path
+    of the solvers' outer loops.
     """
     buf = np.asarray(buf, dtype=np.float64).ravel()
     expect = packed_length(k, extra_cols, symmetric)
@@ -139,17 +141,16 @@ def unpack_gram(
         raise CommError(
             f"packed buffer has length {buf.shape[0]}, expected {expect}"
         )
-    if out_g is not None and (out_g.shape != (k, k) or out_g.dtype != np.float64):
+    if out_g is not None and (out_g.shape != (k, k) or out_g.dtype != np.float64
+                              or not out_g.flags.c_contiguous):
         raise CommError(
-            f"out_g must be a float64 ({k}, {k}) array, got {out_g.dtype}{out_g.shape}"
+            f"out_g must be a C-contiguous float64 ({k}, {k}) array, "
+            f"got {out_g.dtype}{out_g.shape}"
         )
     if symmetric:
         t = tri_length(k)
-        il, jl, _ = tri_plan(k)
         G = np.empty((k, k)) if out_g is None else out_g
-        tri = buf[:t]
-        G[il, jl] = tri
-        G[jl, il] = tri
+        np.take(buf[:t], mirror_plan(k), out=G, mode="clip")
         rest = buf[t:]
     else:
         G = buf[: k * k].reshape(k, k).copy() if out_g is None else out_g

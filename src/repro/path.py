@@ -2,10 +2,13 @@
 
 Real deployments rarely solve one ``(lambda, mu, s)`` point — they sweep
 a regularization path. Solving each point independently pays full
-cold-start cost every time: a fresh communicator and ledger, a re-sliced
-and re-converted shard (the CSC sampling view), fresh gather/pack/Gram
-buffers, a cold eigenvalue memo, and ``x0 = 0``. This module amortises
-all of it:
+cold-start cost every time: a fresh communicator and ledger, a
+partitioned matrix built afresh (for the SVM layout a re-sliced column
+shard; a Lasso solve handed the same matrix again reuses its row shard
+and CSC sampling view from :meth:`~repro.linalg.distmatrix.
+RowPartitionedMatrix.from_global`'s memo, after checking the shard
+against the matrix), fresh gather/pack/Gram buffers, a cold eigenvalue
+memo, and ``x0 = 0``. This module amortises all of it:
 
 * :class:`SweepContext` owns the partitioned matrix (and with it the
   cached CSC/CSR sampling views, the reusable :class:`~repro.linalg.

@@ -105,7 +105,7 @@ class LassoState(FamilyState):
     def plan(self, k: int) -> tuple:
         """Sample one outer step's ``k`` blocks: ``(idx, (blocks, widths,
         offsets))``."""
-        blocks = [self.sampler.next_block() for _ in range(k)]
+        blocks = self.sampler.next_blocks(k)
         widths = [int(blk.shape[0]) for blk in blocks]
         offsets = np.concatenate([[0], np.cumsum(widths)])
         return np.concatenate(blocks), (blocks, widths, offsets)

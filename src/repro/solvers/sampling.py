@@ -5,10 +5,13 @@ samplers; because every rank seeds identically (paper §III: "initializing
 the random number generator on all processors to the same seed"), the
 sampled blocks are replicated knowledge and contribute no communication.
 
-Crucially, the SA variant calls the *same* sampler ``s`` times per outer
-iteration, so SA and non-SA runs with equal seeds see the identical
-coordinate stream — the precondition for the paper's exact-arithmetic
-equivalence.
+Crucially, the SA variant draws ``s`` blocks per outer iteration from
+the *same* stream, so SA and non-SA runs with equal seeds see the
+identical coordinate stream — the precondition for the paper's
+exact-arithmetic equivalence. The SA solvers draw an outer step's blocks
+in one call (:meth:`BlockSampler.next_blocks`,
+:meth:`RowSampler.next_indices`) that reproduces the one-at-a-time draws
+and the generator's final state bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,39 @@ class BlockSampler:
     def next_block(self) -> np.ndarray:
         """The next block of ``mu`` distinct coordinate indices."""
         return self.rng.choice(self.n, size=self.mu, replace=False)
+
+    def next_blocks(self, k: int) -> list:
+        """The next ``k`` blocks: what ``k`` :meth:`next_block` calls give,
+        leaving the generator in the same state, from one bounded-integer
+        draw.
+
+        ``Generator.choice(n, mu, replace=False)`` runs Floyd's algorithm
+        (a draw in ``[0, j]`` for ``j = n - mu, ..., n - 1``; a value drawn
+        before becomes ``j``), then a Fisher-Yates shuffle (a draw in
+        ``[0, i]`` for ``i = mu - 1, ..., 1``, swapping ``i`` with it).
+        Each bounded draw consumes the stream as ``integers`` does for the
+        same bound, so one ``integers`` call over all ``k`` blocks' bounds
+        yields the same values; the collision rule and the swaps run
+        here. Where numpy switches to its tail shuffle (``n > 10000`` and
+        ``mu > n // 50``) the blocks are drawn one at a time.
+        """
+        n, mu = self.n, self.mu
+        if n > 10000 and mu > n // 50:
+            return [self.next_block() for _ in range(k)]
+        bounds = np.concatenate([np.arange(n - mu, n), np.arange(mu - 1, 0, -1)])
+        draws = self.rng.integers(0, np.tile(bounds, k), endpoint=True).tolist()
+        floyd, swaps, step = range(n - mu, n), range(mu - 1, 0, -1), 2 * mu - 1
+        blocks = []
+        for at in range(0, k * step, step):
+            block, seen = draws[at:at + mu], set()
+            for p, j in enumerate(floyd):
+                if block[p] in seen:
+                    block[p] = j
+                seen.add(block[p])
+            for i, d in zip(swaps, draws[at + mu:at + step]):
+                block[i], block[d] = block[d], block[i]
+            blocks.append(block)
+        return list(np.array(blocks, dtype=np.int64))
 
 
 class GroupBlockSampler:
@@ -77,6 +113,10 @@ class GroupBlockSampler:
         chosen = self.rng.choice(self.groups, size=self.groups_per_block, replace=False)
         return np.concatenate([self._members[g] for g in chosen])
 
+    def next_blocks(self, k: int) -> list:
+        """The next ``k`` blocks, one :meth:`next_block` call each."""
+        return [self.next_block() for _ in range(k)]
+
 
 class RowSampler:
     """Uniform single-row sampler for dual SVM (paper Alg. 3 line 4)."""
@@ -93,7 +133,9 @@ class RowSampler:
         return int(self.rng.integers(0, self.m))
 
     def next_indices(self, s: int) -> np.ndarray:
-        """``s`` consecutive draws (used by SA-SVM; same stream)."""
+        """``s`` consecutive draws (used by SA-SVM; same stream): one
+        ``integers`` call gives what ``s`` :meth:`next_index` calls would,
+        and leaves the generator in the same state."""
         if s < 1:
             raise SolverError(f"s must be >= 1, got {s}")
-        return np.array([self.next_index() for _ in range(s)], dtype=np.intp)
+        return self.rng.integers(0, self.m, size=s).astype(np.intp, copy=False)
