@@ -8,11 +8,9 @@ for single-machine use, while still exposing every knob the paper tunes
 from __future__ import annotations
 
 from repro.errors import SolverError
+from repro.launch import launch, recovery_knobs
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
-from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
-from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
 from repro.solvers.outer import check_schedule, ring_depth
@@ -26,77 +24,6 @@ _LASSO = {
     "accbcd": (acc_bcd, False),
     "sa-accbcd": (sa_acc_bcd, True),
 }
-
-
-def _check_backend(backend: str, comm, recover: str) -> None:
-    if backend not in ("virtual", "thread", "process"):
-        raise SolverError(
-            f"unknown backend {backend!r}; known: ['virtual', 'thread',"
-            " 'process']"
-        )
-    if backend != "virtual" and comm is not None:
-        raise SolverError(
-            "pass either comm= or backend=; a non-virtual backend builds"
-            " its own communicators"
-        )
-    if recover not in ("raise", "checkpoint"):
-        raise SolverError(
-            f"recover must be 'raise' or 'checkpoint', got {recover!r}"
-        )
-    if recover == "checkpoint" and backend != "process":
-        raise SolverError(
-            "recover='checkpoint' needs backend='process' (the supervised"
-            " worker pool); thread/virtual ranks cannot die independently"
-        )
-
-
-def _run_spmd(work, *, backend, ranks, machine, cost_size, recover,
-              max_recoveries, nb_depth=NB_RING_DEPTH):
-    """Run ``work(comm, rank)`` on a real backend; return rank 0's value."""
-    if ranks < 1:
-        raise SolverError(f"ranks must be >= 1, got {ranks}")
-    if backend == "thread":
-        out = spmd_run(
-            work, ranks, machine=machine, cost_size=cost_size,
-            nb_depth=nb_depth,
-        )
-    else:
-        out = process_spmd_run(
-            work, ranks, machine=machine, cost_size=cost_size,
-            recover=recover, max_recoveries=max_recoveries,
-            nb_depth=nb_depth,
-        )
-    return out.values[0]
-
-
-def _recovery_knobs(comm, checkpoint_every, checkpoint_sink, resume_from,
-                    default_every: int):
-    """Resolve checkpoint knobs against the pool's recovery context.
-
-    On a supervised rank (``comm.recovery`` present and active) the
-    supervisor's latest collected checkpoint overrides ``resume_from`` on
-    a redispatched attempt, and :meth:`RecoveryContext.save` is chained
-    into the sink so future recoveries have something to replay from
-    (``default_every`` turns checkpointing on when the caller left it
-    off — scratch restarts would still be correct, just wasteful).
-    """
-    ctx = getattr(comm, "recovery", None)
-    if ctx is None or not ctx.active:
-        return checkpoint_every, checkpoint_sink, resume_from
-    if ctx.resume is not None:
-        resume_from = ctx.resume
-    if checkpoint_every == 0:
-        checkpoint_every = default_every
-    user_sink = checkpoint_sink
-
-    def sink(payload, _user=user_sink, _ctx=ctx):
-        _ctx.save(payload)
-        if _user is not None:
-            from repro.checkpoint import emit_solver_checkpoint
-
-            emit_solver_checkpoint(payload, _user, comm.rank)
-
-    return checkpoint_every, sink, resume_from
 
 
 def fit_lasso(
@@ -190,12 +117,14 @@ def fit_lasso(
         ``"virtual"`` (default; modelled single-process run, honors
         ``comm=``/``virtual_p=``), ``"thread"``, or ``"process"`` — the
         real backends run the solve SPMD on ``ranks`` ranks and return
-        rank 0's result.
+        rank 0's result (see :func:`repro.launch.launch`).
     recover, max_recoveries:
         ``backend="process"`` only: ``recover="checkpoint"`` lets the
         supervised worker pool respawn dead ranks and replay the solve
         from its latest checkpoint (at most ``max_recoveries`` times)
-        instead of raising :class:`~repro.errors.RankDiedError`.
+        instead of raising :class:`~repro.errors.RankDiedError`. A bad
+        ``backend``, ``ranks`` or ``recover``, or ``comm=`` with a real
+        backend, raises :class:`~repro.errors.CommError`.
     """
     try:
         fn, is_sa = _LASSO[solver]
@@ -204,9 +133,13 @@ def fit_lasso(
             f"unknown lasso solver {solver!r}; known: {sorted(_LASSO)}"
         ) from exc
     check_schedule(s, tau, pipeline, async_, sa=is_sa, solver=solver)
-    _check_backend(backend, comm, recover)
 
-    def _solve(wcomm, ck_every, ck_sink, ck_resume):
+    def work(wcomm, wrank):
+        knobs = (checkpoint_every, checkpoint_sink, resume_from)
+        if backend != "virtual":
+            knobs = recovery_knobs(wcomm, *knobs,
+                                   default_every=max(1, s) if is_sa else 10)
+        ck_every, ck_sink, ck_resume = knobs
         kwargs = dict(
             mu=mu, max_iter=max_iter, seed=seed, comm=wcomm,
             tol=tol, record_every=record_every, x0=x0,
@@ -218,22 +151,9 @@ def fit_lasso(
                           async_=async_, tau=tau, eig_memo=eig_memo)
         return fn(A, b, lam, **kwargs)
 
-    if backend == "virtual":
-        if comm is None:
-            comm = VirtualComm(virtual_size=virtual_p, machine=machine)
-        return _solve(comm, checkpoint_every, checkpoint_sink, resume_from)
-
-    def work(wcomm, wrank):
-        ck_every, ck_sink, ck_resume = _recovery_knobs(
-            wcomm, checkpoint_every, checkpoint_sink, resume_from,
-            default_every=max(1, s) if is_sa else 10,
-        )
-        return _solve(wcomm, ck_every, ck_sink, ck_resume)
-
-    return _run_spmd(
-        work, backend=backend, ranks=ranks, machine=machine,
-        cost_size=max(virtual_p, ranks), recover=recover,
-        max_recoveries=max_recoveries,
+    return launch(
+        work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
+        machine=machine, recover=recover, max_recoveries=max_recoveries,
         nb_depth=ring_depth(async_, tau),
     )
 
@@ -300,9 +220,15 @@ def fit_svm(
     if solver not in ("svm", "sa-svm"):
         raise SolverError(f"unknown svm solver {solver!r}; known: ['svm', 'sa-svm']")
     check_schedule(s, tau, pipeline, async_, sa=solver == "sa-svm", solver=solver)
-    _check_backend(backend, comm, recover)
 
-    def _solve(wcomm, ck_every, ck_sink, ck_resume):
+    def work(wcomm, wrank):
+        knobs = (checkpoint_every, checkpoint_sink, resume_from)
+        if backend != "virtual":
+            knobs = recovery_knobs(
+                wcomm, *knobs,
+                default_every=max(1, s) if solver == "sa-svm" else 10,
+            )
+        ck_every, ck_sink, ck_resume = knobs
         kwargs = dict(
             loss=loss, lam=lam, max_iter=max_iter, seed=seed, comm=wcomm,
             tol=tol, record_every=record_every, alpha0=alpha0,
@@ -314,21 +240,8 @@ def fit_svm(
                           async_=async_, tau=tau, **kwargs)
         return dcd(A, b, **kwargs)
 
-    if backend == "virtual":
-        if comm is None:
-            comm = VirtualComm(virtual_size=virtual_p, machine=machine)
-        return _solve(comm, checkpoint_every, checkpoint_sink, resume_from)
-
-    def work(wcomm, wrank):
-        ck_every, ck_sink, ck_resume = _recovery_knobs(
-            wcomm, checkpoint_every, checkpoint_sink, resume_from,
-            default_every=max(1, s) if solver == "sa-svm" else 10,
-        )
-        return _solve(wcomm, ck_every, ck_sink, ck_resume)
-
-    return _run_spmd(
-        work, backend=backend, ranks=ranks, machine=machine,
-        cost_size=max(virtual_p, ranks), recover=recover,
-        max_recoveries=max_recoveries,
+    return launch(
+        work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
+        machine=machine, recover=recover, max_recoveries=max_recoveries,
         nb_depth=ring_depth(async_, tau),
     )

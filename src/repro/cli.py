@@ -48,13 +48,10 @@ from repro.experiments.runner import (
     strong_scaling,
 )
 from repro.experiments.theory import best_s
+from repro.launch import check_launch
 from repro.machine.spec import get_machine
-from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import spmd_run
-from repro.mpi.virtual_backend import VirtualComm
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max
-from repro.solvers.outer import ring_depth
 from repro.solvers.serialization import save_result
 from repro.streaming import replay_schedule
 from repro.utils.io import atomic_write_json
@@ -378,39 +375,6 @@ def _cmd_lasso(args) -> int:
     return 0
 
 
-def _check_recover_args(args) -> None:
-    if args.recover == "checkpoint" and args.backend != "process":
-        raise ReproError(
-            "--recover checkpoint needs --backend process (the supervised "
-            "worker pool); thread/virtual ranks cannot die independently"
-        )
-
-
-def _dispatch_backend(work, args, machine):
-    """Run ``work(comm, rank)`` on the requested backend; rank 0's value.
-
-    ``virtual`` runs in-process at virtual P; ``thread``/``process`` run
-    ``--ranks`` real SPMD participants with costs modelled at
-    ``max(--p, --ranks)``. ``work`` must return a plain (picklable)
-    payload — the process backend ships it back through a pipe.
-    """
-    _check_recover_args(args)
-    if args.backend == "virtual":
-        return work(VirtualComm(virtual_size=args.p, machine=machine), 0)
-    nb_depth = ring_depth(args.async_, args.tau)
-    if args.backend == "thread":
-        out = spmd_run(work, args.ranks, machine=machine,
-                       cost_size=max(args.p, args.ranks), nb_depth=nb_depth)
-    else:
-        out = process_spmd_run(
-            work, args.ranks, machine=machine,
-            cost_size=max(args.p, args.ranks),
-            recover=args.recover, max_recoveries=args.max_recoveries,
-            nb_depth=nb_depth,
-        )
-    return out.values[0]
-
-
 def _schedule_line(sched: dict) -> str:
     """Name the schedule a sweep's solves ran (``sched`` holds the
     ``pipeline``, ``async`` and ``tau`` a path or replay records)."""
@@ -421,38 +385,17 @@ def _schedule_line(sched: dict) -> str:
 
 def _cmd_lasso_path(args) -> int:
     ds = _load_problem(args)
-    machine = get_machine(args.machine)
-
-    def work(comm, rank):
-        path = lasso_path(
-            ds.A, ds.b, n_lambdas=args.n_lambdas, eps=args.eps,
-            solver=args.solver, mu=args.mu, s=args.s, max_iter=args.max_iter,
-            tol=args.tol, seed=args.seed, record_every=args.record_every,
-            warm_start=not args.cold,
-            pipeline=args.pipeline, async_=args.async_, tau=args.tau,
-            adaptive=args.adaptive, comm=comm,
-        )
-        # plain payload: PathResult holds the context/communicator,
-        # which must not cross the process-backend pipe
-        return {
-            "n": int(path.results[0].x.shape[0]),
-            "points": [
-                {"lam": float(lam), "iterations": int(res.iterations),
-                 "support": int(nnz), "objective": float(res.final_metric),
-                 "seconds": res.cost.seconds}
-                for lam, res, nnz in zip(path.lambdas, path.results,
-                                         path.support_sizes(1e-10),
-                                         strict=True)
-            ],
-            "total_iterations": int(sum(path.iterations)),
-            "total_seconds": path.total_cost.seconds,
-            "total_messages": int(path.total_cost.messages),
-            "hidden_seconds": path.total_cost.comm_seconds_hidden,
-            "schedule": {k: path.extras[k] for k in ("pipeline", "async", "tau")},
-        }
-
-    payload = _dispatch_backend(work, args, machine)
-    n = payload["n"]
+    path = lasso_path(
+        ds.A, ds.b, n_lambdas=args.n_lambdas, eps=args.eps,
+        solver=args.solver, mu=args.mu, s=args.s, max_iter=args.max_iter,
+        tol=args.tol, seed=args.seed, record_every=args.record_every,
+        warm_start=not args.cold,
+        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        adaptive=args.adaptive, backend=args.backend, ranks=args.ranks,
+        virtual_p=args.p, machine=get_machine(args.machine),
+        recover=args.recover, max_recoveries=args.max_recoveries,
+    )
+    n = path.results[0].x.shape[0]
     # like `repro lasso`, modelled time is only meaningful at modelled
     # P > 1 (a 1-rank tree Allreduce has zero rounds); thread/process
     # runs model costs at max(--p, --ranks) ranks
@@ -461,11 +404,12 @@ def _cmd_lasso_path(args) -> int:
     if model_p > 1:
         headers.append("model ms")
     rows = []
-    for pt in payload["points"]:
-        row = [f"{pt['lam']:.4g}", pt["iterations"], f"{pt['support']}/{n}",
-               f"{pt['objective']:.6g}"]
+    for lam, res, nnz in zip(path.lambdas, path.results,
+                             path.support_sizes(1e-10), strict=True):
+        row = [f"{lam:.4g}", res.iterations, f"{nnz}/{n}",
+               f"{res.final_metric:.6g}"]
         if model_p > 1:
-            row.append(f"{pt['seconds'] * 1e3:.4g}")
+            row.append(f"{res.cost.seconds * 1e3:.4g}")
         rows.append(row)
     mode = "cold (shared caches)" if args.cold else "warm-started"
     print(format_table(
@@ -474,13 +418,14 @@ def _cmd_lasso_path(args) -> int:
         title=f"{args.solver} regularization path, {mode} "
               f"(mu={args.mu}, s={args.s})",
     ))
-    print(f"total iterations: {payload['total_iterations']}")
-    print(_schedule_line(payload["schedule"]))
+    print(f"total iterations: {sum(path.iterations)}")
+    print(_schedule_line(path.extras))
+    total = path.total_cost
     if model_p > 1:
         print(f"total modelled time at P={model_p} on {args.machine}: "
-              f"{payload['total_seconds'] * 1e3:.4g} ms "
-              f"({payload['total_messages']} messages, "
-              f"{payload['hidden_seconds'] * 1e3:.4g} ms of communication hidden)")
+              f"{total.seconds * 1e3:.4g} ms "
+              f"({total.messages} messages, "
+              f"{total.comm_seconds_hidden * 1e3:.4g} ms of communication hidden)")
     return 0
 
 
@@ -620,7 +565,7 @@ def _cmd_stream(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serve import TenantSpec, load_trace, serve_trace, synthetic_trace
 
-    _check_recover_args(args)
+    check_launch(args.backend, args.recover)
     ds = _load_problem(args)
     task = args.task if args.task != "auto" else getattr(ds, "task", "lasso")
     machine = get_machine(args.machine)

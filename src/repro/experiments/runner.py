@@ -19,10 +19,8 @@ import numpy as np
 from repro.datasets import registry
 from repro.datasets.registry import get_dataset
 from repro.errors import SolverError
+from repro.launch import launch, recovery_knobs
 from repro.machine.spec import CRAY_XC30, MachineSpec
-from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
-from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.base import SolverResult
@@ -35,7 +33,6 @@ __all__ = [
     "load_scaled",
     "LASSO_SOLVERS",
     "SVM_SOLVERS",
-    "BACKENDS",
     "run_lasso",
     "run_svm",
     "strong_scaling",
@@ -166,88 +163,27 @@ SVM_SOLVERS: dict[str, Callable] = {
 }
 
 
-#: real-parallelism backends for `run_lasso`/`run_svm` (``"virtual"`` is
-#: the default single-process cost-model mode)
-BACKENDS = ("virtual", "thread", "process")
+def _launch_solve(fn: Callable, pargs: tuple, kwargs: dict, ds: ScaledDataset,
+                  recovery_every: int, **launch_kw) -> SolverResult:
+    """Run ``fn(*pargs, **kwargs)`` through :func:`repro.launch.launch`.
 
-
-def _make_comm(P: int, machine: MachineSpec | None, ds: ScaledDataset) -> VirtualComm:
-    return VirtualComm(
-        virtual_size=P,
-        machine=machine,
-        flop_scale=ds.flop_scale,
-        kind_scales=ds.kind_scales,
-    )
-
-
-def _run_backend(
-    fn: Callable,
-    pargs: tuple,
-    kwargs: dict,
-    ds: ScaledDataset,
-    backend: str,
-    ranks: int,
-    P: int,
-    machine: MachineSpec | None,
-    recover: str = "raise",
-    max_recoveries: int = 2,
-    recovery_every: int = 10,
-    nb_depth: int = NB_RING_DEPTH,
-) -> SolverResult:
-    """Dispatch one solve to the requested comm backend.
-
-    ``virtual`` runs in-process at virtual P (the default, modelled
-    costs extrapolated by the dataset's flop scale); ``thread`` /
-    ``process`` run ``ranks`` real SPMD participants with costs modelled
-    at ``max(P, ranks)`` ranks, returning rank 0's result.
-    ``recover="checkpoint"`` (process backend only) lets the supervised
-    worker pool respawn dead ranks and replay from the latest checkpoint
-    (emitted every ``recovery_every`` iterations).
+    Every backend charges flops extrapolated by the dataset's flop
+    scales. Under ``recover="checkpoint"`` the solve checkpoints every
+    ``recovery_every`` iterations, so a respawned rank replays from the
+    latest checkpoint; a virtual run's communicator is always fresh, so
+    the knobs resolve only on real ranks.
     """
-    if backend not in BACKENDS:
-        raise SolverError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-    if recover not in ("raise", "checkpoint"):
-        raise SolverError(
-            f"recover must be 'raise' or 'checkpoint', got {recover!r}"
-        )
-    if recover == "checkpoint" and backend != "process":
-        raise SolverError(
-            "recover='checkpoint' needs backend='process' (the supervised"
-            " worker pool)"
-        )
-    if backend == "virtual":
-        return fn(*pargs, comm=_make_comm(P, machine, ds), **kwargs)
-    if ranks < 1:
-        raise SolverError(f"ranks must be >= 1, got {ranks}")
 
     def work(comm, rank):
-        # apply the dataset's extrapolation factors before any charge, so
-        # modelled costs stay comparable with the virtual backend's
         comm.ledger.default_scale = ds.flop_scale
         comm.ledger.kind_scales = dict(ds.kind_scales)
-        from repro._api import _recovery_knobs
-
-        ck_every, ck_sink, ck_resume = _recovery_knobs(
+        ck_every, ck_sink, ck_resume = recovery_knobs(
             comm, 0, None, None, default_every=recovery_every
         )
-        kw = dict(kwargs)
-        if ck_every:
-            kw.update(
-                checkpoint_every=ck_every, checkpoint_sink=ck_sink,
-                resume_from=ck_resume,
-            )
-        return fn(*pargs, comm=comm, **kw)
+        return fn(*pargs, comm=comm, checkpoint_every=ck_every,
+                  checkpoint_sink=ck_sink, resume_from=ck_resume, **kwargs)
 
-    if backend == "thread":
-        out = spmd_run(work, ranks, machine=machine, cost_size=max(P, ranks),
-                       nb_depth=nb_depth)
-    else:
-        out = process_spmd_run(
-            work, ranks, machine=machine, cost_size=max(P, ranks),
-            recover=recover, max_recoveries=max_recoveries,
-            nb_depth=nb_depth,
-        )
-    return out.root
+    return launch(work, **launch_kw)
 
 
 def run_lasso(
@@ -295,10 +231,11 @@ def run_lasso(
     check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
     if sa:
         kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
-    return _run_backend(
-        fn, (ds.A, ds.b, lam_val), kwargs, ds, backend, ranks, P, machine,
+    return _launch_solve(
+        fn, (ds.A, ds.b, lam_val), kwargs, ds, s if sa else 10,
+        backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
-        recovery_every=s if sa else 10, nb_depth=ring_depth(async_, tau),
+        nb_depth=ring_depth(async_, tau),
     )
 
 
@@ -343,10 +280,11 @@ def run_svm(
     check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
     if sa:
         kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
-    return _run_backend(
-        fn, (ds.A, ds.b), kwargs, ds, backend, ranks, P, machine,
+    return _launch_solve(
+        fn, (ds.A, ds.b), kwargs, ds, s if sa else 10,
+        backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
-        recovery_every=s if sa else 10, nb_depth=ring_depth(async_, tau),
+        nb_depth=ring_depth(async_, tau),
     )
 
 

@@ -58,26 +58,23 @@ workers shipped up through :class:`RecoveryContext`. With the default
 Requires a platform with ``fork`` (Linux/macOS): the SPMD function and
 its closure are inherited, not pickled, for the fork that dispatches
 them — tests and solvers can pass lambdas exactly as with
-:func:`~repro.mpi.thread_backend.spmd_run`. Only a *subsequent* job
-dispatched to already-running workers crosses a pipe; a mini function
-codec (pickle by reference, falling back to marshalled code objects
-with recursively-encoded closures) covers the lambdas and closures the
-repo's callers use.
+:func:`~repro.mpi.thread_backend.spmd_run`. :func:`process_spmd_run`
+runs one job per pool, so its jobs always ride fork. Only a *later* job
+dispatched to a live :class:`WorkerPool` crosses a pipe, and it crosses
+by pickle: a module-level function with picklable arguments reaches the
+parked workers, while a job that does not pickle (a closure) makes the
+pool retire them and fork fresh workers that inherit it.
 """
 
 from __future__ import annotations
 
-import builtins
 import ctypes
-import marshal
 import multiprocessing as mp
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
-import types
 from multiprocessing.sharedctypes import RawArray
 from threading import BrokenBarrierError
 from typing import Any, Callable, Sequence
@@ -663,56 +660,13 @@ class ProcessComm(Comm):
 # -- job codec (for shipping a job to already-running workers) -------------
 #
 # The first job a worker ever sees rides fork inheritance (no encoding at
-# all, exactly like the historical fork-and-join path), and a respawned
-# worker likewise inherits the in-flight job through its fresh fork. Only a
-# *subsequent* job dispatched to workers that are already parked has to
-# cross a pipe; pickling covers module-level functions and most data, and
-# the marshal fallback covers the lambdas/closures the repo's callers use.
+# all), and a respawned worker likewise inherits the in-flight job through
+# its fresh fork. Only a *later* job dispatched to workers that are already
+# parked crosses a pipe, by pickle; a job that does not pickle (a closure)
+# makes the pool fork fresh workers instead (see WorkerPool._dispatch).
 
-def _encode_obj(value: Any) -> tuple:
-    try:
-        return ("pickle", pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        if isinstance(value, types.FunctionType):
-            return ("code", _encode_code_fn(value))
-        raise
-
-
-def _encode_code_fn(fn: types.FunctionType) -> dict:
-    closure = ()
-    if fn.__closure__:
-        closure = tuple(_encode_obj(c.cell_contents) for c in fn.__closure__)
-    return {
-        "code": marshal.dumps(fn.__code__),
-        "module": fn.__module__,
-        "name": fn.__name__,
-        "closure": closure,
-        "defaults": tuple(_encode_obj(d) for d in fn.__defaults__ or ()),
-        "kwdefaults": {
-            k: _encode_obj(v) for k, v in (fn.__kwdefaults__ or {}).items()
-        },
-    }
-
-
-def _decode_obj(enc: tuple) -> Any:
-    kind, payload = enc
-    if kind == "pickle":
-        return pickle.loads(payload)
-    return _decode_code_fn(payload)
-
-
-def _decode_code_fn(spec: dict) -> types.FunctionType:
-    code = marshal.loads(spec["code"])
-    mod = sys.modules.get(spec["module"])
-    globs = mod.__dict__ if mod is not None else {"__builtins__": builtins}
-    closure = tuple(types.CellType(_decode_obj(c)) for c in spec["closure"])
-    defaults = tuple(_decode_obj(d) for d in spec["defaults"]) or None
-    fn = types.FunctionType(code, globs, spec["name"], defaults, closure)
-    if spec["kwdefaults"]:
-        fn.__kwdefaults__ = {
-            k: _decode_obj(v) for k, v in spec["kwdefaults"].items()
-        }
-    return fn
+def _encode_obj(value: Any) -> bytes:
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class RecoveryContext:
@@ -801,11 +755,12 @@ def _pool_worker_main(
     """Persistent worker: run the inherited job, then park for more.
 
     ``first_job`` is ``(jid, attempt, ctx_state, fn, args)`` inherited by
-    fork (so lambdas need no codec); subsequent jobs arrive on
+    fork (so closures need no encoding); later jobs arrive on
     ``job_conn`` as ``("run", jid, attempt, ctx_state, fn_enc, args_enc)``
-    with ``fn_enc=None`` meaning "re-run the job you already hold" (a
-    survivor being redispatched after a recovery). ``None`` on the pipe —
-    or a closed pipe — is an orderly shutdown.
+    with ``fn`` and each argument pickled, or ``fn_enc=None`` meaning
+    "re-run the job you already hold" (a survivor being redispatched
+    after a recovery). ``None`` on the pipe — or a closed pipe — is an
+    orderly shutdown.
     """
     # Signal safety: the parent's shutdown path owns teardown. SIGTERM
     # (e.g. an external kill of this rank) still aborts the world so
@@ -884,8 +839,8 @@ def _pool_worker_main(
         _, jid, attempt, ctx_state, fn_enc, args_enc = msg
         if fn_enc is not None:
             try:
-                cur_fn = _decode_obj(fn_enc)
-                cur_args = tuple(_decode_obj(a) for a in args_enc)
+                cur_fn = pickle.loads(fn_enc)
+                cur_args = tuple(pickle.loads(a) for a in args_enc)
             except (CommAborted, RankDiedError, KeyboardInterrupt):
                 raise
             except Exception as exc:
@@ -911,7 +866,10 @@ class WorkerPool:
     function, closure and all — rides fork inheritance, so lambdas work
     exactly as they always have), then *outlive the job*: after
     reporting, each worker parks on its job pipe waiting for the next
-    ``(job_id, fn, payload)`` work item. The pool's supervisor loop owns
+    ``(job_id, fn, payload)`` work item. A later job reaches the parked
+    workers by pickle when it pickles (a module-level function with
+    picklable arguments); otherwise the pool retires them and forks
+    fresh workers that inherit it. The pool's supervisor loop owns
     the heartbeat watchdog and extends it from detect-and-abort to
     detect-respawn-rebarrier:
 
@@ -1024,11 +982,11 @@ class WorkerPool:
         """Hand one attempt to every rank.
 
         Dead or never-spawned ranks get a fresh fork with the job
-        inherited; live (parked) ranks get a pipe message — encoded when
-        they don't already hold this job, ``fn_enc=None`` when they do
-        (recovery redispatch). If the job cannot cross a pipe (encoding
-        failure), the live workers are retired and everything forks
-        fresh — correctness over pool persistence.
+        inherited; live (parked) ranks get a pipe message — the pickled
+        job when they don't already hold it, ``fn_enc=None`` when they
+        do (recovery redispatch). If the job does not pickle (a closure,
+        or a closure among its arguments), the live workers are retired
+        and everything forks fresh — correctness over pool persistence.
         """
         live = [
             r for r in range(self.size)

@@ -36,8 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro._api import _check_backend, _run_spmd, fit_lasso, fit_svm
+from repro._api import fit_lasso, fit_svm
+from repro.checkpoint import emit_solver_checkpoint
 from repro.errors import CheckpointError, SolverError
+from repro.launch import check_launch, launch, recovery_knobs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo, default_eig_memo
 from repro.machine.ledger import CostSnapshot
@@ -48,7 +50,6 @@ from repro.solvers.base import SolverResult
 from repro.solvers.outer import ring_depth, sweep_schedule
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
-from repro.utils.io import atomic_write_json
 
 __all__ = [
     "SweepContext",
@@ -113,12 +114,7 @@ def _emit_path_checkpoint(sink, rank, lams, results, x_warm, params) -> None:
         "results": [result_to_dict(r) for r in results],
         "x_warm": None if x_warm is None else np.asarray(x_warm).tolist(),
     }
-    if callable(sink):
-        sink(payload)
-    elif rank == 0:
-        # repro: lint-ignore[collective-in-rank-branch] -- rank-0 checkpoint
-        # IO: a local atomic file write, no communication
-        atomic_write_json(sink, payload)
+    emit_solver_checkpoint(payload, sink, rank)
 
 
 def _load_path_checkpoint(source, lams, params) -> tuple:
@@ -514,8 +510,8 @@ def lasso_path(
 
     All other knobs match :func:`repro.fit_lasso`.
     """
+    check_launch(backend, recover, comm)
     if backend != "virtual":
-        _check_backend(backend, comm, recover)
         if context is not None:
             raise SolverError(
                 "context= holds a live SweepContext and cannot be shipped"
@@ -523,24 +519,10 @@ def lasso_path(
             )
 
         def work(wcomm, wrank):
-            rctx = getattr(wcomm, "recovery", None)
-            ck_every, ck_sink, ck_resume = (
-                checkpoint_every, checkpoint_sink, resume_from
+            ck_every, ck_sink, ck_resume = recovery_knobs(
+                wcomm, checkpoint_every, checkpoint_sink, resume_from,
+                default_every=1,
             )
-            if rctx is not None and rctx.active:
-                if rctx.resume is not None:
-                    ck_resume = rctx.resume
-                if ck_every == 0:
-                    ck_every = 1
-                user_sink = checkpoint_sink
-
-                def ck_sink(payload, _user=user_sink, _rctx=rctx):
-                    _rctx.save(payload)
-                    if callable(_user):
-                        _user(payload)
-                    elif _user is not None and wcomm.rank == 0:
-                        # repro: lint-ignore[collective-in-rank-branch] -- rank-0 local write
-                        atomic_write_json(_user, payload)
             inner = lasso_path(
                 A, b, lambdas, n_lambdas=n_lambdas, eps=eps, solver=solver,
                 mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
@@ -559,10 +541,9 @@ def lasso_path(
                 "warm_start": inner.warm_start, "extras": inner.extras,
             }
 
-        part = _run_spmd(
-            work, backend=backend, ranks=ranks, machine=machine,
-            cost_size=max(virtual_p, ranks), recover=recover,
-            max_recoveries=max_recoveries,
+        part = launch(
+            work, backend=backend, ranks=ranks, virtual_p=virtual_p,
+            machine=machine, recover=recover, max_recoveries=max_recoveries,
             nb_depth=ring_depth(async_, tau),
         )
         return PathResult(
@@ -695,8 +676,8 @@ def svm_path(
     (deterministic, so the result is unchanged — only wall time is
     lost).
     """
+    check_launch(backend, recover, comm)
     if backend != "virtual":
-        _check_backend(backend, comm, recover)
         if context is not None:
             raise SolverError(
                 "context= holds a live SweepContext and cannot be shipped"
@@ -718,10 +699,9 @@ def svm_path(
                 "warm_start": inner.warm_start, "extras": inner.extras,
             }
 
-        part = _run_spmd(
-            work, backend=backend, ranks=ranks, machine=machine,
-            cost_size=max(virtual_p, ranks), recover=recover,
-            max_recoveries=max_recoveries,
+        part = launch(
+            work, backend=backend, ranks=ranks, virtual_p=virtual_p,
+            machine=machine, recover=recover, max_recoveries=max_recoveries,
             nb_depth=ring_depth(async_, tau),
         )
         return PathResult(

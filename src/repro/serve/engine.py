@@ -66,13 +66,12 @@ from repro.errors import (
     TenantQuarantinedError,
 )
 from repro.faults import FaultyComm
+from repro.launch import launch
 from repro.linalg.kernels import EigMemo
 from repro.machine.ledger import report_total
 from repro.machine.spec import MachineSpec
 from repro.mpi.ops import MAX
-from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
-from repro.mpi.virtual_backend import VirtualComm
+from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.serve.admission import AdmissionQueue
 from repro.serve.report import (
     SERVE_CHECKPOINT_VERSION,
@@ -826,15 +825,6 @@ def serve_trace(
         deadline = float(deadline)
         if deadline <= 0:
             raise ServeError(f"deadline must be > 0, got {deadline}")
-    if recover not in ("raise", "checkpoint"):
-        raise ServeError(
-            f"recover must be 'raise' or 'checkpoint', got {recover!r}"
-        )
-    if recover == "checkpoint" and backend != "process":
-        raise ServeError(
-            "recover='checkpoint' needs backend='process' (the supervised"
-            " worker pool)"
-        )
     config = {
         "tenants": sorted(seen),
         "requests": len(events),
@@ -876,23 +866,8 @@ def serve_trace(
         eng.run_loop()
         return eng.finish(config)
 
-    if backend == "virtual":
-        return work(VirtualComm(virtual_size=virtual_p, machine=machine), 0)
-    if backend not in ("thread", "process"):
-        raise ServeError(
-            f"unknown backend {backend!r}; known: ['virtual', 'thread',"
-            f" 'process']"
-        )
-    if ranks < 1:
-        raise ServeError(f"ranks must be >= 1, got {ranks}")
-    if backend == "thread":
-        out = spmd_run(work, ranks, machine=machine,
-                       cost_size=max(virtual_p, ranks), timeout=run_timeout,
-                       nb_depth=nb_depth)
-    else:
-        out = process_spmd_run(
-            work, ranks, machine=machine, cost_size=max(virtual_p, ranks),
-            timeout=run_timeout, recover=recover,
-            max_recoveries=max_recoveries, nb_depth=nb_depth,
-        )
-    return out.values[0]
+    return launch(
+        work, backend=backend, ranks=ranks, virtual_p=virtual_p,
+        machine=machine, recover=recover, max_recoveries=max_recoveries,
+        nb_depth=nb_depth, timeout=run_timeout,
+    )

@@ -62,14 +62,13 @@ import scipy.sparse as sp
 
 from repro._api import fit_lasso, fit_svm
 from repro.errors import CheckpointError, CostModelError, SolverError
+from repro.launch import launch
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo
 from repro.linalg.partition import Partition1D
 from repro.machine.ledger import CostSnapshot, report_total
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
-from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
@@ -1255,31 +1254,8 @@ def replay_schedule(
             },
         }
 
-    if recover not in ("raise", "checkpoint"):
-        raise SolverError(
-            f"recover must be 'raise' or 'checkpoint', got {recover!r}"
-        )
-    if recover == "checkpoint" and backend != "process":
-        raise SolverError(
-            "recover='checkpoint' needs backend='process' (the supervised"
-            " worker pool)"
-        )
-    if backend == "virtual":
-        return work(VirtualComm(virtual_size=virtual_p, machine=machine), 0)
-    if backend not in ("thread", "process"):
-        raise SolverError(
-            f"unknown backend {backend!r}; known: ['virtual', 'thread', 'process']"
-        )
-    if ranks < 1:
-        raise SolverError(f"ranks must be >= 1, got {ranks}")
-    nb_depth = ring_depth(async_, tau)
-    if backend == "thread":
-        out = spmd_run(work, ranks, machine=machine,
-                       cost_size=max(virtual_p, ranks), nb_depth=nb_depth)
-    else:
-        out = process_spmd_run(
-            work, ranks, machine=machine, cost_size=max(virtual_p, ranks),
-            recover=recover, max_recoveries=max_recoveries,
-            nb_depth=nb_depth,
-        )
-    return out.values[0]
+    return launch(
+        work, backend=backend, ranks=ranks, virtual_p=virtual_p,
+        machine=machine, recover=recover, max_recoveries=max_recoveries,
+        nb_depth=ring_depth(async_, tau),
+    )

@@ -73,6 +73,12 @@ def _accumulating_work(die_at=None):
     return work
 
 
+def _pid_job(comm, rank, k):
+    """A module-level job: it pickles by reference, so it can reach
+    workers already parked in a live pool."""
+    return os.getpid(), comm.allreduce(float(rank + 1)) * k
+
+
 class TestSupervisor:
     """The recovery loop itself: caps, raise-mode preservation, reuse."""
 
@@ -171,6 +177,29 @@ class TestWorkerPool:
             for k in (1, 2, 3):
                 res = pool.run(job(k))
                 assert res.values == [3.0 * k] * SIZE
+        _assert_no_orphans()
+
+    def test_picklable_job_reuses_parked_workers(self):
+        """A job that pickles crosses the job pipe: the same workers run it."""
+        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
+            first = pool.run(_pid_job, args=(1,))
+            second = pool.run(_pid_job, args=(2,))
+        assert [v[1] for v in first.values] == [3.0] * SIZE
+        assert [v[1] for v in second.values] == [6.0] * SIZE
+        assert [v[0] for v in second.values] == [v[0] for v in first.values]
+        _assert_no_orphans()
+
+    def test_closure_job_on_live_pool_forks_fresh(self):
+        """A closure does not pickle: the pool retires its parked workers
+        and forks fresh ones, which inherit the job."""
+        def work(comm, rank):
+            return os.getpid(), comm.allreduce(float(rank + 1))
+
+        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
+            first = pool.run(_pid_job, args=(1,))
+            second = pool.run(work)
+        assert [v[1] for v in second.values] == [v[1] for v in first.values]
+        assert not {v[0] for v in second.values} & {v[0] for v in first.values}
         _assert_no_orphans()
 
     def test_pool_survives_recovery_then_runs_next_job(self):

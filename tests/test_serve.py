@@ -30,6 +30,7 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
+    CommError,
     CostModelError,
     ServeError,
     SolverError,
@@ -337,7 +338,7 @@ class TestEngineVirtual:
             serve_trace([_spec("a", m0=0)], [])
         with pytest.raises(ServeError, match="unknown tenant"):
             serve_trace([s], [TraceEvent(0.0, "zzz")])
-        with pytest.raises(ServeError, match="recover"):
+        with pytest.raises(CommError, match="recover"):
             serve_trace([s], [], recover="checkpoint", backend="virtual")
 
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from repro._api import fit_lasso, fit_svm
 from repro.datasets import make_classification, make_sparse_regression
-from repro.errors import PartitionError, SolverError
+from repro.errors import CommError, PartitionError, SolverError
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.process_backend import process_spmd_run
@@ -496,7 +496,7 @@ class TestReplaySchedule:
 
     def test_unknown_backend_and_task(self):
         A, b, batches = _lasso_data()
-        with pytest.raises(SolverError):
+        with pytest.raises(CommError):
             replay_schedule(A, b, batches, task="lasso", backend="mpi")
         with pytest.raises(SolverError):
             replay_schedule(A, b, batches, task="ridge")
