@@ -22,7 +22,9 @@ from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 
-__all__ = ["BACKENDS", "check_launch", "launch", "recovery_knobs"]
+__all__ = [
+    "BACKENDS", "check_launch", "launch", "recovery_counters", "recovery_knobs",
+]
 
 BACKENDS = ("virtual", "thread", "process")
 
@@ -104,3 +106,14 @@ def recovery_knobs(comm: Comm, checkpoint_every: int, checkpoint_sink,
         emit_solver_checkpoint(payload, checkpoint_sink, comm.rank)
 
     return checkpoint_every, sink, resume_from
+
+
+def recovery_counters(comm: Comm) -> dict:
+    """The supervised pool's ``recoveries``, ``respawns`` and
+    ``replayed_iterations`` as this attempt of the job sees them (the
+    whole run's totals on the attempt that returns), or zeros when
+    ``comm`` is not supervised under ``recover="checkpoint"``."""
+    ctx = getattr(comm, "recovery", None)
+    active = ctx is not None and ctx.active
+    return {key: int(getattr(ctx, key)) if active else 0
+            for key in ("recoveries", "respawns", "replayed_iterations")}

@@ -16,10 +16,13 @@ memo, and ``x0 = 0``. This module amortises all of it:
   and the reusable Gram output buffers of ``gram_and_project``), the
   communicator whose ledger is reset per point (so each
   :class:`~repro.solvers.base.SolverResult` carries *per-point* modelled
-  cost), and the persistent eigenvalue memo shared by every solve.
-* :func:`lasso_path` / :func:`svm_path` walk a lambda grid, threading
-  each point's solution (primal ``x`` for Lasso, dual ``alpha`` for SVM)
-  into the next solve as a warm start.
+  cost), and the persistent eigenvalue memo shared by every solve. Its
+  :meth:`~SweepContext.solve` is the one point step of every sweep
+  (paths, stream refits, serve tenants, replay's cold re-solves).
+* :func:`lasso_path` / :func:`svm_path` walk a lambda grid through one
+  point loop, threading each point's solution (primal ``x`` for Lasso,
+  dual ``alpha`` for SVM) into the next solve as a warm start, with
+  path checkpoints that resume at the last completed point.
 
 Warm-started path solves are the standard trick that makes coordinate
 methods competitive in practice; combined with the shared context the
@@ -30,16 +33,15 @@ sweep runs several times faster than independent cold solves
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro._api import fit_lasso, fit_svm
-from repro.checkpoint import emit_solver_checkpoint
+from repro.checkpoint import emit_solver_checkpoint, read_checkpoint_json, state_vector
 from repro.errors import CheckpointError, SolverError
-from repro.launch import check_launch, launch, recovery_knobs
+from repro.launch import check_launch, launch, recovery_counters, recovery_knobs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo, default_eig_memo
 from repro.machine.ledger import CostSnapshot
@@ -97,52 +99,66 @@ def _fingerprints_match(fp1: tuple, fp2: tuple, rtol: float = 1e-9) -> bool:
 #: format version of path-sweep checkpoints (distinct from solver ones)
 PATH_CHECKPOINT_VERSION = 1
 
+#: per sweep task: the path checkpoint's ``kind``, the knob besides the
+#: solver's that a resume must match (Lasso's block size, SVM's loss),
+#: the key of the warm-start vector (primal ``x``, dual ``alpha``) and
+#: the axis of the data matrix that gives its length
+_PATH_TASK = {
+    "lasso": ("lasso-path", "mu", "x_warm", 1),
+    "svm": ("svm-path", "loss", "alpha_warm", 0),
+}
 
-def _emit_path_checkpoint(sink, rank, lams, results, x_warm, params) -> None:
+
+def _emit_path_checkpoint(sink, rank, task, lams, results, warm,
+                          params) -> None:
     """One path checkpoint: completed points + the warm-start vector.
 
     Coarser-grained than solver checkpoints: a path resumes at the last
     completed grid point (each point's solve re-runs from its warm
     start), which keeps the payload to finished results only.
     """
+    kind, _, warm_key, _ = _PATH_TASK[task]
     payload = {
         "format_version": PATH_CHECKPOINT_VERSION,
-        "kind": "lasso-path",
+        "kind": kind,
         "lambdas": np.asarray(lams, dtype=np.float64).tolist(),
         "completed": len(results),
         "params": dict(params),
         "results": [result_to_dict(r) for r in results],
-        "x_warm": None if x_warm is None else np.asarray(x_warm).tolist(),
+        warm_key: None if warm is None else np.asarray(warm).tolist(),
     }
     emit_solver_checkpoint(payload, sink, rank)
 
 
-def _load_path_checkpoint(source, lams, params) -> tuple:
-    """Validate + unpack a path checkpoint: (results, x_warm)."""
-    if isinstance(source, dict):
-        ck = source
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                ck = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"could not read path checkpoint {source!r}: {exc}"
-            ) from exc
-    if not isinstance(ck, dict) or ck.get("kind") != "lasso-path":
-        raise CheckpointError("resume_from is not a lasso-path checkpoint")
+def _load_path_checkpoint(source, task, lams, params, warm_len) -> tuple:
+    """Validate + unpack a path checkpoint: (grid, results, warm)."""
+    kind, _, warm_key, _ = _PATH_TASK[task]
+    ck = (source if isinstance(source, dict)
+          else read_checkpoint_json(source, "path checkpoint"))
+    if ck.get("kind") != kind:
+        raise CheckpointError(f"resume_from is not a {kind} checkpoint")
     if ck.get("format_version") != PATH_CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported path checkpoint format_version"
             f" {ck.get('format_version')!r}"
         )
     want = np.asarray(lams, dtype=np.float64)
-    got = np.asarray(ck.get("lambdas", []), dtype=np.float64)
-    if got.shape != want.shape or not np.array_equal(got, want):
+    try:
+        got = np.asarray(ck.get("lambdas", []), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"path checkpoint lambdas are not numeric: {exc}"
+        ) from exc
+    # a default grid scales lambda_max, an Allreduce whose summation
+    # order follows the rank count: equal grids agree to rounding only
+    if got.shape != want.shape or not np.allclose(got, want, rtol=1e-12,
+                                                   atol=0.0):
         raise CheckpointError(
             "path checkpoint was written for a different lambda grid"
         )
-    have = ck.get("params", {})
+    have = ck.get("params")
+    if not isinstance(have, dict):
+        raise CheckpointError("path checkpoint params are not an object")
     for key, val in params.items():
         if have.get(key) != val:
             raise CheckpointError(
@@ -151,6 +167,8 @@ def _load_path_checkpoint(source, lams, params) -> tuple:
             )
     completed = ck.get("completed", 0)
     res_dicts = ck.get("results", [])
+    if not isinstance(res_dicts, list):
+        raise CheckpointError("path checkpoint results are not a list")
     if not isinstance(completed, int) or completed != len(res_dicts):
         raise CheckpointError("path checkpoint completed/results disagree")
     if completed > want.size:
@@ -161,10 +179,10 @@ def _load_path_checkpoint(source, lams, params) -> tuple:
         raise CheckpointError(
             f"path checkpoint holds a malformed result: {exc}"
         ) from exc
-    x_warm = ck.get("x_warm")
-    if x_warm is not None:
-        x_warm = np.asarray(x_warm, dtype=np.float64)
-    return results, x_warm
+    # the warm start sits at the payload's top level, where a solver
+    # checkpoint keeps its vectors under "state"
+    warm = state_vector({"state": ck}, warm_key, warm_len) if results else None
+    return got, results, warm
 
 
 def adaptive_schedule(
@@ -217,10 +235,15 @@ class SweepContext:
 
     The context builds the partitioned matrix **once**; every solve
     through it reuses the cached sampling views, gather workspace,
-    packed-collective buffers, and Gram output buffers.
+    packed-collective buffers, and Gram output buffers. :meth:`solve`
+    is the one point step of every sweep: the path loop of
+    :func:`lasso_path` / :func:`svm_path`, each
+    :class:`~repro.streaming.StreamingSweep` refit (and through it each
+    serve tenant's) and the cold re-solves of
+    :func:`~repro.streaming.replay_schedule`.
 
     The context **takes ownership of the communicator's ledger**: it is
-    zeroed at every :meth:`begin_point` — including for an adopted
+    zeroed at every :meth:`solve` — including for an adopted
     communicator — so per-point modelled costs never accumulate
     silently; the sweep total stays available as :attr:`total_cost`. If
     a communicator's pre-sweep totals must survive, build the context
@@ -312,14 +335,43 @@ class SweepContext:
             self.b = np.asarray(b, dtype=np.float64).ravel()
         self._fingerprint = _data_fingerprint(self.dist)
 
-    # -- per-point ledger discipline ---------------------------------------
-    def begin_point(self) -> None:
-        """Zero the ledger so the next solve reports per-point cost."""
-        self.comm.reset()
+    def solve(self, lam, warm=None, *, solver: str, s: int, max_iter: int,
+              tol: float | None, seed: int, record_every: int, fast: bool,
+              pipeline: bool, async_: bool, tau: int, mu: int = 1,
+              loss: str = "l1") -> SolverResult:
+        """One point of the sweep: zero the ledger, solve, bank the cost.
 
-    def end_point(self, result: SolverResult) -> None:
-        """Bank one solve's per-point cost into the sweep total."""
-        self.point_costs.append(result.cost)
+        The solve runs the schedule :func:`~repro.solvers.outer.
+        sweep_schedule` picks for ``pipeline``/``async_`` on this
+        context's communicator, through the context's partitioned
+        matrix (and, for Lasso, its eigenvalue memo). ``warm`` is the
+        warm start: the primal ``x0`` for Lasso, or the dual ``alpha0``
+        for SVM, clipped to the dual box of this point's ``lam``.
+        ``mu`` is Lasso's and ``loss`` SVM's; every other knob is
+        :func:`repro.fit_lasso`'s / :func:`repro.fit_svm`'s, and a Lasso
+        ``lam`` may be a :class:`~repro.prox.penalties.Penalty`. The
+        result's ``cost`` is this point's alone and is appended to
+        :attr:`point_costs`.
+        """
+        pipeline, async_ = sweep_schedule(solver, pipeline, async_,
+                                          self.comm.cost_size)
+        self.comm.reset()
+        knobs = dict(solver=solver, s=s, max_iter=max_iter, tol=tol,
+                     seed=seed, comm=self.comm, record_every=record_every,
+                     fast=fast, pipeline=pipeline, async_=async_, tau=tau)
+        if self.task == "lasso":
+            res = fit_lasso(self.dist, self.b, lam, mu=mu, x0=warm,
+                            eig_memo=self.eig_memo, **knobs)
+        else:
+            lam = float(lam)
+            if warm is not None:
+                _, nu = loss_params(loss, lam)
+                if np.isfinite(nu):
+                    warm = np.clip(warm, 0.0, nu)
+            res = fit_svm(self.dist, self.b, loss=loss, lam=lam, alpha0=warm,
+                          **knobs)
+        self.point_costs.append(res.cost)
+        return res
 
     @property
     def total_cost(self) -> CostSnapshot:
@@ -395,6 +447,91 @@ def lambda_grid(lam_max: float, n_lambdas: int = 16, eps: float = 1e-3) -> np.nd
     if n_lambdas == 1:
         return np.array([lam_max])
     return lam_max * np.geomspace(1.0, eps, n_lambdas)
+
+
+def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
+           adapt_tol_factor, adapt_iter_factor, comm, virtual_p, machine,
+           context, checkpoint_every, checkpoint_sink, resume_from, backend,
+           ranks, recover, max_recoveries) -> PathResult:
+    """The point loop of :func:`lasso_path` and :func:`svm_path`.
+
+    ``grid(ctx)`` returns the lambdas in solve order, and ``knobs`` are
+    :meth:`SweepContext.solve`'s. On a real backend the whole loop runs
+    on every rank, with the supervisor's checkpoint knobs, and rank 0's
+    results come back without the context.
+    """
+    check_launch(backend, recover, comm)
+    if backend != "virtual" and context is not None:
+        raise SolverError(
+            "context= holds a live SweepContext and cannot be shipped"
+            " to a real backend; drop context= or use backend='virtual'"
+        )
+    _, key, _, axis = _PATH_TASK[task]
+
+    def work(wcomm, wrank):
+        ck = (checkpoint_every, checkpoint_sink, resume_from)
+        if backend != "virtual":
+            ck = recovery_knobs(wcomm, *ck, default_every=1)
+        ck_every, ck_sink, ck_resume = ck
+        ctx = context
+        if ctx is None:
+            ctx = SweepContext(A, b, task=task, comm=wcomm)
+        elif ctx.task != task:
+            raise SolverError(f"context is a {ctx.task!r} sweep, need {task!r}")
+        else:
+            ctx.check_problem(A, b)
+        lams = grid(ctx)
+        if adaptive:
+            budgets = adaptive_schedule(
+                lams.size, knobs["max_iter"], knobs["tol"],
+                tol_factor=adapt_tol_factor, iter_factor=adapt_iter_factor,
+            )
+        else:
+            budgets = [(knobs["max_iter"], knobs["tol"])] * lams.size
+        params = {"solver": knobs["solver"], key: knobs[key], "s": knobs["s"],
+                  "seed": knobs["seed"], "warm_start": warm_start,
+                  "adaptive": adaptive}
+        results: list[SolverResult] = []
+        warm = None
+        if ck_resume is not None:
+            lams, results, warm = _load_path_checkpoint(
+                ck_resume, task, lams, params, ctx.dist.shape[axis]
+            )
+            ctx.point_costs.extend(res.cost for res in results)
+        for lam, (it_i, tol_i) in list(zip(lams, budgets,
+                                           strict=True))[len(results):]:
+            res = ctx.solve(float(lam), warm if warm_start else None,
+                            **dict(knobs, max_iter=it_i, tol=tol_i))
+            results.append(res)
+            warm = res.x if task == "lasso" else res.extras["alpha"]
+            if (
+                ck_sink is not None
+                and ck_every
+                and len(results) % ck_every == 0
+                and len(results) < lams.size
+            ):
+                _emit_path_checkpoint(ck_sink, ctx.comm.rank, task, lams,
+                                      results, warm, params)
+        pipeline, async_ = sweep_schedule(knobs["solver"], knobs["pipeline"],
+                                          knobs["async_"], ctx.comm.cost_size)
+        return PathResult(
+            task=task, lambdas=lams, results=results,
+            # a live context cannot cross back from a real backend's ranks
+            context=ctx if backend == "virtual" else None,
+            warm_start=warm_start,
+            extras={"solver": knobs["solver"], key: knobs[key],
+                    "s": knobs["s"], "pipeline": pipeline, "async": async_,
+                    "tau": knobs["tau"], "adaptive": adaptive,
+                    "recovery": recovery_counters(ctx.comm)},
+        )
+
+    return launch(
+        work, backend=backend,
+        comm=comm if context is None else context.comm, ranks=ranks,
+        virtual_p=virtual_p, machine=machine, recover=recover,
+        max_recoveries=max_recoveries,
+        nb_depth=ring_depth(knobs["async_"], knobs["tau"]),
+    )
 
 
 def lasso_path(
@@ -497,7 +634,9 @@ def lasso_path(
         grid points, emit a checkpoint (callable sink, or a path written
         atomically by rank 0) carrying the finished results and the
         warm-start vector; ``resume_from`` skips those points and
-        continues the sweep (the grid and solver knobs must match).
+        continues the sweep (the solver knobs must match, and the grid
+        to 1e-12 relative: a default grid's ``lambda_max`` is summed in
+        an order that follows the rank count).
     backend, ranks, recover, max_recoveries:
         As in :func:`repro.fit_lasso`: run the whole sweep SPMD on a
         real backend (``context=`` must be None — a live
@@ -506,118 +645,40 @@ def lasso_path(
         ``recover="checkpoint"`` the supervisor resumes a respawned
         sweep at the last *completed grid point* via the path
         checkpoints (forced on, every point, when the caller left
-        ``checkpoint_every=0``).
+        ``checkpoint_every=0``). ``extras["recovery"]`` carries the
+        run's ``recoveries``, ``respawns`` and ``replayed_iterations``
+        (completed points a resume skipped), all 0 when the run is not
+        supervised; the per-point costs cannot, since each point's
+        ledger is reset.
 
     All other knobs match :func:`repro.fit_lasso`.
     """
-    check_launch(backend, recover, comm)
-    if backend != "virtual":
-        if context is not None:
-            raise SolverError(
-                "context= holds a live SweepContext and cannot be shipped"
-                " to a real backend; drop context= or use backend='virtual'"
-            )
 
-        def work(wcomm, wrank):
-            ck_every, ck_sink, ck_resume = recovery_knobs(
-                wcomm, checkpoint_every, checkpoint_sink, resume_from,
-                default_every=1,
-            )
-            inner = lasso_path(
-                A, b, lambdas, n_lambdas=n_lambdas, eps=eps, solver=solver,
-                mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
-                record_every=record_every, warm_start=warm_start,
-                fast=fast, pipeline=pipeline,
-                async_=async_, tau=tau,
-                adaptive=adaptive, adapt_tol_factor=adapt_tol_factor,
-                adapt_iter_factor=adapt_iter_factor, comm=wcomm,
-                checkpoint_every=ck_every, checkpoint_sink=ck_sink,
-                resume_from=ck_resume,
-            )
-            # the SweepContext (and its comm) stays in the worker; only
-            # picklable parts cross back to the parent
-            return {
-                "lambdas": inner.lambdas, "results": inner.results,
-                "warm_start": inner.warm_start, "extras": inner.extras,
-            }
-
-        part = launch(
-            work, backend=backend, ranks=ranks, virtual_p=virtual_p,
-            machine=machine, recover=recover, max_recoveries=max_recoveries,
-            nb_depth=ring_depth(async_, tau),
-        )
-        return PathResult(
-            task="lasso", lambdas=part["lambdas"], results=part["results"],
-            context=None, warm_start=part["warm_start"],
-            extras=part["extras"],
-        )
-    ctx = context
-    if ctx is None:
-        ctx = SweepContext(
-            A, b, task="lasso", comm=comm, virtual_p=virtual_p, machine=machine
-        )
-    else:
-        if ctx.task != "lasso":
-            raise SolverError(f"context is a {ctx.task!r} sweep, need 'lasso'")
-        ctx.check_problem(A, b)
-    if lambdas is None:
+    def grid(ctx):
+        if lambdas is not None:
+            lams = np.sort(np.asarray(lambdas, dtype=np.float64).ravel())[::-1]
+            if lams.size == 0:
+                raise SolverError("lambdas must be non-empty")
+            return lams
         lam_max = _lambda_max_dist(ctx.dist, ctx.b)
         if lam_max <= 0.0:
             raise SolverError(
                 "cannot build a default grid: ||A^T b||_inf is 0 (pass lambdas=)"
             )
-        lams = lambda_grid(lam_max, n_lambdas=n_lambdas, eps=eps)
-    else:
-        lams = np.sort(np.asarray(lambdas, dtype=np.float64).ravel())[::-1]
-        if lams.size == 0:
-            raise SolverError("lambdas must be non-empty")
-    if adaptive:
-        budgets = adaptive_schedule(
-            lams.size, max_iter, tol,
-            tol_factor=adapt_tol_factor, iter_factor=adapt_iter_factor,
-        )
-    else:
-        budgets = [(max_iter, tol)] * lams.size
-    ck_params = {
-        "solver": solver, "mu": mu, "s": s, "seed": seed,
-        "warm_start": warm_start, "adaptive": adaptive,
-    }
-    pipeline, async_ = sweep_schedule(solver, pipeline, async_,
-                                      ctx.comm.cost_size)
-    results: list[SolverResult] = []
-    x_warm = None
-    if resume_from is not None:
-        results, x_warm = _load_path_checkpoint(resume_from, lams, ck_params)
-        for res in results:
-            ctx.end_point(res)
-    for lam, (it_i, tol_i) in list(zip(lams, budgets, strict=True))[len(results):]:
-        ctx.begin_point()
-        res = fit_lasso(
-            ctx.dist, ctx.b, float(lam), solver=solver, mu=mu, s=s,
-            max_iter=it_i, seed=seed, tol=tol_i, comm=ctx.comm,
-            record_every=record_every, x0=x_warm if warm_start else None,
-            fast=fast, pipeline=pipeline,
-            async_=async_, tau=tau, eig_memo=ctx.eig_memo,
-        )
-        ctx.end_point(res)
-        results.append(res)
-        x_warm = res.x
-        if (
-            checkpoint_sink is not None
-            and checkpoint_every
-            and len(results) % checkpoint_every == 0
-            and len(results) < lams.size
-        ):
-            _emit_path_checkpoint(
-                checkpoint_sink, ctx.comm.rank, lams, results, x_warm,
-                ck_params,
-            )
-    return PathResult(
-        task="lasso", lambdas=lams, results=results, context=ctx,
-        warm_start=warm_start,
-        extras={"solver": solver, "mu": mu, "s": s,
-                "pipeline": pipeline, "async": async_, "tau": tau,
-                "adaptive": adaptive},
+        return lambda_grid(lam_max, n_lambdas=n_lambdas, eps=eps)
+
+    return _sweep(
+        "lasso", A, b, grid,
+        dict(solver=solver, mu=mu, s=s, max_iter=max_iter, tol=tol,
+             seed=seed, record_every=record_every, fast=fast,
+             pipeline=pipeline, async_=async_, tau=tau),
+        warm_start=warm_start, adaptive=adaptive,
+        adapt_tol_factor=adapt_tol_factor,
+        adapt_iter_factor=adapt_iter_factor, comm=comm, virtual_p=virtual_p,
+        machine=machine, context=context, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from,
+        backend=backend, ranks=ranks, recover=recover,
+        max_recoveries=max_recoveries,
     )
 
 
@@ -646,6 +707,9 @@ def svm_path(
     virtual_p: int = 1,
     machine: MachineSpec | None = None,
     context: SweepContext | None = None,
+    checkpoint_every: int = 0,
+    checkpoint_sink=None,
+    resume_from=None,
     backend: str = "virtual",
     ranks: int = 4,
     recover: str = "raise",
@@ -670,91 +734,32 @@ def svm_path(
     budgets loosen the *duality-gap* tolerance early on the grid; the
     final point always runs at exactly ``(max_iter, tol)``.
 
+    ``checkpoint_every``/``checkpoint_sink``/``resume_from`` and
     ``backend``/``ranks``/``recover``/``max_recoveries`` mirror
-    :func:`lasso_path`, except the SVM sweep has no path checkpoints:
-    ``recover="checkpoint"`` restarts a recovered sweep from scratch
-    (deterministic, so the result is unchanged — only wall time is
-    lost).
+    :func:`lasso_path`: a path checkpoint (``kind="svm-path"``) carries
+    the finished results and the warm dual ``alpha_warm``, and
+    ``recover="checkpoint"`` resumes a recovered sweep at its last
+    completed grid point.
     """
-    check_launch(backend, recover, comm)
-    if backend != "virtual":
-        if context is not None:
-            raise SolverError(
-                "context= holds a live SweepContext and cannot be shipped"
-                " to a real backend; drop context= or use backend='virtual'"
-            )
 
-        def work(wcomm, wrank):
-            inner = svm_path(
-                A, b, lams, n_lambdas=n_lambdas, loss=loss, solver=solver,
-                s=s, max_iter=max_iter, tol=tol, seed=seed,
-                record_every=record_every, warm_start=warm_start,
-                fast=fast, pipeline=pipeline,
-                async_=async_, tau=tau,
-                adaptive=adaptive, adapt_tol_factor=adapt_tol_factor,
-                adapt_iter_factor=adapt_iter_factor, comm=wcomm,
-            )
-            return {
-                "lambdas": inner.lambdas, "results": inner.results,
-                "warm_start": inner.warm_start, "extras": inner.extras,
-            }
-
-        part = launch(
-            work, backend=backend, ranks=ranks, virtual_p=virtual_p,
-            machine=machine, recover=recover, max_recoveries=max_recoveries,
-            nb_depth=ring_depth(async_, tau),
-        )
-        return PathResult(
-            task="svm", lambdas=part["lambdas"], results=part["results"],
-            context=None, warm_start=part["warm_start"],
-            extras=part["extras"],
-        )
-    ctx = context
-    if ctx is None:
-        ctx = SweepContext(
-            A, b, task="svm", comm=comm, virtual_p=virtual_p, machine=machine
-        )
-    else:
-        if ctx.task != "svm":
-            raise SolverError(f"context is a {ctx.task!r} sweep, need 'svm'")
-        ctx.check_problem(A, b)
-    if lams is None:
-        lam_grid = np.geomspace(0.1, 10.0, n_lambdas)
-    else:
-        lam_grid = np.asarray(lams, dtype=np.float64).ravel()
+    def grid(ctx):
+        if lams is None:
+            return np.geomspace(0.1, 10.0, n_lambdas)
+        lam_grid = np.sort(np.asarray(lams, dtype=np.float64).ravel())
         if lam_grid.size == 0:
             raise SolverError("lams must be non-empty")
-    lam_grid = np.sort(lam_grid)
-    if adaptive:
-        budgets = adaptive_schedule(
-            lam_grid.size, max_iter, tol,
-            tol_factor=adapt_tol_factor, iter_factor=adapt_iter_factor,
-        )
-    else:
-        budgets = [(max_iter, tol)] * lam_grid.size
-    pipeline, async_ = sweep_schedule(solver, pipeline, async_,
-                                      ctx.comm.cost_size)
-    results: list[SolverResult] = []
-    alpha_warm = None
-    for lam, (it_i, tol_i) in zip(lam_grid, budgets, strict=True):
-        ctx.begin_point()
-        alpha0 = None
-        if warm_start and alpha_warm is not None:
-            _, nu = loss_params(loss, float(lam))
-            alpha0 = np.clip(alpha_warm, 0.0, nu) if np.isfinite(nu) else alpha_warm
-        res = fit_svm(
-            ctx.dist, ctx.b, loss=loss, lam=float(lam), solver=solver, s=s,
-            max_iter=it_i, seed=seed, tol=tol_i, comm=ctx.comm,
-            record_every=record_every, alpha0=alpha0, fast=fast,
-            pipeline=pipeline, async_=async_, tau=tau,
-        )
-        ctx.end_point(res)
-        results.append(res)
-        alpha_warm = res.extras["alpha"]
-    return PathResult(
-        task="svm", lambdas=lam_grid, results=results, context=ctx,
-        warm_start=warm_start,
-        extras={"solver": solver, "loss": loss, "s": s,
-                "pipeline": pipeline, "async": async_, "tau": tau,
-                "adaptive": adaptive},
+        return lam_grid
+
+    return _sweep(
+        "svm", A, b, grid,
+        dict(solver=solver, loss=loss, s=s, max_iter=max_iter, tol=tol,
+             seed=seed, record_every=record_every, fast=fast,
+             pipeline=pipeline, async_=async_, tau=tau),
+        warm_start=warm_start, adaptive=adaptive,
+        adapt_tol_factor=adapt_tol_factor,
+        adapt_iter_factor=adapt_iter_factor, comm=comm, virtual_p=virtual_p,
+        machine=machine, context=context, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from,
+        backend=backend, ranks=ranks, recover=recover,
+        max_recoveries=max_recoveries,
     )

@@ -785,11 +785,6 @@ def serve_trace(
     ``format_version`` raises :class:`~repro.errors.CheckpointError`.
     """
     specs = list(tenants)
-    if nb_depth is None:
-        nb_depth = max([NB_RING_DEPTH] + [
-            ring_depth(bool(spec.knobs.get("async_")), int(spec.knobs.get("tau", 1)))
-            for spec in specs
-        ])
     if not specs:
         raise ServeError("serve_trace needs at least one tenant")
     seen = set()
@@ -816,6 +811,11 @@ def serve_trace(
             raise ServeError(
                 f"tenant {spec.name!r}: len(b) != rows of A"
             )
+    if nb_depth is None:
+        nb_depth = max([NB_RING_DEPTH] + [
+            ring_depth(bool(spec.knobs.get("async_")), int(spec.knobs.get("tau", 1)))
+            for spec in specs
+        ])
     if isinstance(trace, (str, os.PathLike)):
         events = load_trace(trace)
     else:

@@ -53,16 +53,14 @@ against a cold solve on the concatenated data.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro._api import fit_lasso, fit_svm
+from repro.checkpoint import emit_solver_checkpoint, read_checkpoint_json
 from repro.errors import CheckpointError, CostModelError, SolverError
-from repro.launch import launch
+from repro.launch import launch, recovery_counters, recovery_knobs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo
 from repro.linalg.partition import Partition1D
@@ -73,8 +71,6 @@ from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
 from repro.solvers.outer import ring_depth, sweep_schedule
-from repro.solvers.svm.duality import loss_params
-from repro.utils.io import atomic_write_json
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -133,20 +129,11 @@ def _matrix_from_dict(d: dict):
 
 def _load_stream_checkpoint(source, kind: str) -> dict:
     """Read + validate a streaming checkpoint payload (dict or JSON path)."""
-    if isinstance(source, dict):
-        ck = source
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                ck = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"could not read checkpoint {os.fspath(source)!r}: {exc}"
-            ) from exc
-    if not isinstance(ck, dict) or ck.get("kind") != kind:
+    ck = (source if isinstance(source, dict)
+          else read_checkpoint_json(source, "streaming checkpoint"))
+    if ck.get("kind") != kind:
         raise CheckpointError(
-            f"resume_from is not a {kind!r} checkpoint"
-            f" (kind={None if not isinstance(ck, dict) else ck.get('kind')!r})"
+            f"resume_from is not a {kind!r} checkpoint (kind={ck.get('kind')!r})"
         )
     version = ck.get("format_version")
     if version != STREAM_CHECKPOINT_VERSION:
@@ -474,13 +461,7 @@ class StreamingSweep:
                 for r in self.revisions
             ],
         }
-        if sink is not None:
-            if callable(sink):
-                sink(payload)
-            elif self.comm.rank == 0:
-                # repro: lint-ignore[collective-in-rank-branch] -- rank-0
-                # checkpoint IO: a local atomic file write, no communication
-                atomic_write_json(os.fspath(sink), payload)
+        emit_solver_checkpoint(payload, sink, self.comm.rank)
         return payload
 
     @classmethod
@@ -829,50 +810,25 @@ class StreamingSweep:
         """Refit at the current revision; warm-started by default.
 
         ``lam`` and any solver knob override the engine defaults for
-        this call. The solve's modelled cost is banked against the
-        current :class:`DataRevision`.
+        this call, which runs :meth:`~repro.path.SweepContext.solve` on
+        the engine's context. The solve's modelled cost is banked
+        against the current :class:`DataRevision`.
         """
         unknown = set(overrides) - set(self.defaults)
         if unknown:
             raise SolverError(f"unknown solve override(s): {sorted(unknown)}")
-        p = {**self.defaults, **overrides}
+        knobs = {**self.defaults, **overrides}
+        default_lam = knobs.pop("lam")
         if lam is None:
-            lam = p["lam"]
-        pipeline, async_ = sweep_schedule(p["solver"], p["pipeline"], p["async_"],
-                                          self.comm.cost_size)
-        self.ctx.begin_point()
-        if self.task == "lasso":
+            lam = default_lam
             if lam is None:
-                lam = 0.1 * self.lambda_max
-            res = fit_lasso(
-                self.dist, self.ctx.b, lam, solver=p["solver"], mu=p["mu"],
-                s=p["s"], max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
-                comm=self.comm, record_every=p["record_every"],
-                x0=self._x_warm if warm_start else None,
-                fast=p["fast"], pipeline=pipeline, async_=async_,
-                tau=p["tau"], eig_memo=self.ctx.eig_memo,
-            )
+                lam = 0.1 * self.lambda_max if self.task == "lasso" else 1.0
+        warm = self._x_warm if self.task == "lasso" else self._alpha_warm
+        res = self.ctx.solve(lam, warm if warm_start else None, **knobs)
+        if self.task == "lasso":
             self._x_warm = res.x
         else:
-            if lam is None:
-                lam = 1.0
-            alpha0 = None
-            if warm_start and self._alpha_warm is not None:
-                _, nu = loss_params(p["loss"], float(lam))
-                alpha0 = (
-                    np.clip(self._alpha_warm, 0.0, nu)
-                    if np.isfinite(nu) else self._alpha_warm
-                )
-            res = fit_svm(
-                self.dist, self.ctx.b, loss=p["loss"], lam=float(lam),
-                solver=p["solver"], s=p["s"], max_iter=p["max_iter"],
-                tol=p["tol"], seed=p["seed"], comm=self.comm,
-                record_every=p["record_every"],
-                alpha0=alpha0, fast=p["fast"],
-                pipeline=pipeline, async_=async_, tau=p["tau"],
-            )
             self._alpha_warm = res.extras["alpha"]
-        self.ctx.end_point(res)
         self.revisions[-1].solve_costs.append(res.cost)
         return res
 
@@ -1056,14 +1012,12 @@ def replay_schedule(
     )
 
     def work(comm, rank):
-        rctx = getattr(comm, "recovery", None)
-        if rctx is not None and not rctx.active:
-            rctx = None
-        resume_src = resume_from
-        if rctx is not None and rctx.resume is not None:
-            # a redispatched attempt resumes from the supervisor's latest
-            # collected checkpoint, not the caller's original one
-            resume_src = rctx.resume
+        # under recover="checkpoint" a redispatched attempt resumes from
+        # the supervisor's latest checkpoint, and every checkpoint is
+        # shipped to the supervisor as well as to checkpoint_path
+        _, ck_sink, resume_src = recovery_knobs(
+            comm, 0, checkpoint_path, resume_from, default_every=1
+        )
         if resume_src is not None:
             rck = _load_stream_checkpoint(resume_src, "streaming-replay")
             if rck["task"] != task:
@@ -1096,7 +1050,7 @@ def replay_schedule(
             slept = 0.0
 
         def emit_replay_ck(n_applied):
-            if checkpoint_path is None and rctx is None:
+            if ck_sink is None:
                 return
             # collective (the engine snapshot gathers the shards), but
             # only rank 0 writes — the payload is replicated knowledge
@@ -1111,43 +1065,19 @@ def replay_schedule(
                 "entries": entries,
                 "engine": engine.checkpoint(),
             }
-            if rctx is not None:
-                rctx.save(payload)
-            if checkpoint_path is not None and comm.rank == 0:
-                # repro: lint-ignore[collective-in-rank-branch] -- rank-0
-                # checkpoint IO: a local atomic file write, no communication
-                atomic_write_json(os.fspath(checkpoint_path), payload)
+            emit_solver_checkpoint(payload, ck_sink, comm.rank)
 
-        def run_cold(revision):
-            # same solver configuration (fast and the schedule) as the
-            # warm refits — the variable under measurement is the warm
-            # start + incremental state, not the solver mode
+        def run_cold():
+            # the warm refits' solver configuration (the engine defaults,
+            # schedule included) — the variable under measurement is the
+            # warm start + incremental state, not the solver mode
             A_eff, b_eff = engine.materialize()
-            comm.reset()
-            sched = engine.schedule
-            if task == "lasso":
-                cold_dist = RowPartitionedMatrix.from_global(
-                    A_eff, comm, partition=engine.dist.partition
-                )
-                cold = fit_lasso(
-                    cold_dist, b_eff, lam_used, solver=engine.defaults["solver"],
-                    mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
-                    record_every=record_every, fast=fast,
-                    pipeline=sched["pipeline"], async_=sched["async"],
-                    tau=sched["tau"], eig_memo=EigMemo(),
-                )
-            else:
-                cold_dist = ColPartitionedMatrix.from_global(
-                    A_eff, comm, partition=engine.dist.partition
-                )
-                cold = fit_svm(
-                    cold_dist, b_eff, loss=loss, lam=float(lam_used),
-                    solver=engine.defaults["solver"], s=s, max_iter=max_iter,
-                    tol=tol, seed=seed, record_every=record_every,
-                    fast=fast, pipeline=sched["pipeline"],
-                    async_=sched["async"], tau=sched["tau"],
-                )
-            return cold
+            cls = RowPartitionedMatrix if task == "lasso" else ColPartitionedMatrix
+            cold_dist = cls.from_global(A_eff, comm,
+                                        partition=engine.dist.partition)
+            knobs = {k: v for k, v in engine.defaults.items() if k != "lam"}
+            return SweepContext(cold_dist, b_eff, task=task,
+                                eig_memo=EigMemo()).solve(lam_used, **knobs)
 
         def entry(rev_obj, warm_res, cold_res):
             e = {
@@ -1208,7 +1138,7 @@ def replay_schedule(
                 emit_replay_ck(applied)
                 continue
             res = engine.solve(lam=lam_used, warm_start=warm_start)
-            cold = run_cold(engine.revision) if compare_cold else None
+            cold = run_cold() if compare_cold else None
             entries.append(entry(engine.revisions[-1], res, cold))
             emit_replay_ck(applied)
         # a warm refit's cost is the revision's incremental state work
@@ -1238,13 +1168,7 @@ def replay_schedule(
             # physical-attempt bookkeeping from the supervised pool (the
             # counters at the final — successful — dispatch, so they are
             # whole-run totals); all zeros outside recover="checkpoint"
-            "recovery": {
-                "recoveries": 0 if rctx is None else int(rctx.recoveries),
-                "respawns": 0 if rctx is None else int(rctx.respawns),
-                "replayed_iterations": (
-                    0 if rctx is None else int(rctx.replayed_iterations)
-                ),
-            },
+            "recovery": recovery_counters(comm),
             "totals": {
                 "slept_seconds": float(slept),
                 "warm_refit_cost": report_total(warm_costs),

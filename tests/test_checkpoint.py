@@ -19,11 +19,12 @@ from repro.checkpoint import (
     SOLVER_CHECKPOINT_VERSION,
     load_solver_checkpoint,
 )
+from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import CheckpointError
 from repro.faults import InjectedFailure
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
-from repro.path import lasso_path
+from repro.path import lasso_path, svm_path
 from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
 from repro.utils.io import JSONText, atomic_write_json, atomic_write_text
 
@@ -280,35 +281,108 @@ class TestCorruptedFiles:
             self._resume(dense_regression, path)
 
 
+#: per path task: the SA and the classical knobs the path resume tests run
+PATH_SA = {"lasso": dict(solver="sa-accbcd", mu=2, s=4),
+           "svm": dict(solver="sa-svm", loss="l2", s=4)}
+PATH_CLASSICAL = {"lasso": dict(solver="bcd", mu=2),
+                  "svm": dict(solver="svm", loss="l2")}
+
+
+def _path_case(task, request):
+    """``(sweep, A, b)``: the task's path sweep and its small dense problem."""
+    if task == "lasso":
+        A, b, _ = request.getfixturevalue("dense_regression")
+        return lasso_path, A, b
+    A, b = request.getfixturevalue("dense_classification")
+    return svm_path, A, b
+
+
 class TestPathResume:
-    def test_path_checkpoint_resume_matches_full_sweep(self,
-                                                       dense_regression,
+    @pytest.mark.parametrize("task", ["lasso", "svm"])
+    def test_path_checkpoint_resume_matches_full_sweep(self, task, request,
                                                        tmp_path):
-        A, b, _ = dense_regression
-        kw = dict(n_lambdas=6, solver="sa-accbcd", mu=2, s=4, max_iter=20,
-                  tol=None, seed=SEED, record_every=5)
-        full = lasso_path(A, b, **kw)
+        sweep, A, b = _path_case(task, request)
+        kw = dict(n_lambdas=6, max_iter=20, tol=None, seed=SEED,
+                  record_every=5, **PATH_SA[task])
+        full = sweep(A, b, **kw)
         captured = []
-        lasso_path(A, b, checkpoint_every=2,
-                   checkpoint_sink=captured.append, **kw)
-        assert captured and captured[-1]["kind"] == "lasso-path"
+        sweep(A, b, checkpoint_every=2, checkpoint_sink=captured.append, **kw)
+        assert captured and captured[-1]["kind"] == f"{task}-path"
         mid = captured[0]  # 2 of 6 grid points completed
         assert mid["completed"] == 2
-        resumed = lasso_path(A, b, resume_from=mid, **kw)
+        resumed = sweep(A, b, resume_from=mid, **kw)
         assert np.array_equal(full.lambdas, resumed.lambdas)
         for rf, rr in zip(full.results, resumed.results, strict=True):
             assert np.max(np.abs(rf.x - rr.x)) <= TOL9
 
-    def test_path_file_round_trip(self, dense_regression, tmp_path):
-        A, b, _ = dense_regression
+    @pytest.mark.parametrize("task", ["lasso", "svm"])
+    def test_path_file_round_trip(self, task, request, tmp_path):
+        sweep, A, b = _path_case(task, request)
         path = tmp_path / "path_ck.json"
-        kw = dict(n_lambdas=4, solver="bcd", mu=2, max_iter=12, tol=None,
-                  seed=SEED)
-        full = lasso_path(A, b, **kw)
-        lasso_path(A, b, checkpoint_every=1, checkpoint_sink=str(path), **kw)
-        resumed = lasso_path(A, b, resume_from=str(path), **kw)
+        kw = dict(n_lambdas=4, max_iter=12, tol=None, seed=SEED,
+                  **PATH_CLASSICAL[task])
+        full = sweep(A, b, **kw)
+        sweep(A, b, checkpoint_every=1, checkpoint_sink=str(path), **kw)
+        resumed = sweep(A, b, resume_from=str(path), **kw)
         for rf, rr in zip(full.results, resumed.results, strict=True):
             assert np.array_equal(rf.x, rr.x)
+
+    @pytest.mark.parametrize("case", [
+        "kind", "format_version", "params", "lambdas", "results",
+        "warm-not-numeric", "warm-short",
+    ])
+    @pytest.mark.parametrize("task", ["lasso", "svm"])
+    def test_malformed_checkpoint_is_checkpoint_error(self, task, case,
+                                                      request, tmp_path):
+        """Every malformed field is a CheckpointError, never a raw
+        AttributeError/TypeError/ValueError or a failed solve; a ``kind``
+        of the other task's path covers resuming the wrong sweep."""
+        sweep, A, b = _path_case(task, request)
+        kw = dict(n_lambdas=3, max_iter=8, tol=None, seed=SEED,
+                  **PATH_CLASSICAL[task])
+        captured = []
+        sweep(A, b, checkpoint_every=1, checkpoint_sink=captured.append, **kw)
+        ck = captured[-1]
+        warm = "x_warm" if task == "lasso" else "alpha_warm"
+        ck.update({
+            "kind": {"kind": "svm-path" if task == "lasso" else "lasso-path"},
+            "format_version": {"format_version": 2},
+            "params": {"params": [1, 2]},
+            "lambdas": {"lambdas": ["a"] * len(ck["lambdas"])},
+            "results": {"results": None},
+            "warm-not-numeric": {warm: ["a"] * len(ck[warm])},
+            "warm-short": {warm: ck[warm][:-1]},
+        }[case])
+        path = tmp_path / "bad.json"
+        atomic_write_json(str(path), ck)
+        with pytest.raises(CheckpointError):
+            sweep(A, b, resume_from=str(path), **kw)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("task", ["lasso", "svm"])
+    def test_process_checkpoint_resumes_on_virtual_backend(self, task,
+                                                           tmp_path):
+        """A path checkpoint is backend-portable: written on 2 process
+        ranks, where a default Lasso grid's lambda_max is a 2-rank
+        Allreduce, it resumes on the virtual backend, whose grid agrees
+        only to rounding, and ends where the process sweep ended."""
+        if task == "lasso":
+            A, b, _ = make_sparse_regression(60, 24, density=0.4, seed=3)
+        else:
+            A, b = make_classification(60, 16, density=0.5, seed=5,
+                                       margin=0.2)
+        sweep = lasso_path if task == "lasso" else svm_path
+        kw = dict(n_lambdas=4, max_iter=24, tol=None, seed=SEED,
+                  **PATH_SA[task])
+        path = tmp_path / "ck.json"
+        full = sweep(A, b, backend="process", ranks=2, checkpoint_every=1,
+                     checkpoint_sink=str(path), **kw)
+        for virtual_p in (1, 2):
+            resumed = sweep(A, b, virtual_p=virtual_p, resume_from=str(path),
+                            **kw)
+            scale = float(np.max(np.abs(full.coefs)))
+            assert (float(np.max(np.abs(resumed.coefs - full.coefs)))
+                    <= TOL9 * scale)
 
 
 class TestStreamingResume:

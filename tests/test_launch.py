@@ -278,10 +278,15 @@ class TestKillAndRecover:
         np.testing.assert_array_equal(res.lambdas, oracle.lambdas)
         _assert_close(res.coefs, oracle.coefs)
         assert res.iterations == oracle.iterations
+        # killed at the first path checkpoint: one completed point skipped
+        assert res.extras["recovery"] == {
+            "recoveries": 1, "respawns": 1, "replayed_iterations": 1}
+        assert oracle.extras["recovery"] == {
+            "recoveries": 0, "respawns": 0, "replayed_iterations": 0}
 
     def test_svm_path(self, monkeypatch, tmp_path):
-        """The SVM sweep has no path checkpoints: it restarts from
-        scratch, so the answer is the fault-free one."""
+        """The SVM sweep resumes at the last completed point, so the
+        answer is the fault-free one."""
         A, b = _svm_problem()
         kw = dict(n_lambdas=3, s=4, max_iter=48)
         oracle = svm_path(A, b, **kw, **PROCESS)
@@ -292,6 +297,9 @@ class TestKillAndRecover:
         assert os.path.exists(marker)
         _assert_no_orphans()
         _assert_close(res.coefs, oracle.coefs)
+        # killed entering point 2: the resume skips the completed point 1
+        assert res.extras["recovery"]["recoveries"] == 1
+        assert res.extras["recovery"]["replayed_iterations"] == 1
 
     def test_run_lasso(self, lasso_ds, monkeypatch, tmp_path):
         kw = dict(mu=2, s=4, max_iter=24, record_every=4)

@@ -341,6 +341,12 @@ class TestEngineVirtual:
         with pytest.raises(CommError, match="recover"):
             serve_trace([s], [], recover="checkpoint", backend="virtual")
 
+    def test_tenant_type_checked_before_use(self):
+        # the default ring depth reads each spec's knobs, so it must
+        # come after the type check
+        with pytest.raises(ServeError, match="tenants must be TenantSpec"):
+            serve_trace([object()], [])
+
 
 # ---------------------------------------------------------------------------
 # checkpoint / resume, recovery (process backend)
