@@ -27,14 +27,22 @@ every rank with the payload dict.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import CheckpointError, CostModelError
+from repro.errors import CheckpointError, CostModelError, SolverError
 from repro.machine.ledger import CostSnapshot
+from repro.prox.penalties import (
+    ElasticNetPenalty,
+    GroupLassoPenalty,
+    L1Penalty,
+    Penalty,
+    ZeroPenalty,
+)
 from repro.utils.io import atomic_write_json
 
 __all__ = [
@@ -48,6 +56,8 @@ __all__ = [
     "resume_solver",
     "state_vector",
     "state_scalar",
+    "encode_lam",
+    "decode_lam",
 ]
 
 #: Format version of solver checkpoint payloads. Bump on layout changes;
@@ -116,6 +126,50 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
+
+
+_PENALTIES = {
+    cls.__name__: cls
+    for cls in (L1Penalty, ElasticNetPenalty, GroupLassoPenalty, ZeroPenalty)
+}
+
+
+def encode_lam(lam: Any) -> Any:
+    """A solve's ``lam`` in checkpoint form.
+
+    ``None`` stays ``None`` and a number is written as a float. A
+    :class:`~repro.prox.penalties.Penalty` becomes its class name and its
+    dataclass fields, with ``group_ids`` as a list of ints.
+    """
+    if lam is None:
+        return None
+    if not isinstance(lam, Penalty):
+        return float(lam)
+    fields = {
+        f.name: (
+            [int(g) for g in getattr(lam, f.name)] if f.name == "group_ids"
+            else float(getattr(lam, f.name))
+        )
+        for f in dataclasses.fields(lam) if f.init
+    }
+    return {"penalty": type(lam).__name__, "fields": fields}
+
+
+def decode_lam(value: Any) -> Any:
+    """Inverse of :func:`encode_lam`; a malformed penalty raises
+    :class:`~repro.errors.CheckpointError`."""
+    if not isinstance(value, dict):
+        return value
+    name, fields = value.get("penalty"), value.get("fields")
+    cls = _PENALTIES.get(name) if isinstance(name, str) else None
+    if cls is None or not isinstance(fields, dict):
+        raise CheckpointError(f"checkpoint holds an unknown penalty {value!r}")
+    try:
+        return cls(**fields)
+    except (SolverError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint holds a malformed penalty: {exc}"
+        ) from exc
 
 
 def make_solver_checkpoint(

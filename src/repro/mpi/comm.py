@@ -2,13 +2,23 @@
 
 The interface intentionally mirrors :mod:`mpi4py` conventions (see the
 mpi4py tutorial): lower-case methods communicate generic Python objects;
-Upper-case methods communicate NumPy buffers. Two backends implement it:
+Upper-case methods communicate NumPy buffers. Three backends implement it:
 
 * :class:`~repro.mpi.thread_backend.ThreadComm` — P real ranks as threads
   (validates the distributed algorithm: partitioned data, partial sums);
+* :class:`~repro.mpi.process_backend.ProcessComm` — P real ranks as
+  forked processes over shared memory (honest wall-clock overlap);
 * :class:`~repro.mpi.virtual_backend.VirtualComm` — one actual rank
   standing in for ``virtual_size`` ranks, used for cost-model experiments
   at the paper's scales (P up to 12,288).
+
+The two real-rank backends run one rank protocol, written once here:
+:class:`RankWorld` holds what every rank of a world shares (the size and
+ring-depth checks, the blocking exchange, the barrier with its deadline,
+the abort and the error it maps to) and :class:`WorldComm` binds one rank
+to it (the nonblocking ring's sequence numbers and its depth guard). Each
+world adds only its storage: Python lists and a fold thread, or
+shared-memory slabs.
 
 Every collective charges its modelled cost (tree Allreduce:
 ``ceil(log2 P) * (alpha + beta*w)``, the model behind the paper's
@@ -20,18 +30,27 @@ data partitioning stays correct.
 
 from __future__ import annotations
 
+import threading
+import time
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import CommError
+from repro.errors import (
+    CommAborted,
+    CommError,
+    CommTimeoutError,
+    NbRingDepthError,
+    RankDiedError,
+    RankMismatchError,
+)
 from repro.machine.collectives import CollectiveModel
 from repro.machine.ledger import CostLedger
 from repro.machine.spec import MachineSpec
 from repro.mpi.ops import SUM, Op
 
-__all__ = ["Comm", "CommRequest"]
+__all__ = ["Comm", "CommRequest", "RankWorld", "WorldComm"]
 
 _WORD_BYTES = 8.0
 
@@ -139,8 +158,6 @@ class CommRequest:
         if not self._done:
             if timeout is None:
                 timeout = self._comm.timeout
-            from repro.errors import CommTimeoutError
-
             try:
                 self._finalize(self._handle.wait(timeout))
             except CommTimeoutError:
@@ -521,3 +538,246 @@ class Comm(ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         virt = f", cost_size={self._cost_size}" if self._cost_size != self._size else ""
         return f"{type(self).__name__}(rank={self._rank}, size={self._size}{virt})"
+
+
+class RankWorld:
+    """The protocol every rank of one real SPMD world runs.
+
+    A world is the state its ``size`` ranks share: a barrier, per-rank
+    barrier-arrival counters (``arrive_gen``), an abort flag, one deposit
+    per rank for the blocking exchange and a ring of ``nb_depth``
+    nonblocking slots (``_nb_ring``, each with a ``cond``). Subclasses
+    create that storage and provide ``_deposit``/``_deposited_tags``/
+    ``_gathered``, ``nb_post``, :meth:`is_aborted` and
+    :meth:`_set_aborted`; the rules for exchanging through it, waiting
+    on it and failing live here once.
+    """
+
+    def __init__(self, size: int, latency: float, nb_depth: int) -> None:
+        if size < 1:
+            raise CommError(f"size must be >= 1, got {size}")
+        if int(nb_depth) < 1:
+            raise NbRingDepthError(
+                f"nb_depth must be >= 1, got {nb_depth}", depth=int(nb_depth)
+            )
+        self.size = int(size)
+        self.latency = float(latency)
+        self.nb_depth = int(nb_depth)
+
+    def is_aborted(self) -> bool:
+        raise NotImplementedError
+
+    def _set_aborted(self) -> None:
+        raise NotImplementedError
+
+    def dead_ranks(self) -> list:
+        """Ranks recorded as dead (empty if none)."""
+        return []
+
+    def _abort_error(self, rank: int, tag: str) -> CommError:
+        """The error a rank woken by an abort raises: a recorded death
+        makes it :class:`~repro.errors.RankDiedError`, else
+        :class:`~repro.errors.CommAborted`."""
+        dead = self.dead_ranks()
+        if dead:
+            return RankDiedError(
+                f"rank {rank}: collective {tag!r} aborted because ranks"
+                f" {dead} died",
+                dead_ranks=tuple(dead),
+            )
+        return CommAborted(
+            f"rank {rank}: collective {tag!r} aborted by a peer failure"
+        )
+
+    def abort(self) -> None:
+        """Fail peers fast: break the barrier, wake nonblocking waiters.
+
+        Idempotent, callable from any rank (or a process world's parent).
+        Barrier waiters get :class:`~threading.BrokenBarrierError` and
+        raise :meth:`_abort_error`; nonblocking waiters see the flag on
+        their next condition wake-up (<= 50 ms).
+        """
+        self._set_aborted()
+        self.barrier.abort()
+        for slot in self._nb_ring:
+            with slot.cond:
+                slot.cond.notify_all()
+
+    def _barrier_wait(self, rank: int, tag: str, timeout: float | None) -> None:
+        """One barrier arrival with an optional deadline.
+
+        A rank whose wait expires aborts the world and raises
+        :class:`~repro.errors.CommTimeoutError` naming the tag and the
+        ranks whose arrival counter lags its own; peers woken by the broken
+        barrier raise :meth:`_abort_error`. (A process world's barrier is
+        :mod:`multiprocessing`'s, which raises the same
+        :class:`threading.BrokenBarrierError`.)
+        """
+        self.arrive_gen[rank] += 1
+        start = time.monotonic()
+        try:
+            self.barrier.wait(timeout)
+        except threading.BrokenBarrierError as exc:
+            if self.dead_ranks():
+                raise self._abort_error(rank, tag) from exc
+            timed_out = (
+                timeout is not None
+                and not self.is_aborted()
+                and time.monotonic() - start >= timeout
+            )
+            if timed_out:
+                my_gen = int(self.arrive_gen[rank])
+                stalled = tuple(
+                    r for r in range(self.size)
+                    if int(self.arrive_gen[r]) < my_gen
+                )
+                self.abort()
+                raise CommTimeoutError(
+                    f"rank {rank}: collective {tag!r} timed out after"
+                    f" {timeout}s waiting for ranks {list(stalled)}",
+                    tag=tag,
+                    stalled=stalled,
+                ) from exc
+            raise self._abort_error(rank, tag) from exc
+
+    def exchange(
+        self, rank: int, tag: str, obj: Any, fold=None, timeout: float | None = None
+    ) -> Any:
+        """Deposit, synchronise, snapshot (or fold), synchronise.
+
+        With ``fold`` each rank reduces the contributions *between* the
+        two barriers — i.e. before any peer can overwrite its deposit for
+        the next collective. That is what lets callers reuse their send
+        buffers across iterations (zero-copy packed collectives): by the
+        time ``exchange`` returns, every rank has finished reading every
+        deposit. The emulated transit (``latency``) is slept on the
+        critical path, by all ranks concurrently. ``timeout`` bounds each
+        barrier wait (see :meth:`_barrier_wait`).
+        """
+        self._deposit(rank, tag, obj)
+        self._barrier_wait(rank, tag, timeout)
+        try:
+            tags = self._deposited_tags()
+            if any(t != tags[0] for t in tags):
+                raise RankMismatchError(
+                    f"SPMD mismatch: ranks called different collectives {tags}"
+                )
+            gathered = self._gathered()
+            snapshot = fold(gathered) if fold is not None else gathered
+            if self.latency:
+                time.sleep(self.latency)
+        finally:
+            # Second barrier: nobody may overwrite a deposit until all have
+            # read. On mismatch every rank raises the same error after it.
+            self._barrier_wait(rank, tag, timeout)
+        return snapshot
+
+    def _slot_wait(
+        self,
+        slot,
+        ready: Callable[[], bool],
+        rank: int,
+        tag: str,
+        timeout: float | None,
+        stalled: Callable[[], tuple] | None = None,
+    ) -> None:
+        """Wait on a ring slot (its ``cond`` held) until ``ready()``.
+
+        An abort raises :meth:`_abort_error`. A missed deadline aborts the
+        world and raises :class:`~repro.errors.CommTimeoutError` naming the
+        rank: a harvest (``stalled`` given) names the ranks that never
+        deposited, a post waits for a free slot.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not ready():
+            if self.is_aborted():
+                raise self._abort_error(rank, tag)
+            if deadline is not None and time.monotonic() >= deadline:
+                lagging = () if stalled is None else stalled()
+                self.abort()
+                waiting = (
+                    "waiting for a free ring slot" if stalled is None
+                    else f"(no deposit from ranks {list(lagging)})"
+                )
+                raise CommTimeoutError(
+                    f"rank {rank}: nonblocking collective {tag!r} timed out"
+                    f" after {timeout}s {waiting}",
+                    tag=tag,
+                    stalled=lagging,
+                )
+            slot.cond.wait(0.05)
+
+
+class WorldComm(Comm):
+    """Communicator bound to one rank of a :class:`RankWorld`."""
+
+    def __init__(
+        self,
+        world: RankWorld,
+        rank: int,
+        machine: MachineSpec | None = None,
+        cost_size: int | None = None,
+        ledger: CostLedger | None = None,
+        timeout: float | None = None,
+    ) -> None:
+        super().__init__(
+            rank=rank,
+            size=world.size,
+            cost_size=cost_size,
+            machine=machine,
+            ledger=ledger,
+            timeout=timeout,
+        )
+        self._world = world
+        self._nb_seq = 0
+        #: sequence numbers posted but not yet harvested by this rank —
+        #: out-of-order harvest means the ring-reuse guard must know
+        #: *which* requests are open, not just how many
+        self._nb_open: set[int] = set()
+
+    @property
+    def nb_ring_depth(self) -> int | None:
+        """Depth of the shared nonblocking slot ring (max in flight)."""
+        return self._world.nb_depth
+
+    def _allgather_impl(self, tag: str, obj: Any) -> list:
+        return self._exchange_fold(tag, obj, None)
+
+    def _exchange_fold(self, tag: str, obj: Any, fold) -> Any:
+        # the world folds between its two barriers, so send buffers are
+        # reusable once this returns
+        try:
+            return self._world.exchange(
+                self._rank, tag, obj, fold=fold, timeout=self._active_timeout
+            )
+        except CommTimeoutError:
+            self.ledger.add_timeout()
+            raise
+
+    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op):
+        # posting while this rank's own request `seq - depth` (which
+        # shares the target ring slot) is unharvested would park forever
+        # on that slot: fail typed *before* blocking. Out-of-order
+        # harvest can create the conflict with fewer than `depth`
+        # requests open, so the guard tracks open sequence numbers.
+        depth = self._world.nb_depth
+        seq = self._nb_seq
+        if seq - depth in self._nb_open:
+            raise NbRingDepthError(
+                f"rank {self._rank}: posting nonblocking collective {tag!r}"
+                f" would reuse the ring slot of its own unharvested request"
+                f" #{seq - depth} ({len(self._nb_open)} open on a ring of"
+                f" depth {depth}); harvest it first or raise nb_depth",
+                depth=depth,
+                outstanding=len(self._nb_open),
+            )
+        handle = self._world.nb_post(
+            self._rank, seq, tag, arr, op, timeout=self._active_timeout,
+            on_consume=self._nb_open.discard,
+        )
+        # only a deposited post takes its sequence number: a payload the
+        # world rejects untouched (a process rank's non-float64 array)
+        # must not skew this rank's ring against its peers'
+        self._nb_seq += 1
+        self._nb_open.add(seq)
+        return handle

@@ -42,28 +42,26 @@ out the join-timeout/terminate path. :class:`ProcessWorld` is a context
 manager (``shutdown()`` on exit) for direct, non-``process_spmd_run``
 use.
 
-Execution runs through a persistent, supervised :class:`WorkerPool`:
-workers are forked once, park between jobs, and accept ``(job_id, fn,
-payload)`` work items over per-rank pipes. The pool's supervisor
-extends the heartbeat watchdog from detect-and-abort to
-detect-respawn-rebarrier — with ``recover="checkpoint"`` a dead rank
-(or a collective deadline miss) triggers a recovery round: the dead
-rank(s) are respawned by a fresh fork, the slab/NB-ring state is
-rebuilt (:meth:`ProcessWorld.reset_for_reuse`), and the job is
-redispatched to every rank, replaying from the latest checkpoint the
-workers shipped up through :class:`RecoveryContext`. With the default
-``recover="raise"`` a rank death surfaces exactly as before
-(:class:`~repro.errors.RankDiedError` after deterministic teardown).
+Each :func:`process_spmd_run` call runs one job under one supervisor.
+The ranks are forked with the job — function, closure and arguments
+inherited, never pickled, so lambdas work exactly as with
+:func:`~repro.mpi.thread_backend.spmd_run` — report their result over a
+pipe, and park. The supervisor extends the heartbeat watchdog from
+detect-and-abort to detect-respawn-rebarrier: with
+``recover="checkpoint"`` a dead rank (or a collective deadline miss)
+triggers a recovery round. The dead ranks are forked fresh, the
+slab/NB-ring state is rebuilt (:meth:`ProcessWorld.reset_for_reuse`),
+and the survivors rerun the job they hold, replaying from the latest
+checkpoint the ranks shipped up through :class:`RecoveryContext`. With
+the default ``recover="raise"`` a rank death surfaces as
+:class:`~repro.errors.RankDiedError` after deterministic teardown.
 
-Requires a platform with ``fork`` (Linux/macOS): the SPMD function and
-its closure are inherited, not pickled, for the fork that dispatches
-them — tests and solvers can pass lambdas exactly as with
-:func:`~repro.mpi.thread_backend.spmd_run`. :func:`process_spmd_run`
-runs one job per pool, so its jobs always ride fork. Only a *later* job
-dispatched to a live :class:`WorkerPool` crosses a pipe, and it crosses
-by pickle: a module-level function with picklable arguments reaches the
-parked workers, while a job that does not pickle (a closure) makes the
-pool retire them and fork fresh workers that inherit it.
+The rank protocol itself — barrier deadlines, the abort and the error it
+maps to, the nonblocking ring's depth guard — is
+:class:`~repro.mpi.comm.RankWorld`'s and
+:class:`~repro.mpi.comm.WorldComm`'s, shared with the thread backend;
+this module adds the shared-memory storage and the supervisor. Requires
+a platform with ``fork`` (Linux/macOS).
 """
 
 from __future__ import annotations
@@ -75,8 +73,8 @@ import pickle
 import signal
 import threading
 import time
+from dataclasses import dataclass, field
 from multiprocessing.sharedctypes import RawArray
-from threading import BrokenBarrierError
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -85,20 +83,17 @@ from repro.errors import (
     CommAborted,
     CommError,
     CommTimeoutError,
-    NbRingDepthError,
     RankDiedError,
     RankMismatchError,
 )
-from repro.machine.ledger import CostLedger
 from repro.machine.spec import MachineSpec
-from repro.mpi.comm import Comm
+from repro.mpi.comm import RankWorld, WorldComm
 from repro.mpi.thread_backend import NB_RING_DEPTH, SpmdResult
 
 __all__ = [
     "ProcessComm",
     "ProcessWorld",
     "RecoveryContext",
-    "WorkerPool",
     "process_spmd_run",
 ]
 
@@ -155,14 +150,17 @@ class _ProcNbHandle:
     """Per-rank handle for one in-flight nonblocking collective."""
 
     __slots__ = (
-        "_world", "_slot", "_seq", "_rank", "_op", "_shape", "_result",
-        "_on_consume",
+        "_world", "_slot", "_seq", "_tag", "_rank", "_op", "_shape",
+        "_result", "_on_consume",
     )
 
-    def __init__(self, world, slot, seq, rank, op, shape, on_consume=None) -> None:
+    def __init__(
+        self, world, slot, seq, tag, rank, op, shape, on_consume=None
+    ) -> None:
         self._world = world
         self._slot = slot
         self._seq = seq
+        self._tag = tag
         self._rank = rank
         self._op = op
         self._shape = shape
@@ -212,26 +210,14 @@ class _ProcNbHandle:
 
     def wait(self, timeout: float | None = None):
         world, slot = self._world, self._slot
-        deadline = None if timeout is None else time.monotonic() + timeout
         with slot.cond:
-            while not self._ready_locked():
-                if world.is_aborted():
-                    raise world._abort_error(self._rank, "Iallreduce")
-                if deadline is not None and time.monotonic() >= deadline:
-                    stalled = tuple(
-                        r
-                        for r in range(world.size)
-                        if slot.seq.value == self._seq and int(slot.lengths[r]) == 0
-                    )
-                    world.abort()
-                    raise CommTimeoutError(
-                        f"rank {self._rank}: nonblocking collective timed out"
-                        f" after {timeout}s (no deposit from ranks"
-                        f" {list(stalled)})",
-                        tag="Iallreduce",
-                        stalled=stalled,
-                    )
-                slot.cond.wait(0.05)
+            world._slot_wait(
+                slot, self._ready_locked, self._rank, self._tag, timeout,
+                stalled=lambda: tuple(
+                    r for r in range(world.size)
+                    if slot.seq.value == self._seq and int(slot.lengths[r]) == 0
+                ),
+            )
             remaining = slot.complete_at.value - time.monotonic()
         if remaining > 0:
             # unoverlapped transit remainder — computation done before the
@@ -243,7 +229,7 @@ class _ProcNbHandle:
         world, slot = self._world, self._slot
         with slot.cond:
             if world.is_aborted():
-                raise world._abort_error(self._rank, "Iallreduce")
+                raise world._abort_error(self._rank, self._tag)
             if not self._ready_locked():
                 return None
             remaining = slot.complete_at.value - time.monotonic()
@@ -252,7 +238,7 @@ class _ProcNbHandle:
         return self._complete()
 
 
-class ProcessWorld:
+class ProcessWorld(RankWorld):
     """Shared-memory state for one process-SPMD world.
 
     Created in the parent *before* forking; children inherit the mapped
@@ -270,24 +256,16 @@ class ProcessWorld:
         latency: float = 0.0,
         nb_depth: int = NB_RING_DEPTH,
     ) -> None:
-        if size < 1:
-            raise CommError(f"size must be >= 1, got {size}")
-        if int(nb_depth) < 1:
-            raise NbRingDepthError(
-                f"nb_depth must be >= 1, got {nb_depth}", depth=int(nb_depth)
-            )
+        super().__init__(size, latency, nb_depth)
         ctx = _require_fork()
-        self.size = size
         self.slab_bytes = int(slab_bytes)
-        self.latency = float(latency)
-        self.nb_depth = int(nb_depth)
         self.barrier = ctx.Barrier(size)
         self._aborted = ctx.Value(ctypes.c_int, 0, lock=False)
         #: per-rank death flags set by the watchdog (or any observer);
         #: survivors map a broken barrier to RankDiedError through these
         self._dead = RawArray(ctypes.c_int, size)
         #: per-rank barrier-arrival counters for naming stalled ranks
-        self._arrive_gen = RawArray(ctypes.c_longlong, size)
+        self.arrive_gen = RawArray(ctypes.c_longlong, size)
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop: threading.Event | None = None
         self._obj = _byte_view(size * self.slab_bytes)
@@ -299,22 +277,13 @@ class ProcessWorld:
         ]
         self._ctx = ctx
 
-    # -- failure handling --------------------------------------------------
-    def abort(self) -> None:
-        """Fail peers fast: break the barrier, wake nonblocking waiters.
+    def is_aborted(self) -> bool:
+        return bool(self._aborted.value)
 
-        Idempotent, callable from any rank or the parent. Every blocked
-        participant wakes deterministically: barrier waiters get
-        :class:`~threading.BrokenBarrierError` (surfaced as
-        :class:`~repro.errors.CommAborted`), nonblocking waiters observe
-        the aborted flag on their next condition wake-up (<= 50 ms).
-        """
+    def _set_aborted(self) -> None:
         self._aborted.value = 1
-        self.barrier.abort()
-        for slot in self._nb_ring:
-            with slot.cond:
-                slot.cond.notify_all()
 
+    # -- failure handling --------------------------------------------------
     def mark_rank_dead(self, rank: int) -> None:
         """Record that ``rank``'s process died, then abort the world.
 
@@ -330,19 +299,6 @@ class ProcessWorld:
     def dead_ranks(self) -> list:
         """Ranks recorded as dead (empty if none)."""
         return [r for r in range(self.size) if self._dead[r]]
-
-    def _abort_error(self, rank: int, tag: str) -> CommError:
-        """The error a woken survivor should raise for this abort."""
-        dead = self.dead_ranks()
-        if dead:
-            return RankDiedError(
-                f"rank {rank}: collective {tag!r} aborted because ranks"
-                f" {dead} died",
-                dead_ranks=tuple(dead),
-            )
-        return CommAborted(
-            f"rank {rank}: collective {tag!r} aborted by a peer failure"
-        )
 
     # -- parent-side heartbeat watchdog ------------------------------------
     def start_watchdog(self, procs: Sequence, interval: float = 0.05) -> None:
@@ -398,9 +354,6 @@ class ProcessWorld:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    def is_aborted(self) -> bool:
-        return bool(self._aborted.value)
-
     # -- recovery ----------------------------------------------------------
     def reset_for_reuse(self) -> None:
         """Rebuild the collective state so the world can run another job.
@@ -408,15 +361,14 @@ class ProcessWorld:
         Restores the barrier, clears the aborted/death flags, and reseeds
         the slabs and the nonblocking slot ring to their just-constructed
         state. Only safe when no rank is inside a collective: the
-        :class:`WorkerPool` guarantees this by waiting until every
-        surviving rank has reported (and is parked on its job pipe)
-        before resetting.
+        supervisor guarantees this by waiting until every surviving rank
+        has reported (and is parked on its job pipe) before resetting.
         """
         self.barrier.reset()
         self._aborted.value = 0
         for r in range(self.size):
             self._dead[r] = 0
-            self._arrive_gen[r] = 0
+            self.arrive_gen[r] = 0
             self._obj_len[r] = 0
         self._tags[:] = bytes(len(self._tags))
         for i, slot in enumerate(self._nb_ring):
@@ -430,54 +382,12 @@ class ProcessWorld:
                 slot.tags[:] = bytes(len(slot.tags))
                 slot.cond.notify_all()
 
-    # -- blocking exchange -------------------------------------------------
-    def _barrier_wait(self, rank: int, tag: str, timeout: float | None) -> None:
-        """One barrier arrival with an optional deadline.
+    # -- blocking exchange (see RankWorld.exchange) -------------------------
+    def _deposit(self, rank: int, tag: str, obj: Any) -> None:
+        """Pickle ``obj`` into this rank's slab (one buffer copy).
 
-        Mirrors :meth:`ThreadContext._barrier_wait`: a rank whose wait
-        expires aborts the world and raises
-        :class:`~repro.errors.CommTimeoutError` naming the tag and the
-        lagging ranks; peers woken by the broken barrier raise
-        :class:`~repro.errors.RankDiedError` if a death was recorded,
-        else :class:`~repro.errors.CommAborted`.
-        """
-        self._arrive_gen[rank] += 1
-        start = time.monotonic()
-        try:
-            self.barrier.wait(timeout)
-        except BrokenBarrierError as exc:
-            if self.dead_ranks():
-                raise self._abort_error(rank, tag) from exc
-            timed_out = (
-                timeout is not None
-                and not self.is_aborted()
-                and time.monotonic() - start >= timeout
-            )
-            if timed_out:
-                my_gen = int(self._arrive_gen[rank])
-                stalled = tuple(
-                    r for r in range(self.size)
-                    if int(self._arrive_gen[r]) < my_gen
-                )
-                self.abort()
-                raise CommTimeoutError(
-                    f"rank {rank}: collective {tag!r} timed out after"
-                    f" {timeout}s waiting for ranks {list(stalled)}",
-                    tag=tag,
-                    stalled=stalled,
-                ) from exc
-            raise self._abort_error(rank, tag) from exc
-
-    def exchange(
-        self, rank: int, tag: str, obj: Any, fold=None, timeout: float | None = None
-    ) -> Any:
-        """Deposit, synchronise, snapshot (or fold), synchronise.
-
-        The process twin of :meth:`ThreadContext.exchange`: pickles the
-        payload into this rank's slab, barriers, reads every slab (so
-        each rank folds its *own copies* — deterministic and isolated),
-        barriers again so nobody overwrites a slab early. ``timeout``
-        bounds each barrier wait (see :meth:`_barrier_wait`).
+        Each rank later unpickles its *own copies* of every slab, so its
+        fold is deterministic and isolated from the peers' buffers.
         """
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         if len(payload) > self.slab_bytes:
@@ -495,26 +405,21 @@ class ProcessWorld:
         self._obj[base:base + len(payload)] = payload
         self._obj_len[rank] = len(payload)
         _set_tag(self._tags, rank, tag)
-        self._barrier_wait(rank, tag, timeout)
-        try:
-            tags = [_get_tag(self._tags, r) for r in range(self.size)]
-            if any(t != tags[0] for t in tags):
-                raise RankMismatchError(
-                    "SPMD mismatch: ranks called different collectives "
-                    f"{[t.decode() for t in tags]}"
-                )
-            gathered = [
-                pickle.loads(self._obj[r * self.slab_bytes:
-                                       r * self.slab_bytes + int(self._obj_len[r])])
-                for r in range(self.size)
-            ]
-            snapshot = fold(gathered) if fold is not None else gathered
-            if self.latency:
-                # emulated transit on the critical path (concurrent ranks)
-                time.sleep(self.latency)
-        finally:
-            self._barrier_wait(rank, tag, timeout)
-        return snapshot
+
+    def _deposited_tags(self) -> list:
+        # surrogateescape keeps distinct bytes distinct, even a tag
+        # truncated mid-character
+        return [
+            _get_tag(self._tags, r).decode(errors="surrogateescape")
+            for r in range(self.size)
+        ]
+
+    def _gathered(self) -> list:
+        return [
+            pickle.loads(self._obj[r * self.slab_bytes:
+                                   r * self.slab_bytes + int(self._obj_len[r])])
+            for r in range(self.size)
+        ]
 
     # -- nonblocking post --------------------------------------------------
     def nb_post(
@@ -531,8 +436,8 @@ class ProcessWorld:
 
         ``timeout`` bounds the wait for a free ring slot. ``on_consume``
         (if given) is invoked exactly once in the posting process when
-        the handle is harvested — :class:`ProcessComm` uses it to track
-        its own outstanding-request count.
+        the handle is harvested, with ``seq`` — the communicator uses it
+        to track which of its requests are still open.
         """
         if arr.dtype != np.float64:
             raise CommError(
@@ -549,19 +454,10 @@ class ProcessWorld:
                 f"(nb_doubles={slot.capacity}); raise nb_doubles= in "
                 "process_spmd_run / ProcessWorld"
             )
-        deadline = None if timeout is None else time.monotonic() + timeout
         with slot.cond:
-            while slot.seq.value != seq:
-                if self.is_aborted():
-                    raise self._abort_error(rank, tag)
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.abort()
-                    raise CommTimeoutError(
-                        f"rank {rank}: nonblocking collective {tag!r} timed"
-                        f" out after {timeout}s waiting for a free ring slot",
-                        tag=tag,
-                    )
-                slot.cond.wait(0.05)
+            self._slot_wait(
+                slot, lambda: slot.seq.value == seq, rank, tag, timeout
+            )
             dst = np.frombuffer(slot.payload, dtype=np.float64)
             dst[rank * slot.capacity:rank * slot.capacity + flat.shape[0]] = flat
             slot.lengths[rank] = flat.shape[0]
@@ -571,108 +467,19 @@ class ProcessWorld:
                 slot.complete_at.value = time.monotonic() + self.latency
                 slot.cond.notify_all()
         return _ProcNbHandle(
-            self, slot, seq, rank, op, arr.shape, on_consume=on_consume
+            self, slot, seq, tag, rank, op, arr.shape, on_consume=on_consume
         )
 
 
-class ProcessComm(Comm):
+class ProcessComm(WorldComm):
     """Communicator bound to one rank of a :class:`ProcessWorld`."""
 
-    def __init__(
-        self,
-        world: ProcessWorld,
-        rank: int,
-        machine: MachineSpec | None = None,
-        cost_size: int | None = None,
-        ledger: CostLedger | None = None,
-        timeout: float | None = None,
-    ) -> None:
-        super().__init__(
-            rank=rank,
-            size=world.size,
-            cost_size=cost_size,
-            machine=machine,
-            ledger=ledger,
-            timeout=timeout,
-        )
-        self._world = world
-        self._nb_seq = 0
-        #: sequence numbers posted but not yet harvested by this rank —
-        #: out-of-order harvest means the ring-reuse guard must know
-        #: *which* requests are open, not just how many
-        self._nb_open: set[int] = set()
 
-    @property
-    def nb_ring_depth(self) -> int | None:
-        """Depth of the shared nonblocking slot ring (max in flight)."""
-        return self._world.nb_depth
-
-    def _allgather_impl(self, tag: str, obj: Any) -> list:
-        try:
-            return self._world.exchange(
-                self._rank, tag, obj, timeout=self._active_timeout
-            )
-        except CommTimeoutError:
-            self.ledger.add_timeout()
-            raise
-
-    def _exchange_fold(self, tag: str, obj: Any, fold) -> Any:
-        # the pickled slabs are private copies, so the fold is trivially
-        # safe against send-buffer reuse; run it between the barriers for
-        # symmetry with the thread backend
-        try:
-            return self._world.exchange(
-                self._rank, tag, obj, fold=fold, timeout=self._active_timeout
-            )
-        except CommTimeoutError:
-            self.ledger.add_timeout()
-            raise
-
-    def _nb_consumed_one(self, seq: int) -> None:
-        self._nb_open.discard(seq)
-
-    def _iallreduce_impl(self, tag: str, arr, op):
-        # posting while this rank's own request `seq - depth` (which
-        # shares the target ring slot) is unharvested would park forever
-        # on that slot: fail typed *before* blocking. Out-of-order
-        # harvest can create the conflict with fewer than `depth`
-        # requests open, so the guard tracks open sequence numbers.
-        depth = self._world.nb_depth
-        seq = self._nb_seq
-        if seq - depth in self._nb_open:
-            raise NbRingDepthError(
-                f"rank {self._rank}: posting nonblocking collective {tag!r}"
-                f" would reuse the ring slot of its own unharvested request"
-                f" #{seq - depth} ({len(self._nb_open)} open on a ring of"
-                f" depth {depth}); harvest it first or raise nb_depth",
-                depth=depth,
-                outstanding=len(self._nb_open),
-            )
-        self._nb_seq += 1
-        handle = self._world.nb_post(
-            self._rank, seq, tag, arr, op, timeout=self._active_timeout,
-            on_consume=self._nb_consumed_one,
-        )
-        self._nb_open.add(seq)
-        return handle
-
-
-# -- job codec (for shipping a job to already-running workers) -------------
-#
-# The first job a worker ever sees rides fork inheritance (no encoding at
-# all), and a respawned worker likewise inherits the in-flight job through
-# its fresh fork. Only a *later* job dispatched to workers that are already
-# parked crosses a pipe, by pickle; a job that does not pickle (a closure)
-# makes the pool fork fresh workers instead (see WorkerPool._dispatch).
-
-def _encode_obj(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
+@dataclass(slots=True)
 class RecoveryContext:
     """Per-rank view of the supervisor's recovery state for one attempt.
 
-    The pool attaches one to every communicator it hands a job
+    The supervisor attaches one to every communicator it runs the job on
     (``comm.recovery``). Entry points that support checkpoint-resume use
     it in two ways:
 
@@ -694,35 +501,15 @@ class RecoveryContext:
     request but replays one interrupted by a death) branch on it.
     """
 
-    __slots__ = (
-        "rank", "job_id", "attempt", "mode", "resume",
-        "recoveries", "respawns", "replayed_iterations", "last_failure",
-        "_report",
-    )
-
-    def __init__(
-        self,
-        rank: int,
-        job_id: int,
-        attempt: int,
-        mode: str = "raise",
-        resume: Any = None,
-        recoveries: int = 0,
-        respawns: int = 0,
-        replayed_iterations: int = 0,
-        last_failure: str | None = None,
-        _report: Callable[[tuple], None] | None = None,
-    ) -> None:
-        self.rank = rank
-        self.job_id = job_id
-        self.attempt = attempt
-        self.mode = mode
-        self.resume = resume
-        self.recoveries = recoveries
-        self.respawns = respawns
-        self.replayed_iterations = replayed_iterations
-        self.last_failure = last_failure
-        self._report = _report
+    rank: int
+    attempt: int
+    mode: str = "raise"
+    resume: Any = None
+    recoveries: int = 0
+    respawns: int = 0
+    replayed_iterations: int = 0
+    last_failure: str | None = None
+    _report: Callable[[tuple], None] | None = field(default=None, repr=False)
 
     @property
     def active(self) -> bool:
@@ -738,29 +525,30 @@ class RecoveryContext:
         """
         if self.mode != "checkpoint" or self.rank != 0 or self._report is None:
             return
-        self._report(("ckpt", self.job_id, self.attempt, payload))
+        self._report(("ckpt", self.attempt, payload))
 
 
-def _pool_worker_main(
+def _worker_main(
     world: ProcessWorld,
     rank: int,
     send_end,
     send_lock,
     job_conn,
+    fn: Callable[..., Any],
+    args: tuple,
     machine: MachineSpec | None,
     cost_size: int | None,
     comm_timeout: float | None,
-    first_job: tuple | None,
+    attempt: int,
+    ctx_state: dict,
 ) -> None:
-    """Persistent worker: run the inherited job, then park for more.
+    """One rank: run the job it was forked with, then park for reruns.
 
-    ``first_job`` is ``(jid, attempt, ctx_state, fn, args)`` inherited by
-    fork (so closures need no encoding); later jobs arrive on
-    ``job_conn`` as ``("run", jid, attempt, ctx_state, fn_enc, args_enc)``
-    with ``fn`` and each argument pickled, or ``fn_enc=None`` meaning
-    "re-run the job you already hold" (a survivor being redispatched
-    after a recovery). ``None`` on the pipe — or a closed pipe — is an
-    orderly shutdown.
+    ``fn``, ``args`` and the first attempt's recovery state are inherited
+    by fork (so closures need no encoding). A recovery redispatch arrives
+    on ``job_conn`` as ``("run", attempt, ctx_state)``: run the same job
+    again with the new state. ``None`` on the pipe — or a closed pipe —
+    is an orderly shutdown.
     """
     # Signal safety: the parent's shutdown path owns teardown. SIGTERM
     # (e.g. an external kill of this rank) still aborts the world so
@@ -782,14 +570,15 @@ def _pool_worker_main(
         with send_lock:
             send_end.send(item)
 
-    def execute(jid: int, attempt: int, ctx_state: dict, fn, args) -> None:
+    msg = ("run", attempt, ctx_state)
+    while msg is not None:
+        _, attempt, ctx_state = msg
         comm = ProcessComm(
             world, rank, machine=machine, cost_size=cost_size,
             timeout=comm_timeout,
         )
         ctx = RecoveryContext(
-            rank=rank, job_id=jid, attempt=attempt, _report=report,
-            **ctx_state,
+            rank=rank, attempt=attempt, _report=report, **ctx_state
         )
         comm.recovery = ctx
         # seed the attempt counters so cost snapshots taken *inside* the
@@ -806,105 +595,72 @@ def _pool_worker_main(
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             world.abort()
             try:
-                report(("res", jid, attempt, rank, "err", exc, None))
+                report(("res", attempt, rank, "err", exc, None))
             except (CommAborted, RankDiedError, KeyboardInterrupt):
                 # a failed report cannot outrank the abort itself: die
                 # loudly, the parent detects the rank via its sentinel
                 raise
             except Exception:
-                report(("res", jid, attempt, rank, "err",
-                        CommError(repr(exc)), None))
-            return
-        try:
-            report(("res", jid, attempt, rank, "ok", value, comm.ledger))
-        except (CommAborted, RankDiedError, KeyboardInterrupt):
-            raise
-        except Exception as exc:  # unpicklable return value
-            report(("res", jid, attempt, rank, "err", CommError(
-                f"rank {rank} returned an unpicklable value: {exc!r}"
-            ), None))
-
-    cur_fn: Callable | None = None
-    cur_args: tuple = ()
-    if first_job is not None:
-        jid, attempt, ctx_state, cur_fn, cur_args = first_job
-        execute(jid, attempt, ctx_state, cur_fn, cur_args)
-    while True:
+                report(("res", attempt, rank, "err", CommError(repr(exc)), None))
+        else:
+            try:
+                report(("res", attempt, rank, "ok", value, comm.ledger))
+            except (CommAborted, RankDiedError, KeyboardInterrupt):
+                raise
+            except Exception as exc:  # unpicklable return value
+                report(("res", attempt, rank, "err", CommError(
+                    f"rank {rank} returned an unpicklable value: {exc!r}"
+                ), None))
         try:
             msg = job_conn.recv()
         except (EOFError, OSError):
-            os._exit(0)
-        if msg is None:
-            os._exit(0)
-        _, jid, attempt, ctx_state, fn_enc, args_enc = msg
-        if fn_enc is not None:
-            try:
-                cur_fn = pickle.loads(fn_enc)
-                cur_args = tuple(pickle.loads(a) for a in args_enc)
-            except (CommAborted, RankDiedError, KeyboardInterrupt):
-                raise
-            except Exception as exc:
-                world.abort()
-                report(("res", jid, attempt, rank, "err", CommError(
-                    f"rank {rank} could not decode the dispatched job: "
-                    f"{exc!r}"
-                ), None))
-                continue
-        if cur_fn is None:
-            world.abort()
-            report(("res", jid, attempt, rank, "err", CommError(
-                f"rank {rank} was redispatched with no job held"
-            ), None))
-            continue
-        execute(jid, attempt, ctx_state, cur_fn, cur_args)
+            msg = None
+    os._exit(0)
 
 
-class WorkerPool:
-    """Persistent, supervised pool of forked SPMD workers.
+class _Supervisor:
+    """Runs one job on ``size`` forked ranks and supervises its attempts.
 
-    Workers are forked lazily at the first :meth:`run` (the first job —
-    function, closure and all — rides fork inheritance, so lambdas work
-    exactly as they always have), then *outlive the job*: after
-    reporting, each worker parks on its job pipe waiting for the next
-    ``(job_id, fn, payload)`` work item. A later job reaches the parked
-    workers by pickle when it pickles (a module-level function with
-    picklable arguments); otherwise the pool retires them and forks
-    fresh workers that inherit it. The pool's supervisor loop owns
-    the heartbeat watchdog and extends it from detect-and-abort to
+    Each rank is forked with the job — ``fn`` and ``args``, closure and
+    all — and the attempt's recovery state, reports over one shared pipe,
+    then parks on its own job pipe. :meth:`run` owns the heartbeat
+    watchdog and extends it from detect-and-abort to
     detect-respawn-rebarrier:
 
-    * ``recover="raise"`` (default) — a failure surfaces exactly like
-      the historical fork-and-join path: first real per-rank error, then
+    * ``recover="raise"`` — a failure surfaces like a fork-and-join run:
+      first real per-rank error, then
       :class:`~repro.errors.RankDiedError` for silent deaths, then the
       first abort echo.
     * ``recover="checkpoint"`` — on a rank death (or a collective
-      deadline), the supervisor respawns the dead rank(s) by a fresh
-      fork, rebuilds the shared collective state
-      (:meth:`ProcessWorld.reset_for_reuse`), redispatches the job to
-      every rank, and the job replays from the latest checkpoint it
-      shipped up through :class:`RecoveryContext` — at most
-      ``max_recoveries`` times per job, after which the final failure is
-      raised as usual.
+      deadline), the dead ranks are forked fresh, the shared collective
+      state is rebuilt (:meth:`ProcessWorld.reset_for_reuse`), every
+      parked survivor reruns the job it holds, and the job replays from
+      the latest checkpoint it shipped up through
+      :class:`RecoveryContext` — at most ``max_recoveries`` times, after
+      which the final failure is raised as usual.
 
-    ``timeout`` bounds one whole :meth:`run` call (all attempts
-    included). Shut the pool down with :meth:`shutdown` (or use it as a
-    context manager); shutdown is idempotent and leaves no orphans.
+    ``timeout`` bounds the whole run (all attempts included).
+    :meth:`shutdown` stops every rank and leaves no orphans.
     """
 
     def __init__(
         self,
+        fn: Callable[..., Any],
+        args: Sequence,
         size: int,
         *,
-        machine: MachineSpec | None = None,
-        cost_size: int | None = None,
-        timeout: float | None = 120.0,
-        latency: float = 0.0,
-        slab_bytes: int = 1 << 22,
-        nb_doubles: int = 1 << 19,
-        comm_timeout: float | None = None,
-        nb_depth: int = NB_RING_DEPTH,
+        machine: MachineSpec | None,
+        cost_size: int | None,
+        timeout: float | None,
+        latency: float,
+        slab_bytes: int,
+        nb_doubles: int,
+        comm_timeout: float | None,
+        nb_depth: int,
     ) -> None:
         self.size = size
+        self._fn = fn
+        self._args = tuple(args)
         self._machine = machine
         self._cost_size = cost_size
         self._timeout = timeout
@@ -913,32 +669,24 @@ class WorkerPool:
             size, slab_bytes=slab_bytes, nb_doubles=nb_doubles,
             latency=latency, nb_depth=nb_depth,
         )
-        ctx = self._world._ctx
-        self._ctx = ctx
+        self._ctx = self._world._ctx
         # report channel: one pipe, many writers serialized by a lock (the
         # public-API equivalent of SimpleQueue, which offers no timed poll)
-        self._recv, self._send = ctx.Pipe(duplex=False)
-        self._send_lock = ctx.Lock()
+        self._recv, self._send = self._ctx.Pipe(duplex=False)
+        self._send_lock = self._ctx.Lock()
         self._procs: list = [None] * size
         self._job_w: list = [None] * size
-        self._jid = 0
-        self._started = False
-        self._shut = False
-
-    @property
-    def world(self) -> ProcessWorld:
-        return self._world
 
     # -- lifecycle ---------------------------------------------------------
-    def _spawn(self, rank: int, first_job: tuple | None) -> None:
-        """Fork one worker; ``first_job`` rides fork inheritance."""
+    def _spawn(self, rank: int, attempt: int, ctx_state: dict) -> None:
+        """Fork one rank; the job and the attempt ride fork inheritance."""
         job_r, job_w = self._ctx.Pipe(duplex=False)
         p = self._ctx.Process(
-            target=_pool_worker_main,
+            target=_worker_main,
             args=(
                 self._world, rank, self._send, self._send_lock, job_r,
-                self._machine, self._cost_size, self._comm_timeout,
-                first_job,
+                self._fn, self._args, self._machine, self._cost_size,
+                self._comm_timeout, attempt, ctx_state,
             ),
             name=f"spmd-proc-{rank}",
             daemon=True,
@@ -958,13 +706,27 @@ class WorkerPool:
         self._procs[rank] = p
         self._job_w[rank] = job_w
 
-    def _retire_workers(self) -> None:
-        """Orderly-stop every live worker (next dispatch forks fresh)."""
+    def _dispatch(self, attempt: int, ctx_state: dict) -> None:
+        """Hand one attempt to every rank: a parked survivor reruns the
+        job it holds, a dead (or never forked) rank is forked fresh."""
+        for r, p in enumerate(self._procs):
+            if p is not None and p.is_alive():
+                self._job_w[r].send(("run", attempt, ctx_state))
+            else:
+                self._spawn(r, attempt, ctx_state)
+
+    def shutdown(self) -> None:
+        """Stop the watchdog and every rank; no orphans."""
+        self._world.stop_watchdog()
+        # wake anything still blocked in a collective, then ask parked
+        # ranks to exit; stragglers are terminated after a grace join
+        self._world.abort()
         for w in self._job_w:
             if w is not None:
                 try:
                     w.send(None)
-                except (OSError, BrokenPipeError, ValueError):
+                    w.close()
+                except (OSError, ValueError):
                     pass
         for p in self._procs:
             if p is not None:
@@ -973,86 +735,25 @@ class WorkerPool:
             if p is not None and p.is_alive():
                 p.terminate()
                 p.join(1.0)
-        self._procs = [None] * self.size
-
-    def _dispatch(
-        self, jid: int, attempt: int, ctx_state: dict, fn, args,
-        survivors_hold_job: bool,
-    ) -> None:
-        """Hand one attempt to every rank.
-
-        Dead or never-spawned ranks get a fresh fork with the job
-        inherited; live (parked) ranks get a pipe message — the pickled
-        job when they don't already hold it, ``fn_enc=None`` when they
-        do (recovery redispatch). If the job does not pickle (a closure,
-        or a closure among its arguments), the live workers are retired
-        and everything forks fresh — correctness over pool persistence.
-        """
-        live = [
-            r for r in range(self.size)
-            if self._procs[r] is not None and self._procs[r].is_alive()
-            and not self._world._dead[r]
-        ]
-        fn_enc = args_enc = None
-        if live and not survivors_hold_job:
-            try:
-                fn_enc = _encode_obj(fn)
-                args_enc = tuple(_encode_obj(a) for a in args)
-            except (CommAborted, RankDiedError, KeyboardInterrupt):
-                raise
-            except Exception:
-                self._retire_workers()
-                live = []
-        for r in range(self.size):
-            if r in live:
-                self._job_w[r].send(
-                    ("run", jid, attempt, ctx_state, fn_enc, args_enc)
-                )
-            else:
-                self._spawn(r, (jid, attempt, ctx_state, fn, args))
-
-    def shutdown(self) -> None:
-        """Stop the supervisor and every worker; idempotent, no orphans."""
-        if self._shut:
-            return
-        self._shut = True
-        self._world.stop_watchdog()
-        # wake anything still blocked in a collective, then ask parked
-        # workers to exit; stragglers are terminated after a grace join
-        self._world.abort()
-        self._retire_workers()
-        for w in self._job_w:
-            if w is not None:
-                try:
-                    w.close()
-                except OSError:
-                    pass
-        self._job_w = [None] * self.size
         try:
             self._recv.close()
             self._send.close()
         except OSError:
             pass
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
     # -- supervisor loop ---------------------------------------------------
-    def _collect(self, jid: int, attempt: int, deadline: float | None):
+    def _collect(self, attempt: int, deadline: float | None):
         """Collect one attempt's reports; returns per-rank outcome.
 
         Exits when every rank has reported, or when every *unreported*
         rank is dead and the report pipe is drained (survivors park
-        alive after reporting, so "all procs dead" is no longer an exit
+        alive after reporting, so "all procs dead" is no exit
         condition). A blown deadline aborts the world and raises
-        :class:`CommAborted` with today's message.
+        :class:`CommAborted`.
         """
         size = self.size
         values: list[Any] = [None] * size
-        ledgers: list[CostLedger | None] = [None] * size
+        ledgers: list[Any] = [None] * size
         errors: list[BaseException | None] = [None] * size
         reported = [False] * size
         ckpt = None
@@ -1087,16 +788,13 @@ class WorkerPool:
                         break
                 continue
             msg = self._recv.recv()
-            if msg[0] == "ckpt":
-                _, cjid, _cattempt, payload = msg
-                if cjid == jid:
-                    # send() is FIFO per attempt and attempts are
-                    # sequential, so the last one received is the newest
-                    ckpt = payload
-                continue
-            _, mjid, mattempt, r, status, payload, ledger = msg
-            if mjid != jid or mattempt != attempt:
+            if msg[1] != attempt:
                 continue  # stale report from a pre-recovery attempt
+            if msg[0] == "ckpt":
+                # send() is FIFO, so the last one received is the newest
+                ckpt = msg[2]
+                continue
+            _, _, r, status, payload, ledger = msg
             reported[r] = True
             if status == "ok":
                 values[r] = payload
@@ -1107,28 +805,8 @@ class WorkerPool:
                 break
         return values, ledgers, errors, reported, ckpt
 
-    def run(
-        self,
-        fn: Callable[..., Any],
-        args: Sequence = (),
-        recover: str = "raise",
-        max_recoveries: int = 2,
-    ) -> SpmdResult:
-        """Run ``fn(comm, rank, *args)`` as one supervised job.
-
-        Returns the same :class:`SpmdResult` as the historical
-        fork-and-join path; under ``recover="checkpoint"`` a rank death
-        or collective deadline triggers up to ``max_recoveries``
-        respawn-and-replay rounds before the failure is raised.
-        """
-        if self._shut:
-            raise CommError("WorkerPool has been shut down")
-        if recover not in ("raise", "checkpoint"):
-            raise CommError(
-                f"recover must be 'raise' or 'checkpoint', got {recover!r}"
-            )
-        self._jid += 1
-        jid = self._jid
+    def run(self, recover: str, max_recoveries: int) -> SpmdResult:
+        """Run the job, recovering per ``recover``; see the class doc."""
         attempt = 0
         recoveries = 0
         respawns = 0
@@ -1139,7 +817,6 @@ class WorkerPool:
             None if self._timeout is None
             else time.monotonic() + self._timeout
         )
-        args = tuple(args)
         while True:
             ctx_state = {
                 "mode": recover,
@@ -1149,24 +826,13 @@ class WorkerPool:
                 "replayed_iterations": replayed,
                 "last_failure": last_failure,
             }
-            if self._started:
-                # between attempts (and between jobs) every live worker
-                # is parked outside any collective, so the shared state
-                # can be rebuilt safely; the watchdog is restarted fresh
-                # because it exits on its own once the world aborts
-                self._world.stop_watchdog()
-                self._world.reset_for_reuse()
-            self._dispatch(
-                jid, attempt, ctx_state, fn, args,
-                survivors_hold_job=attempt > 0,
-            )
-            self._started = True
+            self._dispatch(attempt, ctx_state)
             # heartbeat: a killed child is marked dead (aborting the
             # world) within one watchdog interval, independently of the
             # report-poll loop
             self._world.start_watchdog(self._procs)
             values, ledgers, errors, reported, new_ckpt = self._collect(
-                jid, attempt, deadline
+                attempt, deadline
             )
             if new_ckpt is not None:
                 ckpt = new_ckpt
@@ -1210,20 +876,17 @@ class WorkerPool:
                     last_failure = "timeout"
                 else:
                     last_failure = "rank-died"
-                dead = sorted(set(dead_unreported) | {
-                    r for r in range(self.size)
-                    if self._world._dead[r]
-                    or (self._procs[r] is not None
-                        and not self._procs[r].is_alive())
-                })
+                dead = sorted(
+                    set(dead_unreported) | set(self._world.dead_ranks())
+                    | {r for r, p in enumerate(self._procs) if not p.is_alive()}
+                )
                 self._world.stop_watchdog()
                 for r in dead:
                     p = self._procs[r]
-                    if p is not None:
+                    p.join(1.0)
+                    if p.is_alive():
+                        p.terminate()
                         p.join(1.0)
-                        if p.is_alive():
-                            p.terminate()
-                            p.join(1.0)
                 respawns += len(dead)
                 if isinstance(ckpt, dict):
                     # work units the redispatched attempt will *not* have
@@ -1232,17 +895,20 @@ class WorkerPool:
                     # iterations, path checkpoints completed grid points,
                     # streaming checkpoints applied events, serving
                     # checkpoints resolved requests.
-                    units = ckpt.get("iteration")
-                    if units is None:
-                        units = ckpt.get("completed")
-                    if units is None:
-                        units = ckpt.get("events_applied")
-                    if units is None:
-                        units = ckpt.get("requests_done")
+                    units = next((
+                        ckpt[k] for k in (
+                            "iteration", "completed", "events_applied",
+                            "requests_done",
+                        ) if ckpt.get(k) is not None
+                    ), 0)
                     replayed += int(units or 0)
+                # every survivor has reported and parked outside any
+                # collective, so the shared state can be rebuilt safely
+                self._world.reset_for_reuse()
                 attempt += 1
                 continue
-            # raise path: today's precedence, bit-for-bit
+            # raise path: the first real error, then silent deaths, then
+            # the first abort echo
             if real:
                 raise real[0]
             if dead_unreported:
@@ -1278,8 +944,8 @@ def process_spmd_run(
     signature and same :class:`SpmdResult` (per-rank values + ledgers:
     each child ships its return value and ledger back through a pipe).
     ``fn`` and its closure are inherited by fork, so lambdas work; the
-    *return value* must be picklable. Execution runs through a one-job
-    :class:`WorkerPool` (shut down on exit, success or not).
+    *return value* must be picklable. One supervisor runs the job and is
+    shut down on exit, success or not.
 
     ``slab_bytes`` bounds one rank's pickled payload per blocking
     collective (default 4 MiB) and ``nb_doubles`` one rank's nonblocking
@@ -1298,14 +964,15 @@ def process_spmd_run(
     :class:`~repro.errors.NbRingDepthError` instead of deadlocking.
 
     ``recover="checkpoint"`` turns a rank death (or collective deadline)
-    into a supervised recovery: the dead rank is respawned, the shared
-    collective state rebuilt, and the job redispatched to every rank,
-    resuming from the latest checkpoint it shipped through
-    ``comm.recovery`` (:class:`RecoveryContext`) — at most
-    ``max_recoveries`` times, after which the failure raises as usual.
-    The ``recoveries``/``respawns``/``replayed_iterations`` counters land
-    in every returned ledger. The default ``recover="raise"`` preserves
-    the historical behavior exactly.
+    into a supervised recovery: the dead rank is forked fresh, the shared
+    collective state rebuilt, and the job rerun on every rank (the
+    survivors rerun the one they hold), resuming from the latest
+    checkpoint it shipped through ``comm.recovery``
+    (:class:`RecoveryContext`) — at most ``max_recoveries`` times, after
+    which the failure raises as usual. The
+    ``recoveries``/``respawns``/``replayed_iterations`` counters land in
+    every returned ledger. The default ``recover="raise"`` raises the
+    first failure.
 
     Children install signal handlers before running ``fn``: SIGTERM
     aborts the world and exits immediately, SIGINT is ignored (the
@@ -1316,8 +983,12 @@ def process_spmd_run(
     a killed rank raises :class:`~repro.errors.RankDiedError` (on the
     survivors and in the parent), hung ranks raise :class:`CommAborted`.
     """
-    pool = WorkerPool(
-        size,
+    if recover not in ("raise", "checkpoint"):
+        raise CommError(
+            f"recover must be 'raise' or 'checkpoint', got {recover!r}"
+        )
+    supervisor = _Supervisor(
+        fn, args, size,
         machine=machine,
         cost_size=cost_size,
         timeout=timeout,
@@ -1328,8 +999,6 @@ def process_spmd_run(
         nb_depth=nb_depth,
     )
     try:
-        return pool.run(
-            fn, args=args, recover=recover, max_recoveries=max_recoveries
-        )
+        return supervisor.run(recover, max_recoveries)
     finally:
-        pool.shutdown()
+        supervisor.shutdown()

@@ -26,15 +26,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.errors import (
-    CommAborted,
-    CommTimeoutError,
-    NbRingDepthError,
-    RankMismatchError,
-)
-from repro.machine.ledger import CostLedger
+from repro.errors import CommAborted, RankMismatchError
 from repro.machine.spec import MachineSpec
-from repro.mpi.comm import Comm
+from repro.mpi.comm import RankWorld, WorldComm
 
 __all__ = ["ThreadComm", "ThreadContext", "spmd_run", "SpmdResult"]
 
@@ -86,11 +80,12 @@ class _NbSlot:
 class _ThreadNbHandle:
     """Per-rank handle for one in-flight nonblocking collective."""
 
-    __slots__ = ("_ctx", "_slot", "_seq", "_tag", "_rank", "_result")
+    __slots__ = ("_ctx", "_slot", "_seq", "_tag", "_rank", "_result",
+                 "_on_consume")
 
     def __init__(
-        self, ctx: "ThreadContext", slot: _NbSlot, seq: int, tag: str = "",
-        rank: int = 0,
+        self, ctx: "ThreadContext", slot: _NbSlot, seq: int, tag: str,
+        rank: int, on_consume=None,
     ) -> None:
         self._ctx = ctx
         self._slot = slot
@@ -98,13 +93,19 @@ class _ThreadNbHandle:
         self._tag = tag
         self._rank = rank
         self._result = None
+        self._on_consume = on_consume
+
+    def _ready_locked(self) -> bool:
+        return self._slot.seq == self._seq and self._slot.done
 
     def _consume_locked(self):
         """Copy the published result and recycle the slot (cond held)."""
         err = self._slot.error
         if err is None:
             self._result = self._slot.result.copy()
-        self._ctx._nb_open[self._rank].discard(self._seq)
+        if self._on_consume is not None:
+            self._on_consume(self._seq)
+            self._on_consume = None
         self._slot.consumed += 1
         if self._slot.consumed == self._ctx.size:
             self._slot.recycle(self._ctx.size, self._ctx.nb_depth)
@@ -115,42 +116,26 @@ class _ThreadNbHandle:
 
     def wait(self, timeout: float | None = None):
         slot = self._slot
-        deadline = None if timeout is None else time.monotonic() + timeout
         with slot.cond:
-            while not (slot.seq == self._seq and slot.done):
-                if self._ctx.aborted:
-                    raise CommAborted(
-                        "nonblocking collective aborted by a peer failure"
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
-                    stalled = tuple(
-                        r
-                        for r in range(self._ctx.size)
-                        if slot.seq == self._seq and slot.tags[r] is None
-                    )
-                    self._ctx.abort()
-                    raise CommTimeoutError(
-                        f"nonblocking collective {self._tag!r} timed out after"
-                        f" {timeout}s (no deposit from ranks {list(stalled)})",
-                        tag=self._tag,
-                        stalled=stalled,
-                    )
-                slot.cond.wait(0.05)
+            self._ctx._slot_wait(
+                slot, self._ready_locked, self._rank, self._tag, timeout,
+                stalled=lambda: tuple(
+                    r for r in range(self._ctx.size)
+                    if slot.seq == self._seq and slot.tags[r] is None
+                ),
+            )
             return self._consume_locked()
 
     def test(self):
-        slot = self._slot
-        with slot.cond:
-            if self._ctx.aborted:
-                raise CommAborted(
-                    "nonblocking collective aborted by a peer failure"
-                )
-            if not (slot.seq == self._seq and slot.done):
+        with self._slot.cond:
+            if self._ctx.is_aborted():
+                raise self._ctx._abort_error(self._rank, self._tag)
+            if not self._ready_locked():
                 return None
             return self._consume_locked()
 
 
-class ThreadContext:
+class ThreadContext(RankWorld):
     """Shared state for one thread-SPMD world.
 
     ``latency`` emulates the network transit of each collective: blocking
@@ -163,99 +148,35 @@ class ThreadContext:
     def __init__(
         self, size: int, latency: float = 0.0, nb_depth: int = NB_RING_DEPTH
     ) -> None:
-        self.size = size
-        self.latency = float(latency)
-        if int(nb_depth) < 1:
-            raise NbRingDepthError(
-                f"nb_depth must be >= 1, got {nb_depth}", depth=int(nb_depth)
-            )
-        self.nb_depth = int(nb_depth)
+        super().__init__(size, latency, nb_depth)
         self.barrier = threading.Barrier(size)
         self.slots: list[Any] = [None] * size
         self.tags: list[str | None] = [None] * size
-        self.generation = 0
-        self.aborted = False
+        self._aborted = False
         #: per-rank barrier-arrival counters; a rank that times out names
         #: the peers whose counter lags its own as the stalled ranks
         self.arrive_gen = [0] * size
         self._nb_ring = [_NbSlot(size, seq) for seq in range(self.nb_depth)]
-        self._nb_seq = [0] * size
-        #: per-rank sequence numbers posted but not yet harvested — the
-        #: ring-reuse guard must know *which* requests are open, not just
-        #: how many: out-of-order harvest can leave the exact request
-        #: that shares the next post's slot unharvested while newer ones
-        #: are already consumed
-        self._nb_open: list[set] = [set() for _ in range(size)]
         self._nb_queue: queue.Queue = queue.Queue()
         self._folder: threading.Thread | None = None
         self._folder_lock = threading.Lock()
 
-    def _barrier_wait(self, rank: int, tag: str, timeout: float | None) -> None:
-        """One barrier arrival with an optional deadline.
+    def is_aborted(self) -> bool:
+        return self._aborted
 
-        A rank whose wait expires aborts the world and raises
-        :class:`CommTimeoutError` naming the tag and the ranks whose
-        arrival counter lags its own; peers woken by the broken barrier
-        raise :class:`CommAborted`.
-        """
-        self.arrive_gen[rank] += 1
-        start = time.monotonic()
-        try:
-            self.barrier.wait(timeout)
-        except threading.BrokenBarrierError as exc:
-            timed_out = (
-                timeout is not None
-                and not self.aborted
-                and time.monotonic() - start >= timeout
-            )
-            if timed_out:
-                my_gen = self.arrive_gen[rank]
-                stalled = tuple(
-                    r for r in range(self.size) if self.arrive_gen[r] < my_gen
-                )
-                self.abort()
-                raise CommTimeoutError(
-                    f"rank {rank}: collective {tag!r} timed out after {timeout}s"
-                    f" waiting for ranks {list(stalled)}",
-                    tag=tag,
-                    stalled=stalled,
-                ) from exc
-            raise CommAborted(
-                f"rank {rank}: collective {tag!r} aborted by a peer failure"
-            ) from exc
+    def _set_aborted(self) -> None:
+        self._aborted = True
 
-    def exchange(
-        self, rank: int, tag: str, obj: Any, fold=None, timeout: float | None = None
-    ) -> Any:
-        """Deposit, synchronise, snapshot (or fold), synchronise.
-
-        With ``fold`` each rank reduces the contributions *between* the
-        two barriers — i.e. before any peer can overwrite its slot for
-        the next collective. That is what lets callers reuse their send
-        buffers across iterations (zero-copy packed collectives): by the
-        time ``exchange`` returns, every rank has finished reading every
-        buffer. ``timeout`` bounds each barrier wait (see
-        :meth:`_barrier_wait`).
-        """
+    # -- blocking exchange (see RankWorld.exchange) -------------------------
+    def _deposit(self, rank: int, tag: str, obj: Any) -> None:
         self.slots[rank] = obj
         self.tags[rank] = tag
-        self._barrier_wait(rank, tag, timeout)
-        try:
-            expected = self.tags[0]
-            if any(t != expected for t in self.tags):
-                raise RankMismatchError(
-                    f"SPMD mismatch: ranks called different collectives {self.tags}"
-                )
-            snapshot = fold(list(self.slots)) if fold is not None else list(self.slots)
-            if self.latency:
-                # emulated transit, on the critical path (ranks sleep it
-                # concurrently inside the collective)
-                time.sleep(self.latency)
-        finally:
-            # Second barrier: nobody may overwrite slots until all have read.
-            # On mismatch every rank raises the same error after this point.
-            self._barrier_wait(rank, tag, timeout)
-        return snapshot
+
+    def _deposited_tags(self) -> list:
+        return list(self.tags)
+
+    def _gathered(self) -> list:
+        return list(self.slots)
 
     # -- nonblocking collectives -------------------------------------------
     def _ensure_folder(self) -> None:
@@ -299,55 +220,27 @@ class ThreadContext:
                 slot.cond.notify_all()
 
     def nb_post(
-        self, rank: int, tag: str, obj: Any, op, timeout: float | None = None
+        self,
+        rank: int,
+        seq: int,
+        tag: str,
+        obj: Any,
+        op,
+        timeout: float | None = None,
+        on_consume=None,
     ) -> _ThreadNbHandle:
-        """Deposit one rank's contribution to a nonblocking collective.
+        """Deposit one rank's contribution to nonblocking collective ``seq``.
 
-        Returns immediately once the contribution is recorded (blocking
-        only if the ring slot is still occupied by the collective
-        ``nb_depth`` sequences earlier — i.e. callers may keep at most
-        ``nb_depth`` requests in flight; harvesting them out of order
-        *within* that window is well-defined, each slot recycles when all
-        ranks consumed it). Posting while this rank already holds
-        ``nb_depth`` unharvested handles would deadlock on the rank's own
-        slot, so it raises :class:`~repro.errors.NbRingDepthError`
-        *before* blocking. The caller must not modify ``obj`` until the
-        request completes. ``timeout`` bounds the ring-slot wait.
+        Returns once the contribution is recorded, blocking only while the
+        ring slot still holds the collective ``nb_depth`` sequences
+        earlier (each slot recycles when all ranks consumed it).
+        ``timeout`` bounds that wait; ``on_consume`` (if given) is called
+        with ``seq`` once, when this rank harvests the handle. The caller
+        must not modify ``obj`` until the request completes.
         """
-        seq = self._nb_seq[rank]
-        open_seqs = self._nb_open[rank]
-        if seq - self.nb_depth in open_seqs:
-            # this post's slot is still held by the rank's own unharvested
-            # request `seq - depth`; blocking here would deadlock — raise
-            # before touching the ring (out-of-order harvest means the
-            # conflict can exist with fewer than `depth` requests open)
-            raise NbRingDepthError(
-                f"rank {rank}: posting nonblocking collective {tag!r} would"
-                f" reuse the ring slot of its own unharvested request"
-                f" #{seq - self.nb_depth} ({len(open_seqs)} open on a ring of"
-                f" depth {self.nb_depth}); harvest it first or raise"
-                " nb_depth",
-                depth=self.nb_depth,
-                outstanding=len(open_seqs),
-            )
-        self._nb_seq[rank] += 1
-        open_seqs.add(seq)
         slot = self._nb_ring[seq % self.nb_depth]
-        deadline = None if timeout is None else time.monotonic() + timeout
         with slot.cond:
-            while slot.seq != seq:
-                if self.aborted:
-                    raise CommAborted(
-                        f"rank {rank}: nonblocking collective {tag!r} aborted"
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.abort()
-                    raise CommTimeoutError(
-                        f"rank {rank}: nonblocking collective {tag!r} timed out"
-                        f" after {timeout}s waiting for a free ring slot",
-                        tag=tag,
-                    )
-                slot.cond.wait(0.05)
+            self._slot_wait(slot, lambda: slot.seq == seq, rank, tag, timeout)
             slot.bufs[rank] = obj
             slot.tags[rank] = tag
             if slot.op is None:
@@ -357,15 +250,7 @@ class ThreadContext:
         if last:
             self._ensure_folder()
             self._nb_queue.put(slot)
-        return _ThreadNbHandle(self, slot, seq, tag, rank)
-
-    def abort(self) -> None:
-        """Break the barrier so peers blocked in a collective fail fast."""
-        self.aborted = True
-        self.barrier.abort()
-        for slot in self._nb_ring:
-            with slot.cond:
-                slot.cond.notify_all()
+        return _ThreadNbHandle(self, slot, seq, tag, rank, on_consume)
 
     def close(self) -> None:
         """Stop the background fold thread (idempotent)."""
@@ -375,58 +260,8 @@ class ThreadContext:
                 self._folder = None
 
 
-class ThreadComm(Comm):
+class ThreadComm(WorldComm):
     """Communicator bound to one rank of a :class:`ThreadContext`."""
-
-    def __init__(
-        self,
-        ctx: ThreadContext,
-        rank: int,
-        machine: MachineSpec | None = None,
-        cost_size: int | None = None,
-        ledger: CostLedger | None = None,
-        timeout: float | None = None,
-    ) -> None:
-        super().__init__(
-            rank=rank,
-            size=ctx.size,
-            cost_size=cost_size,
-            machine=machine,
-            ledger=ledger,
-            timeout=timeout,
-        )
-        self._ctx = ctx
-
-    @property
-    def nb_ring_depth(self) -> int | None:
-        """Depth of the shared nonblocking slot ring (max in flight)."""
-        return self._ctx.nb_depth
-
-    def _allgather_impl(self, tag: str, obj: Any) -> list:
-        try:
-            return self._ctx.exchange(
-                self._rank, tag, obj, timeout=self._active_timeout
-            )
-        except CommTimeoutError:
-            self.ledger.add_timeout()
-            raise
-
-    def _exchange_fold(self, tag: str, obj: Any, fold) -> Any:
-        # fold inside the critical section so send buffers are reusable
-        try:
-            return self._ctx.exchange(
-                self._rank, tag, obj, fold=fold, timeout=self._active_timeout
-            )
-        except CommTimeoutError:
-            self.ledger.add_timeout()
-            raise
-
-    def _iallreduce_impl(self, tag: str, arr, op):
-        # true asynchrony: the context's background fold thread completes
-        # the reduction while this rank keeps computing
-        return self._ctx.nb_post(
-            self._rank, tag, arr, op, timeout=self._active_timeout
-        )
 
 
 @dataclass

@@ -62,40 +62,50 @@ def result_to_dict(result: SolverResult) -> dict:
 
 
 def result_from_dict(data: dict) -> SolverResult:
-    """Inverse of :func:`result_to_dict`."""
+    """Inverse of :func:`result_to_dict`.
+
+    A payload that is not an object, lacks a field or holds one of the
+    wrong type raises :class:`~repro.errors.SolverError`.
+    """
+    if not isinstance(data, dict):
+        raise SolverError(
+            f"saved result is not an object: {type(data).__name__}"
+        )
     if data.get("format_version") != _FORMAT_VERSION:
         raise SolverError(
             f"unsupported result format {data.get('format_version')!r}"
         )
-    hist_data = data["history"]
-    history = ConvergenceHistory(
-        metric_name=hist_data["metric_name"],
-        iterations=list(hist_data["iterations"]),
-        metric=list(hist_data["metric"]),
-        seconds=list(hist_data["seconds"]),
-        comm_seconds=list(hist_data["comm_seconds"]),
-        flops=list(hist_data["flops"]),
-    )
     try:
+        hist_data = data["history"]
+        history = ConvergenceHistory(
+            metric_name=hist_data["metric_name"],
+            iterations=list(hist_data["iterations"]),
+            metric=list(hist_data["metric"]),
+            seconds=list(hist_data["seconds"]),
+            comm_seconds=list(hist_data["comm_seconds"]),
+            flops=list(hist_data["flops"]),
+        )
         cost = CostSnapshot.from_dict(data["cost"])
-    except CostModelError as exc:
+        extras = {}
+        for k, v in data["extras"].items():
+            if isinstance(v, dict) and "__ndarray__" in v:
+                extras[k] = np.asarray(v["__ndarray__"], dtype=np.float64)
+            else:
+                extras[k] = v
+        return SolverResult(
+            solver=data["solver"],
+            x=np.asarray(data["x"], dtype=np.float64),
+            iterations=int(data["iterations"]),
+            final_metric=float(data["final_metric"]),
+            history=history,
+            cost=cost,
+            converged=bool(data["converged"]),
+            extras=extras,
+        )
+    except KeyError as exc:
+        raise SolverError(f"saved result: missing field {exc}") from exc
+    except (CostModelError, AttributeError, TypeError, ValueError) as exc:
         raise SolverError(f"saved result: {exc}") from exc
-    extras = {}
-    for k, v in data["extras"].items():
-        if isinstance(v, dict) and "__ndarray__" in v:
-            extras[k] = np.asarray(v["__ndarray__"], dtype=np.float64)
-        else:
-            extras[k] = v
-    return SolverResult(
-        solver=data["solver"],
-        x=np.asarray(data["x"], dtype=np.float64),
-        iterations=int(data["iterations"]),
-        final_metric=float(data["final_metric"]),
-        history=history,
-        cost=cost,
-        converged=bool(data["converged"]),
-        extras=extras,
-    )
 
 
 def save_result(path_or_file: str | Path | IO[str], result: SolverResult) -> None:

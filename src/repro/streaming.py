@@ -58,7 +58,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.checkpoint import emit_solver_checkpoint, read_checkpoint_json
+from repro.checkpoint import (
+    decode_lam,
+    emit_solver_checkpoint,
+    encode_lam,
+    read_checkpoint_json,
+)
 from repro.errors import CheckpointError, CostModelError, SolverError
 from repro.launch import launch, recovery_counters, recovery_knobs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
@@ -433,7 +438,9 @@ class StreamingSweep:
             "kind": "streaming",
             "task": self.task,
             "max_rows": self.max_rows,
-            "defaults": dict(self.defaults),
+            "defaults": {
+                **self.defaults, "lam": encode_lam(self.defaults["lam"])
+            },
             "matrix": _matrix_to_dict(A_eff),
             "b": b_eff.tolist(),
             "offsets": [int(o) for o in self.dist.partition.offsets],
@@ -500,7 +507,8 @@ class StreamingSweep:
         dist = mat_cls.from_global(A_eff, comm, partition=Partition1D(offsets))
         engine = cls(
             dist, np.asarray(ck["b"], dtype=np.float64), task=task,
-            max_rows=ck.get("max_rows"), eig_memo=eig_memo, **ck["defaults"],
+            max_rows=ck.get("max_rows"), eig_memo=eig_memo,
+            **{**ck["defaults"], "lam": decode_lam(ck["defaults"].get("lam"))},
         )
         # overwrite the constructor's fresh revision-0 state with the
         # checkpointed stream state (arrival history, incremental A^T b,
@@ -1032,7 +1040,7 @@ def replay_schedule(
                     f" the resuming schedule has only {len(events)}"
                 )
             engine = StreamingSweep.from_checkpoint(rck["engine"], comm=comm)
-            lam_used = rck["lam_used"]
+            lam_used = decode_lam(rck["lam_used"])
             entries = list(rck["entries"])
             slept = float(rck.get("slept_seconds", 0.0))
         else:
@@ -1060,7 +1068,7 @@ def replay_schedule(
                 "task": task,
                 "events_applied": int(n_applied),
                 "slept_seconds": float(slept),
-                "lam_used": float(lam_used),
+                "lam_used": encode_lam(lam_used),
                 "warm_start": bool(warm_start),
                 "entries": entries,
                 "engine": engine.checkpoint(),

@@ -1,11 +1,11 @@
 """Regression tests: the abort taxonomy must outrank every fallback.
 
-Each test pins one of the handler sites where a broad ``except`` used to
-swallow ``CommAborted`` / ``RankDiedError`` / ``KeyboardInterrupt`` (the
-``abort-swallow`` lint rule's fix sites): the ``sigma_min`` dense
-fallback, and the worker pool's encode-failure retirement path. The
-worker-side guards (report/decode) live in forked children and are
-exercised end-to-end by the fault-injection suite.
+The ``sigma_min`` tests pin a handler site where a broad ``except`` used
+to swallow ``CommAborted`` / ``RankDiedError`` / ``KeyboardInterrupt``
+(an ``abort-swallow`` lint rule fix site). The worker-side report guards
+live in forked children and are exercised end-to-end by the
+fault-injection suite; the supervisor's redispatch, which decides which
+ranks rerun a job after an abort, is pinned here on fakes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import CommAborted, RankDiedError
-from repro.mpi import process_backend
-from repro.mpi.process_backend import WorkerPool
+from repro.mpi.process_backend import _Supervisor
 from repro.solvers.objectives import sigma_min
 
 
@@ -54,17 +53,11 @@ class TestSigmaMinAbortPropagation:
 
 
 class _FakeProc:
-    def __init__(self):
-        self.terminated = False
+    def __init__(self, alive: bool):
+        self.alive = alive
 
     def is_alive(self):
-        return not self.terminated
-
-    def join(self, timeout=None):
-        return None
-
-    def terminate(self):
-        self.terminated = True
+        return self.alive
 
 
 class _FakePipe:
@@ -74,68 +67,19 @@ class _FakePipe:
     def send(self, msg):
         self.sent.append(msg)
 
-    def close(self):
-        return None
 
-
-def _bare_pool(size: int = 1) -> WorkerPool:
-    pool = WorkerPool.__new__(WorkerPool)
-    pool.size = size
-    pool._procs = [_FakeProc() for _ in range(size)]
-    pool._job_w = [_FakePipe() for _ in range(size)]
-
-    class _World:
-        _dead = [False] * size
-
-    pool._world = _World()
-    pool._spawned = []
-
-    def record_spawn(rank, first_job):
-        pool._spawned.append(rank)
-
-    pool._spawn = record_spawn
-    return pool
-
-
-class TestDispatchEncodeFailure:
-    @pytest.mark.parametrize(
-        "exc", [CommAborted("abort"), RankDiedError("dead"), KeyboardInterrupt()]
-    )
-    def test_abort_during_encode_propagates(self, monkeypatch, exc):
-        pool = _bare_pool()
-
-        def dying_encode(obj):
-            raise exc
-
-        monkeypatch.setattr(process_backend, "_encode_obj", dying_encode)
-        with pytest.raises(type(exc)):
-            pool._dispatch(0, 0, {}, lambda: None, (), survivors_hold_job=False)
-        # the abort aborted dispatch outright: no pipe sends, no respawns
-        assert pool._job_w[0].sent == []
-        assert pool._spawned == []
-
-    def test_generic_encode_failure_retires_and_forks_fresh(self, monkeypatch):
-        pool = _bare_pool()
-
-        def unpicklable(obj):
-            raise TypeError("cannot pickle local object")
-
-        monkeypatch.setattr(process_backend, "_encode_obj", unpicklable)
-        pool._dispatch(0, 0, {}, lambda: None, (), survivors_hold_job=False)
-        # live workers were retired (orderly-stop None on the job pipe)
-        # and the rank re-forked with the job inherited
-        assert pool._job_w[0].sent == [None]
-        assert pool._procs == [None]
-        assert pool._spawned == [0]
-
-    def test_survivors_holding_job_skip_encoding(self, monkeypatch):
-        pool = _bare_pool()
-
-        def exploding(obj):  # must never be called
-            raise AssertionError("encode should not run on recovery redispatch")
-
-        monkeypatch.setattr(process_backend, "_encode_obj", exploding)
-        pool._dispatch(3, 1, {}, lambda: None, (), survivors_hold_job=True)
-        # the parked worker got the recovery message over the pipe
-        assert pool._job_w[0].sent == [("run", 3, 1, {}, None, None)]
-        assert pool._spawned == []
+class TestRedispatch:
+    def test_survivor_reruns_held_job_dead_rank_forks_fresh(self):
+        """A recovery attempt reaches a parked survivor as ``("run",
+        attempt, ctx_state)`` over its pipe (it reruns the job it holds);
+        a dead or never-forked rank is forked fresh with the job."""
+        sup = _Supervisor.__new__(_Supervisor)
+        sup._procs = [_FakeProc(True), _FakeProc(False), None]
+        sup._job_w = [_FakePipe(), _FakePipe(), None]
+        spawned = []
+        sup._spawn = lambda *call: spawned.append(call)
+        state = {"mode": "checkpoint", "resume": {"iteration": 3}}
+        sup._dispatch(1, state)
+        assert sup._job_w[0].sent == [("run", 1, state)]
+        assert sup._job_w[1].sent == []
+        assert spawned == [(1, 1, state), (2, 1, state)]

@@ -39,7 +39,7 @@ import pytest
 from repro._api import fit_lasso, fit_svm
 from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import NbRingDepthError, SolverError
-from repro.faults import InjectedFailure
+from repro.faults import FaultPlan, FaultyComm, InjectedFailure
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.ops import SUM
 from repro.mpi.process_backend import process_spmd_run
@@ -348,10 +348,12 @@ class TestNbRingDepthRegression:
                 assert np.array_equal(got, want)
 
     @staticmethod
-    def _slot_conflict(comm, rank):
+    def _slot_conflict(comm, rank, wrap):
         """depth=3: 0,1 posted; 1,2 harvested out of order; post 3 must
         fail typed — request 0 still holds slot 0 (the old count-based
         guard deadlocked here: only one request is open)."""
+        if wrap:
+            comm = FaultyComm(comm, FaultPlan())
         reqs = {}
         reqs[0] = comm.Iallreduce(np.ones(2), op=SUM)
         reqs[1] = comm.Iallreduce(np.ones(2), op=SUM)
@@ -367,16 +369,28 @@ class TestNbRingDepthRegression:
         reqs[0].wait()  # leave the world clean for the peers
         return info
 
-    @pytest.mark.parametrize("runner", [spmd_run, process_spmd_run],
-                             ids=["thread", "process"])
-    def test_post_into_held_slot_raises_typed(self, runner):
-        out = runner(self._slot_conflict, 2, nb_depth=3)
+    #: bare rank communicators, and the same ones inside a FaultyComm (an
+    #: empty plan): the guard lives on the communicator bound to the
+    #: world, so a wrapper that calls its hook directly is guarded too
+    RANKS = [
+        pytest.param(spmd_run, False, id="thread"),
+        pytest.param(process_spmd_run, False, id="process"),
+        pytest.param(spmd_run, True, id="thread-faulty"),
+        pytest.param(process_spmd_run, True, id="process-faulty"),
+    ]
+
+    @pytest.mark.parametrize("runner, wrap", RANKS)
+    def test_post_into_held_slot_raises_typed(self, runner, wrap):
+        out = runner(self._slot_conflict, 2, args=(wrap,), nb_depth=3)
         for info in out.values:
             assert info == (3, 1)
 
     @staticmethod
-    def _ring_full(comm, rank):
+    def _ring_full(comm, rank, wrap):
+        # FaultyComm does not forward nb_ring_depth: read the world's
         depth = comm.nb_ring_depth
+        if wrap:
+            comm = FaultyComm(comm, FaultPlan())
         reqs = [comm.Iallreduce(np.ones(2), op=SUM) for _ in range(depth)]
         try:
             comm.Iallreduce(np.ones(2), op=SUM)
@@ -388,10 +402,9 @@ class TestNbRingDepthRegression:
             r.wait()
         return info
 
-    @pytest.mark.parametrize("runner", [spmd_run, process_spmd_run],
-                             ids=["thread", "process"])
-    def test_full_ring_raises_typed(self, runner):
-        out = runner(self._ring_full, 2, nb_depth=2)
+    @pytest.mark.parametrize("runner, wrap", RANKS)
+    def test_full_ring_raises_typed(self, runner, wrap):
+        out = runner(self._ring_full, 2, args=(wrap,), nb_depth=2)
         for info in out.values:
             assert info == (2, 2)
 

@@ -25,6 +25,7 @@ from repro.faults import InjectedFailure
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path, svm_path
+from repro.prox.penalties import ElasticNetPenalty, GroupLassoPenalty
 from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
 from repro.utils.io import JSONText, atomic_write_json, atomic_write_text
 
@@ -329,7 +330,8 @@ class TestPathResume:
 
     @pytest.mark.parametrize("case", [
         "kind", "format_version", "params", "lambdas", "results",
-        "warm-not-numeric", "warm-short",
+        "warm-not-numeric", "warm-short", "result-missing-history",
+        "result-not-object",
     ])
     @pytest.mark.parametrize("task", ["lasso", "svm"])
     def test_malformed_checkpoint_is_checkpoint_error(self, task, case,
@@ -352,6 +354,11 @@ class TestPathResume:
             "results": {"results": None},
             "warm-not-numeric": {warm: ["a"] * len(ck[warm])},
             "warm-short": {warm: ck[warm][:-1]},
+            "result-missing-history": {"results": [
+                {k: v for k, v in d.items() if k != "history"}
+                for d in ck["results"]
+            ]},
+            "result-not-object": {"results": [1] * len(ck["results"])},
         }[case])
         path = tmp_path / "bad.json"
         atomic_write_json(str(path), ck)
@@ -451,6 +458,29 @@ class TestStreamingResume:
         full = replay_schedule(A, b, batches, **kw)
         ck_path = tmp_path / "replay_ck.json"
         # crash after two events: replay only the prefix, checkpointing
+        replay_schedule(A, b, batches[:2], checkpoint_path=str(ck_path),
+                        **kw)
+        resumed = replay_schedule(A, b, batches, resume_from=str(ck_path),
+                                  **kw)
+        assert (json.dumps(full, sort_keys=True)
+                == json.dumps(resumed, sort_keys=True))
+
+    @pytest.mark.parametrize("lam", [
+        ElasticNetPenalty(0.5, 0.3),
+        GroupLassoPenalty(0.2, group_ids=np.repeat(np.arange(5), 2)),
+    ], ids=["elastic-net", "group-lasso"])
+    def test_replay_resume_with_penalty_lam(self, lam, tmp_path):
+        """A Penalty ``lam`` rides the replay and engine checkpoints (by
+        class name and fields) and resumes to the uninterrupted report."""
+        rng = np.random.default_rng(2)
+        m, n = 50, 10
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        batches = self._batches(n, rng)
+        kw = dict(task="lasso", lam=lam, mu=2, max_iter=30, seed=2,
+                  virtual_p=2, compare_cold=True)
+        full = replay_schedule(A, b, batches, **kw)
+        ck_path = tmp_path / "replay_penalty.json"
         replay_schedule(A, b, batches[:2], checkpoint_path=str(ck_path),
                         **kw)
         resumed = replay_schedule(A, b, batches, resume_from=str(ck_path),

@@ -26,6 +26,7 @@ import pytest
 
 from repro._api import fit_lasso
 from repro.errors import (
+    CommAborted,
     CommTimeoutError,
     RankDiedError,
     TransientCommError,
@@ -224,3 +225,55 @@ class TestRealBackends:
         with pytest.raises(CommTimeoutError) as exc:
             process_spmd_run(work, 2)
         assert 0 in exc.value.stalled
+
+
+def _wait_until_peer_raises(comm, rank, log):
+    """Rank 1 raises at once; rank 0's Iallreduce wait must wake with
+    CommAborted, which it writes to ``log`` (its message would otherwise
+    be lost behind the peer's error) before re-raising."""
+    if rank == 1:
+        raise ValueError("peer failure")
+    req = comm.Iallreduce(np.ones(2))
+    try:
+        req.wait()
+    except CommAborted as exc:
+        log.write_text(f"{type(exc).__name__}: {exc}")
+        raise
+
+
+def _wait_past_deadline(comm, rank):
+    """Rank 1 never posts (it parks on a barrier until the abort); rank
+    0's Iallreduce wait misses its deadline."""
+    if rank == 1:
+        comm.barrier()
+        return None
+    return comm.Iallreduce(np.ones(2)).wait(timeout=0.2)
+
+
+class TestNonblockingProtocol:
+    """Both real backends run one abort and deadline protocol, so their
+    nonblocking errors name the same rank, tag and stalled ranks."""
+
+    RUNNERS = [pytest.param(spmd_run, id="thread"),
+               pytest.param(process_spmd_run, id="process")]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_peer_raise_wakes_iallreduce_waiter(self, runner, tmp_path):
+        log = tmp_path / "waiter.txt"
+        with pytest.raises(ValueError, match="peer failure"):
+            runner(_wait_until_peer_raises, 2, args=(log,), timeout=30.0)
+        assert log.read_text() == (
+            "CommAborted: rank 0: collective 'Iallreduce' aborted by a peer"
+            " failure"
+        )
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_wait_deadline_names_rank_and_stalled(self, runner):
+        with pytest.raises(CommTimeoutError) as exc:
+            runner(_wait_past_deadline, 2, timeout=30.0)
+        assert exc.value.stalled == (1,)
+        assert exc.value.tag == "Iallreduce"
+        assert str(exc.value) == (
+            "rank 0: nonblocking collective 'Iallreduce' timed out after"
+            " 0.2s (no deposit from ranks [1])"
+        )

@@ -55,6 +55,20 @@ class TestProcessSpecific:
         with pytest.raises(CommError):
             ProcessWorld(0)
 
+    def test_rejected_nonblocking_dtype_keeps_the_ring_aligned(self):
+        """A non-float64 Iallreduce is refused before it deposits, so it
+        must not use up a ring sequence number: the third post after it
+        would otherwise wait on a slot that never recycles."""
+
+        def fn(comm, r):
+            with pytest.raises(CommError, match="float64"):
+                comm.Iallreduce(np.ones(2, dtype=np.int64))
+            return [comm.Iallreduce(np.ones(2), timeout=10.0).wait().tolist()
+                    for _ in range(3)]
+
+        out = process_spmd_run(fn, 2, timeout=30.0)
+        assert out.values == [[[2.0, 2.0]] * 3] * 2
+
     def test_oversized_blocking_payload_rejected(self):
         def fn(comm, r):
             return comm.allreduce(np.zeros(1000))

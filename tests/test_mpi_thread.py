@@ -66,18 +66,36 @@ class TestThreadSpecific:
 
     def test_latency_emulation_nonblocking_overlappable(self):
         # computation between post and wait runs while the folder thread
-        # sleeps the transit latency: total << blocking's serial sum
+        # sleeps the transit, so the wait after it is short; a blocking
+        # Allreduce after the same computation still pays the whole
+        # transit (the exchange sleeps it). Timed inside each rank, so
+        # thread start and join on a loaded host do not count.
+        transit = 0.1
+
+        def compute():
+            # "compute" past the transit window that, like the NumPy
+            # kernels ranks run, lets other threads take the GIL: two
+            # ranks spinning in pure Python would time CPython's GIL
+            # hand-off to the folder thread instead
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < 0.12:
+                time.sleep(0)
+
         def fn(comm, r):
             req = comm.Iallreduce(np.ones(2))
+            compute()
             t0 = time.perf_counter()
-            while time.perf_counter() - t0 < 0.05:
-                pass  # "compute" past the transit window
             req.wait()
+            nonblocking = time.perf_counter() - t0
+            compute()
+            t0 = time.perf_counter()
+            comm.Allreduce(np.ones(2))
+            return nonblocking, time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        spmd_run(fn, 2, latency=0.04)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 0.09  # not 0.05 compute + 0.04 serial transit
+        out = spmd_run(fn, 2, latency=transit)
+        for nonblocking, blocking in out.values:
+            assert nonblocking < transit / 2
+            assert blocking >= transit
 
     def test_abort_wakes_nonblocking_waiters(self):
         def fn(comm, r):

@@ -1,4 +1,4 @@
-"""Supervised rank recovery: worker pool, checkpoint replay, e2e solves.
+"""Supervised rank recovery: the supervisor, checkpoint replay, e2e solves.
 
 Three layers, all on the process backend (the only one whose ranks can
 die independently):
@@ -27,7 +27,7 @@ import pytest
 from repro.errors import CommError, RankDiedError
 from repro.faults import FaultEvent, FaultPlan, FaultyComm
 from repro.machine.spec import CRAY_XC30
-from repro.mpi.process_backend import WorkerPool, process_spmd_run
+from repro.mpi.process_backend import process_spmd_run
 from repro.solvers.lasso import sa_acc_bcd, sa_bcd
 from repro.solvers.svm import sa_dcd
 
@@ -71,12 +71,6 @@ def _accumulating_work(die_at=None):
         return acc
 
     return work
-
-
-def _pid_job(comm, rank, k):
-    """A module-level job: it pickles by reference, so it can reach
-    workers already parked in a live pool."""
-    return os.getpid(), comm.allreduce(float(rank + 1)) * k
 
 
 class TestSupervisor:
@@ -160,63 +154,6 @@ class TestSupervisor:
         res = process_spmd_run(make_work(plan), SIZE, recover="checkpoint")
         assert res.values == oracle.values
         assert all(led.recoveries == 1 for led in res.ledgers)
-        _assert_no_orphans()
-
-
-class TestWorkerPool:
-    """The persistent pool: job reuse, respawn, clean shutdown."""
-
-    def test_sequential_jobs_reuse_workers(self):
-        def job(k):
-            def work(comm, rank):
-                return comm.allreduce(float(rank + 1)) * k
-
-            return work
-
-        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
-            for k in (1, 2, 3):
-                res = pool.run(job(k))
-                assert res.values == [3.0 * k] * SIZE
-        _assert_no_orphans()
-
-    def test_picklable_job_reuses_parked_workers(self):
-        """A job that pickles crosses the job pipe: the same workers run it."""
-        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
-            first = pool.run(_pid_job, args=(1,))
-            second = pool.run(_pid_job, args=(2,))
-        assert [v[1] for v in first.values] == [3.0] * SIZE
-        assert [v[1] for v in second.values] == [6.0] * SIZE
-        assert [v[0] for v in second.values] == [v[0] for v in first.values]
-        _assert_no_orphans()
-
-    def test_closure_job_on_live_pool_forks_fresh(self):
-        """A closure does not pickle: the pool retires its parked workers
-        and forks fresh ones, which inherit the job."""
-        def work(comm, rank):
-            return os.getpid(), comm.allreduce(float(rank + 1))
-
-        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
-            first = pool.run(_pid_job, args=(1,))
-            second = pool.run(work)
-        assert [v[1] for v in second.values] == [v[1] for v in first.values]
-        assert not {v[0] for v in second.values} & {v[0] for v in first.values}
-        _assert_no_orphans()
-
-    def test_pool_survives_recovery_then_runs_next_job(self):
-        """A recovered job leaves the pool healthy for the next one."""
-        with WorkerPool(SIZE, machine=None, cost_size=SIZE) as pool:
-            res = pool.run(_accumulating_work(die_at=3),
-                           recover="checkpoint", max_recoveries=2)
-            clean = pool.run(_accumulating_work())
-            assert res.values == clean.values
-            assert all(led.recoveries == 0 for led in clean.ledgers)
-        _assert_no_orphans()
-
-    def test_shutdown_is_idempotent(self):
-        pool = WorkerPool(SIZE, machine=None, cost_size=SIZE)
-        pool.run(lambda comm, rank: comm.allreduce(1.0))
-        pool.shutdown()
-        pool.shutdown()
         _assert_no_orphans()
 
 
