@@ -34,11 +34,13 @@ The robustness contract, per tenant:
 
 Durability: with ``checkpoint_path`` set, rank 0 rewrites one compact
 JSON file (:func:`~repro.utils.io.atomic_write_json`) after setup and
-before and after every dispatch. Each tenant's committed sweep state
-(most of the file's bytes) is kept with its encoded JSON text, so a
-write re-encodes only the engine's own small state: a committed refit
-encodes its one tenant once, and predicts, rollbacks and pre-dispatch
-writes encode no tenant state.
+before and after every dispatch. Each write encodes only what changed
+since the previous one: every request record, tenant model and
+committed sweep state keeps its encoded JSON text, and a record or
+model is encoded again only once its content has changed. A commit
+encodes its one tenant's state, and the window's CSR arrays and labels
+go through the tenant's :class:`~repro.utils.io.TailEncoder`, so rows
+appended since the last commit are all of the window that is encoded.
 
 Determinism: everything the engine branches on (clock, queue state,
 deadlines, fault counters) is replicated across ranks, and per-rank
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -81,7 +84,7 @@ from repro.serve.report import (
 from repro.serve.trace import load_trace, validate_trace
 from repro.solvers.outer import ring_depth
 from repro.streaming import StreamingSweep
-from repro.utils.io import JSONText, atomic_write_json
+from repro.utils.io import JSONText, TailEncoder, atomic_write_json, compact_json
 from repro.utils.validation import nnz_of
 
 __all__ = ["TenantSpec", "serve_trace"]
@@ -112,20 +115,28 @@ class TenantSpec:
     knobs: dict = field(default_factory=dict)
 
 
+#: the lists of a committed sweep state that grow at their end as rows
+#: are appended: the labels, and the window matrix's CSR arrays
+_TAIL_LISTS = ("b",)
+_CSR_TAIL_LISTS = ("data", "indices", "indptr")
+
+
 class _Tenant:
     """Runtime state for one hosted tenant.
 
     ``last_good`` is the committed sweep checkpoint, the state rollbacks
     restore and checkpoints carry. It is held as a
-    :class:`~repro.utils.io.JSONText`, so the checkpoint file encodes it
-    once per commit, not once per write.
+    :class:`~repro.utils.io.JSONText` encoded by :meth:`encode_state`,
+    so the checkpoint file encodes it once per commit, not once per
+    write. ``model_text`` is ``(model bytes, JSONText)`` of the model
+    the file last carried.
     """
 
     __slots__ = (
         "spec", "rows_total", "eig_memo", "sweep", "state", "faults",
         "consumed", "model", "model_hash", "metric", "lam_used",
-        "last_good", "setup_cost", "serve_cost", "counters", "latencies",
-        "recovered_requests",
+        "last_good", "tails", "model_text", "setup_cost", "serve_cost",
+        "counters", "latencies", "recovered_requests",
     )
 
     def __init__(self, spec: TenantSpec):
@@ -141,6 +152,9 @@ class _Tenant:
         self.metric = None
         self.lam_used = None
         self.last_good = None
+        self.tails = {key: TailEncoder()
+                      for key in _TAIL_LISTS + _CSR_TAIL_LISTS}
+        self.model_text = None
         self.setup_cost = report_total([])
         self.serve_cost = report_total([])
         self.counters = {k: 0 for k in ("completed", "rejected", "timed_out",
@@ -148,13 +162,124 @@ class _Tenant:
         self.latencies: list = []
         self.recovered_requests = 0
 
+    def set_model(self, res) -> None:
+        # both families return the whole primal on every rank (the SVM
+        # result has gathered its column shards)
+        self.model = np.asarray(res.x, dtype=np.float64).copy()
+        self.model_hash = _hash(self.model)
+
+    def commit_state(self, state: dict) -> None:
+        """Make ``state`` (a sweep checkpoint) the committed one."""
+        self.last_good = JSONText(state, self.encode_state)
+
+    def encode_state(self, state: dict) -> str:
+        """``compact_json(state)``, with the window's CSR arrays and labels
+        through this tenant's tail encoders, so a commit that only
+        appended rows encodes just those rows of the window."""
+        def tailed(block: dict, keys) -> dict:
+            return {key: JSONText(value, self.tails[key].encode)
+                    if key in keys and isinstance(value, list) else value
+                    for key, value in block.items()}
+
+        view = tailed(state, _TAIL_LISTS)
+        matrix = state["matrix"]
+        if "csr" in matrix:
+            view["matrix"] = dict(matrix,
+                                  csr=tailed(matrix["csr"], _CSR_TAIL_LISTS))
+        return compact_json(view)
+
+    def model_json(self) -> JSONText | None:
+        """The model's text for the checkpoint file, encoded again only
+        when the model's bytes differ from those it was encoded from."""
+        if self.model is None:
+            return None
+        key = self.model.tobytes()
+        if self.model_text is None or self.model_text[0] != key:
+            self.model_text = (key, JSONText(self.model.tolist()))
+        return self.model_text[1]
+
+
+def _same_record(record: dict, copy: dict) -> bool:
+    """Whether ``record`` still holds, key for key and in order, the very
+    objects of ``copy``. A record's values are immutable JSON scalars, so
+    then it encodes as ``copy`` did; ``==`` would not do, as it lets
+    ``1`` stand for ``1.0`` or ``True`` and ``0.0`` for ``-0.0``."""
+    return (list(record) == list(copy)
+            and all(map(operator.is_, record.values(), copy.values())))
+
 
 def _hash(arr) -> str:
     a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-def _load_serve_checkpoint(source) -> dict:
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_obj(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+def _obj_of(ok):
+    return lambda v: isinstance(v, dict) and all(map(ok, v.values()))
+
+
+def _or_null(ok):
+    return lambda v: v is None or ok(v)
+
+
+#: (field, what it must be, check) for each field of a serve checkpoint
+#: that :meth:`_Engine.restore` reads, then for each tenant's block
+_MANIFEST = (
+    ("clock", "a number", _is_num),
+    ("next_arrival", "an integer", _is_int),
+    ("dispatch_no", "an integer", _is_int),
+    ("idle_seconds", "a number", _is_num),
+    ("counters", "an object of integers", _obj_of(_is_int)),
+    ("requests", "a list of objects", _list_of(_is_obj)),
+    ("queue", "an object", _is_obj),
+    ("tenants", "an object of objects", _obj_of(_is_obj)),
+)
+_TENANT_MANIFEST = (
+    ("engine", "an object", _is_obj),
+    ("state", "'active' or 'quarantined'",
+     lambda v: v in ("active", "quarantined")),
+    ("faults", "an integer", _is_int),
+    ("consumed", "an integer", _is_int),
+    ("model", "null or a list of numbers", _or_null(_list_of(_is_num))),
+    ("lam_used", "a number", _is_num),
+    ("metric", "a number", _is_num),
+    ("setup_cost", "an object", _is_obj),
+    ("serve_cost", "an object", _is_obj),
+    ("counters", "an object of integers", _obj_of(_is_int)),
+    ("latencies", "a list of numbers", _list_of(_is_num)),
+    ("recovered_requests", "an integer", _is_int),
+)
+
+
+def _check_fields(block: dict, fields, where: str, path: str = "") -> None:
+    for key, what, ok in fields:
+        if key not in block:
+            raise CheckpointError(f"{where} has no field {path}{key!r}")
+        if not ok(block[key]):
+            raise CheckpointError(
+                f"{where} field {path}{key!r} must be {what},"
+                f" not {type(block[key]).__name__} {block[key]!r:.60}"
+            )
+
+
+def _load_serve_checkpoint(source) -> tuple:
+    """``(checkpoint, where)``: the parsed checkpoint, of the right kind
+    and version, and the words that name it in errors."""
     if isinstance(source, dict):
         ck, where = source, "serve checkpoint"
     else:
@@ -179,7 +304,7 @@ def _load_serve_checkpoint(source) -> dict:
             f"{where} format_version {version!r} is not supported"
             f" (expected {SERVE_CHECKPOINT_VERSION})"
         )
-    return ck
+    return ck, where
 
 
 class _Engine:
@@ -217,6 +342,9 @@ class _Engine:
             }
             for i, ev in enumerate(trace)
         ]
+        #: per request, the JSONText of the record copy the checkpoint
+        #: file last carried
+        self._record_texts = [None] * len(self.requests)
 
     # -- bookkeeping ---------------------------------------------------------
     def _resolve(self, eidx: int, outcome: str, *, error=None) -> None:
@@ -242,23 +370,6 @@ class _Engine:
         else:
             self._avg_service = 0.5 * self._avg_service + 0.5 * float(dt)
 
-    def _set_model(self, ten: _Tenant, res) -> None:
-        # model assembly is reporting/serving state, not modelled work;
-        # the SVM primal lives sharded (column partition), so gather it
-        with self.comm.ledger.paused():
-            if ten.spec.task == "svm":
-                shards = self.comm.allgather(
-                    np.asarray(res.x, dtype=np.float64).ravel(),
-                    timeout=self.comm.timeout,
-                )
-                model = np.concatenate(
-                    [np.asarray(s, dtype=np.float64).ravel() for s in shards]
-                )
-            else:
-                model = np.asarray(res.x, dtype=np.float64).copy()
-        ten.model = model
-        ten.model_hash = _hash(model)
-
     def _rollback(self, ten: _Tenant) -> None:
         with self.comm.ledger.paused():
             ten.sweep = StreamingSweep.from_checkpoint(
@@ -271,9 +382,30 @@ class _Engine:
 
     # -- checkpointing -------------------------------------------------------
     def _emit_ck(self, in_flight) -> None:
-        if self.rctx is None and self.checkpoint_path is None:
-            return
-        payload = {
+        if self.rctx is not None:
+            self.rctx.save(self._payload(in_flight, texts=False))
+        if self.checkpoint_path is not None and self.comm.rank == 0:
+            # repro: lint-ignore[collective-in-rank-branch] -- rank-0
+            # checkpoint IO: a local atomic file write, no communication
+            self._write_ck(in_flight)
+
+    def _write_ck(self, in_flight) -> None:
+        """Write the checkpoint file, encoding only what changed since the
+        last write (see the module docstring)."""
+        atomic_write_json(os.fspath(self.checkpoint_path),
+                          self._payload(in_flight, texts=True))
+
+    def _record_json(self, eidx: int) -> JSONText:
+        record, text = self.requests[eidx], self._record_texts[eidx]
+        if text is None or not _same_record(record, text.value):
+            text = self._record_texts[eidx] = JSONText(dict(record))
+        return text
+
+    def _payload(self, in_flight, *, texts: bool) -> dict:
+        """The checkpoint payload: plain values, or (``texts``) with each
+        request record, tenant model and committed state as its cached
+        :class:`~repro.utils.io.JSONText`, which encodes alike."""
+        return {
             "format_version": SERVE_CHECKPOINT_VERSION,
             "kind": "serve-engine",
             "clock": float(self.clock),
@@ -285,16 +417,21 @@ class _Engine:
             "idle_seconds": float(self.total_idle),
             "avg_service": float(self._avg_service),
             "counters": dict(self.counters),
-            "requests": [dict(r) for r in self.requests],
+            "requests": (
+                [self._record_json(i) for i in range(len(self.requests))]
+                if texts else [dict(r) for r in self.requests]
+            ),
             "queue": self.queue.to_state(),
             "in_flight": in_flight,
             "tenants": {
                 name: {
-                    "engine": ten.last_good.value,
+                    "engine": (ten.last_good if texts
+                               else ten.last_good.value),
                     "state": ten.state,
                     "faults": int(ten.faults),
                     "consumed": int(ten.consumed),
-                    "model": (None if ten.model is None
+                    "model": (ten.model_json() if texts
+                              else None if ten.model is None
                               else ten.model.tolist()),
                     "lam_used": ten.lam_used,
                     "metric": ten.metric,
@@ -307,41 +444,62 @@ class _Engine:
                 for name, ten in self.tenants.items()
             },
         }
-        if self.rctx is not None:
-            self.rctx.save(payload)
-        if self.checkpoint_path is not None and self.comm.rank == 0:
-            # repro: lint-ignore[collective-in-rank-branch] -- rank-0
-            # checkpoint IO: a local atomic file write, no communication
-            self._write_ck(payload)
 
-    def _write_ck(self, payload: dict) -> None:
-        """Write ``payload`` to the checkpoint file, each tenant's sweep
-        state as its cached JSON text: a dispatch encodes no tenant state
-        except the one a refit just committed."""
-        tenants = {
-            name: dict(block, engine=self.tenants[name].last_good)
-            for name, block in payload["tenants"].items()
-        }
-        atomic_write_json(os.fspath(self.checkpoint_path),
-                          dict(payload, tenants=tenants))
-
-    def restore(self, ck: dict, last_failure) -> None:
-        """Resume from a ``kind="serve-engine"`` checkpoint; if a batch
-        was in flight when the previous attempt died, resolve or replay
-        it according to ``last_failure`` (``"timeout"`` fails the batch
-        with deadline semantics; a rank death replays it unless the
-        tenant's fault budget is exhausted)."""
+    def _check_manifest(self, ck: dict, where: str) -> None:
+        """Raise :class:`CheckpointError` naming ``where`` and the field
+        unless :meth:`restore` can read every field of ``ck``."""
+        _check_fields(ck, _MANIFEST, where)
         if set(ck["tenants"]) != set(self.names):
             raise CheckpointError(
-                "serve checkpoint tenants do not match the engine: "
+                f"{where} tenants do not match the engine: "
                 f"{sorted(ck['tenants'])} vs {sorted(self.names)}"
             )
         if len(ck["requests"]) > len(self.requests):
             raise CheckpointError(
-                f"serve checkpoint has {len(ck['requests'])} requests; the"
+                f"{where} has {len(ck['requests'])} requests; the"
                 f" resuming trace has only {len(self.requests)} — resume"
                 f" with the same trace (or one it is a prefix of)"
             )
+        n = len(self.requests)
+
+        def in_trace(e) -> bool:  # a request index of the resuming trace
+            return _is_int(e) and 0 <= e < n
+
+        def queued(e) -> bool:  # a queue entry: [request index, is_append]
+            return (isinstance(e, list) and len(e) == 2 and in_trace(e[0])
+                    and isinstance(e[1], bool))
+
+        optional = [  # restore reads a missing one as 0 and null
+            ("avg_service", "a number", _is_num),
+            ("in_flight", "null or a tenant and its request indices",
+             _or_null(lambda v: _is_obj(v) and v.get("tenant") in self.names
+                      and _list_of(in_trace)(v.get("eidxs")))),
+        ]
+        _check_fields(ck, [f for f in optional if f[0] in ck], where)
+        for i, r in enumerate(ck["requests"]):
+            # a record holds every field a fresh one does
+            _check_fields(r, [(key, "present", lambda v: True)
+                              for key in self.requests[i]],
+                          where, f"'requests'.{i}.")
+        _check_fields(ck["queue"], [
+            ("cursor", "an integer", _is_int),
+            ("fifos", "one list of [request index, is_append] per tenant",
+             lambda v: (_obj_of(_list_of(queued))(v)
+                        and set(v) == set(self.names))),
+        ], where, "'queue'.")
+        for name, tck in ck["tenants"].items():
+            _check_fields(tck, _TENANT_MANIFEST, where, f"'tenants'.{name!r}.")
+
+    def restore(self, ck: dict, last_failure,
+                where: str = "serve checkpoint") -> None:
+        """Resume from a ``kind="serve-engine"`` checkpoint; if a batch
+        was in flight when the previous attempt died, resolve or replay
+        it according to ``last_failure`` (``"timeout"`` fails the batch
+        with deadline semantics; a rank death replays it unless the
+        tenant's fault budget is exhausted). A field that is missing or
+        of the wrong type raises :class:`CheckpointError` naming
+        ``where`` and the field, before any state changes."""
+        self._check_manifest(ck, where)
         self.clock = float(ck["clock"])
         self.next_arrival = int(ck["next_arrival"])
         self.dispatch_no = int(ck["dispatch_no"])
@@ -359,7 +517,7 @@ class _Engine:
                 ten.sweep = StreamingSweep.from_checkpoint(
                     tck["engine"], comm=self.comm, eig_memo=ten.eig_memo
                 )
-            ten.last_good = JSONText(tck["engine"])
+            ten.commit_state(tck["engine"])
             ten.state = tck["state"]
             ten.faults = int(tck["faults"])
             ten.consumed = int(tck["consumed"])
@@ -441,9 +599,9 @@ class _Engine:
                 sweep.revisions[0].append_cost.to_report(),
                 res.cost.to_report(),
             ])
-            self._set_model(ten, res)
+            ten.set_model(res)
             with self.comm.ledger.paused():
-                ten.last_good = JSONText(sweep.checkpoint())
+                ten.commit_state(sweep.checkpoint())
         self._emit_ck(None)
 
     # -- the loop ------------------------------------------------------------
@@ -531,12 +689,12 @@ class _Engine:
                for rev in sweep.revisions[rev_before:]]
         if res is not None:
             new.append(res.cost.to_report())
-            self._set_model(ten, res)
+            ten.set_model(res)
             ten.metric = float(res.final_metric)
         ten.serve_cost = report_total([ten.serve_cost] + new)
         ten.consumed = pos
         with self.comm.ledger.paused():
-            ten.last_good = JSONText(sweep.checkpoint())
+            ten.commit_state(sweep.checkpoint())
 
     def _fault(self, ten: _Tenant, eidxs: list, outcome: str, err) -> None:
         """Contain a deterministic failure to this tenant: roll its
@@ -859,8 +1017,9 @@ def serve_trace(
             # latest collected checkpoint, not the caller's original one
             resume_src = rctx.resume
         if resume_src is not None:
-            ck = _load_serve_checkpoint(resume_src)
-            eng.restore(ck, None if rctx is None else rctx.last_failure)
+            ck, where = _load_serve_checkpoint(resume_src)
+            eng.restore(ck, None if rctx is None else rctx.last_failure,
+                        where)
         else:
             eng.setup()
         eng.run_loop()

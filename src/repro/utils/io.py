@@ -11,7 +11,11 @@ pure-Python encoder, about 2.5x slower on large float lists, and
 about doubles the bytes. A payload may hold :class:`JSONText` values,
 which are encoded once and then spliced into every later write
 verbatim, so a writer that rewrites a large unchanged sub-object (a
-serve checkpoint's per-tenant sweep states) does not encode it again.
+serve checkpoint's per-tenant sweep states) does not encode it again;
+:func:`atomic_write_json` writes the spliced fragments one by one
+rather than joining them first. A :class:`TailEncoder` encodes a list
+that grows at its end (a window matrix's CSR arrays) by encoding only
+what was appended since its last call.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from array import array
 from pathlib import Path
 
-__all__ = ["JSONText", "atomic_write_text", "atomic_write_json", "compact_json"]
+__all__ = ["JSONText", "TailEncoder", "atomic_write_text",
+           "atomic_write_json", "compact_json"]
 
 _SEPARATORS = (",", ":")
 
@@ -32,25 +38,89 @@ class JSONText:
     Wherever a payload holds this object, :func:`compact_json` (and so
     :func:`atomic_write_json`) writes :attr:`text`, byte-identical to
     encoding :attr:`value` in its place. ``value`` must not be mutated
-    after the first encode.
+    after the first encode. ``encode(value)``, called on the first
+    write, computes the text; it must return ``compact_json(value)``
+    (the default), but may reuse earlier work to do so.
     """
 
-    __slots__ = ("value", "_text")
+    __slots__ = ("value", "_text", "_encode")
 
-    def __init__(self, value) -> None:
+    def __init__(self, value, encode=None) -> None:
         self.value = value
         self._text = None
+        self._encode = encode or compact_json
 
     @property
     def text(self) -> str:
         if self._text is None:
-            self._text = compact_json(self.value)
+            self._text = self._encode(self.value)
         return self._text
 
 
-def compact_json(payload) -> str:
-    """``json.dumps(payload, separators=(",", ":"))``, with every
-    :class:`JSONText` in ``payload`` written as its cached text."""
+#: array typecode that packs a list of one exact element type bit for bit
+_TYPECODES = {float: "d", int: "q"}
+
+
+def _packed(values: list, code: str):
+    """The bytes of ``values`` packed with typecode ``code``, or ``None``
+    unless every element has exactly the type ``code`` packs: ``==``
+    alone would let ``1`` stand for ``1.0`` or ``True`` and ``0.0``
+    for ``-0.0``, which encode differently."""
+    if set(map(type, values)) != {float if code == "d" else int}:
+        return None
+    try:
+        return array(code, values).tobytes()
+    except OverflowError:  # an int beyond 64 bits
+        return None
+
+
+class TailEncoder:
+    """The compact JSON text of one list, re-encoding only its new tail.
+
+    :meth:`encode` returns ``compact_json(values)``. When the list it
+    encoded last is a bitwise prefix of ``values`` (every element of
+    the same exact type, floats with the same bits), it encodes only
+    the appended tail and extends the previous text; otherwise (a
+    truncated, edited or reordered list, or one that mixes element
+    types) it encodes the whole list again. The list last encoded is
+    held, not copied, so it must not be mutated afterwards. The bitwise
+    check (a type scan and an ``array`` pack) runs only when ``values``
+    holds the old list's last element at the same index, so a list
+    whose old part moved (a sliding window) costs only its encode.
+    """
+
+    __slots__ = ("_text", "_last", "_code", "_bits")
+
+    def __init__(self) -> None:
+        self._text = None
+        #: the list last encoded, and, once packed, its array typecode
+        #: and bytes
+        self._last = None
+        self._code = self._bits = None
+
+    def encode(self, values: list) -> str:
+        last, code, bits = self._last, None, None
+        n = 0 if last is None else len(last)
+        if 0 < n <= len(values) and values[n - 1] == last[-1]:
+            code = _TYPECODES.get(type(values[0])) if values else None
+            if code is not None:
+                if self._code != code:
+                    self._code, self._bits = code, _packed(last, code)
+                bits = _packed(values, code)
+        if (bits is not None and self._bits is not None
+                and bits.startswith(self._bits)):
+            if len(values) > n:
+                self._text = self._text[:-1] + "," + compact_json(values[n:])[1:]
+        else:
+            self._text = compact_json(values)
+        self._last = values
+        self._code, self._bits = (code, bits) if bits is not None else (None, None)
+        return self._text
+
+
+def _fragments(payload) -> list:
+    """The pieces that ``compact_json(payload)`` joins: the payload's
+    own encoding, split around each :class:`JSONText`'s cached text."""
     texts: list[str] = []
 
     def splice(obj):
@@ -76,18 +146,26 @@ def compact_json(payload) -> str:
     pieces = [parts[0]]
     for t, p in zip(texts, parts[1:]):
         pieces += (t, p)
-    return "".join(pieces)
+    return pieces
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory temp + replace)."""
+def compact_json(payload) -> str:
+    """``json.dumps(payload, separators=(",", ":"))``, with every
+    :class:`JSONText` in ``payload`` written as its cached text."""
+    return "".join(_fragments(payload))
+
+
+def _atomic_write(path, pieces) -> None:
+    """Write the strings ``pieces``, in order, to ``path`` atomically
+    (same-directory temp + fsync + replace)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -99,7 +177,16 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (same-directory temp + replace)."""
+    _atomic_write(path, (text,))
+
+
 def atomic_write_json(path, payload) -> None:
     """Write ``payload`` to ``path`` atomically as compact JSON plus a
-    trailing newline (see :func:`compact_json`)."""
-    atomic_write_text(path, compact_json(payload) + "\n")
+    trailing newline (see :func:`compact_json`). The whole payload is
+    encoded before the file is opened; its fragments are then written
+    one by one, not joined into one string first."""
+    pieces = _fragments(payload)
+    pieces.append("\n")
+    _atomic_write(path, pieces)

@@ -27,7 +27,13 @@ from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path, svm_path
 from repro.prox.penalties import ElasticNetPenalty, GroupLassoPenalty
 from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
-from repro.utils.io import JSONText, atomic_write_json, atomic_write_text
+from repro.utils.io import (
+    JSONText,
+    TailEncoder,
+    atomic_write_json,
+    atomic_write_text,
+    compact_json,
+)
 
 SEED = 5
 TOL9 = 1e-9
@@ -586,6 +592,68 @@ class TestAtomicWrites:
         assert (target.read_text()
                 == json.dumps(want, separators=(",", ":")) + "\n")
 
+    def test_json_text_nested_in_json_text_writes_as_its_value(self,
+                                                                tmp_path):
+        inner = JSONText({"x": [1.5, -0.0], "s": "JSONText"})
+        outer = JSONText({"inner": inner, "list": [JSONText(None), 2]})
+        target = tmp_path / "out.json"
+        atomic_write_json(target, {"outer": outer, "again": inner})
+        value = {"x": [1.5, -0.0], "s": "JSONText"}
+        want = {"outer": {"inner": value, "list": [None, 2]}, "again": value}
+        assert (target.read_text()
+                == json.dumps(want, separators=(",", ":")) + "\n")
+
+    def test_encode_hook_supplies_the_text(self, tmp_path):
+        calls = []
+
+        def encode(value):
+            calls.append(value)
+            return compact_json(value)
+
+        text = JSONText([1, 2.5], encode)
+        target = tmp_path / "out.json"
+        for _ in range(2):
+            atomic_write_json(target, {"t": text})
+        assert target.read_text() == '{"t":[1,2.5]}\n'
+        assert calls == [[1, 2.5]]  # encoded once, on the first write
+
+    def test_streamed_write_failing_part_way_keeps_previous_file(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        atomic_write_json(target, {"v": [1.0, 2.0]})
+        before = target.read_bytes()
+        fdopen, written = os.fdopen, []
+
+        class FailsAfterFirstFragment:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, piece):
+                if written:
+                    raise OSError("simulated disk full")
+                written.append(piece)
+                return self.fh.write(piece)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(
+            os, "fdopen",
+            lambda *a, **kw: FailsAfterFirstFragment(fdopen(*a, **kw)))
+        payload = {"a": JSONText([3.0] * 4), "b": JSONText({"c": "d"})}
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_json(target, payload)
+        monkeypatch.undo()
+        assert written == ['{"a":']  # the write failed part-way through
+        assert target.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
     def test_interrupted_replace_leaves_no_partial_target(self, tmp_path,
                                                           monkeypatch):
         target = tmp_path / "out.json"
@@ -617,6 +685,69 @@ class TestAtomicWrites:
         fit_lasso(A, b, 0.3, solver="bcd", mu=2, max_iter=12, tol=None,
                   seed=SEED, checkpoint_every=3, checkpoint_sink=sink)
         assert seen == [3, 6, 9, 12]
+
+
+class TestTailEncoder:
+    """``TailEncoder.encode(values)`` is ``compact_json(values)`` for any
+    sequence of lists, whichever of its two paths it takes."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("lists", [
+        # appended, including to and from an empty list
+        [[], [0.5], [0.5, 1.25], [0.5, 1.25, 3.0, -2.0], []],
+        [[1, 2], [1, 2, 3], [1, 2, 3, 40, 500], [1, 2, 3, 40, 500]],
+        # truncated, then grown again
+        [[0.1, 0.2, 0.3], [0.1, 0.2], [0.1, 0.2, 0.7]],
+        # edited in place, at the head and at the end of the prefix
+        [[0.1, 0.2, 0.3], [9.0, 0.2, 0.3, 0.4], [9.0, 0.2, 0.5, 0.4]],
+        # a sliding window: the old part moves, at the boundary element too
+        # or only before it
+        [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 4.0, 5.0, 6.0]],
+        [[1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 3.0]],
+        # retyped: equal values of another type encode differently
+        [[1, 2], [1.0, 2.0, 3.0], [1, 2, 3, 4], [True, 2, 3, 4, 5]],
+        [[1.0, 0.0], [1, 0, 2], [1.0, 0, 2.0, 3.0]],
+        # ... even where the bits agree: 0 and 0.0 both pack to zeros
+        [[0.0], [0.0, 0.0], [0, 0, 5]],
+        # signed zeros, NaN and the infinities
+        [[0.0], [-0.0, 1.0], [-0.0, 1.0, NAN], [-0.0, 1.0, NAN, INF, -INF],
+         [0.0, 1.0, NAN, INF, -INF], [0.0, 1.0, NAN, INF, -INF, -0.0]],
+        # lists no array type packs: mixed, nested, strings, huge ints
+        [[1, "a"], [1, "a", None], [[1.0], [2.0]], [[1.0], [2.0], [3.0]],
+         [2**70], [2**70, 1], ["x"], ["x", "y"]],
+    ])
+    def test_text_is_compact_json(self, lists):
+        enc = TailEncoder()
+        for values in lists:
+            assert enc.encode(values) == compact_json(values)
+
+    def test_appends_encode_only_the_tail(self, monkeypatch):
+        import repro.utils.io as io
+        enc = TailEncoder()
+        enc.encode([0.5, 1.5])
+        seen = []
+        real = io.compact_json
+        monkeypatch.setattr(io, "compact_json",
+                            lambda v: seen.append(list(v)) or real(v))
+        assert enc.encode([0.5, 1.5, 2.5, 3.5]) == "[0.5,1.5,2.5,3.5]"
+        assert enc.encode([0.5, 1.5, 2.5, 3.5]) == "[0.5,1.5,2.5,3.5]"
+        assert seen == [[2.5, 3.5]]
+        assert enc.encode([-0.0, 1.5, 2.5, 3.5, 4.5]) == \
+            "[-0.0,1.5,2.5,3.5,4.5]"
+        assert seen[-1] == [-0.0, 1.5, 2.5, 3.5, 4.5]
+
+    def test_a_moved_old_part_is_not_packed(self, monkeypatch):
+        import repro.utils.io as io
+        packed = []
+        real = io._packed
+        monkeypatch.setattr(io, "_packed",
+                            lambda v, code: packed.append(v) or real(v, code))
+        enc = TailEncoder()
+        for start in range(4):  # a window of three slides by one
+            window = [float(i) for i in range(start, start + 3)]
+            assert enc.encode(window) == compact_json(window)
+        assert packed == []
 
 
 class TestPayloadShape:

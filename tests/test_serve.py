@@ -23,13 +23,17 @@ Five layers:
 import json
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
+import repro.serve.engine as serve_engine
+from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import (
     AdmissionError,
+    CheckpointError,
     CommError,
     CostModelError,
     ServeError,
@@ -49,6 +53,7 @@ from repro.serve import (
     validate_trace,
 )
 from repro.streaming import STREAM_REPORT_VERSION, replay_schedule
+from repro.utils.io import JSONText
 
 
 def _assert_no_orphans(timeout: float = 10.0) -> None:
@@ -313,6 +318,26 @@ class TestEngineVirtual:
         assert t["rows_consumed"] == 32
         assert t["model_hash"] is not None
 
+    def test_svm_tenant_serves_on_real_ranks(self):
+        # each rank holds the whole primal the result gathered, so the
+        # model has one entry per feature and a predict scores with it
+        A, b = make_classification(200, 40, density=0.1, seed=3)
+        spec = TenantSpec(name="s", A=A, b=b, m0=190, task="svm",
+                          knobs=dict(max_iter=64, tol=None, seed=0))
+        trace = [TraceEvent(0.0, "s", op="append", rows=4),
+                 TraceEvent(0.0, "s", op="predict", rows=8)]
+        reps = [serve_trace([spec], trace, backend=backend, ranks=2,
+                            machine=CRAY_XC30, run_timeout=60.0)
+                for backend in ("thread", "process")]
+        for rep in reps:
+            assert rep["totals"]["outcomes"]["completed"] == 2
+        thread, process = reps
+        assert (thread["tenants"][0]["model_hash"]
+                == process["tenants"][0]["model_hash"])
+        assert ([r["result_hash"] for r in thread["requests"]]
+                == [r["result_hash"] for r in process["requests"]])
+        assert thread["requests"][1]["result_hash"] is not None
+
     def test_report_schema_and_determinism(self):
         specs = _three_tenants()
         trace = synthetic_trace(["a", "b", "c"], 12, seed=9, mean_gap=0.001,
@@ -494,6 +519,41 @@ class TestCheckpointResume:
                                match="bad.json.* format_version"):
                 serve_trace(specs, [], resume_from=bad, machine=CRAY_XC30)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("'requests'", lambda ck: ck.pop("requests")),
+        ("'queue'", lambda ck: ck.pop("queue")),
+        ("'counters'", lambda ck: ck.pop("counters")),
+        ("'engine'", lambda ck: ck["tenants"]["a"].pop("engine")),
+        ("'latencies'", lambda ck: ck["tenants"]["a"].pop("latencies")),
+        ("'requests'", lambda ck: ck.update(requests=[1, 2])),
+        ("'clock'", lambda ck: ck.update(clock="noon")),
+        ("'model'", lambda ck: ck["tenants"]["a"].update(model=["x"])),
+        ("'requests'.0.'outcome'",
+         lambda ck: ck["requests"][0].pop("outcome")),
+        ("'queue'.'fifos'", lambda ck: ck["queue"].update(fifos=[])),
+        ("'queue'.'fifos'", lambda ck: ck["queue"]["fifos"].update(zzz=[])),
+        ("'queue'.'fifos'",
+         lambda ck: ck["queue"]["fifos"].update(a=[[99, True]])),
+        ("'in_flight'", lambda ck: ck.update(in_flight={"tenant": "zzz"})),
+    ], ids=["no-requests", "no-queue", "no-counters", "no-engine",
+            "no-latencies", "requests-not-objects", "clock-not-number",
+            "model-not-numbers", "record-field", "queue-fifos",
+            "queue-fifo-tenant", "queue-fifo-index", "in-flight-tenant"])
+    def test_resume_names_malformed_field(self, tmp_path, field, edit):
+        specs = [_spec("a")]
+        trace = [TraceEvent(0.0, "a", op="append", rows=2),
+                 TraceEvent(0.0, "a", op="predict", rows=2)]
+        ck_path = tmp_path / "serve.ck.json"
+        serve_trace(specs, trace, checkpoint_path=ck_path, machine=CRAY_XC30)
+        ck = json.loads(ck_path.read_text())
+        edit(ck)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ck))
+        pattern = "bad.json.*" + ".*".join(
+            map(re.escape, field.split(".")))
+        with pytest.raises(CheckpointError, match=pattern):
+            serve_trace(specs, trace, resume_from=bad, machine=CRAY_XC30)
+
     def test_resume_from_file_mid_trace_matches_uninterrupted(self, tmp_path):
         specs = _three_tenants()
         trace = synthetic_trace(["a", "b", "c"], 16, seed=4, mean_gap=0.001,
@@ -547,6 +607,125 @@ class TestCheckpointResume:
         ck["tenants"]["a"]["engine"]["format_version"] = 1
         with pytest.raises(CheckpointError, match="format_version"):
             serve_trace(specs, trace, resume_from=ck, machine=CRAY_XC30)
+
+
+def _plain(value):
+    """``value`` with every JSONText replaced by its value."""
+    if isinstance(value, JSONText):
+        return _plain(value.value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+class TestCheckpointBytes:
+    """Every durable write, however little of it was encoded afresh, is
+    byte for byte the compact JSON of its payload."""
+
+    @staticmethod
+    def _tenants():
+        A, b, _ = make_sparse_regression(60, 16, density=0.3, seed=1)
+        X, y = make_classification(60, 16, density=0.3, seed=2)
+        knobs = dict(s=4, max_iter=32, tol=None, seed=0)
+        return [
+            TenantSpec(name="a", A=A, b=b, m0=40,
+                       knobs=dict(knobs, solver="sa-accbcd", mu=2)),
+            TenantSpec(name="b", A=X, b=y, m0=40, task="svm",
+                       knobs=dict(knobs, solver="sa-svm")),
+            _spec("c"),
+        ]
+
+    @staticmethod
+    def _trace():
+        ev = TraceEvent
+        return [
+            ev(0.0, "a", op="append", rows=2),
+            ev(0.0, "b", op="append", rows=2),
+            ev(0.0, "a", op="predict", rows=4),
+            ev(0.0, "c", op="append", rows=2),  # SolverError: fault 1
+            ev(1.0, "a", op="evict_oldest", rows=3),
+            ev(1.0, "b", op="relabel_oldest", rows=2),
+            ev(1.0, "c", op="append", rows=2),  # fault 2: quarantined
+            ev(2.0, "b", op="append", rows=2, deadline=1e-9),  # rolled back
+            ev(2.0, "c", op="append", rows=2),  # refused: quarantined
+            ev(2.0, "c", op="predict", rows=4),  # served from last good
+            ev(3.0, "a", op="append", rows=2),
+            ev(3.0, "b", op="predict", rows=4),
+            ev(3.0, "b", op="append", rows=2),
+            ev(3.0, "a", op="relabel_oldest", rows=1),
+            ev(4.0, "a", op="append", rows=2),
+            ev(4.0, "b", op="evict_oldest", rows=2),
+        ]
+
+    @pytest.mark.parametrize("world", [
+        dict(),
+        dict(backend="process", ranks=2, run_timeout=120.0),
+    ], ids=["virtual", "process-2"])
+    def test_every_write_is_compact_json_of_its_payload(
+            self, tmp_path, monkeypatch, world):
+        log = tmp_path / "writes.log"
+        real_write = serve_engine.atomic_write_json
+        real_payload = serve_engine._Engine._payload
+        expected = []
+
+        def compact(value):
+            return json.dumps(value, separators=(",", ":")) + "\n"
+
+        def spy_payload(engine, in_flight, *, texts):
+            if texts:  # the file must also hold the engine's plain state
+                expected.append(compact(real_payload(engine, in_flight,
+                                                     texts=False)))
+            return real_payload(engine, in_flight, texts=texts)
+
+        def checked(path, payload):
+            # runs on rank 0, which may be a forked process: report
+            # through a file, not an exception or a list
+            real_write(path, payload)
+            with open(path, encoding="utf-8") as fh:
+                same = fh.read() == compact(_plain(payload)) == expected[-1]
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{'ok' if same else 'wrong'}\n")
+
+        class Killed(Exception):
+            pass
+
+        def hook(kill_at):
+            def fault(comm, tenant, dispatch_no, op):
+                if tenant == "c" and op == "refit":
+                    raise SolverError("injected divergence")
+                if dispatch_no == kill_at:
+                    raise Killed
+            return fault
+
+        monkeypatch.setattr(serve_engine, "atomic_write_json", checked)
+        monkeypatch.setattr(serve_engine._Engine, "_payload", spy_payload)
+        specs, trace = self._tenants(), self._trace()
+        ck_path = tmp_path / "serve.ck.json"
+        kw = dict(machine=CRAY_XC30, queue_depth=16, max_coalesce=2,
+                  tenant_max_faults=1, checkpoint_path=ck_path, **world)
+        # the first run dies with dispatch 10 in flight; the second resumes
+        # its file mid-trace and replays that batch
+        with pytest.raises(Exception) as died:
+            serve_trace(specs, trace, fault_hook=hook(10), **kw)
+        assert "Killed" in f"{died.type.__name__} {died.value}"
+        writes = log.read_text().split()
+        assert json.loads(ck_path.read_text())["in_flight"] is not None
+        rep = serve_trace(specs, trace, fault_hook=hook(None),
+                          resume_from=ck_path, **kw)
+        assert len(log.read_text().split()) > len(writes) > 10
+        assert set(log.read_text().split()) == {"ok"}
+        outcomes = [(r["op"], r["outcome"]) for r in rep["requests"]]
+        for op in ("predict", "evict_oldest", "relabel_oldest"):
+            assert (op, "completed") in outcomes
+        errors = [r["error"] or "" for r in rep["requests"]]
+        assert ("append", "failed") in outcomes
+        assert ("append", "quarantined") in outcomes
+        assert any("rolled back" in e for e in errors)
+        assert rep["totals"]["recovered_requests"] >= 1
+        by_name = {t["name"]: t for t in rep["tenants"]}
+        assert by_name["c"]["state"] == "quarantined"
 
 
 @pytest.mark.slow
