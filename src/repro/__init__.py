@@ -34,6 +34,7 @@ from repro.estimators import SALasso, SALassoCV, SASVMClassifier, SASVMClassifie
 from repro.path import PathResult, SweepContext, adaptive_schedule, lasso_path, svm_path
 from repro.prox import ElasticNetPenalty, GroupLassoPenalty, L1Penalty
 from repro.solvers.base import SolverResult
+from repro.solvers.outer import Schedule
 from repro.streaming import DataRevision, StreamingSweep, replay_schedule
 
 __version__ = "1.1.0"
@@ -41,6 +42,7 @@ __version__ = "1.1.0"
 __all__ = [
     "fit_lasso",
     "fit_svm",
+    "Schedule",
     "lasso_path",
     "svm_path",
     "adaptive_schedule",

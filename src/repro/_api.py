@@ -13,10 +13,10 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.solvers.base import SolverResult
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
-from repro.solvers.outer import check_schedule, ring_depth
+from repro.solvers.outer import Schedule
 from repro.solvers.svm import dcd, sa_dcd
 
-__all__ = ["fit_lasso", "fit_svm"]
+__all__ = ["fit_lasso", "fit_svm", "SOLVERS"]
 
 _LASSO = {
     "bcd": (bcd, False),
@@ -24,6 +24,9 @@ _LASSO = {
     "accbcd": (acc_bcd, False),
     "sa-accbcd": (sa_acc_bcd, True),
 }
+
+#: the solver names :func:`fit_lasso` and :func:`fit_svm` take, by task
+SOLVERS = {"lasso": tuple(_LASSO), "svm": ("svm", "sa-svm")}
 
 
 def fit_lasso(
@@ -43,9 +46,7 @@ def fit_lasso(
     record_every: int = 1,
     x0=None,
     fast: bool = True,
-    pipeline: bool = False,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(),
     eig_memo=None,
     checkpoint_every: int = 0,
     checkpoint_sink=None,
@@ -81,7 +82,8 @@ def fit_lasso(
         (one blocking collective per outer step, whatever the cadence):
         a converged blocking or pipelined solve returns the iterate its
         last record describes and has paid for one Gram reduction it
-        never uses; ``async_`` stops at most ``tau`` outer steps later.
+        never uses; the async ring stops at most ``tau`` outer steps
+        later.
         See :func:`repro.solvers.lasso.plain.sa_bcd`.
     x0:
         Warm-start solution (length-n). Regularization-path sweeps thread
@@ -90,22 +92,13 @@ def fit_lasso(
         SA solvers only: ``fast=False`` runs the reference recurrences
         instead of the fused inner loop (bit-identical at ``mu = 1``,
         within 1e-9 relative at ``mu > 1``, identical ledger).
-    pipeline:
-        SA solvers only: post the per-outer-step packed Gram reduction
-        as a nonblocking Allreduce and prefetch the next block while it
-        is in flight — the ``tau=0`` case of ``async_`` (identical
-        iterates; only unoverlapped latency is charged). Raises for
-        non-SA solvers, which have nothing to overlap.
-    async_, tau:
-        SA solvers only: bounded-staleness mode — keep up to ``tau + 1``
-        packed reductions in flight and harvest the oldest, so each
-        outer step may run against residual data up to ``tau`` outer
-        steps stale. Weaker contract than ``pipeline`` (mutually
-        exclusive with it): convergence to the synchronous objective
-        within tolerance rather than bit-parity; ``tau=0`` is the
-        pipelined schedule bit for bit. Real backends get their
-        nonblocking ring sized to ``tau + 2`` automatically; the
-        result's ``cost`` carries ``stale_seconds``/``max_staleness``.
+    schedule:
+        A :class:`~repro.solvers.outer.Schedule`, blocking by default; a
+        ring (SA solvers only) posts each outer step's packed Gram
+        reduction nonblocking, and only unoverlapped latency is charged.
+        The async ring's ``cost`` carries ``stale_seconds`` and
+        ``max_staleness``; real backends size their nonblocking ring by
+        its ``depth``.
     eig_memo:
         Explicit :class:`~repro.linalg.kernels.EigMemo` for the SA fused
         loops; None (default) shares the process-wide memo.
@@ -132,7 +125,7 @@ def fit_lasso(
         raise SolverError(
             f"unknown lasso solver {solver!r}; known: {sorted(_LASSO)}"
         ) from exc
-    check_schedule(s, tau, pipeline, async_, sa=is_sa, solver=solver)
+    schedule.check(solver, sa=is_sa, s=s)
 
     def work(wcomm, wrank):
         knobs = (checkpoint_every, checkpoint_sink, resume_from)
@@ -147,14 +140,14 @@ def fit_lasso(
             resume_from=ck_resume,
         )
         if is_sa:
-            kwargs.update(s=s, fast=fast, pipeline=pipeline,
-                          async_=async_, tau=tau, eig_memo=eig_memo)
+            kwargs.update(s=s, fast=fast, eig_memo=eig_memo,
+                          **schedule.knobs())
         return fn(A, b, lam, **kwargs)
 
     return launch(
         work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
         machine=machine, recover=recover, max_recoveries=max_recoveries,
-        nb_depth=ring_depth(async_, tau),
+        nb_depth=schedule.depth,
     )
 
 
@@ -175,9 +168,7 @@ def fit_svm(
     record_every: int = 0,
     alpha0=None,
     fast: bool = True,
-    pipeline: bool = False,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(),
     checkpoint_every: int = 0,
     checkpoint_sink=None,
     resume_from=None,
@@ -203,23 +194,17 @@ def fit_svm(
     fast:
         ``"sa-svm"`` only: ``fast=False`` runs the reference recurrences
         (bit-identical to the fused loop).
-    pipeline:
-        ``"sa-svm"`` only: nonblocking per-outer-step reduction with the
-        next row block prefetched while it is in flight (see
-        :func:`fit_lasso`).
-    async_, tau:
-        ``"sa-svm"`` only: bounded-staleness mode, as in
-        :func:`fit_lasso` (convergence-to-tolerance contract; ``tau=0``
-        is bit-identical to ``pipeline=True``).
+    schedule:
+        As in :func:`fit_lasso` (a ring for ``"sa-svm"`` only).
     checkpoint_every / checkpoint_sink / resume_from:
         Fault-tolerance knobs, as in :func:`fit_lasso`.
     backend, ranks, recover, max_recoveries:
         SPMD backend dispatch and supervised recovery, as in
         :func:`fit_lasso`.
     """
-    if solver not in ("svm", "sa-svm"):
+    if solver not in SOLVERS["svm"]:
         raise SolverError(f"unknown svm solver {solver!r}; known: ['svm', 'sa-svm']")
-    check_schedule(s, tau, pipeline, async_, sa=solver == "sa-svm", solver=solver)
+    schedule.check(solver, sa=solver == "sa-svm", s=s)
 
     def work(wcomm, wrank):
         knobs = (checkpoint_every, checkpoint_sink, resume_from)
@@ -236,12 +221,11 @@ def fit_svm(
             resume_from=ck_resume,
         )
         if solver == "sa-svm":
-            return sa_dcd(A, b, s=s, fast=fast, pipeline=pipeline,
-                          async_=async_, tau=tau, **kwargs)
+            return sa_dcd(A, b, s=s, fast=fast, **schedule.knobs(), **kwargs)
         return dcd(A, b, **kwargs)
 
     return launch(
         work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
         machine=machine, recover=recover, max_recoveries=max_recoveries,
-        nb_depth=ring_depth(async_, tau),
+        nb_depth=schedule.depth,
     )

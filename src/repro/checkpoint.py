@@ -58,6 +58,14 @@ __all__ = [
     "state_scalar",
     "encode_lam",
     "decode_lam",
+    "check_fields",
+    "fields",
+    "is_num",
+    "is_int",
+    "is_obj",
+    "list_of",
+    "obj_of",
+    "or_null",
 ]
 
 #: Format version of solver checkpoint payloads. Bump on layout changes;
@@ -170,6 +178,49 @@ def decode_lam(value: Any) -> Any:
         raise CheckpointError(
             f"checkpoint holds a malformed penalty: {exc}"
         ) from exc
+
+
+def is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_obj(v) -> bool:
+    return isinstance(v, dict)
+
+
+def list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+def obj_of(ok):
+    return lambda v: isinstance(v, dict) and all(map(ok, v.values()))
+
+
+def or_null(ok):
+    return lambda v: v is None or ok(v)
+
+
+def fields(*groups) -> tuple:
+    """``(key, what, check)`` per key of each ``(what, check, *keys)``."""
+    return tuple((key, what, ok) for what, ok, *keys in groups for key in keys)
+
+
+def check_fields(block: dict, fields, where: str, path: str = "") -> None:
+    """Raise :class:`~repro.errors.CheckpointError` naming ``where`` and
+    the field (prefixed by ``path``, ``"'tenants'.'a'."``) unless
+    ``block`` holds each ``(key, what it must be, check)`` of ``fields``."""
+    for key, what, ok in fields:
+        if key not in block:
+            raise CheckpointError(f"{where} has no field {path}{key!r}")
+        if not ok(block[key]):
+            raise CheckpointError(
+                f"{where} field {path}{key!r} must be {what},"
+                f" not {type(block[key]).__name__} {block[key]!r:.60}"
+            )
 
 
 def make_solver_checkpoint(

@@ -52,6 +52,7 @@ from repro.launch import check_launch
 from repro.machine.spec import get_machine
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max
+from repro.solvers.outer import Schedule
 from repro.solvers.serialization import save_result
 from repro.streaming import replay_schedule
 from repro.utils.io import atomic_write_json
@@ -95,17 +96,14 @@ def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
                    action=argparse.BooleanOptionalAction if sweep else "store_true",
                    help="SA solvers: nonblocking per-outer-step reduction "
                         "with the next block prefetched while in flight"
-                        + (" (the default: same iterates as --no-pipeline, "
-                           "which waits on each reduction; classical "
-                           "solvers, --async and a single modelled rank, "
-                           "which has nothing to overlap, ignore it)"
+                        + (" (the default where there is a reduction to "
+                           "overlap; same iterates as --no-pipeline)"
                            if sweep else ""))
     p.add_argument("--async", dest="async_", action="store_true",
-                   help="SA solvers: bounded-staleness asynchrony — keep up "
-                        "to --tau reductions in flight and step on stale "
-                        "Gram/residual data (weaker contract: converges to "
-                        "the synchronous objective within tolerance, not "
-                        "bit-identically; --tau 0 degenerates to --pipeline)")
+                   help="SA solvers: keep up to --tau reductions in flight and "
+                        "step on stale Gram/residual data (converges to the "
+                        "synchronous objective within tolerance; --tau 0 is "
+                        "--pipeline)")
     p.add_argument("--tau", type=int, default=1,
                    help="staleness bound for --async: a harvested reduction "
                         "may be up to tau outer steps old")
@@ -117,6 +115,22 @@ def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--max-recoveries", type=int, default=2,
                    help="recovery attempts before the original failure is "
                         "raised (--recover checkpoint)")
+
+
+def _schedule(args, sweep: bool = False) -> Schedule:
+    """The schedule the flags name: ``--async`` wins over a sweep
+    command's default ``--pipeline``; a single solve takes one of them."""
+    if args.pipeline and args.async_ and not sweep:
+        raise ReproError(
+            "--pipeline and --async are mutually exclusive: pipelining is"
+            " --async at --tau 0"
+        )
+    return Schedule.from_flags(args.pipeline, args.async_, args.tau)
+
+
+def _ran(report: dict) -> Schedule:
+    """The schedule a path's ``extras`` or a replay report records."""
+    return Schedule.from_flags(report["pipeline"], report["async"], report["tau"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,8 +367,7 @@ def _cmd_lasso(args) -> int:
     res = run_lasso(
         ds, args.solver, mu=args.mu, s=args.s, max_iter=args.max_iter,
         P=args.p, machine=get_machine(args.machine), seed=args.seed,
-        record_every=args.record_every, lam=lam,
-        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        record_every=args.record_every, lam=lam, schedule=_schedule(args),
         backend=args.backend, ranks=args.ranks,
         recover=args.recover, max_recoveries=args.max_recoveries,
     )
@@ -375,22 +388,13 @@ def _cmd_lasso(args) -> int:
     return 0
 
 
-def _schedule_line(sched: dict) -> str:
-    """Name the schedule a sweep's solves ran (``sched`` holds the
-    ``pipeline``, ``async`` and ``tau`` a path or replay records)."""
-    if sched["async"]:
-        return f"schedule: async ring (tau={sched['tau']})"
-    return "schedule: " + ("pipelined ring" if sched["pipeline"] else "blocking")
-
-
 def _cmd_lasso_path(args) -> int:
     ds = _load_problem(args)
     path = lasso_path(
         ds.A, ds.b, n_lambdas=args.n_lambdas, eps=args.eps,
         solver=args.solver, mu=args.mu, s=args.s, max_iter=args.max_iter,
         tol=args.tol, seed=args.seed, record_every=args.record_every,
-        warm_start=not args.cold,
-        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        warm_start=not args.cold, schedule=_schedule(args, sweep=True),
         adaptive=args.adaptive, backend=args.backend, ranks=args.ranks,
         virtual_p=args.p, machine=get_machine(args.machine),
         recover=args.recover, max_recoveries=args.max_recoveries,
@@ -419,7 +423,7 @@ def _cmd_lasso_path(args) -> int:
               f"(mu={args.mu}, s={args.s})",
     ))
     print(f"total iterations: {sum(path.iterations)}")
-    print(_schedule_line(path.extras))
+    print(f"schedule: {_ran(path.extras)}")
     total = path.total_cost
     if model_p > 1:
         print(f"total modelled time at P={model_p} on {args.machine}: "
@@ -513,7 +517,7 @@ def _cmd_stream(args) -> int:
         solver=args.solver,
         loss=args.loss, mu=args.mu, s=args.s, max_iter=args.max_iter,
         tol=args.tol, seed=args.seed, record_every=args.record_every,
-        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        schedule=_schedule(args, sweep=True),
         backend=args.backend, ranks=args.ranks, virtual_p=args.p,
         machine=machine, warm_start=not args.cold,
         compare_cold=args.compare_cold,
@@ -548,7 +552,7 @@ def _cmd_stream(args) -> int:
               f"streaming {task} ({report['solver']}), {mode}",
     ))
     totals = report["totals"]
-    print(_schedule_line(report))
+    print(f"schedule: {_ran(report)}")
     print(f"total warm refit modelled time: "
           f"{totals['warm_refit_cost']['seconds'] * 1e3:.4g} ms")
     if totals["cold_resolve_cost"] is not None:
@@ -585,7 +589,7 @@ def _cmd_serve(args) -> int:
     knobs = dict(
         solver=args.solver, loss=args.loss, mu=args.mu, s=args.s,
         max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        schedule=_schedule(args, sweep=True),
     )
     specs, budget = [], {}
     for i in range(args.tenants):
@@ -667,7 +671,7 @@ def _cmd_svm(args) -> int:
         ds, solver, s=args.s, lam=args.lam, max_iter=args.max_iter,
         P=args.p, machine=get_machine(args.machine), seed=args.seed,
         record_every=args.record_every, tol=args.tol,
-        pipeline=args.pipeline, async_=args.async_, tau=args.tau,
+        schedule=_schedule(args),
         backend=args.backend, ranks=args.ranks,
         recover=args.recover, max_recoveries=args.max_recoveries,
     )

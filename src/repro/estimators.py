@@ -13,8 +13,8 @@ import numpy as np
 from repro._api import fit_lasso, fit_svm
 from repro.errors import PartitionError, SolverError
 from repro.path import PathResult, lambda_grid, lasso_path, svm_path
-from repro.solvers.base import SolverResult
 from repro.solvers.objectives import lambda_max
+from repro.solvers.outer import Schedule
 from repro.solvers.svm.duality import prediction_accuracy
 from repro.streaming import StreamingSweep
 
@@ -66,6 +66,17 @@ class _FittedMixin:
             return None  # nothing changed: keep the fitted state
         return self.stream_.solve()
 
+    def _knobs(self, *names) -> dict:
+        return {k: self._params[k] for k in names}
+
+    def _set_result(self, res):
+        """Keep ``res`` as the fitted state (``None``: keep the last)."""
+        if res is not None:
+            self.result_, self.coef_, self.n_iter_ = res, res.x, res.iterations
+            if "alpha" in res.extras:
+                self.dual_coef_ = res.extras["alpha"]
+        return self
+
     def _check_fitted(self) -> None:
         if not hasattr(self, "result_"):
             raise SolverError(
@@ -115,6 +126,10 @@ class SALasso(_RegressorMixin):
         ``"bcd"``, ``"sa-bcd"``, ``"accbcd"``, or ``"sa-accbcd"``.
     mu, s, max_iter, tol, seed:
         Paper tuning knobs; see :func:`repro.fit_lasso`.
+    schedule:
+        The :class:`~repro.solvers.outer.Schedule` of :meth:`fit`,
+        :meth:`partial_fit` and :meth:`path` (blocking by default); see
+        :func:`repro.fit_lasso`.
     backend, ranks, recover, max_recoveries:
         SPMD dispatch for :meth:`fit` (``"virtual"`` default;
         ``"process"`` + ``recover="checkpoint"`` gets supervised rank
@@ -137,38 +152,24 @@ class SALasso(_RegressorMixin):
         max_iter: int = 2000,
         tol: float | None = 1e-8,
         seed: int = 0,
-        pipeline: bool = False,
-        async_: bool = False,
-        tau: int = 1,
+        schedule: Schedule = Schedule(),
         max_rows: int | None = None,
         backend: str = "virtual",
         ranks: int = 4,
         recover: str = "raise",
         max_recoveries: int = 2,
     ) -> None:
-        self._params = dict(lam=lam, solver=solver, mu=mu, s=s,
-                            max_iter=max_iter, tol=tol, seed=seed,
-                            pipeline=pipeline, async_=async_, tau=tau,
-                            max_rows=max_rows,
-                            backend=backend, ranks=ranks, recover=recover,
-                            max_recoveries=max_recoveries)
+        self._params = {k: v for k, v in locals().items() if k != "self"}
 
     def fit(self, X, y) -> "SALasso":
-        p = self._params
         if hasattr(self, "stream_"):
             del self.stream_  # fit() restarts from scratch
-        res: SolverResult = fit_lasso(
-            X, y, lam=p["lam"], solver=p["solver"], mu=p["mu"], s=p["s"],
-            max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
-            record_every=max(1, p["max_iter"] // 50),
-            pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"],
-            backend=p["backend"], ranks=p["ranks"], recover=p["recover"],
-            max_recoveries=p["max_recoveries"],
-        )
-        self.result_ = res
-        self.coef_ = res.x
-        self.n_iter_ = res.iterations
-        return self
+        return self._set_result(fit_lasso(
+            X, y, record_every=max(1, self._params["max_iter"] // 50),
+            **self._knobs("lam", "solver", "mu", "s", "max_iter", "tol", "seed",
+                          "schedule", "backend", "ranks", "recover",
+                          "max_recoveries"),
+        ))
 
     def partial_fit(self, X, y, forget=None) -> "SALasso":
         """Incremental fitting: new rows extend the data, the refit is warm.
@@ -185,24 +186,15 @@ class SALasso(_RegressorMixin):
         are available as ``stream_.revisions``. Calling :meth:`fit`
         discards the streaming state.
         """
-        p = self._params
-        res = self._stream_partial_fit(
+        return self._set_result(self._stream_partial_fit(
             X, y, forget,
             lambda: StreamingSweep(
-                X, y, task="lasso", solver=p["solver"], lam=p["lam"],
-                mu=p["mu"], s=p["s"], max_iter=p["max_iter"], tol=p["tol"],
-                seed=p["seed"], pipeline=p["pipeline"],
-                async_=p["async_"], tau=p["tau"],
-                max_rows=p["max_rows"],
-                record_every=max(1, p["max_iter"] // 50),
+                X, y, task="lasso",
+                record_every=max(1, self._params["max_iter"] // 50),
+                **self._knobs("solver", "lam", "mu", "s", "max_iter", "tol",
+                              "seed", "schedule", "max_rows"),
             ),
-        )
-        if res is None:
-            return self
-        self.result_ = res
-        self.coef_ = res.x
-        self.n_iter_ = res.iterations
-        return self
+        ))
 
     @property
     def sparsity_(self) -> float:
@@ -225,12 +217,10 @@ class SALasso(_RegressorMixin):
         :class:`~repro.path.SweepContext`; see :func:`repro.lasso_path`.
         Does not change the fitted state.
         """
-        p = self._params
         return lasso_path(
-            X, y, lambdas, n_lambdas=n_lambdas, eps=eps, solver=p["solver"],
-            mu=p["mu"], s=p["s"], max_iter=p["max_iter"], tol=p["tol"],
-            seed=p["seed"], pipeline=p["pipeline"],
-            async_=p["async_"], tau=p["tau"],
+            X, y, lambdas, n_lambdas=n_lambdas, eps=eps,
+            **self._knobs("solver", "mu", "s", "max_iter", "tol", "seed",
+                          "schedule"),
         )
 
 
@@ -257,12 +247,9 @@ class SALassoCV(_RegressorMixin):
         Number of folds (contiguous splits of a seeded permutation).
     solver, mu, s, max_iter, tol, seed:
         Per-solve knobs, as in :class:`SALasso`.
-    pipeline, async_, tau:
-        The paths' schedule, as in :func:`~repro.path.lasso_path`:
-        every fit is a sweep, so ``pipeline`` defaults to True. The
-        paths run on one rank, which has no reduction to overlap, so
-        every solve runs blocking and the fit equals
-        ``pipeline=False``'s, modelled costs included.
+
+    Every fit sweeps paths on one virtual rank, where every solve runs
+    blocking, so the estimator takes no schedule.
 
     Attributes (after fit)
     ----------------------
@@ -287,21 +274,13 @@ class SALassoCV(_RegressorMixin):
         max_iter: int = 1000,
         tol: float | None = 1e-6,
         seed: int = 0,
-        pipeline: bool = True,
-        async_: bool = False,
-        tau: int = 1,
     ) -> None:
         if cv < 2:
             raise SolverError(f"cv must be >= 2, got {cv}")
-        self._params = dict(n_lambdas=n_lambdas, eps=eps, cv=cv, solver=solver,
-                            mu=mu, s=s, max_iter=max_iter, tol=tol, seed=seed,
-                            pipeline=pipeline, async_=async_, tau=tau)
+        self._params = {k: v for k, v in locals().items() if k != "self"}
 
     def _path_kwargs(self) -> dict:
-        p = self._params
-        return dict(solver=p["solver"], mu=p["mu"], s=p["s"],
-                    max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
-                    pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"])
+        return self._knobs("solver", "mu", "s", "max_iter", "tol", "seed")
 
     def fit(self, X, y) -> "SALassoCV":
         p = self._params
@@ -331,12 +310,8 @@ class SALassoCV(_RegressorMixin):
         best = int(np.argmin(mse.mean(axis=1)))
         self.lambda_ = float(lams[best])
         # full-data refit: warm path down to (and stopping at) lambda_
-        refit = lasso_path(X, y, lams[: best + 1], **self._path_kwargs())
-        self.path_ = refit
-        self.result_ = refit.results[-1]
-        self.coef_ = self.result_.x
-        self.n_iter_ = self.result_.iterations
-        return self
+        self.path_ = lasso_path(X, y, lams[: best + 1], **self._path_kwargs())
+        return self._set_result(self.path_.results[-1])
 
 
 class _SVMClassifierMixin(_FittedMixin):
@@ -385,6 +360,8 @@ class SASVMClassifier(_SVMClassifierMixin):
         Penalty parameter C (the paper uses 1).
     solver:
         ``"svm"`` (Alg. 3) or ``"sa-svm"`` (Alg. 4).
+    schedule:
+        As in :class:`SALasso`, for :meth:`fit` and :meth:`partial_fit`.
     backend, ranks, recover, max_recoveries:
         SPMD dispatch for :meth:`fit`, as in :class:`SALasso`.
     """
@@ -398,40 +375,25 @@ class SASVMClassifier(_SVMClassifierMixin):
         max_iter: int = 50_000,
         tol: float | None = 1e-2,
         seed: int = 0,
-        pipeline: bool = False,
-        async_: bool = False,
-        tau: int = 1,
+        schedule: Schedule = Schedule(),
         max_rows: int | None = None,
         backend: str = "virtual",
         ranks: int = 4,
         recover: str = "raise",
         max_recoveries: int = 2,
     ) -> None:
-        self._params = dict(loss=loss, lam=lam, solver=solver, s=s,
-                            max_iter=max_iter, tol=tol, seed=seed,
-                            pipeline=pipeline, async_=async_, tau=tau,
-                            max_rows=max_rows,
-                            backend=backend, ranks=ranks, recover=recover,
-                            max_recoveries=max_recoveries)
+        self._params = {k: v for k, v in locals().items() if k != "self"}
 
     def fit(self, X, y) -> "SASVMClassifier":
         b = self._encode_labels(y)
-        p = self._params
         if hasattr(self, "stream_"):
             del self.stream_  # fit() restarts from scratch
-        res: SolverResult = fit_svm(
-            X, b, loss=p["loss"], lam=p["lam"], solver=p["solver"], s=p["s"],
-            max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
-            record_every=max(1, p["max_iter"] // 100),
-            pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"],
-            backend=p["backend"], ranks=p["ranks"], recover=p["recover"],
-            max_recoveries=p["max_recoveries"],
-        )
-        self.result_ = res
-        self.coef_ = res.x
-        self.dual_coef_ = res.extras["alpha"]
-        self.n_iter_ = res.iterations
-        return self
+        return self._set_result(fit_svm(
+            X, b, record_every=max(1, self._params["max_iter"] // 100),
+            **self._knobs("loss", "lam", "solver", "s", "max_iter", "tol",
+                          "seed", "schedule", "backend", "ranks", "recover",
+                          "max_recoveries"),
+        ))
 
     def partial_fit(self, X, y, forget=None) -> "SASVMClassifier":
         """Incremental fitting: new rows extend the data, the refit is warm.
@@ -448,7 +410,6 @@ class SASVMClassifier(_SVMClassifierMixin):
         forget is a no-op. Calling :meth:`fit` discards the streaming
         state.
         """
-        p = self._params
         if not hasattr(self, "stream_"):
             if X.shape[0] == 0:
                 raise SolverError(
@@ -464,24 +425,15 @@ class SASVMClassifier(_SVMClassifierMixin):
                     f"{list(self.classes_)}"
                 )
             b = np.where(y_arr == self.classes_[1], 1.0, -1.0)
-        res = self._stream_partial_fit(
+        return self._set_result(self._stream_partial_fit(
             X, b, forget,
             lambda: StreamingSweep(
-                X, b, task="svm", solver=p["solver"], loss=p["loss"],
-                lam=p["lam"], s=p["s"], max_iter=p["max_iter"], tol=p["tol"],
-                seed=p["seed"], pipeline=p["pipeline"],
-                async_=p["async_"], tau=p["tau"],
-                max_rows=p["max_rows"],
-                record_every=max(1, p["max_iter"] // 100),
+                X, b, task="svm",
+                record_every=max(1, self._params["max_iter"] // 100),
+                **self._knobs("solver", "loss", "lam", "s", "max_iter", "tol",
+                              "seed", "schedule", "max_rows"),
             ),
-        )
-        if res is None:
-            return self
-        self.result_ = res
-        self.coef_ = res.x
-        self.dual_coef_ = res.extras["alpha"]
-        self.n_iter_ = res.iterations
-        return self
+        ))
 
 
 
@@ -506,12 +458,8 @@ class SASVMClassifierCV(_SVMClassifierMixin):
         Number of folds (contiguous splits of a seeded permutation).
     loss, solver, s, max_iter, tol, seed:
         Per-solve knobs, as in :class:`SASVMClassifier`.
-    pipeline, async_, tau:
-        The paths' schedule, as in :func:`~repro.path.svm_path`: every
-        fit is a sweep, so ``pipeline`` defaults to True. The paths run
-        on one rank, which has no reduction to overlap, so every solve
-        runs blocking and the fit equals ``pipeline=False``'s, modelled
-        costs included.
+
+    As in :class:`SALassoCV`, the estimator takes no schedule.
 
     Attributes (after fit)
     ----------------------
@@ -536,23 +484,14 @@ class SASVMClassifierCV(_SVMClassifierMixin):
         max_iter: int = 20_000,
         tol: float | None = 1e-2,
         seed: int = 0,
-        pipeline: bool = True,
-        async_: bool = False,
-        tau: int = 1,
     ) -> None:
         if cv < 2:
             raise SolverError(f"cv must be >= 2, got {cv}")
-        self._params = dict(lams=lams, n_lambdas=n_lambdas, cv=cv, loss=loss,
-                            solver=solver, s=s, max_iter=max_iter, tol=tol,
-                            seed=seed, pipeline=pipeline, async_=async_,
-                            tau=tau)
+        self._params = {k: v for k, v in locals().items() if k != "self"}
 
     def _path_kwargs(self) -> dict:
-        p = self._params
-        return dict(loss=p["loss"], solver=p["solver"], s=p["s"],
-                    max_iter=p["max_iter"], tol=p["tol"], seed=p["seed"],
-                    record_every=max(1, p["max_iter"] // 100),
-                    pipeline=p["pipeline"], async_=p["async_"], tau=p["tau"])
+        return dict(record_every=max(1, self._params["max_iter"] // 100),
+                    **self._knobs("loss", "solver", "s", "max_iter", "tol", "seed"))
 
     def fit(self, X, y) -> "SASVMClassifierCV":
         p = self._params
@@ -584,10 +523,5 @@ class SASVMClassifierCV(_SVMClassifierMixin):
         best = int(np.argmax(acc.mean(axis=1)))
         self.lambda_ = float(lams[best])
         # full-data refit: warm ascending path up to (and stopping at) lambda_
-        refit = svm_path(X, b, lams[: best + 1], **self._path_kwargs())
-        self.path_ = refit
-        self.result_ = refit.results[-1]
-        self.coef_ = self.result_.x
-        self.dual_coef_ = self.result_.extras["alpha"]
-        self.n_iter_ = self.result_.iterations
-        return self
+        self.path_ = svm_path(X, b, lams[: best + 1], **self._path_kwargs())
+        return self._set_result(self.path_.results[-1])

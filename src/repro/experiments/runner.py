@@ -25,7 +25,7 @@ from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.base import SolverResult
 from repro.solvers.objectives import lambda_from_sigma_min
-from repro.solvers.outer import check_schedule, ring_depth
+from repro.solvers.outer import Schedule
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -164,26 +164,32 @@ SVM_SOLVERS: dict[str, Callable] = {
 
 
 def _launch_solve(fn: Callable, pargs: tuple, kwargs: dict, ds: ScaledDataset,
-                  recovery_every: int, **launch_kw) -> SolverResult:
-    """Run ``fn(*pargs, **kwargs)`` through :func:`repro.launch.launch`.
+                  solver: str, s: int | None, fast: bool, schedule: Schedule,
+                  **launch_kw) -> SolverResult:
+    """Run ``fn(*pargs, **kwargs)`` (an SA ``solver`` also with ``s``,
+    default 8, ``fast`` and ``schedule``) through :func:`repro.launch.launch`.
 
     Every backend charges flops extrapolated by the dataset's flop
     scales. Under ``recover="checkpoint"`` the solve checkpoints every
-    ``recovery_every`` iterations, so a respawned rank replays from the
-    latest checkpoint; a virtual run's communicator is always fresh, so
-    the knobs resolve only on real ranks.
+    ``s`` iterations (10 for a classical solver); a virtual run's
+    communicator is always fresh, so the knobs resolve only on real ranks.
     """
+    sa = solver.startswith("sa-")
+    s = s if s is not None else 8
+    schedule.check(solver, sa=sa, s=s)
+    if sa:
+        kwargs = dict(kwargs, s=s, fast=fast, **schedule.knobs())
 
     def work(comm, rank):
         comm.ledger.default_scale = ds.flop_scale
         comm.ledger.kind_scales = dict(ds.kind_scales)
         ck_every, ck_sink, ck_resume = recovery_knobs(
-            comm, 0, None, None, default_every=recovery_every
+            comm, 0, None, None, default_every=s if sa else 10
         )
         return fn(*pargs, comm=comm, checkpoint_every=ck_every,
                   checkpoint_sink=ck_sink, resume_from=ck_resume, **kwargs)
 
-    return launch(work, **launch_kw)
+    return launch(work, nb_depth=schedule.depth, **launch_kw)
 
 
 def run_lasso(
@@ -199,9 +205,7 @@ def run_lasso(
     record_every: int = 1,
     lam: float | None = None,
     fast: bool = True,
-    pipeline: bool = False,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(),
     backend: str = "virtual",
     ranks: int = 4,
     recover: str = "raise",
@@ -210,10 +214,10 @@ def run_lasso(
     """Run one Lasso-family solver on a scaled dataset at virtual P.
 
     ``fast`` toggles the SA solvers' fused inner loop (exposed for
-    before/after benchmarking). ``pipeline`` (SA solvers
-    only) hides each outer step's reduction behind the next block's
-    prefetch; ``async_``/``tau`` (SA solvers only) let ranks proceed on
-    reductions up to ``tau`` outer steps stale — a weaker,
+    before/after benchmarking). ``schedule`` (a ring for SA solvers
+    only; see :class:`~repro.solvers.outer.Schedule`) hides each outer
+    step's reduction behind the next block's prefetch, or lets ranks
+    proceed on reductions up to ``tau`` outer steps stale — a weaker,
     convergence-to-tolerance contract; ``backend``/``ranks`` select real
     thread/process SPMD parallelism instead of the virtual cost model;
     ``recover``/``max_recoveries`` (process backend) enable supervised
@@ -226,16 +230,10 @@ def run_lasso(
     kwargs = dict(max_iter=max_iter, seed=seed, record_every=record_every)
     if solver not in ("cd", "sa-cd", "acccd", "sa-acccd"):
         kwargs["mu"] = mu
-    sa = solver.startswith("sa-")
-    s = s if s is not None else 8
-    check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
-    if sa:
-        kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
     return _launch_solve(
-        fn, (ds.A, ds.b, lam_val), kwargs, ds, s if sa else 10,
+        fn, (ds.A, ds.b, lam_val), kwargs, ds, solver, s, fast, schedule,
         backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
-        nb_depth=ring_depth(async_, tau),
     )
 
 
@@ -252,9 +250,7 @@ def run_svm(
     record_every: int = 0,
     tol: float | None = None,
     fast: bool = True,
-    pipeline: bool = False,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(),
     backend: str = "virtual",
     ranks: int = 4,
     recover: str = "raise",
@@ -262,29 +258,18 @@ def run_svm(
 ) -> SolverResult:
     """Run one SVM solver on a scaled dataset at virtual P.
 
-    ``pipeline``/``async_``/``tau``/``backend``/``ranks``/``recover``/
-    ``max_recoveries`` as in :func:`run_lasso`.
+    ``schedule``/``backend``/``ranks``/``recover``/``max_recoveries`` as
+    in :func:`run_lasso`.
     """
     if solver not in SVM_SOLVERS:
         raise SolverError(f"unknown svm solver {solver!r}; known: {sorted(SVM_SOLVERS)}")
     fn = SVM_SOLVERS[solver]
-    kwargs = dict(
-        lam=lam,
-        max_iter=max_iter,
-        seed=seed,
-        record_every=record_every,
-        tol=tol,
-    )
-    sa = solver.startswith("sa-")
-    s = s if s is not None else 8
-    check_schedule(s, tau, pipeline, async_, sa=sa, solver=solver)
-    if sa:
-        kwargs.update(s=s, fast=fast, pipeline=pipeline, async_=async_, tau=tau)
+    kwargs = dict(lam=lam, max_iter=max_iter, seed=seed,
+                  record_every=record_every, tol=tol)
     return _launch_solve(
-        fn, (ds.A, ds.b), kwargs, ds, s if sa else 10,
+        fn, (ds.A, ds.b), kwargs, ds, solver, s, fast, schedule,
         backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
-        nb_depth=ring_depth(async_, tau),
     )
 
 

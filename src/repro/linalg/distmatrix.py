@@ -38,7 +38,7 @@ from repro.linalg.packing import (
     tri_length,
     unpack_gram,
 )
-from repro.linalg.partition import Partition1D, balanced_nnz_partition, block_partition
+from repro.linalg.partition import Partition1D, balanced_nnz_partition
 from repro.mpi.comm import Comm
 from repro.utils.validation import check_dense_or_csr, nnz_of
 
@@ -444,7 +444,6 @@ class RowPartitionedMatrix(_PartitionedBase):
         A,
         comm: Comm,
         partition: Partition1D | None = None,
-        balance_nnz: bool = True,
     ) -> "RowPartitionedMatrix":
         """Each rank slices its own rows from the full matrix ``A``.
 
@@ -460,11 +459,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         A = check_dense_or_csr(A)
         m, n = A.shape
         if partition is None:
-            partition = (
-                balanced_nnz_partition(A, comm.size, axis=0)
-                if balance_nnz
-                else block_partition(m, comm.size)
-            )
+            partition = balanced_nnz_partition(A, comm.size, axis=0)
         if partition.n != m or partition.size != comm.size:
             raise PartitionError(
                 f"partition ({partition.size} ranks over {partition.n} rows) does not"
@@ -482,7 +477,6 @@ class RowPartitionedMatrix(_PartitionedBase):
         self,
         B,
         partition: Partition1D | None = None,
-        balance_nnz: bool = True,
     ) -> Partition1D:
         """Extend the matrix in place with the global batch ``B`` (k x n).
 
@@ -512,11 +506,7 @@ class RowPartitionedMatrix(_PartitionedBase):
             )
         size = self.comm.size
         if partition is None:
-            partition = (
-                balanced_nnz_partition(B, size, axis=0)
-                if balance_nnz
-                else block_partition(k, size)
-            )
+            partition = balanced_nnz_partition(B, size, axis=0)
         if partition.n != k or partition.size != size:
             raise PartitionError(
                 f"batch partition ({partition.size} ranks over {partition.n} "
@@ -741,16 +731,11 @@ class ColPartitionedMatrix(_PartitionedBase):
         A,
         comm: Comm,
         partition: Partition1D | None = None,
-        balance_nnz: bool = True,
     ) -> "ColPartitionedMatrix":
         A = check_dense_or_csr(A)
         m, n = A.shape
         if partition is None:
-            partition = (
-                balanced_nnz_partition(A, comm.size, axis=1)
-                if balance_nnz
-                else block_partition(n, comm.size)
-            )
+            partition = balanced_nnz_partition(A, comm.size, axis=1)
         if partition.n != n or partition.size != comm.size:
             raise PartitionError(
                 f"partition ({partition.size} ranks over {partition.n} cols) does not"

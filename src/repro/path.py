@@ -49,7 +49,7 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import ring_depth, sweep_schedule
+from repro.solvers.outer import Schedule
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
 
@@ -260,7 +260,6 @@ class SweepContext:
         comm: Comm | None = None,
         virtual_p: int = 1,
         machine: MachineSpec | None = None,
-        balance_nnz: bool = True,
         eig_memo: EigMemo | None = None,
     ) -> None:
         if task not in ("lasso", "svm"):
@@ -277,7 +276,7 @@ class SweepContext:
             if comm is None:
                 comm = VirtualComm(virtual_size=virtual_p, machine=machine)
             cls = RowPartitionedMatrix if task == "lasso" else ColPartitionedMatrix
-            self.dist = cls.from_global(A, comm, balance_nnz=balance_nnz)
+            self.dist = cls.from_global(A, comm)
         self.comm = self.dist.comm
         self._fingerprint = _data_fingerprint(A)
         self.b = np.asarray(b, dtype=np.float64).ravel()
@@ -337,13 +336,13 @@ class SweepContext:
 
     def solve(self, lam, warm=None, *, solver: str, s: int, max_iter: int,
               tol: float | None, seed: int, record_every: int, fast: bool,
-              pipeline: bool, async_: bool, tau: int, mu: int = 1,
+              schedule: Schedule, mu: int = 1,
               loss: str = "l1") -> SolverResult:
         """One point of the sweep: zero the ledger, solve, bank the cost.
 
-        The solve runs the schedule :func:`~repro.solvers.outer.
-        sweep_schedule` picks for ``pipeline``/``async_`` on this
-        context's communicator, through the context's partitioned
+        The solve runs ``schedule.for_sweep`` on this context's
+        communicator (see :class:`~repro.solvers.outer.Schedule`),
+        through the context's partitioned
         matrix (and, for Lasso, its eigenvalue memo). ``warm`` is the
         warm start: the primal ``x0`` for Lasso, or the dual ``alpha0``
         for SVM, clipped to the dual box of this point's ``lam``.
@@ -353,12 +352,11 @@ class SweepContext:
         result's ``cost`` is this point's alone and is appended to
         :attr:`point_costs`.
         """
-        pipeline, async_ = sweep_schedule(solver, pipeline, async_,
-                                          self.comm.cost_size)
+        schedule = schedule.for_sweep(solver, self.comm.cost_size)
         self.comm.reset()
         knobs = dict(solver=solver, s=s, max_iter=max_iter, tol=tol,
                      seed=seed, comm=self.comm, record_every=record_every,
-                     fast=fast, pipeline=pipeline, async_=async_, tau=tau)
+                     fast=fast, schedule=schedule)
         if self.task == "lasso":
             res = fit_lasso(self.dist, self.b, lam, mu=mu, x0=warm,
                             eig_memo=self.eig_memo, **knobs)
@@ -512,16 +510,14 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
             ):
                 _emit_path_checkpoint(ck_sink, ctx.comm.rank, task, lams,
                                       results, warm, params)
-        pipeline, async_ = sweep_schedule(knobs["solver"], knobs["pipeline"],
-                                          knobs["async_"], ctx.comm.cost_size)
+        ran = knobs["schedule"].for_sweep(knobs["solver"], ctx.comm.cost_size)
         return PathResult(
             task=task, lambdas=lams, results=results,
             # a live context cannot cross back from a real backend's ranks
             context=ctx if backend == "virtual" else None,
             warm_start=warm_start,
             extras={"solver": knobs["solver"], key: knobs[key],
-                    "s": knobs["s"], "pipeline": pipeline, "async": async_,
-                    "tau": knobs["tau"], "adaptive": adaptive,
+                    "s": knobs["s"], **ran.report(), "adaptive": adaptive,
                     "recovery": recovery_counters(ctx.comm)},
         )
 
@@ -530,7 +526,7 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
         comm=comm if context is None else context.comm, ranks=ranks,
         virtual_p=virtual_p, machine=machine, recover=recover,
         max_recoveries=max_recoveries,
-        nb_depth=ring_depth(knobs["async_"], knobs["tau"]),
+        nb_depth=knobs["schedule"].depth,
     )
 
 
@@ -550,9 +546,7 @@ def lasso_path(
     record_every: int = 10,
     warm_start: bool = True,
     fast: bool = True,
-    pipeline: bool = True,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(ring=True),
     adaptive: bool = False,
     adapt_tol_factor: float = 100.0,
     adapt_iter_factor: float = 0.25,
@@ -580,31 +574,16 @@ def lasso_path(
         Thread each point's solution into the next solve as ``x0``
         (default). ``False`` gives independent solves that still share
         the context's caches.
-    pipeline:
-        Overlap each SA solve's Gram reduction (the default): on more
-        than one modelled rank every SA point runs the pipelined
-        ``tau = 0`` ring, which posts the reduction and samples and packs
-        the next outer step while it is in flight. Iterates, histories,
-        iteration counts, messages and words equal the blocking
-        schedule's, and the modelled ``comm_seconds`` falls by the
-        ``comm_seconds_hidden`` the ledger credits. A point stopped by
-        ``tol`` has also sampled and packed the outer step after its
-        converged record, which a blocking point never starts, so its
-        flops exceed blocking's by that one step's gather and partial
-        Gram. A solve on one rank (the default ``virtual_p=1``, whose
-        reductions are charged nothing) and a classical solver
-        (``bcd``, ``accbcd``) have nothing to overlap and run blocking
-        whatever ``pipeline`` says; ``pipeline=False`` runs every point
-        blocking. See :func:`~repro.solvers.outer.sweep_schedule`.
-    async_, tau:
-        Run every SA solve with the bounded-staleness outer loop
-        (convergence-to-tolerance contract; see :func:`repro.fit_lasso`);
-        takes precedence over ``pipeline``. Each solve drains its
-        in-flight reductions before returning, so the shared
-        communicator's nonblocking ring is clean at every warm-start
-        hand-off. ``extras`` records the schedule that ran:
-        ``pipeline`` is False on one rank, for a classical solver and
-        for an async run.
+    schedule:
+        A :class:`~repro.solvers.outer.Schedule`, resolved per point by
+        its :meth:`~repro.solvers.outer.Schedule.for_sweep`. The default
+        pipelined ring gives every SA point on more than one modelled
+        rank blocking's iterates, histories, messages and words, and a
+        ``comm_seconds`` lower by the ``comm_seconds_hidden`` credited; a
+        point stopped by ``tol`` also samples and packs the step after its
+        converged record. Each solve drains its in-flight reductions, so
+        the communicator is clean at every warm-start hand-off.
+        ``extras`` records what ran as its ``report()`` keys.
     adaptive:
         Loosen per-point budgets along the grid (see
         :func:`adaptive_schedule`): intermediate points — which exist
@@ -671,7 +650,7 @@ def lasso_path(
         "lasso", A, b, grid,
         dict(solver=solver, mu=mu, s=s, max_iter=max_iter, tol=tol,
              seed=seed, record_every=record_every, fast=fast,
-             pipeline=pipeline, async_=async_, tau=tau),
+             schedule=schedule),
         warm_start=warm_start, adaptive=adaptive,
         adapt_tol_factor=adapt_tol_factor,
         adapt_iter_factor=adapt_iter_factor, comm=comm, virtual_p=virtual_p,
@@ -697,9 +676,7 @@ def svm_path(
     record_every: int = 0,
     warm_start: bool = True,
     fast: bool = True,
-    pipeline: bool = True,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(ring=True),
     adaptive: bool = False,
     adapt_tol_factor: float = 100.0,
     adapt_iter_factor: float = 0.25,
@@ -725,12 +702,10 @@ def svm_path(
     (Alg. 3 line 2). Default grid: ``n_lambdas`` points geometric in
     ``[0.1, 10]`` around the paper's ``C = 1``.
 
-    ``pipeline``, ``async_``/``tau`` and ``adaptive`` mirror
-    :func:`lasso_path`: by default every ``sa-svm`` point on more than
-    one modelled rank runs the pipelined ``tau = 0`` ring, with the same
-    alphas, histories, iteration counts, messages and words as
-    ``pipeline=False``; one rank and the classical ``svm`` solver run
-    blocking, and ``extras`` records the schedule that ran. Adaptive
+    ``schedule`` and ``adaptive`` mirror :func:`lasso_path`: by default
+    every ``sa-svm`` point on more than one modelled rank runs the
+    pipelined ring, with blocking's alphas, histories and traffic, and
+    ``extras`` records the schedule that ran. Adaptive
     budgets loosen the *duality-gap* tolerance early on the grid; the
     final point always runs at exactly ``(max_iter, tol)``.
 
@@ -754,7 +729,7 @@ def svm_path(
         "svm", A, b, grid,
         dict(solver=solver, loss=loss, s=s, max_iter=max_iter, tol=tol,
              seed=seed, record_every=record_every, fast=fast,
-             pipeline=pipeline, async_=async_, tau=tau),
+             schedule=schedule),
         warm_start=warm_start, adaptive=adaptive,
         adapt_tol_factor=adapt_tol_factor,
         adapt_iter_factor=adapt_iter_factor, comm=comm, virtual_p=virtual_p,

@@ -59,6 +59,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint import (
+    check_fields,
+    fields,
+    is_int,
+    is_num,
+    is_obj,
+    list_of,
+    obj_of,
+    or_null,
+)
 from repro.errors import (
     AdmissionError,
     CheckpointError,
@@ -74,7 +84,6 @@ from repro.linalg.kernels import EigMemo
 from repro.machine.ledger import report_total
 from repro.machine.spec import MachineSpec
 from repro.mpi.ops import MAX
-from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.serve.admission import AdmissionQueue
 from repro.serve.report import (
     SERVE_CHECKPOINT_VERSION,
@@ -82,8 +91,8 @@ from repro.serve.report import (
     latency_stats,
 )
 from repro.serve.trace import load_trace, validate_trace
-from repro.solvers.outer import ring_depth
-from repro.streaming import StreamingSweep
+from repro.solvers.outer import Schedule
+from repro.streaming import StreamingSweep, check_stream_checkpoint
 from repro.utils.io import JSONText, TailEncoder, atomic_write_json, compact_json
 from repro.utils.validation import nnz_of
 
@@ -100,9 +109,9 @@ class TenantSpec:
     ``predict`` requests score the leading rows of ``A`` against the
     tenant's last committed model. ``knobs`` are
     :class:`~repro.streaming.StreamingSweep` solver defaults (solver,
-    mu, s, max_iter, tol, seed, ...); as there, an SA tenant on more
-    than one modelled rank overlaps each refit's Gram reduction on the
-    pipelined ring unless its knobs say ``pipeline=False``.
+    mu, s, max_iter, tol, seed, schedule, ...); as there, an SA tenant
+    on more than one modelled rank overlaps each refit's Gram reduction
+    on the pipelined ring unless its knobs say ``schedule=Schedule()``.
     """
 
     name: str
@@ -213,68 +222,25 @@ def _hash(arr) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_obj(v) -> bool:
-    return isinstance(v, dict)
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
-
-
-def _obj_of(ok):
-    return lambda v: isinstance(v, dict) and all(map(ok, v.values()))
-
-
-def _or_null(ok):
-    return lambda v: v is None or ok(v)
-
-
 #: (field, what it must be, check) for each field of a serve checkpoint
 #: that :meth:`_Engine.restore` reads, then for each tenant's block
-_MANIFEST = (
-    ("clock", "a number", _is_num),
-    ("next_arrival", "an integer", _is_int),
-    ("dispatch_no", "an integer", _is_int),
-    ("idle_seconds", "a number", _is_num),
-    ("counters", "an object of integers", _obj_of(_is_int)),
-    ("requests", "a list of objects", _list_of(_is_obj)),
-    ("queue", "an object", _is_obj),
-    ("tenants", "an object of objects", _obj_of(_is_obj)),
+_MANIFEST = fields(
+    ("a number", is_num, "clock", "idle_seconds"),
+    ("an integer", is_int, "next_arrival", "dispatch_no"),
+    ("an object of integers", obj_of(is_int), "counters"),
+    ("a list of objects", list_of(is_obj), "requests"),
+    ("an object", is_obj, "queue"),
+    ("an object of objects", obj_of(is_obj), "tenants"),
 )
-_TENANT_MANIFEST = (
-    ("engine", "an object", _is_obj),
-    ("state", "'active' or 'quarantined'",
-     lambda v: v in ("active", "quarantined")),
-    ("faults", "an integer", _is_int),
-    ("consumed", "an integer", _is_int),
-    ("model", "null or a list of numbers", _or_null(_list_of(_is_num))),
-    ("lam_used", "a number", _is_num),
-    ("metric", "a number", _is_num),
-    ("setup_cost", "an object", _is_obj),
-    ("serve_cost", "an object", _is_obj),
-    ("counters", "an object of integers", _obj_of(_is_int)),
-    ("latencies", "a list of numbers", _list_of(_is_num)),
-    ("recovered_requests", "an integer", _is_int),
+_TENANT_MANIFEST = fields(
+    ("an object", is_obj, "engine", "setup_cost", "serve_cost"),
+    ("'active' or 'quarantined'", lambda v: v in ("active", "quarantined"), "state"),
+    ("an integer", is_int, "faults", "consumed", "recovered_requests"),
+    ("null or a list of numbers", or_null(list_of(is_num)), "model"),
+    ("a number", is_num, "lam_used", "metric"),
+    ("an object of integers", obj_of(is_int), "counters"),
+    ("a list of numbers", list_of(is_num), "latencies"),
 )
-
-
-def _check_fields(block: dict, fields, where: str, path: str = "") -> None:
-    for key, what, ok in fields:
-        if key not in block:
-            raise CheckpointError(f"{where} has no field {path}{key!r}")
-        if not ok(block[key]):
-            raise CheckpointError(
-                f"{where} field {path}{key!r} must be {what},"
-                f" not {type(block[key]).__name__} {block[key]!r:.60}"
-            )
 
 
 def _load_serve_checkpoint(source) -> tuple:
@@ -448,7 +414,7 @@ class _Engine:
     def _check_manifest(self, ck: dict, where: str) -> None:
         """Raise :class:`CheckpointError` naming ``where`` and the field
         unless :meth:`restore` can read every field of ``ck``."""
-        _check_fields(ck, _MANIFEST, where)
+        check_fields(ck, _MANIFEST, where)
         if set(ck["tenants"]) != set(self.names):
             raise CheckpointError(
                 f"{where} tenants do not match the engine: "
@@ -463,32 +429,34 @@ class _Engine:
         n = len(self.requests)
 
         def in_trace(e) -> bool:  # a request index of the resuming trace
-            return _is_int(e) and 0 <= e < n
+            return is_int(e) and 0 <= e < n
 
         def queued(e) -> bool:  # a queue entry: [request index, is_append]
             return (isinstance(e, list) and len(e) == 2 and in_trace(e[0])
                     and isinstance(e[1], bool))
 
         optional = [  # restore reads a missing one as 0 and null
-            ("avg_service", "a number", _is_num),
+            ("avg_service", "a number", is_num),
             ("in_flight", "null or a tenant and its request indices",
-             _or_null(lambda v: _is_obj(v) and v.get("tenant") in self.names
-                      and _list_of(in_trace)(v.get("eidxs")))),
+             or_null(lambda v: is_obj(v) and v.get("tenant") in self.names
+                      and list_of(in_trace)(v.get("eidxs")))),
         ]
-        _check_fields(ck, [f for f in optional if f[0] in ck], where)
+        check_fields(ck, [f for f in optional if f[0] in ck], where)
         for i, r in enumerate(ck["requests"]):
             # a record holds every field a fresh one does
-            _check_fields(r, [(key, "present", lambda v: True)
-                              for key in self.requests[i]],
-                          where, f"'requests'.{i}.")
-        _check_fields(ck["queue"], [
-            ("cursor", "an integer", _is_int),
+            check_fields(r, [(key, "present", lambda v: True)
+                             for key in self.requests[i]],
+                         where, f"'requests'.{i}.")
+        check_fields(ck["queue"], [
+            ("cursor", "an integer", is_int),
             ("fifos", "one list of [request index, is_append] per tenant",
-             lambda v: (_obj_of(_list_of(queued))(v)
+             lambda v: (obj_of(list_of(queued))(v)
                         and set(v) == set(self.names))),
         ], where, "'queue'.")
         for name, tck in ck["tenants"].items():
-            _check_fields(tck, _TENANT_MANIFEST, where, f"'tenants'.{name!r}.")
+            check_fields(tck, _TENANT_MANIFEST, where, f"'tenants'.{name!r}.")
+            check_stream_checkpoint(tck["engine"], "streaming", where,
+                                    f"'tenants'.{name!r}.'engine'.")
 
     def restore(self, ck: dict, last_failure,
                 where: str = "serve checkpoint") -> None:
@@ -496,9 +464,11 @@ class _Engine:
         was in flight when the previous attempt died, resolve or replay
         it according to ``last_failure`` (``"timeout"`` fails the batch
         with deadline semantics; a rank death replays it unless the
-        tenant's fault budget is exhausted). A field that is missing or
-        of the wrong type raises :class:`CheckpointError` naming
-        ``where`` and the field, before any state changes."""
+        tenant's fault budget is exhausted; a predict changes no tenant
+        state, so it charges no fault and a rank death always replays
+        it). A field that is missing or of the wrong type raises
+        :class:`CheckpointError` naming ``where`` and the field, before
+        any state changes."""
         self._check_manifest(ck, where)
         self.clock = float(ck["clock"])
         self.next_arrival = int(ck["next_arrival"])
@@ -539,20 +509,24 @@ class _Engine:
         name = inflight["tenant"]
         eidxs = [int(e) for e in inflight["eidxs"]]
         ten = self.tenants[name]
-        # the restored sweep is the pre-dispatch state, so the fault is
-        # contained to this tenant's in-flight batch by construction
-        ten.faults += 1
-        self._quarantine_if_exhausted(ten)
+        predict = self.requests[eidxs[0]]["op"] == "predict"
+        if not predict:
+            # the restored sweep is the pre-dispatch state, so the fault
+            # is contained to this tenant's in-flight batch by construction
+            ten.faults += 1
+            self._quarantine_if_exhausted(ten)
         reason = last_failure or "rank-died"
         if reason == "timeout":
+            error = (
+                f"collective deadline missed while serving a predict for"
+                f" tenant {name!r}; request failed" if predict else
+                f"collective deadline missed while refitting tenant"
+                f" {name!r}; batch failed, tenant rolled back to its last"
+                f" committed model"
+            )
             for eidx in eidxs:
-                self._resolve(
-                    eidx, "timed_out",
-                    error=f"collective deadline missed while refitting"
-                          f" tenant {name!r}; batch failed, tenant rolled"
-                          f" back to its last committed model",
-                )
-        elif ten.state == "quarantined":
+                self._resolve(eidx, "timed_out", error=error)
+        elif ten.state == "quarantined" and not predict:
             for eidx in eidxs:
                 self._resolve(
                     eidx, "failed",
@@ -843,7 +817,7 @@ class _Engine:
                 "name": name,
                 "task": ten.spec.task,
                 # the schedule the tenant's refits ran
-                **ten.sweep.schedule,
+                **ten.sweep.schedule.report(),
                 "state": ten.state,
                 "faults": int(ten.faults),
                 "lam": ten.lam_used,
@@ -921,20 +895,15 @@ def serve_trace(
     ``"refit"``/``"predict"``) runs before every dispatch — both are
     test/chaos instrumentation. ``nb_depth`` sizes the thread/process
     backends' nonblocking-collective slot ring; the default is the
-    deepest :func:`~repro.solvers.outer.ring_depth` of the tenants'
-    ``async_``/``tau`` knobs.
+    deepest :attr:`~repro.solvers.outer.Schedule.depth` of the tenants'
+    ``schedule`` knobs.
 
     Each tenant runs the schedule of its
-    :class:`~repro.streaming.StreamingSweep`: on more than one modelled
-    rank (``max(virtual_p, ranks) > 1``) an SA tenant overlaps its Gram
-    reductions on the pipelined ``tau = 0`` ring by default. A batch's
-    refit commits the same model, messages and words as with
-    ``pipeline=False``; only its modelled service time, which drives
-    the virtual clock, changes (see ``docs/SERVING.md``). At the default
-    ``virtual_p=1`` there is nothing to overlap and every tenant runs
-    blocking. Each tenant
-    block of the report records the schedule its refits ran
-    (``pipeline``, ``async``, ``tau``).
+    :class:`~repro.streaming.StreamingSweep` (the pipelined ring by
+    default), which changes only a refit's modelled service time, and
+    so the virtual clock (see ``docs/SERVING.md``). Each tenant block of
+    the report records the schedule its refits ran (``pipeline``,
+    ``async``, ``tau``).
 
     ``checkpoint_path`` names the compact JSON checkpoint file (see the
     module docstring); ``resume_from`` takes such a file or its parsed
@@ -970,10 +939,8 @@ def serve_trace(
                 f"tenant {spec.name!r}: len(b) != rows of A"
             )
     if nb_depth is None:
-        nb_depth = max([NB_RING_DEPTH] + [
-            ring_depth(bool(spec.knobs.get("async_")), int(spec.knobs.get("tau", 1)))
-            for spec in specs
-        ])
+        nb_depth = max(spec.knobs.get("schedule", Schedule(ring=True)).depth
+                       for spec in specs)
     if isinstance(trace, (str, os.PathLike)):
         events = load_trace(trace)
     else:

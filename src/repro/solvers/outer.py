@@ -33,7 +33,8 @@ Two schedules use them. :func:`run_blocking` waits on each reduction.
 steps on data up to ``tau`` steps stale. At ``tau = 0`` the ring is the
 pipelined schedule: the next step is sampled and Gram-packed while the
 current reduction is in flight, and the iterates equal the blocking
-schedule's bit for bit.
+schedule's bit for bit. Above the SA solvers, a :class:`Schedule` value
+names the one a solve runs.
 
 :func:`run_sa` also builds the solve's :class:`Checks`, which holds the
 convergence records. A record (a metric stored in ``history`` and
@@ -67,6 +68,7 @@ checkpoint.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,58 +76,96 @@ from repro.checkpoint import emit_solver_checkpoint, solver_history_fields
 from repro.errors import CommError, SolverError
 from repro.mpi.thread_backend import NB_RING_DEPTH
 
-__all__ = ["Checks", "check_schedule", "sweep_schedule", "ring_depth",
-           "run_sa", "run_blocking", "run_ring"]
+__all__ = ["Schedule", "Checks", "run_sa", "run_blocking", "run_ring"]
 
 
-def check_schedule(s: int, tau: int, pipeline: bool, async_: bool, *,
-                   sa: bool = True, solver: str = "") -> None:
-    """Validate a single solve's outer-step knobs. A solver that is not
-    SA (``sa=False``, named ``solver``) synchronises every iteration, so
-    it takes neither ``pipeline`` nor ``async_`` and ignores ``s``."""
-    if not sa and (pipeline or async_):
-        knob = "pipeline" if pipeline else "async_"
-        raise SolverError(
-            f"{knob}=True needs an SA solver (one reduction per s iterations"
-            f" to overlap); {solver!r} synchronises every iteration"
-        )
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
-    if sa and s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-
-
-def sweep_schedule(solver: str, pipeline: bool, async_: bool,
-                   cost_size: int) -> tuple[bool, bool]:
-    """The ``(pipeline, async_)`` each solve of a sweep runs on a
-    communicator of ``cost_size`` modelled ranks.
-
-    Engines that run a sequence of solves (paths, streams, serve
-    tenants) read ``pipeline`` as "overlap each SA solve's Gram
-    reduction where there is one to overlap": an SA solver (a registry
-    name starting ``sa-``) on more than one rank runs the ``tau = 0``
-    ring, whose iterates, messages and words equal the blocking
-    schedule's. One rank has nothing to overlap (its reductions move no
-    data and are charged nothing), and a classical solver synchronises
-    every iteration, so both run blocking. ``async_`` takes precedence
-    and runs the async ring. Unlike :func:`check_schedule`, which guards
-    single solves, ``pipeline`` never raises here.
+@dataclass(frozen=True)
+class Schedule:
+    """When an SA solve waits on its outer steps' Gram reductions:
+    ``Schedule()`` blocks on each one; ``Schedule(ring=True)`` is the
+    pipelined ring, which samples and packs the next outer step while the
+    current reduction is in flight (iterates equal blocking's bit for
+    bit); ``Schedule(ring=True, tau=tau)``, ``tau >= 1``, is the async
+    ring, which keeps ``tau + 1`` reductions in flight and steps on data
+    up to ``tau`` outer steps stale (it converges to the synchronous
+    objective within tolerance). The async ring at ``tau = 0`` is the
+    pipelined ring, so there is no fourth value. Single solves default to
+    blocking (:meth:`check`); sweeps to the pipelined ring, resolved per
+    solve (:meth:`for_sweep`).
     """
-    ring = pipeline and not async_ and solver.startswith("sa-") and cost_size > 1
-    return bool(ring), bool(async_)
 
+    ring: bool = False
+    tau: int = 0
 
-def ring_depth(async_: bool, tau: int) -> int:
-    """Nonblocking slots an SA solve's ring needs: ``tau + 1`` reductions
-    in flight under ``async_`` (one under ``pipeline``) plus the slot the
-    next post packs into. Thread and process worlds size their
-    ``nb_depth`` with it."""
-    return (tau if async_ else 0) + NB_RING_DEPTH
+    def __post_init__(self) -> None:
+        if not (isinstance(self.ring, bool) and type(self.tau) is int
+                and self.tau >= 0 and (self.ring or not self.tau)):
+            raise SolverError(
+                f"a Schedule is blocking, ring=True, or ring=True with an"
+                f" integer tau >= 1; got ring={self.ring!r}, tau={self.tau!r}"
+            )
+
+    def __str__(self) -> str:
+        if self.tau:
+            return f"async ring (tau={self.tau})"
+        return "pipelined ring" if self.ring else "blocking"
+
+    @classmethod
+    def from_flags(cls, pipeline: bool, async_: bool, tau: int) -> "Schedule":
+        """The schedule the CLI's flags, a report's or a sweep
+        checkpoint's keys name: ``async_`` wins over ``pipeline``, and
+        ``tau`` is checked even when ``async_`` is off."""
+        if tau < 0:
+            raise SolverError(f"tau must be >= 0, got {tau}")
+        return cls(ring=bool(pipeline or async_), tau=tau if async_ else 0)
+
+    @property
+    def is_async(self) -> bool:
+        return self.tau > 0
+
+    @property
+    def depth(self) -> int:
+        """Nonblocking slots (``nb_depth``) a solve needs: ``tau + 1``
+        reductions in flight and the slot the next post packs into."""
+        return self.tau + NB_RING_DEPTH
+
+    def knobs(self) -> dict:
+        """The SA solvers' ``pipeline``/``async_``/``tau`` keywords."""
+        return {"pipeline": self.ring and not self.tau,
+                "async_": self.is_async, "tau": self.tau}
+
+    def report(self) -> dict:
+        """The ``pipeline``/``async``/``tau`` a report records."""
+        return {"pipeline": self.ring and not self.tau,
+                "async": self.is_async, "tau": self.tau}
+
+    def flags(self) -> dict:
+        """The ``pipeline`` (any ring), ``async_`` and ``tau`` a sweep
+        checkpoint stores, read back by :meth:`from_flags`."""
+        return {"pipeline": self.ring, "async_": self.is_async, "tau": self.tau}
+
+    def check(self, solver: str, *, sa: bool, s: int) -> None:
+        """Validate a single solve of ``solver``; a classical solver has
+        no reduction for a ring to overlap, and ignores ``s``."""
+        if self.ring and not sa:
+            raise SolverError(
+                f"the {self} needs an SA solver (one reduction per s"
+                f" iterations to overlap); {solver!r} synchronises every"
+                f" iteration"
+            )
+        if sa and s < 1:
+            raise SolverError(f"s must be >= 1, got {s}")
+
+    def for_sweep(self, solver: str, cost_size: int) -> "Schedule":
+        """The schedule a sweep's solve runs on ``cost_size`` modelled
+        ranks: the pipelined ring only for an SA solver (``sa-*``) on more
+        than one rank, since one rank's reductions are charged nothing and
+        a classical solver syncs every iteration. The async ring is kept."""
+        if self.ring and not self.tau and not (
+            solver.startswith("sa-") and cost_size > 1
+        ):
+            return Schedule()
+        return self
 
 
 def _crossed(prev_done: int, done: int, every: int) -> bool:
@@ -248,14 +288,20 @@ def run_sa(fam, *, s: int, pipeline: bool, async_: bool, tau: int):
     record), run the blocking loop or the ring (``pipeline``, or
     ``async_`` at staleness ``tau``) until ``max_iter`` or ``tol``, then
     :meth:`~repro.solvers.base.FamilyState.finish`."""
-    check_schedule(s, tau, pipeline, async_)
+    if async_ and pipeline:
+        raise SolverError(
+            "async_=True and pipeline=True are mutually exclusive: "
+            "pipelining is the tau=0 special case of async_"
+        )
+    Schedule.from_flags(pipeline, async_, tau).check("", sa=True, s=s)
     done, converged = fam.start()
     if not converged:
         checks = Checks(fam)
         if async_ or pipeline:
-            pipe = fam.pipeline(ring_depth(async_, tau))
+            ring = Schedule(ring=True, tau=tau if async_ else 0)
+            pipe = fam.pipeline(ring.depth)
             converged, done = run_ring(fam, checks, pipe, done=done, s=s,
-                                       tau=tau if async_ else 0)
+                                       tau=ring.tau)
         else:
             converged, done = run_blocking(fam, checks, done=done, s=s)
     return fam.finish(done, converged)

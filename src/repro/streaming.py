@@ -58,10 +58,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro._api import SOLVERS
 from repro.checkpoint import (
+    check_fields,
     decode_lam,
     emit_solver_checkpoint,
     encode_lam,
+    fields,
+    is_int,
+    is_num,
+    is_obj,
+    list_of,
+    or_null,
     read_checkpoint_json,
 )
 from repro.errors import CheckpointError, CostModelError, SolverError
@@ -75,7 +83,7 @@ from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import ring_depth, sweep_schedule
+from repro.solvers.outer import Schedule
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -121,35 +129,61 @@ def _matrix_to_dict(A) -> dict:
 
 def _matrix_from_dict(d: dict):
     """Inverse of :func:`_matrix_to_dict`."""
-    if "csr" in d:
-        c = d["csr"]
-        return sp.csr_matrix(
-            (np.asarray(c["data"], dtype=np.float64),
-             np.asarray(c["indices"], dtype=np.intp),
-             np.asarray(c["indptr"], dtype=np.intp)),
-            shape=tuple(c["shape"]),
+    try:
+        if "csr" in d:
+            c = d["csr"]
+            return sp.csr_matrix(
+                (np.asarray(c["data"], dtype=np.float64),
+                 np.asarray(c["indices"], dtype=np.intp),
+                 np.asarray(c["indptr"], dtype=np.intp)),
+                shape=tuple(c["shape"]),
+            )
+        return np.asarray(d["dense"], dtype=np.float64).reshape(tuple(d["shape"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"streaming checkpoint field 'matrix' is malformed: {exc!r}"
+        ) from exc
+
+
+def check_stream_checkpoint(ck: dict, kind: str,
+                            where: str = "streaming checkpoint",
+                            path: str = "") -> None:
+    """Raise :class:`CheckpointError` naming ``where`` and the field
+    unless ``ck`` is a ``kind`` checkpoint of this version holding every
+    field its resume reads (a replay's engine included), typed as its
+    writer writes it. ``path`` places ``ck`` in an enclosing checkpoint."""
+    name = f"{where} field {path[:-1]}" if path else where
+    if ck.get("kind") != kind:
+        raise CheckpointError(
+            f"{name} is not a {kind!r} checkpoint (kind={ck.get('kind')!r})"
         )
-    return np.asarray(d["dense"], dtype=np.float64).reshape(tuple(d["shape"]))
+    if ck.get("format_version") != STREAM_CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{name} has unsupported format_version"
+            f" {ck.get('format_version')!r} (this build reads"
+            f" {STREAM_CHECKPOINT_VERSION})"
+        )
+    check_fields(ck, [("task", "'lasso' or 'svm'",
+                       lambda v: v in ("lasso", "svm"))], where, path)
+    if kind == "streaming-replay":
+        check_fields(ck, _REPLAY_FIELDS, where, path)
+        return check_stream_checkpoint(ck["engine"], "streaming", where,
+                                       f"{path}'engine'.")
+    task, eng = ck["task"], StreamingSweep
+    check_fields(ck, eng._FIELDS + eng._TASK_FIELDS[task], where, path)
+    solver = ("solver", f"one of {list(SOLVERS[task])}",
+              lambda v: v in SOLVERS[task])
+    check_fields(ck["defaults"], (solver,) + eng._DEFAULT_FIELDS, where,
+                 f"{path}'defaults'.")
+    for i, rev in enumerate(ck["revisions"]):
+        check_fields(rev, eng._REVISION_FIELDS, where, f"{path}'revisions'.{i}.")
 
 
 def _load_stream_checkpoint(source, kind: str) -> dict:
     """Read + validate a streaming checkpoint payload (dict or JSON path)."""
     ck = (source if isinstance(source, dict)
           else read_checkpoint_json(source, "streaming checkpoint"))
-    if ck.get("kind") != kind:
-        raise CheckpointError(
-            f"resume_from is not a {kind!r} checkpoint (kind={ck.get('kind')!r})"
-        )
-    version = ck.get("format_version")
-    if version != STREAM_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported streaming checkpoint format_version {version!r}"
-            f" (this build reads {STREAM_CHECKPOINT_VERSION})"
-        )
-    if ck.get("task") not in ("lasso", "svm"):
-        raise CheckpointError(
-            f"streaming checkpoint has unknown task {ck.get('task')!r}"
-        )
+    check_stream_checkpoint(ck, kind)
     return ck
 
 
@@ -229,25 +263,20 @@ class StreamingSweep:
         same :class:`DataRevision`, the trim measured as its
         ``evict_cost``). The initial data must already fit the window.
         ``None`` (default) keeps every row.
-    comm, virtual_p, machine, balance_nnz, eig_memo:
+    comm, virtual_p, machine, eig_memo:
         As in :class:`~repro.path.SweepContext` (which this engine owns;
         the context's caches — sampling views, gather workspace, packed
         buffers, eig memo — persist across appends, evictions, and
         solves).
     solver, loss, lam, mu, s, max_iter, tol, seed, record_every, fast,
-    pipeline, async_, tau:
+    schedule:
         Default solver knobs for :meth:`solve`, each overridable per
         call. ``lam=None`` resolves per solve: ``0.1 * lambda_max`` of
-        the *current* data for Lasso, ``1.0`` for SVM. ``pipeline``
-        (default True) overlaps each SA refit's Gram reduction with the
-        pipelined ``tau = 0`` ring when the communicator models more
-        than one rank, as in :func:`~repro.path.lasso_path`: the same
-        iterates, messages and words as ``pipeline=False``, less
-        modelled waiting. One rank and a classical solver run blocking,
-        and ``async_`` takes precedence (see
-        :func:`~repro.solvers.outer.sweep_schedule`); :attr:`schedule`
-        says what runs. A checkpoint pins these defaults, so an engine
-        resumed from one keeps the schedule it was written with.
+        the *current* data for Lasso, ``1.0`` for SVM. ``schedule``
+        (default: the pipelined ring) runs as in
+        :func:`~repro.path.lasso_path`, and :attr:`schedule` says what
+        runs. A checkpoint pins these defaults, so an engine resumed
+        from one keeps the schedule it was written with.
 
     Rows are identified by **arrival index** — the position of the row
     in the full arrival history (initial rows get ``0..m0-1``, each
@@ -271,7 +300,6 @@ class StreamingSweep:
         comm: Comm | None = None,
         virtual_p: int = 1,
         machine: MachineSpec | None = None,
-        balance_nnz: bool = True,
         eig_memo: EigMemo | None = None,
         solver: str | None = None,
         loss: str = "l1",
@@ -283,23 +311,20 @@ class StreamingSweep:
         seed: int = 0,
         record_every: int = 10,
         fast: bool = True,
-        pipeline: bool = True,
-        async_: bool = False,
-        tau: int = 1,
+        schedule: Schedule = Schedule(ring=True),
     ) -> None:
         self.ctx = SweepContext(
             A, b, task=task, comm=comm, virtual_p=virtual_p, machine=machine,
-            balance_nnz=balance_nnz, eig_memo=eig_memo,
+            eig_memo=eig_memo,
         )
         self.task = task
         self.dist = self.ctx.dist
         self.comm = self.ctx.comm
-        self.balance_nnz = balance_nnz
         self.defaults = dict(
             solver=solver if solver is not None else _DEFAULT_SOLVER[task],
             loss=loss, lam=lam, mu=mu, s=s, max_iter=max_iter, tol=tol,
             seed=seed, record_every=record_every, fast=fast,
-            pipeline=pipeline, async_=async_, tau=tau,
+            schedule=schedule,
         )
         self._x_warm: np.ndarray | None = None
         self._alpha_warm: np.ndarray | None = None
@@ -365,15 +390,10 @@ class StreamingSweep:
         return float(np.max(np.abs(self._atb))) if self._atb.size else 0.0
 
     @property
-    def schedule(self) -> dict:
-        """The schedule :meth:`solve` runs at the engine defaults:
-        ``pipeline`` and ``async`` as
-        :func:`~repro.solvers.outer.sweep_schedule` resolves them, and
-        ``tau``."""
+    def schedule(self) -> Schedule:
+        """The schedule :meth:`solve` runs at the engine defaults."""
         d = self.defaults
-        pipeline, async_ = sweep_schedule(d["solver"], d["pipeline"], d["async_"],
-                                          self.comm.cost_size)
-        return {"pipeline": pipeline, "async": async_, "tau": d["tau"]}
+        return d["schedule"].for_sweep(d["solver"], self.comm.cost_size)
 
     def arrival_order(self) -> np.ndarray:
         """Arrival index of each row of the effective global matrix.
@@ -415,6 +435,42 @@ class StreamingSweep:
         return A_eff, self.ctx.b.copy()
 
     # -- checkpoint / resume -------------------------------------------------
+    #: (field, what it must be, check) for each field :meth:`from_checkpoint`
+    #: reads: of every task, by task, of the solve defaults (the schedule
+    #: as ``Schedule.flags``, the solver checked apart) and of a revision
+    _FIELDS = fields(
+        ("null or an integer", or_null(is_int), "max_rows"),
+        ("an object", is_obj, "defaults"),
+        ("a dense or CSR matrix", lambda v: is_obj(v) and ("csr" in v or "dense" in v),
+         "matrix"),
+        ("a list of numbers", list_of(is_num), "b"),
+        ("a list of integers", list_of(is_int), "offsets"),
+        ("an integer", is_int, "next_arrival"),
+        ("null or a list of numbers", or_null(list_of(is_num)), "x_warm", "alpha_warm"),
+        ("a list of objects", list_of(is_obj), "revisions"),
+    )
+    _TASK_FIELDS = {
+        "lasso": fields(("one list of integers per rank", list_of(list_of(is_int)),
+                         "arrivals"), ("a list of numbers", list_of(is_num), "atb")),
+        "svm": fields(("a list of integers", list_of(is_int), "arrivals"),
+                      ("null", lambda v: v is None, "atb")),
+    }
+    _DEFAULT_FIELDS = fields(
+        ("a string", lambda v: isinstance(v, str), "loss"),
+        ("null, a number or a penalty", or_null(lambda v: is_num(v) or is_obj(v)), "lam"),
+        ("an integer", is_int, "mu", "s", "max_iter", "seed", "record_every"),
+        ("null or a number", or_null(is_num), "tol"),
+        ("a boolean", lambda v: isinstance(v, bool), "fast", "pipeline", "async_"),
+        ("an integer >= 0", lambda v: is_int(v) and v >= 0, "tau"),
+    )
+    # CostSnapshot.from_dict reads each cost block, naming a bad cost field
+    _REVISION_FIELDS = fields(
+        ("an integer", is_int, "rev", "rows_total", "rows_added", "rows_removed",
+         "labels_changed"),
+        ("a cost block (an object)", is_obj, "append_cost", "evict_cost"),
+        ("a list of cost blocks (objects)", list_of(is_obj), "solve_costs"),
+    )
+
     def checkpoint(self, sink=None) -> dict:
         """Snapshot the engine as a JSON-serialisable dict (and optionally
         deliver it).
@@ -439,7 +495,9 @@ class StreamingSweep:
             "task": self.task,
             "max_rows": self.max_rows,
             "defaults": {
-                **self.defaults, "lam": encode_lam(self.defaults["lam"])
+                **{k: v for k, v in self.defaults.items() if k != "schedule"},
+                "lam": encode_lam(self.defaults["lam"]),
+                **self.defaults["schedule"].flags(),
             },
             "matrix": _matrix_to_dict(A_eff),
             "b": b_eff.tolist(),
@@ -496,7 +554,7 @@ class StreamingSweep:
         task = ck["task"]
         if comm is None:
             comm = VirtualComm(virtual_size=virtual_p, machine=machine)
-        offsets = tuple(int(o) for o in ck.get("offsets", ()))
+        offsets = tuple(ck["offsets"])
         if len(offsets) - 1 != comm.size:
             raise CheckpointError(
                 f"streaming checkpoint was taken at {len(offsets) - 1}"
@@ -505,10 +563,14 @@ class StreamingSweep:
         A_eff = _matrix_from_dict(ck["matrix"])
         mat_cls = RowPartitionedMatrix if task == "lasso" else ColPartitionedMatrix
         dist = mat_cls.from_global(A_eff, comm, partition=Partition1D(offsets))
+        d = ck["defaults"]
         engine = cls(
             dist, np.asarray(ck["b"], dtype=np.float64), task=task,
-            max_rows=ck.get("max_rows"), eig_memo=eig_memo,
-            **{**ck["defaults"], "lam": decode_lam(ck["defaults"].get("lam"))},
+            max_rows=ck["max_rows"], eig_memo=eig_memo,
+            **{key: d[key] for key in ("solver", "loss", "mu", "s", "max_iter",
+                                       "tol", "seed", "record_every", "fast")},
+            lam=decode_lam(d["lam"]),
+            schedule=Schedule.from_flags(d["pipeline"], d["async_"], d["tau"]),
         )
         # overwrite the constructor's fresh revision-0 state with the
         # checkpointed stream state (arrival history, incremental A^T b,
@@ -520,21 +582,17 @@ class StreamingSweep:
             engine._atb = np.asarray(ck["atb"], dtype=np.float64)
         else:
             engine._svm_arrivals = np.asarray(ck["arrivals"], dtype=np.intp)
-        engine._next_arrival = int(ck["next_arrival"])
-        engine._x_warm = (
-            None if ck.get("x_warm") is None
-            else np.asarray(ck["x_warm"], dtype=np.float64)
-        )
-        engine._alpha_warm = (
-            None if ck.get("alpha_warm") is None
-            else np.asarray(ck["alpha_warm"], dtype=np.float64)
+        engine._next_arrival = ck["next_arrival"]
+        engine._x_warm, engine._alpha_warm = (
+            None if ck[key] is None else np.asarray(ck[key], dtype=np.float64)
+            for key in ("x_warm", "alpha_warm")
         )
         try:
             engine.revisions = [
                 DataRevision(
-                    int(r["rev"]), int(r["rows_total"]), int(r["rows_added"]),
-                    rows_removed=int(r["rows_removed"]),
-                    labels_changed=int(r["labels_changed"]),
+                    r["rev"], r["rows_total"], r["rows_added"],
+                    rows_removed=r["rows_removed"],
+                    labels_changed=r["labels_changed"],
                     append_cost=CostSnapshot.from_dict(r["append_cost"]),
                     evict_cost=CostSnapshot.from_dict(r["evict_cost"]),
                     solve_costs=[
@@ -582,7 +640,7 @@ class StreamingSweep:
         self.comm.reset()
         if self.task == "lasso":
             old_part = self.dist.partition
-            batch_part = self.dist.append_rows(B, balance_nnz=self.balance_nnz)
+            batch_part = self.dist.append_rows(B)
             # labels follow the rank-blocked row order of the shards
             segs = []
             for r in range(self.comm.size):
@@ -931,6 +989,18 @@ def _sched_entry(ev) -> dict:
             "rows": int(ev[1])}
 
 
+#: (field, what it must be, check) for each field of a
+#: ``kind="streaming-replay"`` checkpoint (written by
+#: :func:`replay_schedule`) that its resume reads
+_REPLAY_FIELDS = fields(
+    ("an integer", is_int, "events_applied"),
+    ("a number", is_num, "slept_seconds"),
+    ("null, a number or a penalty", or_null(lambda v: is_num(v) or is_obj(v)), "lam_used"),
+    ("a list of objects", list_of(is_obj), "entries"),
+    ("an object", is_obj, "engine"),
+)
+
+
 def replay_schedule(
     A,
     b,
@@ -948,9 +1018,7 @@ def replay_schedule(
     seed: int = 0,
     record_every: int = 10,
     fast: bool = True,
-    pipeline: bool = True,
-    async_: bool = False,
-    tau: int = 1,
+    schedule: Schedule = Schedule(ring=True),
     backend: str = "virtual",
     ranks: int = 4,
     virtual_p: int = 1,
@@ -982,14 +1050,9 @@ def replay_schedule(
     ``max(virtual_p, ranks)``). Returns a plain-dict report (JSON-ready,
     picklable across the process backend).
 
-    ``pipeline`` (default True), ``async_`` and ``tau`` are the engine's
-    schedule, as in :class:`StreamingSweep`: on more than one modelled
-    rank every SA refit and every cold re-solve overlaps its Gram
-    reduction on the pipelined ``tau = 0`` ring unless
-    ``pipeline=False``, with the same iterates, messages and words. The
-    report's ``pipeline``, ``async`` and ``tau`` keys record the
-    schedule that ran (``pipeline`` is False at ``virtual_p=1`` on the
-    virtual backend, for a classical solver and for an async run).
+    ``schedule`` is the engine's (:class:`StreamingSweep`), for every
+    refit and cold re-solve; the report's ``pipeline``, ``async`` and
+    ``tau`` keys record the schedule that ran (``Schedule.report``).
 
     ``checkpoint_path`` makes the replay crash-safe: after the initial
     fit and after every processed event, a ``kind="streaming-replay"``
@@ -1016,7 +1079,7 @@ def replay_schedule(
     knobs = dict(
         solver=solver, loss=loss, lam=lam, mu=mu, s=s, max_iter=max_iter,
         tol=tol, seed=seed, record_every=record_every, fast=fast,
-        pipeline=pipeline, async_=async_, tau=tau,
+        schedule=schedule,
     )
 
     def work(comm, rank):
@@ -1033,7 +1096,7 @@ def replay_schedule(
                     f"replay checkpoint is a {rck['task']!r} run; resume"
                     f" was called with task={task!r}"
                 )
-            applied = int(rck["events_applied"])
+            applied = rck["events_applied"]
             if applied > len(events):
                 raise CheckpointError(
                     f"replay checkpoint already applied {applied} events;"
@@ -1042,7 +1105,7 @@ def replay_schedule(
             engine = StreamingSweep.from_checkpoint(rck["engine"], comm=comm)
             lam_used = decode_lam(rck["lam_used"])
             entries = list(rck["entries"])
-            slept = float(rck.get("slept_seconds", 0.0))
+            slept = float(rck["slept_seconds"])
         else:
             engine = StreamingSweep(
                 A, b, task=task, comm=comm, max_rows=max_rows, **knobs
@@ -1162,7 +1225,7 @@ def replay_schedule(
             "task": task,
             "solver": engine.defaults["solver"],
             # the schedule the refits ran (see StreamingSweep.schedule)
-            **engine.schedule,
+            **engine.schedule.report(),
             "backend": backend,
             "ranks": 1 if backend == "virtual" else ranks,
             "virtual_p": virtual_p,
@@ -1189,5 +1252,5 @@ def replay_schedule(
     return launch(
         work, backend=backend, ranks=ranks, virtual_p=virtual_p,
         machine=machine, recover=recover, max_recoveries=max_recoveries,
-        nb_depth=ring_depth(async_, tau),
+        nb_depth=schedule.depth,
     )

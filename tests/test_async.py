@@ -1,7 +1,8 @@
 """Asynchronous bounded-staleness SA solvers: the convergence contract.
 
 The async mode's contract is deliberately *weaker* than the pipelined
-mode's bit-parity: with ``async_=True`` a rank steps on Gram/residual
+mode's bit-parity: on the async ring (``Schedule(ring=True, tau=tau)``,
+the SA solvers' ``async_=True``) a rank steps on Gram/residual
 reductions that are up to ``tau`` outer steps stale, so the iterates
 diverge from the synchronous path — what is guaranteed (and pinned
 here) is:
@@ -11,8 +12,9 @@ here) is:
   within the documented tolerance (``LASSO_RTOL`` relative objective
   error; ``SVM_GAP_FACTOR`` duality-gap factor at an equal iteration
   budget);
-* **tau = 0 degenerates exactly** — same op order as ``pipeline=True``,
-  hence bit-identical iterates and an identical cost snapshot;
+* **tau = 0 degenerates exactly** — the SA solvers' ``async_=True,
+  tau=0`` runs the same op order as their ``pipeline=True``, hence
+  bit-identical iterates and an identical cost snapshot;
 * **checkpoints keep working** — a run killed mid-async resumes to an
   objective within the same convergence tolerance (the staleness
   schedule differs after resume, so bit-parity is explicitly *not*
@@ -44,9 +46,11 @@ from repro.machine.spec import CRAY_XC30
 from repro.mpi.ops import SUM
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
+from repro.mpi.virtual_backend import VirtualComm
 from repro.path import lasso_path
-from repro.solvers.lasso import sa_acc_bcd
+from repro.solvers.lasso import sa_acc_bcd, sa_bcd
 from repro.solvers.objectives import lambda_max
+from repro.solvers.outer import Schedule
 from repro.solvers.svm import sa_dcd
 
 SEED = 5
@@ -60,13 +64,13 @@ SVM_GAP_FACTOR = 3.0
 
 TAUS = (1, 2, 4)
 BACKENDS = ("virtual", "thread", "process")
-#: (mode name, extra fit kwargs) — the full contract matrix
+#: (mode name, schedule) — the full contract matrix
 MODES = (
-    ("blocking", {}),
-    ("pipelined", {"pipeline": True}),
-    ("async-tau1", {"async_": True, "tau": 1}),
-    ("async-tau2", {"async_": True, "tau": 2}),
-    ("async-tau4", {"async_": True, "tau": 4}),
+    ("blocking", Schedule()),
+    ("pipelined", Schedule(ring=True)),
+    ("async-tau1", Schedule(ring=True, tau=1)),
+    ("async-tau2", Schedule(ring=True, tau=2)),
+    ("async-tau4", Schedule(ring=True, tau=4)),
 )
 
 
@@ -111,14 +115,14 @@ class TestConvergenceContract:
     """Every SA solver x backend x {blocking, pipelined, async tau in
     {1,2,4}} reaches the synchronous objective within tolerance."""
 
-    @pytest.mark.parametrize("mode,extra", MODES, ids=[m for m, _ in MODES])
+    @pytest.mark.parametrize("mode,schedule", MODES, ids=[m for m, _ in MODES])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("solver", ["sa-bcd", "sa-accbcd"])
     def test_lasso(self, lasso_problem, lasso_refs, solver, backend, mode,
-                   extra):
+                   schedule):
         A, b, lam = lasso_problem
         res = fit_lasso(A, b, lam, backend=backend, ranks=2,
-                        **_lasso_kwargs(solver), **extra)
+                        schedule=schedule, **_lasso_kwargs(solver))
         ref = lasso_refs[solver]
         rel = abs(res.final_metric - ref) / abs(ref)
         assert rel <= LASSO_RTOL, (
@@ -126,47 +130,49 @@ class TestConvergenceContract:
             f" {rel:.3g} relative from the synchronous reference {ref}"
             f" (documented tolerance {LASSO_RTOL})"
         )
-        if extra.get("async_"):
-            assert res.cost.max_staleness == extra["tau"]
-        else:
-            assert res.cost.max_staleness == 0
+        assert res.cost.max_staleness == schedule.tau
 
-    @pytest.mark.parametrize("mode,extra", MODES, ids=[m for m, _ in MODES])
+    @pytest.mark.parametrize("mode,schedule", MODES, ids=[m for m, _ in MODES])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_svm(self, svm_problem, svm_ref, backend, mode, extra):
+    def test_svm(self, svm_problem, svm_ref, backend, mode, schedule):
         X, y = svm_problem
-        res = fit_svm(X, y, backend=backend, ranks=2, **_svm_kwargs(),
-                      **extra)
+        res = fit_svm(X, y, backend=backend, ranks=2, schedule=schedule,
+                      **_svm_kwargs())
         assert res.final_metric <= SVM_GAP_FACTOR * svm_ref, (
             f"sa-svm/{backend}/{mode}: duality gap {res.final_metric}"
             f" exceeds {SVM_GAP_FACTOR}x the synchronous reference"
             f" {svm_ref}"
         )
-        if extra.get("async_"):
-            assert res.cost.max_staleness == extra["tau"]
+        if schedule.is_async:
+            assert res.cost.max_staleness == schedule.tau
 
     def test_async_extra_budget_beats_reference(self, svm_problem, svm_ref):
         """With 3x the budget, stale steps still make real progress."""
         X, y = svm_problem
         kw = _svm_kwargs()
         kw["max_iter"] *= 3
-        res = fit_svm(X, y, async_=True, tau=2, **kw)
+        res = fit_svm(X, y, schedule=Schedule(ring=True, tau=2), **kw)
         assert res.final_metric < svm_ref
 
 
 class TestTauZeroDegeneratesToPipelined:
-    """tau=0 reproduces the pipelined op order exactly: bit-identical
-    iterates AND an identical cost snapshot, for every SA solver."""
+    """The SA solvers' ``async_=True, tau=0`` reproduces their
+    ``pipeline=True`` op order exactly: bit-identical iterates AND an
+    identical cost snapshot, for every SA solver. (Above the solvers the
+    two are one value, ``Schedule(ring=True)``.)"""
 
     @pytest.mark.parametrize("solver", ["sa-bcd", "sa-accbcd"])
     def test_lasso(self, lasso_problem, solver):
         A, b, lam = lasso_problem
         kw = _lasso_kwargs(solver)
         kw["max_iter"] = 120
-        piped = fit_lasso(A, b, lam, pipeline=True, virtual_p=64,
-                          machine=CRAY_XC30, **kw)
-        tau0 = fit_lasso(A, b, lam, async_=True, tau=0, virtual_p=64,
-                         machine=CRAY_XC30, **kw)
+        fn = {"sa-bcd": sa_bcd, "sa-accbcd": sa_acc_bcd}[kw.pop("solver")]
+
+        def run(**mode):
+            return fn(A, b, lam, comm=VirtualComm(64, machine=CRAY_XC30),
+                      **mode, **kw)
+
+        piped, tau0 = run(pipeline=True), run(async_=True, tau=0)
         assert np.array_equal(piped.x, tau0.x)
         assert piped.cost == tau0.cost
         assert tau0.cost.max_staleness == 0
@@ -176,10 +182,13 @@ class TestTauZeroDegeneratesToPipelined:
         X, y = svm_problem
         kw = _svm_kwargs()
         kw["max_iter"] = 800
-        piped = fit_svm(X, y, pipeline=True, virtual_p=64,
-                        machine=CRAY_XC30, **kw)
-        tau0 = fit_svm(X, y, async_=True, tau=0, virtual_p=64,
-                       machine=CRAY_XC30, **kw)
+        del kw["solver"]
+
+        def run(**mode):
+            return sa_dcd(X, y, comm=VirtualComm(64, machine=CRAY_XC30),
+                          **mode, **kw)
+
+        piped, tau0 = run(pipeline=True), run(async_=True, tau=0)
         assert np.array_equal(piped.x, tau0.x)
         assert piped.cost == tau0.cost
 
@@ -207,7 +216,7 @@ class TestAsyncCheckpointResume:
     def test_lasso(self, lasso_problem, solver):
         A, b, lam = lasso_problem
         kw = _lasso_kwargs(solver)
-        kw.update(async_=True, tau=2)
+        kw.update(schedule=Schedule(ring=True, tau=2))
         full = fit_lasso(A, b, lam, **kw)
         sink = _CrashingSink(crash_at=100)
         with pytest.raises(InjectedFailure):
@@ -223,7 +232,7 @@ class TestAsyncCheckpointResume:
     def test_svm(self, svm_problem):
         X, y = svm_problem
         kw = _svm_kwargs()
-        kw.update(async_=True, tau=2)
+        kw.update(schedule=Schedule(ring=True, tau=2))
         full = fit_svm(X, y, **kw)
         sink = _CrashingSink(crash_at=800)
         with pytest.raises(InjectedFailure):
@@ -241,8 +250,8 @@ class TestAsyncCheckpointResume:
         ref = fit_lasso(A, b, lam, **kw)
         sink = _CrashingSink(crash_at=100)
         with pytest.raises(InjectedFailure):
-            fit_lasso(A, b, lam, async_=True, tau=2, checkpoint_every=20,
-                      checkpoint_sink=sink, **kw)
+            fit_lasso(A, b, lam, schedule=Schedule(ring=True, tau=2),
+                      checkpoint_every=20, checkpoint_sink=sink, **kw)
         resumed = fit_lasso(A, b, lam, resume_from=sink.payloads[-1], **kw)
         rel = abs(resumed.final_metric - ref.final_metric) / abs(
             ref.final_metric)
@@ -254,17 +263,17 @@ class TestLedgerInvariants:
     reconstructs the blocking bill and every counter is charged in
     full."""
 
-    def _run(self, lasso_problem, **extra):
+    def _run(self, lasso_problem, schedule=Schedule()):
         A, b, lam = lasso_problem
         kw = _lasso_kwargs("sa-bcd")
         kw["max_iter"] = 200
         return fit_lasso(A, b, lam, virtual_p=64, machine=CRAY_XC30,
-                         **kw, **extra)
+                         schedule=schedule, **kw)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_three_way_reconstruction(self, lasso_problem, tau):
         blocking = self._run(lasso_problem).cost
-        anc = self._run(lasso_problem, async_=True, tau=tau).cost
+        anc = self._run(lasso_problem, Schedule(ring=True, tau=tau)).cost
         # traffic is never discounted by staleness; flop counts are
         # data-dependent (the stale iterate path differs) but stay full
         assert anc.messages == blocking.messages
@@ -280,8 +289,8 @@ class TestLedgerInvariants:
         assert anc.max_staleness == tau
 
     def test_pipelined_keeps_two_way_split(self, lasso_problem):
-        """pipeline=True never touches the stale counters."""
-        piped = self._run(lasso_problem, pipeline=True).cost
+        """The pipelined ring never touches the stale counters."""
+        piped = self._run(lasso_problem, Schedule(ring=True)).cost
         blocking = self._run(lasso_problem).cost
         assert piped.stale_seconds == 0.0
         assert piped.max_staleness == 0
@@ -292,7 +301,7 @@ class TestLedgerInvariants:
         A, b, lam = lasso_problem
         path = lasso_path(A, b, [lam, 0.5 * lam], solver="sa-bcd", mu=2,
                           s=4, max_iter=80, tol=None, seed=SEED,
-                          async_=True, tau=2, virtual_p=64,
+                          schedule=Schedule(ring=True, tau=2), virtual_p=64,
                           machine=CRAY_XC30)
         total = path.total_cost
         assert total.max_staleness == 2
@@ -302,22 +311,25 @@ class TestLedgerInvariants:
 
 class TestValidation:
     def test_async_and_pipeline_are_mutually_exclusive(self, lasso_problem):
+        # only the SA solvers still take the two knobs
         A, b, lam = lasso_problem
         with pytest.raises(SolverError, match="mutually exclusive"):
-            fit_lasso(A, b, lam, solver="sa-bcd", mu=2, s=4, max_iter=8,
-                      pipeline=True, async_=True)
+            sa_bcd(A, b, lam, mu=2, s=4, max_iter=8, pipeline=True,
+                   async_=True)
 
     def test_negative_tau_rejected(self, lasso_problem):
         A, b, lam = lasso_problem
         with pytest.raises(SolverError, match="tau"):
+            sa_bcd(A, b, lam, mu=2, s=4, max_iter=8, async_=True, tau=-1)
+        with pytest.raises(SolverError, match="tau"):
             fit_lasso(A, b, lam, solver="sa-bcd", mu=2, s=4, max_iter=8,
-                      async_=True, tau=-1)
+                      schedule=Schedule(ring=True, tau=-1))
 
     def test_async_needs_sa_solver(self, lasso_problem):
         A, b, lam = lasso_problem
         with pytest.raises(SolverError, match="SA solver"):
             fit_lasso(A, b, lam, solver="bcd", mu=2, max_iter=8,
-                      async_=True)
+                      schedule=Schedule(ring=True, tau=1))
 
 
 class TestNbRingDepthRegression:

@@ -8,8 +8,10 @@ In practice resume is bit-exact; the tests pin ``<= 1e-9`` as the
 contract and ``array_equal`` where exactness is load-bearing.
 """
 
+import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.path import lasso_path, svm_path
 from repro.prox.penalties import ElasticNetPenalty, GroupLassoPenalty
+from repro.serve import TenantSpec, TraceEvent, serve_trace
+from repro.solvers.outer import Schedule
 from repro.streaming import STREAM_CHECKPOINT_VERSION, StreamingSweep, replay_schedule
 from repro.utils.io import (
     JSONText,
@@ -46,7 +50,7 @@ def _lasso_kwargs(solver, pipeline=False):
     kw = dict(solver=solver, mu=2, max_iter=24, tol=None, seed=SEED,
               record_every=4)
     if solver.startswith("sa-"):
-        kw.update(s=4, pipeline=pipeline)
+        kw.update(s=4, schedule=Schedule(ring=pipeline))
     return kw
 
 
@@ -54,7 +58,7 @@ def _svm_kwargs(solver, pipeline=False):
     kw = dict(solver=solver, loss="l2", lam=0.7, max_iter=40, tol=None,
               seed=SEED, record_every=8)
     if solver.startswith("sa-"):
-        kw.update(s=4, pipeline=pipeline)
+        kw.update(s=4, schedule=Schedule(ring=pipeline))
     return kw
 
 
@@ -148,7 +152,7 @@ class TestBackendPortability:
         full = fit_lasso(A, b, 0.3, solver="sa-bcd", max_iter=20, **kw)
         # blocking -> pipelined
         piped = fit_lasso(A, b, 0.3, solver="sa-bcd", max_iter=20,
-                          pipeline=True, resume_from=path, **kw)
+                          schedule=Schedule(ring=True), resume_from=path, **kw)
         assert np.max(np.abs(full.x - piped.x)) <= TOL9
         # sa-bcd checkpoint resumes the classical solver of the family
         classical = fit_lasso(A, b, 0.3, solver="bcd", mu=2, tol=None,
@@ -529,6 +533,93 @@ class TestStreamingResume:
         with pytest.raises(CheckpointError):  # shorter schedule than applied
             replay_schedule(A, b, [], task="lasso", mu=2, max_iter=10,
                             seed=0, resume_from=str(ck_path))
+
+
+#: every field a streaming checkpoint's resume reads, as a path into the
+#: engine payload, and the replay wrapper's own fields
+ENGINE_FIELDS = (
+    [(k,) for k in ("task", "max_rows", "defaults", "matrix", "b", "offsets",
+                    "arrivals", "next_arrival", "atb", "x_warm", "alpha_warm",
+                    "revisions")]
+    + [("defaults", k) for k in ("solver", "loss", "lam", "mu", "s",
+                                 "max_iter", "tol", "seed", "record_every",
+                                 "fast", "pipeline", "async_", "tau")]
+    + [("revisions", 0, k) for k in ("rev", "rows_total", "rows_added",
+                                     "rows_removed", "labels_changed",
+                                     "append_cost", "evict_cost",
+                                     "solve_costs")]
+)
+REPLAY_FIELDS = [(k,) for k in ("events_applied", "slept_seconds",
+                                "lam_used", "entries", "engine")]
+#: the resume path, the field's path from the top of its checkpoint
+FIELD_CASES = (
+    [("stream", f) for f in ENGINE_FIELDS]
+    + [("replay", ("engine",) + f) for f in ENGINE_FIELDS]
+    + [("replay", f) for f in REPLAY_FIELDS]
+    + [("serve", ("tenants", "a", "engine") + f) for f in ENGINE_FIELDS]
+)
+#: a value of the wrong type for each field ("z" for all others)
+MISTYPED = {"solver": "nope", "loss": 7}
+
+
+class TestStreamCheckpointFields:
+    """A streaming checkpoint with a field missing or of the wrong type
+    raises a CheckpointError naming the field, before the resume changes
+    any state, on each of the three paths that read one: the engine's
+    own resume, a replay's and a serve tenant's."""
+
+    KW = dict(task="lasso", mu=2, s=4, max_iter=12, tol=None, seed=SEED)
+
+    @pytest.fixture(scope="class")
+    def problem(self, tmp_path_factory):
+        rng = np.random.default_rng(6)
+        A, b = rng.standard_normal((48, 6)), rng.standard_normal(48)
+        batches = [(rng.standard_normal((4, 6)), rng.standard_normal(4))]
+        ck_dir = tmp_path_factory.mktemp("fields")
+        replay_schedule(A, b, batches, checkpoint_path=ck_dir / "replay.json",
+                        **self.KW)
+        spec = TenantSpec(name="a", A=A, b=b, m0=40,
+                          knobs=dict(s=4, mu=2, max_iter=12, tol=None))
+        trace = [TraceEvent(0.0, "a", op="append", rows=2)]
+        serve_trace([spec], trace, checkpoint_path=ck_dir / "serve.json")
+        replay = json.loads((ck_dir / "replay.json").read_text())
+        return {
+            "stream": (replay["engine"], lambda ck: StreamingSweep.from_checkpoint(ck)),
+            "replay": (replay, lambda ck: replay_schedule(
+                A, b, batches, resume_from=ck, **self.KW)),
+            "serve": (json.loads((ck_dir / "serve.json").read_text()),
+                      lambda ck: serve_trace([spec], trace, resume_from=ck)),
+        }
+
+    def test_cases_cover_every_written_field(self, problem):
+        engine, _ = problem["stream"]
+        replay, _ = problem["replay"]
+        written = ([(k,) for k in engine if k not in ("kind", "format_version")]
+                   + [("defaults", k) for k in engine["defaults"]]
+                   + [("revisions", 0, k) for k in engine["revisions"][0]])
+        assert sorted(written, key=str) == sorted(ENGINE_FIELDS, key=str)
+        assert sorted((k,) for k in replay) == sorted(
+            [(k,) for k in ("kind", "format_version", "task", "warm_start")]
+            + REPLAY_FIELDS)
+
+    @pytest.mark.parametrize("how", ["missing", "mistyped"])
+    @pytest.mark.parametrize(
+        "resume, field", FIELD_CASES,
+        ids=[f"{r}-{'.'.join(map(str, f))}" for r, f in FIELD_CASES])
+    def test_names_the_field(self, problem, resume, field, how):
+        payload, run = problem[resume]
+        ck = copy.deepcopy(payload)
+        block = ck
+        for key in field[:-1]:
+            block = block[key]
+        if how == "missing":
+            del block[field[-1]]
+        else:
+            block[field[-1]] = MISTYPED.get(field[-1], "z")
+        named = ".".join(repr(k) if isinstance(k, str) else str(k) for k in field)
+        pattern = ("has no field " if how == "missing" else "field ") + re.escape(named)
+        with pytest.raises(CheckpointError, match=pattern):
+            run(ck)
 
 
 class TestCliStream:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import make_classification, make_sparse_regression, save_libsvm
+from repro.solvers.outer import Schedule
 from repro.solvers.serialization import load_result
 from repro.streaming import replay_schedule
 
@@ -66,7 +67,8 @@ class TestLassoE2E:
                            task="lasso")
         api = run_lasso(ds, "sa-accbcd", mu=2, s=8, max_iter=64, lam=0.5,
                         record_every=16, backend=backend, ranks=RANKS,
-                        pipeline=True, P=1, machine=None, seed=0)
+                        schedule=Schedule(ring=True), P=1, machine=None,
+                        seed=0)
         assert np.allclose(saved.x, api.x, rtol=0, atol=0)
         assert saved.iterations == api.iterations
 
@@ -130,7 +132,8 @@ class TestSvmE2E:
                            task="svm")
         api = run_svm(ds, "sa-svm-l2", s=16, lam=0.5, max_iter=160,
                       record_every=40, backend=backend, ranks=RANKS,
-                      pipeline=True, P=1, machine=None, seed=0)
+                      schedule=Schedule(ring=True), P=1, machine=None,
+                      seed=0)
         assert np.allclose(saved.x, api.x, rtol=0, atol=0)
         assert saved.final_metric == pytest.approx(api.final_metric)
 
@@ -168,7 +171,8 @@ class TestStreamE2E:
             A[:m0], b[:m0],
             [(A[m0:m0 + 20], b[m0:m0 + 20]), (A[m0 + 20:], b[m0 + 20:])],
             task="lasso", lam=0.5, mu=2, s=8, max_iter=64, tol=1e-9,
-            record_every=10, pipeline=True, backend=backend, ranks=RANKS,
+            record_every=10, schedule=Schedule(ring=True), backend=backend,
+            ranks=RANKS,
         )
         for got, want in zip(report["revisions"], api["revisions"], strict=True):
             assert got["warm"]["iterations"] == want["warm"]["iterations"]

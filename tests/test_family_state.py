@@ -2,7 +2,8 @@
 
 Non-finite inputs are rejected at entry rather than blamed on the solver,
 a resumed classical solve records the iterate it returns, and the
-schedule checks and ring depth exist once (``repro.solvers.outer``).
+schedule checks and ring depth exist once (``repro.solvers.outer``, on
+its :class:`~repro.solvers.outer.Schedule` value).
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import SolverError
 from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
-from repro.solvers.outer import check_schedule, ring_depth
+from repro.solvers.outer import Schedule
 from repro.solvers.svm import sa_dcd
 
 HISTORY_COLUMNS = ("iterations", "metric", "seconds", "comm_seconds", "flops")
@@ -68,19 +69,62 @@ def test_resume_at_max_iter_records_the_returned_iterate(lasso_problem, solver):
     np.testing.assert_array_equal(resumed.x, whole.x)
 
 
+#: the ring each knob of the SA solvers names
+RINGS = {"pipeline": Schedule(ring=True), "async_": Schedule(ring=True, tau=1)}
+
+
 class TestScheduleChecks:
     def test_ring_depth(self):
-        assert ring_depth(False, 5) == NB_RING_DEPTH
-        assert ring_depth(True, 0) == NB_RING_DEPTH
-        assert ring_depth(True, 3) == 3 + NB_RING_DEPTH
+        assert Schedule().depth == NB_RING_DEPTH
+        assert Schedule(ring=True).depth == NB_RING_DEPTH
+        assert Schedule(ring=True, tau=3).depth == 3 + NB_RING_DEPTH
 
     @pytest.mark.parametrize("knob", ["pipeline", "async_"])
     def test_classical_solver_takes_neither_knob(self, knob):
-        kw = {"pipeline": knob == "pipeline", "async_": knob == "async_"}
-        with pytest.raises(SolverError, match=f"{knob}=True needs an SA solver"):
-            check_schedule(0, 1, sa=False, solver="bcd", **kw)
+        with pytest.raises(SolverError, match="ring.* needs an SA solver"):
+            RINGS[knob].check("bcd", sa=False, s=0)
+        assert RINGS[knob].knobs()[knob] is True
 
     def test_s_is_checked_for_sa_solvers_only(self):
-        check_schedule(0, 1, False, False, sa=False, solver="bcd")
+        Schedule().check("bcd", sa=False, s=0)
         with pytest.raises(SolverError, match="s must be >= 1"):
-            check_schedule(0, 1, False, False)
+            Schedule().check("sa-bcd", sa=True, s=0)
+        with pytest.raises(SolverError, match="s must be >= 1"):
+            sa_bcd(*make_sparse_regression(8, 4, seed=0)[:2], 0.1, s=0)
+
+
+class TestScheduleValue:
+    """Blocking, the pipelined ring and the async ring at tau >= 1 are
+    the only values; each round-trips through its flags."""
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule(), Schedule(ring=True), Schedule(ring=True, tau=2),
+    ], ids=str)
+    def test_flags_round_trip(self, schedule):
+        assert Schedule.from_flags(**schedule.flags()) == schedule
+        report = schedule.report()
+        assert Schedule.from_flags(report["pipeline"], report["async"],
+                                   report["tau"]) == schedule
+
+    def test_async_wins_and_tau_zero_is_the_pipelined_ring(self):
+        assert Schedule.from_flags(True, True, 2) == Schedule(ring=True, tau=2)
+        assert Schedule.from_flags(False, True, 0) == Schedule(ring=True)
+        # tau is read only with async_ on
+        assert Schedule.from_flags(True, False, 5) == Schedule(ring=True)
+
+    @pytest.mark.parametrize("kw", [
+        dict(tau=1), dict(ring=True, tau=-1), dict(ring=True, tau=1.0),
+        dict(ring=True, tau=True),
+    ], ids=["tau-without-ring", "negative", "float", "bool"])
+    def test_no_other_value(self, kw):
+        with pytest.raises(SolverError, match="tau"):
+            Schedule(**kw)
+        with pytest.raises(SolverError, match="tau must be >= 0"):
+            Schedule.from_flags(False, False, -1)
+
+    def test_sweeps_resolve_the_pipelined_ring_only(self):
+        ring, stale = Schedule(ring=True), Schedule(ring=True, tau=2)
+        assert ring.for_sweep("sa-svm", 2) == ring
+        assert ring.for_sweep("sa-svm", 1) == Schedule()
+        assert ring.for_sweep("svm", 2) == Schedule()
+        assert stale.for_sweep("sa-svm", 1) == stale

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import fit_lasso, lasso_path, svm_path
+from repro import Schedule, fit_lasso, lasso_path, svm_path
 from repro.datasets import make_sparse_regression
 from repro.errors import SolverError
 from repro.experiments.runner import load_scaled
@@ -350,6 +350,6 @@ class TestEigMemoThreading:
         grid = [0.8, 0.3]
         kw = dict(mu=2, s=8, max_iter=64, record_every=0, tol=None, seed=0)
         base = lasso_path(A, b, grid, **kw)
-        pip = lasso_path(A, b, grid, pipeline=True, **kw)
+        pip = lasso_path(A, b, grid, schedule=Schedule(ring=True), **kw)
         for rb, rp in zip(base.results, pip.results, strict=True):
             assert np.array_equal(rb.x, rp.x)

@@ -18,6 +18,7 @@ from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.lasso import sa_acc_bcd, sa_bcd
+from repro.solvers.outer import Schedule
 from repro.solvers.svm import sa_dcd
 
 LAM = 0.5
@@ -176,19 +177,19 @@ class TestApiKnob:
         base = fit_lasso(A, b, LAM, solver="sa-accbcd", mu=2, s=8, max_iter=40,
                          record_every=0)
         pip = fit_lasso(A, b, LAM, solver="sa-accbcd", mu=2, s=8, max_iter=40,
-                        record_every=0, pipeline=True)
+                        record_every=0, schedule=Schedule(ring=True))
         assert np.array_equal(base.x, pip.x)
 
     def test_fit_svm_pipeline(self, small_classification):
         A, b = small_classification
         base = fit_svm(A, b, solver="sa-svm", s=16, max_iter=80, record_every=0)
         pip = fit_svm(A, b, solver="sa-svm", s=16, max_iter=80, record_every=0,
-                      pipeline=True)
+                      schedule=Schedule(ring=True))
         assert np.array_equal(base.x, pip.x)
 
     def test_pipeline_rejected_for_non_sa(self, lasso_problem):
         A, b, _ = lasso_problem
         with pytest.raises(SolverError, match="pipeline"):
-            fit_lasso(A, b, LAM, solver="bcd", pipeline=True)
+            fit_lasso(A, b, LAM, solver="bcd", schedule=Schedule(ring=True))
         with pytest.raises(SolverError, match="pipeline"):
-            fit_svm(A, b, solver="svm", pipeline=True)
+            fit_svm(A, b, solver="svm", schedule=Schedule(ring=True))

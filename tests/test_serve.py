@@ -594,6 +594,46 @@ class TestCheckpointResume:
             assert outcomes(resumed) == outcomes(full)
             assert resumed["totals"]["recovered_requests"] >= 1
 
+    @pytest.mark.parametrize("max_faults", [1, 0],
+                             ids=["budget-left", "no-budget"])
+    def test_predict_in_flight_is_replayed_without_a_fault(self, tmp_path,
+                                                           max_faults):
+        """A predict changes no tenant state: the rank death that kills
+        it charges no fault, and the resume replays it at the head of the
+        queue, flagged recovered, even when the tenant has no fault budget
+        left (it would otherwise be quarantined and the predict failed)."""
+        specs = [_spec("a", seed=1), _spec("b", seed=2)]
+        trace = [TraceEvent(0.0, "a", op="append", rows=2),
+                 TraceEvent(0.0, "b", op="append", rows=2),
+                 TraceEvent(1.0, "a", op="predict", rows=4),
+                 TraceEvent(1.0, "b", op="predict", rows=4),
+                 TraceEvent(2.0, "a", op="append", rows=2)]
+        kw = dict(machine=CRAY_XC30, tenant_max_faults=max_faults)
+        full = serve_trace(specs, trace, **kw)
+        ck_path = tmp_path / "serve.ck.json"
+
+        class Killed(Exception):
+            pass
+
+        def kill(comm, tenant, dispatch_no, op):
+            if tenant == "a" and op == "predict":
+                raise Killed
+
+        with pytest.raises(Killed):
+            serve_trace(specs, trace, checkpoint_path=ck_path,
+                        fault_hook=kill, **kw)
+        assert json.loads(ck_path.read_text())["in_flight"] == {
+            "tenant": "a", "eidxs": [2]}
+        resumed = serve_trace(specs, trace, resume_from=ck_path, **kw)
+        assert [(t["faults"], t["state"], t["model_hash"])
+                for t in resumed["tenants"]] == [
+            (0, "active", t["model_hash"]) for t in full["tenants"]]
+        predict = resumed["requests"][2]
+        assert predict["outcome"] == "completed" and predict["recovered"]
+        assert predict["result_hash"] == full["requests"][2]["result_hash"]
+        assert resumed["requests"][4]["outcome"] == "completed"
+        assert resumed["totals"]["recovered_requests"] == 1
+
     def test_resume_rejects_older_nested_engine(self, tmp_path):
         # a serve checkpoint nests each tenant's streaming checkpoint,
         # whose own format_version gates the resume
@@ -746,8 +786,10 @@ class TestProcessRecovery:
         _assert_no_orphans()
 
         def die_hook(comm, tenant, dispatch_no, op):
+            # the first refit from dispatch 3 on (a predict in flight
+            # charges no fault)
             rctx = getattr(comm, "recovery", None)
-            if (dispatch_no == 3 and comm.rank == 1
+            if (dispatch_no >= 3 and op == "refit" and comm.rank == 1
                     and rctx is not None and rctx.recoveries == 0):
                 os._exit(13)
 

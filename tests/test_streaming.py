@@ -25,6 +25,7 @@ from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max, lasso_objective
+from repro.solvers.outer import Schedule
 from repro.streaming import StreamingSweep, replay_schedule
 
 LASSO_SOLVERS = ("bcd", "sa-bcd", "accbcd", "sa-accbcd")
@@ -342,7 +343,7 @@ def _lasso_equiv(comm, rank, solver, pipeline):
         kw.pop("s")
         pipeline = False
     eng = StreamingSweep(A, b, task="lasso", comm=comm, solver=solver,
-                         pipeline=pipeline, **kw)
+                         schedule=Schedule(ring=pipeline), **kw)
     lam = 0.05 * eng.lambda_max
     prev = eng.solve(lam=lam, warm_start=False)
     for B, y in batches:
@@ -355,7 +356,7 @@ def _lasso_equiv(comm, rank, solver, pipeline):
             A_eff, comm, partition=eng.dist.partition
         )
         cold = fit_lasso(cold_dist, b_eff, lam, solver=solver, comm=comm,
-                         x0=prev.x, pipeline=pipeline, **kw)
+                         x0=prev.x, schedule=Schedule(ring=pipeline), **kw)
         scale = max(float(np.max(np.abs(cold.x))), 1e-30)
         drift = float(np.max(np.abs(res.x - cold.x))) / scale
         assert drift <= 1e-9, (solver, drift)
@@ -370,7 +371,7 @@ def _svm_equiv(comm, rank, solver, pipeline):
         kw.pop("s")
         pipeline = False
     eng = StreamingSweep(A, b, task="svm", comm=comm, solver=solver,
-                         loss="l2", lam=0.5, pipeline=pipeline, **kw)
+                         loss="l2", lam=0.5, schedule=Schedule(ring=pipeline), **kw)
     prev = eng.solve(warm_start=False)
     for B, y in batches:
         eng.append(B, y)
@@ -381,7 +382,7 @@ def _svm_equiv(comm, rank, solver, pipeline):
         )
         alpha0 = np.concatenate([prev.extras["alpha"], np.zeros(B.shape[0])])
         cold = fit_svm(cold_dist, b_eff, loss="l2", lam=0.5, solver=solver,
-                       comm=comm, alpha0=alpha0, pipeline=pipeline, **kw)
+                       comm=comm, alpha0=alpha0, schedule=Schedule(ring=pipeline), **kw)
         scale = max(float(np.max(np.abs(cold.x))), 1e-30)
         drift = float(np.max(np.abs(res.x - cold.x))) / scale
         assert drift <= 1e-9, (solver, drift)

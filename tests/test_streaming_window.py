@@ -22,6 +22,7 @@ from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.objectives import lambda_max
+from repro.solvers.outer import Schedule
 from repro.streaming import StreamingSweep, replay_schedule
 
 LASSO_SOLVERS = ("bcd", "sa-bcd", "accbcd", "sa-accbcd")
@@ -432,7 +433,7 @@ def _interleaved_lasso(comm, rank, solver, pipeline):
         kw.pop("s")
         pipeline = False
     eng = StreamingSweep(A, b, task="lasso", comm=comm, solver=solver,
-                         pipeline=pipeline, max_rows=A.shape[0] + 20, **kw)
+                         schedule=Schedule(ring=pipeline), max_rows=A.shape[0] + 20, **kw)
     lam = 0.05 * eng.lambda_max
     eng.solve(lam=lam, warm_start=False)
     steps = [
@@ -452,7 +453,7 @@ def _interleaved_lasso(comm, rank, solver, pipeline):
             A_eff, comm, partition=eng.dist.partition
         )
         cold = fit_lasso(cold_dist, b_eff, lam, solver=solver, comm=comm,
-                         x0=x_warm, pipeline=pipeline, **kw)
+                         x0=x_warm, schedule=Schedule(ring=pipeline), **kw)
         scale = max(float(np.max(np.abs(cold.x))), 1e-30)
         drift = float(np.max(np.abs(res.x - cold.x))) / scale
         assert drift <= 1e-9, (solver, drift)
@@ -466,7 +467,7 @@ def _interleaved_svm(comm, rank, solver, pipeline):
         kw.pop("s")
         pipeline = False
     eng = StreamingSweep(A, b, task="svm", comm=comm, solver=solver,
-                         loss="l2", lam=0.5, pipeline=pipeline,
+                         loss="l2", lam=0.5, schedule=Schedule(ring=pipeline),
                          max_rows=A.shape[0] + 20, **kw)
     eng.solve(warm_start=False)
     steps = [
@@ -486,7 +487,7 @@ def _interleaved_svm(comm, rank, solver, pipeline):
             A_eff, comm, partition=eng.dist.partition
         )
         cold = fit_svm(cold_dist, b_eff, loss="l2", lam=0.5, solver=solver,
-                       comm=comm, alpha0=alpha0, pipeline=pipeline, **kw)
+                       comm=comm, alpha0=alpha0, schedule=Schedule(ring=pipeline), **kw)
         scale = max(float(np.max(np.abs(cold.x))), 1e-30)
         drift = float(np.max(np.abs(res.x - cold.x))) / scale
         assert drift <= 1e-9, (solver, drift)

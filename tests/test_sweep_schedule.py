@@ -2,11 +2,13 @@
 
 Every engine that runs a sequence of solves (``lasso_path``,
 ``svm_path``, ``StreamingSweep`` and through it ``replay_schedule`` and
-the serve tenants) runs each SA solve on the pipelined ``tau = 0`` ring
-by default. Pinned here:
+the serve tenants) runs each SA solve on the pipelined ring
+(``Schedule(ring=True)``) by default. Pinned here:
 
+* **one schedule value** — no entry point above the SA solvers takes
+  ``pipeline``, ``async_`` or ``tau``; each takes one ``schedule``;
 * **same answers, less waiting** — on 2 thread ranks the default run
-  equals its ``pipeline=False`` run bit for bit in every point's ``x``
+  equals its ``Schedule()`` run bit for bit in every point's ``x``
   (and ``alpha``), the recorded metrics, the iteration counts and the
   ``converged`` flags; messages and words are equal, and the modelled
   ``comm_seconds`` falls by exactly the ``comm_seconds_hidden`` the
@@ -17,33 +19,38 @@ by default. Pinned here:
   the default path posts every Gram reduction nonblocking, leaving only
   the ``lambda_max`` Allreduce and two record syncs per point blocking;
 * **the recorded schedule is the one that ran** — a classical solver
-  runs blocking without error, ``async_=True`` takes precedence over the
-  default ``pipeline=True`` without the mutual-exclusion error, and
-  ``PathResult.extras``, the replay report and the serve report say
+  runs blocking without error, ``--async`` takes precedence over a
+  sweep's default ``--pipeline`` without the mutual-exclusion error,
+  and ``PathResult.extras``, the replay report and the serve report say
   ``pipeline: false`` for both;
 * **one rank has nothing to overlap** — a sweep on a communicator that
   models one rank (every entry point's default ``virtual_p=1``, and so
-  the CV estimators) runs blocking, equal to ``pipeline=False`` in
-  every modelled cost, and records ``pipeline: false``;
+  the CV estimators) runs blocking, equal to ``Schedule()`` in every
+  modelled cost, and records ``pipeline: false``;
 * **single solves keep their checks** — ``fit_lasso(solver="bcd",
-  pipeline=True)`` still raises;
+  schedule=Schedule(ring=True))`` still raises;
 * **the CLI** — ``lasso-path``, ``stream`` and ``serve`` take
   ``--pipeline/--no-pipeline``, on by default, print the same
   objectives either way and name the schedule that ran; ``lasso`` and
-  ``svm`` keep ``--pipeline`` off;
+  ``svm`` keep ``--pipeline`` off and reject it with ``--async`` or a
+  classical solver;
 * **forked ranks** (``-m slow``) — on 2 process ranks the default
-  ``lasso_path`` runs the ring and equals ``pipeline=False`` bit for bit.
+  ``lasso_path`` runs the ring and equals ``Schedule()`` bit for bit.
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     SALassoCV,
     SASVMClassifierCV,
+    Schedule,
     StreamingSweep,
+    SweepContext,
     fit_lasso,
     lasso_path,
     svm_path,
@@ -51,11 +58,14 @@ from repro import (
 from repro.cli import build_parser, main
 from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import SolverError
+from repro.experiments.runner import run_lasso, run_svm
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.tracing import attach_tracer
 from repro.serve import TenantSpec, TraceEvent, serve_trace
-from repro.solvers.outer import sweep_schedule
+from repro.solvers import lasso as lasso_solvers
+from repro.solvers import svm as svm_solvers
+from repro.solvers.outer import run_sa
 from repro.streaming import replay_schedule
 
 SEED = 3
@@ -102,6 +112,36 @@ def _same_sweep(ring_results, blocking_results):
     assert sum(r.cost.comm_seconds_hidden for r in ring_results) > 0.0
 
 
+KNOBS = {"pipeline", "async_", "tau"}
+
+
+class TestOneScheduleValue:
+    def test_no_entry_point_above_the_sa_solvers_takes_the_knobs(self):
+        # every public callable but the value itself and the error type
+        entries = [getattr(repro, name) for name in repro.__all__]
+        entries = [fn for fn in entries if callable(fn)
+                   and fn not in (Schedule, repro.ReproError)]
+        entries += [run_lasso, run_svm, SweepContext.solve]
+        for fn in entries:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & KNOBS, (fn.__name__, params & KNOBS)
+        takes = {fn.__name__ for fn in entries
+                 if "schedule" in inspect.signature(fn).parameters}
+        assert takes == {
+            "fit_lasso", "fit_svm", "run_lasso", "run_svm", "lasso_path",
+            "svm_path", "solve", "StreamingSweep", "replay_schedule",
+            "SALasso", "SASVMClassifier",
+        }
+        assert "schedule" not in inspect.signature(SALassoCV).parameters
+        assert "schedule" not in inspect.signature(SASVMClassifierCV).parameters
+
+    def test_the_sa_solvers_keep_the_knobs(self):
+        for fn in (lasso_solvers.sa_bcd, lasso_solvers.sa_acc_bcd,
+                   svm_solvers.sa_dcd, run_sa):
+            params = set(inspect.signature(fn).parameters)
+            assert KNOBS <= params and "schedule" not in params, fn.__name__
+
+
 class TestSweepSchedule:
     @pytest.mark.parametrize("solver,pipeline,async_,cost_size,want", [
         ("sa-accbcd", True, False, 2, (True, False)),
@@ -117,7 +157,10 @@ class TestSweepSchedule:
         ("sa-bcd", True, True, 1, (False, True)),
     ])
     def test_resolution(self, solver, pipeline, async_, cost_size, want):
-        assert sweep_schedule(solver, pipeline, async_, cost_size) == want
+        # the flags as a sweep command reads them, --async winning
+        ran = Schedule.from_flags(pipeline, async_, 1).for_sweep(solver,
+                                                                 cost_size)
+        assert (ran.knobs()["pipeline"], ran.is_async) == want
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +170,7 @@ def _lasso_paths(comm, rank, A, b):
     kw = dict(n_lambdas=4, mu=2, s=4, max_iter=48, record_every=4, tol=1e-4,
               seed=SEED)
     ring = lasso_path(A, b, comm=comm, **kw)
-    blocking = lasso_path(A, b, comm=comm, pipeline=False, **kw)
+    blocking = lasso_path(A, b, comm=comm, schedule=Schedule(), **kw)
     return ring, blocking
 
 
@@ -136,18 +179,18 @@ def _svm_paths(comm, rank, A, b):
               seed=SEED)
     grid = [0.25, 1.0, 4.0]
     ring = svm_path(A, b, grid, comm=comm, **kw)
-    blocking = svm_path(A, b, grid, comm=comm, pipeline=False, **kw)
+    blocking = svm_path(A, b, grid, comm=comm, schedule=Schedule(), **kw)
     return ring, blocking
 
 
-def _stream(comm, rank, task, A, b, pipeline):
+def _stream(comm, rank, task, A, b, schedule):
     """A warm refit after every kind of mutation: two appends (the second
     overflows the window, an eviction), an explicit eviction and a
     relabel of the oldest rows."""
     m0 = 60
     sweep = StreamingSweep(
         A[:m0], b[:m0], task=task, comm=comm, max_rows=m0 + 10, mu=2, s=4,
-        max_iter=48, record_every=4, tol=1e-4, seed=SEED, pipeline=pipeline,
+        max_iter=48, record_every=4, tol=1e-4, seed=SEED, schedule=schedule,
     )
     results = [sweep.solve(warm_start=False)]
     sweep.append(A[m0:m0 + 8], b[m0:m0 + 8])
@@ -186,31 +229,32 @@ class TestSameAnswersLessWaiting:
     @pytest.mark.parametrize("task", ["lasso", "svm"])
     def test_streaming_sweep(self, task, regression, classification):
         A, b = regression if task == "lasso" else classification
-        ring = spmd_run(_stream, RANKS, args=(task, A, b, True),
+        ring = spmd_run(_stream, RANKS, args=(task, A, b, Schedule(ring=True)),
                         machine=CRAY_XC30)
-        blocking = spmd_run(_stream, RANKS, args=(task, A, b, False),
+        blocking = spmd_run(_stream, RANKS, args=(task, A, b, Schedule()),
                             machine=CRAY_XC30)
         for (r_res, r_sched), (b_res, b_sched) in zip(
                 ring.values, blocking.values, strict=True):
             _same_sweep(r_res, b_res)
-            assert r_sched == {"pipeline": True, "async": False, "tau": 1}
-            assert b_sched == {"pipeline": False, "async": False, "tau": 1}
+            assert r_sched.report() == {"pipeline": True, "async": False, "tau": 0}
+            assert b_sched.report() == {"pipeline": False, "async": False, "tau": 0}
 
 
 # ---------------------------------------------------------------------------
 # the reductions really are posted
 # ---------------------------------------------------------------------------
-def _traced_path(comm, rank, A, b, pipeline):
+def _traced_path(comm, rank, A, b, schedule):
     tracer = attach_tracer(comm)
     path = lasso_path(A, b, comm=comm, n_lambdas=4, mu=2, s=4, max_iter=48,
-                      tol=None, seed=SEED, pipeline=pipeline)
+                      tol=None, seed=SEED, schedule=schedule)
     return tracer.keys(), path.iterations
 
 
 class TestTrace:
     def test_default_path_posts_every_gram_reduction(self, regression):
-        ring = spmd_run(_traced_path, RANKS, args=(*regression, True))
-        blocking = spmd_run(_traced_path, RANKS, args=(*regression, False))
+        ring = spmd_run(_traced_path, RANKS,
+                        args=(*regression, Schedule(ring=True)))
+        blocking = spmd_run(_traced_path, RANKS, args=(*regression, Schedule()))
         for (keys, iters), (bkeys, _) in zip(ring.values, blocking.values,
                                              strict=True):
             steps = sum(-(-it // 4) for it in iters)
@@ -235,7 +279,7 @@ class TestClassicalAndAsync:
         kw = dict(n_lambdas=3, solver="bcd", mu=2, max_iter=20, tol=None,
                   seed=SEED, virtual_p=4, machine=CRAY_XC30)
         default = lasso_path(A, b, **kw)
-        blocking = lasso_path(A, b, pipeline=False, **kw)
+        blocking = lasso_path(A, b, schedule=Schedule(), **kw)
         assert default.extras["pipeline"] is False
         for r, ref in zip(default.results, blocking.results, strict=True):
             assert np.array_equal(r.x, ref.x)
@@ -251,11 +295,14 @@ class TestClassicalAndAsync:
     def test_async_takes_precedence(self, regression):
         A, b = regression
         kw = dict(n_lambdas=3, mu=2, s=4, max_iter=24, tol=None, seed=SEED,
-                  async_=True, tau=1, virtual_p=4, machine=CRAY_XC30)
-        default = lasso_path(A, b, **kw)
-        explicit = lasso_path(A, b, pipeline=False, **kw)
+                  virtual_p=4, machine=CRAY_XC30)
+        # a sweep command's --async over its default --pipeline
+        default = lasso_path(A, b, schedule=Schedule.from_flags(True, True, 1),
+                             **kw)
+        explicit = lasso_path(A, b, schedule=Schedule(ring=True, tau=1), **kw)
         assert default.extras["pipeline"] is False
         assert default.extras["async"] is True
+        assert default.extras["tau"] == 1
         for r, ref in zip(default.results, explicit.results, strict=True):
             assert np.array_equal(r.x, ref.x)
             assert r.cost == ref.cost
@@ -264,8 +311,10 @@ class TestClassicalAndAsync:
     def test_async_stream(self, classification):
         A, b = classification
         sweep = StreamingSweep(A[:80], b[:80], task="svm", s=4, max_iter=32,
-                               tol=None, async_=True, tau=2)
-        assert sweep.schedule == {"pipeline": False, "async": True, "tau": 2}
+                               tol=None, schedule=Schedule(ring=True, tau=2))
+        assert sweep.schedule == Schedule(ring=True, tau=2)
+        assert sweep.schedule.report() == {"pipeline": False, "async": True,
+                                           "tau": 2}
         sweep.solve()
         sweep.append(A[80:90], b[80:90])
         assert sweep.solve().cost.max_staleness == 2
@@ -276,11 +325,11 @@ class TestClassicalAndAsync:
         kw = dict(mu=2, s=4, max_iter=24, tol=None, seed=SEED, virtual_p=4,
                   machine=CRAY_XC30)
         ring = replay_schedule(A[:80], b[:80], events, **kw)
-        blocking = replay_schedule(A[:80], b[:80], events, pipeline=False,
-                                   **kw)
+        blocking = replay_schedule(A[:80], b[:80], events,
+                                   schedule=Schedule(), **kw)
         classical = replay_schedule(A[:80], b[:80], events, solver="bcd",
                                     **kw)
-        assert (ring["pipeline"], ring["async"], ring["tau"]) == (True, False, 1)
+        assert (ring["pipeline"], ring["async"], ring["tau"]) == (True, False, 0)
         assert blocking["pipeline"] is False and classical["pipeline"] is False
         for e, ref in zip(ring["revisions"], blocking["revisions"],
                           strict=True):
@@ -294,7 +343,7 @@ class TestClassicalAndAsync:
                              ("async", "sa-accbcd")):
             knobs = dict(solver=solver, mu=2, s=4, max_iter=24, tol=None)
             if name == "async":
-                knobs.update(async_=True, tau=1)
+                knobs.update(schedule=Schedule(ring=True, tau=1))
             specs.append(TenantSpec(
                 name=name, A=rng.standard_normal((30, 8)),
                 b=rng.standard_normal(30), m0=20, knobs=knobs))
@@ -312,8 +361,8 @@ class TestClassicalAndAsync:
 
     def test_single_solve_keeps_its_checks(self, regression):
         A, b = regression
-        with pytest.raises(SolverError, match="pipeline=True needs an SA"):
-            fit_lasso(A, b, 0.1, solver="bcd", pipeline=True)
+        with pytest.raises(SolverError, match="pipelined ring needs an SA"):
+            fit_lasso(A, b, 0.1, solver="bcd", schedule=Schedule(ring=True))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +381,15 @@ class TestOneRank:
         kw = dict(mu=2, s=4, max_iter=48, record_every=4, tol=1e-4, seed=SEED,
                   machine=CRAY_XC30)
         default = lasso_path(*regression, n_lambdas=4, **kw)
-        blocking = lasso_path(*regression, n_lambdas=4, pipeline=False, **kw)
+        blocking = lasso_path(*regression, n_lambdas=4, schedule=Schedule(),
+                              **kw)
         assert default.extras["pipeline"] is False
         _same_costs(default.results, blocking.results)
         kw = dict(s=4, max_iter=64, record_every=8, tol=1e-3, seed=SEED,
                   machine=CRAY_XC30)
         default = svm_path(*classification, [0.5, 2.0], **kw)
-        blocking = svm_path(*classification, [0.5, 2.0], pipeline=False, **kw)
+        blocking = svm_path(*classification, [0.5, 2.0], schedule=Schedule(),
+                            **kw)
         assert default.extras["pipeline"] is False
         _same_costs(default.results, blocking.results)
 
@@ -346,8 +397,8 @@ class TestOneRank:
         A, b = regression
         kw = dict(mu=2, s=4, max_iter=48, record_every=4, tol=1e-4, seed=SEED)
         default = StreamingSweep(A[:80], b[:80], **kw)
-        blocking = StreamingSweep(A[:80], b[:80], pipeline=False, **kw)
-        assert default.schedule == {"pipeline": False, "async": False, "tau": 1}
+        blocking = StreamingSweep(A[:80], b[:80], schedule=Schedule(), **kw)
+        assert default.schedule == Schedule()
         results = []
         for sweep in (default, blocking):
             first = sweep.solve()
@@ -355,22 +406,22 @@ class TestOneRank:
             results.append([first, sweep.solve()])
         _same_costs(*results)
         # a wider modelled world has reductions to overlap
-        assert StreamingSweep(A[:80], b[:80], virtual_p=4, **kw).schedule[
-            "pipeline"] is True
+        assert StreamingSweep(A[:80], b[:80], virtual_p=4,
+                              **kw).schedule == Schedule(ring=True)
 
     def test_cv_estimators_equal_blocking(self, regression, classification):
+        # the CV estimators take no schedule: their paths run on one
+        # virtual rank, where the sweep rule runs every solve blocking
+        blocking = Schedule().report()
         kw = dict(n_lambdas=4, cv=3, mu=2, s=4, max_iter=48, tol=1e-4,
                   seed=SEED)
-        default = SALassoCV(**kw).fit(*regression)
-        blocking = SALassoCV(pipeline=False, **kw).fit(*regression)
-        assert default.lambda_ == blocking.lambda_
-        assert default.path_.extras["pipeline"] is False
-        _same_costs(default.path_.results, blocking.path_.results)
+        lasso = SALassoCV(**kw).fit(*regression)
         kw = dict(n_lambdas=3, cv=3, s=4, max_iter=64, tol=1e-3, seed=SEED)
-        default = SASVMClassifierCV(**kw).fit(*classification)
-        blocking = SASVMClassifierCV(pipeline=False, **kw).fit(*classification)
-        assert default.lambda_ == blocking.lambda_
-        _same_costs(default.path_.results, blocking.path_.results)
+        svm = SASVMClassifierCV(**kw).fit(*classification)
+        for est in (lasso, svm):
+            assert {k: est.path_.extras[k] for k in blocking} == blocking
+            assert all(r.cost.comm_seconds_hidden == 0.0
+                       for r in est.path_.results)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +497,24 @@ class TestCli:
         assert ring["comm_seconds"] + ring["comm_seconds_hidden"] == (
             pytest.approx(blocking["comm_seconds"], rel=1e-12))
 
+    @pytest.mark.parametrize("flags", [
+        ["--pipeline", "--async"], ["--solver", "bcd", "--pipeline"],
+        ["--async", "--tau", "-1"],
+    ], ids=["pipeline-and-async", "classical-ring", "negative-tau"])
+    def test_single_solve_rejects_a_ring_it_cannot_run(self, flags, capsys):
+        argv = ["lasso", "--dataset", "covtype", "--cells", "3000",
+                "--max-iter", "8"]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_prints_the_async_ring(self, capsys):
+        # --async wins over the sweep's default --pipeline
+        argv = ["lasso-path", "--dataset", "news20", "--cells", "6000",
+                "--n-lambdas", "2", "--mu", "2", "--s", "4", "--max-iter",
+                "16", "--p", "4", "--async", "--tau", "2"]
+        assert main(argv) == 0
+        assert "schedule: async ring (tau=2)" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # forked ranks
@@ -455,7 +524,7 @@ def test_process_path_equals_blocking(regression):
     kw = dict(n_lambdas=4, mu=2, s=4, max_iter=48, record_every=4, tol=1e-4,
               seed=SEED, machine=CRAY_XC30, backend="process", ranks=RANKS)
     ring = lasso_path(*regression, **kw)
-    blocking = lasso_path(*regression, pipeline=False, **kw)
+    blocking = lasso_path(*regression, schedule=Schedule(), **kw)
     assert ring.extras["pipeline"] is True
     assert blocking.extras["pipeline"] is False
     _same_sweep(ring.results, blocking.results)
