@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tol", type=float, default=1e-8)
     serve.add_argument("--checkpoint", metavar="PATH",
                        help="write a resumable serve-engine checkpoint "
-                            "here (atomically, after every dispatch)")
+                            "here (atomically, after setup, before every "
+                            "dispatch and at the end)")
     serve.add_argument("--resume", metavar="PATH",
                        help="continue a killed serving run from a "
                             "--checkpoint file (same data/trace/knobs)")

@@ -33,13 +33,24 @@ sweep runs several times faster than independent cold solves
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro._api import fit_lasso, fit_svm
-from repro.checkpoint import emit_solver_checkpoint, read_checkpoint_json, state_vector
+from repro.checkpoint import (
+    check_fields,
+    emit_solver_checkpoint,
+    fields,
+    is_int,
+    is_num,
+    is_obj,
+    list_of,
+    read_checkpoint_json,
+    state_vector,
+)
 from repro.errors import CheckpointError, SolverError
 from repro.launch import check_launch, launch, recovery_counters, recovery_knobs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
@@ -130,11 +141,27 @@ def _emit_path_checkpoint(sink, rank, task, lams, results, warm,
     emit_solver_checkpoint(payload, sink, rank)
 
 
+#: (field, what it must be, check) for each field of a path checkpoint
+#: that :func:`_load_path_checkpoint` reads, bar the warm start
+_PATH_FIELDS = fields(
+    ("a list of numbers", list_of(is_num), "lambdas"),
+    ("an integer", is_int, "completed"),
+    ("an object", is_obj, "params"),
+    ("a list of objects", list_of(is_obj), "results"),
+)
+
+
 def _load_path_checkpoint(source, task, lams, params, warm_len) -> tuple:
-    """Validate + unpack a path checkpoint: (grid, results, warm)."""
+    """Validate + unpack a path checkpoint: (grid, results, warm). A
+    field that is missing or of the wrong type raises
+    :class:`CheckpointError` naming the file and the field, before any
+    point runs."""
     kind, _, warm_key, _ = _PATH_TASK[task]
-    ck = (source if isinstance(source, dict)
-          else read_checkpoint_json(source, "path checkpoint"))
+    if isinstance(source, dict):
+        ck, where = source, "path checkpoint"
+    else:
+        ck = read_checkpoint_json(source, "path checkpoint")
+        where = f"path checkpoint {os.fspath(source)!r}"
     if ck.get("kind") != kind:
         raise CheckpointError(f"resume_from is not a {kind} checkpoint")
     if ck.get("format_version") != PATH_CHECKPOINT_VERSION:
@@ -142,13 +169,12 @@ def _load_path_checkpoint(source, task, lams, params, warm_len) -> tuple:
             f"unsupported path checkpoint format_version"
             f" {ck.get('format_version')!r}"
         )
+    check_fields(ck, _PATH_FIELDS, where)
+    if ck["completed"] > 0:
+        check_fields(ck, fields(("a list of numbers", list_of(is_num), warm_key)),
+                     where)
     want = np.asarray(lams, dtype=np.float64)
-    try:
-        got = np.asarray(ck.get("lambdas", []), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"path checkpoint lambdas are not numeric: {exc}"
-        ) from exc
+    got = np.asarray(ck["lambdas"], dtype=np.float64)
     # a default grid scales lambda_max, an Allreduce whose summation
     # order follows the rank count: equal grids agree to rounding only
     if got.shape != want.shape or not np.allclose(got, want, rtol=1e-12,
@@ -156,20 +182,15 @@ def _load_path_checkpoint(source, task, lams, params, warm_len) -> tuple:
         raise CheckpointError(
             "path checkpoint was written for a different lambda grid"
         )
-    have = ck.get("params")
-    if not isinstance(have, dict):
-        raise CheckpointError("path checkpoint params are not an object")
+    have = ck["params"]
     for key, val in params.items():
         if have.get(key) != val:
             raise CheckpointError(
                 f"path checkpoint parameter mismatch: {key}="
                 f"{have.get(key)!r} vs {val!r}"
             )
-    completed = ck.get("completed", 0)
-    res_dicts = ck.get("results", [])
-    if not isinstance(res_dicts, list):
-        raise CheckpointError("path checkpoint results are not a list")
-    if not isinstance(completed, int) or completed != len(res_dicts):
+    completed, res_dicts = ck["completed"], ck["results"]
+    if completed != len(res_dicts):
         raise CheckpointError("path checkpoint completed/results disagree")
     if completed > want.size:
         raise CheckpointError("path checkpoint has more points than the grid")

@@ -33,14 +33,21 @@ The robustness contract, per tenant:
   during one tenant's refit likewise rolls back only that tenant.
 
 Durability: with ``checkpoint_path`` set, rank 0 rewrites one compact
-JSON file (:func:`~repro.utils.io.atomic_write_json`) after setup and
-before and after every dispatch. Each write encodes only what changed
-since the previous one: every request record, tenant model and
-committed sweep state keeps its encoded JSON text, and a record or
-model is encoded again only once its content has changed. A commit
-encodes its one tenant's state, and the window's CSR arrays and labels
-go through the tenant's :class:`~repro.utils.io.TailEncoder`, so rows
-appended since the last commit are all of the window that is encoded.
+JSON file (:func:`~repro.utils.io.atomic_write_json`) after setup,
+before every dispatch and once the trace is done: one write per
+dispatch. Each dispatch's outcome rides the next write, which records
+all a write right after the dispatch would; a crash before it lands
+leaves the dispatch's own pre-dispatch file, whose resume replays the
+batch and charges its tenant one fault (a predict charges none). Under
+``recover="checkpoint"`` rank 0 ships the supervisor the same payloads.
+Each write encodes only what changed since the previous one: every
+request record, tenant model and committed sweep state keeps its
+encoded JSON text, and a record or model is encoded again only once its
+content has changed. A commit encodes its one tenant's state: the
+window's CSR arrays and labels go through the tenant's
+:class:`~repro.utils.io.TailEncoder`, so rows appended since the last
+commit are all of the window that is encoded, and of the revision
+history only the entries closed since then and the open last one.
 
 Determinism: everything the engine branches on (clock, queue state,
 deadlines, fault counters) is replicated across ranks, and per-rank
@@ -162,7 +169,7 @@ class _Tenant:
         self.lam_used = None
         self.last_good = None
         self.tails = {key: TailEncoder()
-                      for key in _TAIL_LISTS + _CSR_TAIL_LISTS}
+                      for key in _TAIL_LISTS + _CSR_TAIL_LISTS + ("revisions",)}
         self.model_text = None
         self.setup_cost = report_total([])
         self.serve_cost = report_total([])
@@ -184,18 +191,31 @@ class _Tenant:
     def encode_state(self, state: dict) -> str:
         """``compact_json(state)``, with the window's CSR arrays and labels
         through this tenant's tail encoders, so a commit that only
-        appended rows encodes just those rows of the window."""
+        appended rows encodes just those rows of the window, and the
+        revision history through :meth:`encode_revisions`."""
         def tailed(block: dict, keys) -> dict:
             return {key: JSONText(value, self.tails[key].encode)
                     if key in keys and isinstance(value, list) else value
                     for key, value in block.items()}
 
         view = tailed(state, _TAIL_LISTS)
+        view["revisions"] = JSONText(state["revisions"], self.encode_revisions)
         matrix = state["matrix"]
         if "csr" in matrix:
             view["matrix"] = dict(matrix,
                                   csr=tailed(matrix["csr"], _CSR_TAIL_LISTS))
         return compact_json(view)
+
+    def encode_revisions(self, revisions: list) -> str:
+        """``compact_json(revisions)``. A sweep checkpoint shares its
+        entries of the revisions before the last, which can no longer
+        change, with the sweep's later checkpoints, so the tail encoder
+        encodes only those closed since the last commit; the open last
+        entry is encoded afresh."""
+        if len(revisions) < 2:
+            return compact_json(revisions)
+        closed = self.tails["revisions"].encode(revisions[:-1])
+        return f"{closed[:-1]},{compact_json(revisions[-1])}]"
 
     def model_json(self) -> JSONText | None:
         """The model's text for the checkpoint file, encoded again only
@@ -719,7 +739,8 @@ class _Engine:
             self.requests[eidx]["dispatched_at"] = float(self.clock)
             self.requests[eidx]["coalesced"] = len(live)
         # ship the pre-dispatch state so a rank death mid-refit resumes
-        # from exactly here and replays this batch deterministically
+        # from exactly here and replays this batch deterministically; the
+        # same write records the previous dispatch's outcome
         self._emit_ck({"tenant": name, "eidxs": list(live)})
         try:
             if self.fault_hook is not None:
@@ -732,7 +753,6 @@ class _Engine:
                 res, dt_local, pos, rev_before = self._execute_batch(ten, live)
         except SolverError as exc:
             self._fault(ten, live, "failed", exc)
-            self._emit_ck(None)
             return
         except CommTimeoutError as exc:
             if self.comm.size > 1:
@@ -740,7 +760,6 @@ class _Engine:
                 # supervised pool (recover="checkpoint") owns recovery
                 raise
             self._fault(ten, live, "timed_out", exc)
-            self._emit_ck(None)
             return
         # fold per-rank cost asymmetry before it can touch control flow
         with self.comm.ledger.paused():
@@ -766,7 +785,6 @@ class _Engine:
                     deadline=r["deadline"], latency=self.clock - r["t"],
                 )
                 self._resolve(eidx, "timed_out", error=err)
-            self._emit_ck(None)
             return
         if not is_predict:
             self._commit(ten, res, pos, rev_before)
@@ -781,7 +799,6 @@ class _Engine:
                 deadline=r["deadline"] or 0.0, latency=self.clock - r["t"],
             )
             self._resolve(eidx, "timed_out", error=err)
-        self._emit_ck(None)
 
     def run_loop(self) -> None:
         trace = self.trace
@@ -797,6 +814,7 @@ class _Engine:
                     continue
                 break
             self._dispatch_one()
+        # the one write that records the last dispatch's outcome
         self._emit_ck(None)
 
     # -- report --------------------------------------------------------------

@@ -218,6 +218,20 @@ class DataRevision:
         return sum(self.solve_costs, CostSnapshot.zero())
 
 
+def _revision_entry(r: DataRevision) -> dict:
+    """One revision's entry in :meth:`StreamingSweep.checkpoint`."""
+    return {
+        "rev": int(r.rev),
+        "rows_total": int(r.rows_total),
+        "rows_added": int(r.rows_added),
+        "rows_removed": int(r.rows_removed),
+        "labels_changed": int(r.labels_changed),
+        "append_cost": r.append_cost.to_dict(),
+        "evict_cost": r.evict_cost.to_dict(),
+        "solve_costs": [c.to_dict() for c in r.solve_costs],
+    }
+
+
 def _check_svm_labels(y: np.ndarray) -> None:
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise SolverError("SVM labels must be in {-1, +1}")
@@ -366,6 +380,10 @@ class StreamingSweep:
         self.revisions: list[DataRevision] = [
             DataRevision(0, m, m, append_cost=self.comm.ledger.snapshot())
         ]
+        #: the checkpoint entries of the revisions before the last, which
+        #: can no longer change (a solve banks against the last): each is
+        #: built once and shared by every later checkpoint
+        self._closed_entries: list[dict] = []
 
     # -- state ---------------------------------------------------------------
     @property
@@ -447,7 +465,8 @@ class StreamingSweep:
         ("a list of integers", list_of(is_int), "offsets"),
         ("an integer", is_int, "next_arrival"),
         ("null or a list of numbers", or_null(list_of(is_num)), "x_warm", "alpha_warm"),
-        ("a list of objects", list_of(is_obj), "revisions"),
+        ("a non-empty list of objects", lambda v: list_of(is_obj)(v) and len(v) > 0,
+         "revisions"),
     )
     _TASK_FIELDS = {
         "lasso": fields(("one list of integers per rank", list_of(list_of(is_int)),
@@ -487,8 +506,14 @@ class StreamingSweep:
         ``sink`` follows the solver-checkpoint convention: a callable is
         invoked on every rank with the payload; a path is written
         atomically by rank 0 only.
+
+        Every ``revisions`` entry but the last is the very object earlier
+        checkpoints of this engine carried, so a payload is read-only:
+        copy it before editing.
         """
         A_eff, b_eff = self.materialize()
+        closed = self._closed_entries
+        closed += map(_revision_entry, self.revisions[len(closed):-1])
         payload = {
             "format_version": STREAM_CHECKPOINT_VERSION,
             "kind": "streaming",
@@ -512,19 +537,7 @@ class StreamingSweep:
             "alpha_warm": (
                 None if self._alpha_warm is None else self._alpha_warm.tolist()
             ),
-            "revisions": [
-                {
-                    "rev": int(r.rev),
-                    "rows_total": int(r.rows_total),
-                    "rows_added": int(r.rows_added),
-                    "rows_removed": int(r.rows_removed),
-                    "labels_changed": int(r.labels_changed),
-                    "append_cost": r.append_cost.to_dict(),
-                    "evict_cost": r.evict_cost.to_dict(),
-                    "solve_costs": [c.to_dict() for c in r.solve_costs],
-                }
-                for r in self.revisions
-            ],
+            "revisions": closed + [_revision_entry(self.revisions[-1])],
         }
         emit_solver_checkpoint(payload, sink, self.comm.rank)
         return payload

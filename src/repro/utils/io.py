@@ -14,13 +14,15 @@ verbatim, so a writer that rewrites a large unchanged sub-object (a
 serve checkpoint's per-tenant sweep states) does not encode it again;
 :func:`atomic_write_json` writes the spliced fragments one by one
 rather than joining them first. A :class:`TailEncoder` encodes a list
-that grows at its end (a window matrix's CSR arrays) by encoding only
-what was appended since its last call.
+that grows at its end (a window matrix's CSR arrays, or a sweep's
+closed revision entries) by encoding only what was appended since its
+last call.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from array import array
@@ -78,15 +80,17 @@ class TailEncoder:
     """The compact JSON text of one list, re-encoding only its new tail.
 
     :meth:`encode` returns ``compact_json(values)``. When the list it
-    encoded last is a bitwise prefix of ``values`` (every element of
-    the same exact type, floats with the same bits), it encodes only
-    the appended tail and extends the previous text; otherwise (a
-    truncated, edited or reordered list, or one that mixes element
-    types) it encodes the whole list again. The list last encoded is
-    held, not copied, so it must not be mutated afterwards. The bitwise
-    check (a type scan and an ``array`` pack) runs only when ``values``
-    holds the old list's last element at the same index, so a list
-    whose old part moved (a sliding window) costs only its encode.
+    encoded last is a prefix of ``values``, it encodes only the appended
+    tail and extends the previous text; otherwise (a truncated, edited
+    or reordered list, or one that mixes element types) it encodes the
+    whole list again. In a list of floats or of ints the prefix must
+    match bit for bit (every element of the same exact type, floats
+    with the same bits); in any other list it must hold the very same
+    objects. The list last encoded, and its elements, are held, not
+    copied, so they must not be mutated afterwards. The prefix check (a
+    type scan and an ``array`` pack, or an identity scan) runs only when
+    ``values`` holds the old list's last element at the same index, so a
+    list whose old part moved (a sliding window) costs only its encode.
     """
 
     __slots__ = ("_text", "_last", "_code", "_bits")
@@ -99,16 +103,20 @@ class TailEncoder:
         self._code = self._bits = None
 
     def encode(self, values: list) -> str:
-        last, code, bits = self._last, None, None
+        last, code, bits, same = self._last, None, None, False
         n = 0 if last is None else len(last)
-        if 0 < n <= len(values) and values[n - 1] == last[-1]:
-            code = _TYPECODES.get(type(values[0])) if values else None
-            if code is not None:
+        if 0 < n <= len(values):
+            code = _TYPECODES.get(type(values[0]))
+            if code is None:
+                same = (values[n - 1] is last[-1]
+                        and all(map(operator.is_, values, last)))
+            elif values[n - 1] == last[-1]:
                 if self._code != code:
                     self._code, self._bits = code, _packed(last, code)
                 bits = _packed(values, code)
-        if (bits is not None and self._bits is not None
-                and bits.startswith(self._bits)):
+                same = (bits is not None and self._bits is not None
+                        and bits.startswith(self._bits))
+        if same:
             if len(values) > n:
                 self._text = self._text[:-1] + "," + compact_json(values[n:])[1:]
         else:

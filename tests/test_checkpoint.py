@@ -375,6 +375,46 @@ class TestPathResume:
         with pytest.raises(CheckpointError):
             sweep(A, b, resume_from=str(path), **kw)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("'completed'", lambda ck, warm: ck.pop("completed")),
+        ("'completed'",
+         lambda ck, warm: [ck.pop(k) for k in ("completed", "results")]),
+        ("'completed'", lambda ck, warm: ck.update(completed=True)),
+        ("'completed'", lambda ck, warm: ck.update(completed=2.0)),
+        ("'results'", lambda ck, warm: ck.pop("results")),
+        ("'results'", lambda ck, warm: ck.update(results=[1, 2])),
+        ("'lambdas'", lambda ck, warm: ck.pop("lambdas")),
+        ("'lambdas'", lambda ck, warm: ck.update(lambdas=["a", "b", "c"])),
+        ("'params'", lambda ck, warm: ck.pop("params")),
+        ("'params'", lambda ck, warm: ck.update(params=[1, 2])),
+        ("WARM", lambda ck, warm: ck.pop(warm)),
+        ("WARM", lambda ck, warm: ck.update({warm: None})),
+    ], ids=["no-completed", "no-completed-or-results", "completed-bool",
+            "completed-float", "no-results", "results-not-objects",
+            "no-lambdas", "lambdas-not-numbers", "no-params",
+            "params-not-object", "no-warm", "warm-null"])
+    @pytest.mark.parametrize("task", ["lasso", "svm"])
+    def test_resume_names_malformed_field(self, task, field, edit, request,
+                                          tmp_path):
+        """A field missing or of the wrong type raises a CheckpointError
+        naming the file and the field before any point runs; a checkpoint
+        without ``completed`` and ``results`` once re-solved every point."""
+        sweep, A, b = _path_case(task, request)
+        kw = dict(n_lambdas=3, max_iter=8, tol=None, seed=SEED,
+                  **PATH_CLASSICAL[task])
+        captured = []
+        sweep(A, b, checkpoint_every=1, checkpoint_sink=captured.append, **kw)
+        ck = copy.deepcopy(captured[-1])
+        assert ck["completed"] == 2
+        warm = "x_warm" if task == "lasso" else "alpha_warm"
+        edit(ck, warm)
+        path = tmp_path / "bad.json"
+        atomic_write_json(str(path), ck)
+        field = repr(warm) if field == "WARM" else field
+        with pytest.raises(CheckpointError,
+                           match=f"bad.json.*{re.escape(field)}"):
+            sweep(A, b, resume_from=str(path), **kw)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("task", ["lasso", "svm"])
     def test_process_checkpoint_resumes_on_virtual_backend(self, task,
@@ -430,6 +470,34 @@ class TestStreamingResume:
         A2, b2 = resumed.materialize()
         assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
         assert [r.rev for r in resumed.revisions] == [0, 1, 2]
+
+    def test_closed_revision_entries_are_built_once(self):
+        """A revision before the last can no longer change: every later
+        checkpoint carries the entry its first one built, and the payload
+        equals the one a resumed engine builds from scratch."""
+        rng = np.random.default_rng(4)
+        n = 8
+        eng = StreamingSweep(rng.standard_normal((30, n)),
+                             rng.standard_normal(30), mu=2, max_iter=10,
+                             tol=None)
+        eng.solve()
+        first = eng.checkpoint()
+        eng.append(rng.standard_normal((3, n)), rng.standard_normal(3))
+        eng.evict([0, 1])
+        eng.solve()
+        second = eng.checkpoint()
+        eng.solve()
+        third = eng.checkpoint()
+        assert second["revisions"][0] is third["revisions"][0]
+        assert second["revisions"][1] is third["revisions"][1]
+        assert first["revisions"][0] is not second["revisions"][0]
+        assert len(third["revisions"][2]["solve_costs"]) == 2
+        fresh = StreamingSweep.from_checkpoint(third).checkpoint()
+        assert json.dumps(fresh) == json.dumps(third)
+        # an engine always has its revision 0, so no revision at all is
+        # a malformed checkpoint, not an engine to resume
+        with pytest.raises(CheckpointError, match="'revisions' must be a non-empty"):
+            StreamingSweep.from_checkpoint(dict(third, revisions=[]))
 
     def test_engine_rank_count_guard(self):
         rng = np.random.default_rng(1)
@@ -827,6 +895,23 @@ class TestTailEncoder:
         assert enc.encode([-0.0, 1.5, 2.5, 3.5, 4.5]) == \
             "[-0.0,1.5,2.5,3.5,4.5]"
         assert seen[-1] == [-0.0, 1.5, 2.5, 3.5, 4.5]
+
+    def test_object_lists_extend_past_the_same_objects(self, monkeypatch):
+        import repro.utils.io as io
+        a, b, c = {"k": 1}, {"k": 2.5}, {"k": [3]}
+        enc = TailEncoder()
+        enc.encode([a, b])
+        seen = []
+        real = io.compact_json
+        monkeypatch.setattr(io, "compact_json",
+                            lambda v: seen.append(list(v)) or real(v))
+        assert enc.encode([a, b, c]) == '[{"k":1},{"k":2.5},{"k":[3]}]'
+        assert seen == [[c]]
+        # an equal object that is not the one encoded is encoded again,
+        # since only the very same object is known not to have changed
+        again = [dict(a), b, c, {"k": 1.0}]
+        assert enc.encode(again) == real(again)
+        assert seen[-1] == again
 
     def test_a_moved_old_part_is_not_packed(self, monkeypatch):
         import repro.utils.io as io

@@ -12,10 +12,11 @@ Five layers:
   expiry + all-late rollback (model hash unchanged), per-tenant
   quarantine on solver faults with every other tenant untouched and
   the last-good model still serving predicts;
-* **checkpoint/resume + recovery (process backend, slow)** — a rank
-  death mid-refit recovers through the supervised pool and the
-  non-faulted tenants end byte-identical to a fault-free run, with no
-  orphaned workers;
+* **checkpoint/resume + recovery** — one durable write per dispatch,
+  whose outcome rides the next write, and the crash window that leaves;
+  on the process backend (slow) a rank death mid-refit recovers through
+  the supervised pool and the non-faulted tenants end byte-identical to
+  a fault-free run, with no orphaned workers;
 * **ledger + CLI** — the new idle/request counters, and ``repro
   serve`` end-to-end with ``--save``.
 """
@@ -503,6 +504,50 @@ class TestCheckpointResume:
         assert len(states) == len(specs) + 3
         assert [s.encodes for s in states] == [0] * len(states)
 
+    def test_revision_entries_per_commit_stay_constant(self, tmp_path,
+                                                       monkeypatch):
+        """However long the revision history grows, a commit builds and
+        encodes the entry of the revision it closed and of the open one,
+        and no other."""
+        import repro.streaming as streaming
+
+        class Entry(dict):
+            encodes = 0
+
+            def items(self):  # one call is one encode, as above
+                self.encodes += 1
+                return super().items()
+
+        built, counts = [], []
+        real_entry = streaming._revision_entry
+        real_write = serve_engine.atomic_write_json
+
+        def entry(rev):
+            built.append(Entry(real_entry(rev)))
+            return built[-1]
+
+        def write(path, payload):
+            real_write(path, payload)
+            counts.append((len(built), sum(e.encodes for e in built)))
+
+        monkeypatch.setattr(streaming, "_revision_entry", entry)
+        monkeypatch.setattr(serve_engine, "atomic_write_json", write)
+        appends = 30  # each its own dispatch, commit and revision
+        trace = [TraceEvent(float(i), "a", op="append", rows=1)
+                 for i in range(appends)]
+        ck_path = tmp_path / "serve.ck.json"
+        rep = serve_trace([_spec("a", m=24 + appends)], trace,
+                          checkpoint_path=ck_path, machine=CRAY_XC30)
+        assert rep["totals"]["outcomes"]["completed"] == appends
+        revisions = json.loads(ck_path.read_text())["tenants"]["a"][
+            "engine"]["revisions"]
+        assert [r["rev"] for r in revisions] == list(range(appends + 1))
+        per_write = [(b1 - b0, e1 - e0) for (b0, e0), (b1, e1)
+                     in zip([(0, 0)] + counts[:-1], counts, strict=True)]
+        # setup's revision 0, then nothing before the first dispatch, then
+        # per commit the closed and the open revision's entries
+        assert per_write == [(1, 1), (0, 0)] + [(2, 2)] * appends
+
     def test_resume_rejects_malformed_checkpoint_files(self, tmp_path):
         from repro.errors import CheckpointError
         specs = [_spec("a")]
@@ -752,9 +797,16 @@ class TestCheckpointBytes:
         assert "Killed" in f"{died.type.__name__} {died.value}"
         writes = log.read_text().split()
         assert json.loads(ck_path.read_text())["in_flight"] is not None
+        # setup's write and one per dispatch up to the one in flight
+        assert len(writes) == 1 + 10
         rep = serve_trace(specs, trace, fault_hook=hook(None),
                           resume_from=ck_path, **kw)
-        assert len(log.read_text().split()) > len(writes) > 10
+        # the resume restores dispatch 10's number: one write per
+        # dispatch from the replay of 10 on, and the final one
+        last = json.loads(ck_path.read_text())
+        assert last["in_flight"] is None
+        assert len(log.read_text().split()) - len(writes) == \
+            last["dispatch_no"] - 10 + 1
         assert set(log.read_text().split()) == {"ok"}
         outcomes = [(r["op"], r["outcome"]) for r in rep["requests"]]
         for op in ("predict", "evict_oldest", "relabel_oldest"):
@@ -766,6 +818,163 @@ class TestCheckpointBytes:
         assert rep["totals"]["recovered_requests"] >= 1
         by_name = {t["name"]: t for t in rep["tenants"]}
         assert by_name["c"]["state"] == "quarantined"
+
+
+class TestOneWritePerDispatch:
+    """A dispatch makes one durable write, before it runs; its outcome
+    rides the next dispatch's write, or the final one."""
+
+    @staticmethod
+    def _divergent_c(dispatched):
+        def hook(comm, tenant, dispatch_no, op):
+            dispatched.append(dispatch_no)
+            if tenant == "c" and op == "refit":
+                raise SolverError("injected divergence")
+        return hook
+
+    def test_n_dispatches_write_n_plus_two_files(self, tmp_path,
+                                                 monkeypatch):
+        # commits, predicts, SolverErrors, a quarantine and a deadline
+        # rollback: every way a dispatch can end
+        specs, trace = TestCheckpointBytes._tenants(), TestCheckpointBytes._trace()
+        ck_path = tmp_path / "serve.ck.json"
+        real_write = serve_engine.atomic_write_json
+        files, dispatched = [], []
+
+        def spy(path, payload):
+            real_write(path, payload)
+            files.append(json.loads(ck_path.read_text()))
+
+        monkeypatch.setattr(serve_engine, "atomic_write_json", spy)
+        rep = serve_trace(specs, trace, checkpoint_path=ck_path,
+                          fault_hook=self._divergent_c(dispatched),
+                          machine=CRAY_XC30, queue_depth=16, max_coalesce=2)
+        n = len(dispatched)
+        assert dispatched == list(range(1, n + 1)) and n >= 10
+        # setup's, one per dispatch and the final one
+        assert len(files) == n + 2
+        assert [f["dispatch_no"] for f in files] == [0, *range(1, n + 1), n]
+        assert files[0]["in_flight"] is None and files[-1]["in_flight"] is None
+        for before, after in zip(files[1:-1], files[2:], strict=True):
+            # each dispatch's batch is resolved by the next write
+            assert before["in_flight"] is not None
+            assert all(after["requests"][e]["outcome"] is not None
+                       for e in before["in_flight"]["eidxs"])
+        last = files[-1]
+        assert last["requests_done"] == len(trace)
+        assert [r["outcome"] for r in last["requests"]] == [
+            r["outcome"] for r in rep["requests"]]
+        assert None not in [r["outcome"] for r in last["requests"]]
+        assert {"failed", "quarantined", "timed_out"} <= {
+            r["outcome"] for r in last["requests"]}
+
+    @pytest.mark.parametrize("where", ["write", "admit"])
+    def test_crash_after_a_dispatch_replays_it(self, tmp_path, monkeypatch,
+                                               where):
+        """A crash after dispatch k, before the next write lands, leaves
+        k's pre-dispatch file: the resume replays k, charging its tenant
+        one fault, and ends as the uninterrupted run did."""
+        import repro.utils.io as io
+        specs = _three_tenants()
+        trace = synthetic_trace(["a", "b", "c"], 16, seed=4, mean_gap=0.001,
+                                rows=2, predict_frac=0.3,
+                                append_budget={n: 12 for n in "abc"})
+        kw = dict(machine=CRAY_XC30, virtual_p=4, queue_depth=8)
+        full = serve_trace(specs, trace, **kw)
+        ck_path = tmp_path / "serve.ck.json"
+        crashed = []  # (dispatch_no, tenant) of dispatch k, once it ran
+
+        class Killed(Exception):
+            pass
+
+        def pick(comm, tenant, dispatch_no, op):
+            if dispatch_no >= 4 and op == "refit" and not crashed:
+                crashed.append((dispatch_no, tenant))
+
+        class CrashingOS:  # os, but os.replace dies once dispatch k ran
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def replace(src, dst):
+                if crashed:
+                    raise Killed
+                os.replace(src, dst)
+
+        def admit_due(engine):
+            if crashed:
+                raise Killed
+            real_admit(engine)
+
+        real_admit = serve_engine._Engine._admit_due
+        if where == "write":
+            monkeypatch.setattr(io, "os", CrashingOS())
+        else:
+            monkeypatch.setattr(serve_engine._Engine, "_admit_due", admit_due)
+        with pytest.raises(Killed):
+            serve_trace(specs, trace, checkpoint_path=ck_path,
+                        fault_hook=pick, **kw)
+        monkeypatch.undo()
+        k, name = crashed[0]
+        ck = json.loads(ck_path.read_text())
+        assert os.listdir(tmp_path) == ["serve.ck.json"]
+        assert ck["dispatch_no"] == k and ck["in_flight"]["tenant"] == name
+        replayed = ck["in_flight"]["eidxs"]
+        resumed = serve_trace(specs, trace, resume_from=ck_path, **kw)
+
+        def outcomes(rep):
+            return [(r["eidx"], r["outcome"], r["result_hash"])
+                    for r in rep["requests"]]
+
+        assert ([t["model_hash"] for t in resumed["tenants"]]
+                == [t["model_hash"] for t in full["tenants"]])
+        assert outcomes(resumed) == outcomes(full)
+        assert {t["name"]: t["faults"] for t in resumed["tenants"]} == {
+            n: int(n == name) for n in "abc"}
+        assert [r["eidx"] for r in resumed["requests"]
+                if r["recovered"]] == sorted(replayed)
+        assert resumed["totals"]["recovered_requests"] == len(replayed)
+
+    def test_supervisor_gets_one_payload_per_dispatch(self, tmp_path,
+                                                      monkeypatch):
+        """Under recover="checkpoint" rank 0 ships the supervisor the
+        same payloads it writes: setup's, one per dispatch, the final."""
+        from repro.mpi.process_backend import RecoveryContext
+        log = tmp_path / "payloads.log"
+        real_save = RecoveryContext.save
+
+        def note(line):
+            # runs in a forked rank: report through a file
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+
+        def save(rctx, payload):
+            real_save(rctx, payload)
+            if rctx.rank == 0 and rctx.active:
+                note(f"save {payload['dispatch_no']}"
+                     f" {payload['in_flight'] is None}")
+
+        def hook(comm, tenant, dispatch_no, op):
+            if comm.rank == 0:
+                note(f"dispatch {dispatch_no}")
+
+        monkeypatch.setattr(RecoveryContext, "save", save)
+        specs = _three_tenants()
+        trace = synthetic_trace(["a", "b", "c"], 10, seed=2, mean_gap=0.001,
+                                rows=2, predict_frac=0.3,
+                                append_budget={n: 12 for n in "abc"})
+        rep = serve_trace(specs, trace, fault_hook=hook, machine=CRAY_XC30,
+                          backend="process", ranks=2, recover="checkpoint",
+                          run_timeout=120.0)
+        _assert_no_orphans()
+        assert rep["recovery"]["recoveries"] == 0
+        lines = log.read_text().splitlines()
+        n = sum(line.startswith("dispatch") for line in lines)
+        saves = [line.split()[1:] for line in lines if line.startswith("save")]
+        assert n >= 5 and len(saves) == n + 2
+        assert saves == ([["0", "True"]]
+                         + [[str(i), "False"] for i in range(1, n + 1)]
+                         + [[str(n), "True"]])
 
 
 @pytest.mark.slow
