@@ -5,7 +5,7 @@ P=3072, url and epsilon P=12288), classical vs SA variants at two values
 of s: a good one (blue curves in the paper) and an over-large one (red
 curves, expected to lose some of the gain). Times are alpha-beta-gamma
 modelled seconds on the Cray XC30 preset with flops extrapolated to the
-full-size datasets (DESIGN.md §2).
+full-size datasets (README, "Paper-figure benchmarks").
 
 Success criteria: (1) accelerated beats non-accelerated in time;
 (2) SA reaches the same objective earlier than classical (speedup > 1);

@@ -41,7 +41,7 @@ def tables():
     banner("Table IV — SVM datasets (as published)")
     report(format_table(["Name", "Features", "Data Points", "NNZ%"],
                         _paper_rows(SVM_DATASETS)))
-    banner("Synthetic stand-ins used by this harness (DESIGN.md §2)")
+    banner("Synthetic stand-ins used by this harness (README: Paper-figure benchmarks)")
     report(
         format_table(
             ["Name", "Features", "Data Points", "NNZ%", "flop scale",

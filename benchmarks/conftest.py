@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*`` module regenerates one table or figure of the paper
-(see DESIGN.md §5 for the index) and prints the corresponding rows /
+(README's "Paper-figure benchmarks" has the index) and prints the corresponding rows /
 series. Output is written through :func:`report`, which bypasses
 pytest's capture so that
 

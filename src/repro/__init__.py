@@ -17,7 +17,7 @@ Quick start
 >>> res.x.shape
 (100,)
 
-Package layout (see DESIGN.md):
+Package layout (see README's "Layout"):
 
 * :mod:`repro.solvers` — the paper's algorithms (Alg. 1-4) + baselines;
 * :mod:`repro.mpi` — simulated MPI (thread SPMD + virtual-P backends);

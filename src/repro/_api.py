@@ -1,8 +1,7 @@
-"""High-level one-call API.
-
-Wraps the solver registry so downstream users never touch communicators
-for single-machine use, while still exposing every knob the paper tunes
-(mu, s, machine model, virtual P).
+"""High-level one-call API, and the solver registry every entry point
+reads: ``fit_lasso``/``fit_svm`` solve without communicators for
+single-machine use, while exposing every knob the paper tunes (mu, s,
+machine model, virtual P).
 """
 
 from __future__ import annotations
@@ -12,21 +11,91 @@ from repro.launch import launch, recovery_knobs
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.solvers.base import SolverResult
-from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
+from repro.solvers.lasso import acc_bcd, acc_cd, bcd, cd, sa_acc_bcd, sa_acc_cd, sa_bcd, sa_cd
 from repro.solvers.outer import Schedule
 from repro.solvers.svm import dcd, sa_dcd
 
-__all__ = ["fit_lasso", "fit_svm", "SOLVERS"]
+__all__ = ["fit_lasso", "fit_svm", "SOLVERS", "DEFAULT_SOLVER", "SVM_SPELLINGS",
+           "check_solver", "svm_spelling"]
 
+#: The solver registry, by task: name -> ``(function, is_sa)``. An SA
+#: name is its classical partner's with an ``sa-`` prefix, and the
+#: ``*cd`` names are the block solvers at ``mu = 1``. A solve looks its
+#: function up here when it is called, and the SVM entries look
+#: ``dcd``/``sa_dcd`` up in this module when they run, so a wrapper
+#: installed in either place is what runs.
 _LASSO = {
-    "bcd": (bcd, False),
-    "sa-bcd": (sa_bcd, True),
-    "accbcd": (acc_bcd, False),
-    "sa-accbcd": (sa_acc_bcd, True),
+    "bcd": (bcd, False), "sa-bcd": (sa_bcd, True),
+    "accbcd": (acc_bcd, False), "sa-accbcd": (sa_acc_bcd, True),
+    "cd": (cd, False), "sa-cd": (sa_cd, True),
+    "acccd": (acc_cd, False), "sa-acccd": (sa_acc_cd, True),
 }
+_SVM = {
+    "svm": (lambda A, b, **kw: dcd(A, b, **kw), False),
+    "sa-svm": (lambda A, b, **kw: sa_dcd(A, b, **kw), True),
+}
+_REGISTRY = {"lasso": _LASSO, "svm": _SVM}
 
-#: the solver names :func:`fit_lasso` and :func:`fit_svm` take, by task
-SOLVERS = {"lasso": tuple(_LASSO), "svm": ("svm", "sa-svm")}
+#: the solver names each task takes, and its default
+SOLVERS = {task: tuple(table) for task, table in _REGISTRY.items()}
+DEFAULT_SOLVER = {"lasso": "sa-accbcd", "svm": "sa-svm"}
+#: every SVM solver spelling ``run_svm`` and ``repro svm`` take ->
+#: ``(name, loss)``: a registry name alone runs the hinge loss, and a
+#: ``-l1``/``-l2`` suffix names the loss
+SVM_SPELLINGS = {f"{name}{suffix}": (name, loss) for name in _SVM
+                 for suffix, loss in (("", "l1"), ("-l1", "l1"), ("-l2", "l2"))}
+
+
+def check_solver(name: str, task: str) -> bool:
+    """The SA flag of ``task``'s solver ``name``; raises
+    :class:`SolverError` listing ``task``'s names if there is none."""
+    table = _REGISTRY[task]
+    if name not in table:
+        raise SolverError(f"unknown {task} solver {name!r}; known: {list(table)}")
+    return table[name][1]
+
+
+def svm_spelling(spelling: str, loss: str | None = None) -> tuple:
+    """``(name, loss)`` of an SVM solver spelling (see
+    :data:`SVM_SPELLINGS`); ``loss``, when given, overrides the one the
+    spelling names."""
+    if spelling not in SVM_SPELLINGS:
+        raise SolverError(
+            f"unknown svm solver {spelling!r}; known: {list(SVM_SPELLINGS)}")
+    name, spelled = SVM_SPELLINGS[spelling]
+    return name, loss or spelled
+
+
+def _solve(task: str, solver: str, args: tuple, kwargs: dict, *, s: int,
+           sa_kwargs: dict, schedule: Schedule, checkpoint=(0, None, None),
+           scales=None, backend: str, **launch_kw) -> SolverResult:
+    """The one solve body (``fit_*``, ``run_*``): launch ``task``'s
+    ``solver`` on ``args`` and ``kwargs``, an SA solver also with ``s``,
+    ``sa_kwargs`` and the schedule's knobs. ``checkpoint`` is
+    ``(checkpoint_every, checkpoint_sink, resume_from)``, resolved on a
+    real backend against the supervisor's recovery knobs (a virtual
+    run's communicator may be a sweep's, whose job owns recovery).
+    ``scales`` (a :class:`~repro.experiments.runner.ScaledDataset`)
+    extrapolates each rank's flops to the paper-scale dataset.
+    """
+    sa = check_solver(solver, task)
+    schedule.check(solver, sa=sa, s=s)
+    if sa:
+        kwargs = dict(kwargs, s=s, **sa_kwargs, **schedule.knobs())
+    fn = _REGISTRY[task][solver][0]
+
+    def work(comm, rank):
+        if scales is not None:
+            comm.ledger.default_scale = scales.flop_scale
+            comm.ledger.kind_scales = dict(scales.kind_scales)
+        ck_every, ck_sink, ck_resume = checkpoint
+        if backend != "virtual":
+            ck_every, ck_sink, ck_resume = recovery_knobs(
+                comm, *checkpoint, default_every=s if sa else 10)
+        return fn(*args, comm=comm, checkpoint_every=ck_every,
+                  checkpoint_sink=ck_sink, resume_from=ck_resume, **kwargs)
+
+    return launch(work, backend=backend, nb_depth=schedule.depth, **launch_kw)
 
 
 def fit_lasso(
@@ -64,8 +133,10 @@ def fit_lasso(
         Regularisation: a float (L1/Lasso) or any
         :class:`~repro.prox.penalties.Penalty`.
     solver:
-        ``"bcd"``, ``"sa-bcd"``, ``"accbcd"`` (paper Alg. 1), or
-        ``"sa-accbcd"`` (paper Alg. 2, the default).
+        A Lasso name in :data:`SOLVERS`: ``"bcd"``, ``"sa-bcd"``,
+        ``"accbcd"`` (paper Alg. 1), ``"sa-accbcd"`` (paper Alg. 2, the
+        default), or ``"cd"``, ``"sa-cd"``, ``"acccd"``, ``"sa-acccd"``,
+        which run the block solver at ``mu = 1`` whatever ``mu`` says.
     mu:
         Coordinate block size (``mu = 1`` gives CD / accCD).
     s:
@@ -119,35 +190,14 @@ def fit_lasso(
         ``backend``, ``ranks`` or ``recover``, or ``comm=`` with a real
         backend, raises :class:`~repro.errors.CommError`.
     """
-    try:
-        fn, is_sa = _LASSO[solver]
-    except KeyError as exc:
-        raise SolverError(
-            f"unknown lasso solver {solver!r}; known: {sorted(_LASSO)}"
-        ) from exc
-    schedule.check(solver, sa=is_sa, s=s)
-
-    def work(wcomm, wrank):
-        knobs = (checkpoint_every, checkpoint_sink, resume_from)
-        if backend != "virtual":
-            knobs = recovery_knobs(wcomm, *knobs,
-                                   default_every=max(1, s) if is_sa else 10)
-        ck_every, ck_sink, ck_resume = knobs
-        kwargs = dict(
-            mu=mu, max_iter=max_iter, seed=seed, comm=wcomm,
-            tol=tol, record_every=record_every, x0=x0,
-            checkpoint_every=ck_every, checkpoint_sink=ck_sink,
-            resume_from=ck_resume,
-        )
-        if is_sa:
-            kwargs.update(s=s, fast=fast, eig_memo=eig_memo,
-                          **schedule.knobs())
-        return fn(A, b, lam, **kwargs)
-
-    return launch(
-        work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
+    return _solve(
+        "lasso", solver, (A, b, lam),
+        dict(mu=mu, max_iter=max_iter, seed=seed, tol=tol,
+             record_every=record_every, x0=x0),
+        s=s, sa_kwargs=dict(fast=fast, eig_memo=eig_memo), schedule=schedule,
+        checkpoint=(checkpoint_every, checkpoint_sink, resume_from),
+        backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
         machine=machine, recover=recover, max_recoveries=max_recoveries,
-        nb_depth=schedule.depth,
     )
 
 
@@ -202,30 +252,12 @@ def fit_svm(
         SPMD backend dispatch and supervised recovery, as in
         :func:`fit_lasso`.
     """
-    if solver not in SOLVERS["svm"]:
-        raise SolverError(f"unknown svm solver {solver!r}; known: ['svm', 'sa-svm']")
-    schedule.check(solver, sa=solver == "sa-svm", s=s)
-
-    def work(wcomm, wrank):
-        knobs = (checkpoint_every, checkpoint_sink, resume_from)
-        if backend != "virtual":
-            knobs = recovery_knobs(
-                wcomm, *knobs,
-                default_every=max(1, s) if solver == "sa-svm" else 10,
-            )
-        ck_every, ck_sink, ck_resume = knobs
-        kwargs = dict(
-            loss=loss, lam=lam, max_iter=max_iter, seed=seed, comm=wcomm,
-            tol=tol, record_every=record_every, alpha0=alpha0,
-            checkpoint_every=ck_every, checkpoint_sink=ck_sink,
-            resume_from=ck_resume,
-        )
-        if solver == "sa-svm":
-            return sa_dcd(A, b, s=s, fast=fast, **schedule.knobs(), **kwargs)
-        return dcd(A, b, **kwargs)
-
-    return launch(
-        work, backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
+    return _solve(
+        "svm", solver, (A, b),
+        dict(loss=loss, lam=lam, max_iter=max_iter, seed=seed, tol=tol,
+             record_every=record_every, alpha0=alpha0),
+        s=s, sa_kwargs=dict(fast=fast), schedule=schedule,
+        checkpoint=(checkpoint_every, checkpoint_sink, resume_from),
+        backend=backend, comm=comm, ranks=ranks, virtual_p=virtual_p,
         machine=machine, recover=recover, max_recoveries=max_recoveries,
-        nb_depth=schedule.depth,
     )

@@ -36,17 +36,11 @@ import sys
 
 import numpy as np
 
+from repro._api import DEFAULT_SOLVER, SOLVERS, SVM_SPELLINGS, check_solver, svm_spelling
 from repro.datasets.libsvm import load_libsvm
 from repro.datasets.registry import PAPER_DATASETS
 from repro.errors import ReproError
-from repro.experiments.runner import (
-    LASSO_SOLVERS,
-    SVM_SOLVERS,
-    load_scaled,
-    run_lasso,
-    run_svm,
-    strong_scaling,
-)
+from repro.experiments.runner import load_scaled, run_lasso, run_svm, strong_scaling
 from repro.experiments.theory import best_s
 from repro.launch import check_launch
 from repro.machine.spec import get_machine
@@ -133,6 +127,24 @@ def _ran(report: dict) -> Schedule:
     return Schedule.from_flags(report["pipeline"], report["async"], report["tau"])
 
 
+_SWEEP_SOLVER_HELP = (
+    f"solver (default: {DEFAULT_SOLVER['lasso']} / {DEFAULT_SOLVER['svm']});"
+    f" a lasso task takes {', '.join(SOLVERS['lasso'])}, an svm task"
+    f" {', '.join(SOLVERS['svm'])} (with --loss)"
+)
+
+
+def _sweep_task(args) -> str:
+    """The task a ``stream``/``serve`` run solves (``--task auto``: the
+    dataset's, and a ``--file`` is Lasso), with ``--solver`` checked
+    against it before any data is read."""
+    task = args.task
+    if task == "auto":
+        task = PAPER_DATASETS[args.dataset].task if args.dataset else "lasso"
+    check_solver(args.solver or DEFAULT_SOLVER[task], task)
+    return task
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -144,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     lasso = sub.add_parser("lasso", help="solve a Lasso problem")
     _add_data_args(lasso)
     _add_model_args(lasso)
-    lasso.add_argument("--solver", default="sa-accbcd",
-                       choices=sorted(LASSO_SOLVERS))
+    lasso.add_argument("--solver", default=DEFAULT_SOLVER["lasso"],
+                       choices=SOLVERS["lasso"])
     lasso.add_argument("--mu", type=int, default=8)
     lasso.add_argument("--s", type=int, default=16)
     lasso.add_argument("--max-iter", type=int, default=500)
@@ -160,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_data_args(lpath)
     _add_model_args(lpath, save=False)  # a sweep is not one SolverResult
-    lpath.add_argument("--solver", default="sa-accbcd",
-                       choices=["bcd", "sa-bcd", "accbcd", "sa-accbcd"])
+    lpath.add_argument("--solver", default=DEFAULT_SOLVER["lasso"],
+                       choices=SOLVERS["lasso"])
     lpath.add_argument("--n-lambdas", type=int, default=16)
     lpath.add_argument("--eps", type=float, default=1e-3,
                        help="grid floor as a fraction of lambda_max")
@@ -211,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--batch-frac", type=float, default=0.05,
                         help="rows per default batch, as a fraction of the "
                              "dataset")
-    stream.add_argument("--solver", default=None,
-                        help="solver override (default: sa-accbcd / sa-svm)")
+    stream.add_argument("--solver", default=None, help=_SWEEP_SOLVER_HELP)
     stream.add_argument("--loss", default="l2", choices=["l1", "l2"],
                         help="SVM loss (svm task only)")
     stream.add_argument("--lam", type=float, default=None,
@@ -283,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-faults", type=int, default=1,
                        help="per-tenant fault budget before quarantine "
                             "(last-good model stays servable)")
-    serve.add_argument("--solver", default=None,
-                       help="solver override (default: sa-accbcd / sa-svm)")
+    serve.add_argument("--solver", default=None, help=_SWEEP_SOLVER_HELP)
     serve.add_argument("--loss", default="l2", choices=["l1", "l2"])
     serve.add_argument("--lam", type=float, default=None)
     serve.add_argument("--mu", type=int, default=8)
@@ -303,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     svm = sub.add_parser("svm", help="train a linear SVM")
     _add_data_args(svm)
     _add_model_args(svm)
-    svm.add_argument("--solver", default="sa-svm-l1",
-                     choices=sorted(SVM_SOLVERS))
+    svm.add_argument("--solver", default=f"{DEFAULT_SOLVER['svm']}-l1",
+                     choices=tuple(SVM_SPELLINGS))
     svm.add_argument("--loss", default=None, choices=["l1", "l2"],
                      help="override the loss implied by --solver")
     svm.add_argument("--s", type=int, default=64)
@@ -318,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     scaling = sub.add_parser("scaling", help="strong-scaling study (Fig. 4)")
     _add_data_args(scaling)
     scaling.add_argument("--solver", default="acccd",
-                         choices=[k for k in LASSO_SOLVERS if not k.startswith("sa-")])
+                         choices=[n for n in SOLVERS["lasso"] if not check_solver(n, "lasso")],
+                         help="classical solver, run beside its SA partner")
     scaling.add_argument("--ps", default="768,1536,3072",
                          help="comma-separated processor counts")
     scaling.add_argument("--s", type=int, default=16)
@@ -491,8 +502,8 @@ def _stream_schedule(args, m: int) -> list:
 
 
 def _cmd_stream(args) -> int:
+    task = _sweep_task(args)
     ds = _load_problem(args)
-    task = args.task if args.task != "auto" else getattr(ds, "task", "lasso")
     machine = get_machine(args.machine)
     m = ds.A.shape[0]
     ops = _stream_schedule(args, m)
@@ -571,8 +582,8 @@ def _cmd_serve(args) -> int:
     from repro.serve import TenantSpec, load_trace, serve_trace, synthetic_trace
 
     check_launch(args.backend, args.recover)
+    task = _sweep_task(args)
     ds = _load_problem(args)
-    task = args.task if args.task != "auto" else getattr(ds, "task", "lasso")
     machine = get_machine(args.machine)
     m = ds.A.shape[0]
     if args.tenants < 1:
@@ -663,13 +674,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_svm(args) -> int:
+    name, loss = svm_spelling(args.solver, args.loss)
     ds = _load_problem(args)
-    solver = args.solver
-    if args.loss:
-        base = "sa-svm" if solver.startswith("sa-") else "svm"
-        solver = f"{base}-{args.loss}"
     res = run_svm(
-        ds, solver, s=args.s, lam=args.lam, max_iter=args.max_iter,
+        ds, f"{name}-{loss}", s=args.s, lam=args.lam, max_iter=args.max_iter,
         P=args.p, machine=get_machine(args.machine), seed=args.seed,
         record_every=args.record_every, tol=args.tol,
         schedule=_schedule(args),
@@ -695,9 +703,10 @@ def _cmd_scaling(args) -> int:
     ds = _load_problem(args)
     Ps = [int(x) for x in args.ps.split(",") if x]
     machine = get_machine(args.machine)
+    partner = f"sa-{args.solver}"  # the registry's SA name of the solver
     base = strong_scaling(ds, args.solver, Ps, mu=args.mu,
                           max_iter=args.max_iter, machine=machine, lam=1.0)
-    sa = strong_scaling(ds, "sa-" + args.solver, Ps, s=args.s, mu=args.mu,
+    sa = strong_scaling(ds, partner, Ps, s=args.s, mu=args.mu,
                         max_iter=args.max_iter, machine=machine, lam=1.0)
     rows = [
         [p0.P, f"{p0.seconds * 1e3:.4g}", f"{p1.seconds * 1e3:.4g}",
@@ -705,7 +714,7 @@ def _cmd_scaling(args) -> int:
         for p0, p1 in zip(base, sa, strict=True)
     ]
     print(format_table(
-        ["P", f"{args.solver} (ms)", f"sa-{args.solver} s={args.s} (ms)",
+        ["P", f"{args.solver} (ms)", f"{partner} s={args.s} (ms)",
          "speedup"],
         rows,
         title=f"strong scaling on {args.machine} ({args.max_iter} iterations)",

@@ -4,7 +4,7 @@ These stand in for the LIBSVM datasets the paper evaluates on (not
 redistributable / too large for this environment). Generators match the
 *shape statistics that drive the experiments*: dimensions, density,
 over/under-determination, and (for classification) separability — see
-DESIGN.md §2 for the substitution rationale.
+README's "Paper-figure benchmarks" for how the stand-ins are used.
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ class SALasso(_RegressorMixin):
     lam:
         L1 penalty strength (or any :class:`~repro.prox.penalties.Penalty`).
     solver:
-        ``"bcd"``, ``"sa-bcd"``, ``"accbcd"``, or ``"sa-accbcd"``.
+        A Lasso name in the solver registry (see :func:`repro.fit_lasso`).
     mu, s, max_iter, tol, seed:
         Paper tuning knobs; see :func:`repro.fit_lasso`.
     schedule:

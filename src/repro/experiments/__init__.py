@@ -1,8 +1,6 @@
 """Experiment harness: paper figures/tables as reusable sweeps."""
 
 from repro.experiments.runner import (
-    LASSO_SOLVERS,
-    SVM_SOLVERS,
     ScaledDataset,
     ScalingPoint,
     SpeedupPoint,
@@ -28,8 +26,6 @@ __all__ = [
     "best_s",
     "ScaledDataset",
     "load_scaled",
-    "LASSO_SOLVERS",
-    "SVM_SOLVERS",
     "run_lasso",
     "run_svm",
     "strong_scaling",

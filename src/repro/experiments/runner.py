@@ -1,28 +1,23 @@
 """Experiment runner: dataset x solver x (P, mu, s) sweeps.
 
 This module is the engine behind the benchmark harness: every figure and
-table of the paper's evaluation maps to one of these entry points
-(see DESIGN.md §5 for the index).
-
-Running-time semantics: all "seconds" are **modelled** seconds from the
-alpha-beta-gamma machine model at the requested virtual P, with flops
-extrapolated to the paper-scale dataset via ``flop_scale`` (DESIGN.md §2).
+table of the paper's evaluation maps to one of these entry points (see
+README's "Paper-figure benchmarks" for the index). All "seconds" are
+**modelled** seconds from the alpha-beta-gamma machine model at the
+requested virtual P, with flops extrapolated to the paper-scale dataset
+via ``flop_scale`` (same section).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from repro._api import SOLVERS, _solve, check_solver, svm_spelling
 from repro.datasets import registry
 from repro.datasets.registry import get_dataset
-from repro.errors import SolverError
-from repro.launch import launch, recovery_knobs
 from repro.machine.spec import CRAY_XC30, MachineSpec
-from repro.solvers import lasso as lasso_solvers
-from repro.solvers import svm as svm_solvers
 from repro.solvers.base import SolverResult
 from repro.solvers.objectives import lambda_from_sigma_min
 from repro.solvers.outer import Schedule
@@ -31,8 +26,6 @@ from repro.utils.validation import nnz_of
 __all__ = [
     "ScaledDataset",
     "load_scaled",
-    "LASSO_SOLVERS",
-    "SVM_SOLVERS",
     "run_lasso",
     "run_svm",
     "strong_scaling",
@@ -143,55 +136,6 @@ def load_scaled(
     return ds
 
 
-#: solver-name -> callable registries (paper's curve labels)
-LASSO_SOLVERS: dict[str, Callable] = {
-    "cd": lasso_solvers.cd,
-    "sa-cd": lasso_solvers.sa_cd,
-    "bcd": lasso_solvers.bcd,
-    "sa-bcd": lasso_solvers.sa_bcd,
-    "acccd": lasso_solvers.acc_cd,
-    "sa-acccd": lasso_solvers.sa_acc_cd,
-    "accbcd": lasso_solvers.acc_bcd,
-    "sa-accbcd": lasso_solvers.sa_acc_bcd,
-}
-
-SVM_SOLVERS: dict[str, Callable] = {
-    "svm-l1": lambda A, b, **kw: svm_solvers.dcd(A, b, loss="l1", **kw),
-    "sa-svm-l1": lambda A, b, **kw: svm_solvers.sa_dcd(A, b, loss="l1", **kw),
-    "svm-l2": lambda A, b, **kw: svm_solvers.dcd(A, b, loss="l2", **kw),
-    "sa-svm-l2": lambda A, b, **kw: svm_solvers.sa_dcd(A, b, loss="l2", **kw),
-}
-
-
-def _launch_solve(fn: Callable, pargs: tuple, kwargs: dict, ds: ScaledDataset,
-                  solver: str, s: int | None, fast: bool, schedule: Schedule,
-                  **launch_kw) -> SolverResult:
-    """Run ``fn(*pargs, **kwargs)`` (an SA ``solver`` also with ``s``,
-    default 8, ``fast`` and ``schedule``) through :func:`repro.launch.launch`.
-
-    Every backend charges flops extrapolated by the dataset's flop
-    scales. Under ``recover="checkpoint"`` the solve checkpoints every
-    ``s`` iterations (10 for a classical solver); a virtual run's
-    communicator is always fresh, so the knobs resolve only on real ranks.
-    """
-    sa = solver.startswith("sa-")
-    s = s if s is not None else 8
-    schedule.check(solver, sa=sa, s=s)
-    if sa:
-        kwargs = dict(kwargs, s=s, fast=fast, **schedule.knobs())
-
-    def work(comm, rank):
-        comm.ledger.default_scale = ds.flop_scale
-        comm.ledger.kind_scales = dict(ds.kind_scales)
-        ck_every, ck_sink, ck_resume = recovery_knobs(
-            comm, 0, None, None, default_every=s if sa else 10
-        )
-        return fn(*pargs, comm=comm, checkpoint_every=ck_every,
-                  checkpoint_sink=ck_sink, resume_from=ck_resume, **kwargs)
-
-    return launch(work, nb_depth=schedule.depth, **launch_kw)
-
-
 def run_lasso(
     ds: ScaledDataset,
     solver: str,
@@ -211,28 +155,24 @@ def run_lasso(
     recover: str = "raise",
     max_recoveries: int = 2,
 ) -> SolverResult:
-    """Run one Lasso-family solver on a scaled dataset at virtual P.
+    """Run one Lasso-family solver (a Lasso name in the registry,
+    :data:`repro._api.SOLVERS`: the paper's curve labels) on a scaled
+    dataset at virtual P, charging on every backend flops extrapolated
+    by the dataset's flop scales.
 
-    ``fast`` toggles the SA solvers' fused inner loop (exposed for
-    before/after benchmarking). ``schedule`` (a ring for SA solvers
-    only; see :class:`~repro.solvers.outer.Schedule`) hides each outer
-    step's reduction behind the next block's prefetch, or lets ranks
-    proceed on reductions up to ``tau`` outer steps stale — a weaker,
-    convergence-to-tolerance contract; ``backend``/``ranks`` select real
-    thread/process SPMD parallelism instead of the virtual cost model;
-    ``recover``/``max_recoveries`` (process backend) enable supervised
-    respawn-and-replay on rank death.
+    ``lam`` defaults to the dataset's (0.1 without one) and an SA
+    solver's ``s`` to 8; ``fast`` (exposed for before/after
+    benchmarking), ``schedule``, ``backend``, ``ranks``, ``recover`` and
+    ``max_recoveries`` are :func:`repro.fit_lasso`'s. Under
+    ``recover="checkpoint"`` the solve checkpoints every ``s``
+    iterations (10 for a classical solver).
     """
-    if solver not in LASSO_SOLVERS:
-        raise SolverError(f"unknown lasso solver {solver!r}; known: {sorted(LASSO_SOLVERS)}")
-    fn = LASSO_SOLVERS[solver]
     lam_val = lam if lam is not None else (ds.lam if ds.lam is not None else 0.1)
-    kwargs = dict(max_iter=max_iter, seed=seed, record_every=record_every)
-    if solver not in ("cd", "sa-cd", "acccd", "sa-acccd"):
-        kwargs["mu"] = mu
-    return _launch_solve(
-        fn, (ds.A, ds.b, lam_val), kwargs, ds, solver, s, fast, schedule,
-        backend=backend, ranks=ranks, virtual_p=P, machine=machine,
+    return _solve(
+        "lasso", solver, (ds.A, ds.b, lam_val),
+        dict(mu=mu, max_iter=max_iter, seed=seed, record_every=record_every),
+        s=8 if s is None else s, sa_kwargs=dict(fast=fast), schedule=schedule,
+        scales=ds, backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
     )
 
@@ -256,21 +196,29 @@ def run_svm(
     recover: str = "raise",
     max_recoveries: int = 2,
 ) -> SolverResult:
-    """Run one SVM solver on a scaled dataset at virtual P.
-
-    ``schedule``/``backend``/``ranks``/``recover``/``max_recoveries`` as
-    in :func:`run_lasso`.
-    """
-    if solver not in SVM_SOLVERS:
-        raise SolverError(f"unknown svm solver {solver!r}; known: {sorted(SVM_SOLVERS)}")
-    fn = SVM_SOLVERS[solver]
-    kwargs = dict(lam=lam, max_iter=max_iter, seed=seed,
-                  record_every=record_every, tol=tol)
-    return _launch_solve(
-        fn, (ds.A, ds.b), kwargs, ds, solver, s, fast, schedule,
-        backend=backend, ranks=ranks, virtual_p=P, machine=machine,
+    """Run one SVM solver (a spelling in :data:`repro._api.SVM_SPELLINGS`,
+    which names the loss) on a scaled dataset at virtual P, as
+    :func:`run_lasso` does."""
+    name, loss = svm_spelling(solver)
+    return _solve(
+        "svm", name, (ds.A, ds.b),
+        dict(loss=loss, lam=lam, max_iter=max_iter, seed=seed,
+             record_every=record_every, tol=tol),
+        s=8 if s is None else s, sa_kwargs=dict(fast=fast), schedule=schedule,
+        scales=ds, backend=backend, ranks=ranks, virtual_p=P, machine=machine,
         recover=recover, max_recoveries=max_recoveries,
     )
+
+
+def _run(ds: ScaledDataset, solver: str, s: int | None, *, mu: int,
+         lam: float, **kw) -> tuple:
+    """``(is_sa, cost)`` of one ``record_every=0`` run of a Lasso name
+    (at ``mu``, on the dataset's ``lam``) or an SVM spelling (at ``lam``)."""
+    if solver in SOLVERS["lasso"]:
+        res = run_lasso(ds, solver, mu=mu, s=s, record_every=0, **kw)
+        return check_solver(solver, "lasso"), res.cost
+    res = run_svm(ds, solver, s=s, lam=lam, record_every=0, **kw)
+    return check_solver(svm_spelling(solver)[0], "svm"), res.cost
 
 
 @dataclass
@@ -296,35 +244,21 @@ def strong_scaling(
     max_iter: int = 200,
     machine: MachineSpec = CRAY_XC30,
     seed: int = 0,
-    task: str = "lasso",
     lam: float = 1.0,
 ) -> list:
     """Modelled running time of one solver across processor counts
-    (paper Fig. 4a-4d)."""
+    (paper Fig. 4a-4d). ``solver`` is a Lasso name, run on the dataset's
+    ``lam``, or an SVM spelling, run at ``lam``; a classical solver's
+    points carry ``s = 1``."""
     points = []
     for P in Ps:
-        if task == "lasso":
-            res = run_lasso(
-                ds, solver, mu=mu, s=s if solver.startswith("sa-") else None,
-                max_iter=max_iter, P=P, machine=machine, seed=seed, record_every=0,
-            )
-        else:
-            res = run_svm(
-                ds, solver, s=s if solver.startswith("sa-") else None, lam=lam,
-                max_iter=max_iter, P=P, machine=machine, seed=seed, record_every=0,
-            )
-        c = res.cost
-        points.append(
-            ScalingPoint(
-                P=P,
-                s=s if solver.startswith("sa-") else 1,
-                seconds=c.seconds,
-                comm_seconds=c.comm_seconds,
-                compute_seconds=c.compute_seconds,
-                messages=c.messages,
-                words=c.words,
-            )
-        )
+        sa, c = _run(ds, solver, s, mu=mu, lam=lam, max_iter=max_iter, P=P,
+                     machine=machine, seed=seed)
+        points.append(ScalingPoint(
+            P=P, s=s if sa else 1, seconds=c.seconds,
+            comm_seconds=c.comm_seconds, compute_seconds=c.compute_seconds,
+            messages=c.messages, words=c.words,
+        ))
     return points
 
 
@@ -349,33 +283,20 @@ def speedup_vs_s(
     P: int = 1024,
     machine: MachineSpec = CRAY_XC30,
     seed: int = 0,
-    task: str = "lasso",
     lam: float = 1.0,
 ) -> list:
     """Total / communication / computation speedups of the SA variant
-    over the classical one, for a sweep of s (paper Fig. 4e-4h)."""
-
-    def _run(solver, s):
-        if task == "lasso":
-            return run_lasso(
-                ds, solver, mu=mu, s=s, max_iter=max_iter, P=P,
-                machine=machine, seed=seed, record_every=0,
-            )
-        return run_svm(
-            ds, solver, s=s, lam=lam, max_iter=max_iter, P=P,
-            machine=machine, seed=seed, record_every=0,
-        )
-
-    base = _run(base_solver, None).cost
+    over the classical one, for a sweep of s (paper Fig. 4e-4h); the
+    solvers are as in :func:`strong_scaling`."""
+    kw = dict(mu=mu, lam=lam, max_iter=max_iter, P=P, machine=machine, seed=seed)
+    base = _run(ds, base_solver, None, **kw)[1]
     points = []
     for s in s_values:
-        sa = _run(sa_solver, s).cost
-        points.append(
-            SpeedupPoint(
-                s=s,
-                total=base.seconds / max(sa.seconds, 1e-300),
-                communication=base.comm_seconds / max(sa.comm_seconds, 1e-300),
-                computation=base.compute_seconds / max(sa.compute_seconds, 1e-300),
-            )
-        )
+        sa = _run(ds, sa_solver, s, **kw)[1]
+        points.append(SpeedupPoint(
+            s=s,
+            total=base.seconds / max(sa.seconds, 1e-300),
+            communication=base.comm_seconds / max(sa.comm_seconds, 1e-300),
+            computation=base.compute_seconds / max(sa.compute_seconds, 1e-300),
+        ))
     return points

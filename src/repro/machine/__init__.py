@@ -1,7 +1,7 @@
 """Machine performance model (alpha-beta-gamma) and cost accounting.
 
-See DESIGN.md §2: the Cray XC30 testbed is simulated by this model; the
-solvers' numerics are unaffected by it.
+The Cray XC30 testbed is simulated by this model (README, "Paper-figure
+benchmarks"); the solvers' numerics are unaffected by it.
 """
 
 from repro.machine.collectives import CollectiveCost, CollectiveModel

@@ -13,8 +13,8 @@ performance experiments use an explicit alpha-beta-gamma model:
   the last-level cache slice, its rate is multiplied by ``cache_penalty``;
   this reproduces the "slowdowns once s becomes too large" effect.
 
-All presets are order-of-magnitude calibrations, documented in DESIGN.md:
-the reproduction targets ratios (speedups, crossovers), not absolute
+All presets are order-of-magnitude calibrations (README, "Paper-figure
+benchmarks"): the reproduction targets ratios (speedups, crossovers), not absolute
 seconds.
 """
 

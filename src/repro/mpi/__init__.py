@@ -16,8 +16,8 @@ All three implement the blocking collectives *and* the nonblocking
 :meth:`Comm.Iallreduce` (returning a :class:`CommRequest`), with honest
 overlap accounting: only unoverlapped collective latency is charged.
 
-See DESIGN.md §2 for why this substitution preserves the paper's
-behaviour.
+README's "Paper-figure benchmarks" says why this substitution preserves
+the paper's behaviour.
 """
 
 from repro.mpi.comm import Comm, CommRequest

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro._api import fit_lasso, fit_svm
+from repro._api import check_solver, fit_lasso, fit_svm
 from repro.checkpoint import (
     check_fields,
     emit_solver_checkpoint,
@@ -373,7 +373,8 @@ class SweepContext:
         result's ``cost`` is this point's alone and is appended to
         :attr:`point_costs`.
         """
-        schedule = schedule.for_sweep(solver, self.comm.cost_size)
+        schedule = schedule.for_sweep(check_solver(solver, self.task),
+                                      self.comm.cost_size)
         self.comm.reset()
         knobs = dict(solver=solver, s=s, max_iter=max_iter, tol=tol,
                      seed=seed, comm=self.comm, record_every=record_every,
@@ -480,6 +481,7 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
     results come back without the context.
     """
     check_launch(backend, recover, comm)
+    sa = check_solver(knobs["solver"], task)
     if backend != "virtual" and context is not None:
         raise SolverError(
             "context= holds a live SweepContext and cannot be shipped"
@@ -531,7 +533,7 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
             ):
                 _emit_path_checkpoint(ck_sink, ctx.comm.rank, task, lams,
                                       results, warm, params)
-        ran = knobs["schedule"].for_sweep(knobs["solver"], ctx.comm.cost_size)
+        ran = knobs["schedule"].for_sweep(sa, ctx.comm.cost_size)
         return PathResult(
             task=task, lambdas=lams, results=results,
             # a live context cannot cross back from a real backend's ranks

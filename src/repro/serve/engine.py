@@ -38,7 +38,8 @@ before every dispatch and once the trace is done: one write per
 dispatch. Each dispatch's outcome rides the next write, which records
 all a write right after the dispatch would; a crash before it lands
 leaves the dispatch's own pre-dispatch file, whose resume replays the
-batch and charges its tenant one fault (a predict charges none). Under
+batch and charges its tenant one fault for the incident (a predict
+charges none, and a replayed refit that fails again no second). Under
 ``recover="checkpoint"`` rank 0 ships the supervisor the same payloads.
 Each write encodes only what changed since the previous one: every
 request record, tenant model and committed sweep state keeps its
@@ -693,10 +694,13 @@ class _Engine:
     def _fault(self, ten: _Tenant, eidxs: list, outcome: str, err) -> None:
         """Contain a deterministic failure to this tenant: roll its
         sweep back to the last committed state, charge one fault, and
-        fail only the batch that triggered it."""
+        fail only the batch that triggered it. A batch a resume replays
+        is charged nothing more: the crash and the replay it forces are
+        one incident, whose fault :meth:`restore` charged."""
         self._rollback(ten)
-        ten.faults += 1
-        self._quarantine_if_exhausted(ten)
+        if not self.requests[eidxs[0]]["recovered"]:
+            ten.faults += 1
+            self._quarantine_if_exhausted(ten)
         for eidx in eidxs:
             self._resolve(eidx, outcome, error=err)
 

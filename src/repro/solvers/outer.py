@@ -156,14 +156,13 @@ class Schedule:
         if sa and s < 1:
             raise SolverError(f"s must be >= 1, got {s}")
 
-    def for_sweep(self, solver: str, cost_size: int) -> "Schedule":
+    def for_sweep(self, sa: bool, cost_size: int) -> "Schedule":
         """The schedule a sweep's solve runs on ``cost_size`` modelled
-        ranks: the pipelined ring only for an SA solver (``sa-*``) on more
-        than one rank, since one rank's reductions are charged nothing and
-        a classical solver syncs every iteration. The async ring is kept."""
-        if self.ring and not self.tau and not (
-            solver.startswith("sa-") and cost_size > 1
-        ):
+        ranks: the pipelined ring only for an SA solver (``sa``, its
+        registry flag) on more than one rank, since one rank's
+        reductions are charged nothing and a classical solver syncs
+        every iteration. The async ring is kept."""
+        if self.ring and not self.tau and not (sa and cost_size > 1):
             return Schedule()
         return self
 

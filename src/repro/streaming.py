@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro._api import SOLVERS
+from repro._api import DEFAULT_SOLVER, SOLVERS, check_solver
 from repro.checkpoint import (
     check_fields,
     decode_lam,
@@ -109,8 +109,6 @@ STREAM_REPORT_VERSION = 3
 #: understand rather than guessing. Version 2 dropped the ``parity``
 #: solve default.
 STREAM_CHECKPOINT_VERSION = 2
-
-_DEFAULT_SOLVER = {"lasso": "sa-accbcd", "svm": "sa-svm"}
 
 
 def _matrix_to_dict(A) -> dict:
@@ -334,8 +332,10 @@ class StreamingSweep:
         self.task = task
         self.dist = self.ctx.dist
         self.comm = self.ctx.comm
+        solver = solver if solver is not None else DEFAULT_SOLVER[task]
+        check_solver(solver, task)
         self.defaults = dict(
-            solver=solver if solver is not None else _DEFAULT_SOLVER[task],
+            solver=solver,
             loss=loss, lam=lam, mu=mu, s=s, max_iter=max_iter, tol=tol,
             seed=seed, record_every=record_every, fast=fast,
             schedule=schedule,
@@ -411,7 +411,8 @@ class StreamingSweep:
     def schedule(self) -> Schedule:
         """The schedule :meth:`solve` runs at the engine defaults."""
         d = self.defaults
-        return d["schedule"].for_sweep(d["solver"], self.comm.cost_size)
+        return d["schedule"].for_sweep(check_solver(d["solver"], self.task),
+                                       self.comm.cost_size)
 
     def arrival_order(self) -> np.ndarray:
         """Arrival index of each row of the effective global matrix.

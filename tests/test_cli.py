@@ -130,3 +130,102 @@ class TestCommands:
         rc = main(["lasso", "--file", str(bad), "--max-iter", "5"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSolverVocabulary:
+    """Every ``--solver`` takes its names from the solver registry
+    (``repro._api``), and an unknown name exits 2, listing the known
+    names, before any dataset is generated or read."""
+
+    #: subcommand -> (argv running a registry name, what its output shows)
+    RUNS = {
+        "lasso": (["lasso", "--dataset", "covtype", "--cells", "3000",
+                   "--solver", "cd", "--max-iter", "16", "--record-every", "8"],
+                  "final objective"),
+        "lasso-path": (["lasso-path", "--dataset", "covtype", "--cells", "3000",
+                        "--solver", "sa-cd", "--n-lambdas", "3", "--s", "4",
+                        "--max-iter", "16"], "sa-cd regularization path"),
+        "svm": (["svm", "--dataset", "w1a", "--cells", "3000", "--solver",
+                 "sa-svm", "--loss", "l2", "--s", "4", "--max-iter", "32",
+                 "--record-every", "16"], "sa-svm-l2"),
+        "stream": (["stream", "--dataset", "w1a", "--cells", "3000",
+                    "--solver", "svm", "--schedule", "8", "--max-iter", "32"],
+                   "streaming svm (svm)"),
+        "serve": (["serve", "--dataset", "covtype", "--cells", "3000",
+                   "--solver", "bcd", "--mu", "2", "--requests", "6",
+                   "--max-iter", "16"], "serving 3 lasso tenants"),
+        "scaling": (["scaling", "--dataset", "covtype", "--cells", "3000",
+                     "--solver", "bcd", "--ps", "64", "--s", "4",
+                     "--max-iter", "16"], "sa-bcd s=4"),
+    }
+
+    #: case -> (argv naming a solver the command does not take, the known
+    #: names its error lists)
+    UNKNOWN = {
+        "lasso": (["lasso", "--dataset", "covtype", "--solver", "sa-svm"],
+                  ("bcd", "sa-bcd", "accbcd", "sa-accbcd", "cd", "sa-cd",
+                   "acccd", "sa-acccd")),
+        "lasso-path": (["lasso-path", "--dataset", "covtype", "--solver",
+                        "bogus"], ("cd", "sa-accbcd")),
+        "svm": (["svm", "--dataset", "w1a", "--solver", "sa-bcd"],
+                ("svm", "sa-svm", "svm-l1", "sa-svm-l2")),
+        "stream-svm-suffix": (["stream", "--dataset", "w1a", "--solver",
+                               "sa-svm-l2"], ("svm", "sa-svm")),
+        "stream-lasso": (["stream", "--dataset", "covtype", "--task", "auto",
+                          "--solver", "sa-svm"], ("bcd", "sa-acccd")),
+        "stream-task": (["stream", "--dataset", "covtype", "--task", "svm",
+                         "--solver", "sa-accbcd"], ("svm", "sa-svm")),
+        "serve": (["serve", "--dataset", "covtype", "--solver", "bogus"],
+                  ("bcd", "sa-accbcd")),
+        "serve-svm": (["serve", "--dataset", "news20.binary", "--solver",
+                       "sa-bcd"], ("svm", "sa-svm")),
+        "scaling": (["scaling", "--dataset", "covtype", "--solver", "sa-bcd"],
+                    ("bcd", "accbcd", "cd", "acccd")),
+    }
+
+    @staticmethod
+    def _exit_code(argv) -> int:
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's choices
+            return exc.code
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_registry_name_runs(self, command, capsys):
+        argv, shows = self.RUNS[command]
+        assert main(argv) == 0
+        assert shows in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN))
+    def test_unknown_name_exits_before_any_data(self, case, capsys,
+                                                monkeypatch):
+        import repro.cli
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("dataset built before the solver was checked")
+
+        monkeypatch.setattr(repro.cli, "load_scaled", no_data)
+        argv, known = self.UNKNOWN[case]
+        assert self._exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in known), err
+
+    def test_sweeps_reject_an_unknown_solver_before_any_reduction(self):
+        from repro import StreamingSweep, lasso_path, svm_path
+        from repro.datasets import make_classification
+        from repro.errors import SolverError
+        from repro.mpi.virtual_backend import VirtualComm
+
+        A, b, _ = make_sparse_regression(30, 10, density=0.5, seed=1)
+        X, y = make_classification(30, 10, density=0.5, seed=2)
+        for build in (
+            lambda comm: StreamingSweep(A, b, solver="bogus", comm=comm),
+            lambda comm: StreamingSweep(X, y, task="svm", solver="sa-bcd",
+                                        comm=comm),
+            lambda comm: lasso_path(A, b, solver="sa-svm", comm=comm),
+            lambda comm: svm_path(X, y, solver="bogus", comm=comm),
+        ):
+            comm = VirtualComm(4)
+            with pytest.raises(SolverError, match="unknown (lasso|svm) solver"):
+                build(comm)
+            assert comm.ledger.snapshot() == comm.ledger.snapshot().zero()

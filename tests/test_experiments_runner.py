@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from repro._api import SOLVERS, SVM_SPELLINGS
 from repro.errors import SolverError
 from repro.experiments.runner import (
-    LASSO_SOLVERS,
-    SVM_SOLVERS,
     load_scaled,
     run_lasso,
     run_svm,
@@ -46,13 +45,13 @@ class TestLoadScaled:
 
 class TestRunners:
     def test_all_lasso_solvers_run(self, covtype_ds):
-        for name in LASSO_SOLVERS:
+        for name in SOLVERS["lasso"]:
             res = run_lasso(covtype_ds, name, s=4, mu=2, max_iter=8, P=16,
                             record_every=0, lam=1.0)
             assert np.all(np.isfinite(res.x))
 
     def test_all_svm_solvers_run(self, svm_ds):
-        for name in SVM_SOLVERS:
+        for name in SVM_SPELLINGS:
             res = run_svm(svm_ds, name, s=4, max_iter=8, P=16)
             assert np.all(np.isfinite(res.x))
 
@@ -84,8 +83,7 @@ class TestSweeps:
         assert pts[-1].comm_seconds > pts[0].comm_seconds
 
     def test_strong_scaling_svm(self, svm_ds):
-        pts = strong_scaling(svm_ds, "sa-svm-l1", [16, 64], s=4, max_iter=16,
-                             task="svm")
+        pts = strong_scaling(svm_ds, "sa-svm-l1", [16, 64], s=4, max_iter=16)
         assert all(p.seconds > 0 for p in pts)
         assert all(p.s == 4 for p in pts)
 
@@ -105,5 +103,5 @@ class TestSweeps:
 
     def test_sa_wins_at_scale(self, svm_ds):
         pts = speedup_vs_s(svm_ds, "svm-l1", "sa-svm-l1", [16], P=3072,
-                           max_iter=64, task="svm")
+                           max_iter=64)
         assert pts[0].total > 1.0

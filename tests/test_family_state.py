@@ -124,7 +124,7 @@ class TestScheduleValue:
 
     def test_sweeps_resolve_the_pipelined_ring_only(self):
         ring, stale = Schedule(ring=True), Schedule(ring=True, tau=2)
-        assert ring.for_sweep("sa-svm", 2) == ring
-        assert ring.for_sweep("sa-svm", 1) == Schedule()
-        assert ring.for_sweep("svm", 2) == Schedule()
-        assert stale.for_sweep("sa-svm", 1) == stale
+        assert ring.for_sweep(True, 2) == ring
+        assert ring.for_sweep(True, 1) == Schedule()
+        assert ring.for_sweep(False, 2) == Schedule()
+        assert stale.for_sweep(True, 1) == stale

@@ -27,11 +27,10 @@ import numpy as np
 import pytest
 
 import repro.path
-from repro import fit_lasso, fit_svm
+from repro import _api, fit_lasso, fit_svm
 from repro.cli import main
 from repro.datasets import make_classification, make_sparse_regression, save_libsvm
 from repro.errors import CommError
-from repro.experiments import runner
 from repro.experiments.runner import load_scaled, run_lasso, run_svm
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.virtual_backend import VirtualComm
@@ -305,10 +304,9 @@ class TestKillAndRecover:
         kw = dict(mu=2, s=4, max_iter=24, record_every=4)
         oracle = run_lasso(lasso_ds, "sa-accbcd", **kw, **PROCESS)
         marker = tmp_path / "killed"
-        monkeypatch.setitem(
-            runner.LASSO_SOLVERS, "sa-accbcd",
-            _killing_solver(runner.LASSO_SOLVERS["sa-accbcd"], marker),
-        )
+        fn, sa = _api._LASSO["sa-accbcd"]
+        monkeypatch.setitem(_api._LASSO, "sa-accbcd",
+                            (_killing_solver(fn, marker), sa))
         res = run_lasso(lasso_ds, "sa-accbcd", **kw, **RECOVER)
         _assert_recovered(res, marker)
         _assert_close(res.x, oracle.x)
@@ -318,10 +316,7 @@ class TestKillAndRecover:
         kw = dict(s=4, max_iter=48, record_every=8)
         oracle = run_svm(svm_ds, "sa-svm-l2", **kw, **PROCESS)
         marker = tmp_path / "killed"
-        monkeypatch.setitem(
-            runner.SVM_SOLVERS, "sa-svm-l2",
-            _killing_solver(runner.SVM_SOLVERS["sa-svm-l2"], marker),
-        )
+        monkeypatch.setattr(_api, "sa_dcd", _killing_solver(_api.sa_dcd, marker))
         res = run_svm(svm_ds, "sa-svm-l2", **kw, **RECOVER)
         _assert_recovered(res, marker)
         _assert_close(res.x, oracle.x)

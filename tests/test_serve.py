@@ -872,24 +872,47 @@ class TestOneWritePerDispatch:
     def test_crash_after_a_dispatch_replays_it(self, tmp_path, monkeypatch,
                                                where):
         """A crash after dispatch k, before the next write lands, leaves
-        k's pre-dispatch file: the resume replays k, charging its tenant
-        one fault, and ends as the uninterrupted run did."""
+        k's pre-dispatch file: the resume replays k and ends as the
+        uninterrupted run did. The crash and the replay it forces are
+        one incident, so k's tenant ends one fault up: a refit that
+        succeeds is charged the crash's fault, and one that fails
+        (``SolverError``, here tenant c's first refit) and fails again on
+        replay is charged its one fault, not a second."""
+        for fails in (False, True):
+            self._crash_and_resume(tmp_path / f"fails-{fails}", monkeypatch,
+                                   where, fails)
+
+    @staticmethod
+    def _crash_and_resume(tmp_path, monkeypatch, where, fails):
         import repro.utils.io as io
+        tmp_path.mkdir()
         specs = _three_tenants()
         trace = synthetic_trace(["a", "b", "c"], 16, seed=4, mean_gap=0.001,
                                 rows=2, predict_frac=0.3,
                                 append_budget={n: 12 for n in "abc"})
         kw = dict(machine=CRAY_XC30, virtual_p=4, queue_depth=8)
-        full = serve_trace(specs, trace, **kw)
+
+        def hook(picked):
+            """The fault hook: dispatch k is the first refit from dispatch
+            4 on or, when ``fails``, tenant c's first refit, which raises;
+            ``picked`` records ``(dispatch_no, tenant)`` of k."""
+            def pick(comm, tenant, dispatch_no, op):
+                if op != "refit" or picked:
+                    return
+                if fails and tenant == "c":
+                    picked.append((dispatch_no, tenant))
+                    raise SolverError("injected divergence")
+                if not fails and dispatch_no >= 4:
+                    picked.append((dispatch_no, tenant))
+            return pick
+
+        full = serve_trace(specs, trace, fault_hook=hook([]) if fails else None,
+                           **kw)
         ck_path = tmp_path / "serve.ck.json"
         crashed = []  # (dispatch_no, tenant) of dispatch k, once it ran
 
         class Killed(Exception):
             pass
-
-        def pick(comm, tenant, dispatch_no, op):
-            if dispatch_no >= 4 and op == "refit" and not crashed:
-                crashed.append((dispatch_no, tenant))
 
         class CrashingOS:  # os, but os.replace dies once dispatch k ran
             def __getattr__(self, name):
@@ -913,14 +936,16 @@ class TestOneWritePerDispatch:
             monkeypatch.setattr(serve_engine._Engine, "_admit_due", admit_due)
         with pytest.raises(Killed):
             serve_trace(specs, trace, checkpoint_path=ck_path,
-                        fault_hook=pick, **kw)
+                        fault_hook=hook(crashed), **kw)
         monkeypatch.undo()
         k, name = crashed[0]
         ck = json.loads(ck_path.read_text())
         assert os.listdir(tmp_path) == ["serve.ck.json"]
         assert ck["dispatch_no"] == k and ck["in_flight"]["tenant"] == name
         replayed = ck["in_flight"]["eidxs"]
-        resumed = serve_trace(specs, trace, resume_from=ck_path, **kw)
+        # a deterministic failure fails the replay too
+        resumed = serve_trace(specs, trace, resume_from=ck_path,
+                              fault_hook=hook([]) if fails else None, **kw)
 
         def outcomes(rep):
             return [(r["eidx"], r["outcome"], r["result_hash"])
@@ -931,6 +956,10 @@ class TestOneWritePerDispatch:
         assert outcomes(resumed) == outcomes(full)
         assert {t["name"]: t["faults"] for t in resumed["tenants"]} == {
             n: int(n == name) for n in "abc"}
+        assert [t["state"] for t in resumed["tenants"]] == ["active"] * 3
+        if fails:
+            assert {r["outcome"] for r in full["requests"]
+                    if r["eidx"] in replayed} == {"failed"}
         assert [r["eidx"] for r in resumed["requests"]
                 if r["recovered"]] == sorted(replayed)
         assert resumed["totals"]["recovered_requests"] == len(replayed)

@@ -55,6 +55,7 @@ from repro import (
     lasso_path,
     svm_path,
 )
+from repro._api import SOLVERS, check_solver
 from repro.cli import build_parser, main
 from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import SolverError
@@ -158,8 +159,9 @@ class TestSweepSchedule:
     ])
     def test_resolution(self, solver, pipeline, async_, cost_size, want):
         # the flags as a sweep command reads them, --async winning
-        ran = Schedule.from_flags(pipeline, async_, 1).for_sweep(solver,
-                                                                 cost_size)
+        task = "svm" if solver in SOLVERS["svm"] else "lasso"
+        ran = Schedule.from_flags(pipeline, async_, 1).for_sweep(
+            check_solver(solver, task), cost_size)
         assert (ran.knobs()["pipeline"], ran.is_async) == want
 
 
