@@ -26,8 +26,8 @@ def fig4_scaling():
     results = {}
     for name, Ps, s in CASES:
         ds = load_scaled(name, target_cells=20_000.0, seed=0)
-        base = strong_scaling(ds, "acccd", Ps, max_iter=H, lam=1.0)
-        sa = strong_scaling(ds, "sa-acccd", Ps, s=s, max_iter=H, lam=1.0)
+        base = strong_scaling(ds, "acccd", Ps, max_iter=H)
+        sa = strong_scaling(ds, "sa-acccd", Ps, s=s, max_iter=H)
         banner(f"Figure 4 ({name}) — strong scaling, accCD vs SA-accCD (s={s})")
         rows = []
         for p0, p1 in zip(base, sa, strict=True):

@@ -30,7 +30,7 @@ def fig4_speedups():
     for name, P, s_values in CASES:
         ds = load_scaled(name, target_cells=20_000.0, seed=0)
         pts = speedup_vs_s(ds, "acccd", "sa-acccd", s_values, P=P,
-                           max_iter=H, lam=1.0)
+                           max_iter=H)
         banner(f"Figure 4 speedup breakdown ({name}; P = {P})")
         rows = [
             [p.s, f"{p.total:.2f}", f"{p.communication:.2f}",

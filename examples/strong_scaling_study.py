@@ -24,8 +24,8 @@ def main(dataset: str = "covtype", solver: str = "acccd") -> None:
 
     Ps = [192, 768, 3072, 12288]
     H = 384
-    base = strong_scaling(ds, solver, Ps, max_iter=H, lam=1.0)
-    sa = strong_scaling(ds, sa_solver, Ps, s=16, max_iter=H, lam=1.0)
+    base = strong_scaling(ds, solver, Ps, max_iter=H)
+    sa = strong_scaling(ds, sa_solver, Ps, s=16, max_iter=H)
     rows = [
         [p0.P, f"{p0.seconds * 1e3:.3f}", f"{p1.seconds * 1e3:.3f}",
          f"{p0.seconds / p1.seconds:.2f}x"]
@@ -41,7 +41,7 @@ def main(dataset: str = "covtype", solver: str = "acccd") -> None:
     P_star = Ps[-1]
     pts = speedup_vs_s(ds, solver, sa_solver,
                        [2, 4, 8, 16, 32, 64, 128, 256], P=P_star,
-                       max_iter=H, lam=1.0)
+                       max_iter=H)
     rows = [
         [p.s, f"{p.total:.2f}x", f"{p.communication:.2f}x",
          f"{p.computation:.2f}x"]

@@ -48,19 +48,17 @@ MODES = ("blocking", "pipeline", "async")
 FAMILIES = ("lasso-plain", "lasso-acc", "svm")
 
 #: trace keys (``op:shape``) of the primitive schedule events
-AR_SCALAR = "allreduce:scalar"  # distributed_objective / norm2_cols
-AR_VEC = "Allreduce:vec"  # packed Gram+projection / matvec_full
+AR_SCALAR = "allreduce:scalar"  # distributed_objective
+AR_VEC = "Allreduce:vec"  # packed Gram+projection
 NB_VEC = "Iallreduce:vec"  # GramPipeline.post
-AG_VEC = "Allgather:vec"  # gather_cols
+AG_VEC = "Allgather:vec"  # sum_and_gather
 
 #: a record no Gram reduction carries syncs on its own: the Lasso
 #: objective in one scalar allreduce (distributed_objective), the SVM
-#: duality gap in SvmState.record's matvec_full (buffer Allreduce) plus
-#: norm2_cols (object allreduce of a python float)
+#: duality gap in SvmState.record's one Allgather (sum_and_gather), which
+#: also gathers the primal the result returns
 _UNCARRIED = {"lasso-plain": (AR_SCALAR,), "lasso-acc": (AR_SCALAR,),
-              "svm": (AR_VEC, AR_SCALAR)}
-#: after the driver loop: SVM gathers its primal shard (gather_cols)
-_TRAILING = {"lasso-plain": (), "lasso-acc": (), "svm": (AG_VEC,)}
+              "svm": (AG_VEC,)}
 
 #: static extraction roots: the SA loop every family runs, and each
 #: family's state class, on which its hook calls resolve
@@ -104,15 +102,16 @@ def outer_chunks(max_iter: int, s: int) -> list[int]:
     return sizes
 
 
-def _schedule(mode: str, params: ScheduleParams, uncarried, trailing) -> list[str]:
+def _schedule(mode: str, params: ScheduleParams, uncarried) -> list[str]:
     """One solve's sequence under :class:`repro.solvers.outer.Checks`.
 
-    Records fall at outer-step boundaries that cross a multiple of
-    ``record_every`` and ride the next Gram reduction as a tail (same op,
-    same shape class), so only iteration 0, the final iterate and records
-    with no later reduction to carry them — the async schedule's last
-    ``tau`` outer steps — emit the family's ``uncarried`` events. The
-    family's ``trailing`` events follow the final record.
+    Records fall at iteration 0 and at outer-step boundaries that cross a
+    multiple of ``record_every``, and ride the next Gram reduction as a
+    tail (same op, same shape class; a tail that would overflow the
+    communicator's slot syncs on its own, which these models leave out),
+    so only the final iterate and records with no later reduction to
+    carry them — the async schedule's last ``tau`` outer steps — emit the
+    family's ``uncarried`` events.
     """
     chunks = outer_chunks(params.max_iter, params.s)
     post = AR_VEC if mode == "blocking" else NB_VEC
@@ -120,7 +119,7 @@ def _schedule(mode: str, params: ScheduleParams, uncarried, trailing) -> list[st
     # is posted right after a boundary
     ahead = min((params.tau if mode == "async" else 0) + 1, len(chunks))
     every = params.record_every
-    events = [*uncarried] + [post] * ahead
+    events = [post] * ahead
     done = last = 0
     for i, s_eff in enumerate(chunks):
         done += s_eff
@@ -131,7 +130,7 @@ def _schedule(mode: str, params: ScheduleParams, uncarried, trailing) -> list[st
                 events.extend(uncarried)
         if carried:
             events.append(post)
-    return events + [*uncarried, *trailing]  # the final iterate's record
+    return events + [*uncarried]  # the final iterate's record
 
 
 def expected_schedule(
@@ -147,7 +146,7 @@ def expected_schedule(
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    return _schedule(mode, params, _UNCARRIED[family], _TRAILING[family])
+    return _schedule(mode, params, _UNCARRIED[family])
 
 
 # -- static extraction -------------------------------------------------------

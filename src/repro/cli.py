@@ -705,9 +705,9 @@ def _cmd_scaling(args) -> int:
     machine = get_machine(args.machine)
     partner = f"sa-{args.solver}"  # the registry's SA name of the solver
     base = strong_scaling(ds, args.solver, Ps, mu=args.mu,
-                          max_iter=args.max_iter, machine=machine, lam=1.0)
+                          max_iter=args.max_iter, machine=machine)
     sa = strong_scaling(ds, partner, Ps, s=args.s, mu=args.mu,
-                        max_iter=args.max_iter, machine=machine, lam=1.0)
+                        max_iter=args.max_iter, machine=machine)
     rows = [
         [p0.P, f"{p0.seconds * 1e3:.4g}", f"{p1.seconds * 1e3:.4g}",
          f"{p0.seconds / p1.seconds:.2f}x"]

@@ -211,13 +211,15 @@ def run_svm(
 
 
 def _run(ds: ScaledDataset, solver: str, s: int | None, *, mu: int,
-         lam: float, **kw) -> tuple:
+         lam: float | None, **kw) -> tuple:
     """``(is_sa, cost)`` of one ``record_every=0`` run of a Lasso name
-    (at ``mu``, on the dataset's ``lam``) or an SVM spelling (at ``lam``)."""
+    (at ``mu``) or an SVM spelling, at ``lam``; ``None`` is the
+    dataset's ``lam`` (0.1 without one) for Lasso and 1.0 for SVM."""
     if solver in SOLVERS["lasso"]:
-        res = run_lasso(ds, solver, mu=mu, s=s, record_every=0, **kw)
+        res = run_lasso(ds, solver, mu=mu, s=s, lam=lam, record_every=0, **kw)
         return check_solver(solver, "lasso"), res.cost
-    res = run_svm(ds, solver, s=s, lam=lam, record_every=0, **kw)
+    res = run_svm(ds, solver, s=s, lam=1.0 if lam is None else lam,
+                  record_every=0, **kw)
     return check_solver(svm_spelling(solver)[0], "svm"), res.cost
 
 
@@ -244,12 +246,13 @@ def strong_scaling(
     max_iter: int = 200,
     machine: MachineSpec = CRAY_XC30,
     seed: int = 0,
-    lam: float = 1.0,
+    lam: float | None = None,
 ) -> list:
     """Modelled running time of one solver across processor counts
-    (paper Fig. 4a-4d). ``solver`` is a Lasso name, run on the dataset's
-    ``lam``, or an SVM spelling, run at ``lam``; a classical solver's
-    points carry ``s = 1``."""
+    (paper Fig. 4a-4d). ``solver`` is a Lasso name or an SVM spelling,
+    run at ``lam``: ``None`` is the dataset's ``lam`` (0.1 without one)
+    for Lasso and 1.0 for SVM. A classical solver's points carry
+    ``s = 1``."""
     points = []
     for P in Ps:
         sa, c = _run(ds, solver, s, mu=mu, lam=lam, max_iter=max_iter, P=P,
@@ -283,7 +286,7 @@ def speedup_vs_s(
     P: int = 1024,
     machine: MachineSpec = CRAY_XC30,
     seed: int = 0,
-    lam: float = 1.0,
+    lam: float | None = None,
 ) -> list:
     """Total / communication / computation speedups of the SA variant
     over the classical one, for a sweep of s (paper Fig. 4e-4h); the

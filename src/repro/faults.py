@@ -284,6 +284,9 @@ class FaultyComm(Comm):
                     time.sleep(pause)
                 self._attempt += 1
 
+    def payload_fits(self, words: int, nonblocking: bool = False) -> bool:
+        return self.inner.payload_fits(words, nonblocking)
+
     # -- backend hooks -----------------------------------------------------
     def _allgather_impl(self, tag: str, obj: Any) -> list:
         return self._with_faults(tag, lambda: self.inner._allgather_impl(tag, obj))

@@ -40,6 +40,7 @@ from repro.linalg.packing import (
 )
 from repro.linalg.partition import Partition1D, balanced_nnz_partition
 from repro.mpi.comm import Comm
+from repro.mpi.ops import SUM
 from repro.utils.validation import check_dense_or_csr, nnz_of
 
 __all__ = ["RowPartitionedMatrix", "ColPartitionedMatrix", "GramPipeline"]
@@ -270,27 +271,46 @@ class _PartitionedBase:
         else:
             pack_extras(_densify_small(self._block_proj(Y, vectors)), k, symmetric, out)
 
-    def _reduce_block(self, Y, vectors: list, symmetric: bool, tail=None):
+    def _tail_rides(self, n: int, tail, nonblocking: bool) -> bool:
+        """Whether ``tail`` rides a reduction of ``n`` packed words. It
+        does wherever the whole payload fits the communicator's slot;
+        otherwise it is summed now in its own ledger-paused Allreduce
+        (the carrier still prices it), so a large record never makes a
+        reduction overflow. Every rank decides alike: ``n``, the tail's
+        length and the slot size are the same on all of them."""
+        if tail is None or self.comm.payload_fits(n + tail.shape[0], nonblocking):
+            return tail is not None
+        with self.comm.ledger.paused():
+            tail[:] = self.comm.Allreduce(tail, timeout=self.comm.timeout)
+        return False
+
+    def _reduce_block(self, Y, vectors: list, symmetric: bool, tail=None,
+                      tail_priced: bool = True):
         """Pack block ``Y``'s partial Gram and projections of ``vectors``
         and sum them across ranks in one packed Allreduce.
 
         ``tail`` (optional float64 buffer) holds this rank's partials of
         a convergence record (:class:`repro.solvers.outer.Checks`); they
         ride the same message after the projections and are overwritten
-        in place with their sums. Returns ``(G, extras-or-None)`` in the
+        in place with their sums. ``tail_priced=False`` charges the
+        message at its Gram-plus-projection length, as for an SA solve's
+        iteration-0 record. Returns ``(G, extras-or-None)`` in the
         reusable output buffers.
         """
         k, c = self._block_len(Y), len(vectors)
         n = packed_length(k, c, symmetric)
-        send, recv = self._packed_buffers(n if tail is None else n + tail.shape[0])
+        words = float(n if tail is None or not tail_priced else n + tail.shape[0])
+        rides = self._tail_rides(n, tail, nonblocking=False)
+        send, recv = self._packed_buffers(n + tail.shape[0] if rides else n)
         self._pack_head(Y, symmetric, send)
         if c:
             self._pack_proj(Y, vectors, symmetric, send)
-        if tail is not None:
+        if rides:
             send[n:] = tail
-        total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout)
+        total = self.comm.Allreduce(send, out=recv, timeout=self.comm.timeout,
+                                    words=words)
         _check_gram_finite(total[:packed_length(k, 0, symmetric)])
-        if tail is not None:
+        if rides:
             tail[:] = total[n:]
         out_g, out_r = self._gram_outputs(k, c)
         return unpack_gram(total[:n], k, c, symmetric, out_g=out_g, out_extras=out_r)
@@ -386,24 +406,26 @@ class GramPipeline:
         return slot
 
     def post(
-        self, slot: _PipeSlot, vectors: Sequence[np.ndarray], tail=None
+        self, slot: _PipeSlot, vectors: Sequence[np.ndarray], tail=None,
+        tail_priced: bool = True,
     ) -> None:
         """Pack the projections ``Y^T V`` (resp. ``Y x``), post the reduce.
 
         ``tail`` (optional float64 buffer of at most ``spare`` words)
         rides the same message after the projections, as in
-        :meth:`RowPartitionedMatrix.gram_and_project`; :meth:`wait`
-        overwrites it with its sums across ranks.
+        :meth:`RowPartitionedMatrix.gram_and_project` (``tail_priced``
+        too); :meth:`wait` overwrites it with its sums across ranks.
         """
         dist = self.dist
         dist._charge_proj(nnz_of(slot.Y), slot.k, self.extra_cols)
         dist._pack_proj(slot.Y, [np.asarray(v) for v in vectors], self.symmetric, slot.send)
         n = slot.send.shape[0] - self.spare
-        if tail is not None:
+        words = float(n if tail is None or not tail_priced else n + tail.shape[0])
+        slot.tail = tail if dist._tail_rides(n, tail, nonblocking=True) else None
+        if slot.tail is not None:
             slot.send[n:n + tail.shape[0]] = tail
             n += tail.shape[0]
-        slot.tail = tail
-        slot.req = dist.comm.Iallreduce(slot.send[:n], out=slot.recv[:n])
+        slot.req = dist.comm.Iallreduce(slot.send[:n], out=slot.recv[:n], words=words)
 
     def wait(self, slot: _PipeSlot) -> tuple:
         """Complete the reduction; returns ``(Y, G, R)``.
@@ -645,6 +667,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         vectors: Sequence[np.ndarray],
         symmetric: bool = True,
         tail: np.ndarray | None = None,
+        tail_priced: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compute ``G = SᵀS`` and ``R = SᵀV`` with one packed Allreduce.
 
@@ -661,6 +684,12 @@ class RowPartitionedMatrix(_PartitionedBase):
             convergence record, riding the same message after the
             projections and charged as part of it (the SA Lasso solvers'
             ``[||r_local||^2]``); overwritten in place with their sums.
+            Where the whole message would not fit the communicator's
+            slot, the tail is summed on its own first, ledger-paused.
+        tail_priced:
+            False leaves the tail's words out of the message's charge:
+            an SA solve's iteration-0 record, whose own sync the model
+            never priced, rides the first reduction that way.
 
         Returns
         -------
@@ -674,7 +703,7 @@ class RowPartitionedMatrix(_PartitionedBase):
         k, vectors = S.shape[1], [np.asarray(v) for v in vectors]
         c = len(vectors)
         self._charge_gram(nnz_of(S), k, c, symmetric)
-        G, R = self._reduce_block(S, vectors, symmetric, tail)
+        G, R = self._reduce_block(S, vectors, symmetric, tail, tail_priced)
         return G, (R if c else np.zeros((k, 0)))
 
     def gram_pipeline(
@@ -839,11 +868,13 @@ class ColPartitionedMatrix(_PartitionedBase):
         x_local: np.ndarray,
         symmetric: bool = True,
         tail: np.ndarray | None = None,
+        tail_priced: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``G = Y Yᵀ`` (k x k over the feature dimension) and ``Y x``.
 
         One packed Allreduce, matching Alg. 4 lines 9-10 (the caller adds
-        ``gamma I`` *after* the reduction, once). ``tail`` rides it as in
+        ``gamma I`` *after* the reduction, once). ``tail`` and
+        ``tail_priced`` are as in
         :meth:`RowPartitionedMatrix.gram_and_project` (SA-SVM's duality-gap
         record, ``[A_p x_p, ||x_p||^2]``). The outputs live in
         reusable per-instance buffers, valid until the next Gram
@@ -851,7 +882,7 @@ class ColPartitionedMatrix(_PartitionedBase):
         """
         Y = sampled
         self._charge_gram(nnz_of(Y), Y.shape[0], 1, symmetric)
-        G, R = self._reduce_block(Y, [x_local], symmetric, tail)
+        G, R = self._reduce_block(Y, [x_local], symmetric, tail, tail_priced)
         return G, R[:, 0]
 
     def gram_rows_pipeline(
@@ -879,14 +910,26 @@ class ColPartitionedMatrix(_PartitionedBase):
         self.comm.account_flops(2.0 * nnz_of(row_sampled), "blas1")
         return self.comm.Allreduce(part, timeout=self.comm.timeout)
 
-    def matvec_full(self, x_local: np.ndarray) -> np.ndarray:
-        """Global ``A @ x`` (m-vector, replicated). Diagnostic helper."""
+    def matvec_full(self, x_local: np.ndarray, total=None) -> np.ndarray:
+        """Global ``A @ x`` (m-vector, replicated). Diagnostic helper.
+
+        ``total`` is ``A x`` already summed across ranks (an SA-SVM
+        record's partials, which rode a reduction or
+        :meth:`sum_and_gather`): it is returned as is, with no
+        communication and no charge.
+        """
+        if total is not None:
+            return total
         part = np.asarray(self.local @ x_local).ravel()
         self.comm.account_flops(2.0 * self.local_nnz, "spmv")
         return self.comm.Allreduce(part, timeout=self.comm.timeout)
 
-    def norm2_cols(self, x_local: np.ndarray) -> float:
-        """Global squared norm of a column-partitioned vector."""
+    def norm2_cols(self, x_local: np.ndarray, total=None) -> float:
+        """Global squared norm of a column-partitioned vector; ``total``
+        is that norm already summed across ranks, read as in
+        :meth:`matvec_full`."""
+        if total is not None:
+            return float(total)
         part = float(np.dot(x_local, x_local))
         self.comm.account_flops(2.0 * x_local.shape[0], "blas1")
         return float(self.comm.allreduce(part, timeout=self.comm.timeout))
@@ -895,3 +938,25 @@ class ColPartitionedMatrix(_PartitionedBase):
         """Reassemble a column-partitioned vector on every rank."""
         return self.comm.Allgather(np.asarray(x_local, dtype=np.float64),
                                    timeout=self.comm.timeout)
+
+    def sum_and_gather(self, partials: np.ndarray, x_local: np.ndarray) -> tuple:
+        """``(partials summed across ranks, x gathered)`` in one Allgather.
+
+        Each rank sends its ``partials`` followed by its shard of the
+        column-partitioned ``x``; every rank then folds the partials in
+        rank order, which is the Allreduce fold bit for bit, and
+        concatenates the shards. Where one rank's payload would not fit
+        the communicator's slot, the two go in an Allreduce and an
+        Allgather. Charged like any collective: SA-SVM's records call it
+        ledger-paused.
+        """
+        t = partials.shape[0]
+        if not self.comm.payload_fits(t + x_local.shape[0]):
+            return (self.comm.Allreduce(partials, timeout=self.comm.timeout),
+                    self.gather_cols(x_local))
+        flat = self.comm.Allgather(np.concatenate([partials, x_local]),
+                                   timeout=self.comm.timeout)
+        starts = np.concatenate([[0], np.cumsum(self.partition.counts() + t)])
+        total = SUM.fold([flat[a:a + t] for a in starts[:-1]])
+        x = np.concatenate([flat[a + t:z] for a, z in zip(starts[:-1], starts[1:])])
+        return total, x

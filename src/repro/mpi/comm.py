@@ -269,6 +269,13 @@ class Comm(ABC):
         posting past it gets :class:`~repro.errors.NbRingDepthError`."""
         return None
 
+    def payload_fits(self, words: int, nonblocking: bool = False) -> bool:
+        """Whether one rank's float64 payload of ``words`` fits a buffer
+        collective (blocking, or ``nonblocking``) on this communicator.
+        Always true here; a backend with fixed-size slots answers from
+        their size, the same on every rank."""
+        return True
+
     def Get_rank(self) -> int:  # noqa: N802 - mpi4py naming
         return self._rank
 
@@ -413,6 +420,7 @@ class Comm(ABC):
         op: Op = SUM,
         out: np.ndarray | None = None,
         timeout: float | None = None,
+        words: float | None = None,
     ) -> np.ndarray:
         """Reduce-to-all of a NumPy array.
 
@@ -426,6 +434,12 @@ class Comm(ABC):
         backends complete the fold before releasing their peers. Without
         ``out`` a fresh array is returned, as before. The arithmetic is
         identical either way (rank-ordered accumulation).
+
+        ``words`` is the message length the ledger prices, in 8-byte
+        words (default: the whole buffer). A caller whose buffer carries
+        words the model leaves unpriced passes the priced length: an SA
+        solve's iteration-0 record tail rides its first Gram reduction
+        that way (see :class:`repro.solvers.outer.Checks`).
         """
         arr = np.asarray(sendbuf)
         if out is None:
@@ -443,7 +457,7 @@ class Comm(ABC):
         self._set_timeout(timeout)
         self._trace("Allreduce", arr)
         result = self._exchange_fold("Allreduce", arr, fold)
-        self._charge("allreduce", arr.nbytes / _WORD_BYTES)
+        self._charge("allreduce", arr.nbytes / _WORD_BYTES if words is None else words)
         return result
 
     def Iallreduce(  # noqa: N802 - mpi4py naming
@@ -452,6 +466,7 @@ class Comm(ABC):
         op: Op = SUM,
         out: np.ndarray | None = None,
         timeout: float | None = None,
+        words: float | None = None,
     ) -> CommRequest:
         """Nonblocking reduce-to-all; returns a :class:`CommRequest`.
 
@@ -468,7 +483,8 @@ class Comm(ABC):
         overlapped, and only the unoverlapped remainder of the modelled
         latency is charged (see :class:`CommRequest`). The arithmetic is
         the blocking :meth:`Allreduce`'s bit for bit — every backend
-        folds contributions in rank order.
+        folds contributions in rank order. ``words`` is priced as in
+        :meth:`Allreduce`.
         """
         arr = np.asarray(sendbuf)
         if out is not None and np.may_share_memory(arr, out):
@@ -476,7 +492,8 @@ class Comm(ABC):
         self._set_timeout(timeout)
         self._trace("Iallreduce", arr)
         handle = self._iallreduce_impl("Iallreduce", arr, op)
-        cost = self._cost_model.allreduce(arr.nbytes / _WORD_BYTES)
+        cost = self._cost_model.allreduce(
+            arr.nbytes / _WORD_BYTES if words is None else words)
         return CommRequest(self, handle, "Iallreduce", cost, out=out)
 
     def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op):
@@ -563,6 +580,11 @@ class RankWorld:
         self.size = int(size)
         self.latency = float(latency)
         self.nb_depth = int(nb_depth)
+
+    def payload_fits(self, words: int, nonblocking: bool) -> bool:
+        """See :meth:`Comm.payload_fits`; unbounded unless the storage
+        has fixed-size slots."""
+        return True
 
     def is_aborted(self) -> bool:
         raise NotImplementedError
@@ -739,6 +761,9 @@ class WorldComm(Comm):
     def nb_ring_depth(self) -> int | None:
         """Depth of the shared nonblocking slot ring (max in flight)."""
         return self._world.nb_depth
+
+    def payload_fits(self, words: int, nonblocking: bool = False) -> bool:
+        return self._world.payload_fits(words, nonblocking)
 
     def _allgather_impl(self, tag: str, obj: Any) -> list:
         return self._exchange_fold(tag, obj, None)

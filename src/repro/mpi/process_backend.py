@@ -98,6 +98,8 @@ __all__ = [
 ]
 
 _TAG_BYTES = 128
+#: bytes a pickled float64 array needs beyond its data (about 140 measured)
+_PICKLE_SLACK = 1024
 
 
 def _require_fork() -> mp.context.BaseContext:
@@ -276,6 +278,13 @@ class ProcessWorld(RankWorld):
             for seq in range(self.nb_depth)
         ]
         self._ctx = ctx
+
+    def payload_fits(self, words: int, nonblocking: bool) -> bool:
+        """A nonblocking payload fits a ring slot of ``nb_doubles``; a
+        blocking one, pickled, fits the ``slab_bytes`` deposit."""
+        if nonblocking:
+            return words <= self._nb_ring[0].capacity
+        return 8 * words + _PICKLE_SLACK <= self.slab_bytes
 
     def is_aborted(self) -> bool:
         return bool(self._aborted.value)

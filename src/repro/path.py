@@ -334,6 +334,8 @@ class SweepContext:
                     f"context holds a {self.dist.shape} matrix, got A with "
                     f"shape {shape}"
                 )
+            if self._fingerprint is None:
+                self._fingerprint = _data_fingerprint(self.dist)
             if not _fingerprints_match(_data_fingerprint(A), self._fingerprint):
                 raise SolverError(
                     "context was built for a different data matrix A "
@@ -344,16 +346,19 @@ class SweepContext:
             raise SolverError("context was built for a different label vector b")
 
     def refresh_problem(self, b=None) -> None:
-        """Re-derive the problem signature after an in-place data mutation.
+        """Mark the problem signature stale after an in-place data mutation.
 
         The streaming engine appends rows to the context's partitioned
         matrix between solves; without this, :meth:`check_problem` would
         keep comparing against the pre-append fingerprint (and the stale
-        label vector) and reject the context's own data.
+        label vector) and reject the context's own data. The fingerprint
+        is recomputed from the mutated shard when :meth:`check_problem`
+        next needs it, so a stream of mutations with no check between
+        them pays for none.
         """
         if b is not None:
             self.b = np.asarray(b, dtype=np.float64).ravel()
-        self._fingerprint = _data_fingerprint(self.dist)
+        self._fingerprint = None
 
     def solve(self, lam, warm=None, *, solver: str, s: int, max_iter: int,
               tol: float | None, seed: int, record_every: int, fast: bool,
@@ -621,11 +626,12 @@ def lasso_path(
     tol, record_every:
         Stopping tolerance, checked at recording points — keep
         ``record_every >= 1`` or every solve runs its full ``max_iter``.
-        SA solves record at the outer-step boundaries that cross a
-        multiple of ``record_every``, each record riding the next Gram
-        reduction as one word: a point costs one Gram reduction per
-        outer step (posted nonblocking on the default ring) plus two
-        blocking scalar syncs (its first and last objective), and a
+        SA solves record at iteration 0 and at the outer-step
+        boundaries that cross a multiple of ``record_every``, each
+        record riding the next Gram reduction as one word: a point
+        costs one Gram reduction per outer step (posted nonblocking on
+        the default ring) plus one blocking scalar sync (its last
+        objective), and a
         converged point returns the iterate its last record describes,
         one unused Gram reduction later (see :func:`repro.fit_lasso`).
         ``tol`` then compares objectives one or more outer steps

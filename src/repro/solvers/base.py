@@ -135,8 +135,9 @@ class SolverResult:
 
     #: solver identifier, e.g. ``"sa-accbcd(mu=8, s=16)"``
     solver: str
-    #: final solution vector. Lasso: replicated x (n,). SVM: *local* primal
-    #: shard x (n_loc,) plus the replicated dual in ``extras['alpha']``.
+    #: final solution vector, replicated on every rank. Lasso: x (n,).
+    #: SVM: the gathered primal x (n,), with this rank's shard in
+    #: ``extras['x_local']`` and the replicated dual in ``extras['alpha']``.
     x: np.ndarray
     #: iterations actually executed
     iterations: int
@@ -247,17 +248,22 @@ class FamilyState:
         self.fast = fast
         self.memo = eig_memo
 
-    def start(self) -> tuple[int, bool]:
+    def start(self, record: bool = True) -> tuple[int, bool]:
         """Build the iterates and the first record; returns ``(done,
-        converged)``. A fresh run records iteration 0; a resumed one
-        restores the checkpoint's iterates, history, terminator, ledger
-        and sampler stream and continues at its iteration."""
+        converged)``. A fresh run records iteration 0 on its own sync,
+        unless ``record`` is False: an SA solve's first record rides its
+        first Gram reduction instead (see
+        :class:`repro.solvers.outer.Checks`). A resumed run restores the
+        checkpoint's iterates, history, terminator, ledger and sampler
+        stream and continues at its iteration."""
         if self.checkpoint_every or self.resume_from is not None:
             require_int_seed(self.seed)
         self.term = Terminator(self.max_iter, self.tol, self.mode)
         self.history = ConvergenceHistory(self.metric)
         if self.resume_from is None:
             self.restore(None)
+            if not record:
+                return 0, False
             self.history.record(0, self.record(), self.comm)
             return 0, self.term.done(self.history.final_metric)
         ck = load_solver_checkpoint(self.resume_from, family=self.family,

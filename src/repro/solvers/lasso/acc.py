@@ -132,11 +132,12 @@ class AccState(LassoState):
         t2 = self.theta_used * self.theta_used
         return t2 * self.y + self.z, {"theta": self.theta_used}
 
-    def gram(self, idx, tail):
+    def gram(self, idx, tail, priced):
         Y = self.dist.sample_columns(idx)
         # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
         return (Y, *self.dist.gram_and_project(Y, [self.ytil, self.ztil],
-                                               symmetric=self.symmetric, tail=tail))
+                                               symmetric=self.symmetric, tail=tail,
+                                               tail_priced=priced))
 
     def step(self, batch, Y, G, R) -> int:
         blocks, widths, offsets = batch
@@ -475,12 +476,12 @@ def sa_acc_bcd(
     shared process-wide memo).
 
     Convergence records follow :func:`repro.solvers.lasso.plain.sa_bcd`:
-    at the outer-step boundaries that cross a multiple of
-    ``record_every`` (and at ``max_iter``), each rank's ``||r_local||^2``
-    at the implicit iterate ``theta^2 y + z`` riding the next Gram
-    reduction as one trailing word. One blocking collective per outer
-    step plus the objectives at iteration 0 and at the final iterate;
-    with ``tol``, a blocking or pipelined solve returns exactly the
+    at iteration 0 and the outer-step boundaries that cross a multiple
+    of ``record_every`` (and at ``max_iter``), each rank's
+    ``||r_local||^2`` at the implicit iterate ``theta^2 y + z`` riding
+    the next Gram reduction as one trailing word (iteration 0's
+    unpriced). One collective per outer step plus one scalar allreduce
+    for the objective at the final iterate; with ``tol``, a blocking or pipelined solve returns exactly the
     iterate its converged record describes, one unused Gram reduction
     later, and ``async_`` stops at most ``tau`` outer steps past it.
     """

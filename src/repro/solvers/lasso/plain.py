@@ -87,10 +87,11 @@ class PlainState(LassoState):
     def result(self) -> tuple:
         return self.x, {}
 
-    def gram(self, idx, tail):
+    def gram(self, idx, tail, priced):
         Y = self.dist.sample_columns(idx)
         return (Y, *self.dist.gram_and_project(Y, [self.r_local],
-                                               symmetric=self.symmetric, tail=tail))
+                                               symmetric=self.symmetric, tail=tail,
+                                               tail_priced=priced))
 
     def step(self, batch, Y, G, R) -> int:
         blocks, widths, offsets = batch
@@ -404,15 +405,16 @@ def sa_bcd(
     process-wide memo).
 
     Convergence records (``record_every``; see :mod:`repro.solvers.outer`)
-    fall at the outer-step boundaries that cross a multiple of
-    ``record_every``, and at ``max_iter``. Each rank's
+    fall at iteration 0, at the outer-step boundaries that cross a
+    multiple of ``record_every``, and at ``max_iter``. Each rank's
     ``||r_local||^2`` rides the next outer step's Gram reduction as one
-    trailing word, charged as part of that message, so a record's value
-    arrives one reduction after its boundary. A solve therefore makes
-    one blocking collective per outer step, plus one ledger-paused
-    scalar allreduce each for the objective at iteration 0 and at the
-    final iterate (and, under ``async_``, for records in the last
-    ``tau`` outer steps, which no later reduction carries). With
+    trailing word, charged as part of that message (iteration 0's rides
+    the first reduction unpriced, as its own sync was never charged), so
+    a record's value arrives one reduction after its boundary. A solve
+    therefore makes one collective per outer step plus one ledger-paused
+    scalar allreduce for the objective at the final iterate (and, under
+    ``async_``, one for each record in the last ``tau`` outer steps,
+    which no later reduction carries). With
     ``tol`` set, the blocking and pipelined schedules test each record
     before the next inner loop runs: a converged solve returns exactly
     the iterate its last record describes (``iterations ==
@@ -454,5 +456,5 @@ def sa_cd(A, b, penalty, **kwargs) -> SolverResult:
     """Single-coordinate SA-CD: :func:`sa_bcd` with ``mu = 1``."""
     kwargs["mu"] = 1
     res = sa_bcd(A, b, penalty, **kwargs)
-    res.solver = res.solver.replace("sa-bcd(mu=1", "sa-cd(")
+    res.solver = res.solver.replace("sa-bcd(mu=1, ", "sa-cd(")
     return res

@@ -11,9 +11,10 @@ which owns the schedule. The loops call these methods of the state
 * ``fam.plan(k)`` draws one outer step of ``k`` iterations and returns
   ``(idx, batch)``: the flat sampled indices the reduction packs, and
   whatever the inner loop needs to walk them;
-* ``fam.gram(idx, tail)`` (blocking schedule only) samples ``idx`` and
-  runs the blocking packed Gram reduction, returning ``(Y, G, R)``;
-  ``tail`` is a record's partials to carry (see below) or ``None``;
+* ``fam.gram(idx, tail, priced)`` (blocking schedule only) samples
+  ``idx`` and runs the blocking packed Gram reduction, returning
+  ``(Y, G, R)``; ``tail`` is a record's partials to carry (see below) or
+  ``None``, and ``priced`` says whether the ledger charges its words;
 * ``fam.step(batch, Y, G, R)`` runs the inner loop and returns the
   number of iterations it made;
 * ``fam.probe(it)`` pins a record to the current iterate (see
@@ -39,25 +40,29 @@ names the one a solve runs.
 :func:`run_sa` also builds the solve's :class:`Checks`, which holds the
 convergence records. A record (a metric stored in ``history`` and
 tested against ``tol``: the Lasso objective, the SVM duality gap) is
-due at the outer-step boundary that crosses each multiple of
-``record_every`` — the checkpoint rule — and at ``max_iter``. Its value
-needs partial sums from every rank (Lasso: ``||r_local||^2``; SVM:
-``A_p x_p`` and ``||x_p||^2``, m + 1 words), which ride as a tail on the
-next Gram reduction posted after the boundary, charged as part of that
-message; every schedule posts it before any inner loop moves the
-iterate. The record is committed when that reduction completes, one
-reduction late, against the iterate pinned at its boundary and with the
-modelled-cost readings taken there. A solve therefore makes one blocking
-collective per outer step, plus the family's own ledger-paused record
-syncs (Lasso: a scalar allreduce; SVM: an m-word Allreduce and a scalar
-allreduce) for iteration 0, for the final iterate, and for records no
-later reduction carries (the async schedule's last ``tau`` outer
-steps). The blocking and pipelined schedules test a record against
+due at iteration 0 of a fresh solve, at the outer-step boundary that
+crosses each multiple of ``record_every`` — the checkpoint rule — and
+at ``max_iter``. Its value needs partial sums from every rank (Lasso:
+``||r_local||^2``; SVM: ``A_p x_p`` and ``||x_p||^2``, m + 1 words),
+which ride as a tail on the next Gram reduction posted after the
+boundary; every schedule posts it before any inner loop moves the
+iterate. A later record's tail is charged as part of that message.
+Iteration 0's rides the first reduction unpriced: the ledger charges
+that message at its Gram-plus-projection length, as it charged nothing
+for the ledger-paused sync the tail replaces. The record is committed
+when that reduction completes, one reduction late, against the iterate
+pinned at its boundary and with the modelled-cost readings taken
+there. A solve therefore makes one collective per outer step plus one
+ledger-paused closing exchange for the final iterate's record (Lasso: a
+scalar allreduce; SVM: one Allgather that also gathers the primal the
+result returns), and the same exchange for each record no later
+reduction carries (the async schedule's last ``tau`` outer steps). The blocking and pipelined schedules test a record against
 ``tol`` before the next inner loop runs, so a converged solve returns
 exactly the iterate its converged record describes and pays for one
-Gram reduction it never uses; the async schedule harvests that
-reduction ``tau`` steps later and stops at most ``tau`` outer steps
-past the converged record.
+Gram reduction it never uses (a warm start that already meets ``tol``
+pays the one that carries its iteration-0 record and returns 0
+iterations); the async schedule harvests that reduction ``tau`` steps
+later and stops at most ``tau`` outer steps past the converged record.
 A checkpoint is delivered once every record before its boundary is in
 its history — at once under the blocking and pipelined schedules, up to
 ``tau`` outer steps late under the async one — so a resumed run's
@@ -182,12 +187,15 @@ class Checks:
     (Lasso: ``[||r_local||^2]``; SVM: ``[A_p x_p, ||x_p||^2]``, m + 1
     words); ``value(total)`` is the record's value from those partials
     summed across ranks (``None``: sync them on its own now).
-    ``record_every = 0`` takes no record past the first. The history
-    must already hold its first row; a run resumed from a checkpoint
-    taken with a record pending — its history stops short of a multiple
-    of ``record_every`` at or before the resumed iteration — makes that
-    record due at its first boundary (:meth:`at_boundary`). Checkpoints
-    go to ``fam.checkpoint_sink`` (see
+
+    A fresh solve's history starts empty: its iteration-0 record is
+    taken at the first boundary whatever ``record_every`` is, and rides
+    the first post unpriced (:meth:`take`). ``record_every = 0`` takes
+    no record past that one. A run resumed from a checkpoint taken with
+    a record pending — its history stops short of a multiple of
+    ``record_every`` at or before the resumed iteration — makes that
+    record due at its first boundary (:meth:`at_boundary`), priced.
+    Checkpoints go to ``fam.checkpoint_sink`` (see
     :func:`repro.checkpoint.emit_solver_checkpoint`).
     """
 
@@ -195,12 +203,15 @@ class Checks:
         self._fam = fam
         self.every = int(fam.record_every)
         self.max_iter = int(fam.max_iter)
-        # the latest iteration recorded or pending
-        self._last = fam.history.iterations[-1]
+        # the latest iteration recorded or pending; None until a fresh
+        # solve's iteration-0 record is taken
+        self._last = fam.history.iterations[-1] if len(fam.history) else None
         # records in iteration order: [it, reading, value, value(total)]
         self._queue: deque = deque()
-        # the latest pending record's tail, not yet posted
+        # the latest pending record's tail, not yet posted, and whether
+        # the ledger prices its words
         self._tail: np.ndarray | None = None
+        self._priced = True
         # checkpoint payloads waiting for older records to land
         self._held: deque = deque()
 
@@ -214,14 +225,15 @@ class Checks:
         checkpoint is taken then.
         """
         fam = self._fam
-        if self.every and done != self._last and (
+        first = self._last is None
+        if first or (self.every and done != self._last and (
             done == self.max_iter or _crossed(self._last, done, self.every)
-        ):
+        )):
             self._last = done
             tail, value = fam.probe(done)
             reading = fam.history.reading(fam.comm)
             if carried:
-                self._tail = tail()
+                self._tail, self._priced = tail(), not first
                 self._queue.append([done, reading, value, None])
             else:
                 self._queue.append([done, reading, value, value(None)])
@@ -231,10 +243,11 @@ class Checks:
             self._hold(fam.checkpoint(done))
         return False
 
-    def take(self) -> np.ndarray | None:
-        """The tail the next posted reduction carries, or ``None``."""
+    def take(self) -> tuple:
+        """``(tail, priced)``: the tail the next posted reduction carries
+        (``None``: none), and whether the ledger prices its words."""
         tail, self._tail = self._tail, None
-        return tail
+        return tail, self._priced
 
     def landed(self, tail: np.ndarray) -> bool:
         """A reduction carrying ``tail`` completed (``tail`` holds the
@@ -283,9 +296,10 @@ class Checks:
 def run_sa(fam, *, s: int, pipeline: bool, async_: bool, tau: int):
     """Run one SA solve of state ``fam`` and return its
     :class:`~repro.solvers.base.SolverResult`: validate the schedule,
-    :meth:`~repro.solvers.base.FamilyState.start` (resume or the first
-    record), run the blocking loop or the ring (``pipeline``, or
-    ``async_`` at staleness ``tau``) until ``max_iter`` or ``tol``, then
+    :meth:`~repro.solvers.base.FamilyState.start` (fresh iterates, whose
+    first record :class:`Checks` takes, or a resume), run the blocking
+    loop or the ring (``pipeline``, or ``async_`` at staleness ``tau``)
+    until ``max_iter`` or ``tol``, then
     :meth:`~repro.solvers.base.FamilyState.finish`."""
     if async_ and pipeline:
         raise SolverError(
@@ -293,16 +307,15 @@ def run_sa(fam, *, s: int, pipeline: bool, async_: bool, tau: int):
             "pipelining is the tau=0 special case of async_"
         )
     Schedule.from_flags(pipeline, async_, tau).check("", sa=True, s=s)
-    done, converged = fam.start()
-    if not converged:
-        checks = Checks(fam)
-        if async_ or pipeline:
-            ring = Schedule(ring=True, tau=tau if async_ else 0)
-            pipe = fam.pipeline(ring.depth)
-            converged, done = run_ring(fam, checks, pipe, done=done, s=s,
-                                       tau=ring.tau)
-        else:
-            converged, done = run_blocking(fam, checks, done=done, s=s)
+    done, _ = fam.start(record=False)
+    checks = Checks(fam)
+    if async_ or pipeline:
+        ring = Schedule(ring=True, tau=tau if async_ else 0)
+        pipe = fam.pipeline(ring.depth)
+        converged, done = run_ring(fam, checks, pipe, done=done, s=s,
+                                   tau=ring.tau)
+    else:
+        converged, done = run_blocking(fam, checks, done=done, s=s)
     return fam.finish(done, converged)
 
 
@@ -312,8 +325,8 @@ def run_blocking(fam, checks, *, done, s):
     converged = checks.at_boundary(done, done, done < max_iter)
     while done < max_iter and not converged:
         idx, batch = fam.plan(min(s, max_iter - done))
-        tail = checks.take()
-        Y, G, R = fam.gram(idx, tail)
+        tail, priced = checks.take()
+        Y, G, R = fam.gram(idx, tail, priced)
         if tail is not None and checks.landed(tail):
             return True, done
         prev_done = done
@@ -351,8 +364,8 @@ def run_ring(fam, checks, pipe, *, done, s, tau):
             k = min(s, max_iter - planned)
             idx, batch = fam.plan(k)
             slot = pipe.prefetch(idx)
-            tail = checks.take()
-            pipe.post(slot, arrays, tail)
+            tail, priced = checks.take()
+            pipe.post(slot, arrays, tail, priced)
             inflight.append((batch, slot, tail))
             planned += k
         while inflight:
@@ -379,8 +392,8 @@ def run_ring(fam, checks, pipe, *, done, s, tau):
             if converged:
                 break
             if nxt is not None:
-                tail = checks.take()
-                pipe.post(nslot, arrays, tail)
+                tail, priced = checks.take()
+                pipe.post(nslot, arrays, tail, priced)
                 inflight.append((nxt, nslot, tail))
     except CommError:
         # an aborted world or ranks out of step: no drain can complete

@@ -51,7 +51,12 @@ def _pg_step(beta: float, g: float, eta: float, nu: float) -> float:
 
 class SvmState(FamilyState):
     """Dual CD's iterate: the replicated dual ``alpha`` and the local
-    primal shard ``x_local = sum_i b_i alpha_i (A_i)_p`` (paper §V)."""
+    primal shard ``x_local = sum_i b_i alpha_i (A_i)_p`` (paper §V).
+
+    ``steps`` counts the moves of the iterate (outer steps, or ``dcd``'s
+    iterations); every rank advances it alike, so :meth:`result` can
+    tell whether the primal its last :meth:`record` gathered is current.
+    """
 
     family, metric, mode = "svm", "duality_gap", "gap"
 
@@ -67,6 +72,9 @@ class SvmState(FamilyState):
         if not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise SolverError("SVM labels must be in {-1, +1}")
         self.loss, self.lam, self.alpha0 = loss, lam, alpha0
+        self.steps = 0
+        # (steps, x) of the primal the last record gathered
+        self._gathered = (-1, None)
         seed = run["seed"]
         sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
         super().__init__(solver, self.dist.comm, sampler,
@@ -97,21 +105,39 @@ class SvmState(FamilyState):
         self.x_local = np.asarray(dist.local.T @ (self.b * alpha)).ravel()
         self.comm.account_flops(2.0 * dist.local_nnz, "spmv")
 
-    def record(self, alpha=None) -> float:
-        """Duality gap at ``alpha`` (default: the current dual) via one
-        (instrumentation-only) full matvec."""
-        with self.comm.ledger.paused():
-            Ax = self.dist.matvec_full(self.x_local)
-            xn2 = self.dist.norm2_cols(self.x_local)
-        alpha = self.alpha if alpha is None else alpha
+    def _partials(self, x_local) -> np.ndarray:
+        """This rank's ``[A_p x_p, ||x_p||^2]`` (m + 1 words), uncharged:
+        a record is instrumentation."""
+        return np.append(self.dist.local @ x_local, x_local @ x_local)
+
+    def _gap(self, total, alpha) -> float:
+        """The duality gap at ``alpha`` from ``total``, the record's
+        partials summed across ranks, read through ``matvec_full`` and
+        ``norm2_cols`` (which take the sums and do not communicate)."""
+        m = self.dist.shape[0]
+        Ax = self.dist.matvec_full(self.x_local, total=total[:m])
+        xn2 = self.dist.norm2_cols(self.x_local, total=total[m])
         return duality_gap(Ax, self.b, alpha, xn2, self.lam, self.loss)
+
+    def record(self, alpha=None) -> float:
+        """Duality gap at ``alpha`` (default: the current dual), synced
+        on its own in one ledger-paused exchange that sums the record's
+        partials and gathers the primal, which :meth:`result` reuses
+        while no step runs (instrumentation only)."""
+        with self.comm.ledger.paused():
+            total, x = self.dist.sum_and_gather(self._partials(self.x_local),
+                                                self.x_local)
+        self._gathered = (self.steps, x)
+        return self._gap(total, self.alpha if alpha is None else alpha)
 
     def state(self) -> dict:
         return {"alpha": self.alpha}
 
     def result(self) -> tuple:
-        with self.comm.ledger.paused():
-            x_full = self.dist.gather_cols(self.x_local)
+        steps, x_full = self._gathered
+        if steps != self.steps:
+            with self.comm.ledger.paused():
+                x_full = self.dist.gather_cols(self.x_local)
         return x_full, {"alpha": self.alpha, "x_local": self.x_local,
                         "lam": self.lam, "loss": self.loss}
 
@@ -119,31 +145,31 @@ class SvmState(FamilyState):
         idx = self.sampler.next_indices(k)
         return idx, idx
 
-    def gram(self, idx, tail):
+    def gram(self, idx, tail, priced):
         Y = self.dist.sample_rows(idx)
         G, xp = self.dist.gram_rows_and_project(Y, self.x_local,
-                                                symmetric=self.symmetric, tail=tail)
+                                                symmetric=self.symmetric, tail=tail,
+                                                tail_priced=priced)
         return Y, G, xp[:, None]
 
     def step(self, idx, Y, G, R) -> int:
         inner = _sa_dcd_outer_fast if self.fast else _sa_dcd_outer_naive
         inner(self.dist, self.b, Y, G, R[:, 0], idx, self.gamma, self.nu,
               self.alpha, self.x_local)
+        self.steps += 1
         return len(idx)
 
     def probe(self, it):
         check_finite_iterate(self.tag, it, alpha=self.alpha, x=self.x_local)
         # the async ring completes the record after alpha has moved on
-        pinned, m, x_local = self.alpha.copy(), self.dist.shape[0], self.x_local
+        pinned = self.alpha.copy()
 
         def gap(tail):
             if tail is None:
                 return self.record(pinned)
-            return duality_gap(tail[:m], self.b, pinned, float(tail[m]), self.lam,
-                               self.loss)
+            return self._gap(tail, pinned)
 
-        # [A_p x_p, ||x_p||^2], uncharged like record's flops
-        return lambda: np.append(self.dist.local @ x_local, x_local @ x_local), gap
+        return lambda: self._partials(self.x_local), gap
 
     def pipeline(self, depth):
         return self.dist.gram_rows_pipeline(symmetric=self.symmetric, depth=depth)
@@ -210,6 +236,7 @@ def dcd(
         if theta != 0.0:
             alpha[i] += theta
             dist.apply_row_update(row, np.array([theta * b[i]]), x_local)
+        fam.steps += 1
         converged = fam.after(h)
     return fam.finish(h, converged)
 
@@ -249,49 +276,55 @@ def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
 def _sa_dcd_outer_fast(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
     """Fused inner loop: bit-identical to :func:`_sa_dcd_outer_naive`.
 
-    gamma is added to the diagonal in place (the off-diagonal ``+ 0``
-    adds of ``gamma * eye`` change nothing), ``b_i (Y x)_i`` and the
-    ``theta_t b_t`` products feeding eq. (15) are precomputed, and the
-    primal update scatters one sparse row instead of materialising a
-    dense n_loc vector per inner iteration.
+    The ``s`` updates run on step-local scalars: eq. (14) starts from
+    the outer step's ``alpha``, which no update of the step touches
+    until the loop ends; gamma joins only the diagonal (the eq. (15)
+    corrections read ``G`` below it, so ``G`` is not copied); and
+    ``b_i (Y x)_i`` is precomputed. Then ``alpha`` and the primal shard
+    take the step's nonzero updates in one ``np.add.at`` each, in row
+    order (a sampled row's column indices are distinct), which adds
+    exactly what the reference's per-row updates add, and the ledger is
+    charged call by call in the loop's order.
     """
     s_eff = idx.shape[0]
-    if gamma:
-        G = G.copy()
-        diag = np.einsum("ii->i", G)
-        diag += gamma
+    rows = idx.tolist()
     bsel = b[idx]
-    bx = bsel * xp
-    alpha_outer = alpha.copy()
+    bl = bsel.tolist()
+    bx = (bsel * xp).tolist()
+    beta0 = alpha[idx].tolist()
+    etas = (np.diagonal(G) + gamma if gamma else np.diagonal(G)).tolist()
     thetas = np.zeros(s_eff)
     tb = np.zeros(s_eff)  # tb[t] = thetas[t] * bsel[t], filled as we go
-    sparse_rows = sp.issparse(Y)
-    if sparse_rows:
-        Yp, Yi, Yd = Y.indptr, Y.indices, Y.data
-    account = dist.comm.account_flops
+    seen = set()
     for j in range(s_eff):
-        ij = idx[j]
-        beta = alpha_outer[ij]
-        dup = idx[:j] == ij
-        if dup.any():
-            beta += float(np.sum(thetas[:j][dup]))
+        ij = rows[j]
+        beta = beta0[j]
+        if ij in seen:
+            beta += float(np.sum(thetas[:j][idx[:j] == ij]))
+        seen.add(ij)
         g = bx[j] - 1.0 + gamma * beta
         if j:
-            g += bsel[j] * float(np.sum(tb[:j] * G[j, :j]))
-        account(FIXED_SUBPROBLEM_FLOPS + 4.0 * j, "fixed")
-        theta = _pg_step(beta, g, float(G[j, j]), nu)
+            g += bl[j] * float(np.sum(tb[:j] * G[j, :j]))
+        theta = _pg_step(beta, g, etas[j], nu)
         thetas[j] = theta
-        tb[j] = theta * bsel[j]
-        if theta != 0.0:
-            alpha[ij] += theta
-            coeff = theta * bsel[j]
-            if sparse_rows:
-                lo, hi = Yp[j], Yp[j + 1]
-                x_local[Yi[lo:hi]] += Yd[lo:hi] * coeff
-                account(2.0 * (hi - lo), "blas1")
-            else:
-                x_local += Y[j] * coeff
-                account(2.0 * Y.shape[1], "blas1")
+        tb[j] = theta * bl[j]
+    moved = np.flatnonzero(thetas)
+    np.add.at(alpha, idx[moved], thetas[moved])
+    if sp.issparse(Y):
+        lo, hi = Y.indptr[moved], Y.indptr[moved + 1]
+        counts = hi - lo
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        np.add.at(x_local, Y.indices[at], Y.data[at] * np.repeat(tb[moved], counts))
+        row_flops = dict(zip(moved.tolist(), (2.0 * counts).tolist()))
+    else:
+        for j in moved:
+            x_local += Y[j] * tb[j]
+        row_flops = dict.fromkeys(moved.tolist(), 2.0 * Y.shape[1])
+    account = dist.comm.account_flops
+    for j in range(s_eff):
+        account(FIXED_SUBPROBLEM_FLOPS + 4.0 * j, "fixed")
+        if j in row_flops:
+            account(row_flops[j], "blas1")
 
 
 def sa_dcd(
@@ -340,16 +373,21 @@ def sa_dcd(
     ``nb_depth = tau + 2`` communicator ring requirement.
 
     Duality-gap records (``record_every``; see :mod:`repro.solvers.outer`)
-    fall at the outer-step boundaries that cross a multiple of
-    ``record_every``, and at ``max_iter``; ``tol`` is tested there. Each
-    rank's ``[A_p x_p, ||x_p||^2]`` (m + 1 words) rides the next outer
-    step's Gram reduction, charged as part of that message, and the gap
-    is evaluated against the ``alpha`` pinned at the boundary. The gap at
-    iteration 0, at the final iterate and (under ``async_``) in the last
-    ``tau`` outer steps syncs on its own, ledger-paused: an m-word
-    Allreduce plus a scalar allreduce. A converged blocking or pipelined
-    solve returns exactly the iterate its last record describes;
-    ``async_`` stops at most ``tau`` outer steps past it.
+    fall at iteration 0, at the outer-step boundaries that cross a
+    multiple of ``record_every``, and at ``max_iter``; ``tol`` is tested
+    there. Each rank's ``[A_p x_p, ||x_p||^2]`` (m + 1 words) rides the
+    next outer step's Gram reduction, charged as part of that message
+    (iteration 0's rides the first one unpriced; a tail too large for
+    the communicator's slot is summed on its own just before), and the
+    gap is evaluated against the ``alpha`` pinned at the boundary. The
+    gap at the final iterate and (under ``async_``) in the last ``tau``
+    outer steps syncs on its own, ledger-paused, in one Allgather that
+    sums the partials and gathers the primal the result returns. A
+    solve therefore makes one collective per outer step plus that
+    closing exchange. A converged blocking or pipelined solve returns
+    exactly the iterate its last record describes (and gathers its
+    primal on its own); ``async_`` stops at most ``tau`` outer steps
+    past it.
     """
     fam = SvmState(
         f"sa-svm-{loss.lower()}(s={s})", A, b, loss=loss, lam=lam, comm=comm,

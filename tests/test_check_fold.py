@@ -1,24 +1,29 @@
 """Convergence checks ride the Gram reductions of the SA solvers.
 
 A record — an objective (Lasso) or duality gap (SVM) stored in
-``history`` and tested against ``tol`` — falls at each outer-step
-boundary that crosses a multiple of ``record_every`` (and at
-``max_iter``). Each rank's partials of it ride the next Gram reduction
-as a tail: ``[||r_local||^2]`` for Lasso, ``[A_p x_p, ||x_p||^2]`` (m + 1
-words) for SVM. A solve therefore makes one blocking collective per
-outer step plus the family's own record syncs for iteration 0 and the
-final iterate (Lasso: a scalar allreduce; SVM: an m-word Allreduce and a
-scalar allreduce), whatever ``record_every`` is. Only the async
-schedule's last ``tau`` outer steps, which no later reduction follows,
-sync their records on their own.
+``history`` and tested against ``tol`` — falls at iteration 0 and at
+each outer-step boundary that crosses a multiple of ``record_every``
+(and at ``max_iter``). Each rank's partials of it ride the next Gram
+reduction as a tail: ``[||r_local||^2]`` for Lasso, ``[A_p x_p,
+||x_p||^2]`` (m + 1 words) for SVM; iteration 0's rides the first one
+unpriced. A solve therefore makes one collective per outer step plus
+one closing exchange for the final iterate's record (Lasso: a scalar
+allreduce; SVM: one Allgather that also gathers the primal), whatever
+``record_every`` is. Only the async schedule's last ``tau`` outer
+steps, which no later reduction follows, sync their records on their
+own.
 """
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import StreamingSweep, SweepContext, lasso_path
 from repro.analyze.schedule import outer_chunks
 from repro.datasets import make_classification, make_sparse_regression
+from repro.experiments.theory import accbcd_costs, svm_dcd_costs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.partition import block_partition
 from repro.machine.spec import CRAY_XC30
@@ -77,7 +82,7 @@ def test_one_collective_per_outer_step(problem, family, mode, backend):
     xs = []
     for every in RECORD_EVERY:
         keys, res = _traced(sa, A, b, mode, every, backend)
-        assert keys == [SCALAR] + [reduction] * steps + [SCALAR], every
+        assert keys == [reduction] * steps + [SCALAR], every
         xs.append(res.x)
         # every SA record describes the iterate the classical run
         # records at the same iteration
@@ -105,9 +110,8 @@ def test_async_syncs_only_uncarried_records(problem, family, backend):
                  if it in boundaries[-TAU - 1:-1]]
         assert [k for k in keys if k != SCALAR] == [POST] * len(chunks)
         last_post = len(keys) - 1 - keys[::-1].index(POST)
-        assert keys[0] == SCALAR
+        assert keys[:last_post + 1] == [POST] * len(chunks)
         assert keys[last_post + 1:] == [SCALAR] * (len(eager) + 1), every
-        assert keys.count(SCALAR) == len(eager) + 2
         if every == 1:
             assert eager == boundaries[-TAU - 1:-1]
         xs.append(res.x)
@@ -259,7 +263,7 @@ def test_process_ranks_sync_once_per_outer_step():
     out = process_spmd_run(work, 2, latency=1e-3)
     keys, x, recorded = out.values[0]
     steps = len(outer_chunks(64, 16))
-    assert keys == [SCALAR] + [GRAM] * steps + [SCALAR]
+    assert keys == [GRAM] * steps + [SCALAR]
     assert recorded == [0, 16, 32, 48, 64]
     for _, xr, _ in out.values:
         assert np.array_equal(xr, reference.x)
@@ -267,8 +271,6 @@ def test_process_ranks_sync_once_per_outer_step():
 
 # -- SA-SVM: the duality gap rides as an (m + 1)-word tail --------------------
 
-#: an uncarried gap record: matvec_full's m-word Allreduce + norm2_cols
-GAP = [GRAM, SCALAR]
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +318,7 @@ def test_svm_one_reduction_per_outer_step(svm_problem, mode, backend):
     alphas = []
     for every in RECORD_EVERY:
         keys, res = _traced_svm(A, b, mode, every, backend)
-        assert keys == GAP + [reduction] * steps + GAP + [GATHER], every
+        assert keys == [reduction] * steps + [GATHER], every
         alphas.append(res.extras["alpha"])
         # every SA record describes the iterate dcd records at the same
         # iteration
@@ -340,8 +342,10 @@ def test_svm_async_syncs_only_uncarried_records(svm_problem, backend):
                  if it in boundaries[-TAU - 1:-1]]
         assert [k for k in keys if k == POST] == [POST] * len(chunks)
         last_post = len(keys) - 1 - keys[::-1].index(POST)
-        assert keys[:last_post + 1] == GAP + [POST] * len(chunks)
-        assert keys[last_post + 1:] == GAP * (len(eager) + 1) + [GATHER], every
+        assert keys[:last_post + 1] == [POST] * len(chunks)
+        # each uncarried record is one Allgather; the last one's primal
+        # is the result's
+        assert keys[last_post + 1:] == [GATHER] * (len(eager) + 1), every
         if every == 1:
             assert eager == boundaries[-TAU - 1:-1]
         alphas.append(res.extras["alpha"])
@@ -422,8 +426,119 @@ def test_svm_process_ranks_sync_once_per_outer_step():
     out = process_spmd_run(work, 2, latency=1e-3)
     keys, alpha, history = out.values[0]
     steps = len(outer_chunks(64, 16))
-    assert keys == GAP + [GRAM] * steps + GAP + [GATHER]
+    assert keys == [GRAM] * steps + [GATHER]
     assert history.iterations == [0, 16, 32, 48, 64]
     np.testing.assert_allclose(history.metric, reference.history.metric, rtol=1e-12)
+    for _, ar, _ in out.values:
+        assert np.array_equal(ar, reference.extras["alpha"])
+
+
+# -- sweeps: one collective per outer step plus one closing exchange -----------
+
+
+def test_stream_refit_makes_its_posts_and_one_closing_exchange():
+    """A warm SA-SVM refit on 2 thread ranks, on the default ring: 8 posts
+    (the first carries the iteration-0 gap, three more carry the gaps at
+    32, 64 and 96) and the final gap's one Allgather, which also gathers
+    the primal."""
+    A, b = make_classification(120, 40, density=0.3, label_noise=0.1, seed=2)
+    window = 80
+
+    def run_rank(comm, rank):
+        sweep = StreamingSweep(A[:window], b[:window], comm=comm, task="svm",
+                               max_rows=window, solver="sa-svm", loss="l2", lam=1.0,
+                               s=16, max_iter=128, tol=None, record_every=32, seed=0)
+        tracer = attach_tracer(comm)
+        refits = []
+        for k in range(3):
+            tracer.clear()
+            res = sweep.solve(warm_start=k > 0)
+            refits.append((tracer.keys(), res.history.iterations))
+            sweep.append(A[window + 4 * k:window + 4 * k + 4],
+                         b[window + 4 * k:window + 4 * k + 4])
+        return refits
+
+    out = spmd_run(run_rank, 2).values
+    assert out[0] == out[1]
+    for keys, recorded in out[0]:
+        assert keys == [POST] * 8 + [GATHER]
+        assert recorded == [0, 32, 64, 96, 128]
+
+
+def test_path_point_makes_its_posts_and_one_closing_allreduce():
+    A, b, _ = make_sparse_regression(80, 60, density=0.2, seed=4)
+    ctx = SweepContext(A, b, comm=VirtualComm(4, machine=CRAY_XC30))
+    tracer = attach_tracer(ctx.comm)
+    for lam in (0.5, 0.2):
+        tracer.clear()
+        lasso_path(A, b, [lam], mu=2, s=16, max_iter=320, tol=None,
+                   record_every=10, context=ctx)
+        assert tracer.keys() == [POST] * 20 + [SCALAR]
+
+
+# -- pricing: the iteration-0 tail rides unpriced, later tails priced ----------
+
+
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+def test_first_tail_unpriced_later_tails_priced(mode):
+    """At ``record_every=0`` the ledger's words are Table I's bandwidth,
+    as before the iteration-0 record rode the first reduction; each later
+    carried record adds its tail once per ``log2 P`` tree round."""
+    P, rounds = 256, math.log2(256)
+    A, b, _ = make_sparse_regression(60, 40, density=0.4, seed=3)
+    H, mu, s = 64, 2, 8
+    words = {}
+    for every in (0, 8):
+        comm = VirtualComm(P, machine=CRAY_XC30)
+        sa_acc_bcd(A, b, 0.9, mu=mu, s=s, max_iter=H, seed=0, comm=comm,
+                   record_every=every, **MODES[mode])
+        words[every] = comm.ledger.words
+    assert words[0] == pytest.approx(
+        accbcd_costs(H=H, mu=mu, f=0.4, m=60, n=40, P=P, s=s).bandwidth)
+    # records at 8, ..., 56 ride a reduction; 64's is the final one
+    assert words[8] - words[0] == 7 * 1 * rounds
+
+    As, bs = make_classification(50, 30, density=0.5, seed=1)
+    H, s = 60, 12
+    for every in (0, 12):
+        comm = VirtualComm(P, machine=CRAY_XC30)
+        sa_dcd(As, bs, loss="l1", s=s, max_iter=H, seed=0, comm=comm,
+               record_every=every, **MODES[mode])
+        words[every] = comm.ledger.words
+    assert words[0] == pytest.approx(
+        svm_dcd_costs(H=H, f=0.5, m=50, n=30, P=P, s=s).bandwidth)
+    # gaps at 12, ..., 48 ride a reduction, m + 1 words each
+    assert words[12] - words[0] == 4 * 51 * rounds
+
+
+@pytest.mark.parametrize("mode", ["blocking", "pipeline"])
+def test_svm_first_tail_larger_than_the_ring_slot(mode):
+    """2 forked ranks whose nonblocking slot holds a Gram post but not
+    the (m + 1)-word gap tail beside it: the ring sums the iteration-0
+    tail in its own Allreduce before the first post and still returns
+    the single-rank run's alpha bit for bit (the blocking schedule's
+    deposit is large enough, so its tail rides)."""
+    blocks = [make_classification(100, 20, density=0.3, seed=k) for k in (0, 1)]
+    A = sp.block_diag([blk[0] for blk in blocks], format="csr")
+    b = np.concatenate([blk[1] for blk in blocks])
+    kw = dict(loss="l2", s=16, max_iter=64, seed=0, record_every=0, **MODES[mode])
+    reference = sa_dcd(A, b, comm=VirtualComm(1), **kw)
+
+    def work(comm, rank):
+        tracer = attach_tracer(comm)
+        dist = ColPartitionedMatrix.from_global(
+            A, comm, partition=block_partition(A.shape[1], comm.size)
+        )
+        res = sa_dcd(dist, b, **kw)
+        return tracer.keys(), res.extras["alpha"], res.history.metric
+
+    # the packed 16-row Gram plus Y x is 152 words, the gap tail 201
+    out = process_spmd_run(work, 2, nb_doubles=256)
+    keys, _, metric = out.values[0]
+    steps = len(outer_chunks(64, 16))
+    first = [GRAM] if mode == "blocking" else [GRAM, POST]
+    rest = [GRAM if mode == "blocking" else POST] * (steps - 1)
+    assert keys == first + rest + [GATHER]
+    np.testing.assert_allclose(metric, reference.history.metric, rtol=1e-12)
     for _, ar, _ in out.values:
         assert np.array_equal(ar, reference.extras["alpha"])

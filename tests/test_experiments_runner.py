@@ -82,6 +82,18 @@ class TestSweeps:
         # latency term grows with log P
         assert pts[-1].comm_seconds > pts[0].comm_seconds
 
+    def test_strong_scaling_lasso_lam(self, covtype_ds):
+        """An explicit ``lam`` reaches a Lasso run; ``None`` is the
+        dataset's (0.1 without one), as the runs took before ``lam``
+        applied to Lasso."""
+        def seconds(lam):
+            pts = strong_scaling(covtype_ds, "sa-acccd", [64], s=8, max_iter=64, lam=lam)
+            return pts[0].seconds
+
+        assert covtype_ds.lam is None
+        assert seconds(1.0) != seconds(50.0)
+        assert seconds(None) == seconds(0.1)
+
     def test_strong_scaling_svm(self, svm_ds):
         pts = strong_scaling(svm_ds, "sa-svm-l1", [16, 64], s=4, max_iter=16)
         assert all(p.seconds > 0 for p in pts)
@@ -89,7 +101,7 @@ class TestSweeps:
 
     def test_speedup_vs_s_shape(self, covtype_ds):
         pts = speedup_vs_s(covtype_ds, "acccd", "sa-acccd",
-                           [2, 8, 32, 256], P=1024, max_iter=256, lam=1.0)
+                           [2, 8, 32, 256], P=1024, max_iter=256)
         totals = [p.total for p in pts]
         # unimodal-ish: some s beats s=2, and very large s decays
         assert max(totals) > totals[0]
@@ -97,7 +109,7 @@ class TestSweeps:
 
     def test_speedup_communication_monotone_until_bandwidth(self, covtype_ds):
         pts = speedup_vs_s(covtype_ds, "acccd", "sa-acccd", [2, 4, 8],
-                           P=1024, max_iter=64, lam=1.0)
+                           P=1024, max_iter=64)
         comm = [p.communication for p in pts]
         assert comm[0] < comm[1] < comm[2]
 

@@ -131,9 +131,9 @@ class TestVirtualInjection:
 
     def test_faulty_solver_run_matches_fault_free(self, dense_regression):
         A, b, _ = dense_regression
-        # the solve makes 8 collectives: the iteration-0 objective, six
-        # Gram reductions and the final objective
-        planned = (1, 4, 7)
+        # the solve makes 7 collectives: six Gram reductions (the first
+        # carries the iteration-0 objective) and the final objective
+        planned = (0, 3, 6)
         plan = FaultPlan([FaultEvent(0, k, "transient", count=1)
                           for k in planned])
         clean = fit_lasso(A, b, 0.3, solver="sa-bcd", mu=2, s=4,

@@ -92,6 +92,11 @@ class TestSaAccEquivalence:
         rs = sa_acc_cd(A, b, LAM, s=30, max_iter=150, seed=2)
         assert np.allclose(r.x, rs.x, atol=1e-9)
 
+    def test_acc_cd_names(self, small_regression):
+        A, b, _ = small_regression
+        assert acc_cd(A, b, LAM, max_iter=8).solver == "acccd"
+        assert sa_acc_cd(A, b, LAM, s=4, max_iter=8).solver == "sa-acccd(s=4)"
+
     def test_large_s_1000_stable(self, small_regression):
         # paper Fig. 2 uses s = 1000 without numerical trouble
         A, b, _ = small_regression

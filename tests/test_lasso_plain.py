@@ -94,6 +94,11 @@ class TestSaEquivalence:
         rs = sa_cd(A, b, LAM, s=50, max_iter=200, seed=9)
         assert np.allclose(r.x, rs.x, atol=1e-10)
 
+    def test_cd_names(self, small_regression):
+        A, b, _ = small_regression
+        assert cd(A, b, LAM, max_iter=8).solver == "cd"
+        assert sa_cd(A, b, LAM, s=4, max_iter=8).solver == "sa-cd(s=4)"
+
     def test_s_not_dividing_h(self, small_regression):
         # H=97 with s=16: last outer step has a short tail
         A, b, _ = small_regression

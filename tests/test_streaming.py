@@ -290,6 +290,21 @@ class TestStreamingSweepState:
                           context=eng.ctx)
         assert len(path) == 3
 
+    def test_mutated_context_still_rejects_other_data(self):
+        """A mutation only marks the fingerprint stale: the next path
+        sweep on the context fingerprints the mutated shard, accepts the
+        stream's own data and rejects a same-shape stand-in."""
+        A, b, batches = _lasso_data()
+        eng = StreamingSweep(A, b, task="lasso", max_iter=64, s=8, mu=2)
+        eng.append(*batches[0])
+        assert eng.ctx._fingerprint is None
+        A_eff, b_eff = eng.materialize()
+        with pytest.raises(SolverError, match="different data matrix"):
+            lasso_path(A_eff * 3.0, b_eff, [1.0], context=eng.ctx)
+        path = lasso_path(A_eff, b_eff, [1.0], mu=2, s=8, max_iter=16,
+                          context=eng.ctx)
+        assert len(path) == 1
+
     def test_append_validation(self):
         A, b, batches = _lasso_data()
         eng = StreamingSweep(A, b, task="lasso")

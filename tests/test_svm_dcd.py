@@ -119,11 +119,19 @@ class TestSaEquivalence:
         with pytest.raises(SolverError):
             sa_dcd(A, b, s=0, max_iter=10)
 
-    @pytest.mark.parametrize("mode", [{}, {"pipeline": True}, {"async_": True, "tau": 2}],
-                             ids=["blocking", "pipeline", "async"])
-    def test_tol_met_before_first_step_records_once(self, small_classification, mode):
+    @pytest.mark.parametrize("mode,posts", [
+        ({}, ["Allreduce:vec"]),
+        ({"pipeline": True}, ["Iallreduce:vec"]),
+        ({"async_": True, "tau": 2}, ["Iallreduce:vec"] * 3),
+    ], ids=["blocking", "pipeline", "async"])
+    def test_tol_met_before_first_step_records_once(self, small_classification, mode,
+                                                    posts):
         # the initial gap already meets tol: no step runs, and the
-        # iteration-0 record is the final one (no repeated gap collectives)
+        # iteration-0 record is the final one (no repeated gap
+        # collectives). dcd syncs it in one Allgather that also gathers
+        # the primal; sa_dcd learns it from the first Gram reduction it
+        # carries, as every converged stop does, and gathers the primal
+        # once the posts in flight are drained
         A, b = small_classification
 
         def run(fn, **kw):
@@ -137,7 +145,9 @@ class TestSaEquivalence:
         rs, sa_keys = run(sa_dcd, s=8, **mode)
         assert r.history.iterations == rs.history.iterations == [0]
         assert rs.iterations == 0 and rs.converged
-        assert sa_keys == keys
+        assert keys == ["Allgather:vec"]
+        assert sa_keys == posts + ["Allgather:vec"]
+        assert np.array_equal(rs.x, r.x) and rs.final_metric == r.final_metric
 
 
 class TestCommunication:

@@ -262,10 +262,10 @@ class TestTrace:
             steps = sum(-(-it // 4) for it in iters)
             assert steps == 4 * 12
             assert keys.count("Iallreduce:vec") == steps
-            # what stays blocking: lambda_max, then each point's first
-            # and last objective
+            # what stays blocking: lambda_max, then each point's last
+            # objective (its first rides the point's first post)
             assert [k for k in keys if not k.startswith("Iallreduce")] == (
-                ["Allreduce:vec"] + ["allreduce:scalar"] * 8)
+                ["Allreduce:vec"] + ["allreduce:scalar"] * 4)
             # the blocking path makes the same reductions, each waited on
             assert "Iallreduce:vec" not in bkeys
             assert bkeys.count("Allreduce:vec") == 1 + steps
