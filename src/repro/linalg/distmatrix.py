@@ -945,13 +945,15 @@ class ColPartitionedMatrix(_PartitionedBase):
         Each rank sends its ``partials`` followed by its shard of the
         column-partitioned ``x``; every rank then folds the partials in
         rank order, which is the Allreduce fold bit for bit, and
-        concatenates the shards. Where one rank's payload would not fit
-        the communicator's slot, the two go in an Allreduce and an
-        Allgather. Charged like any collective: SA-SVM's records call it
+        concatenates the shards. Where the largest shard's payload would
+        not fit the communicator's slot, the two go in an Allreduce and
+        an Allgather; every rank decides on that shared largest shard,
+        never on its own, so all of them make the same collectives.
+        Charged like any collective: SA-SVM's records call it
         ledger-paused.
         """
         t = partials.shape[0]
-        if not self.comm.payload_fits(t + x_local.shape[0]):
+        if not self.comm.payload_fits(t + int(self.partition.counts().max())):
             return (self.comm.Allreduce(partials, timeout=self.comm.timeout),
                     self.gather_cols(x_local))
         flat = self.comm.Allgather(np.concatenate([partials, x_local]),

@@ -56,13 +56,16 @@ there. A solve therefore makes one collective per outer step plus one
 ledger-paused closing exchange for the final iterate's record (Lasso: a
 scalar allreduce; SVM: one Allgather that also gathers the primal the
 result returns), and the same exchange for each record no later
-reduction carries (the async schedule's last ``tau`` outer steps). The blocking and pipelined schedules test a record against
-``tol`` before the next inner loop runs, so a converged solve returns
-exactly the iterate its converged record describes and pays for one
-Gram reduction it never uses (a warm start that already meets ``tol``
-pays the one that carries its iteration-0 record and returns 0
-iterations); the async schedule harvests that reduction ``tau`` steps
+reduction carries (the async schedule's last ``tau`` outer steps). The
+blocking and pipelined schedules test a record against ``tol`` before
+the next inner loop runs, so a converged solve returns exactly the
+iterate its converged record describes and pays for one Gram reduction
+it never uses; the async schedule harvests that reduction ``tau`` steps
 later and stops at most ``tau`` outer steps past the converged record.
+No schedule tests ``tol`` before its first reduction, so a warm start
+that already meets it returns 0 iterations having paid for the
+reductions posted before its iteration-0 record lands: one under the
+blocking and pipelined schedules, ``tau + 1`` under the async one.
 A checkpoint is delivered once every record before its boundary is in
 its history — at once under the blocking and pipelined schedules, up to
 ``tau`` outer steps late under the async one — so a resumed run's

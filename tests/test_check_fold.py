@@ -25,7 +25,7 @@ from repro.analyze.schedule import outer_chunks
 from repro.datasets import make_classification, make_sparse_regression
 from repro.experiments.theory import accbcd_costs, svm_dcd_costs
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
-from repro.linalg.partition import block_partition
+from repro.linalg.partition import Partition1D, block_partition
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.process_backend import process_spmd_run
 from repro.mpi.thread_backend import spmd_run
@@ -511,34 +511,49 @@ def test_first_tail_unpriced_later_tails_priced(mode):
     assert words[12] - words[0] == 4 * 51 * rounds
 
 
+# two forked ranks' column shards, their blocking deposit (slab_bytes),
+# whether a blocking reduction carries the gap tail, the closing exchange
+SLOTS = {
+    "even-shards": ((20, 20), 1 << 22, True, [GATHER]),
+    "uneven-shards-small-deposit": ((30, 60), 3000, False, [GRAM, GATHER]),
+}
+
+
 @pytest.mark.parametrize("mode", ["blocking", "pipeline"])
-def test_svm_first_tail_larger_than_the_ring_slot(mode):
-    """2 forked ranks whose nonblocking slot holds a Gram post but not
-    the (m + 1)-word gap tail beside it: the ring sums the iteration-0
-    tail in its own Allreduce before the first post and still returns
-    the single-rank run's alpha bit for bit (the blocking schedule's
-    deposit is large enough, so its tail rides)."""
-    blocks = [make_classification(100, 20, density=0.3, seed=k) for k in (0, 1)]
+@pytest.mark.parametrize("case", SLOTS)
+def test_svm_tails_larger_than_the_slot(case, mode):
+    """2 forked ranks whose 256-double ring slot holds a Gram post but
+    not the (m + 1)-word gap tail beside it: the ring sums the
+    iteration-0 tail in its own Allreduce before the first post. Pickled,
+    the 152-word Gram plus the 201-word tail needs 3,848 bytes: the
+    default deposit holds it, so the blocking tail rides, and a
+    3,000-byte one does not. The closing payload needs 2,872 bytes beside
+    a 30-column shard and 3,112 beside a 60-column one, so on those
+    shards it fits the small deposit on one rank only: every rank
+    decides on the largest shard and falls back to an Allreduce plus an
+    Allgather. Alpha and the primal are the single-rank run's bit for
+    bit."""
+    widths, slab, rides, closing = SLOTS[case]
+    blocks = [make_classification(100, w, density=0.3, seed=k)
+              for k, w in enumerate(widths)]
     A = sp.block_diag([blk[0] for blk in blocks], format="csr")
     b = np.concatenate([blk[1] for blk in blocks])
     kw = dict(loss="l2", s=16, max_iter=64, seed=0, record_every=0, **MODES[mode])
     reference = sa_dcd(A, b, comm=VirtualComm(1), **kw)
+    partition = Partition1D((0, widths[0], sum(widths)))
 
     def work(comm, rank):
         tracer = attach_tracer(comm)
-        dist = ColPartitionedMatrix.from_global(
-            A, comm, partition=block_partition(A.shape[1], comm.size)
-        )
+        dist = ColPartitionedMatrix.from_global(A, comm, partition=partition)
         res = sa_dcd(dist, b, **kw)
-        return tracer.keys(), res.extras["alpha"], res.history.metric
+        return tracer.keys(), res.extras["alpha"], res.x, res.history.metric
 
-    # the packed 16-row Gram plus Y x is 152 words, the gap tail 201
-    out = process_spmd_run(work, 2, nb_doubles=256)
-    keys, _, metric = out.values[0]
+    out = process_spmd_run(work, 2, slab_bytes=slab, nb_doubles=256)
     steps = len(outer_chunks(64, 16))
-    first = [GRAM] if mode == "blocking" else [GRAM, POST]
-    rest = [GRAM if mode == "blocking" else POST] * (steps - 1)
-    assert keys == first + rest + [GATHER]
-    np.testing.assert_allclose(metric, reference.history.metric, rtol=1e-12)
-    for _, ar, _ in out.values:
-        assert np.array_equal(ar, reference.extras["alpha"])
+    reduction = GRAM if mode == "blocking" else POST
+    first = [reduction] if rides and mode == "blocking" else [GRAM, reduction]
+    for keys, alpha, x, metric in out.values:
+        assert keys == first + [reduction] * (steps - 1) + closing
+        assert np.array_equal(alpha, reference.extras["alpha"])
+        assert np.array_equal(x, reference.x)
+        np.testing.assert_allclose(metric, reference.history.metric, rtol=1e-12)
