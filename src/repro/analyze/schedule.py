@@ -48,17 +48,19 @@ MODES = ("blocking", "pipeline", "async")
 FAMILIES = ("lasso-plain", "lasso-acc", "svm")
 
 #: trace keys (``op:shape``) of the primitive schedule events
-AR_SCALAR = "allreduce:scalar"  # distributed_objective
+AR_SCALAR = "allreduce:scalar"  # LassoState.exchange, one record
+AR_WORDS = "allreduce:vec"  # LassoState.exchange, several records
 AR_VEC = "Allreduce:vec"  # packed Gram+projection
 NB_VEC = "Iallreduce:vec"  # GramPipeline.post
 AG_VEC = "Allgather:vec"  # sum_and_gather
 
-#: a record no Gram reduction carries syncs on its own: the Lasso
-#: objective in one scalar allreduce (distributed_objective), the SVM
-#: duality gap in SvmState.record's one Allgather (sum_and_gather), which
-#: also gathers the primal the result returns
-_UNCARRIED = {"lasso-plain": (AR_SCALAR,), "lasso-acc": (AR_SCALAR,),
-              "svm": (AG_VEC,)}
+#: the records no Gram reduction carries ride one closing exchange
+#: (``fam.exchange``), keyed here for one record and for several: the
+#: Lasso objectives' words in one allreduce (a scalar one for a single
+#: record), the SVM duality gaps' stacked partials in one Allgather
+#: (sum_and_gather), which also gathers the primal the result returns
+_UNCARRIED = {"lasso-plain": (AR_SCALAR, AR_WORDS),
+              "lasso-acc": (AR_SCALAR, AR_WORDS), "svm": (AG_VEC, AG_VEC)}
 
 #: static extraction roots: the SA loop every family runs, and each
 #: family's state class, on which its hook calls resolve
@@ -108,10 +110,11 @@ def _schedule(mode: str, params: ScheduleParams, uncarried) -> list[str]:
     Records fall at iteration 0 and at outer-step boundaries that cross a
     multiple of ``record_every``, and ride the next Gram reduction as a
     tail (same op, same shape class; a tail that would overflow the
-    communicator's slot syncs on its own, which these models leave out),
-    so only the final iterate and records with no later reduction to
-    carry them — the async schedule's last ``tau`` outer steps — emit the
-    family's ``uncarried`` events.
+    communicator's slot syncs on its own, which these models leave out).
+    The final iterate's record, and the records of the async schedule's
+    last ``tau`` outer steps, which no later reduction follows, ride one
+    closing exchange: ``uncarried[0]`` for one record, ``uncarried[1]``
+    for several.
     """
     chunks = outer_chunks(params.max_iter, params.s)
     post = AR_VEC if mode == "blocking" else NB_VEC
@@ -119,18 +122,14 @@ def _schedule(mode: str, params: ScheduleParams, uncarried) -> list[str]:
     # is posted right after a boundary
     ahead = min((params.tau if mode == "async" else 0) + 1, len(chunks))
     every = params.record_every
-    events = [post] * ahead
+    closing = 1  # the final iterate's record
     done = last = 0
     for i, s_eff in enumerate(chunks):
         done += s_eff
-        carried = ahead + i < len(chunks)
         if every and done < params.max_iter and done // every != last // every:
             last = done
-            if not carried:
-                events.extend(uncarried)
-        if carried:
-            events.append(post)
-    return events + [*uncarried]  # the final iterate's record
+            closing += ahead + i >= len(chunks)
+    return [post] * len(chunks) + [uncarried[closing > 1]]
 
 
 def expected_schedule(

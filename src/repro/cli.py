@@ -46,7 +46,7 @@ from repro.launch import check_launch
 from repro.machine.spec import get_machine
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max
-from repro.solvers.outer import Schedule
+from repro.solvers.outer import SWEEP_SCHEDULE, Schedule
 from repro.solvers.serialization import save_result
 from repro.streaming import replay_schedule
 from repro.utils.io import atomic_write_json
@@ -75,9 +75,10 @@ def _add_model_args(p: argparse.ArgumentParser, save: bool = True) -> None:
 
 def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     """Backend, schedule and recovery flags. A sweep command (``sweep``:
-    a sequence of solves) overlaps every SA solve's reduction by default
-    and takes ``--no-pipeline``; a single solve stays blocking unless
-    ``--pipeline`` is given."""
+    a sequence of solves) runs :data:`~repro.solvers.outer.SWEEP_SCHEDULE`
+    by default, a ring at ``--tau`` as each solve resolves it, and takes
+    ``--no-pipeline``; a single solve stays blocking unless ``--pipeline``
+    or ``--async`` is given."""
     p.add_argument("--backend", default="virtual",
                    choices=["virtual", "thread", "process"],
                    help="comm backend: virtual (cost model, default), "
@@ -86,21 +87,25 @@ def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--ranks", type=int, default=4,
                    help="actual SPMD participants for thread/process "
                         "backends (costs modelled at max(--p, --ranks))")
-    p.add_argument("--pipeline", default=sweep,
+    p.add_argument("--pipeline", default=sweep and SWEEP_SCHEDULE.ring,
                    action=argparse.BooleanOptionalAction if sweep else "store_true",
                    help="SA solvers: nonblocking per-outer-step reduction "
                         "with the next block prefetched while in flight"
-                        + (" (the default where there is a reduction to "
-                           "overlap; same iterates as --no-pipeline)"
+                        + (", as a ring at --tau where its cross Grams pay "
+                           "and --tol is none, else the pipelined ring (the "
+                           "default where there is a reduction to overlap; "
+                           "the same iterates as --no-pipeline to rounding)"
                            if sweep else ""))
     p.add_argument("--async", dest="async_", action="store_true",
-                   help="SA solvers: keep up to --tau reductions in flight and "
-                        "step on stale Gram/residual data (converges to the "
-                        "synchronous objective within tolerance; --tau 0 is "
+                   help="SA solvers: keep up to --tau + 1 reductions in "
+                        "flight, each inner loop running while the next "
+                        "--tau are in transit; each reduction carries the "
+                        "cross Grams that bring it up to date, so the "
+                        "iterates equal blocking's to rounding (--tau 0 is "
                         "--pipeline)")
-    p.add_argument("--tau", type=int, default=1,
-                   help="staleness bound for --async: a harvested reduction "
-                        "may be up to tau outer steps old")
+    p.add_argument("--tau", type=int, default=SWEEP_SCHEDULE.tau,
+                   help="ring depth: reductions in transit while an inner "
+                        "loop runs (each post carries tau cross Grams)")
     p.add_argument("--recover", default="raise",
                    choices=["raise", "checkpoint"],
                    help="process backend: on rank death / repeated comm "
@@ -111,14 +116,29 @@ def _add_backend_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
                         "raised (--recover checkpoint)")
 
 
+def _tol(text: str) -> float | None:
+    """A sweep command's ``--tol``: a float, or ``none`` for a fixed
+    iteration budget (which a sweep may run on the async ring; see
+    :meth:`~repro.solvers.outer.Schedule.for_sweep`)."""
+    return None if text.lower() == "none" else float(text)
+
+
+_TOL_HELP = ("stopping tolerance, or 'none' for a fixed --max-iter budget "
+             "(the sweep then may run the async ring)")
+
+
 def _schedule(args, sweep: bool = False) -> Schedule:
-    """The schedule the flags name: ``--async`` wins over a sweep
-    command's default ``--pipeline``; a single solve takes one of them."""
+    """The schedule the flags name: a sweep command runs a ring at
+    ``--tau`` unless ``--no-pipeline`` (and no ``--async``) is given; a
+    single solve takes ``--pipeline`` or ``--async``, not both."""
     if args.pipeline and args.async_ and not sweep:
         raise ReproError(
             "--pipeline and --async are mutually exclusive: pipelining is"
             " --async at --tau 0"
         )
+    if sweep:
+        ring = args.pipeline or args.async_
+        return Schedule.from_flags(ring, ring, args.tau)
     return Schedule.from_flags(args.pipeline, args.async_, args.tau)
 
 
@@ -180,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     lpath.add_argument("--mu", type=int, default=8)
     lpath.add_argument("--s", type=int, default=16)
     lpath.add_argument("--max-iter", type=int, default=500)
-    lpath.add_argument("--tol", type=float, default=1e-6)
+    lpath.add_argument("--tol", type=_tol, default=1e-6, help=_TOL_HELP)
     lpath.add_argument("--record-every", type=int, default=10)
     lpath.add_argument("--cold", action="store_true",
                        help="disable warm starts (independent solves that "
@@ -232,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--mu", type=int, default=8)
     stream.add_argument("--s", type=int, default=16)
     stream.add_argument("--max-iter", type=int, default=1000)
-    stream.add_argument("--tol", type=float, default=1e-8,
+    stream.add_argument("--tol", type=_tol, default=1e-8,
                         help="stopping tolerance (objective change for lasso, "
-                             "duality gap for svm)")
+                             "duality gap for svm), or 'none' for a fixed "
+                             "--max-iter budget (the sweep then may run the "
+                             "async ring)")
     stream.add_argument("--record-every", type=int, default=10)
     stream.add_argument("--cold", action="store_true",
                         help="disable warm starts (each refit restarts from "
@@ -300,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mu", type=int, default=8)
     serve.add_argument("--s", type=int, default=16)
     serve.add_argument("--max-iter", type=int, default=1000)
-    serve.add_argument("--tol", type=float, default=1e-8)
+    serve.add_argument("--tol", type=_tol, default=1e-8, help=_TOL_HELP)
     serve.add_argument("--checkpoint", metavar="PATH",
                        help="write a resumable serve-engine checkpoint "
                             "here (atomically, after setup, before every "

@@ -65,7 +65,7 @@ class NbRingDepthError(CommError):
     error is raised *before* blocking, deterministically on every rank
     (the check is against the posting rank's own unharvested handles).
     ``depth`` is the configured ring depth; raise it via the backends'
-    ``nb_depth=`` knob (the async solvers size it as ``tau + 2``).
+    ``nb_depth=`` knob (the ring at depth ``tau`` needs ``tau + 1``).
     """
 
     def __init__(self, message: str, *, depth: int = 0, outstanding: int = 0):

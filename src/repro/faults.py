@@ -296,7 +296,7 @@ class FaultyComm(Comm):
             tag, lambda: self.inner._exchange_fold(tag, obj, fold)
         )
 
-    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op = SUM):
+    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op = SUM, out=None):
         return self._with_faults(
-            tag, lambda: self.inner._iallreduce_impl(tag, arr, op)
+            tag, lambda: self.inner._iallreduce_impl(tag, arr, op, out)
         )

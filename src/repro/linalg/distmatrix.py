@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -228,12 +229,19 @@ class _PartitionedBase:
             self._proj_out = np.empty((k, c), dtype=np.float64)
         return self._gram_out, self._proj_out
 
-    def _charge_gram_only(self, nnz_block: float, k: int, symmetric: bool) -> None:
-        """Charge the (residual-independent) Gram-formation flops."""
-        gram_flops = nnz_block * (k + 1) if symmetric else 2.0 * nnz_block * k
+    def _charge_gram_only(self, nnz_block: float, k: int, symmetric: bool,
+                          k_other: int | None = None) -> None:
+        """Charge the (residual-independent) Gram-formation flops: of the
+        block's own Gram or, with ``k_other``, of its cross Gram with a
+        block of ``k_other`` slices, priced as a non-symmetric Gram."""
+        cols = k if k_other is None else k_other
+        if symmetric and k_other is None:
+            gram_flops = nnz_block * (k + 1)
+        else:
+            gram_flops = 2.0 * nnz_block * cols
         # working set: sampled block + Gram output
-        ws = 12.0 * nnz_block + 8.0 * k * k
-        kind = "blas3" if k > 1 else "blas1"
+        ws = 12.0 * nnz_block + 8.0 * k * cols
+        kind = "blas3" if cols > 1 else "blas1"
         self.comm.account_flops(gram_flops, kind, working_set_bytes=ws)
 
     def _charge_proj(self, nnz_block: float, k: int, extra_cols: int) -> None:
@@ -261,6 +269,12 @@ class _PartitionedBase:
         if slice_kernel_fits(Y):
             return slice_gram(Y, symmetric, out)
         return pack_gram_head(_densify_small(self._block_gram(Y)), symmetric, out)
+
+    def _pack_cross(self, Y, Z, out: np.ndarray) -> None:
+        """Pack the dense cross Gram of blocks ``Y`` and ``Z`` (``YᵀZ`` /
+        ``YZᵀ``, row-major) into the head of ``out``."""
+        cross = _densify_small(self._block_cross(Y, Z))
+        out[:cross.size] = cross.ravel()
 
     def _pack_proj(self, Y, vectors: list, symmetric: bool, out: np.ndarray) -> None:
         """Pack block ``Y``'s partial projections of ``vectors`` after the
@@ -317,16 +331,18 @@ class _PartitionedBase:
 
 
 class _PipeSlot:
-    """One half of a :class:`GramPipeline`'s double buffer.
+    """One buffer set of a :class:`GramPipeline`'s ring.
 
     Owns everything whose lifetime spans one in-flight reduction: the
     gather workspace holding the sampled block, the packed send buffer
-    (which peers may still be reading), the receive buffer, the
-    unpacked (G, R) outputs the inner loop consumes, and the record
+    (which peers may still be reading), the receive buffer, the unpacked
+    (G, R) outputs the inner loop consumes, the slice counts of the
+    earlier blocks its post carries cross Grams with, and the record
     tail the post carried, if any.
     """
 
-    __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req", "tail")
+    __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req",
+                 "tail", "lags")
 
     def __init__(self) -> None:
         self.ws = GatherWorkspace()
@@ -338,34 +354,40 @@ class _PipeSlot:
         self.k = 0
         self.req = None
         self.tail: np.ndarray | None = None
+        self.lags: list = []
 
 
 class GramPipeline:
-    """Double-buffered nonblocking Gram + projection reductions.
+    """Nonblocking Gram + projection reductions on a ring of buffers.
 
-    The communication engine of the pipelined SA solvers (paper Alg. 2/4
-    with the one synchronization per outer step made *asynchronous*).
-    Per outer step ``k`` the driver calls, in order:
+    The communication engine of the ring-scheduled SA solvers (paper
+    Alg. 2/4 with the one synchronization per outer step made
+    *asynchronous*). Per outer step the driver calls, in order:
 
-    1. :meth:`prefetch` for step ``k+1`` — sample the next block and pack
-       its partial Gram (``Y^T Y`` / ``Y Y^T``, residual-independent)
-       **while step k's reduction is still in flight**;
-    2. :meth:`wait` for step ``k`` — block on the reduction, unpack
+    1. :meth:`prefetch` for a later step — sample its block and pack its
+       partial Gram (``Y^T Y`` / ``Y Y^T``, residual-independent) **while
+       earlier reductions are still in flight**;
+    2. :meth:`wait` for this step — block on its reduction, unpack
        ``(G, R)``;
     3. run the inner loop (updates the residual);
-    4. :meth:`post` for step ``k+1`` — compute the residual-dependent
+    4. :meth:`post` the prefetched step — compute the residual-dependent
        projections, complete the packed payload, post the nonblocking
        Allreduce.
 
-    ``depth`` :class:`_PipeSlot` buffers rotate round-robin (default 2,
-    the classic double buffer) so step k+1's pack never touches buffers
-    that step k's reduction (or inner loop) still reads. The
-    bounded-staleness drivers use ``depth = tau + 2`` to keep up to
-    ``tau + 1`` reductions in flight. Values are bit-identical to the
-    blocking ``gram_and_project`` / ``gram_rows_and_project`` path: same
-    sampled blocks, same partial products, same rank-ordered fold, same
-    unpack. Each send buffer keeps ``spare`` words for the record tail a
-    post may carry, fixed at construction: one (``||r_local||^2``) on the
+    ``depth`` :class:`_PipeSlot` buffer sets rotate round-robin (default
+    2, the classic double buffer) so a prefetch never touches buffers
+    that an in-flight reduction or the running inner loop still reads.
+    A post made ``lag`` outer steps before its harvest (``lag`` of at
+    most ``depth - 2``) carries the dense cross Grams of its block with
+    the ``lag`` blocks prefetched just before it — the steps that run
+    between its post and its harvest — so the harvest can bring its
+    projections up to date with those steps' updates; the cross Grams
+    are packed after the projections and before the record tail.
+    Without a lag the values are bit-identical to the blocking
+    ``gram_and_project`` / ``gram_rows_and_project`` path: same sampled
+    blocks, same partial products, same rank-ordered fold, same unpack.
+    Each send buffer keeps ``spare`` words for the record tail a post
+    may carry, fixed at construction: one (``||r_local||^2``) on the
     Lasso layout, ``m + 1`` (``A_p x_p`` and ``||x_p||^2``) on the SVM one.
     """
 
@@ -384,9 +406,14 @@ class GramPipeline:
         self.spare = 1 if axis == "cols" else dist.shape[0] + 1
         self._slots = [_PipeSlot() for _ in range(int(depth))]
         self._next = 0
+        # the slots of the latest prefetches, newest last: the blocks a
+        # later post may carry cross Grams with
+        self._recent: deque = deque(maxlen=int(depth) - 2)
 
-    def prefetch(self, idx: np.ndarray) -> _PipeSlot:
-        """Sample block ``idx`` and pack its partial Gram (no collective)."""
+    def prefetch(self, idx: np.ndarray, lag: int = 0) -> _PipeSlot:
+        """Sample block ``idx``, pack its partial Gram and, for a post
+        ``lag`` steps ahead of its harvest, its cross Grams with the
+        ``lag`` latest blocks, newest first (no collective)."""
         slot = self._slots[self._next]
         self._next = (self._next + 1) % len(self._slots)
         dist = self.dist
@@ -394,15 +421,23 @@ class GramPipeline:
             Y = dist.sample_columns(idx, ws=slot.ws)
         else:
             Y = dist.sample_rows(idx, ws=slot.ws)
-        k = dist._block_len(Y)
-        dist._charge_gram_only(nnz_of(Y), k, self.symmetric)
-        length = packed_length(k, self.extra_cols, self.symmetric) + self.spare
+        k, nnz = dist._block_len(Y), nnz_of(Y)
+        dist._charge_gram_only(nnz, k, self.symmetric)
+        lagged = [self._recent[-i] for i in range(1, lag + 1)]
+        head = packed_length(k, self.extra_cols, self.symmetric)
+        length = head + k * sum(t.k for t in lagged) + self.spare
         if slot.send is None or slot.send.shape[0] != length:
             slot.send = np.empty(length, dtype=np.float64)
             slot.recv = np.empty(length, dtype=np.float64)
         dist._pack_head(Y, self.symmetric, slot.send)
-        slot.Y = Y
-        slot.k = k
+        slot.Y, slot.k = Y, k
+        at = head
+        for t in lagged:
+            dist._charge_gram_only(nnz, k, self.symmetric, k_other=t.k)
+            dist._pack_cross(Y, t.Y, slot.send[at:])
+            at += k * t.k
+        slot.lags = [t.k for t in lagged]
+        self._recent.append(slot)
         return slot
 
     def post(
@@ -412,9 +447,10 @@ class GramPipeline:
         """Pack the projections ``Y^T V`` (resp. ``Y x``), post the reduce.
 
         ``tail`` (optional float64 buffer of at most ``spare`` words)
-        rides the same message after the projections, as in
-        :meth:`RowPartitionedMatrix.gram_and_project` (``tail_priced``
-        too); :meth:`wait` overwrites it with its sums across ranks.
+        rides the same message after the projections and cross Grams, as
+        in :meth:`RowPartitionedMatrix.gram_and_project` (``tail_priced``
+        too); :meth:`wait` overwrites it with its sums across ranks. The
+        cross Grams' words are priced in full.
         """
         dist = self.dist
         dist._charge_proj(nnz_of(slot.Y), slot.k, self.extra_cols)
@@ -428,11 +464,14 @@ class GramPipeline:
         slot.req = dist.comm.Iallreduce(slot.send[:n], out=slot.recv[:n], words=words)
 
     def wait(self, slot: _PipeSlot) -> tuple:
-        """Complete the reduction; returns ``(Y, G, R)``.
+        """Complete the reduction; returns ``(Y, G, R, cross)``.
 
         ``Y`` is the slot's sampled block (valid until this slot's next
-        ``prefetch``, a full pipeline cycle later); ``(G, R)`` live in the
-        slot's own output buffers with the same lifetime.
+        ``prefetch``, a full ring cycle later); ``(G, R)`` live in the
+        slot's own output buffers with the same lifetime. ``cross`` lists
+        the summed cross Grams the post carried, newest block first (an
+        empty list for a post made just before its harvest); they are
+        views of the receive buffer, valid until the slot's next post.
         """
         total = slot.req.wait()
         slot.req = None
@@ -446,11 +485,16 @@ class GramPipeline:
             slot.out_g = np.empty((k, k), dtype=np.float64)
         if c and (slot.out_r is None or slot.out_r.shape != (k, c)):
             slot.out_r = np.empty((k, c), dtype=np.float64)
+        at = packed_length(k, c, self.symmetric)
         G, R = unpack_gram(
-            total[:n], k, c, self.symmetric,
+            total[:at], k, c, self.symmetric,
             out_g=slot.out_g, out_extras=slot.out_r if c else None,
         )
-        return slot.Y, G, (R if c else np.zeros((k, 0)))
+        cross = []
+        for kt in slot.lags:
+            cross.append(total[at:at + k * kt].reshape(k, kt))
+            at += k * kt
+        return slot.Y, G, (R if c else np.zeros((k, 0))), cross
 
 
 class RowPartitionedMatrix(_PartitionedBase):
@@ -629,6 +673,10 @@ class RowPartitionedMatrix(_PartitionedBase):
         return S.T @ S
 
     @staticmethod
+    def _block_cross(S, T):
+        return S.T @ T
+
+    @staticmethod
     def _block_proj(S, vectors):
         return S.T @ np.column_stack(vectors)
 
@@ -713,7 +761,7 @@ class RowPartitionedMatrix(_PartitionedBase):
 
         The asynchronous counterpart of :meth:`gram_and_project`; see
         :class:`GramPipeline`. The default ``depth=2`` is the classic
-        double buffer; bounded-staleness drivers pass ``tau + 2``.
+        double buffer; the ring at depth ``tau`` passes ``tau + 2``.
         """
         return GramPipeline(self, extra_cols, symmetric, axis="cols", depth=depth)
 
@@ -839,6 +887,10 @@ class ColPartitionedMatrix(_PartitionedBase):
         return Y @ Y.T
 
     @staticmethod
+    def _block_cross(Y, Z):
+        return Y @ Z.T
+
+    @staticmethod
     def _block_proj(Y, vectors):
         (x_local,) = vectors
         return Y @ x_local
@@ -893,8 +945,8 @@ class ColPartitionedMatrix(_PartitionedBase):
         The asynchronous counterpart of :meth:`gram_rows_and_project`;
         see :class:`GramPipeline`. As in the blocking path the caller
         adds ``gamma I`` after the reduction and reads ``R[:, 0]``. The
-        default ``depth=2`` is the classic double buffer;
-        bounded-staleness drivers pass ``tau + 2``.
+        default ``depth=2`` is the classic double buffer; the ring at
+        depth ``tau`` passes ``tau + 2``.
         """
         return GramPipeline(self, 1, symmetric, axis="rows", depth=depth)
 

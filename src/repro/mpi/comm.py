@@ -491,14 +491,16 @@ class Comm(ABC):
             raise CommError("Iallreduce out must not alias sendbuf")
         self._set_timeout(timeout)
         self._trace("Iallreduce", arr)
-        handle = self._iallreduce_impl("Iallreduce", arr, op)
+        handle = self._iallreduce_impl("Iallreduce", arr, op, out)
         cost = self._cost_model.allreduce(
             arr.nbytes / _WORD_BYTES if words is None else words)
         return CommRequest(self, handle, "Iallreduce", cost, out=out)
 
-    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op):
+    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op, out=None):
         """Backend hook: start an allreduce, return a wait()/test() handle.
 
+        ``out`` is the request's output buffer (or None); a backend may
+        fold straight into it, which saves the request the copy.
         Default: complete eagerly through the blocking exchange (modelled
         overlap only). Backends with a progress engine (thread, process)
         override this with a genuinely asynchronous implementation.
@@ -779,7 +781,7 @@ class WorldComm(Comm):
             self.ledger.add_timeout()
             raise
 
-    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op):
+    def _iallreduce_impl(self, tag: str, arr: np.ndarray, op: Op, out=None):
         # posting while this rank's own request `seq - depth` (which
         # shares the target ring slot) is unharvested would park forever
         # on that slot: fail typed *before* blocking. Out-of-order
@@ -798,7 +800,7 @@ class WorldComm(Comm):
             )
         handle = self._world.nb_post(
             self._rank, seq, tag, arr, op, timeout=self._active_timeout,
-            on_consume=self._nb_open.discard,
+            on_consume=self._nb_open.discard, out=out,
         )
         # only a deposited post takes its sequence number: a payload the
         # world rejects untouched (a process rank's non-float64 array)

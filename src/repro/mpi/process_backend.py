@@ -153,11 +153,12 @@ class _ProcNbHandle:
 
     __slots__ = (
         "_world", "_slot", "_seq", "_tag", "_rank", "_op", "_shape",
-        "_result", "_on_consume",
+        "_result", "_on_consume", "_out",
     )
 
     def __init__(
-        self, world, slot, seq, tag, rank, op, shape, on_consume=None
+        self, world, slot, seq, tag, rank, op, shape, on_consume=None,
+        out=None,
     ) -> None:
         self._world = world
         self._slot = slot
@@ -168,13 +169,15 @@ class _ProcNbHandle:
         self._shape = shape
         self._result = None
         self._on_consume = on_consume
+        self._out = out
 
     def _ready_locked(self) -> bool:
         slot = self._slot
         return slot.seq.value == self._seq and slot.deposited.value == self._world.size
 
     def _complete(self):
-        """Fold the deposited payloads (deterministic rank order)."""
+        """Fold the deposited payloads (deterministic rank order), into
+        the request's ``out`` buffer when it has the payload's shape."""
         world, slot = self._world, self._slot
         n = int(slot.lengths[0])
         flat = np.frombuffer(slot.payload, dtype=np.float64)
@@ -189,6 +192,8 @@ class _ProcNbHandle:
                 f"lengths {lengths}"
             )
             result = None
+        elif self._out is not None and self._out.shape == (n,):
+            result = self._op.fold_into(parts, self._out)
         else:
             result = self._op.fold(parts).reshape(self._shape)
         with slot.cond:
@@ -440,13 +445,15 @@ class ProcessWorld(RankWorld):
         op,
         timeout: float | None = None,
         on_consume=None,
+        out=None,
     ):
         """Deposit one rank's nonblocking contribution; returns a handle.
 
         ``timeout`` bounds the wait for a free ring slot. ``on_consume``
         (if given) is invoked exactly once in the posting process when
         the handle is harvested, with ``seq`` — the communicator uses it
-        to track which of its requests are still open.
+        to track which of its requests are still open. ``out`` (if given)
+        is the request's output buffer, which the harvest folds into.
         """
         if arr.dtype != np.float64:
             raise CommError(
@@ -476,7 +483,8 @@ class ProcessWorld(RankWorld):
                 slot.complete_at.value = time.monotonic() + self.latency
                 slot.cond.notify_all()
         return _ProcNbHandle(
-            self, slot, seq, tag, rank, op, arr.shape, on_consume=on_consume
+            self, slot, seq, tag, rank, op, arr.shape, on_consume=on_consume,
+            out=out,
         )
 
 
@@ -968,8 +976,8 @@ def process_spmd_run(
     ``comm_timeout`` installs a default per-collective deadline on every
     rank's communicator (``None`` = wait forever). ``nb_depth`` sets the
     nonblocking slot-ring depth — the most in-flight ``Iallreduce``
-    requests any rank may hold (bounded-staleness solvers need
-    ``tau + 2``); exceeding it raises
+    requests any rank may hold (the ring at depth ``tau`` needs
+    ``tau + 1``); exceeding it raises
     :class:`~repro.errors.NbRingDepthError` instead of deadlocking.
 
     ``recover="checkpoint"`` turns a rank death (or collective deadline)

@@ -34,8 +34,8 @@ __all__ = ["ThreadComm", "ThreadContext", "spmd_run", "SpmdResult"]
 
 #: default outstanding nonblocking collectives per world (double-buffered:
 #: the pipelined solvers keep at most one reduction in flight while packing
-#: the next payload into the other buffer; the async bounded-staleness
-#: solvers pass ``nb_depth = tau + 2`` for a deeper ring)
+#: the next payload into the other buffer, and the async ring at ``tau =
+#: 1`` two; deeper rings pass ``nb_depth = tau + 1``)
 NB_RING_DEPTH = 2
 
 
@@ -228,6 +228,7 @@ class ThreadContext(RankWorld):
         op,
         timeout: float | None = None,
         on_consume=None,
+        out=None,
     ) -> _ThreadNbHandle:
         """Deposit one rank's contribution to nonblocking collective ``seq``.
 
@@ -236,7 +237,9 @@ class ThreadContext(RankWorld):
         earlier (each slot recycles when all ranks consumed it).
         ``timeout`` bounds that wait; ``on_consume`` (if given) is called
         with ``seq`` once, when this rank harvests the handle. The caller
-        must not modify ``obj`` until the request completes.
+        must not modify ``obj`` until the request completes. The fold
+        thread folds once for every rank, so ``out`` is not used here:
+        each harvest copies the shared result.
         """
         slot = self._nb_ring[seq % self.nb_depth]
         with slot.cond:
@@ -311,8 +314,8 @@ def spmd_run(
         communicator (``None`` = wait forever, the historical behaviour).
     nb_depth:
         Nonblocking slot-ring depth: the most in-flight ``Iallreduce``
-        requests any rank may hold (bounded-staleness solvers need
-        ``tau + 2``).
+        requests any rank may hold (the ring at depth ``tau`` needs
+        ``tau + 1``).
 
     Raises the first per-rank exception (rank order) if any rank failed.
     """

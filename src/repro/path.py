@@ -60,7 +60,7 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import Schedule
+from repro.solvers.outer import SWEEP_SCHEDULE, Schedule
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
 
@@ -366,9 +366,8 @@ class SweepContext:
               loss: str = "l1") -> SolverResult:
         """One point of the sweep: zero the ledger, solve, bank the cost.
 
-        The solve runs ``schedule.for_sweep`` on this context's
-        communicator (see :class:`~repro.solvers.outer.Schedule`),
-        through the context's partitioned
+        The solve runs the schedule :meth:`resolve` picks, through the
+        context's partitioned
         matrix (and, for Lasso, its eigenvalue memo). ``warm`` is the
         warm start: the primal ``x0`` for Lasso, or the dual ``alpha0``
         for SVM, clipped to the dual box of this point's ``lam``.
@@ -378,8 +377,7 @@ class SweepContext:
         result's ``cost`` is this point's alone and is appended to
         :attr:`point_costs`.
         """
-        schedule = schedule.for_sweep(check_solver(solver, self.task),
-                                      self.comm.cost_size)
+        schedule = self.resolve(schedule, solver, s=s, mu=mu, tol=tol)
         self.comm.reset()
         knobs = dict(solver=solver, s=s, max_iter=max_iter, tol=tol,
                      seed=seed, comm=self.comm, record_every=record_every,
@@ -397,6 +395,19 @@ class SweepContext:
                           **knobs)
         self.point_costs.append(res.cost)
         return res
+
+    def resolve(self, schedule: Schedule, solver: str, *, s: int, mu: int,
+                tol: float | None) -> Schedule:
+        """The schedule a :meth:`solve` of ``solver`` at ``s``, ``mu`` and
+        ``tol`` runs: ``schedule.for_sweep`` (see
+        :class:`~repro.solvers.outer.Schedule`) on this context's
+        communicator, for outer steps of ``s * mu`` columns (Lasso) or
+        ``s`` rows (SVM, whose record tails are ``m + 1`` words)."""
+        lasso = self.task == "lasso"
+        return schedule.for_sweep(
+            check_solver(solver, self.task), self.comm,
+            k=s * mu if lasso else s,
+            tail=1 if lasso else self.dist.shape[0] + 1, tol=tol)
 
     @property
     def total_cost(self) -> CostSnapshot:
@@ -486,7 +497,7 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
     results come back without the context.
     """
     check_launch(backend, recover, comm)
-    sa = check_solver(knobs["solver"], task)
+    check_solver(knobs["solver"], task)
     if backend != "virtual" and context is not None:
         raise SolverError(
             "context= holds a live SweepContext and cannot be shipped"
@@ -538,7 +549,8 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
             ):
                 _emit_path_checkpoint(ck_sink, ctx.comm.rank, task, lams,
                                       results, warm, params)
-        ran = knobs["schedule"].for_sweep(sa, ctx.comm.cost_size)
+        ran = ctx.resolve(knobs["schedule"], knobs["solver"], s=knobs["s"],
+                          mu=knobs.get("mu", 1), tol=knobs["tol"])
         return PathResult(
             task=task, lambdas=lams, results=results,
             # a live context cannot cross back from a real backend's ranks
@@ -574,7 +586,7 @@ def lasso_path(
     record_every: int = 10,
     warm_start: bool = True,
     fast: bool = True,
-    schedule: Schedule = Schedule(ring=True),
+    schedule: Schedule = SWEEP_SCHEDULE,
     adaptive: bool = False,
     adapt_tol_factor: float = 100.0,
     adapt_iter_factor: float = 0.25,
@@ -604,14 +616,19 @@ def lasso_path(
         the context's caches.
     schedule:
         A :class:`~repro.solvers.outer.Schedule`, resolved per point by
-        its :meth:`~repro.solvers.outer.Schedule.for_sweep`. The default
-        pipelined ring gives every SA point on more than one modelled
-        rank blocking's iterates, histories, messages and words, and a
-        ``comm_seconds`` lower by the ``comm_seconds_hidden`` credited; a
-        point stopped by ``tol`` also samples and packs the step after its
-        converged record. Each solve drains its in-flight reductions, so
-        the communicator is clean at every warm-start hand-off.
-        ``extras`` records what ran as its ``report()`` keys.
+        its :meth:`~repro.solvers.outer.Schedule.for_sweep`. The default,
+        :data:`~repro.solvers.outer.SWEEP_SCHEDULE` (the async ring at
+        ``tau = 1``), runs an SA point on more than one modelled rank
+        with each inner loop overlapping the next reduction's transit:
+        blocking's iterates and histories to rounding and its messages,
+        each post carrying the cross Gram of its block with the previous
+        one. A point with ``tol`` set, or whose cross Grams would cost
+        more than the reduction they ride (here at ``s * mu`` above
+        about 20 on the Cray model), runs the pipelined ring instead:
+        blocking's iterates, histories, messages and words bit for bit.
+        Each solve drains its in-flight reductions, so the communicator
+        is clean at every warm-start hand-off. ``extras`` records what
+        ran as its ``report()`` keys.
     adaptive:
         Loosen per-point budgets along the grid (see
         :func:`adaptive_schedule`): intermediate points — which exist
@@ -705,7 +722,7 @@ def svm_path(
     record_every: int = 0,
     warm_start: bool = True,
     fast: bool = True,
-    schedule: Schedule = Schedule(ring=True),
+    schedule: Schedule = SWEEP_SCHEDULE,
     adaptive: bool = False,
     adapt_tol_factor: float = 100.0,
     adapt_iter_factor: float = 0.25,
@@ -732,9 +749,10 @@ def svm_path(
     ``[0.1, 10]`` around the paper's ``C = 1``.
 
     ``schedule`` and ``adaptive`` mirror :func:`lasso_path`: by default
-    every ``sa-svm`` point on more than one modelled rank runs the
-    pipelined ring, with blocking's alphas, histories and traffic, and
-    ``extras`` records the schedule that ran. Adaptive
+    an ``sa-svm`` point on more than one modelled rank runs the async
+    ring at ``tau = 1`` (``s`` rows per step) or, with ``tol`` set or
+    where its cross Grams would cost more than its reduction, the
+    pipelined ring, and ``extras`` records the schedule that ran. Adaptive
     budgets loosen the *duality-gap* tolerance early on the grid; the
     final point always runs at exactly ``(max_iter, tol)``.
 

@@ -99,7 +99,7 @@ from repro.serve.report import (
     latency_stats,
 )
 from repro.serve.trace import load_trace, validate_trace
-from repro.solvers.outer import Schedule
+from repro.solvers.outer import SWEEP_SCHEDULE
 from repro.streaming import StreamingSweep, check_stream_checkpoint
 from repro.utils.io import JSONText, TailEncoder, atomic_write_json, compact_json
 from repro.utils.validation import nnz_of
@@ -118,8 +118,9 @@ class TenantSpec:
     tenant's last committed model. ``knobs`` are
     :class:`~repro.streaming.StreamingSweep` solver defaults (solver,
     mu, s, max_iter, tol, seed, schedule, ...); as there, an SA tenant
-    on more than one modelled rank overlaps each refit's Gram reduction
-    on the pipelined ring unless its knobs say ``schedule=Schedule()``.
+    on more than one modelled rank overlaps each refit's Gram reductions
+    on the sweeps' default ring, as its stream resolves it, unless its
+    knobs say ``schedule=Schedule()``.
     """
 
     name: str
@@ -921,8 +922,8 @@ def serve_trace(
     ``schedule`` knobs.
 
     Each tenant runs the schedule of its
-    :class:`~repro.streaming.StreamingSweep` (the pipelined ring by
-    default), which changes only a refit's modelled service time, and
+    :class:`~repro.streaming.StreamingSweep` (the sweeps' default ring
+    by default), which changes only a refit's modelled service time, and
     so the virtual clock (see ``docs/SERVING.md``). Each tenant block of
     the report records the schedule its refits ran (``pipeline``,
     ``async``, ``tau``).
@@ -961,7 +962,7 @@ def serve_trace(
                 f"tenant {spec.name!r}: len(b) != rows of A"
             )
     if nb_depth is None:
-        nb_depth = max(spec.knobs.get("schedule", Schedule(ring=True)).depth
+        nb_depth = max(spec.knobs.get("schedule", SWEEP_SCHEDULE).depth
                        for spec in specs)
     if isinstance(trace, (str, os.PathLike)):
         events = load_trace(trace)

@@ -220,8 +220,9 @@ class FamilyState:
     * ``probe(it)``: a record pinned to iteration ``it`` (see
       :class:`repro.solvers.outer.Checks`), which also guards against a
       non-finite iterate;
-    * the SA hooks ``plan``, ``gram``, ``step``, ``pipeline`` and
-      ``arrays`` (see :mod:`repro.solvers.outer`).
+    * the SA hooks ``plan``, ``gram``, ``step``, ``correct``,
+      ``exchange``, ``pipeline`` and ``arrays`` (see
+      :mod:`repro.solvers.outer`).
     """
 
     family: str
@@ -278,7 +279,7 @@ class FamilyState:
         ``max_iter``, then the checkpoint when ``h`` is a multiple of
         ``checkpoint_every``. True when the record met ``tol``."""
         if self.record_every and (h % self.record_every == 0 or h == self.max_iter):
-            _, value = self.probe(h)
+            _, value, _ = self.probe(h)
             self.history.record(h, value(None), self.comm)
             if self.term.done(self.history.final_metric):
                 return True

@@ -145,17 +145,41 @@ class AccState(LassoState):
         # line 9), known fresh at harvest
         thetas = theta_schedule(self.theta, len(blocks))
         inner = _sa_acc_outer_fast if self.fast else _sa_acc_outer_naive
-        inner(self.dist, self.pen, Y, G, R, blocks, widths, offsets, thetas,
-              self.q, self.y, self.z, self.ytil, self.ztil, memo=self.memo)
+        # U = [m .* dz, dz]: ytil moved by -Y U[:, 0], ztil by +Y U[:, 1]
+        self.update = inner(self.dist, self.pen, Y, G, R, blocks, widths,
+                            offsets, thetas, self.q, self.y, self.z, self.ytil,
+                            self.ztil, memo=self.memo)
         self.theta_used, self.theta = thetas[len(blocks) - 1], thetas[len(blocks)]
         return len(blocks)
 
-    def probe(self, it):
+    def correct(self, R, pairs) -> None:
+        """``Yᵀ[ytil, ztil]`` posted before some steps ran, brought up to
+        date: each step's ``U`` lowers ``Yᵀytil`` by ``C U[:, 0]`` and
+        raises ``Yᵀztil`` by ``C U[:, 1]``."""
+        for C, U in pairs:
+            M = C @ U
+            R[:, 0] -= M[:, 0]
+            R[:, 1] += M[:, 1]
+            self.comm.account_flops(4.0 * C.size, "blas2")
+
+    def probe(self, it, pin=False):
         check_finite_iterate(self.tag, it, y=self.y, z=self.z)
-        # pinned now: the async ring completes the record after y, z move
+        # pinned now: the ring completes the record after y, z move, and
+        # with ``pin`` may return to them
         xb, rb = _acc_iterate(self.theta_used, self.y, self.z, self.ytil, self.ztil)
+        restore = None
+        if pin:
+            arrays = (self.y, self.z, self.ytil, self.ztil)
+            pinned = ([a.copy() for a in arrays], self.theta, self.theta_used)
+
+            def restore():
+                copies, self.theta, self.theta_used = pinned
+                for a, c in zip(arrays, copies, strict=True):
+                    a[:] = c
+
         return (lambda: np.array([rb @ rb]),
-                lambda tail: distributed_objective(self.dist, rb, xb, self.pen, tail))
+                lambda tail: distributed_objective(self.dist, rb, xb, self.pen, tail),
+                restore)
 
     def pipeline(self, depth):
         return self.dist.gram_pipeline(extra_cols=2, symmetric=self.symmetric,
@@ -240,11 +264,13 @@ def _sa_acc_outer_naive(
     """Reference inner loop: eqs. (3)-(5) exactly as written.
 
     Kept as the ``fast=False`` escape hatch and as the ground truth for
-    the fused loop's parity tests.
+    the fused loop's parity tests. Returns the step's update history
+    ``U = [m .* dz, dz]``, as the fused loops do.
     """
     s_eff = len(blocks)
     z_outer = z.copy()
     deltas: list[np.ndarray] = []
+    moms: list[np.ndarray] = []
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         th_prev = thetas[j]
@@ -273,6 +299,7 @@ def _sa_acc_outer_naive(
             dz = np.zeros(widths[j])
         deltas.append(dz)
         coef = momentum_coef(th_prev, q)
+        moms.append(coef * dz)
         # incremental updates (Alg. 2 lines 19-22); all local/replicated
         z[blocks[j]] += dz
         y[blocks[j]] -= coef * dz
@@ -283,6 +310,7 @@ def _sa_acc_outer_naive(
             dist.comm.account_flops(3.0 * Sdz.shape[0], "gather")
             ztil += Sdz
             ytil -= coef * Sdz
+    return np.column_stack([np.concatenate(moms), np.concatenate(deltas)])
 
 
 def _sa_acc_outer_fast(
@@ -310,11 +338,10 @@ def _sa_acc_outer_fast(
     s_eff = len(blocks)
     t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
     if max(widths) == 1:
-        _sa_acc_inner_scalar(
+        return _sa_acc_inner_scalar(
             dist, pen, Y, G, R, blocks, offsets, t2v, qth, coefv, C,
             y, z, ytil, ztil,
         )
-        return
     account = dist.comm.account_flops
     U = np.zeros((int(offsets[-1]), 2))
     any_nz = False
@@ -362,6 +389,7 @@ def _sa_acc_outer_fast(
         YU = (Y if Ycsc is None else Ycsc) @ U
         ztil += YU[:, 1]
         ytil -= YU[:, 0]
+    return U
 
 
 def _sa_acc_inner_scalar(
@@ -422,6 +450,8 @@ def _sa_acc_inner_scalar(
                 ytil -= coef * upd
                 account(2.0 * m_loc, "blas1")
             account(3.0 * m_loc, "gather")
+    dz = np.array(dvals)
+    return np.column_stack([coefv * dz, dz])
 
 
 def sa_acc_bcd(
@@ -460,18 +490,22 @@ def sa_acc_bcd(
 
     The outer loop is :mod:`repro.solvers.outer`'s: blocking by default;
     ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
-    harvests the oldest, so outer step ``k`` runs against ``[ytil,
-    ztil]`` projections up to ``tau`` outer steps stale (the momentum
-    schedule ``thetas`` is still computed fresh at harvest). Weaker
-    contract than bit-parity: convergence to the synchronous objective
-    within tolerance. ``pipeline=True`` is the ``tau = 0`` case
+    harvests the oldest, so each inner loop runs while the next ``tau``
+    reductions are in transit. A reduction posted before some steps ran
+    carries the cross Grams ``C`` of its block with theirs, and its
+    harvest brings the ``[ytil, ztil]`` projections up to date with each
+    such step's ``U = [m .* dz, dz]`` (``Yᵀytil`` falls by ``C U[:, 0]``,
+    ``Yᵀztil`` rises by ``C U[:, 1]``; the momentum schedule ``thetas``
+    is computed at harvest), so the iterates equal the blocking run's to
+    rounding at every ``tau``. ``pipeline=True`` is the ``tau = 0`` case
     (mutually exclusive with ``async_``): the next step's block and
     partial Gram are computed while the current reduction is in flight,
     with iterates and message counts identical to the blocking run and
     only the unoverlapped latency remainder charged. See
     :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
-    accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement. ``eig_memo``
+    words and flops the cross Grams add, the staleness accounting
+    (``stale_seconds`` / ``max_staleness``) and the ``nb_depth = tau +
+    1`` communicator ring requirement. ``eig_memo``
     supplies a private eigenvalue memo for the fused loop (default: the
     shared process-wide memo).
 
@@ -480,10 +514,10 @@ def sa_acc_bcd(
     of ``record_every`` (and at ``max_iter``), each rank's
     ``||r_local||^2`` at the implicit iterate ``theta^2 y + z`` riding
     the next Gram reduction as one trailing word (iteration 0's
-    unpriced). One collective per outer step plus one scalar allreduce
-    for the objective at the final iterate; with ``tol``, a blocking or pipelined solve returns exactly the
-    iterate its converged record describes, one unused Gram reduction
-    later, and ``async_`` stops at most ``tau`` outer steps past it.
+    unpriced). One collective per outer step plus one closing allreduce
+    for the records no reduction carries; with ``tol``, every schedule
+    returns exactly the iterate its converged record describes
+    (``async_`` restores it after running ``tau`` outer steps past it).
     """
     fam = AccState(
         f"sa-accbcd(mu={mu}, s={s})", A, b, penalty, mu=mu, comm=comm, x0=x0,

@@ -102,6 +102,17 @@ class LassoState(FamilyState):
                          make_sampler(n, mu, run["seed"], self.pen),
                          {"n": n, "mu": mu}, **run)
 
+    def exchange(self, tails: list) -> list:
+        """The closing exchange: the records' ``[||r_local||^2]`` words
+        summed in one ledger-paused allreduce, a scalar one for a single
+        record (instrumentation, as in :func:`distributed_objective`)."""
+        comm = self.comm
+        with comm.ledger.paused():
+            if len(tails) == 1:
+                return [[comm.allreduce(float(tails[0][0]), timeout=comm.timeout)]]
+            total = comm.allreduce(np.concatenate(tails), timeout=comm.timeout)
+        return np.split(total, len(tails))
+
     def plan(self, k: int) -> tuple:
         """Sample one outer step's ``k`` blocks: ``(idx, (blocks, widths,
         offsets))``."""

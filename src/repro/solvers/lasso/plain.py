@@ -96,16 +96,34 @@ class PlainState(LassoState):
     def step(self, batch, Y, G, R) -> int:
         blocks, widths, offsets = batch
         inner = _sa_outer_fast if self.fast else _sa_outer_naive
-        inner(self.dist, self.pen, Y, G, R, blocks, widths, offsets, self.x,
-              self.r_local, memo=self.memo)
+        # the stacked update: r_local moved by Y @ update
+        self.update = inner(self.dist, self.pen, Y, G, R, blocks, widths,
+                            offsets, self.x, self.r_local, memo=self.memo)
         return len(blocks)
 
-    def probe(self, it):
+    def correct(self, R, pairs) -> None:
+        """``Yᵀr`` posted before some steps ran, brought up to date:
+        each such step moved ``r`` by ``Y_t Δ_t``, so add ``C Δ_t``."""
+        for C, delta in pairs:
+            R[:, 0] += C @ delta
+            self.comm.account_flops(2.0 * C.size, "blas2")
+
+    def probe(self, it, pin=False):
         check_finite_iterate(self.tag, it, x=self.x)
-        # the async ring completes the record after x has moved on
+        # pinned now: the ring completes the record after x has moved on,
+        # and with ``pin`` may return to it
         xb, r = self.x.copy(), self.r_local
+        restore = None
+        if pin:
+            rb = r.copy()
+
+            def restore():
+                self.x[:] = xb
+                self.r_local[:] = rb
+
         return (lambda: np.array([r @ r]),
-                lambda tail: distributed_objective(self.dist, r, xb, self.pen, tail))
+                lambda tail: distributed_objective(self.dist, r, xb, self.pen, tail),
+                restore)
 
     def pipeline(self, depth):
         return self.dist.gram_pipeline(extra_cols=1, symmetric=self.symmetric,
@@ -189,7 +207,8 @@ def bcd(
 def _sa_outer_naive(
     dist, pen, Y, G, R, blocks, widths, offsets, x, r_local, memo=None,
 ):
-    """Reference inner loop (the ``fast=False`` escape hatch)."""
+    """Reference inner loop (the ``fast=False`` escape hatch); returns
+    the step's stacked update, as the fused loops do."""
     s_eff = len(blocks)
     x_outer = x.copy()
     deltas: list[np.ndarray] = []
@@ -221,6 +240,7 @@ def _sa_outer_naive(
         if np.any(delta):
             Sj = Y[:, sl_j]
             dist.apply_column_update(Sj, delta, r_local)
+    return np.concatenate(deltas)
 
 
 def _block_nnz(Y, Ycsc, widths, offsets) -> list:
@@ -250,8 +270,7 @@ def _sa_outer_fast(
     s_eff = len(blocks)
     account = dist.comm.account_flops
     if max(widths) == 1:
-        _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local)
-        return
+        return _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local)
     dz_all = np.zeros(int(offsets[-1]))
     any_nz = False
     if min(widths) == max(widths):
@@ -291,6 +310,7 @@ def _sa_outer_fast(
             account(2.0 * nnz[j], "blas1")
     if any_nz:
         r_local += (Y if Ycsc is None else Ycsc) @ dz_all
+    return dz_all
 
 
 def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
@@ -338,6 +358,7 @@ def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
             else:
                 r_local += Y[:, j] * delta
                 account(2.0 * m_loc, "blas1")
+    return np.array(dvals)
 
 
 def sa_bcd(
@@ -375,21 +396,20 @@ def sa_bcd(
     identical ledger).
 
     The outer loop is :mod:`repro.solvers.outer`'s. ``async_=True``
-    keeps up to ``tau + 1`` outer-step reductions in flight, each posted
-    with the residual current at its post time, and harvests the
-    *oldest* instead of blocking on the newest — outer step ``k``
-    therefore runs its inner loop against a residual up to ``tau`` steps
-    stale (deterministic bounded staleness: step ``k`` sees the residual
-    of step ``max(0, k - tau)``). The contract is deliberately weaker
-    than bit-parity: the iterate sequence *differs* from the synchronous
-    one, and what is guaranteed (and tested, ``tests/test_async.py``) is
-    convergence to the synchronous reference's objective within
-    tolerance. The ledger splits each in-flight reduction's overlapped
-    transit into fresh (``comm_seconds_hidden``) and superseded
-    (``stale_seconds``) windows and records the observed staleness
-    watermark (``max_staleness``). Needs a communicator ring of
-    ``tau + 2`` nonblocking slots (``nb_depth`` on the thread/process
-    backends — exceeding it raises
+    keeps up to ``tau + 1`` outer-step reductions in flight and harvests
+    the oldest, so each inner loop runs while the next ``tau`` reductions
+    are in transit. A reduction posted before some steps ran carries,
+    after ``Y_jᵀr`` at its post, the cross Grams ``Y_jᵀY_t`` of its block
+    with the blocks of those steps (up to ``tau * k^2`` words at ``k = s
+    * mu``, priced in full, their flops charged at prefetch), and its
+    harvest adds ``Y_jᵀY_t Δ_t`` for each (charged ``blas2``). So every
+    inner loop reads the current residual's projections, and the
+    iterates equal the blocking run's to rounding at every ``tau``. The
+    ledger splits each in-flight reduction's overlapped transit into
+    fresh (``comm_seconds_hidden``) and superseded (``stale_seconds``)
+    windows and records the observed depth (``max_staleness``). Needs a
+    communicator ring of ``tau + 1`` nonblocking slots (``nb_depth`` on
+    the thread/process backends — exceeding it raises
     :class:`~repro.errors.NbRingDepthError`).
 
     ``pipeline=True`` is the ``tau = 0`` case of ``async_`` (and
@@ -410,18 +430,19 @@ def sa_bcd(
     ``||r_local||^2`` rides the next outer step's Gram reduction as one
     trailing word, charged as part of that message (iteration 0's rides
     the first reduction unpriced, as its own sync was never charged), so
-    a record's value arrives one reduction after its boundary. A solve
-    therefore makes one collective per outer step plus one ledger-paused
-    scalar allreduce for the objective at the final iterate (and, under
-    ``async_``, one for each record in the last ``tau`` outer steps,
-    which no later reduction carries). With
-    ``tol`` set, the blocking and pipelined schedules test each record
-    before the next inner loop runs: a converged solve returns exactly
-    the iterate its last record describes (``iterations ==
-    history.iterations[-1]``) and has paid for one Gram reduction it
-    never uses. ``async_`` learns a record ``tau`` reductions later, so
-    it stops at most ``tau`` outer steps past its converged record and
-    records the iterate it returns on its own.
+    a record's value arrives one reduction after its boundary. The
+    records no later reduction carries — the final iterate's, and under
+    ``async_`` those of the last ``tau`` outer steps — ride one
+    ledger-paused closing allreduce of their words (a scalar one for a
+    single record). A solve therefore makes one collective per outer
+    step plus exactly one closing exchange. With ``tol`` set, a
+    converged solve returns exactly the iterate its converged record
+    describes (``iterations == history.iterations[-1]``). The blocking
+    and pipelined schedules test each record before the next inner loop
+    runs, and have paid for one Gram reduction they never use;
+    ``async_`` learns a record ``tau`` outer steps later, restores the
+    iterate pinned at its boundary, and keeps the cost of the steps it
+    ran past it charged.
 
     ``checkpoint_every``/``checkpoint_sink``/``resume_from`` follow
     :func:`bcd`; SA runs checkpoint at the outer-step boundary that

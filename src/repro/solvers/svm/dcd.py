@@ -154,14 +154,34 @@ class SvmState(FamilyState):
 
     def step(self, idx, Y, G, R) -> int:
         inner = _sa_dcd_outer_fast if self.fast else _sa_dcd_outer_naive
-        inner(self.dist, self.b, Y, G, R[:, 0], idx, self.gamma, self.nu,
-              self.alpha, self.x_local)
+        # theta .* b per sampled row: x_local moved by Yᵀ update
+        self.update = inner(self.dist, self.b, Y, G, R[:, 0], idx, self.gamma,
+                            self.nu, self.alpha, self.x_local)
         self.steps += 1
         return len(idx)
 
-    def probe(self, it):
+    def correct(self, R, pairs) -> None:
+        """``Y x`` posted before some steps ran, brought up to date: each
+        step moved ``x`` by ``Y_tᵀ (theta .* b)``, so add ``C (theta .*
+        b)`` (the cross Gram carries no ``gamma``)."""
+        for C, tb in pairs:
+            R[:, 0] += C @ tb
+            self.comm.account_flops(2.0 * C.size, "blas2")
+
+    def exchange(self, tails: list) -> list:
+        """The closing exchange: the records' partials stacked in one
+        ledger-paused :meth:`~repro.linalg.distmatrix.ColPartitionedMatrix.
+        sum_and_gather`, which also gathers the primal :meth:`result`
+        returns."""
+        with self.comm.ledger.paused():
+            total, x = self.dist.sum_and_gather(np.concatenate(tails), self.x_local)
+        self._gathered = (self.steps, x)
+        return np.split(total, len(tails))
+
+    def probe(self, it, pin=False):
         check_finite_iterate(self.tag, it, alpha=self.alpha, x=self.x_local)
-        # the async ring completes the record after alpha has moved on
+        # pinned now: the ring completes the record after alpha has moved
+        # on, and with ``pin`` may return to it
         pinned = self.alpha.copy()
 
         def gap(tail):
@@ -169,7 +189,16 @@ class SvmState(FamilyState):
                 return self.record(pinned)
             return self._gap(tail, pinned)
 
-        return lambda: self._partials(self.x_local), gap
+        restore = None
+        if pin:
+            xb, steps = self.x_local.copy(), self.steps
+
+            def restore():
+                self.alpha[:] = pinned
+                self.x_local[:] = xb
+                self.steps = steps
+
+        return lambda: self._partials(self.x_local), gap, restore
 
     def pipeline(self, depth):
         return self.dist.gram_rows_pipeline(symmetric=self.symmetric, depth=depth)
@@ -242,7 +271,8 @@ def dcd(
 
 
 def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
-    """Reference inner loop (the ``fast=False`` escape hatch)."""
+    """Reference inner loop (the ``fast=False`` escape hatch); returns
+    ``theta .* b`` per sampled row, as the fused loop does."""
     s_eff = idx.shape[0]
     # add gamma I once, after the reduction (Alg. 4 line 9)
     if gamma:
@@ -271,6 +301,7 @@ def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
             # incremental primal update (Alg. 4 line 21), local shard
             row_j = Y[j : j + 1, :]
             dist.apply_row_update(row_j, np.array([theta * bsel[j]]), x_local)
+    return thetas * bsel
 
 
 def _sa_dcd_outer_fast(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
@@ -325,6 +356,7 @@ def _sa_dcd_outer_fast(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
         account(FIXED_SUBPROBLEM_FLOPS + 4.0 * j, "fixed")
         if j in row_flops:
             account(row_flops[j], "blas1")
+    return tb
 
 
 def sa_dcd(
@@ -359,18 +391,21 @@ def sa_dcd(
 
     The outer loop is :mod:`repro.solvers.outer`'s: blocking by default;
     ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
-    harvests the oldest, so outer step ``k`` runs against a ``Y x``
-    projection up to ``tau`` outer steps stale. Weaker contract than
-    bit-parity: convergence to the synchronous duality gap within
-    tolerance. ``pipeline=True`` is the ``tau = 0`` case (mutually
+    harvests the oldest, so each inner loop runs while the next ``tau``
+    reductions are in transit. A reduction posted before some steps ran
+    carries the cross Grams ``Y_j Y_tᵀ`` of its rows with theirs (no
+    ``gamma``), and its harvest adds each such step's ``C (theta .* b)``
+    to the ``Y x`` projection, so the iterates equal the blocking run's
+    to rounding at every ``tau``. ``pipeline=True`` is the ``tau = 0`` case (mutually
     exclusive with ``async_``): the next step's rows are sampled and
     Gram-packed while the current reduction is in flight (the ``Y x_sk``
     projection, which depends on the current primal, is packed after the
     inner loop finishes), with iterates and messages identical to the
     blocking run and only unoverlapped latency charged. See
     :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
-    accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement.
+    words and flops the cross Grams add, the staleness accounting
+    (``stale_seconds`` / ``max_staleness``) and the ``nb_depth = tau +
+    1`` communicator ring requirement.
 
     Duality-gap records (``record_every``; see :mod:`repro.solvers.outer`)
     fall at iteration 0, at the outer-step boundaries that cross a
@@ -380,14 +415,14 @@ def sa_dcd(
     (iteration 0's rides the first one unpriced; a tail too large for
     the communicator's slot is summed on its own just before), and the
     gap is evaluated against the ``alpha`` pinned at the boundary. The
-    gap at the final iterate and (under ``async_``) in the last ``tau``
-    outer steps syncs on its own, ledger-paused, in one Allgather that
-    sums the partials and gathers the primal the result returns. A
-    solve therefore makes one collective per outer step plus that
-    closing exchange. A converged blocking or pipelined solve returns
-    exactly the iterate its last record describes (and gathers its
-    primal on its own); ``async_`` stops at most ``tau`` outer steps
-    past it.
+    gaps no later reduction carries — the final iterate's, and under
+    ``async_`` those of the last ``tau`` outer steps — ride one
+    ledger-paused Allgather that sums their stacked partials and gathers
+    the primal the result returns. A solve therefore makes one
+    collective per outer step plus exactly that closing exchange. A
+    converged solve returns exactly the iterate its converged record
+    describes (and gathers its primal on its own); ``async_`` restores
+    it after running up to ``tau`` outer steps past it.
     """
     fam = SvmState(
         f"sa-svm-{loss.lower()}(s={s})", A, b, loss=loss, lam=lam, comm=comm,

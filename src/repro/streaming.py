@@ -83,7 +83,7 @@ from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
-from repro.solvers.outer import Schedule
+from repro.solvers.outer import SWEEP_SCHEDULE, Schedule
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -285,7 +285,7 @@ class StreamingSweep:
         Default solver knobs for :meth:`solve`, each overridable per
         call. ``lam=None`` resolves per solve: ``0.1 * lambda_max`` of
         the *current* data for Lasso, ``1.0`` for SVM. ``schedule``
-        (default: the pipelined ring) runs as in
+        (default: :data:`~repro.solvers.outer.SWEEP_SCHEDULE`) runs as in
         :func:`~repro.path.lasso_path`, and :attr:`schedule` says what
         runs. A checkpoint pins these defaults, so an engine resumed
         from one keeps the schedule it was written with.
@@ -323,7 +323,7 @@ class StreamingSweep:
         seed: int = 0,
         record_every: int = 10,
         fast: bool = True,
-        schedule: Schedule = Schedule(ring=True),
+        schedule: Schedule = SWEEP_SCHEDULE,
     ) -> None:
         self.ctx = SweepContext(
             A, b, task=task, comm=comm, virtual_p=virtual_p, machine=machine,
@@ -411,8 +411,8 @@ class StreamingSweep:
     def schedule(self) -> Schedule:
         """The schedule :meth:`solve` runs at the engine defaults."""
         d = self.defaults
-        return d["schedule"].for_sweep(check_solver(d["solver"], self.task),
-                                       self.comm.cost_size)
+        return self.ctx.resolve(d["schedule"], d["solver"], s=d["s"],
+                                mu=d["mu"], tol=d["tol"])
 
     def arrival_order(self) -> np.ndarray:
         """Arrival index of each row of the effective global matrix.
@@ -1032,7 +1032,7 @@ def replay_schedule(
     seed: int = 0,
     record_every: int = 10,
     fast: bool = True,
-    schedule: Schedule = Schedule(ring=True),
+    schedule: Schedule = SWEEP_SCHEDULE,
     backend: str = "virtual",
     ranks: int = 4,
     virtual_p: int = 1,

@@ -178,6 +178,21 @@ def test_expected_schedule_async_warmup_and_drain():
     assert got[3:] == ["allreduce:scalar"]
 
 
+def test_expected_schedule_async_closes_once():
+    # 4 chunks, tau=2 -> the records at 4 and 6 have no later post: their
+    # words join the final record's in one closing allreduce (vector),
+    # and the SVM's stacked partials in one Allgather
+    params = ScheduleParams(max_iter=8, s=2, record_every=2, tau=2)
+    got = expected_schedule("lasso-acc", "async", params)
+    assert got == ["Iallreduce:vec"] * 4 + ["allreduce:vec"]
+    assert expected_schedule("svm", "async", params) == (
+        ["Iallreduce:vec"] * 4 + ["Allgather:vec"])
+    # records every 4 fall on carried boundaries: the final one alone
+    params = ScheduleParams(max_iter=8, s=2, record_every=4, tau=1)
+    assert expected_schedule("lasso-plain", "async", params)[-1] == (
+        "allreduce:scalar")
+
+
 def test_expected_schedule_svm_tail_gather():
     params = ScheduleParams(max_iter=3, s=3, record_every=0)
     got = expected_schedule("svm", "blocking", params)

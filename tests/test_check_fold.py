@@ -7,11 +7,12 @@ each outer-step boundary that crosses a multiple of ``record_every``
 reduction as a tail: ``[||r_local||^2]`` for Lasso, ``[A_p x_p,
 ||x_p||^2]`` (m + 1 words) for SVM; iteration 0's rides the first one
 unpriced. A solve therefore makes one collective per outer step plus
-one closing exchange for the final iterate's record (Lasso: a scalar
-allreduce; SVM: one Allgather that also gathers the primal), whatever
-``record_every`` is. Only the async schedule's last ``tau`` outer
-steps, which no later reduction follows, sync their records on their
-own.
+one closing exchange for the records no reduction carries (Lasso: one
+allreduce of their words, a scalar one for the final iterate's alone;
+SVM: one Allgather of their stacked partials that also gathers the
+primal), whatever ``record_every`` and ``tau`` are. Only the async
+schedule's last ``tau`` outer steps, which no later reduction follows,
+add records to that exchange.
 """
 
 import math
@@ -36,7 +37,7 @@ from repro.solvers.objectives import lasso_objective
 from repro.solvers.svm import dcd, sa_dcd
 
 SCALAR, GRAM, POST = "allreduce:scalar", "Allreduce:vec", "Iallreduce:vec"
-GATHER = "Allgather:vec"
+GATHER, WORDS = "Allgather:vec", "allreduce:vec"
 LAM, H, S, TAU = 0.5, 22, 4, 2
 RECORD_EVERY = (0, 1, 3, 10)
 FAMILIES = {"sa-bcd": (sa_bcd, bcd), "sa-accbcd": (sa_acc_bcd, acc_bcd)}
@@ -105,13 +106,11 @@ def test_async_syncs_only_uncarried_records(problem, family, backend):
     for every in RECORD_EVERY:
         keys, res = _traced(sa, A, b, "async", every, backend)
         # records at the start of the last tau outer steps: no reduction
-        # is posted after them to carry their word
+        # is posted after them, so their words join the final record's in
+        # the one closing allreduce
         eager = [it for it in res.history.iterations
                  if it in boundaries[-TAU - 1:-1]]
-        assert [k for k in keys if k != SCALAR] == [POST] * len(chunks)
-        last_post = len(keys) - 1 - keys[::-1].index(POST)
-        assert keys[:last_post + 1] == [POST] * len(chunks)
-        assert keys[last_post + 1:] == [SCALAR] * (len(eager) + 1), every
+        assert keys == [POST] * len(chunks) + [WORDS if eager else SCALAR], every
         if every == 1:
             assert eager == boundaries[-TAU - 1:-1]
         xs.append(res.x)
@@ -159,20 +158,29 @@ def test_converged_solve_returns_its_record(tol_problem, family, mode):
 
 
 def test_async_stops_within_tau_steps_of_its_record(tol_problem):
+    """The ring at tau >= 1 learns its converged record tau outer steps
+    late, and returns to the iterate pinned there: blocking's stop, to
+    rounding, with the steps it ran past it still charged."""
     A, b = tol_problem
     tol, s = 1e-6, 8
-    res = sa_bcd(A, b, LAM, mu=2, s=s, max_iter=3000, seed=0, tol=tol,
-                 record_every=3, async_=True, tau=TAU)
+    kw = dict(mu=2, s=s, max_iter=3000, seed=0, tol=tol, record_every=3)
+    res = sa_bcd(A, b, LAM, async_=True, tau=TAU, comm=VirtualComm(4), **kw)
+    blocking = sa_bcd(A, b, LAM, comm=VirtualComm(4), **kw)
     h = res.history
     assert res.converged and res.iterations < 3000
     first = next(i for i in range(1, len(h))
                  if _meets_tol(h.metric[i - 1], h.metric[i], tol))
-    assert first >= len(h) - 2  # nothing is recorded past it but res.x's row
-    assert 0 <= res.iterations - h.iterations[first] <= TAU * s
-    assert h.iterations[-1] == res.iterations
+    assert first == len(h) - 1  # nothing is recorded past it
+    assert res.iterations == h.iterations[-1] == blocking.iterations
+    assert h.iterations == blocking.history.iterations
+    np.testing.assert_allclose(h.metric, blocking.history.metric, rtol=1e-10)
+    np.testing.assert_allclose(res.x, blocking.x, rtol=0, atol=1e-10 * np.abs(blocking.x).max())
     want = lasso_objective(A, b, res.x, LAM)
     assert abs(res.final_metric - want) <= 1e-12 * abs(want)
-    assert all(a < c for a, c in zip(h.iterations, h.iterations[1:]))
+    # the tau steps past the record, and the 2 tau reductions posted
+    # while it was in flight (2 tree rounds each at P = 4), stay charged
+    assert res.cost.flops > blocking.cost.flops
+    assert res.cost.messages == blocking.cost.messages + 2 * TAU * 2
 
 
 # -- resume -------------------------------------------------------------------
@@ -340,12 +348,9 @@ def test_svm_async_syncs_only_uncarried_records(svm_problem, backend):
         keys, res = _traced_svm(A, b, "async", every, backend)
         eager = [it for it in res.history.iterations
                  if it in boundaries[-TAU - 1:-1]]
-        assert [k for k in keys if k == POST] == [POST] * len(chunks)
-        last_post = len(keys) - 1 - keys[::-1].index(POST)
-        assert keys[:last_post + 1] == [POST] * len(chunks)
-        # each uncarried record is one Allgather; the last one's primal
-        # is the result's
-        assert keys[last_post + 1:] == [GATHER] * (len(eager) + 1), every
+        # the uncarried records' partials ride one Allgather, whose
+        # primal is the result's
+        assert keys == [POST] * len(chunks) + [GATHER], every
         if every == 1:
             assert eager == boundaries[-TAU - 1:-1]
         alphas.append(res.extras["alpha"])

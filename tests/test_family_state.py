@@ -12,7 +12,9 @@ import scipy.sparse as sp
 
 from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import SolverError
+from repro.machine.spec import CRAY_XC30
 from repro.mpi.thread_backend import NB_RING_DEPTH
+from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
 from repro.solvers.outer import Schedule
 from repro.solvers.svm import sa_dcd
@@ -75,9 +77,11 @@ RINGS = {"pipeline": Schedule(ring=True), "async_": Schedule(ring=True, tau=1)}
 
 class TestScheduleChecks:
     def test_ring_depth(self):
+        # tau + 1 reductions in flight, never below the backends' default
         assert Schedule().depth == NB_RING_DEPTH
         assert Schedule(ring=True).depth == NB_RING_DEPTH
-        assert Schedule(ring=True, tau=3).depth == 3 + NB_RING_DEPTH
+        assert Schedule(ring=True, tau=1).depth == NB_RING_DEPTH == 2
+        assert Schedule(ring=True, tau=3).depth == 3 + 1
 
     @pytest.mark.parametrize("knob", ["pipeline", "async_"])
     def test_classical_solver_takes_neither_knob(self, knob):
@@ -123,8 +127,49 @@ class TestScheduleValue:
             Schedule.from_flags(False, False, -1)
 
     def test_sweeps_resolve_the_pipelined_ring_only(self):
+        # one modelled rank has nothing to overlap, whatever the ring
         ring, stale = Schedule(ring=True), Schedule(ring=True, tau=2)
-        assert ring.for_sweep(True, 2) == ring
-        assert ring.for_sweep(True, 1) == Schedule()
-        assert ring.for_sweep(False, 2) == Schedule()
-        assert stale.for_sweep(True, 1) == stale
+
+        def ran(schedule, sa, p):
+            return schedule.for_sweep(sa, VirtualComm(p), k=8, tail=1, tol=None)
+
+        assert ran(ring, True, 2) == ring
+        assert ran(ring, True, 1) == Schedule()
+        assert ran(ring, False, 2) == Schedule()
+        assert ran(stale, True, 2) == stale
+        assert ran(stale, True, 1) == Schedule()
+        assert ran(stale, False, 2) == Schedule()
+
+    def test_sweeps_keep_the_async_ring_where_it_pays(self):
+        async_ = Schedule(ring=True, tau=1)
+        cray = VirtualComm(2, machine=CRAY_XC30)
+
+        def ran(comm, k, tail=1, tol=None):
+            return async_.for_sweep(True, comm, k=k, tail=tail, tol=tol)
+
+        # a tol stop would run tau outer steps past its converged record
+        assert ran(cray, 8) == async_
+        assert ran(cray, 8, tol=1e-6) == Schedule(ring=True)
+        # the cross Grams (k^2 words) against the reduction they ride:
+        # alpha + beta * (k (k + 1) / 2 + k), on the Cray 175 + 230 words
+        # at k = 20 and 175 + 252 < 441 at k = 21
+        assert ran(cray, 20) == async_
+        assert ran(cray, 21) == Schedule(ring=True)
+        # the largest post: a full k x k Gram, two projections, the cross
+        # Gram and the tail, 16 + 8 + 16 + 1 words at k = 4
+        assert ran(_Slots(41), 4) == async_
+        assert ran(_Slots(40), 4) == Schedule(ring=True)
+        # without a machine the cross Grams cost nothing
+        assert ran(VirtualComm(2), 64) == async_
+
+
+class _Slots:
+    """Two modelled ranks whose nonblocking slots hold ``words``."""
+
+    cost_size, machine = 2, None
+
+    def __init__(self, words):
+        self.words = words
+
+    def payload_fits(self, words, nonblocking=False):
+        return words <= self.words

@@ -163,6 +163,23 @@ class TestProcessSpecific:
         with pytest.raises(CommError, match=r"nb_doubles=16"):
             process_spmd_run(fn, 2, nb_doubles=16)
 
+    def test_nonblocking_folds_into_the_out_buffer(self):
+        """A harvest folds the ranks' payloads straight into the request's
+        ``out``: the result is that buffer, bit for bit ``Op.fold`` of the
+        payloads in rank order."""
+        def fn(comm, r):
+            rng = np.random.default_rng(7)
+            parts = [rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096)
+                     for _ in range(comm.size)]
+            out = np.empty(4096)
+            got = comm.Iallreduce(parts[r], out=out).wait()
+            bare = comm.Iallreduce(parts[r]).wait()
+            return got is out, got.tobytes(), bare.tobytes(), SUM.fold(parts).tobytes()
+
+        for is_out, got, bare, want in process_spmd_run(fn, 3).values:
+            assert is_out
+            assert got == bare == want
+
     def test_nonfloat_nonblocking_payload_rejected(self):
         def fn(comm, r):
             return comm.Iallreduce(np.arange(4)).wait()  # int64

@@ -2,8 +2,10 @@
 
 Every engine that runs a sequence of solves (``lasso_path``,
 ``svm_path``, ``StreamingSweep`` and through it ``replay_schedule`` and
-the serve tenants) runs each SA solve on the pipelined ring
-(``Schedule(ring=True)``) by default. Pinned here:
+the serve tenants) runs each SA solve on ``SWEEP_SCHEDULE``, the async
+ring at ``tau = 1``, by default, resolved per solve: a solve stopped by
+``tol``, or whose cross Grams would cost more than the reduction they
+ride, runs the pipelined ring (``Schedule(ring=True)``). Pinned here:
 
 * **one schedule value** — no entry point above the SA solvers takes
   ``pipeline``, ``async_`` or ``tau``; each takes one ``schedule``;
@@ -15,6 +17,10 @@ the serve tenants) runs each SA solve on the pipelined ring
   ledger credits. Flops are equal too, except that a solve stopped by
   ``tol`` has sampled and packed the next outer step while its last
   reduction was in flight, work the blocking schedule never starts;
+* **a fixed budget runs the async ring** — without ``tol`` the default
+  path equals blocking to rounding, with the same records and
+  messages; its words are blocking's plus each post's cross Gram and its
+  flops blocking's plus the cross Grams' and the corrections', exactly;
 * **the reductions really are posted** — under a ``CollectiveTracer``
   the default path posts every Gram reduction nonblocking, leaving only
   the ``lambda_max`` Allreduce and two record syncs per point blocking;
@@ -63,10 +69,13 @@ from repro.experiments.runner import run_lasso, run_svm
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.tracing import attach_tracer
+from repro.mpi.virtual_backend import VirtualComm
+from repro.prox.penalties import L1Penalty
 from repro.serve import TenantSpec, TraceEvent, serve_trace
 from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
-from repro.solvers.outer import run_sa
+from repro.solvers.lasso.common import make_sampler
+from repro.solvers.outer import SWEEP_SCHEDULE, run_sa
 from repro.streaming import replay_schedule
 
 SEED = 3
@@ -152,16 +161,17 @@ class TestSweepSchedule:
         ("svm", True, False, 2, (False, False)),
         ("sa-accbcd", True, True, 2, (False, True)),
         ("sa-svm", False, True, 2, (False, True)),
-        # one rank: nothing to overlap, unless async is asked for
+        # one rank: nothing to overlap, whatever the ring
         ("sa-accbcd", True, False, 1, (False, False)),
         ("sa-svm", True, False, 1, (False, False)),
-        ("sa-bcd", True, True, 1, (False, True)),
+        ("sa-bcd", True, True, 1, (False, False)),
     ])
     def test_resolution(self, solver, pipeline, async_, cost_size, want):
         # the flags as a sweep command reads them, --async winning
         task = "svm" if solver in SOLVERS["svm"] else "lasso"
         ran = Schedule.from_flags(pipeline, async_, 1).for_sweep(
-            check_solver(solver, task), cost_size)
+            check_solver(solver, task), VirtualComm(cost_size), k=8, tail=1,
+            tol=None)
         assert (ran.knobs()["pipeline"], ran.is_async) == want
 
 
@@ -243,6 +253,78 @@ class TestSameAnswersLessWaiting:
 
 
 # ---------------------------------------------------------------------------
+# a fixed budget runs the async ring
+# ---------------------------------------------------------------------------
+#: a fixed-budget path: 12 outer steps of k = 8 columns (Lasso) or 4
+#: rows (SVM) per point, no records but each point's first and last
+FIXED = dict(s=4, max_iter=48, record_every=0, tol=None, seed=SEED)
+
+
+def _fixed_paths(comm, rank, task, A, b):
+    if task == "lasso":
+        def run(**kw):
+            return lasso_path(A, b, n_lambdas=3, mu=2, comm=comm, **FIXED, **kw)
+    else:
+        def run(**kw):
+            return svm_path(A, b, [0.5, 2.0], comm=comm, **FIXED, **kw)
+    return run(), run(schedule=Schedule())
+
+
+def _close(got, want):
+    """Equal to rounding: within 1e-10 of ``want``'s largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * max(
+        np.max(np.abs(want), initial=0.0), 1e-300)
+
+
+class TestFixedBudgetRunsTheAsyncRing:
+    @pytest.mark.parametrize("task,k", [("lasso", 8), ("svm", 4)])
+    def test_same_answers(self, task, k, regression, classification):
+        A, b = regression if task == "lasso" else classification
+        out = spmd_run(_fixed_paths, RANKS, args=(task, A, b),
+                       machine=CRAY_XC30)
+        for ring, blocking in out.values:
+            assert {key: ring.extras[key] for key in SWEEP_SCHEDULE.report()} == (
+                SWEEP_SCHEDULE.report())
+            for r, ref in zip(ring.results, blocking.results, strict=True):
+                _close(r.x, ref.x)
+                if "alpha" in ref.extras:
+                    _close(r.extras["alpha"], ref.extras["alpha"])
+                _close(r.history.metric, ref.history.metric)
+                assert r.history.iterations == ref.history.iterations
+                assert r.iterations == ref.iterations == 48
+                rc, bc = r.cost, ref.cost
+                # every post but the first carries the k x k cross Gram of
+                # its block with the one before (one tree round at P = 2)
+                cross = 11 * k * k
+                assert (rc.messages, rc.words) == (bc.messages, bc.words + cross)
+                assert rc.comm_seconds + rc.comm_seconds_hidden + rc.stale_seconds == (
+                    pytest.approx(bc.comm_seconds + CRAY_XC30.beta * cross,
+                                  rel=1e-12))
+                assert rc.max_staleness == 1
+
+    def test_lasso_flops(self, regression):
+        """Blocking's flops plus, per post after the first, its cross Gram
+        (``2 nnz_j k_{j-1}`` at prefetch) and the correction of its two
+        projections (``4 k_j k_{j-1}`` at harvest), spread over the ``P``
+        modelled ranks."""
+        A, b = regression
+        P = 4
+        kw = dict(n_lambdas=3, mu=2, virtual_p=P, machine=CRAY_XC30, **FIXED)
+        ring = lasso_path(A, b, **kw)
+        blocking = lasso_path(A, b, schedule=Schedule(), **kw)
+        col_nnz = np.diff(A.tocsc().indptr)
+        sampler = make_sampler(A.shape[1], 2, SEED, L1Penalty(1.0))
+        blocks = [np.concatenate(sampler.next_blocks(4)) for _ in range(12)]
+        flops = sum(2.0 * col_nnz[idx].sum() * prev.size + 4.0 * idx.size * prev.size
+                    for prev, idx in zip(blocks, blocks[1:])) / P
+        assert ring.extras["async"] is True
+        for r, ref in zip(ring.results, blocking.results, strict=True):
+            assert r.cost.flops == pytest.approx(ref.cost.flops + flops, rel=1e-12)
+            assert r.cost.words == ref.cost.words + 11 * 64 * np.log2(P)
+
+
+# ---------------------------------------------------------------------------
 # the reductions really are posted
 # ---------------------------------------------------------------------------
 def _traced_path(comm, rank, A, b, schedule):
@@ -312,8 +394,15 @@ class TestClassicalAndAsync:
 
     def test_async_stream(self, classification):
         A, b = classification
-        sweep = StreamingSweep(A[:80], b[:80], task="svm", s=4, max_iter=32,
-                               tol=None, schedule=Schedule(ring=True, tau=2))
+        kw = dict(task="svm", s=4, max_iter=32, tol=None,
+                  schedule=Schedule(ring=True, tau=2))
+        # one modelled rank: the async ring has nothing to overlap either
+        sweep = StreamingSweep(A[:80], b[:80], **kw)
+        assert sweep.schedule == Schedule()
+        sweep.solve()
+        sweep.append(A[80:90], b[80:90])
+        assert sweep.solve().cost.max_staleness == 0
+        sweep = StreamingSweep(A[:80], b[:80], virtual_p=4, **kw)
         assert sweep.schedule == Schedule(ring=True, tau=2)
         assert sweep.schedule.report() == {"pipeline": False, "async": True,
                                            "tau": 2}
@@ -326,17 +415,24 @@ class TestClassicalAndAsync:
         events = [(A[80:88], b[80:88]), ("evict_oldest", 4)]
         kw = dict(mu=2, s=4, max_iter=24, tol=None, seed=SEED, virtual_p=4,
                   machine=CRAY_XC30)
-        ring = replay_schedule(A[:80], b[:80], events, **kw)
+        ring = replay_schedule(A[:80], b[:80], events,
+                               schedule=Schedule(ring=True), **kw)
+        default = replay_schedule(A[:80], b[:80], events, **kw)
         blocking = replay_schedule(A[:80], b[:80], events,
                                    schedule=Schedule(), **kw)
         classical = replay_schedule(A[:80], b[:80], events, solver="bcd",
                                     **kw)
         assert (ring["pipeline"], ring["async"], ring["tau"]) == (True, False, 0)
+        # without tol the default is the async ring at tau = 1
+        assert (default["pipeline"], default["async"], default["tau"]) == (
+            False, True, 1)
         assert blocking["pipeline"] is False and classical["pipeline"] is False
-        for e, ref in zip(ring["revisions"], blocking["revisions"],
-                          strict=True):
+        for e, d, ref in zip(ring["revisions"], default["revisions"],
+                             blocking["revisions"], strict=True):
             assert e["warm"]["final_metric"] == ref["warm"]["final_metric"]
             assert e["warm"]["iterations"] == ref["warm"]["iterations"]
+            _close(d["warm"]["final_metric"], ref["warm"]["final_metric"])
+            assert d["warm"]["iterations"] == ref["warm"]["iterations"]
 
     def test_serve_report_records_schedule(self):
         rng = np.random.default_rng(SEED)
@@ -352,14 +448,15 @@ class TestClassicalAndAsync:
         trace = [TraceEvent(0.0, s.name, rows=2) for s in specs]
         rep = serve_trace(specs, trace, virtual_p=4)
         sched = {t["name"]: (t["pipeline"], t["async"]) for t in rep["tenants"]}
-        assert sched == {"sa": (True, False), "classical": (False, False),
+        # the SA tenant's fixed budget runs the default, the async ring
+        assert sched == {"sa": (False, True), "classical": (False, False),
                          "async": (False, True)}
         assert rep["totals"]["outcomes"]["completed"] == 3
-        # at the default virtual_p=1 the SA tenant has nothing to overlap
+        # at the default virtual_p=1 no SA tenant has anything to overlap
         rep = serve_trace(specs, trace)
         sched = {t["name"]: (t["pipeline"], t["async"]) for t in rep["tenants"]}
         assert sched == {"sa": (False, False), "classical": (False, False),
-                         "async": (False, True)}
+                         "async": (False, False)}
 
     def test_single_solve_keeps_its_checks(self, regression):
         A, b = regression
@@ -511,9 +608,11 @@ class TestCli:
 
     def test_sweep_prints_the_async_ring(self, capsys):
         # --async wins over the sweep's default --pipeline
+        # (on a fixed budget: a sweep stopped by tol keeps the pipelined
+        # ring)
         argv = ["lasso-path", "--dataset", "news20", "--cells", "6000",
                 "--n-lambdas", "2", "--mu", "2", "--s", "4", "--max-iter",
-                "16", "--p", "4", "--async", "--tau", "2"]
+                "16", "--p", "4", "--async", "--tau", "2", "--tol", "none"]
         assert main(argv) == 0
         assert "schedule: async ring (tau=2)" in capsys.readouterr().out
 
