@@ -41,7 +41,7 @@ from repro.datasets.libsvm import load_libsvm
 from repro.datasets.registry import PAPER_DATASETS
 from repro.errors import ReproError
 from repro.experiments.runner import load_scaled, run_lasso, run_svm, strong_scaling
-from repro.experiments.theory import best_s
+from repro.experiments.theory import best_s, sweep_schedule
 from repro.launch import check_launch
 from repro.machine.spec import get_machine
 from repro.path import lasso_path
@@ -754,6 +754,8 @@ def _cmd_plan(args) -> int:
           f"at P={args.p} on {args.machine}:")
     print(f"  recommended s = {s_star}  "
           f"(modelled speedup {speedup:.2f}x over s=1)")
+    ring = sweep_schedule(machine, args.h, args.mu, spec.density, m, args.p, s_star)
+    print(f"  a fixed-budget lasso-path sweep at s = {s_star} runs the {ring}")
     return 0
 
 

@@ -49,6 +49,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro
 from repro import (
@@ -58,15 +59,18 @@ from repro import (
     StreamingSweep,
     SweepContext,
     fit_lasso,
+    fit_svm,
     lasso_path,
     svm_path,
 )
 from repro._api import SOLVERS, check_solver
 from repro.cli import build_parser, main
-from repro.datasets import make_classification, make_sparse_regression
+from repro.datasets import make_classification, make_sparse_regression, registry
 from repro.errors import SolverError
 from repro.experiments.runner import run_lasso, run_svm
-from repro.machine.spec import CRAY_XC30
+from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
+from repro.linalg.partition import Partition1D
+from repro.machine.spec import COMMODITY_CLUSTER, CRAY_XC30
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.tracing import attach_tracer
 from repro.mpi.virtual_backend import VirtualComm
@@ -75,6 +79,7 @@ from repro.serve import TenantSpec, TraceEvent, serve_trace
 from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.lasso.common import make_sampler
+from repro.solvers.objectives import lambda_max
 from repro.solvers.outer import SWEEP_SCHEDULE, run_sa
 from repro.streaming import replay_schedule
 
@@ -322,6 +327,199 @@ class TestFixedBudgetRunsTheAsyncRing:
         for r, ref in zip(ring.results, blocking.results, strict=True):
             assert r.cost.flops == pytest.approx(ref.cost.flops + flops, rel=1e-12)
             assert r.cost.words == ref.cost.words + 11 * 64 * np.log2(P)
+
+
+# ---------------------------------------------------------------------------
+# the rule against the ledger
+# ---------------------------------------------------------------------------
+#: the block size of each family's sweeps in the grid (k = s * mu)
+GRID_MU = {"sa-bcd": 4, "sa-accbcd": 8, "sa-svm": 1}
+#: outer steps a point
+GRID_STEPS = 6
+
+
+@pytest.fixture(scope="module")
+def grid_problems():
+    A, b, _ = make_sparse_regression(400, 300, density=0.05, seed=SEED)
+    return {"lasso": (A, b),
+            "svm": make_classification(400, 300, density=0.05, seed=SEED,
+                                       margin=0.2)}
+
+
+def _grid_sweep(solver, A, b, *, k, P, machine, schedule):
+    """A 2-point warm-started fixed-budget sweep of ``GRID_STEPS`` outer
+    steps a point on ``schedule`` (the ring forced: the context's own
+    partitioned matrix, communicator and memo, but no resolution);
+    returns the summed ledgered seconds and the ring ``for_sweep`` picks."""
+    task = "svm" if solver == "sa-svm" else "lasso"
+    mu = GRID_MU[solver]
+    s = k // mu
+    ctx = SweepContext(A, b, task=task, virtual_p=P, machine=machine)
+    kw = dict(solver=solver, s=s, max_iter=GRID_STEPS * s, tol=None, seed=SEED,
+              comm=ctx.comm, record_every=0, schedule=schedule)
+    seconds, warm = 0.0, None
+    for scale in (0.5, 0.1) if task == "lasso" else (0.5, 2.0):
+        ctx.comm.reset()
+        if task == "lasso":
+            res = fit_lasso(ctx.dist, ctx.b, scale * lambda_max(A, b), mu=mu,
+                            x0=warm, eig_memo=ctx.eig_memo, **kw)
+            warm = res.x
+        else:
+            res = fit_svm(ctx.dist, ctx.b, loss="l1", lam=scale, alpha0=warm, **kw)
+            warm = np.clip(res.extras["alpha"], 0.0, scale)
+        seconds += res.cost.seconds
+    picked = ctx.resolve(SWEEP_SCHEDULE, solver, s=s, mu=mu, tol=None,
+                         max_iter=GRID_STEPS * s)
+    return seconds, picked
+
+
+class TestRuleAgainstTheLedger:
+    """Where the two rings' ledgered seconds differ, the sweep runs the
+    cheaper one: ``for_sweep``'s pick costs at most 3% more than the
+    cheaper ring over families x k x P x machine, and is the cheaper
+    ring wherever the two differ by more than 10%."""
+
+    @pytest.mark.parametrize("machine", [CRAY_XC30, COMMODITY_CLUSTER],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("solver", ["sa-bcd", "sa-accbcd", "sa-svm"])
+    def test_picks_the_cheaper_ring(self, solver, machine, grid_problems):
+        A, b = grid_problems["svm" if solver == "sa-svm" else "lasso"]
+        rings = (Schedule(ring=True), SWEEP_SCHEDULE)
+        for k in (16, 64, 128):
+            for P in (2, 16, 64):
+                seconds = {}
+                for ring in rings:
+                    seconds[ring], picked = _grid_sweep(
+                        solver, A, b, k=k, P=P, machine=machine, schedule=ring)
+                cheaper = min(rings, key=seconds.get)
+                assert seconds[picked] <= 1.03 * seconds[cheaper], (k, P, seconds)
+                if max(seconds.values()) > 1.10 * seconds[cheaper]:
+                    assert picked == cheaper, (k, P, seconds)
+
+
+class _SmallSlots(VirtualComm):
+    """Modelled ranks whose nonblocking slots hold 1,000 words."""
+
+    def payload_fits(self, words, nonblocking=False):
+        return not nonblocking or words <= 1000
+
+
+def _news20_path(comm, tol=None):
+    """The schedule path-16's sweep resolves: its news20 stand-in (2,266
+    x 8,826 at seed 0), ``sa-accbcd`` at ``mu = 8``, ``s = 16``, 320
+    iterations a point."""
+    A, b, _ = registry.generate("news20", scale=2e7 / (15935 * 62061),
+                                max_side=70000, seed=0)
+    ctx = SweepContext(A, b, comm=comm)
+    return ctx.resolve(SWEEP_SCHEDULE, "sa-accbcd", s=16, mu=8, tol=tol,
+                       max_iter=320)
+
+
+def _rcv1_stream(comm=None, **kw):
+    """The schedule stream-window's refits resolve: a 2,000-row window of
+    its rcv1 stand-in, ``sa-svm`` (l2) at ``s = 16``, 128 iterations a
+    refit, the (m + 1)-word gap tail."""
+    spec = registry.get_dataset("rcv1.binary")
+    _, n = spec.scaled_dims(0.05, max_side=70000)
+    A, b = make_classification(2000, n, density=spec.density, seed=0)
+    return StreamingSweep(A, b, comm=comm, task="svm", max_rows=2000,
+                          solver="sa-svm", loss="l2", lam=1.0, s=16,
+                          max_iter=128, tol=None, record_every=32, seed=0,
+                          **kw).schedule
+
+
+def _on_two_ranks(fn, machine=CRAY_XC30, **kw):
+    ran = spmd_run(lambda comm, rank: fn(comm, **kw), RANKS, machine=machine).values
+    assert ran[0] == ran[1]
+    return ran[0]
+
+
+#: the pinned resolutions: (case, the schedule it resolves, want)
+RESOLUTIONS = [
+    ("path-16", lambda: _on_two_ranks(_news20_path), SWEEP_SCHEDULE),
+    ("stream-window", lambda: _on_two_ranks(_rcv1_stream), SWEEP_SCHEDULE),
+    ("svm-stream-virtual-p16",
+     lambda: _rcv1_stream(virtual_p=16, machine=CRAY_XC30), Schedule(ring=True)),
+    ("svm-stream-virtual-p64",
+     lambda: _rcv1_stream(virtual_p=64, machine=CRAY_XC30), Schedule(ring=True)),
+    ("tol-set", lambda: _on_two_ranks(_news20_path, tol=1e-6), Schedule(ring=True)),
+    ("one-modelled-rank", lambda: _news20_path(VirtualComm(1, machine=CRAY_XC30)),
+     Schedule()),
+    ("no-machine", lambda: _on_two_ranks(_news20_path, machine=None), SWEEP_SCHEDULE),
+    ("fits-the-slot", lambda: _news20_path(VirtualComm(2, machine=CRAY_XC30)),
+     SWEEP_SCHEDULE),
+    ("post-too-large-for-the-slot",
+     lambda: _news20_path(_SmallSlots(2, machine=CRAY_XC30)), Schedule(ring=True)),
+]
+
+
+@pytest.mark.parametrize("case,resolved,want", RESOLUTIONS,
+                         ids=[case for case, _, _ in RESOLUTIONS])
+def test_pinned_resolution(case, resolved, want):
+    assert resolved() == want
+
+
+# ---------------------------------------------------------------------------
+# the ranks agree
+# ---------------------------------------------------------------------------
+def _uneven_lasso():
+    """120 rows over two shards of unequal stored entries: 40 rows at
+    density 0.3 on rank 0, 80 at 0.02 on rank 1."""
+    dense, b0, _ = make_sparse_regression(40, 300, density=0.3, seed=1)
+    sparse_rows, b1, _ = make_sparse_regression(80, 300, density=0.02, seed=2)
+    return (sp.vstack([dense, sparse_rows], format="csr"),
+            np.concatenate([b0, b1]), Partition1D((0, 40, 120)))
+
+
+def _uneven_svm():
+    """Block-diagonal shards of 30 and 60 columns, as the uneven-shards
+    case of ``test_check_fold.py``'s slot test: rank 1 holds twice the
+    stored entries of rank 0."""
+    blocks = [make_classification(100, w, density=0.3, seed=k)
+              for k, w in enumerate((30, 60))]
+    return (sp.block_diag([blk[0] for blk in blocks], format="csr"),
+            np.concatenate([blk[1] for blk in blocks]), Partition1D((0, 30, 90)))
+
+
+def _uneven_sweeps(comm, rank):
+    """A fixed-budget path and a stream (through an append that evicts)
+    on the uneven shards: the schedules each resolves, and the
+    collectives each makes."""
+    tracer = attach_tracer(comm)
+    A, b, part = _uneven_lasso()
+    dist = RowPartitionedMatrix.from_global(A, comm, partition=part)
+    path = lasso_path(dist, b, n_lambdas=3, mu=2, s=8, max_iter=64, tol=None,
+                      seed=SEED)
+    path_keys = tracer.keys()
+    tracer.clear()
+    A, b, part = _uneven_svm()
+    m0 = 160
+    dist = ColPartitionedMatrix.from_global(A[:m0], comm, partition=part)
+    sweep = StreamingSweep(dist, b[:m0], task="svm", max_rows=m0 + 10, s=32,
+                           max_iter=128, tol=None, seed=SEED)
+    schedules = [sweep.schedule]
+    sweep.solve(warm_start=False)
+    sweep.append(A[m0:m0 + 20], b[m0:m0 + 20])
+    schedules.append(sweep.schedule)
+    sweep.solve()
+    assert [r.rows_removed for r in sweep.revisions] == [0, 10]
+    return Schedule.from_flags(**{"async_" if k == "async" else k: path.extras[k]
+                                  for k in ("pipeline", "async", "tau")}), \
+        path_keys, schedules, tracer.keys()
+
+
+def test_ranks_agree_on_uneven_shards():
+    """Every rank prices the rule from figures they all hold, so shards
+    of unequal stored entries still resolve one schedule and make one
+    collective sequence; a rule priced from a rank's own shard would put
+    the dense rank on the pipelined ring and its peer on the async one."""
+    first, second = spmd_run(_uneven_sweeps, RANKS, machine=CRAY_XC30).values
+    assert first == second
+    path_schedule, path_keys, schedules, stream_keys = first
+    assert path_schedule == SWEEP_SCHEDULE
+    assert schedules == [SWEEP_SCHEDULE, SWEEP_SCHEDULE]
+    assert path_keys.count("Iallreduce:vec") == 3 * 8
+    assert stream_keys.count("Iallreduce:vec") == 2 * 4
 
 
 # ---------------------------------------------------------------------------
