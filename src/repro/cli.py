@@ -41,9 +41,10 @@ from repro.datasets.libsvm import load_libsvm
 from repro.datasets.registry import PAPER_DATASETS
 from repro.errors import ReproError
 from repro.experiments.runner import load_scaled, run_lasso, run_svm, strong_scaling
-from repro.experiments.theory import best_s, sweep_schedule
+from repro.experiments.theory import best_s
 from repro.launch import check_launch
 from repro.machine.spec import get_machine
+from repro.mpi.virtual_backend import VirtualComm
 from repro.path import lasso_path
 from repro.solvers.objectives import lambda_max
 from repro.solvers.outer import SWEEP_SCHEDULE, Schedule
@@ -754,8 +755,11 @@ def _cmd_plan(args) -> int:
           f"at P={args.p} on {args.machine}:")
     print(f"  recommended s = {s_star}  "
           f"(modelled speedup {speedup:.2f}x over s=1)")
-    ring = sweep_schedule(machine, args.h, args.mu, spec.density, m, args.p, s_star)
-    print(f"  a fixed-budget lasso-path sweep at s = {s_star} runs the {ring}")
+    # the sweep rule on P modelled ranks, for the default solver's
+    # s * mu columns a step and one-word record tails
+    ring = SWEEP_SCHEDULE.for_sweep(True, VirtualComm(args.p, machine=machine),
+                                    k=s_star * args.mu, tail=1, tol=None)
+    print(f"  schedule of a fixed-budget lasso-path sweep at s = {s_star}: {ring}")
     return 0
 
 

@@ -30,8 +30,7 @@ from repro.errors import CostModelError
 from repro.linalg.packing import packed_length
 from repro.machine.spec import MachineSpec
 
-__all__ = ["TheoreticalCosts", "accbcd_costs", "svm_dcd_costs", "predicted_speedup", "best_s",
-           "sweep_schedule"]
+__all__ = ["TheoreticalCosts", "accbcd_costs", "svm_dcd_costs", "predicted_speedup", "best_s"]
 
 
 @dataclass(frozen=True)
@@ -194,28 +193,6 @@ def predicted_speedup(
     t0 = base.modelled_seconds(machine, gram_kind="blas1" if mu == 1 else "blas3")
     t1 = sa.modelled_seconds(machine, gram_kind="blas3")
     return t0 / t1
-
-
-def sweep_schedule(machine: MachineSpec, H: int, mu: int, f: float, m: int,
-                   P: int, s: int):
-    """The schedule a fixed-budget ``lasso_path`` sweep (``sa-accbcd``,
-    ``H`` iterations a point, unrolling ``s``) runs on ``P`` modelled
-    ranks of ``machine``, for a matrix of ``m`` rows at density ``f``:
-    :meth:`~repro.solvers.outer.Schedule.for_sweep` of the sweep default
-    on the outer steps a virtual-P sweep would price, each sampled column
-    holding ``f * m`` entries before the ledger's ``1 / P``."""
-    from repro.linalg.distmatrix import RowPartitionedMatrix
-    from repro.mpi.virtual_backend import VirtualComm
-    from repro.solvers.lasso.acc import AccState
-    from repro.solvers.outer import SWEEP_SCHEDULE
-
-    def charges(k, extra_cols, symmetric):
-        return RowPartitionedMatrix.charges(k, extra_cols, symmetric,
-                                            slice_nnz=f * m, rows=m)
-
-    work = AccState.step_work(charges, s=s, mu=mu, max_iter=H)
-    return SWEEP_SCHEDULE.for_sweep(True, VirtualComm(P, machine=machine),
-                                    k=s * mu, tail=1, tol=None, work=work)
 
 
 def best_s(

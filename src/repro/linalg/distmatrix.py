@@ -28,9 +28,7 @@ from repro.linalg.kernels import (
     GatherWorkspace,
     gather_columns,
     gather_rows,
-    slice_cross,
     slice_gram,
-    slice_groups,
     slice_kernel_fits,
     slice_project,
 )
@@ -54,26 +52,6 @@ def _densify_small(M) -> np.ndarray:
     if sp.issparse(M):
         return np.asarray(M.todense())
     return np.asarray(M)
-
-
-def _gram_charge(nnz_block: float, k: int, symmetric: bool,
-                 k_other: int | None = None) -> tuple:
-    """``(flops, kind, working_set_bytes)`` of forming a sampled block's
-    own Gram or, with ``k_other``, its cross Gram with a block of
-    ``k_other`` slices, priced as a non-symmetric Gram."""
-    cols = k if k_other is None else k_other
-    if symmetric and k_other is None:
-        gram_flops = nnz_block * (k + 1)
-    else:
-        gram_flops = 2.0 * nnz_block * cols
-    # working set: sampled block + Gram output
-    ws = 12.0 * nnz_block + 8.0 * k * cols
-    return gram_flops, "blas3" if cols > 1 else "blas1", ws
-
-
-def _proj_charge(nnz_block: float, k: int, extra_cols: int) -> tuple:
-    """``(flops, kind, working_set_bytes)`` of a block's projections."""
-    return 2.0 * nnz_block * extra_cols, "blas2", 12.0 * nnz_block + 8.0 * k * k
 
 
 def _check_gram_finite(head: np.ndarray) -> None:
@@ -171,12 +149,7 @@ class _PartitionedBase:
     collective backends this is the zero-allocation steady-state path.
     """
 
-    #: the axis a sampled slice indexes (columns of the row layout, rows
-    #: of the column layout)
-    _slice_axis: int
-
-    def __init__(self, comm: Comm, partition: Partition1D, local, shape,
-                 global_nnz: float) -> None:
+    def __init__(self, comm: Comm, partition: Partition1D, local, shape) -> None:
         self.comm = comm
         self.partition = partition
         if sp.issparse(local):
@@ -184,9 +157,6 @@ class _PartitionedBase:
         self.local = local
         self.shape = tuple(shape)
         self.local_nnz = nnz_of(local)
-        #: the global matrix's stored entries, as every rank counts them
-        #: (see :meth:`slice_nnz`)
-        self.global_nnz = float(global_nnz)
         self._gather_ws = GatherWorkspace()
         self._send_buf: np.ndarray | None = None
         self._recv_buf: np.ndarray | None = None
@@ -261,44 +231,26 @@ class _PartitionedBase:
 
     def _charge_gram_only(self, nnz_block: float, k: int, symmetric: bool,
                           k_other: int | None = None) -> None:
-        """Charge the (residual-independent) Gram-formation flops (see
-        :func:`_gram_charge`)."""
-        self.comm.account_flops(*_gram_charge(nnz_block, k, symmetric, k_other))
+        """Charge the (residual-independent) Gram-formation flops: of the
+        block's own Gram or, with ``k_other``, of its cross Gram with a
+        block of ``k_other`` slices, priced as a non-symmetric Gram."""
+        cols = k if k_other is None else k_other
+        if symmetric and k_other is None:
+            gram_flops = nnz_block * (k + 1)
+        else:
+            gram_flops = 2.0 * nnz_block * cols
+        # working set: sampled block + Gram output
+        ws = 12.0 * nnz_block + 8.0 * k * cols
+        kind = "blas3" if cols > 1 else "blas1"
+        self.comm.account_flops(gram_flops, kind, working_set_bytes=ws)
 
     def _charge_proj(self, nnz_block: float, k: int, extra_cols: int) -> None:
         """Charge the (residual-dependent) projection flops."""
         if extra_cols:
-            self.comm.account_flops(*_proj_charge(nnz_block, k, extra_cols))
-
-    def slice_nnz(self) -> float:
-        """Stored entries of one sampled slice (a column of the row
-        layout, a row of the column layout) on one rank, on average: the
-        matrix's non-zeros over its slices and ranks. Unlike a shard's
-        own count, every rank holds the same figure: :meth:`from_global`
-        reads the global matrix's, an append adds its batch's and a
-        removal scales it by the surviving share of rows."""
-        slices = self.shape[self._slice_axis]
-        return self.global_nnz / max(slices, 1) / self.comm.size
-
-    def step_charges(self, k: int, extra_cols: int, symmetric: bool) -> tuple:
-        """:meth:`charges` of this matrix's outer steps, from
-        :meth:`slice_nnz` and the largest shard's rows, figures every
-        rank shares."""
-        return self.charges(k, extra_cols, symmetric, slice_nnz=self.slice_nnz(),
-                            rows=int(self.partition.counts().max()))
-
-    @classmethod
-    def charges(cls, k: int, extra_cols: int, symmetric: bool, *,
-                slice_nnz: float, rows: int) -> tuple:
-        """``(fetch, proj, cross)``: the ledger charges ``(flops, kind,
-        working_set_bytes)`` of sampling a block of ``k`` slices of
-        ``slice_nnz`` entries each out of a shard of ``rows`` rows and
-        packing its Gram, of its ``extra_cols`` projections, and of its
-        cross Gram with another block of ``k`` slices."""
-        nnz = k * slice_nnz
-        fetch = (*cls._sample_charges(k, rows, nnz), _gram_charge(nnz, k, symmetric))
-        proj = (_proj_charge(nnz, k, extra_cols),) if extra_cols else ()
-        return fetch, proj, (_gram_charge(nnz, k, symmetric, k_other=k),)
+            ws = 12.0 * nnz_block + 8.0 * k * k
+            self.comm.account_flops(
+                2.0 * nnz_block * extra_cols, "blas2", working_set_bytes=ws
+            )
 
     def _charge_gram(self, nnz_block: float, k: int, extra_cols: int, symmetric: bool) -> None:
         """Charge Gram + projection flops for a sampled block.
@@ -320,8 +272,7 @@ class _PartitionedBase:
 
     def _pack_cross(self, Y, Z, out: np.ndarray) -> None:
         """Pack the dense cross Gram of blocks ``Y`` and ``Z`` (``YᵀZ`` /
-        ``YZᵀ``, row-major) into the head of ``out`` by scipy's product
-        (BLAS for dense blocks): the words the slice kernel reproduces."""
+        ``YZᵀ``, row-major) into the head of ``out``."""
         cross = _densify_small(self._block_cross(Y, Z))
         out[:cross.size] = cross.ravel()
 
@@ -386,13 +337,12 @@ class _PipeSlot:
     gather workspace holding the sampled block, the packed send buffer
     (which peers may still be reading), the receive buffer, the unpacked
     (G, R) outputs the inner loop consumes, the slice counts of the
-    earlier blocks its post carries cross Grams with, the block's
-    :func:`~repro.linalg.kernels.slice_groups` once a cross Gram needs
-    them, and the record tail the post carried, if any.
+    earlier blocks its post carries cross Grams with, and the record
+    tail the post carried, if any.
     """
 
     __slots__ = ("ws", "send", "recv", "out_g", "out_r", "Y", "k", "req",
-                 "tail", "lags", "groups")
+                 "tail", "lags")
 
     def __init__(self) -> None:
         self.ws = GatherWorkspace()
@@ -405,7 +355,6 @@ class _PipeSlot:
         self.req = None
         self.tail: np.ndarray | None = None
         self.lags: list = []
-        self.groups: tuple | None = None
 
 
 class GramPipeline:
@@ -433,8 +382,7 @@ class GramPipeline:
     the ``lag`` blocks prefetched just before it — the steps that run
     between its post and its harvest — so the harvest can bring its
     projections up to date with those steps' updates; the cross Grams
-    are packed after the projections and before the record tail, by the
-    slice kernel where it serves both blocks.
+    are packed after the projections and before the record tail.
     Without a lag the values are bit-identical to the blocking
     ``gram_and_project`` / ``gram_rows_and_project`` path: same sampled
     blocks, same partial products, same rank-ordered fold, same unpack.
@@ -482,29 +430,15 @@ class GramPipeline:
             slot.send = np.empty(length, dtype=np.float64)
             slot.recv = np.empty(length, dtype=np.float64)
         dist._pack_head(Y, self.symmetric, slot.send)
-        slot.Y, slot.k, slot.groups = Y, k, None
+        slot.Y, slot.k = Y, k
         at = head
         for t in lagged:
             dist._charge_gram_only(nnz, k, self.symmetric, k_other=t.k)
-            self._pack_cross(slot, t, slot.send[at:])
+            dist._pack_cross(Y, t.Y, slot.send[at:])
             at += k * t.k
         slot.lags = [t.k for t in lagged]
         self._recent.append(slot)
         return slot
-
-    def _pack_cross(self, slot: _PipeSlot, t: _PipeSlot, out: np.ndarray) -> None:
-        """Pack the cross Gram of ``slot``'s block with ``t``'s into the
-        head of ``out``: the slice kernel where it serves both blocks,
-        each block grouped once for all the cross Grams it takes part
-        in, scipy's product (BLAS for dense blocks) otherwise; the words
-        are the same."""
-        if not (slice_kernel_fits(slot.Y) and slice_kernel_fits(t.Y)):
-            self.dist._pack_cross(slot.Y, t.Y, out)
-            return
-        for held in (slot, t):
-            if held.groups is None:
-                held.groups = slice_groups(held.Y)
-        slice_cross(slot.groups, t.groups, out)
 
     def post(
         self, slot: _PipeSlot, vectors: Sequence[np.ndarray], tail=None,
@@ -599,9 +533,9 @@ class RowPartitionedMatrix(_PartitionedBase):
             )
         lo, hi = partition.range_of(comm.rank)
         if not sp.issparse(A):
-            return cls(comm, partition, A[lo:hi], (m, n), nnz_of(A))
+            return cls(comm, partition, A[lo:hi], (m, n))
         shard = _SHARDS.shard(A, comm.rank, partition.offsets, lo, hi)
-        dist = cls(comm, partition, shard.local, (m, n), nnz_of(A))
+        dist = cls(comm, partition, shard.local, (m, n))
         dist._shard = shard
         return dist
 
@@ -651,7 +585,6 @@ class RowPartitionedMatrix(_PartitionedBase):
             return partition
         lo, hi = partition.range_of(self.comm.rank)
         self._stack_local(B[lo:hi])
-        self.global_nnz += nnz_of(B)
         counts = self.partition.counts() + partition.counts()
         self.partition = Partition1D(
             tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)]))
@@ -702,7 +635,6 @@ class RowPartitionedMatrix(_PartitionedBase):
         self.partition = Partition1D(
             tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)]))
         )
-        self.global_nnz *= (m - idx.size) / m
         self.shape = (m - idx.size, self.shape[1])
         # row dimension changed: the CSC sampling view is stale, and the
         # shard no longer mirrors the memo's
@@ -732,17 +664,9 @@ class RowPartitionedMatrix(_PartitionedBase):
                 self._csc_cache = shard.csc
         return self._csc_cache
 
-    _slice_axis = 1
-
     @staticmethod
     def _block_len(S) -> int:
         return S.shape[1]
-
-    @staticmethod
-    def _sample_charges(k: int, rows: int, nnz: float) -> tuple:
-        """The charges of gathering ``k`` columns holding ``nnz`` entries
-        out of a shard of ``rows`` rows (see :meth:`sample_columns`)."""
-        return (2.0 * rows, "gather"), (6.0 * nnz, "scalar")
 
     @staticmethod
     def _block_gram(S):
@@ -780,9 +704,8 @@ class RowPartitionedMatrix(_PartitionedBase):
         else:
             S = self.local[:, idx]
         # row-scan term grows with local rows; copy term with extracted nnz
-        for charge in self._sample_charges(idx.shape[0], self.local.shape[0],
-                                           nnz_of(S)):
-            self.comm.account_flops(*charge)
+        self.comm.account_flops(2.0 * self.local.shape[0], "gather")
+        self.comm.account_flops(6.0 * nnz_of(S), "scalar")
         return S
 
     # -- communication kernels ---------------------------------------------------
@@ -897,7 +820,7 @@ class ColPartitionedMatrix(_PartitionedBase):
             )
         lo, hi = partition.range_of(comm.rank)
         # a canonical CSR's column slice keeps its rows' sorted order
-        return cls(comm, partition, A[:, lo:hi], (m, n), nnz_of(A))
+        return cls(comm, partition, A[:, lo:hi], (m, n))
 
     def append_rows(self, B) -> None:
         """Extend the matrix in place with the global batch ``B`` (k x n).
@@ -924,7 +847,6 @@ class ColPartitionedMatrix(_PartitionedBase):
             return  # empty batch: a defined no-op
         lo, hi = self.partition.range_of(self.comm.rank)
         self._stack_local(B[:, lo:hi])
-        self.global_nnz += nnz_of(B)
         self.shape = (self.shape[0] + k, self.shape[1])
 
     def remove_rows(self, idx) -> int:
@@ -953,22 +875,12 @@ class ColPartitionedMatrix(_PartitionedBase):
         self.local_nnz = nnz_of(self.local)
         self.comm.account_flops(2.0 * m, "gather")
         self.comm.account_flops(6.0 * self.local_nnz, "scalar")
-        self.global_nnz *= (m - idx.size) / m
         self.shape = (m - idx.size, self.shape[1])
         return int(idx.size)
-
-    _slice_axis = 0
 
     @staticmethod
     def _block_len(Y) -> int:
         return Y.shape[0]
-
-    @staticmethod
-    def _sample_charges(k: int, rows: int, nnz: float) -> tuple:
-        """The charges of gathering ``k`` rows holding ``nnz`` entries
-        (see :meth:`sample_rows`; ``rows`` is unused: the shard is
-        compressed along the sampled axis)."""
-        return (2.0 * k, "gather"), (6.0 * nnz, "scalar")
 
     @staticmethod
     def _block_gram(Y):
@@ -998,8 +910,8 @@ class ColPartitionedMatrix(_PartitionedBase):
             Y = gather_rows(self.local, idx, ws or self._gather_ws)
         else:
             Y = self.local[idx, :]
-        for charge in self._sample_charges(idx.shape[0], 0, nnz_of(Y)):
-            self.comm.account_flops(*charge)
+        self.comm.account_flops(2.0 * idx.shape[0], "gather")
+        self.comm.account_flops(6.0 * nnz_of(Y), "scalar")
         return Y
 
     def gram_rows_and_project(

@@ -19,8 +19,7 @@ collects the allocation-free / cache-friendly versions of those kernels:
   the projections of a sampled sparse block, straight from its
   compressed arrays and in scipy's summation order, for blocks sparse
   enough that their work stays near their nnz
-  (:func:`slice_kernel_fits`); :func:`slice_cross` packs the cross Gram
-  of two such blocks the same way, from their :func:`slice_groups`.
+  (:func:`slice_kernel_fits`).
 * :class:`EigMemo` / :func:`largest_eigenvalue_cached` — bytes-keyed
   memo of the block Lipschitz constant, for one ``(k, k)`` block or an
   ``(s, k, k)`` stack of them. Sampled blocks repeat under fixed seeds
@@ -78,8 +77,6 @@ __all__ = [
     "mirror_plan",
     "slice_kernel_fits",
     "slice_gram",
-    "slice_groups",
-    "slice_cross",
     "slice_project",
     "EigMemo",
     "default_eig_memo",
@@ -339,52 +336,6 @@ def slice_gram(Y, symmetric: bool, out: np.ndarray) -> int:
         out[:size] = head
     else:
         np.take(head, mirror_plan(k).ravel(), out=out[:size], mode="clip")
-    return size
-
-
-def slice_groups(Y) -> tuple:
-    """``Y``'s stored entries grouped by their index on the other axis,
-    for :func:`slice_cross`: ``(k, counts, starts, keys, sid, data)``,
-    where ``k`` is ``Y``'s slice count and ``counts[v]`` entries carry
-    index ``v``, sitting from ``starts[v]`` on in ``keys`` (their index),
-    ``sid`` (their slice) and ``data`` (their value), in stored order
-    within an index. A block's grouping serves every cross Gram it takes
-    part in."""
-    indptr, indices = Y.indptr, Y.indices
-    other = Y.shape[0] if Y.format == "csc" else Y.shape[1]
-    order = _stable_order(indices, other)
-    counts = np.bincount(indices, minlength=other)
-    return (indptr.shape[0] - 1, counts, np.cumsum(counts) - counts,
-            indices.take(order), _slice_ids(indptr).take(order),
-            Y.data.take(order))
-
-
-def slice_cross(first: tuple, second: tuple, out: np.ndarray) -> int:
-    """Pack the dense cross Gram of two blocks of one layout, ``YᵀZ``
-    for sampled columns or ``YZᵀ`` for sampled rows (row-major, ``Y``'s
-    slices down), from their :func:`slice_groups`, into the head of
-    ``out``; returns its length (``Y``'s slices times ``Z``'s).
-
-    Bit for bit what densifying scipy's product gives, as in
-    :func:`slice_gram`: each entry sums over the other axis in ascending
-    order, starting from 0.0. Each of ``Y``'s entries pairs with the
-    entries of ``Z`` at its index; the pairs, in index order, go to one
-    weighted ``bincount``.
-    """
-    k_y, _, _, keys, sid, data = first
-    k_z, counts_z, starts_z, _, sid_z, data_z = second
-    size = k_y * k_z
-    reps = counts_z.take(keys)
-    hit = np.flatnonzero(reps)
-    reps = reps.take(hit)
-    # pair j: Y's entry pa[j] with Z's entry pb[j] at the same index
-    pa = np.repeat(hit, reps)
-    pb = np.repeat(starts_z.take(keys.take(hit)) - (np.cumsum(reps) - reps), reps)
-    pb += np.arange(pb.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # as scipy does
-        weights = data.take(pa) * data_z.take(pb)
-    out[:size] = np.bincount(sid.take(pa) * k_z + sid_z.take(pb),
-                             weights=weights, minlength=size)
     return size
 
 

@@ -319,21 +319,6 @@ class CostLedger:
                 * self.imbalance
             )
 
-    def flop_seconds(
-        self,
-        flops: float,
-        kind: str = "blas1",
-        working_set_bytes: float | None = None,
-    ) -> float:
-        """The modelled seconds :meth:`add_flops` adds for these flops,
-        by the same arithmetic, charging nothing: what a cost rule prices
-        ahead of the work (:meth:`repro.solvers.outer.Schedule.for_sweep`)."""
-        if self._compute_model is None:
-            return 0.0
-        scale = self.kind_scales.get(kind, self.default_scale)
-        eff = float(flops) * scale / self.flop_divisor
-        return self._compute_model.seconds(eff, kind, working_set_bytes) * self.imbalance
-
     def add_idle(self, seconds: float) -> None:
         """Charge modelled idle time (virtual sleep; no wall clock).
 

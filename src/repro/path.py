@@ -60,11 +60,8 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
-from repro.solvers.lasso.acc import AccState
-from repro.solvers.lasso.plain import PlainState
 from repro.solvers.outer import SWEEP_SCHEDULE, Schedule
 from repro.solvers.serialization import result_from_dict, result_to_dict
-from repro.solvers.svm.dcd import SvmState
 from repro.solvers.svm.duality import loss_params
 
 __all__ = [
@@ -109,14 +106,6 @@ def _fingerprints_match(fp1: tuple, fp2: tuple, rtol: float = 1e-9) -> bool:
             return False
     return True
 
-
-#: each SA solver's family state, whose outer step a sweep's schedule
-#: rule prices, and the block size it runs (``None``: the sweep's ``mu``)
-_FAMILIES = {
-    "sa-bcd": (PlainState, None), "sa-cd": (PlainState, 1),
-    "sa-accbcd": (AccState, None), "sa-acccd": (AccState, 1),
-    "sa-svm": (SvmState, 1),
-}
 
 #: format version of path-sweep checkpoints (distinct from solver ones)
 PATH_CHECKPOINT_VERSION = 1
@@ -388,8 +377,7 @@ class SweepContext:
         result's ``cost`` is this point's alone and is appended to
         :attr:`point_costs`.
         """
-        schedule = self.resolve(schedule, solver, s=s, mu=mu, tol=tol,
-                                max_iter=max_iter)
+        schedule = self.resolve(schedule, solver, s=s, mu=mu, tol=tol)
         self.comm.reset()
         knobs = dict(solver=solver, s=s, max_iter=max_iter, tol=tol,
                      seed=seed, comm=self.comm, record_every=record_every,
@@ -409,27 +397,17 @@ class SweepContext:
         return res
 
     def resolve(self, schedule: Schedule, solver: str, *, s: int, mu: int,
-                tol: float | None, max_iter: int) -> Schedule:
-        """The schedule a :meth:`solve` of ``solver`` at ``s``, ``mu``,
-        ``tol`` and ``max_iter`` runs: ``schedule.for_sweep`` (see
+                tol: float | None) -> Schedule:
+        """The schedule a :meth:`solve` of ``solver`` at ``s``, ``mu`` and
+        ``tol`` runs: ``schedule.for_sweep`` (see
         :class:`~repro.solvers.outer.Schedule`) on this context's
-        communicator, for outer steps of ``s * mu`` columns (Lasso; the
-        ``*cd`` solvers run ``mu = 1``) or ``s`` rows (SVM, whose record
-        tails are ``m + 1`` words), doing the work their family's
-        :meth:`~repro.solvers.base.FamilyState.step_work` prices."""
+        communicator, for outer steps of ``s * mu`` columns (Lasso) or
+        ``s`` rows (SVM, whose record tails are ``m + 1`` words)."""
         lasso = self.task == "lasso"
-        sa = check_solver(solver, self.task)
-        if sa:
-            family, width = _FAMILIES[solver]
-            mu = width or mu
-        work = None
-        if sa and schedule.is_async and tol is None and self.comm.cost_size > 1:
-            # only an async ring the sweep may keep has its steps priced
-            work = family.step_work(self.dist.step_charges, s=s, mu=mu,
-                                    max_iter=max_iter)
         return schedule.for_sweep(
-            sa, self.comm, k=s * mu if lasso else s,
-            tail=1 if lasso else self.dist.shape[0] + 1, tol=tol, work=work)
+            check_solver(solver, self.task), self.comm,
+            k=s * mu if lasso else s,
+            tail=1 if lasso else self.dist.shape[0] + 1, tol=tol)
 
     @property
     def total_cost(self) -> CostSnapshot:
@@ -572,8 +550,7 @@ def _sweep(task, A, b, grid, knobs, *, warm_start, adaptive,
                 _emit_path_checkpoint(ck_sink, ctx.comm.rank, task, lams,
                                       results, warm, params)
         ran = ctx.resolve(knobs["schedule"], knobs["solver"], s=knobs["s"],
-                          mu=knobs.get("mu", 1), tol=knobs["tol"],
-                          max_iter=knobs["max_iter"])
+                          mu=knobs.get("mu", 1), tol=knobs["tol"])
         return PathResult(
             task=task, lambdas=lams, results=results,
             # a live context cannot cross back from a real backend's ranks
@@ -645,10 +622,10 @@ def lasso_path(
         with each inner loop overlapping the next reduction's transit:
         blocking's iterates and histories to rounding and its messages,
         each post carrying the cross Gram of its block with the previous
-        one. A point with ``tol`` set, or whose cross Grams would cost
-        more than the reduction they ride (here at ``s * mu`` above
-        about 20 on the Cray model), runs the pipelined ring instead:
-        blocking's iterates, histories, messages and words bit for bit.
+        one. A point with ``tol`` set, or whose largest post would not
+        fit the backend's nonblocking slot, runs the pipelined ring
+        instead: blocking's iterates, histories, messages and words bit
+        for bit.
         Each solve drains its in-flight reductions, so the communicator
         is clean at every warm-start hand-off. ``extras`` records what
         ran as its ``report()`` keys.

@@ -21,10 +21,8 @@ from repro.checkpoint import (
     resume_solver,
 )
 from repro.errors import SolverError
-from repro.linalg.packing import packed_length
 from repro.machine.ledger import CostSnapshot
 from repro.mpi.comm import Comm
-from repro.solvers.outer import StepWork
 
 __all__ = [
     "ConvergenceHistory",
@@ -230,36 +228,6 @@ class FamilyState:
     family: str
     metric: str
     mode: str
-    #: the projections a post packs, and the ``"blas2"`` flops per cross
-    #: Gram word of bringing them up to date (``correct``)
-    projections: int = 1
-    correct_flops: float
-
-    @classmethod
-    def step_work(cls, charges, *, s: int, mu: int = 1, max_iter: int) -> StepWork:
-        """The outer steps of a ``max_iter``-iteration solve, ``s``
-        iterations on blocks of ``mu`` slices each, as a sweep's schedule
-        rule prices them (:meth:`~repro.solvers.outer.Schedule.for_sweep`).
-        ``charges(k, extra_cols, symmetric)`` gives one block's packing
-        charges: a partitioned matrix's ``step_charges``, from figures
-        every rank shares (see :meth:`~repro.linalg.distmatrix.
-        RowPartitionedMatrix.charges`). The inner loop's are the family's
-        replicated flops (:meth:`step_flops`); the data-dependent flops
-        of updates that move (the residual or primal scatter) are left
-        out, so the rule never counts on them to hide a reduction."""
-        k = s * mu
-        fetch, proj, cross = charges(k, cls.projections, True)
-        return StepWork(
-            steps=-(-max_iter // s), words=packed_length(k, cls.projections, True),
-            fetch=fetch, proj=proj, cross=cross,
-            inner=((cls.step_flops(s, mu), "fixed", None),),
-            correct=((cls.correct_flops * k * k, "blas2", None),))
-
-    @staticmethod
-    def step_flops(s: int, mu: int) -> float:
-        """The replicated ``"fixed"`` flops of one outer step's inner
-        loop, through the helper the family's inner loops charge."""
-        raise NotImplementedError
 
     def __init__(self, solver, comm, sampler, params, *, seed, max_iter, tol,
                  record_every, checkpoint_every, checkpoint_sink, resume_from,

@@ -84,16 +84,6 @@ from repro.utils.validation import nnz_of
 __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
 
 
-def inner_flops(widths, offsets) -> list:
-    """The replicated ``"fixed"`` flops of each inner iteration of an
-    outer step on blocks of ``widths`` columns starting at ``offsets``
-    (the accelerated recurrences correct two projections); every inner
-    loop charges through this, as in
-    :func:`repro.solvers.lasso.plain.inner_flops`."""
-    return [FIXED_SUBPROBLEM_FLOPS + 10.0 * float(w) ** 3 + 2.0 * w * (off + 4)
-            for w, off in zip(widths, np.asarray(offsets).tolist())]
-
-
 def _init_acc_state(dist, b_local, x0):
     """y0 = 0, z0 = x0 (so x_0 = z_0 regardless of theta_0)."""
     z, ztil = _init_state(dist, b_local, x0)
@@ -113,8 +103,6 @@ class AccState(LassoState):
     last iteration used (``x`` is defined with it)."""
 
     family = "lasso-acc"
-    projections, correct_flops = 2, 4.0
-    inner_flops = staticmethod(inner_flops)
 
     def restore(self, ck) -> None:
         n, mu = self.params["n"], self.params["mu"]
@@ -172,7 +160,7 @@ class AccState(LassoState):
             M = C @ U
             R[:, 0] -= M[:, 0]
             R[:, 1] += M[:, 1]
-            self.comm.account_flops(self.correct_flops * C.size, "blas2")
+            self.comm.account_flops(4.0 * C.size, "blas2")
 
     def probe(self, it, pin=False):
         check_finite_iterate(self.tag, it, y=self.y, z=self.z)
@@ -283,7 +271,6 @@ def _sa_acc_outer_naive(
     z_outer = z.copy()
     deltas: list[np.ndarray] = []
     moms: list[np.ndarray] = []
-    fixed = inner_flops(widths, offsets)
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         th_prev = thetas[j]
@@ -296,7 +283,12 @@ def _sa_acc_outer_naive(
             c_jt = t2 * (1.0 - q * thetas[t]) / (thetas[t] * thetas[t]) - 1.0
             r -= c_jt * (G[sl_j, sl_t] @ deltas[t])
             cur += _overlap_apply(blocks[j], blocks[t], deltas[t])
-        dist.comm.account_flops(fixed[j], "fixed")
+        dist.comm.account_flops(
+            FIXED_SUBPROBLEM_FLOPS
+            + 10.0 * float(widths[j]) ** 3
+            + 2.0 * widths[j] * (offsets[j] + 4),
+            "fixed",
+        )
         v = largest_eigenvalue(G[sl_j, sl_j])
         if v > 0.0:
             eta = 1.0 / (q * th_prev * v)
@@ -361,7 +353,6 @@ def _sa_acc_outer_fast(
               for a, b in zip(offsets[:-1], offsets[1:])]
     Ycsc = sparse_columns(Y)
     nnz = _block_nnz(Y, Ycsc, widths, offsets)
-    fixed = inner_flops(widths, offsets)
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
@@ -369,7 +360,12 @@ def _sa_acc_outer_fast(
         if off and any_nz:
             M = G[sl_j, :off] @ U[:off]
             r -= t2v[j] * M[:, 0] - M[:, 1]
-        account(fixed[j], "fixed")
+        account(
+            FIXED_SUBPROBLEM_FLOPS
+            + 10.0 * float(widths[j]) ** 3
+            + 2.0 * widths[j] * (offsets[j] + 4),
+            "fixed",
+        )
         v = vs[j]
         if v > 0.0:
             eta = 1.0 / (qth[j] * v)
@@ -379,7 +375,7 @@ def _sa_acc_outer_fast(
             dz = new - cur
         else:
             dz = np.zeros(widths[j])
-        nz = bool(dz.any())
+        nz = bool(np.any(dz))
         any_nz = any_nz or nz
         U[sl_j, 0] = coefv[j] * dz
         U[sl_j, 1] = dz
@@ -416,7 +412,7 @@ def _sa_acc_inner_scalar(
     if Ycsc is not None:
         Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
     account = dist.comm.account_flops
-    fixed = inner_flops([1] * s_eff, offsets)
+    fixed = FIXED_SUBPROBLEM_FLOPS + 10.0
     for j in range(s_eff):
         r = t2l[j] * R0[j] + R1[j]
         Crow = Cl[j]
@@ -425,7 +421,7 @@ def _sa_acc_inner_scalar(
             d = dvals[t]
             if d != 0.0:
                 r -= Crow[t] * (Grow[t] * d)
-        account(fixed[j], "fixed")
+        account(fixed + 2.0 * (offsets[j] + 4), "fixed")
         i = cols[j]
         v = Grow[j]
         if v > 0.0:

@@ -102,10 +102,6 @@ class LassoState(FamilyState):
                          make_sampler(n, mu, run["seed"], self.pen),
                          {"n": n, "mu": mu}, **run)
 
-    @classmethod
-    def step_flops(cls, s: int, mu: int) -> float:
-        return sum(cls.inner_flops([mu] * s, range(0, s * mu, mu)))
-
     def exchange(self, tails: list) -> list:
         """The closing exchange: the records' ``[||r_local||^2]`` words
         summed in one ledger-paused allreduce, a scalar one for a single

@@ -53,17 +53,6 @@ def _init_state(dist, b_local, x0):
     return x, dist.matvec_local(x) - b_local
 
 
-def inner_flops(widths, offsets) -> list:
-    """The replicated ``"fixed"`` flops of each inner iteration of an
-    outer step on blocks of ``widths`` columns starting at ``offsets``:
-    the subproblem's overhead and eigensolve, and its Gram corrections.
-    Every inner loop charges through this, and a sweep's schedule rule
-    prices an outer step with it
-    (:meth:`~repro.solvers.base.FamilyState.step_work`)."""
-    return [FIXED_SUBPROBLEM_FLOPS + 10.0 * float(w) ** 3 + 2.0 * w * (off + 3)
-            for w, off in zip(widths, np.asarray(offsets).tolist())]
-
-
 def _overlap_apply(idx_j: np.ndarray, idx_t: np.ndarray, delta_t: np.ndarray) -> np.ndarray:
     """``I_j^T I_t delta_t``: route past updates into the current block."""
     eq = idx_j[:, None] == idx_t[None, :]
@@ -77,8 +66,6 @@ class PlainState(LassoState):
     ``r_local = A_p x - b_p``."""
 
     family = "lasso-plain"
-    projections, correct_flops = 1, 2.0
-    inner_flops = staticmethod(inner_flops)
 
     def restore(self, ck) -> None:
         if ck is None:
@@ -119,7 +106,7 @@ class PlainState(LassoState):
         each such step moved ``r`` by ``Y_t Δ_t``, so add ``C Δ_t``."""
         for C, delta in pairs:
             R[:, 0] += C @ delta
-            self.comm.account_flops(self.correct_flops * C.size, "blas2")
+            self.comm.account_flops(2.0 * C.size, "blas2")
 
     def probe(self, it, pin=False):
         check_finite_iterate(self.tag, it, x=self.x)
@@ -225,7 +212,6 @@ def _sa_outer_naive(
     s_eff = len(blocks)
     x_outer = x.copy()
     deltas: list[np.ndarray] = []
-    fixed = inner_flops(widths, offsets)
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         rho = R[sl_j, 0].copy()
@@ -234,7 +220,12 @@ def _sa_outer_naive(
             sl_t = slice(offsets[t], offsets[t + 1])
             rho += G[sl_j, sl_t] @ deltas[t]
             cur += _overlap_apply(blocks[j], blocks[t], deltas[t])
-        dist.comm.account_flops(fixed[j], "fixed")
+        dist.comm.account_flops(
+            FIXED_SUBPROBLEM_FLOPS
+            + 10.0 * float(widths[j]) ** 3
+            + 2.0 * widths[j] * (offsets[j] + 3),
+            "fixed",
+        )
         v = largest_eigenvalue(G[sl_j, sl_j])
         if v > 0.0:
             eta = 1.0 / v
@@ -289,14 +280,18 @@ def _sa_outer_fast(
               for a, b in zip(offsets[:-1], offsets[1:])]
     Ycsc = sparse_columns(Y)
     nnz = _block_nnz(Y, Ycsc, widths, offsets)
-    fixed = inner_flops(widths, offsets)
     for j in range(s_eff):
         sl_j = slice(offsets[j], offsets[j + 1])
         rho = R[sl_j, 0].copy()
         off = offsets[j]
         if off and any_nz:
             rho += G[sl_j, :off] @ dz_all[:off]
-        account(fixed[j], "fixed")
+        account(
+            FIXED_SUBPROBLEM_FLOPS
+            + 10.0 * float(widths[j]) ** 3
+            + 2.0 * widths[j] * (offsets[j] + 3),
+            "fixed",
+        )
         v = vs[j]
         if v > 0.0:
             eta = 1.0 / v
@@ -306,7 +301,7 @@ def _sa_outer_fast(
             delta = new - cur
         else:
             delta = np.zeros(widths[j])
-        nz = bool(delta.any())
+        nz = bool(np.any(delta))
         any_nz = any_nz or nz
         dz_all[sl_j] = delta
         x[blocks[j]] += delta
@@ -334,7 +329,7 @@ def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
         Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
     m_loc = r_local.shape[0]
     account = dist.comm.account_flops
-    fixed = inner_flops([1] * s_eff, offsets)
+    fixed = FIXED_SUBPROBLEM_FLOPS + 10.0
     for j in range(s_eff):
         rho = R0[j]
         Grow = Gl[j]
@@ -342,7 +337,7 @@ def _sa_inner_scalar(dist, pen, Y, G, R, blocks, offsets, x, r_local):
             d = dvals[t]
             if d != 0.0:
                 rho += Grow[t] * d
-        account(fixed[j], "fixed")
+        account(fixed + 2.0 * (offsets[j] + 3), "fixed")
         i = cols[j]
         v = Grow[j]
         if v > 0.0:

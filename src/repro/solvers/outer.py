@@ -96,12 +96,10 @@ import numpy as np
 from repro.checkpoint import emit_solver_checkpoint, solver_history_fields
 from repro.errors import CommError, SolverError
 from repro.linalg.packing import packed_length
-from repro.machine.collectives import CollectiveModel
-from repro.machine.spec import NULL_MACHINE
 from repro.mpi.thread_backend import NB_RING_DEPTH
 
-__all__ = ["Schedule", "StepWork", "SWEEP_SCHEDULE", "Checks", "run_sa",
-           "run_blocking", "run_ring"]
+__all__ = ["Schedule", "SWEEP_SCHEDULE", "Checks", "run_sa", "run_blocking",
+           "run_ring"]
 
 
 @dataclass(frozen=True)
@@ -186,36 +184,27 @@ class Schedule:
             raise SolverError(f"s must be >= 1, got {s}")
 
     def for_sweep(self, sa: bool, comm, *, k: int, tail: int,
-                  tol: float | None, work: "StepWork | None" = None) -> "Schedule":
+                  tol: float | None) -> "Schedule":
         """The schedule a sweep's solve runs on ``comm``, sampling ``k``
         slices per outer step (``s * mu`` columns, or ``s`` rows for SVM)
-        with record tails of ``tail`` words, its outer steps doing
-        ``work`` (``None``: two steps and no work that could hide a
-        reduction).
+        with record tails of ``tail`` words.
 
         A ring only for an SA solver (``sa``, its registry flag) on more
         than one modelled rank, since one rank's reductions are charged
         nothing and a classical solver syncs every iteration; blocking
         otherwise. The async ring computes the pipelined ring's iterates
-        to rounding, so the sweep chooses between the two by cost alone
-        and runs the pipelined ring instead when:
+        to rounding and hides each inner loop behind the next reduction,
+        so a fixed-budget sweep keeps it, paying ``tau * k^2`` more words
+        per post for its cross Grams, and runs the pipelined ring instead
+        when:
 
         * ``tol`` is set: the async ring learns a converged record
           ``tau`` outer steps late, and the steps and reductions it ran
           past it are charged, a large share of a warm solve's few;
-        * its largest post would not fit the backend's nonblocking slot
-          (:meth:`~repro.mpi.comm.Comm.payload_fits`);
-        * or its outer steps model more seconds than the pipelined
-          ring's (:meth:`solve_seconds`; a tie keeps the async ring).
-          Per step, the async ring adds its cross Grams' flops and their
-          corrections, plus what of its longer reduction the inner loop
-          and packing in flight with it do not hide; the pipelined ring
-          pays its reduction less what the packing of the next block
-          hides.
+        * or its largest post would not fit the backend's nonblocking
+          slot (:meth:`~repro.mpi.comm.Comm.payload_fits`).
 
-        Every input is the same on every rank (``work`` comes from the
-        shared figures of :meth:`~repro.solvers.base.FamilyState.
-        step_work`, never a rank's own shard), so the ranks agree.
+        Every input is the same on every rank, so the ranks agree.
         """
         if not self.ring or not (sa and comm.cost_size > 1):
             return Schedule()
@@ -223,96 +212,17 @@ class Schedule:
             # the largest post: a full Gram, two projections, the cross
             # Grams and a record tail
             worst = packed_length(k, 2, False) + self.tau * k * k + tail
-            pipelined = Schedule(ring=True)
-            if work is None:
-                work = StepWork(steps=2, words=packed_length(k, 1, True))
-            if (tol is not None
-                    or not comm.payload_fits(worst, nonblocking=True)
-                    or self.solve_seconds(comm, k, work)
-                    > pipelined.solve_seconds(comm, k, work)):
-                return pipelined
+            if tol is not None or not comm.payload_fits(worst, nonblocking=True):
+                return Schedule(ring=True)
         return self
-
-    def solve_seconds(self, comm, k: int, work: "StepWork") -> float:
-        """The modelled seconds of ``work``'s outer steps on this ring, on
-        ``comm``'s machine and ledger, for blocks of ``k`` slices: their
-        packing, cross Grams, corrections and inner loops, plus what of
-        each reduction the work in flight with it does not hide.
-
-        It walks :func:`run_ring`'s posts and waits: the ring posts
-        ``tau + 1`` blocks, then per step prefetches the block ``tau + 1``
-        ahead, waits on the oldest reduction, runs its corrections and
-        inner loop and posts the prefetched block. Block ``b`` carries
-        ``min(b, tau)`` cross Grams, ``k^2`` words each in every tree
-        round. So the pipelined ring (``tau = 0``) hides only the next
-        prefetch behind a reduction, and the async ring adds ``tau``
-        whole steps.
-        """
-        machine = NULL_MACHINE if comm.machine is None else comm.machine
-        model = CollectiveModel(machine, comm.cost_size)
-        fetch, proj, cross, inner, correct = (
-            sum(comm.ledger.flop_seconds(*charge) for charge in charges)
-            for charges in (work.fetch, work.proj, work.cross, work.inner,
-                            work.correct))
-        steps, tau = work.steps, self.tau
-        # the transit of a post carrying `lag` cross Grams
-        transit = [
-            # repro: lint-ignore[collective-without-timeout] -- a price, no message
-            model.allreduce(work.words + lag * k * k).seconds
-            for lag in range(tau + 1)
-        ]
-        # the ledger's compute clock, the unhidden transit, and the clock
-        # at each block's post
-        clock, waited, posted = 0.0, 0.0, []
-        for b in range(min(tau + 1, steps)):
-            clock += fetch + b * cross + proj
-            posted.append(clock)
-        for i in range(steps):
-            ahead = i + tau + 1 < steps
-            if ahead:
-                clock += fetch + tau * cross
-            lag = min(i, tau)
-            waited += max(0.0, transit[lag] - (clock - posted[i]))
-            clock += lag * correct + inner
-            if ahead:
-                clock += proj
-                posted.append(clock)
-        return clock + waited
-
-
-@dataclass(frozen=True)
-class StepWork:
-    """The local work of each of an SA solve's ``steps`` outer steps,
-    as the ledger charges it, ``(flops, kind, working_set_bytes)`` per
-    charge, from figures every rank shares (see
-    :meth:`~repro.solvers.base.FamilyState.step_work`), for
-    :meth:`Schedule.solve_seconds` to price."""
-
-    #: the solve's outer steps, and the packed Gram and projection words
-    #: of each post
-    steps: int
-    words: int
-    #: sampling the block and packing its Gram (a prefetch)
-    fetch: tuple = ()
-    #: packing its projections, just before the post
-    proj: tuple = ()
-    #: its cross Gram with one earlier block of as many slices
-    cross: tuple = ()
-    #: the inner loop's replicated flops
-    inner: tuple = ()
-    #: correcting the projections through one cross Gram at harvest
-    correct: tuple = ()
 
 
 #: the schedule every sweep (``lasso_path``, ``svm_path``,
 #: ``StreamingSweep`` and so ``replay_schedule`` and the serve tenants,
 #: and the CLI's sweep commands) runs by default: the async ring at
 #: ``tau = 1``, which overlaps each inner loop with the next reduction's
-#: transit and needs the backends' default ring of two slots, on a
-#: fixed budget whose outer steps :meth:`Schedule.for_sweep` models no
-#: slower on it than on the pipelined ring (from each step's cross
-#: Grams, corrections, inner loop and packing, on the communicator's
-#: machine and ledger)
+#: transit and needs the backends' default ring of two slots, on the
+#: fixed budgets where :meth:`Schedule.for_sweep` keeps it
 SWEEP_SCHEDULE = Schedule(ring=True, tau=1)
 
 

@@ -41,15 +41,6 @@ from repro.utils.validation import check_vector
 __all__ = ["dcd", "sa_dcd"]
 
 
-def inner_flops(s: int) -> list:
-    """The replicated ``"fixed"`` flops of each of an outer step's ``s``
-    inner iterations: the subproblem's overhead and the Gram corrections
-    of the iterations before it. Both inner loops charge through this,
-    and a sweep's schedule rule prices an outer step with it
-    (:meth:`~repro.solvers.base.FamilyState.step_work`)."""
-    return [FIXED_SUBPROBLEM_FLOPS + 4.0 * j for j in range(s)]
-
-
 def _pg_step(beta: float, g: float, eta: float, nu: float) -> float:
     """Projected-gradient update theta (Alg. 3 lines 9-13)."""
     pg = min(max(beta - g, 0.0), nu) - beta
@@ -68,11 +59,6 @@ class SvmState(FamilyState):
     """
 
     family, metric, mode = "svm", "duality_gap", "gap"
-    correct_flops = 2.0
-
-    @staticmethod
-    def step_flops(s: int, mu: int = 1) -> float:
-        return sum(inner_flops(s))
 
     def __init__(self, solver, A, b, *, loss, lam, comm, alpha0, **run) -> None:
         self.gamma, self.nu = loss_params(loss, lam)
@@ -180,7 +166,7 @@ class SvmState(FamilyState):
         b)`` (the cross Gram carries no ``gamma``)."""
         for C, tb in pairs:
             R[:, 0] += C @ tb
-            self.comm.account_flops(self.correct_flops * C.size, "blas2")
+            self.comm.account_flops(2.0 * C.size, "blas2")
 
     def exchange(self, tails: list) -> list:
         """The closing exchange: the records' partials stacked in one
@@ -288,7 +274,6 @@ def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
     """Reference inner loop (the ``fast=False`` escape hatch); returns
     ``theta .* b`` per sampled row, as the fused loop does."""
     s_eff = idx.shape[0]
-    fixed = inner_flops(s_eff)
     # add gamma I once, after the reduction (Alg. 4 line 9)
     if gamma:
         G = G + gamma * np.eye(s_eff)
@@ -308,7 +293,7 @@ def _sa_dcd_outer_naive(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
         g = bsel[j] * float(xp[j]) - 1.0 + gamma * beta
         if j:
             g += bsel[j] * float(np.sum(thetas[:j] * bsel[:j] * G[j, :j]))
-        dist.comm.account_flops(fixed[j], "fixed")
+        dist.comm.account_flops(FIXED_SUBPROBLEM_FLOPS + 4.0 * j, "fixed")
         theta = _pg_step(beta, g, float(etas[j]), nu)
         thetas[j] = theta
         if theta != 0.0:
@@ -367,8 +352,8 @@ def _sa_dcd_outer_fast(dist, b, Y, G, xp, idx, gamma, nu, alpha, x_local):
             x_local += Y[j] * tb[j]
         row_flops = dict.fromkeys(moved.tolist(), 2.0 * Y.shape[1])
     account = dist.comm.account_flops
-    for j, flops in enumerate(inner_flops(s_eff)):
-        account(flops, "fixed")
+    for j in range(s_eff):
+        account(FIXED_SUBPROBLEM_FLOPS + 4.0 * j, "fixed")
         if j in row_flops:
             account(row_flops[j], "blas1")
     return tb

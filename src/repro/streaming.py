@@ -412,8 +412,7 @@ class StreamingSweep:
         """The schedule :meth:`solve` runs at the engine defaults."""
         d = self.defaults
         return self.ctx.resolve(d["schedule"], d["solver"], s=d["s"],
-                                mu=d["mu"], tol=d["tol"],
-                                max_iter=d["max_iter"])
+                                mu=d["mu"], tol=d["tol"])
 
     def arrival_order(self) -> np.ndarray:
         """Arrival index of each row of the effective global matrix.

@@ -493,11 +493,9 @@ class TestLedgerInvariants:
 
     def test_stale_seconds_serializes_and_survives_paths(self, lasso_problem):
         A, b, lam = lasso_problem
-        # at virtual P = 8 the async ring models fewer seconds than the
-        # pipelined ring, so the sweep keeps it
         path = lasso_path(A, b, [lam, 0.5 * lam], solver="sa-bcd", mu=2,
                           s=4, max_iter=80, tol=None, seed=SEED,
-                          schedule=Schedule(ring=True, tau=2), virtual_p=8,
+                          schedule=Schedule(ring=True, tau=2), virtual_p=64,
                           machine=CRAY_XC30)
         total = path.total_cost
         assert total.max_staleness == 2

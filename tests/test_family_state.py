@@ -12,14 +12,11 @@ import scipy.sparse as sp
 
 from repro.datasets import make_classification, make_sparse_regression
 from repro.errors import SolverError
-from repro.linalg.distmatrix import RowPartitionedMatrix
-from repro.linalg.packing import packed_length
 from repro.machine.spec import CRAY_XC30
 from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
-from repro.solvers.lasso.acc import AccState
-from repro.solvers.outer import Schedule, StepWork
+from repro.solvers.outer import Schedule
 from repro.solvers.svm import sa_dcd
 
 HISTORY_COLUMNS = ("iterations", "metric", "seconds", "comm_seconds", "flops")
@@ -144,43 +141,25 @@ class TestScheduleValue:
         assert ran(stale, False, 2) == Schedule()
 
     def test_sweeps_keep_the_async_ring_where_it_pays(self):
-        async_, pipelined = Schedule(ring=True, tau=1), Schedule(ring=True)
+        async_ = Schedule(ring=True, tau=1)
         cray = VirtualComm(2, machine=CRAY_XC30)
 
-        def ran(comm, k, tail=1, tol=None, work=None):
-            return async_.for_sweep(True, comm, k=k, tail=tail, tol=tol, work=work)
-
-        def inner(flops):
-            """Two outer steps of k = 8 whose inner loops charge ``flops``."""
-            return StepWork(steps=2, words=packed_length(8, 1, True),
-                            inner=((flops, "fixed", None),))
+        def ran(comm, k, tail=1, tol=None):
+            return async_.for_sweep(True, comm, k=k, tail=tail, tol=tol)
 
         # a tol stop would run tau outer steps past its converged record
-        assert ran(cray, 8, work=inner(512.0)) == async_
-        assert ran(cray, 8, tol=1e-6, work=inner(512.0)) == pipelined
-        # the second post's cross Gram, beta k^2 = 512 ns in one tree
-        # round, is hidden once the first inner loop runs that long:
-        # 512 "fixed" flops at 0.5 GF/s over 2 modelled ranks
-        assert ran(cray, 8, work=inner(511.0)) == pipelined
-        # with no work to hide behind, the cross Grams cost more than
-        # they save at any k
-        assert ran(cray, 1) == pipelined
-        # on a family's outer step over a 300 x 400 matrix of density
-        # 0.01 at k = s slices (sa-acccd), the inner loop hides the k^2
-        # words up to k = 40 on 4 modelled ranks
-        A, b, _ = make_sparse_regression(300, 400, density=0.01, seed=0)
-        dist = RowPartitionedMatrix.from_global(A, VirtualComm(4, machine=CRAY_XC30))
-
-        def family(k):
-            return ran(dist.comm, k, work=AccState.step_work(
-                dist.step_charges, s=k, mu=1, max_iter=8 * k))
-
-        assert family(40) == async_
-        assert family(41) == pipelined
+        assert ran(cray, 8) == async_
+        assert ran(cray, 8, tol=1e-6) == Schedule(ring=True)
+        # a fixed budget keeps the ring whatever its cross Grams cost:
+        # at k = 21 and 128 their k^2 words outweigh the reduction they
+        # ride (alpha + beta * (k (k + 1) / 2 + k) on the Cray), but each
+        # inner loop runs while they are in transit
+        assert ran(cray, 21) == async_
+        assert ran(cray, 128) == async_
         # the largest post: a full k x k Gram, two projections, the cross
         # Gram and the tail, 16 + 8 + 16 + 1 words at k = 4
         assert ran(_Slots(41), 4) == async_
-        assert ran(_Slots(40), 4) == pipelined
+        assert ran(_Slots(40), 4) == Schedule(ring=True)
         # without a machine the cross Grams cost nothing
         assert ran(VirtualComm(2), 64) == async_
 

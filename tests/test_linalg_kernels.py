@@ -8,8 +8,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import SolverError
-from repro.linalg import distmatrix
-from repro.linalg.distmatrix import ColPartitionedMatrix, GramPipeline, RowPartitionedMatrix
 from repro.linalg.eig import largest_eigenvalue
 from repro.linalg.kernels import (
     EigMemo,
@@ -22,16 +20,10 @@ from repro.linalg.kernels import (
     gather_columns,
     gather_rows,
     largest_eigenvalue_cached,
-    slice_cross,
-    slice_groups,
-    slice_kernel_fits,
     sparse_columns,
     tri_plan,
 )
-from repro.mpi.virtual_backend import VirtualComm
-from repro.solvers.lasso import sa_acc_bcd
 from repro.solvers.lasso.common import theta_schedule
-from repro.solvers.svm import sa_dcd
 
 
 def _csr(m, n, density=0.3, seed=0):
@@ -379,198 +371,3 @@ class TestSparseColumns:
     def test_csc_is_free(self):
         A = _csr(5, 5).tocsc()
         assert sparse_columns(A) is A
-
-
-# ---------------------------------------------------------------------------
-# the cross-Gram slice kernel
-# ---------------------------------------------------------------------------
-def _slices(rows):
-    """A block's slices (one list of other-axis values per slice; 0.0 is
-    not stored) as a dense ``(k, other)`` array."""
-    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
-
-
-def _layout(dense, layout):
-    """The block of ``dense``'s slices in ``layout``: sampled columns
-    (CSC, one column per slice) or sampled rows (CSR)."""
-    if layout == "csc":
-        return sp.csc_matrix(dense.T)
-    return sp.csr_matrix(dense)
-
-
-def _scipy_cross(Y, Z) -> np.ndarray:
-    """What the ring packed before the kernel: scipy's product, dense."""
-    C = Y.T @ Z if Y.format == "csc" else Y @ Z.T
-    return np.asarray(C.todense()).ravel()
-
-
-def _bits(a) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
-
-
-_RNG = np.random.default_rng(11)
-#: (name, Y's slices, Z's slices), over an other axis of six indices
-CROSS_CASES = [
-    ("empty-block", np.zeros((3, 6)), _RNG.standard_normal((4, 6))),
-    ("no-slices", np.zeros((0, 6)), _RNG.standard_normal((2, 6))),
-    ("no-shared-index", _slices([[1.5, -2.0, 0, 0, 0, 0], [0, 3.0, 0, 0, 0, 0]]),
-     _slices([[0, 0, 4.0, 0, 1.0, 0], [0, 0, 0, -1.0, 0, 2.0]])),
-    ("one-slice", _slices([[0.3, 0, -1.7, 0, 2.2, 0.9]]),
-     _RNG.standard_normal((5, 6)) * (_RNG.random((5, 6)) < 0.5)),
-    ("many-slices-one-index",
-     np.column_stack([np.zeros((7, 2)), _RNG.standard_normal((7, 1)), np.zeros((7, 3))]),
-     np.column_stack([np.zeros((5, 2)), _RNG.standard_normal((5, 1)), np.zeros((5, 3))])),
-    ("overflow", _slices([[1e200, -1e200, 0, 0, 0, 0], [1e200, 0, 3.0, 0, 0, 0]]),
-     _slices([[1e200, 1e200, 0, 0, 0, 0], [0, 1e200, 1.0, 0, 0, 0]])),
-    ("nan", _slices([[np.nan, 1.0, 0, 2.0, 0, 0], [0, 0, 0, 1.0, 0, np.nan]]),
-     _slices([[1.0, 0, 0, 3.0, 0, 0], [0, 2.0, 0, 0, 0, 0], [4.0, 0, 0, 0, 0, 1.0]])),
-    ("random", _RNG.standard_normal((6, 6)) * (_RNG.random((6, 6)) < 0.4),
-     _RNG.standard_normal((3, 6)) * (_RNG.random((3, 6)) < 0.4)),
-]
-
-
-class TestSliceCross:
-    """The ring's cross Grams from the slice kernel carry scipy's words
-    bit for bit (ascending other-axis order from 0.0), in both layouts."""
-
-    @pytest.mark.parametrize("layout", ["csc", "csr"])
-    @pytest.mark.parametrize("name,ys,zs", CROSS_CASES, ids=[c[0] for c in CROSS_CASES])
-    def test_equals_scipy_bitwise(self, name, ys, zs, layout):
-        Y, Z = _layout(ys, layout), _layout(zs, layout)
-        want = _scipy_cross(Y, Z)
-        got = np.full(want.shape[0] + 2, 7.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert slice_cross(slice_groups(Y), slice_groups(Z), got) == want.shape[0]
-        assert _bits(got[:want.shape[0]]) == _bits(want)
-        assert (got[want.shape[0]:] == 7.0).all()  # nothing written past the head
-
-    def test_overflow_and_nan_reach_the_words(self):
-        Y, Z = (_layout(_slices(r), "csc") for r in (
-            [[1e200, -1e200], [np.nan, 0.0]], [[1e200, 0.0], [1e200, 1e200]]))
-        got = np.empty(4)
-        slice_cross(slice_groups(Y), slice_groups(Z), got)
-        # 1e200 squared overflows to inf, inf + (-inf) is nan, and a nan
-        # entry poisons its slice's row, as in scipy's product
-        assert got[0] == np.inf and np.isnan(got[1:]).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _bits(got) == _bits(_scipy_cross(Y, Z))
-
-    @pytest.mark.parametrize("layout", ["csc", "csr"])
-    def test_one_grouping_serves_three_pairings(self, layout):
-        """A block's grouping is read, never written, by its cross Grams
-        with the tau = 3 blocks before it."""
-        rng = np.random.default_rng(5)
-        Y = _layout(rng.standard_normal((4, 30)) * (rng.random((4, 30)) < 0.2), layout)
-        groups = slice_groups(Y)
-        before = [np.array(a, copy=True) for a in groups[1:]]
-        for seed in range(3):
-            zs = np.random.default_rng(seed)
-            Z = _layout(zs.standard_normal((3 + seed, 30)) * (zs.random((3 + seed, 30)) < 0.3),
-                        layout)
-            got = np.empty(4 * (3 + seed))
-            slice_cross(groups, slice_groups(Z), got)
-            assert _bits(got) == _bits(_scipy_cross(Y, Z))
-        assert all(np.array_equal(a, b) for a, b in zip(groups[1:], before, strict=True))
-
-    @pytest.mark.parametrize("layout", ["csc", "csr"])
-    def test_ring_groups_each_block_once(self, layout, monkeypatch):
-        """A depth-5 pipeline (tau = 3) packs every lagged cross Gram
-        with the kernel, grouping each block once, and its words equal
-        scipy's product's."""
-        calls = []
-
-        def counted(Y):
-            calls.append(Y)
-            return slice_groups(Y)
-
-        monkeypatch.setattr(distmatrix, "slice_groups", counted)
-        dist, pipe = self._pipeline(layout, depth=5, density=0.02)
-        slots = []
-        for b in range(5):
-            idx = np.arange(4 * b, 4 * b + 4)
-            slots.append(pipe.prefetch(idx, min(b, 3)))
-            assert slice_kernel_fits(slots[-1].Y)
-        assert len(calls) == 5
-        self._check_cross(dist, pipe, slots[-1], slots[-4:-1][::-1])
-
-    @pytest.mark.parametrize("layout", ["csc", "csr"])
-    @pytest.mark.parametrize("case", ["unsorted", "high-fill"])
-    def test_falls_back_to_scipy(self, layout, case, monkeypatch):
-        def refused(*args):
-            raise AssertionError("the slice kernel served a block it does not fit")
-
-        monkeypatch.setattr(distmatrix, "slice_cross", refused)
-        dist, pipe = self._pipeline(layout, depth=3,
-                                    density=0.9 if case == "high-fill" else 0.05)
-        if case == "unsorted":
-            view = dist._local_csc if layout == "csc" else dist.local
-            for c in range(view.shape[1 if layout == "csc" else 0]):
-                lo, hi = view.indptr[c], view.indptr[c + 1]
-                view.indices[lo:hi] = view.indices[lo:hi][::-1].copy()
-                view.data[lo:hi] = view.data[lo:hi][::-1].copy()
-            view.has_sorted_indices = False
-        first = pipe.prefetch(np.arange(4))
-        second = pipe.prefetch(np.arange(4, 8), 1)
-        assert not slice_kernel_fits(second.Y)
-        self._check_cross(dist, pipe, second, [first])
-
-    @staticmethod
-    def _pipeline(layout, *, depth, density):
-        rng = np.random.default_rng(2)
-        A = sp.random(60, 40, density=density, format="csr", random_state=rng)
-        if layout == "csc":
-            dist = RowPartitionedMatrix.from_global(A, VirtualComm(1))
-            return dist, dist.gram_pipeline(extra_cols=1, depth=depth)
-        dist = ColPartitionedMatrix.from_global(A, VirtualComm(1))
-        return dist, dist.gram_rows_pipeline(depth=depth)
-
-    @staticmethod
-    def _check_cross(dist, pipe, slot, lagged):
-        at = distmatrix.packed_length(slot.k, 1, True)
-        for t in lagged:
-            cross = slot.send[at:at + slot.k * t.k]
-            assert _bits(cross) == _bits(_scipy_cross(slot.Y, t.Y))
-            at += slot.k * t.k
-
-
-def _scipy_pack(self, slot, t, out):
-    """The ring's cross Grams as scipy's product packs them."""
-    self.dist._pack_cross(slot.Y, t.Y, out)
-
-
-class TestSolversKeepTheirIterates:
-    """The kernel changes no iterate: an async solve equals the one whose
-    cross Grams come from scipy's product, bit for bit."""
-
-    def _both(self, monkeypatch, run):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return slice_cross(*args)
-
-        monkeypatch.setattr(distmatrix, "slice_cross", counted)
-        kernel = run()
-        assert calls  # the kernel packed the cross Grams
-        monkeypatch.setattr(GramPipeline, "_pack_cross", _scipy_pack)
-        return kernel, run()
-
-    def test_sa_acc_bcd_tau_2(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        A = sp.random(200, 60, density=0.05, format="csr", random_state=rng)
-        b = rng.standard_normal(200)
-        kernel, scipy_run = self._both(monkeypatch, lambda: sa_acc_bcd(
-            A, b, 0.05, mu=2, s=4, max_iter=64, seed=1, comm=VirtualComm(4),
-            async_=True, tau=2))
-        assert _bits(kernel.x) == _bits(scipy_run.x)
-        assert kernel.history.metric == scipy_run.history.metric
-
-    def test_sa_dcd_tau_1(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        A = sp.random(80, 300, density=0.01, format="csr", random_state=rng)
-        b = np.where(rng.random(80) < 0.5, -1.0, 1.0)
-        kernel, scipy_run = self._both(monkeypatch, lambda: sa_dcd(
-            A, b, lam=1.0, s=8, max_iter=96, seed=1, comm=VirtualComm(4),
-            async_=True, tau=1))
-        assert _bits(kernel.extras["alpha"]) == _bits(scipy_run.extras["alpha"])
-        assert _bits(kernel.x) == _bits(scipy_run.x)

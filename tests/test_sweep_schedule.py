@@ -4,8 +4,8 @@ Every engine that runs a sequence of solves (``lasso_path``,
 ``svm_path``, ``StreamingSweep`` and through it ``replay_schedule`` and
 the serve tenants) runs each SA solve on ``SWEEP_SCHEDULE``, the async
 ring at ``tau = 1``, by default, resolved per solve: a solve stopped by
-``tol``, or whose cross Grams would cost more than the reduction they
-ride, runs the pipelined ring (``Schedule(ring=True)``). Pinned here:
+``tol``, or whose largest post would not fit the nonblocking slot, runs
+the pipelined ring (``Schedule(ring=True)``). Pinned here:
 
 * **one schedule value** — no entry point above the SA solvers takes
   ``pipeline``, ``async_`` or ``tau``; each takes one ``schedule``;
@@ -59,7 +59,6 @@ from repro import (
     StreamingSweep,
     SweepContext,
     fit_lasso,
-    fit_svm,
     lasso_path,
     svm_path,
 )
@@ -70,7 +69,7 @@ from repro.errors import SolverError
 from repro.experiments.runner import run_lasso, run_svm
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.partition import Partition1D
-from repro.machine.spec import COMMODITY_CLUSTER, CRAY_XC30
+from repro.machine.spec import CRAY_XC30
 from repro.mpi.thread_backend import spmd_run
 from repro.mpi.tracing import attach_tracer
 from repro.mpi.virtual_backend import VirtualComm
@@ -79,7 +78,6 @@ from repro.serve import TenantSpec, TraceEvent, serve_trace
 from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.lasso.common import make_sampler
-from repro.solvers.objectives import lambda_max
 from repro.solvers.outer import SWEEP_SCHEDULE, run_sa
 from repro.streaming import replay_schedule
 
@@ -330,73 +328,8 @@ class TestFixedBudgetRunsTheAsyncRing:
 
 
 # ---------------------------------------------------------------------------
-# the rule against the ledger
+# pinned resolutions
 # ---------------------------------------------------------------------------
-#: the block size of each family's sweeps in the grid (k = s * mu)
-GRID_MU = {"sa-bcd": 4, "sa-accbcd": 8, "sa-svm": 1}
-#: outer steps a point
-GRID_STEPS = 6
-
-
-@pytest.fixture(scope="module")
-def grid_problems():
-    A, b, _ = make_sparse_regression(400, 300, density=0.05, seed=SEED)
-    return {"lasso": (A, b),
-            "svm": make_classification(400, 300, density=0.05, seed=SEED,
-                                       margin=0.2)}
-
-
-def _grid_sweep(solver, A, b, *, k, P, machine, schedule):
-    """A 2-point warm-started fixed-budget sweep of ``GRID_STEPS`` outer
-    steps a point on ``schedule`` (the ring forced: the context's own
-    partitioned matrix, communicator and memo, but no resolution);
-    returns the summed ledgered seconds and the ring ``for_sweep`` picks."""
-    task = "svm" if solver == "sa-svm" else "lasso"
-    mu = GRID_MU[solver]
-    s = k // mu
-    ctx = SweepContext(A, b, task=task, virtual_p=P, machine=machine)
-    kw = dict(solver=solver, s=s, max_iter=GRID_STEPS * s, tol=None, seed=SEED,
-              comm=ctx.comm, record_every=0, schedule=schedule)
-    seconds, warm = 0.0, None
-    for scale in (0.5, 0.1) if task == "lasso" else (0.5, 2.0):
-        ctx.comm.reset()
-        if task == "lasso":
-            res = fit_lasso(ctx.dist, ctx.b, scale * lambda_max(A, b), mu=mu,
-                            x0=warm, eig_memo=ctx.eig_memo, **kw)
-            warm = res.x
-        else:
-            res = fit_svm(ctx.dist, ctx.b, loss="l1", lam=scale, alpha0=warm, **kw)
-            warm = np.clip(res.extras["alpha"], 0.0, scale)
-        seconds += res.cost.seconds
-    picked = ctx.resolve(SWEEP_SCHEDULE, solver, s=s, mu=mu, tol=None,
-                         max_iter=GRID_STEPS * s)
-    return seconds, picked
-
-
-class TestRuleAgainstTheLedger:
-    """Where the two rings' ledgered seconds differ, the sweep runs the
-    cheaper one: ``for_sweep``'s pick costs at most 3% more than the
-    cheaper ring over families x k x P x machine, and is the cheaper
-    ring wherever the two differ by more than 10%."""
-
-    @pytest.mark.parametrize("machine", [CRAY_XC30, COMMODITY_CLUSTER],
-                             ids=lambda m: m.name)
-    @pytest.mark.parametrize("solver", ["sa-bcd", "sa-accbcd", "sa-svm"])
-    def test_picks_the_cheaper_ring(self, solver, machine, grid_problems):
-        A, b = grid_problems["svm" if solver == "sa-svm" else "lasso"]
-        rings = (Schedule(ring=True), SWEEP_SCHEDULE)
-        for k in (16, 64, 128):
-            for P in (2, 16, 64):
-                seconds = {}
-                for ring in rings:
-                    seconds[ring], picked = _grid_sweep(
-                        solver, A, b, k=k, P=P, machine=machine, schedule=ring)
-                cheaper = min(rings, key=seconds.get)
-                assert seconds[picked] <= 1.03 * seconds[cheaper], (k, P, seconds)
-                if max(seconds.values()) > 1.10 * seconds[cheaper]:
-                    assert picked == cheaper, (k, P, seconds)
-
-
 class _SmallSlots(VirtualComm):
     """Modelled ranks whose nonblocking slots hold 1,000 words."""
 
@@ -411,8 +344,7 @@ def _news20_path(comm, tol=None):
     A, b, _ = registry.generate("news20", scale=2e7 / (15935 * 62061),
                                 max_side=70000, seed=0)
     ctx = SweepContext(A, b, comm=comm)
-    return ctx.resolve(SWEEP_SCHEDULE, "sa-accbcd", s=16, mu=8, tol=tol,
-                       max_iter=320)
+    return ctx.resolve(SWEEP_SCHEDULE, "sa-accbcd", s=16, mu=8, tol=tol)
 
 
 def _rcv1_stream(comm=None, **kw):
@@ -434,14 +366,17 @@ def _on_two_ranks(fn, machine=CRAY_XC30, **kw):
     return ran[0]
 
 
-#: the pinned resolutions: (case, the schedule it resolves, want)
+#: the pinned resolutions: (case, the schedule it resolves, want); a
+#: fixed budget keeps the async ring wherever its post fits, also where
+#: its cross Grams outweigh the reduction they ride (path-16's 128
+#: columns a step, the 16-row stream at virtual P = 16 and 64)
 RESOLUTIONS = [
     ("path-16", lambda: _on_two_ranks(_news20_path), SWEEP_SCHEDULE),
     ("stream-window", lambda: _on_two_ranks(_rcv1_stream), SWEEP_SCHEDULE),
     ("svm-stream-virtual-p16",
-     lambda: _rcv1_stream(virtual_p=16, machine=CRAY_XC30), Schedule(ring=True)),
+     lambda: _rcv1_stream(virtual_p=16, machine=CRAY_XC30), SWEEP_SCHEDULE),
     ("svm-stream-virtual-p64",
-     lambda: _rcv1_stream(virtual_p=64, machine=CRAY_XC30), Schedule(ring=True)),
+     lambda: _rcv1_stream(virtual_p=64, machine=CRAY_XC30), SWEEP_SCHEDULE),
     ("tol-set", lambda: _on_two_ranks(_news20_path, tol=1e-6), Schedule(ring=True)),
     ("one-modelled-rank", lambda: _news20_path(VirtualComm(1, machine=CRAY_XC30)),
      Schedule()),
@@ -509,9 +444,9 @@ def _uneven_sweeps(comm, rank):
 
 
 def test_ranks_agree_on_uneven_shards():
-    """Every rank prices the rule from figures they all hold, so shards
-    of unequal stored entries still resolve one schedule and make one
-    collective sequence; a rule priced from a rank's own shard would put
+    """Every input of the rule is one all ranks hold, so shards of
+    unequal stored entries still resolve one schedule and make one
+    collective sequence; a rule that read a rank's own shard could put
     the dense rank on the pipelined ring and its peer on the async one."""
     first, second = spmd_run(_uneven_sweeps, RANKS, machine=CRAY_XC30).values
     assert first == second
